@@ -49,6 +49,7 @@ from .ring import (
     multiply,
     pair_product,
     primitive_part,
+    product_is_zero,
     reduce,
     square,
     sub_bar,

@@ -15,11 +15,12 @@ import sys
 
 from .errors import BottError
 from .iso import extract_sigma_eps, make_iso, max_stable, search_isos
-from .ring import square
+from .ring import product_is_zero
 from .serialize import (
     certificate_to_obj,
     dumps_canonical,
     encode_int,
+    iso_matrix_from_obj,
     matrix_from_obj,
     matrix_to_obj,
     verify_certificate_obj,
@@ -46,10 +47,11 @@ def _load_matrix(path: str):
 
 def _cmd_ring(args) -> dict:
     A = _load_matrix(args.matrix)
+    alphas = [A.alpha(i).coeffs for i in range(1, A.n + 1)]
     return {
         "n": A.n,
-        "alpha": [[encode_int(t) for t in A.alpha(i).coeffs] for i in range(1, A.n + 1)],
-        "alpha_sq_zero": [square(A.alpha(i)).is_zero() for i in range(1, A.n + 1)],
+        "alpha": [[encode_int(t) for t in a] for a in alphas],
+        "alpha_sq_zero": [product_is_zero(A, a, a) for a in alphas],
     }
 
 
@@ -89,11 +91,9 @@ def _cmd_decompose(args) -> dict:
 def _cmd_iso_check(args) -> dict:
     A = _load_matrix(args.source)
     B = _load_matrix(args.target)
-    obj = _load(args.iso)
-    if not isinstance(obj, dict) or "C" not in obj:
-        raise BottError("isomorphism file needs key 'C'")
+    C = iso_matrix_from_obj(_load(args.iso))
     try:
-        phi = make_iso(A, B, [[int(e) if not isinstance(e, str) else int(e, 10) for e in row] for row in obj["C"]])
+        phi = make_iso(A, B, C)
     except BottError as exc:
         return {"valid": False, "reason": str(exc)}
     se = extract_sigma_eps(phi, decompose_tower(A), decompose_tower(B))
@@ -118,10 +118,7 @@ def _cmd_iso_search(args) -> dict:
 def _cmd_stabilize(args) -> dict:
     A = _load_matrix(args.source)
     B = _load_matrix(args.target)
-    obj = _load(args.iso)
-    if not isinstance(obj, dict) or "C" not in obj:
-        raise BottError("isomorphism file needs key 'C'")
-    phi = make_iso(A, B, [[int(e) if not isinstance(e, str) else int(e, 10) for e in row] for row in obj["C"]])
+    phi = make_iso(A, B, iso_matrix_from_obj(_load(args.iso)))
     cert = stabilize_full(phi)
     result = verify_certificate(cert)
     if not result:
@@ -175,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("iso")
     p.set_defaults(func=_cmd_iso_check)
 
-    default_bound = int(os.environ.get("BOTT_SEARCH_BOUND", DEFAULT_SEARCH_BOUND))
+    # a string default goes through type=int, so a bad value is a usage error
+    default_bound = os.environ.get("BOTT_SEARCH_BOUND", DEFAULT_SEARCH_BOUND)
     p = sub.add_parser("iso-search", help="enumerate isomorphisms with bounded entries")
     p.add_argument("source")
     p.add_argument("target")

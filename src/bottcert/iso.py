@@ -33,6 +33,7 @@ from .ring import (
     CohClass,
     multiply,
     pair_product,
+    product_is_zero,
     two_x_minus_alpha,
 )
 
@@ -148,7 +149,7 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
     """Validate a degree-2 matrix as a graded ring isomorphism.
 
     Checks det C = +-1 and, for every i, that phi(x_i)^2 - phi(alpha_i)phi(x_i)
-    reduces to zero over B.
+    = phi(x_i)(phi(x_i) - phi(alpha_i)) reduces to zero over B.
     """
     if A.n != B.n:
         raise ShapeError(f"source has n={A.n} but target has n={B.n}")
@@ -158,11 +159,15 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
     if int_det(C) not in (1, -1):
         raise NotUnimodular(f"det is not +-1 for {C}")
     phi = GradedIso(A, B, C)
-    for i in range(1, A.n + 1):
-        img = phi.row(i)
-        residue = pair_product(img, img) - pair_product(phi.apply2(A.alpha(i)), img)
-        if not residue.is_zero():
-            raise RelationViolated(i, residue)
+    for i, (img, arow) in enumerate(zip(C, A.rows), start=1):
+        diff = img
+        for aij, crow in zip(arow, C):
+            if aij:
+                diff = [d - aij * c for d, c in zip(diff, crow)]
+        if not product_is_zero(B, img, diff):
+            # the general product only to report the residue
+            x = phi.row(i)
+            raise RelationViolated(i, pair_product(x, x) - pair_product(phi.apply2(A.alpha(i)), x))
     return phi
 
 
@@ -176,11 +181,8 @@ def compose(g: GradedIso, f: GradedIso) -> GradedIso:
     """g after f; contexts must chain.  The result is revalidated."""
     if f.target != g.source:
         raise ContextMismatch("target of the inner map differs from source of the outer")
-    n = f.source.n
-    C = tuple(
-        tuple(sum(f.C[i][m] * g.C[m][j] for m in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*g.C))
+    C = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in f.C)
     return make_iso(f.source, g.target, C)
 
 
@@ -280,16 +282,6 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     rows: list[tuple[int, ...]] = []
     used = [False] * n
 
-    def relation_holds(i: int) -> bool:
-        img = Class2(B, rows[i - 1])
-        phi_alpha = [0] * n
-        for j, aij in enumerate(A.rows[i - 1], start=1):
-            if aij:
-                for col in range(n):
-                    phi_alpha[col] += aij * rows[j - 1][col]
-        residue = pair_product(img, img) - pair_product(Class2(B, phi_alpha), img)
-        return residue.is_zero()
-
     def extend(i: int) -> None:
         if i > n:
             C = tuple(rows)
@@ -318,10 +310,12 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
                     continue
                 if _row_gcd(row) != 1:
                     continue
+                # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
+                if not product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):
+                    continue
                 rows.append(row)
                 used[m - 1] = True
-                if relation_holds(i):
-                    extend(i + 1)
+                extend(i + 1)
                 used[m - 1] = False
                 rows.pop()
 

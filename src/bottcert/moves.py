@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ContextMismatch, RangeError, SwitchBlocked, TwistInvalid
 from .iso import GradedIso, compose, identity_iso, make_iso
-from .ring import BottMatrix, Class2, pair_product
+from .ring import BottMatrix, Class2, product_is_zero
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def twist(B: BottMatrix, j: int, v: Class2) -> Move:
         raise ContextMismatch("twist parameter lives over a different matrix")
     if v.height() >= j:
         raise TwistInvalid(f"v has height {v.height()}, needs < {j}")
-    beta_j = B.alpha(j)
-    if not pair_product(v, beta_j - v).is_zero():
+    if not product_is_zero(B, v.coeffs, (B.alpha(j) - v).coeffs):
         raise TwistInvalid(f"v(beta_j - v) != 0 for v={v!r}")
 
     rows = []

@@ -11,6 +11,13 @@ basis.  This module provides the matrix type, degree-2 classes, half-integral
 degree-2 classes, general ring elements in normal form, and the filtration
 F_k = span{x_1..x_k} with its height function.
 
+Every product the library checks in production is a product of two degree-2
+classes tested for zero, and that product has a closed form (see
+``product_is_zero``): one flat integer kernel on coefficient sequences.
+``CohClass`` with ``multiply``, ``reduce``, ``pair_product`` and ``square``
+is the general-degree API; it serves callers that need a normal form and is
+the oracle the kernel is tested against.
+
 All arithmetic is exact (arbitrary precision integers).  Every value is
 immutable after construction and every operation is pure, so everything here
 can be shared freely across threads.  Indices are 1-based in all public
@@ -384,6 +391,22 @@ def pair_product(a: Class2, b: Class2) -> CohClass:
 
 def square(a: Class2) -> CohClass:
     return pair_product(a, a)
+
+
+def product_is_zero(A: BottMatrix, s, t) -> bool:
+    """Whether s*t = 0 for degree-2 classes given as length-n coefficient sequences.
+
+    With x_i^2 = sum_{j<i} a_ij x_j x_i, the coefficient of x_j x_i (j < i)
+    in s*t is s_j t_i + s_i t_j + s_i t_i a_ij, and the pair monomials are a
+    basis of degree 4.  Row i of A holds exactly the a_ij with j < i.
+    """
+    for si, ti, row in zip(s, t, A.rows):
+        if si or ti:
+            d = si * ti
+            for sj, tj, aij in zip(s, t, row):
+                if sj * ti + si * tj + d * aij:
+                    return False
+    return True
 
 
 def two_x_minus_alpha(A: BottMatrix, i: int) -> Class2:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .iso import GradedIso, compose, invert, make_iso, max_stable
 from .moves import Move, MoveSeq, ReplayResult, invert_seq, replay, switch, twist
-from .ring import BottMatrix, Class2, HalfClass2, pair_product
+from .ring import BottMatrix, Class2, HalfClass2, product_is_zero
 from .structure import decompose_tower, same_block
 
 
@@ -131,7 +131,7 @@ def _key_step(phi: GradedIso, k: int, budget: _Budget):
         if head.scale(t) != phi_alpha - w.scale(2):
             raise ContractViolation("F_k part of beta_l does not match phi(alpha_{k+1})")
         u = HalfClass2.of(head.scale(2))
-        if not pair_product(bar_ell, bar_ell + head.scale(2)).is_zero():
+        if not product_is_zero(B, bar_ell.coeffs, (bar_ell + head.scale(2)).coeffs):
             raise ContractViolation("trunc(beta_l) * (trunc(beta_l) + u) != 0")
         bar_prev = B.alpha(ell - 1).truncated_tail(k)
         # forced identity: 2 trunc(beta_l) = p (2 y_{l-1} - trunc(beta_{l-1}))
@@ -140,7 +140,7 @@ def _key_step(phi: GradedIso, k: int, budget: _Budget):
         if p % 2 == 0:
             case = "even"
             v = Class2.basis(B, ell - 1).scale(p // 2)
-            if not pair_product(v, B.alpha(ell) - v).is_zero():
+            if not product_is_zero(B, v.coeffs, (B.alpha(ell) - v).coeffs):
                 raise ContractViolation("v(beta_l - v) != 0 with v = (p/2) y_{l-1}")
             mv = twist(cur, ell, v)
             moves.append(mv)
@@ -158,7 +158,7 @@ def _key_step(phi: GradedIso, k: int, budget: _Budget):
             if not half.is_integral():
                 raise ContractViolation("trunc(beta_{l-1}) is not divisible by 2")
             v = half.as_class2()
-            if not pair_product(v, B.alpha(ell - 1) - v).is_zero():
+            if not product_is_zero(B, v.coeffs, (B.alpha(ell - 1) - v).coeffs):
                 raise ContractViolation("v(beta_{l-1} - v) != 0 with v = trunc(beta_{l-1})/2")
             mv = twist(cur, ell - 1, v)
             moves.append(mv)

@@ -19,7 +19,7 @@ from .ring import (
     BottMatrix,
     Class2,
     primitive_part,
-    square,
+    product_is_zero,
     sub_bar,
     two_x_minus_alpha,
 )
@@ -42,7 +42,8 @@ def square_zero_generators(A: BottMatrix) -> list[SquareZeroGenerator]:
     """
     out = []
     for i in range(1, A.n + 1):
-        if square(A.alpha(i)).is_zero():
+        alpha = A.alpha(i).coeffs
+        if product_is_zero(A, alpha, alpha):
             gen = two_x_minus_alpha(A, i)
             out.append(SquareZeroGenerator(i, gen, primitive_part(gen)))
     return out
@@ -51,7 +52,7 @@ def square_zero_generators(A: BottMatrix) -> list[SquareZeroGenerator]:
 def square_zero_bruteforce(A: BottMatrix, bound: int) -> list[Class2]:
     """All nonzero z with coefficients in [-bound, bound] and z^2 = 0.
 
-    Plain enumeration against the ring multiplication; serves as the
+    Plain enumeration against the degree-2 product; serves as the
     independent check of the closed-form classification.
     """
     if bound < 0:
@@ -61,9 +62,8 @@ def square_zero_bruteforce(A: BottMatrix, bound: int) -> list[Class2]:
     if bound == 0:
         return out
     while True:
-        z = Class2(A, coeffs)
-        if not z.is_zero() and square(z).is_zero():
-            out.append(z)
+        if any(coeffs) and product_is_zero(A, coeffs, coeffs):
+            out.append(Class2(A, coeffs))
         pos = A.n - 1
         while pos >= 0 and coeffs[pos] == bound:
             coeffs[pos] = -bound
@@ -76,7 +76,8 @@ def square_zero_bruteforce(A: BottMatrix, bound: int) -> list[Class2]:
 def _fiber_flags(M: BottMatrix, k: int) -> list[bool]:
     """Whether alpha^2 = 0 in the fiber ring cut at k, per fiber row."""
     fiber = M if k == 0 else sub_bar(M, k)
-    return [square(fiber.alpha(i)).is_zero() for i in range(1, fiber.n + 1)]
+    alphas = [fiber.alpha(i).coeffs for i in range(1, fiber.n + 1)]
+    return [product_is_zero(fiber, a, a) for a in alphas]
 
 
 def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], int]:
@@ -244,7 +245,7 @@ def blocks_at(A: BottMatrix, T: DecompositionTower, lev: int) -> BlockStructure:
         z = Class2(fiber, vec)
         if all(t % 2 == 0 for t in z.coeffs):
             z = Class2(fiber, tuple(t // 2 for t in z.coeffs))
-        if not square(z).is_zero():
+        if not product_is_zero(fiber, z.coeffs, z.coeffs):
             raise ContractViolation(f"representative z_{r} fails z^2 = 0 in the fiber")
         prims[r] = z
         reps[r] = z.mod2()
@@ -274,7 +275,8 @@ def qtrivial_partition(A: BottMatrix) -> tuple[int, ...] | None:
     and the partition is recovered from the level-1 block sizes, sorted
     descending.
     """
-    if not all(square(A.alpha(i)).is_zero() for i in range(1, A.n + 1)):
+    alphas = [A.alpha(i).coeffs for i in range(1, A.n + 1)]
+    if not all(product_is_zero(A, a, a) for a in alphas):
         return None
     T = decompose_tower(A)
     blocks = blocks_at(A, T, 1)

@@ -103,6 +103,25 @@ def test_iso_search_bound_env(files, capsys, monkeypatch):
     assert data["bound"] == 1 and len(data["isos"]) == 8
 
 
+def test_iso_search_bound_env_not_an_integer(files, capsys, monkeypatch):
+    monkeypatch.setenv("BOTT_SEARCH_BOUND", "x")
+    a = files("z.json", {"n": 2, "rows": [[], [0]]})
+    code = main(["iso-search", a, a])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "invalid int value: 'x'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["iso-check", "stabilize"])
+def test_iso_matrix_rejects_non_integers(files, capsys, command):
+    a = files("z.json", {"n": 2, "rows": [[], [0]]})
+    c = files("c.json", {"C": [[1.9, 0], [0, True]]})
+    code, out = run(capsys, command, a, a, c)
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_stabilize_and_verify_files(files, capsys, tmp_path):
     a = files("a.json", {"n": 3, "rows": [[], [0], [1, 0]]})
     b = files("b.json", {"n": 3, "rows": [[], [1], [0, 0]]})

@@ -1,5 +1,6 @@
 """Ring arithmetic: matrices, reduction, products, heights, submatrices."""
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bottcert as bc
-from helpers import rand_class, rand_matrix, reduce_oracle
+from helpers import rand_class, rand_matrix, reduce_oracle, sparse_matrix
 
 
 H3 = bc.make_bott_matrix(3, [[], [1], [1, 0]])
@@ -129,6 +130,58 @@ class TestMultiply:
                 for j in range(1, i):
                     expect = z[i] ** 2 * A.a(i, j) + 2 * z[i] * z[j]
                     assert sq.terms.get(frozenset((j, i)), 0) == expect
+
+
+def kernel_agrees(A, s, t):
+    """product_is_zero against the general-degree product; returns the verdict."""
+    got = bc.product_is_zero(A, s.coeffs, t.coeffs)
+    assert got == bc.pair_product(s, t).is_zero()
+    return got
+
+
+class TestProductKernel:
+    def test_random_pairs(self):
+        rng = random.Random(2024)
+        verdicts = set()
+        for _ in range(600):
+            A = rand_matrix(rng, rng.randint(1, 6), 2)
+            s = rand_class(rng, A, 3)
+            # a multiple of s forces s*t = 0 whenever s^2 = 0, and sparse
+            # classes over small n often multiply to zero
+            t = s.scale(rng.randint(-2, 2)) if rng.random() < 0.3 else rand_class(rng, A, 1)
+            verdicts.add(kernel_agrees(A, s, t))
+        assert verdicts == {True, False}
+
+    def test_square_zero_frames(self):
+        # (2x_i - alpha_i)^2 = alpha_i^2, so it vanishes exactly when alpha_i^2 does
+        rng = random.Random(5)
+        zeros = 0
+        for _ in range(200):
+            A = sparse_matrix(rng, rng.randint(1, 6), 2)
+            for i in range(1, A.n + 1):
+                alpha_sq_zero = kernel_agrees(A, A.alpha(i), A.alpha(i))
+                frame = bc.two_x_minus_alpha(A, i)
+                assert kernel_agrees(A, frame, frame) == alpha_sq_zero
+                zeros += alpha_sq_zero
+        assert zeros > 0
+
+    def test_twist_pairs(self):
+        # v(beta_j - v) over every small v of height < j: the admissibility test of twist
+        rng = random.Random(17)
+        verdicts = set()
+        for _ in range(40):
+            A = sparse_matrix(rng, rng.randint(2, 5), 2)
+            j = rng.randint(2, A.n)
+            for tail in itertools.product(range(-1, 2), repeat=j - 1):
+                v = bc.Class2(A, list(tail) + [0] * (A.n - j + 1))
+                verdicts.add(kernel_agrees(A, v, A.alpha(j) - v))
+        assert verdicts == {True, False}
+
+    def test_relation_violation_message(self):
+        Z = bc.make_bott_matrix(2, [[], [0]])
+        with pytest.raises(bc.RelationViolated) as info:
+            bc.make_iso(Z, Z, [[1, 0], [-1, 1]])
+        assert str(info.value) == "relation 2 violated, residue CohClass(-2*x1*x2)"
 
 
 class TestHeight:

@@ -14,7 +14,6 @@ from .errors import (
     ContractViolation,
     DecompositionInconsistent,
     ExtractionFailure,
-    NonIntegralError,
     NonTermination,
     NotUnimodular,
     OddAtBoundary,
@@ -43,7 +42,6 @@ from .ring import (
     BottMatrix,
     Class2,
     CohClass,
-    HalfClass2,
     height,
     make_bott_matrix,
     multiply,

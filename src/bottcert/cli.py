@@ -3,7 +3,9 @@
 Subcommands parse matrices, isomorphisms and certificates from JSON files,
 dispatch to the library, and emit canonical JSON on standard output.  Exit
 codes: 0 on success, 1 on domain errors (with an {"error": ...} payload),
-2 on usage errors.  Output is byte-deterministic for fixed input.
+2 on usage errors, 3 when a tripwire fires (payload {"error": ...,
+"tripwire": true}; that is a bug, never a property of the input).  Output
+is byte-deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import BottError
+from .errors import BottError, TripwireError
 from .iso import extract_sigma_eps, make_iso, max_stable, search_isos
 from .ring import product_is_zero
 from .serialize import (
@@ -202,6 +204,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         payload = args.func(args)
+    except TripwireError as exc:
+        sys.stdout.write(dumps_canonical({"error": str(exc), "tripwire": True}))
+        return 3
     except (BottError, OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         sys.stdout.write(dumps_canonical({"error": str(exc)}))
         return 1

@@ -23,10 +23,6 @@ class ContextMismatch(BottError):
     """Operands belong to different Bott matrices."""
 
 
-class NonIntegralError(BottError):
-    """A half-integral class was used where an integral one is required."""
-
-
 class WellOrderFailure(BottError):
     """No admissible switch sequence orders the square-zero rows first."""
 

@@ -2,14 +2,17 @@
 
 An isomorphism is represented by its degree-2 integer matrix C with
 phi(x_i) = sum_j C_ij y_j; since the ring is generated in degree 2 this
-determines phi completely.  Validation checks unimodularity and that every
-relation x_i^2 = alpha_i x_i is respected, which makes the matrix
-representation sound.
+determines phi completely.  ``make_iso`` is the one validating constructor:
+it checks unimodularity and that every relation x_i^2 = alpha_i x_i is
+respected, and it runs where a matrix enters from outside.  ``GradedIso``
+itself trusts its arguments; ``compose``, ``invert`` and ``search_isos``
+build it directly, because their results are isomorphisms by algebra (or,
+for the search, by the checks made while enumerating).
 
 All operations are pure.  ``search_isos`` enumerates candidates following
 the structure theory: the image of each 2x_i - alpha_i must be a rational
 multiple of some 2y_m - beta_m with matching level, so candidate rows are
-solved from (target index, scalar) pairs and then validated.
+solved from (target index, scalar) pairs and checked row by row.
 """
 
 from __future__ import annotations
@@ -62,14 +65,18 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    An integral inverse proves det = +-1 (both determinants are integers
+    with product 1), so no separate determinant is taken.
+    """
     n = len(matrix)
-    if int_det(matrix) not in (1, -1):
-        raise NotUnimodular("matrix is not invertible over the integers")
     work = [[Fraction(e) for e in row] + [Fraction(int(r == c)) for c in range(n)]
             for r, row in enumerate(matrix)]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise NotUnimodular("matrix is not invertible over the integers")
         work[col], work[pivot] = work[pivot], work[col]
         inv = 1 / work[col][col]
         work[col] = [e * inv for e in work[col]]
@@ -78,7 +85,7 @@ def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
                 f = work[r][col]
                 work[r] = [e - f * p for e, p in zip(work[r], work[col])]
     out = tuple(tuple(int(e) for e in row[n:]) for row in work)
-    # denominators all divide the determinant, hence are 1 here
+    # a denominator other than 1 means |det| > 1
     for r in range(n):
         for c in range(n):
             if work[r][n + c] != out[r][c]:
@@ -87,7 +94,10 @@ def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 class GradedIso:
-    """Validated graded ring isomorphism between two Bott rings."""
+    """Graded ring isomorphism between two Bott rings.
+
+    The constructor trusts its arguments; ``make_iso`` validates them.
+    """
 
     __slots__ = ("source", "target", "C")
 
@@ -178,17 +188,17 @@ def identity_iso(A: BottMatrix) -> GradedIso:
 
 
 def compose(g: GradedIso, f: GradedIso) -> GradedIso:
-    """g after f; contexts must chain.  The result is revalidated."""
+    """g after f; contexts must chain.  A composite of isomorphisms is one."""
     if f.target != g.source:
         raise ContextMismatch("target of the inner map differs from source of the outer")
     cols = tuple(zip(*g.C))
     C = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in f.C)
-    return make_iso(f.source, g.target, C)
+    return GradedIso(f.source, g.target, C)
 
 
 def invert(phi: GradedIso) -> GradedIso:
-    """Inverse isomorphism (integral because det C = +-1); revalidated."""
-    return make_iso(phi.target, phi.source, int_inverse(phi.C))
+    """Inverse isomorphism (integral because det C = +-1)."""
+    return GradedIso(phi.target, phi.source, int_inverse(phi.C))
 
 
 def max_stable(phi: GradedIso) -> int:
@@ -263,7 +273,8 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     with matching level) and scalar 2eps in a range fixed by the bound; the
     search enumerates exactly those and solves for the row.  Rows of a
     unimodular matrix are primitive and the indices m are pairwise distinct,
-    which prunes scalar multiples early.
+    which prunes scalar multiples early.  Every hit has passed the same
+    determinant and relation checks as ``make_iso``, so it is not revalidated.
     """
     from .structure import decompose_tower
 
@@ -320,5 +331,5 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
                 rows.pop()
 
     extend(1)
-    found = sorted(set(found))
-    return [make_iso(A, B, C) for C in found]
+    del extend  # it refers to itself; the cycle would keep its state alive until a full GC
+    return [GradedIso(A, B, C) for C in sorted(set(found))]

@@ -167,6 +167,6 @@ def replay(seq: MoveSeq) -> ReplayResult:
         cur = fresh.after
     if cur != seq.end:
         return ReplayResult(False, "end matrix does not match the chain")
-    if comp.C != seq.composite.C:
+    if comp != seq.composite:
         return ReplayResult(False, "composite does not match the chain")
     return ReplayResult(True, None)

@@ -7,9 +7,9 @@ total space is
     Z[x_1, ..., x_n] / (x_i^2 - alpha_i x_i),    alpha_i = sum_{j<i} a_ij x_j,
 
 and the square-free monomials x_S, S a subset of {1..n}, are an additive
-basis.  This module provides the matrix type, degree-2 classes, half-integral
-degree-2 classes, general ring elements in normal form, and the filtration
-F_k = span{x_1..x_k} with its height function.
+basis.  This module provides the matrix type, integral degree-2 classes,
+general ring elements in normal form, and the filtration F_k = span{x_1..x_k}
+with its height function.
 
 Every product the library checks in production is a product of two degree-2
 classes tested for zero, and that product has a closed form (see
@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping
 
-from .errors import ContextMismatch, NonIntegralError, RangeError, ShapeError
+from .errors import ContextMismatch, RangeError, ShapeError
 
 
 class BottMatrix:
@@ -209,67 +209,6 @@ class Class2:
 def height(c: Class2) -> int:
     """Smallest k with c in F_k = span{x_1..x_k}; 0 for the zero class."""
     return c.height()
-
-
-class HalfClass2:
-    """Degree-2 class with coefficients in (1/2)Z.
-
-    Stored as an integer numerator vector over a denominator of 1 or 2 and
-    normalized so a denominator of 2 implies some odd numerator.  Conversion
-    to an integral class fails loudly when the value is genuinely
-    half-integral, which keeps accidental fractions out of the integer-only
-    operations.
-    """
-
-    __slots__ = ("context", "numerators", "denominator")
-
-    def __init__(self, context: BottMatrix, numerators: Iterable[int], denominator: int):
-        if denominator not in (1, 2):
-            raise NonIntegralError(f"denominator must be 1 or 2, got {denominator}")
-        numerators = tuple(int(t) for t in numerators)
-        if len(numerators) != context.n:
-            raise ShapeError(f"expected {context.n} numerators, got {len(numerators)}")
-        if denominator == 2 and all(t % 2 == 0 for t in numerators):
-            numerators = tuple(t // 2 for t in numerators)
-            denominator = 1
-        self.context = context
-        self.numerators = numerators
-        self.denominator = denominator
-
-    @staticmethod
-    def of(c: Class2) -> "HalfClass2":
-        return HalfClass2(c.context, c.coeffs, 1)
-
-    @staticmethod
-    def half_of(c: Class2) -> "HalfClass2":
-        """The class c/2, which may be genuinely half-integral."""
-        return HalfClass2(c.context, c.coeffs, 2)
-
-    def is_integral(self) -> bool:
-        return self.denominator == 1
-
-    def as_class2(self) -> Class2:
-        if self.denominator != 1:
-            raise NonIntegralError(f"{self!r} is not integral")
-        return Class2(self.context, self.numerators)
-
-    def doubled(self) -> Class2:
-        mult = 2 // self.denominator
-        return Class2(self.context, tuple(mult * t for t in self.numerators))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HalfClass2)
-            and self.context == other.context
-            and self.numerators == other.numerators
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.numerators, self.denominator))
-
-    def __repr__(self) -> str:
-        return f"HalfClass2({list(self.numerators)}/{self.denominator})"
 
 
 class CohClass:

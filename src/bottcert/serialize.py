@@ -1,8 +1,10 @@
 """JSON readers and writers with canonical, byte-deterministic output.
 
 Exact integers are emitted as JSON numbers while |x| < 2^53 and as decimal
-strings beyond that; readers accept both forms.  Writers sort object keys
-and keep arrays in index order, so equal values serialize to equal bytes.
+strings beyond that; readers accept both forms.  Readers take arrays only
+as JSON lists: a string, object or other iterable never stands in for one.
+Writers sort object keys and keep arrays in index order, so equal values
+serialize to equal bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ def decode_int(v: Any) -> int:
     raise ShapeError(f"expected an integer, got {type(v).__name__}")
 
 
+def _list(v: Any, what: str) -> list:
+    if not isinstance(v, list):
+        raise ShapeError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
+def _ints(v: Any, what: str) -> list[int]:
+    return [decode_int(e) for e in _list(v, what)]
+
+
 def dumps_canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -48,10 +60,8 @@ def matrix_to_obj(A: BottMatrix) -> dict:
 def matrix_from_obj(obj: Any) -> BottMatrix:
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise ShapeError("matrix object needs keys 'n' and 'rows'")
-    rows = obj["rows"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ShapeError("'rows' must be a list of lists")
-    return make_bott_matrix(decode_int(obj["n"]), [[decode_int(e) for e in r] for r in rows])
+    rows = [_ints(r, "matrix row") for r in _list(obj["rows"], "'rows'")]
+    return make_bott_matrix(decode_int(obj["n"]), rows)
 
 
 def class2_to_obj(c: Class2) -> dict:
@@ -61,7 +71,7 @@ def class2_to_obj(c: Class2) -> dict:
 def class2_from_obj(obj: Any, context: BottMatrix) -> Class2:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ShapeError("class object needs key 'coeffs'")
-    return Class2(context, [decode_int(t) for t in obj["coeffs"]])
+    return Class2(context, _ints(obj["coeffs"], "'coeffs'"))
 
 
 def iso_to_obj(phi: GradedIso) -> dict:
@@ -71,10 +81,7 @@ def iso_to_obj(phi: GradedIso) -> dict:
 def iso_matrix_from_obj(obj: Any) -> list[list[int]]:
     if not isinstance(obj, dict) or "C" not in obj:
         raise ShapeError("isomorphism object needs key 'C'")
-    C = obj["C"]
-    if not isinstance(C, list) or not all(isinstance(r, list) for r in C):
-        raise ShapeError("'C' must be a list of rows")
-    return [[decode_int(e) for e in row] for row in C]
+    return [_ints(row, "row of 'C'") for row in _list(obj["C"], "'C'")]
 
 
 def move_to_obj(mv: Move) -> dict:
@@ -93,7 +100,7 @@ def move_from_obj(obj: Any, before: BottMatrix) -> Move:
     if kind == "twist":
         if "v" not in obj:
             raise ShapeError("twist move needs key 'v'")
-        v = Class2(before, [decode_int(t) for t in obj["v"]])
+        v = Class2(before, _ints(obj["v"], "twist 'v'"))
         return twist(before, j, v)
     raise ShapeError(f"unknown move kind {kind!r}")
 
@@ -108,7 +115,7 @@ def seq_from_obj(obj: Any) -> MoveSeq:
     cur = matrix_from_obj(obj["start"])
     start = cur
     moves = []
-    for mv_obj in obj["moves"]:
+    for mv_obj in _list(obj["moves"], "'moves'"):
         mv = move_from_obj(mv_obj, cur)
         moves.append(mv)
         cur = mv.after

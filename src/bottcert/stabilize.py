@@ -29,7 +29,7 @@ from .errors import (
 )
 from .iso import GradedIso, compose, invert, make_iso, max_stable
 from .moves import Move, MoveSeq, ReplayResult, invert_seq, replay, switch, twist
-from .ring import BottMatrix, Class2, HalfClass2, product_is_zero
+from .ring import BottMatrix, Class2, product_is_zero
 from .structure import decompose_tower, same_block
 
 
@@ -88,7 +88,7 @@ class KeyStepTrace:
     case: str  # "zero" | "even" | "odd"
     eps: Fraction
     w: Class2
-    u: HalfClass2 | None
+    u: Class2 | None
     moves: MoveSeq
 
 
@@ -115,7 +115,7 @@ def _key_step(phi: GradedIso, k: int, budget: _Budget):
     p = B.a(ell, ell - 1)
     moves: list[Move] = []
     cur = B
-    u: HalfClass2 | None = None
+    u: Class2 | None = None
     if p == 0:
         case = "zero"
         # the image has no y_{l-1} term, so exchanging l-1 and l drops the height
@@ -130,8 +130,8 @@ def _key_step(phi: GradedIso, k: int, budget: _Budget):
         # forced identity: 2eps*(beta_l - trunc beta_l) = phi(alpha_{k+1}) - 2w
         if head.scale(t) != phi_alpha - w.scale(2):
             raise ContractViolation("F_k part of beta_l does not match phi(alpha_{k+1})")
-        u = HalfClass2.of(head.scale(2))
-        if not product_is_zero(B, bar_ell.coeffs, (bar_ell + head.scale(2)).coeffs):
+        u = head.scale(2)
+        if not product_is_zero(B, bar_ell.coeffs, (bar_ell + u).coeffs):
             raise ContractViolation("trunc(beta_l) * (trunc(beta_l) + u) != 0")
         bar_prev = B.alpha(ell - 1).truncated_tail(k)
         # forced identity: 2 trunc(beta_l) = p (2 y_{l-1} - trunc(beta_{l-1}))
@@ -154,10 +154,9 @@ def _key_step(phi: GradedIso, k: int, budget: _Budget):
             case = "odd"
             if ell <= k + 2:
                 raise OddAtBoundary(f"p={p} odd requires height > {k + 2}, got {ell}")
-            half = HalfClass2.half_of(bar_prev)
-            if not half.is_integral():
+            if any(t % 2 for t in bar_prev.coeffs):
                 raise ContractViolation("trunc(beta_{l-1}) is not divisible by 2")
-            v = half.as_class2()
+            v = Class2(B, [t // 2 for t in bar_prev.coeffs])
             if not product_is_zero(B, v.coeffs, (B.alpha(ell - 1) - v).coeffs):
                 raise ContractViolation("v(beta_{l-1} - v) != 0 with v = trunc(beta_{l-1})/2")
             mv = twist(cur, ell - 1, v)

@@ -1,10 +1,12 @@
 """Command line interface: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 import bottcert as bc
+import bottcert.cli
 from bottcert.cli import main
 from bottcert.serialize import dumps_canonical, matrix_to_obj
 
@@ -212,3 +214,56 @@ def test_matrix_big_integers_round_trip(files, capsys):
     assert json.loads(dumps_canonical(matrix_to_obj(bc.make_bott_matrix(2, [[], [big]]))))[
         "rows"
     ][1][0] == str(big)
+
+
+# sha256 of stdout for criterion 8's commands, run in a directory holding
+# the fixtures; the stabilize --out file equals the stdout certificate
+PINNED_STDOUT = [
+    (["ring", "h3.json"], "11221b42747a3ebc846eb43a24ade155eed495b0db1bd7b072864eea51d65eeb"),
+    (["sqzero", "a.json"], "2784879a5177dd67036d682362b0f525ce8f52ad05f0a385906d35dd0e0e7006"),
+    (["decompose", "a.json"], "e9b8789bee4381514ee6f206cfe99be5e8bf7ce11f5e2332d7540c7170e03296"),
+    (
+        ["iso-check", "f0.json", "f2.json", "c.json"],
+        "6f302e8c8d974c0e97decb388e1c7e9d4893175868b2d4584dc2a2560bcee093",
+    ),
+    (
+        ["iso-search", "f0.json", "f2.json", "--bound", "3"],
+        "04dc32b74af2d68e0259b3d1d7cacc4a0b1162f5e87eabc56f85d9b4c889adcd",
+    ),
+    (
+        ["stabilize", "f0.json", "f2.json", "c.json"],
+        "24b07543e9c670a158cbcee51071225040754ae6e56b8c774f5e52eb1b6c1ac3",
+    ),
+    (
+        ["stabilize", "f0.json", "f2.json", "c.json", "--out", "cert.json"],
+        "21aba9cf9ce984504eb346a90d1e93036fb9131c4846890f490aa81d0f263c81",
+    ),
+    (["verify-cert", "cert.json"], "ff965d1b75e95c9b936295f68f0dbeb21fa38dce342feaed073ffa6bef3cfc9a"),
+]
+
+
+def test_pinned_stdout_bytes(files, capsys, tmp_path, monkeypatch):
+    files("h3.json", {"n": 3, "rows": [[], [1], [1, 0]]})
+    files("a.json", {"n": 4, "rows": [[], [1], [0, 2], [1, 1, 0]]})
+    files("f0.json", {"n": 2, "rows": [[], [0]]})
+    files("f2.json", {"n": 2, "rows": [[], [2]]})
+    files("c.json", {"C": [[1, 0], [-1, 1]]})
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in PINNED_STDOUT:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    cert_digest = hashlib.sha256((tmp_path / "cert.json").read_bytes()).hexdigest()
+    assert cert_digest == PINNED_STDOUT[5][1]
+
+
+def test_tripwire_exit_code(files, capsys, monkeypatch):
+    def fire(phi):
+        raise bc.ContractViolation("forced for the test")
+
+    monkeypatch.setattr(bottcert.cli, "stabilize_full", fire)
+    a = files("a.json", {"n": 2, "rows": [[], [0]]})
+    c = files("c.json", {"C": [[0, 1], [1, 0]]})
+    code, out = run(capsys, "stabilize", a, a, c)
+    assert code == 3
+    assert json.loads(out) == {"error": "forced for the test", "tripwire": True}

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import bottcert as bc
+from bottcert.iso import int_inverse
 from helpers import block_map, moved_partner, rand_class, raw_iso_search, sparse_matrix
 
 
@@ -72,6 +73,12 @@ class TestComposeInvert:
     def test_triangular_inverse(self):
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[1, 0], [-1, 1]])
         assert bc.invert(phi).C == ((1, 0), (1, 1))
+
+    def test_int_inverse_rejects_non_unimodular(self):
+        with pytest.raises(bc.NotUnimodular, match="not invertible"):
+            int_inverse([[1, 2], [2, 4]])  # singular: no pivot in column 2
+        with pytest.raises(bc.NotUnimodular, match="not integral"):
+            int_inverse([[2, 0], [0, 1]])  # det 2: the inverse has a 1/2
 
     def test_identity_neutral(self):
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[1, 0], [-1, 1]])

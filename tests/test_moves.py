@@ -162,6 +162,24 @@ class TestMoveSeq:
         res = bc.replay(tampered)
         assert not res.ok and "result matrix" in res.diagnostic
 
+    def test_replay_detects_wrong_induced_map(self):
+        B = hirzebruch(3)
+        mv = bc.twist(B, 2, bc.Class2.basis(B, 1))
+        seq = bc.MoveSeq.build(B, [mv])
+        bad = dataclasses.replace(mv, induced=bc.GradedIso(mv.before, mv.after, ((1, 0), (0, 1))))
+        res = bc.replay(dataclasses.replace(seq, moves=(bad,)))
+        assert res.diagnostic == "move 0: recorded induced map is wrong"
+
+    def test_replay_detects_wrong_composite(self):
+        B = hirzebruch(3)
+        seq = bc.MoveSeq.build(B, [bc.twist(B, 2, bc.Class2.basis(B, 1))])
+        for composite in (
+            bc.GradedIso(seq.start, seq.end, ((1, 0), (2, 1))),
+            bc.GradedIso(seq.end, seq.end, seq.composite.C),
+        ):
+            res = bc.replay(dataclasses.replace(seq, composite=composite))
+            assert res.diagnostic == "composite does not match the chain"
+
     def test_replay_detects_wrong_end(self):
         seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
         tampered = bc.MoveSeq(seq.start, seq.moves, hirzebruch(2), seq.composite)

@@ -212,21 +212,6 @@ class TestSubmatrices:
             bc.sub_hat(H3, 0)
 
 
-class TestHalfClass2:
-    def test_normalizes_even(self):
-        A = bc.make_bott_matrix(2, [[], [2]])
-        h = bc.HalfClass2.half_of(bc.Class2(A, (2, 4)))
-        assert h.is_integral() and h.as_class2() == bc.Class2(A, (1, 2))
-
-    def test_rejects_odd_conversion(self):
-        A = bc.make_bott_matrix(2, [[], [2]])
-        h = bc.HalfClass2.half_of(bc.Class2(A, (1, 2)))
-        assert not h.is_integral()
-        with pytest.raises(bc.NonIntegralError):
-            h.as_class2()
-        assert h.doubled() == bc.Class2(A, (1, 2))
-
-
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.tuples(
         st.just(n),

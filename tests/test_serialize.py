@@ -89,6 +89,76 @@ class TestRoundTrips:
         assert not res.ok and "schema" in res.diagnostic
 
 
+def even_case_cert_obj():
+    # g_seq holds a twist with v = [0, 1, 0]; f_seq is empty
+    A = bc.make_bott_matrix(3, [[], [0], [0, 0]])
+    B = bc.make_bott_matrix(3, [[], [0], [0, 2]])
+    phi = bc.make_iso(A, B, [[0, -1, 1], [1, 0, 0], [0, 1, 0]])
+    return json.loads(json.dumps(ser.certificate_to_obj(bc.stabilize_full(phi))))
+
+
+def _twist_v_as_digits(obj):
+    mv = obj["g_seq"]["moves"][0]
+    assert mv["kind"] == "twist" and mv["v"] == [0, 1, 0]
+    mv["v"] = "010"
+
+
+def _moves_as_object(obj):
+    assert obj["f_seq"]["moves"] == []
+    obj["f_seq"]["moves"] = {}
+
+
+def _moves_as_string(obj):
+    assert obj["f_seq"]["moves"] == []
+    obj["f_seq"]["moves"] = ""
+
+
+def _matrix_row_as_digits(obj):
+    assert obj["B"]["rows"][2] == [0, 2]
+    obj["B"]["rows"][2] = "02"
+
+
+def _iso_row_as_digits(obj):
+    assert obj["phi"]["C"][1] == [1, 0, 0]
+    obj["phi"]["C"][1] = "100"
+
+
+class TestStrictLists:
+    """Arrays are read only from JSON lists, never from strings or objects."""
+
+    def test_cert_fixture_is_valid(self):
+        assert ser.verify_certificate_obj(even_case_cert_obj()).ok
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_twist_v_as_digits, _moves_as_object, _moves_as_string, _matrix_row_as_digits, _iso_row_as_digits],
+    )
+    def test_certificate_rejects_non_list(self, mutate):
+        obj = even_case_cert_obj()
+        mutate(obj)
+        res = ser.verify_certificate_obj(obj)
+        assert not res.ok and "must be a list" in res.diagnostic
+        with pytest.raises(bc.ShapeError):
+            ser.certificate_from_obj(obj)
+
+    def test_seq_twist_v_string(self):
+        start = ser.matrix_to_obj(hirzebruch(2))
+        ok = ser.seq_from_obj({"start": start, "moves": [{"kind": "twist", "j": 2, "v": [1, 0]}]})
+        assert ok.end == hirzebruch(0)
+        with pytest.raises(bc.ShapeError):
+            ser.seq_from_obj({"start": start, "moves": [{"kind": "twist", "j": 2, "v": "10"}]})
+
+    @pytest.mark.parametrize("moves", [{}, "", None], ids=["object", "string", "null"])
+    def test_seq_moves_not_a_list(self, moves):
+        with pytest.raises(bc.ShapeError):
+            ser.seq_from_obj({"start": ser.matrix_to_obj(ZERO2), "moves": moves})
+
+    @pytest.mark.parametrize("coeffs", ["15", {"1": 0, "5": 0}, 15], ids=["string", "object", "number"])
+    def test_class2_coeffs_not_a_list(self, coeffs):
+        with pytest.raises(bc.ShapeError):
+            ser.class2_from_obj({"coeffs": coeffs}, ZERO2)
+
+
 class TestCanonicalDump:
     def test_sorted_keys_and_trailing_newline(self):
         s = ser.dumps_canonical({"b": 1, "a": [2, 1]})

@@ -24,7 +24,6 @@ from .serialize import (
     encode_int,
     iso_matrix_from_obj,
     matrix_from_obj,
-    matrix_to_obj,
     verify_certificate_obj,
 )
 from .stabilize import stabilize_full, verify_certificate
@@ -40,7 +39,10 @@ DEFAULT_SEARCH_BOUND = 6
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _load_matrix(path: str):

@@ -9,10 +9,12 @@ itself trusts its arguments; ``compose``, ``invert`` and ``search_isos``
 build it directly, because their results are isomorphisms by algebra (or,
 for the search, by the checks made while enumerating).
 
-All operations are pure.  ``search_isos`` enumerates candidates following
-the structure theory: the image of each 2x_i - alpha_i must be a rational
-multiple of some 2y_m - beta_m with matching level, so candidate rows are
-solved from (target index, scalar) pairs and checked row by row.
+All operations are pure and exact in integers; ``compose``, ``int_inverse``
+(Euclidean row reduction, no fractions) and ``int_det`` follow the sparsity
+of move maps.  ``search_isos`` enumerates candidates following the structure
+theory: the image of each 2x_i - alpha_i must be a rational multiple of some
+2y_m - beta_m with matching level, so candidate rows are solved from (target
+index, scalar) pairs and checked row by row.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     ContextMismatch,
     ExtractionFailure,
     NotUnimodular,
-    RangeError,
     RelationViolated,
     ShapeError,
 )
@@ -42,7 +43,11 @@ from .ring import (
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    A row with a zero in the pivot column is skipped when the pivot equals
+    the previous one: its update would leave it unchanged.
+    """
     n = len(matrix)
     m = [list(row) for row in matrix]
     sign = 1
@@ -56,41 +61,61 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
+        pivot = m[k][k]
         for i in range(k + 1, n):
+            if m[i][k] == 0 and pivot == prev:
+                continue
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
-        prev = m[k][k]
+        prev = pivot
     return sign * m[n - 1][n - 1]
 
 
-def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a unimodular integer matrix.
+def _reduce(work: list[list[int]], col: int, rows: Iterable[int]) -> None:
+    """Reduce column ``col`` of ``rows`` (other than ``col``) mod its pivot by row ``col``."""
+    prow = work[col]
+    nonzero = [(c, e) for c, e in enumerate(prow) if e]
+    for r in rows:
+        q = work[r][col] // prow[col]
+        if q and r != col:
+            row = work[r]
+            for c, e in nonzero:
+                row[c] -= q * e
 
-    An integral inverse proves det = +-1 (both determinants are integers
-    with product 1), so no separate determinant is taken.
+
+def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Exact inverse of a unimodular integer matrix, by row reduction over Z.
+
+    The matrix is reduced next to an identity block.  Each column is cleared
+    below the diagonal by Euclid's algorithm on its entries, so every step is
+    an integer row operation.  A column with no nonzero entry left means the
+    matrix is singular; a pivot other than +-1 means |det| > 1, so the
+    inverse is not integral.  An integral inverse proves det = +-1, so no
+    separate determinant is taken.
     """
     n = len(matrix)
-    work = [[Fraction(e) for e in row] + [Fraction(int(r == c)) for c in range(n)]
-            for r, row in enumerate(matrix)]
+    work = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(matrix)]
+    integral = True
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise NotUnimodular("matrix is not invertible over the integers")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [e * inv for e in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [e - f * p for e, p in zip(work[r], work[col])]
-    out = tuple(tuple(int(e) for e in row[n:]) for row in work)
-    # a denominator other than 1 means |det| > 1
-    for r in range(n):
-        for c in range(n):
-            if work[r][n + c] != out[r][c]:
-                raise NotUnimodular("inverse is not integral")
-    return out
+        while True:
+            rows = [r for r in range(col, n) if work[r][col]]
+            if not rows:
+                raise NotUnimodular("matrix is not invertible over the integers")
+            p = min(rows, key=lambda r: abs(work[r][col]))
+            work[col], work[p] = work[p], work[col]
+            pivot = work[col][col]
+            if len(rows) == 1 or pivot in (1, -1):
+                break
+            _reduce(work, col, range(col + 1, n))
+        if pivot in (1, -1):
+            work[col] = [pivot * e for e in work[col]]
+        else:
+            integral = False  # reduce on: a singular matrix is reported as such
+        _reduce(work, col, range(n) if integral else range(col + 1, n))
+    if not integral:
+        raise NotUnimodular("inverse is not integral")
+    return tuple(tuple(row[n:]) for row in work)
 
 
 class GradedIso:
@@ -163,7 +188,7 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
     """
     if A.n != B.n:
         raise ShapeError(f"source has n={A.n} but target has n={B.n}")
-    C = tuple(tuple(int(e) for e in row) for row in C)
+    C = tuple(tuple(map(int, row)) for row in C)
     if len(C) != A.n or any(len(row) != A.n for row in C):
         raise ShapeError(f"degree-2 matrix must be {A.n}x{A.n}")
     if int_det(C) not in (1, -1):
@@ -183,17 +208,28 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
 
 def identity_iso(A: BottMatrix) -> GradedIso:
     n = A.n
-    C = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    C = tuple((0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n))
     return GradedIso(A, A, C)
 
 
 def compose(g: GradedIso, f: GradedIso) -> GradedIso:
-    """g after f; contexts must chain.  A composite of isomorphisms is one."""
+    """g after f; contexts must chain.  A composite of isomorphisms is one.
+
+    Each row of f.C g.C sums rows of g.C over nonzero entries only, so
+    composing with a move map (about n nonzeros) costs O(n^2).
+    """
     if f.target != g.source:
         raise ContextMismatch("target of the inner map differs from source of the outer")
-    cols = tuple(zip(*g.C))
-    C = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in f.C)
-    return GradedIso(f.source, g.target, C)
+    g_rows = [[(j, e) for j, e in enumerate(row) if e] for row in g.C]
+    C = []
+    for frow in f.C:
+        out = [0] * len(frow)
+        for k, a in enumerate(frow):
+            if a:
+                for j, e in g_rows[k]:
+                    out[j] += a * e
+        C.append(tuple(out))
+    return GradedIso(f.source, g.target, tuple(C))
 
 
 def invert(phi: GradedIso) -> GradedIso:
@@ -258,13 +294,6 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
     return SigmaEps(tuple(sigma), tuple(eps))
 
 
-def _row_gcd(row: Sequence[int]) -> int:
-    g = 0
-    for t in row:
-        g = gcd(g, t)
-    return g
-
-
 def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     """All valid isomorphisms with |C_ij| <= bound, in canonical (row-wise) order.
 
@@ -319,7 +348,7 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
                 row = tuple(v // 4 for v in numer)
                 if any(abs(v) > bound for v in row):
                     continue
-                if _row_gcd(row) != 1:
+                if gcd(*row) != 1:
                     continue
                 # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
                 if not product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):

@@ -46,17 +46,17 @@ def switch(B: BottMatrix, j: int) -> Move:
     if B.a(j + 1, j) != 0:
         raise SwitchBlocked(f"entry ({j + 1},{j}) is {B.a(j + 1, j)}, must be 0")
 
-    def swap(i: int) -> int:
-        return j + 1 if i == j else j if i == j + 1 else i
-
-    rows = tuple(
-        tuple(B.a(swap(i), swap(col)) for col in range(1, i)) for i in range(1, n + 1)
-    )
+    # rows j and j+1 trade places (the entry b_{j+1,j} = 0 drops out) and
+    # every row below them swaps its columns j and j+1
+    rows = list(B.rows)
+    rows[j - 1], rows[j] = B.rows[j][: j - 1], B.rows[j - 1] + (0,)
+    for i in range(j + 1, n):
+        row = list(rows[i])
+        row[j - 1], row[j] = row[j], row[j - 1]
+        rows[i] = tuple(row)
     after = BottMatrix(n, rows)
-    C = tuple(
-        tuple(1 if col == swap(i) else 0 for col in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    C = list(identity_iso(B).C)
+    C[j - 1], C[j] = C[j], C[j - 1]
     induced = make_iso(B, after, C)
     return Move("switch", j, None, B, after, induced)
 
@@ -73,28 +73,18 @@ def twist(B: BottMatrix, j: int, v: Class2) -> Move:
     if not product_is_zero(B, v.coeffs, (B.alpha(j) - v).coeffs):
         raise TwistInvalid(f"v(beta_j - v) != 0 for v={v!r}")
 
-    rows = []
-    for i in range(1, n + 1):
-        if i < j:
-            rows.append(B.rows[i - 1])
-        elif i == j:
-            rows.append(tuple(B.a(j, col) - 2 * v[col] for col in range(1, j)))
-        else:
-            bij = B.a(i, j)
-            rows.append(
-                tuple(
-                    B.a(i, col) + (bij * v[col] if col < j else 0)
-                    for col in range(1, i)
-                )
-            )
-    after = BottMatrix(n, tuple(rows))
-    C = tuple(
-        tuple(
-            (1 if col == i else 0) + (v[col] if i == j and col < j else 0)
-            for col in range(1, n + 1)
-        )
-        for i in range(1, n + 1)
-    )
+    # v has height < j, so only its first j-1 entries can be nonzero: row j
+    # becomes beta_j - 2v and each row i > j gains b_ij v
+    vc = v.coeffs
+    rows = list(B.rows)
+    rows[j - 1] = tuple(b - 2 * t for b, t in zip(B.rows[j - 1], vc))
+    for i in range(j, n):
+        bij = B.rows[i][j - 1]
+        if bij:
+            rows[i] = tuple(b + bij * t for b, t in zip(B.rows[i], vc))
+    after = BottMatrix(n, rows)
+    C = list(identity_iso(B).C)
+    C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], vc))
     induced = make_iso(B, after, C)
     return Move("twist", j, v, B, after, induced)
 

@@ -38,7 +38,7 @@ class BottMatrix:
     def __init__(self, n: int, rows: Iterable[Iterable[int]]):
         if n < 1:
             raise ShapeError(f"tower height must be >= 1, got {n}")
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if len(rows) != n:
             raise ShapeError(f"expected {n} rows, got {len(rows)}")
         for i, row in enumerate(rows, start=1):
@@ -132,7 +132,7 @@ class Class2:
     __slots__ = ("context", "coeffs")
 
     def __init__(self, context: BottMatrix, coeffs: Iterable[int]):
-        coeffs = tuple(int(t) for t in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != context.n:
             raise ShapeError(f"expected {context.n} coefficients, got {len(coeffs)}")
         self.context = context

@@ -80,6 +80,36 @@ def fraction_det(C):
     return det
 
 
+def fraction_inverse(C):
+    """Gauss-Jordan inverse in Fraction, raising as ``iso.int_inverse`` does.
+
+    The reference for ``int_inverse``: a singular matrix is "not invertible",
+    an invertible one whose inverse has a denominator is "not integral".
+    """
+    n = len(C)
+    work = [[Fraction(e) for e in row] + [Fraction(int(r == c)) for c in range(n)]
+            for r, row in enumerate(C)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise bc.NotUnimodular("matrix is not invertible over the integers")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [e * inv for e in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [e - f * p for e, p in zip(work[r], work[col])]
+    if any(e.denominator != 1 for row in work for e in row[n:]):
+        raise bc.NotUnimodular("inverse is not integral")
+    return tuple(tuple(int(e) for e in row[n:]) for row in work)
+
+
+def dense_product(F, G):
+    n = len(G)
+    return tuple(tuple(sum(F[i][k] * G[k][j] for k in range(n)) for j in range(n)) for i in range(len(F)))
+
+
 def raw_iso_search(A, B, bound):
     """Exhaustive box enumeration of valid isomorphism matrices.
 

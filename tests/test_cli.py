@@ -196,6 +196,19 @@ def test_domain_error_exit_code(files, capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("command", ["verify-cert", "decompose", "iso-check"])
+def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path, command):
+    # deeper than the parser's recursion limit: exit 1 with a payload, no traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    argv = [command] + [str(deep)] * (3 if command == "iso-check" else 1)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": f"{deep}: JSON nested too deeply to parse"}
+    assert captured.err == ""
+
+
 def test_usage_error_exit_code(files, capsys):
     path = files("a.json", {"n": 2, "rows": [[], [0]]})
     assert main(["ring", path, "--no-such-flag"]) == 2

@@ -6,8 +6,17 @@ from fractions import Fraction
 import pytest
 
 import bottcert as bc
-from bottcert.iso import int_inverse
-from helpers import block_map, moved_partner, rand_class, raw_iso_search, sparse_matrix
+from bottcert.iso import int_det, int_inverse
+from helpers import (
+    block_map,
+    dense_product,
+    fraction_det,
+    fraction_inverse,
+    moved_partner,
+    rand_class,
+    raw_iso_search,
+    sparse_matrix,
+)
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
@@ -88,6 +97,91 @@ class TestComposeInvert:
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[1, 0], [-1, 1]])
         with pytest.raises(bc.ContextMismatch):
             bc.compose(phi, phi)
+
+
+def signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rng.choice((-1, 1)) if c == perm[r] else 0 for c in range(n)] for r in range(n)]
+
+
+def unitriangular(rng, n, mag, lower=True):
+    return [
+        [1 if r == c else (rng.randint(-mag, mag) if (c < r) == lower else 0) for c in range(n)]
+        for r in range(n)
+    ]
+
+
+def kernel_matrices(seed):
+    """Seeded n <= 8 matrices of every shape the integer kernels meet."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        L, U, P = unitriangular(rng, n, 3), unitriangular(rng, n, 3, lower=False), signed_permutation(rng, n)
+        unimodular = dense_product(dense_product(L, U), P)  # pivots need Euclid steps
+        yield "dense", [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        yield "sparse", [[rng.randint(-3, 3) if rng.random() < 0.25 else 0 for _ in range(n)] for _ in range(n)]
+        yield "permutation", P
+        yield "unitriangular", L
+        yield "negative pivots", dense_product(P, L)
+        yield "unimodular", unimodular
+        if n >= 2:
+            singular = [list(row) for row in unimodular]
+            a, b = rng.sample(range(n), 2)
+            singular[a] = [rng.randint(-2, 2) * x for x in singular[b]]
+            yield "singular", singular
+        det2 = [list(row) for row in unimodular]
+        k = rng.randrange(n)
+        det2[k] = [2 * x for x in det2[k]]
+        yield "det 2", det2
+
+
+def outcome(fn, matrix):
+    try:
+        return fn(matrix)
+    except bc.NotUnimodular as exc:
+        return str(exc)
+
+
+class TestKernelOracles:
+    """The sparse integer kernels against dense and Fraction references."""
+
+    def test_compose_is_the_dense_product(self):
+        mats = [m for _, m in kernel_matrices(41)]
+        rng = random.Random(42)
+        for F in mats:
+            n = len(F)
+            Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+            G = rng.choice([m for m in mats if len(m) == n])
+            f = bc.GradedIso(Z, Z, tuple(map(tuple, F)))
+            g = bc.GradedIso(Z, Z, tuple(map(tuple, G)))
+            assert bc.compose(g, f).C == dense_product(F, G)
+
+    def test_int_det_is_fraction_det(self):
+        kinds = set()
+        for kind, M in kernel_matrices(43):
+            det = int_det(M)
+            assert det == fraction_det(M), (kind, M)
+            kinds.add((kind, abs(det)))
+        assert {("singular", 0), ("det 2", 2), ("unimodular", 1), ("negative pivots", 1)} <= kinds
+
+    def test_int_inverse_is_the_reference(self):
+        verdicts = set()
+        for kind, M in kernel_matrices(44):
+            expect = outcome(fraction_inverse, M)
+            assert outcome(int_inverse, M) == expect, (kind, M)
+            verdicts.add(expect if isinstance(expect, str) else "inverse")
+        assert verdicts == {
+            "inverse",
+            "matrix is not invertible over the integers",
+            "inverse is not integral",
+        }
+
+    def test_int_inverse_singular_after_a_non_unit_pivot(self):
+        # a pivot other than +-1 and a missing pivot: the matrix is reported singular
+        for M in ([[2, 0], [0, 0]], [[0, 0], [0, 2]], [[2, 4], [1, 2]], [[3, 0, 0], [0, 1, 1], [0, 2, 2]]):
+            assert outcome(fraction_inverse, M) == "matrix is not invertible over the integers"
+            assert outcome(int_inverse, M) == "matrix is not invertible over the integers"
 
 
 class TestMaxStable:

@@ -37,7 +37,7 @@ from .iso import (
     max_stable,
     search_isos,
 )
-from .moves import Move, MoveSeq, ReplayResult, invert_move, invert_seq, replay, switch, twist
+from .moves import Move, MoveSeq, ReplayResult, build_move, invert_move, invert_seq, replay, switch, twist
 from .ring import (
     BottMatrix,
     Class2,
@@ -58,6 +58,7 @@ from .stabilize import (
     KeyStepTrace,
     StabilizationCertificate,
     XkDecomposition,
+    check_claims,
     decompose_xk,
     key_step,
     raise_stability,

@@ -14,14 +14,15 @@ Rows above j of a twisted matrix become beta_i + b_ij v; this completion is
 forced by requiring the induced map to be a ring isomorphism, and every
 constructed move is machine-verified by full relation checking rather than
 trusted.  Sequences of moves chain matrices and compose the induced
-isomorphisms, and can be replayed from scratch for certification.
+isomorphisms.  ``replay`` rebuilds an in-memory sequence from its move
+parameters; the JSON reader builds one from them, so reading it is its replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextMismatch, RangeError, SwitchBlocked, TwistInvalid
+from .errors import ContextMismatch, RangeError, ShapeError, SwitchBlocked, TwistInvalid
 from .iso import GradedIso, compose, identity_iso, make_iso
 from .ring import BottMatrix, Class2, product_is_zero
 
@@ -89,12 +90,18 @@ def twist(B: BottMatrix, j: int, v: Class2) -> Move:
     return Move("twist", j, v, B, after, induced)
 
 
+def build_move(before: BottMatrix, kind: str, j: int, v) -> Move:
+    """The checked move (kind, j, v) from before; v is a twist's coefficient list."""
+    if kind == "switch":
+        return switch(before, j)
+    if kind == "twist":
+        return twist(before, j, Class2(before, v))
+    raise ShapeError(f"unknown move kind {kind!r}")
+
+
 def invert_move(mv: Move) -> Move:
     """The move undoing mv, constructed (and hence verified) from mv.after."""
-    if mv.kind == "switch":
-        return switch(mv.after, mv.j)
-    v_hat = Class2(mv.after, mv.v.coeffs)
-    return twist(mv.after, mv.j, -v_hat)
+    return build_move(mv.after, mv.kind, mv.j, None if mv.v is None else (-mv.v).coeffs)
 
 
 @dataclass(frozen=True)
@@ -134,19 +141,17 @@ class ReplayResult:
 
 
 def replay(seq: MoveSeq) -> ReplayResult:
-    """Re-verify a sequence from scratch: chaining, each move, the composite."""
+    """Re-verify an in-memory sequence from scratch: chaining, each move, the composite.
+
+    The JSON reader builds each move from its parameters, so its sequences need none.
+    """
     cur = seq.start
     comp = identity_iso(seq.start)
     for idx, mv in enumerate(seq.moves):
         if mv.before != cur:
             return ReplayResult(False, f"move {idx}: chain broken, before != previous after")
         try:
-            if mv.kind == "switch":
-                fresh = switch(mv.before, mv.j)
-            elif mv.kind == "twist":
-                fresh = twist(mv.before, mv.j, Class2(mv.before, mv.v.coeffs))
-            else:
-                return ReplayResult(False, f"move {idx}: unknown kind {mv.kind!r}")
+            fresh = build_move(mv.before, mv.kind, mv.j, None if mv.v is None else mv.v.coeffs)
         except Exception as exc:  # invalid parameters surface as a diagnostic
             return ReplayResult(False, f"move {idx}: {exc}")
         if fresh.after != mv.after:

@@ -257,13 +257,6 @@ class CohClass:
     def __mul__(self, other: "CohClass") -> "CohClass":
         return multiply(self, other)
 
-    def graded_parts(self) -> dict[int, "CohClass"]:
-        """Split into homogeneous components keyed by topological degree."""
-        parts: dict[int, dict[frozenset, int]] = {}
-        for key, c in self.terms.items():
-            parts.setdefault(2 * len(key), {})[key] = c
-        return {deg: CohClass(self.context, t) for deg, t in sorted(parts.items())}
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CohClass)

@@ -16,7 +16,7 @@ error rather than producing a wrong certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -376,7 +376,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     f_seq = invert_seq(MoveSeq.build(A, src_fwd))
     g_seq = MoveSeq.build(B, tgt_fwd)
     check = compose(g_seq.composite, compose(phi, f_seq.composite))
-    if check.C != cur.C or check.source != cur.source or check.target != cur.target:
+    if check != cur:
         raise ContractViolation("certificate composition equation failed")
     cert = StabilizationCertificate(
         A=A, B=B, phi=phi, f_seq=f_seq, g_seq=g_seq, phi_prime=cur, k_final=k
@@ -386,12 +386,38 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     return cert
 
 
-def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
-    """Re-verify a certificate from its raw data only.
+def check_claims(cert: StabilizationCertificate) -> ReplayResult:
+    """Check the claims tying a certificate's validated moves and maps together.
 
-    Replays both move sequences, revalidates both isomorphisms, recomputes
-    the composition equation and the final stability.  Nothing from the
-    construction is trusted.
+    The sequences and maps connect A, B and the moved matrices, phi_prime is
+    g o phi o f exactly, and k_final = max_stable(phi_prime) >= n - 2.
+    """
+    if cert.f_seq.end != cert.A:
+        return ReplayResult(False, "source sequence does not end at A")
+    if cert.g_seq.start != cert.B:
+        return ReplayResult(False, "target sequence does not start at B")
+    if cert.phi.source != cert.A or cert.phi.target != cert.B:
+        return ReplayResult(False, "phi is not a map from A to B")
+    if cert.phi_prime.source != cert.f_seq.start or cert.phi_prime.target != cert.g_seq.end:
+        return ReplayResult(False, "phi_prime does not connect the moved matrices")
+    comp = compose(cert.g_seq.composite, compose(cert.phi, cert.f_seq.composite))
+    if comp.C != cert.phi_prime.C:
+        return ReplayResult(False, "phi_prime is not g o phi o f")
+    k = max_stable(cert.phi_prime)
+    if k != cert.k_final:
+        return ReplayResult(False, f"claimed k_final {cert.k_final}, recomputed {k}")
+    if k < cert.A.n - 2:
+        return ReplayResult(False, f"k_final {k} below n-2 = {cert.A.n - 2}")
+    return ReplayResult(True, None)
+
+
+def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
+    """Re-verify an in-memory certificate from its raw data only.
+
+    Replays both move sequences, revalidates both isomorphisms, then
+    ``check_claims``.  Nothing from the construction is trusted.  A
+    certificate read from JSON needs only ``check_claims``: reading it
+    built and validated each move and map.
     """
     try:
         r = replay(cert.f_seq)
@@ -400,27 +426,8 @@ def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
         r = replay(cert.g_seq)
         if not r:
             return ReplayResult(False, f"target sequence: {r.diagnostic}")
-        if cert.f_seq.end != cert.A:
-            return ReplayResult(False, "source sequence does not end at A")
-        if cert.g_seq.start != cert.B:
-            return ReplayResult(False, "target sequence does not start at B")
-        phi = make_iso(cert.A, cert.B, cert.phi.C)
-        if cert.phi.source != cert.A or cert.phi.target != cert.B:
-            return ReplayResult(False, "phi is not a map from A to B")
-        phi_prime = make_iso(cert.f_seq.start, cert.g_seq.end, cert.phi_prime.C)
-        if (
-            cert.phi_prime.source != cert.f_seq.start
-            or cert.phi_prime.target != cert.g_seq.end
-        ):
-            return ReplayResult(False, "phi_prime does not connect the moved matrices")
-        comp = compose(cert.g_seq.composite, compose(phi, cert.f_seq.composite))
-        if comp.C != phi_prime.C:
-            return ReplayResult(False, "phi_prime is not g o phi o f")
-        k = max_stable(phi_prime)
-        if k != cert.k_final:
-            return ReplayResult(False, f"claimed k_final {cert.k_final}, recomputed {k}")
-        if k < cert.A.n - 2:
-            return ReplayResult(False, f"k_final {k} below n-2 = {cert.A.n - 2}")
+        phi = make_iso(cert.phi.source, cert.phi.target, cert.phi.C)
+        phi_prime = make_iso(cert.phi_prime.source, cert.phi_prime.target, cert.phi_prime.C)
+        return check_claims(replace(cert, phi=phi, phi_prime=phi_prime))
     except Exception as exc:
         return ReplayResult(False, f"certificate data invalid: {exc}")
-    return ReplayResult(True, None)

@@ -165,16 +165,6 @@ class DecompositionTower:
         """Level of the generator x_i of the origin matrix."""
         return self.stage_of(self.perm()[i])
 
-    def to_base(self, c: Class2) -> Class2:
-        """Transport a class from the origin context to the base context."""
-        if c.context != self.origin:
-            raise ContextMismatch("class does not live over the tower's origin")
-        p = self.perm()
-        out = [0] * self.base.n
-        for i, t in enumerate(c.coeffs, start=1):
-            out[p[i] - 1] = t
-        return Class2(self.base, out)
-
 
 def level(c: Class2, T: DecompositionTower) -> int:
     """Smallest stage whose span contains c (base context); 0 for zero."""

@@ -132,6 +132,29 @@ class TestMoveSoundness:
             done += 1
 
 
+class TestBuildMove:
+    def test_matches_switch_and_twist(self):
+        B = hirzebruch(2)
+        assert bc.build_move(ZERO2, "switch", 1, None) == bc.switch(ZERO2, 1)
+        assert bc.build_move(B, "twist", 2, (1, 0)) == bc.twist(B, 2, bc.Class2.basis(B, 1))
+
+    def test_runs_the_move_checks(self):
+        with pytest.raises(bc.SwitchBlocked):
+            bc.build_move(hirzebruch(3), "switch", 1, None)
+        with pytest.raises(bc.TwistInvalid):
+            bc.build_move(hirzebruch(3), "twist", 2, (0, 1))
+
+    def test_unknown_kind(self):
+        with pytest.raises(bc.ShapeError, match="unknown move kind 'flip'"):
+            bc.build_move(ZERO2, "flip", 1, None)
+
+    def test_replay_reports_unknown_kind(self):
+        seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
+        bad = dataclasses.replace(seq.moves[0], kind="flip")
+        res = bc.replay(dataclasses.replace(seq, moves=(bad,)))
+        assert res.diagnostic == "move 0: unknown move kind 'flip'"
+
+
 class TestMoveSeq:
     def test_empty(self):
         seq = bc.MoveSeq.build(ZERO2, [])

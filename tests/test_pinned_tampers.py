@@ -1,0 +1,59 @@
+"""Verdicts of the JSON certificate reader on tampered certificates, pinned by digest.
+
+The same 30 seeded certificates as ``test_pinned_outputs``, tampered at
+every move: its ``j`` moved down and up by one, each entry of a twist's
+``v`` raised by one, and the move swapped with its successor; and with
+``k_final`` moved down and up by one.  The digest was taken while
+``verify_certificate_obj`` still replayed every parsed certificate a second
+time, so the single-pass reader must reproduce every verdict and diagnostic.
+"""
+
+import copy
+import json
+import random
+
+import bottcert as bc
+from bottcert.serialize import certificate_to_obj, verify_certificate_obj
+from helpers import scrambled_iso, sparse_matrix
+from test_pinned_outputs import _verdict, digest
+
+TAMPER_DIGEST = "b5d5ec1f579b1fb41ba54cf0cf88d9d0c04b54932da2a77d0aa5d4d1fb16663c"
+
+
+def tampers(obj):
+    """(label, tampered copy) for every move position of both sequences."""
+    for side in ("f_seq", "g_seq"):
+        moves = obj[side]["moves"]
+        for i, mv in enumerate(moves):
+            for dj in (-1, 1):
+                bad = copy.deepcopy(obj)
+                bad[side]["moves"][i]["j"] += dj
+                yield f"{side}[{i}].j{dj:+d}", bad
+            for t in range(len(mv.get("v", ()))):
+                bad = copy.deepcopy(obj)
+                bad[side]["moves"][i]["v"][t] += 1
+                yield f"{side}[{i}].v[{t}]+1", bad
+            if i + 1 < len(moves):
+                bad = copy.deepcopy(obj)
+                seq = bad[side]["moves"]
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                yield f"{side}[{i}]<->[{i + 1}]", bad
+    for dk in (-1, 1):
+        bad = copy.deepcopy(obj)
+        bad["k_final"] += dk
+        yield f"k_final{dk:+d}", bad
+
+
+def tamper_records():
+    rng = random.Random(4242)
+    for k in range(30):
+        n = 4 + k % 7
+        A = sparse_matrix(rng, n, 2)
+        phi = scrambled_iso(rng, A, rng.randint(3, 8), twist_mag=1)
+        obj = json.loads(json.dumps(certificate_to_obj(bc.stabilize_full(phi))))
+        for label, bad in tampers(obj):
+            yield f"{k} {label} {_verdict(verify_certificate_obj(bad))}"
+
+
+def test_tampered_verdicts_pinned():
+    assert digest(tamper_records()) == TAMPER_DIGEST

@@ -41,17 +41,11 @@ from .moves import Move, MoveSeq, ReplayResult, build_move, invert_move, invert_
 from .ring import (
     BottMatrix,
     Class2,
-    CohClass,
-    height,
     make_bott_matrix,
-    multiply,
-    pair_product,
     primitive_part,
     product_is_zero,
-    reduce,
-    square,
+    product_terms,
     sub_bar,
-    sub_hat,
     two_x_minus_alpha,
 )
 from .stabilize import (
@@ -71,7 +65,6 @@ from .structure import (
     SquareZeroGenerator,
     blocks_at,
     decompose_tower,
-    level,
     qtrivial_partition,
     same_block,
     square_zero_bruteforce,

@@ -32,10 +32,15 @@ class NotUnimodular(BottError):
 
 
 class RelationViolated(BottError):
-    """A candidate isomorphism does not respect x_i^2 = alpha_i x_i."""
+    """A candidate isomorphism does not respect x_i^2 = alpha_i x_i.
+
+    ``residue`` maps (j, i), j < i, to the nonzero coefficient of x_j x_i in
+    phi(x_i)^2 - phi(alpha_i) phi(x_i).
+    """
 
     def __init__(self, index, residue):
-        super().__init__(f"relation {index} violated, residue {residue}")
+        terms = " + ".join(f"{residue[j, i]}*x{j}*x{i}" for j, i in sorted(residue)) or "0"
+        super().__init__(f"relation {index} violated, residue CohClass({terms})")
         self.index = index
         self.residue = residue
 

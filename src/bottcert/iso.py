@@ -31,15 +31,7 @@ from .errors import (
     RelationViolated,
     ShapeError,
 )
-from .ring import (
-    BottMatrix,
-    Class2,
-    CohClass,
-    multiply,
-    pair_product,
-    product_is_zero,
-    two_x_minus_alpha,
-)
+from .ring import BottMatrix, Class2, product_is_zero, product_terms, two_x_minus_alpha
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
@@ -144,18 +136,6 @@ class GradedIso:
                     out[j] += t * row[j]
         return Class2(self.target, out)
 
-    def apply(self, c: CohClass) -> CohClass:
-        """Image of a general class (multiplicative extension, re-reduced)."""
-        if c.context != self.source:
-            raise ContextMismatch("class does not live over the source matrix")
-        acc = CohClass.zero(self.target)
-        for key, coeff in c.terms.items():
-            prod = CohClass(self.target, {frozenset(): 1})
-            for i in sorted(key):
-                prod = multiply(prod, self.apply2(Class2.basis(self.source, i)).to_coh())
-            acc = acc + prod.scale(coeff)
-        return acc
-
     def row(self, i: int) -> Class2:
         """phi(x_i) as a class over the target."""
         return Class2(self.target, self.C[i - 1])
@@ -193,17 +173,14 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
         raise ShapeError(f"degree-2 matrix must be {A.n}x{A.n}")
     if int_det(C) not in (1, -1):
         raise NotUnimodular(f"det is not +-1 for {C}")
-    phi = GradedIso(A, B, C)
     for i, (img, arow) in enumerate(zip(C, A.rows), start=1):
         diff = img
         for aij, crow in zip(arow, C):
             if aij:
                 diff = [d - aij * c for d, c in zip(diff, crow)]
         if not product_is_zero(B, img, diff):
-            # the general product only to report the residue
-            x = phi.row(i)
-            raise RelationViolated(i, pair_product(x, x) - pair_product(phi.apply2(A.alpha(i)), x))
-    return phi
+            raise RelationViolated(i, product_terms(B, img, diff))
+    return GradedIso(A, B, C)
 
 
 def identity_iso(A: BottMatrix) -> GradedIso:

@@ -166,16 +166,6 @@ class DecompositionTower:
         return self.stage_of(self.perm()[i])
 
 
-def level(c: Class2, T: DecompositionTower) -> int:
-    """Smallest stage whose span contains c (base context); 0 for zero."""
-    if c.context != T.base:
-        raise ContextMismatch("class does not live over the tower's base")
-    h = c.height()
-    if h == 0:
-        return 0
-    return T.stage_of(h)
-
-
 def decompose_tower(A: BottMatrix) -> DecompositionTower:
     """Reorder stage by stage and record the cut dimensions.
 

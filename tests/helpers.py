@@ -1,9 +1,12 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles deliberately avoid the production code paths they check:
-polynomial reduction substitutes the smallest repeated index first (the
-library uses the largest), and the raw isomorphism search enumerates full
-coefficient boxes with no structural pruning.
+The oracles deliberately avoid the production code paths they check.
+``reduce_oracle`` is the suite's only general-degree ring: it brings any
+polynomial to normal form on the square-free monomials, substituting the
+smallest repeated index first, and ``oracle_product`` and ``oracle_apply``
+build on it; the library itself has only the degree-4 closed form.  The
+raw isomorphism search enumerates full coefficient boxes with no structural
+pruning and checks relations with the oracle.
 """
 
 from __future__ import annotations
@@ -56,7 +59,44 @@ def reduce_oracle(raw, A):
             aij = A.a(i, j)
             if aij:
                 work.append((tuple(sorted(rest + (j, i))), coeff * aij))
-    return bc.CohClass(A, acc)
+    return acc
+
+
+def class_terms(c):
+    """A degree-2 class as a term map {frozenset({i}): t_i}."""
+    return {frozenset((i,)): t for i, t in enumerate(c.coeffs, start=1) if t}
+
+
+def oracle_product(A, a, b):
+    """Normal form of the product of two term maps."""
+    raw = {}
+    for s, cs in a.items():
+        for t, ct in b.items():
+            mono = tuple(sorted((*s, *t)))
+            raw[mono] = raw.get(mono, 0) + cs * ct
+    return reduce_oracle(raw, A)
+
+
+def oracle_apply(phi, terms):
+    """Image of a term map under phi: each x_i goes to phi(x_i), then reduce."""
+    raw = {}
+    for key, coeff in terms.items():
+        expanded = {(): coeff}
+        for i in sorted(key):
+            row = phi.C[i - 1]
+            expanded = {m + (j,): c * t for m, c in expanded.items() for j, t in enumerate(row, start=1) if t}
+        for mono, c in expanded.items():
+            raw[mono] = raw.get(mono, 0) + c
+    return reduce_oracle(raw, phi.target)
+
+
+def render_terms(terms):
+    """A term map in the library's residue notation, CohClass(c*x1*x2 + ...)."""
+    bits = [
+        f"{terms[key]}*{'*'.join(f'x{i}' for i in sorted(key)) or '1'}"
+        for key in sorted(terms, key=lambda k: (len(k), sorted(k)))
+    ]
+    return f"CohClass({' + '.join(bits) or '0'})"
 
 
 def fraction_det(C):
@@ -133,8 +173,8 @@ def raw_iso_search(A, B, bound):
             if aij:
                 for col in range(n):
                     phi_alpha[col] += aij * rows[j - 1][col]
-        res = bc.pair_product(img, img) - bc.pair_product(bc.Class2(B, phi_alpha), img)
-        return res.is_zero()
+        diff = bc.Class2(B, [r - a for r, a in zip(rows[i - 1], phi_alpha)])
+        return not oracle_product(B, class_terms(img), class_terms(diff))
 
     def extend(i):
         if i > n:
@@ -156,7 +196,7 @@ def admissible_twists(M, j, mag):
     out = []
     for tail in itertools.product(range(-mag, mag + 1), repeat=j - 1):
         v = bc.Class2(M, list(tail) + [0] * (M.n - j + 1))
-        if bc.pair_product(v, M.alpha(j) - v).is_zero():
+        if not oracle_product(M, class_terms(v), class_terms(M.alpha(j) - v)):
             out.append(v)
     return out
 

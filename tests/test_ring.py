@@ -1,4 +1,5 @@
-"""Ring arithmetic: matrices, reduction, products, heights, submatrices."""
+"""Ring arithmetic: matrices, the oracle reducer, the degree-4 product kernel,
+heights, submatrices."""
 
 import itertools
 import random
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bottcert as bc
-from helpers import rand_class, rand_matrix, reduce_oracle, sparse_matrix
+from helpers import class_terms, oracle_product, rand_class, rand_matrix, reduce_oracle, render_terms, sparse_matrix
 
 
 H3 = bc.make_bott_matrix(3, [[], [1], [1, 0]])
@@ -36,88 +37,68 @@ class TestMakeBottMatrix:
 class TestReduce:
     def test_x1_squared_vanishes(self):
         A = rand_matrix(random.Random(0), 4, 3)
-        assert bc.reduce({(1, 1): 1}, A).is_zero()
+        assert reduce_oracle({(1, 1): 1}, A) == {}
 
     def test_x2_squared(self):
         A = bc.make_bott_matrix(2, [[], [7]])
-        assert bc.reduce({(2, 2): 1}, A) == bc.reduce({(1, 2): 7}, A)
+        assert reduce_oracle({(2, 2): 1}, A) == {frozenset((1, 2)): 7}
 
     def test_binomial_square(self):
         # (x1 + x2)^2 = x1^2 + 2 x1 x2 + x2^2 = (2 + a21) x1 x2
         A = bc.make_bott_matrix(2, [[], [2]])
         raw = {(1, 1): 1, (1, 2): 2, (2, 2): 1}
-        got = bc.reduce(raw, A)
-        assert got == bc.reduce({(1, 2): 4}, A)
-        assert got == reduce_oracle(raw, A)
+        assert reduce_oracle(raw, A) == {frozenset((1, 2)): 4}
+        assert bc.product_terms(A, (1, 1), (1, 1)) == {(1, 2): 4}
 
-    def test_matches_alternate_substitution_order(self):
-        rng = random.Random(42)
-        for _ in range(60):
-            A = rand_matrix(rng, rng.randint(1, 5), 3)
-            raw = {}
-            for _ in range(rng.randint(1, 5)):
-                mono = tuple(rng.randint(1, A.n) for _ in range(rng.randint(0, 4)))
-                raw[mono] = raw.get(mono, 0) + rng.randint(-5, 5)
-            assert bc.reduce(raw, A) == reduce_oracle(raw, A)
 
-    def test_linear(self):
-        rng = random.Random(3)
-        A = rand_matrix(rng, 4, 3)
-        p = {(2, 2): 3, (1, 3): -1}
-        q = {(2, 2): -3, (4, 4, 1): 2}
-        merged = {m: p.get(m, 0) + q.get(m, 0) for m in set(p) | set(q)}
-        assert bc.reduce(merged, A) == bc.reduce(p, A) + bc.reduce(q, A)
+def plus(p, q):
+    return {k: v for k in p.keys() | q.keys() if (v := p.get(k, 0) + q.get(k, 0))}
 
-    def test_out_of_range_index(self):
-        with pytest.raises(bc.RangeError):
-            bc.reduce({(3,): 1}, bc.make_bott_matrix(2, [[], [0]]))
+
+def oracle_terms(A, s, t):
+    """The oracle's s*t for degree-2 classes, keyed as ``product_terms`` keys it."""
+    return {tuple(sorted(k)): c for k, c in oracle_product(A, class_terms(s), class_terms(t)).items()}
 
 
 class TestMultiply:
     def test_x1_squared(self):
-        x1 = bc.Class2.basis(H3, 1).to_coh()
-        assert bc.multiply(x1, x1).is_zero()
+        x1 = bc.Class2.basis(H3, 1).coeffs
+        assert bc.product_terms(H3, x1, x1) == {}
 
     def test_x2_squared(self):
         A = bc.make_bott_matrix(2, [[], [3]])
-        x2 = bc.Class2.basis(A, 2).to_coh()
-        assert bc.multiply(x2, x2) == bc.reduce({(1, 2): 3}, A)
+        x2 = bc.Class2.basis(A, 2)
+        assert bc.product_terms(A, x2.coeffs, x2.coeffs) == {(1, 2): 3} == oracle_terms(A, x2, x2)
 
     def test_square_zero_class(self):
         A = bc.make_bott_matrix(2, [[], [3]])
         z = bc.Class2(A, (-3, 2))
-        assert bc.square(z).is_zero()
-
-    def test_context_mismatch(self):
-        A = bc.make_bott_matrix(2, [[], [0]])
-        B = bc.make_bott_matrix(2, [[], [1]])
-        with pytest.raises(bc.ContextMismatch):
-            bc.multiply(bc.Class2.basis(A, 1).to_coh(), bc.Class2.basis(B, 1).to_coh())
+        assert bc.product_terms(A, z.coeffs, z.coeffs) == {} == oracle_terms(A, z, z)
 
     def test_ring_axioms_on_random_triples(self):
-        # exact associativity, commutativity, distributivity
+        # the oracle's product is exactly associative, commutative, distributive
         rng = random.Random(101)
         for _ in range(500):
             A = rand_matrix(rng, rng.randint(1, 6), 3)
-            a = rand_class(rng, A, 5).to_coh()
-            b = rand_class(rng, A, 5).to_coh()
-            c = rand_class(rng, A, 5).to_coh()
-            assert bc.multiply(a, b) == bc.multiply(b, a)
-            assert bc.multiply(bc.multiply(a, b), c) == bc.multiply(a, bc.multiply(b, c))
-            assert bc.multiply(a, b + c) == bc.multiply(a, b) + bc.multiply(a, c)
+            a, b, c = (class_terms(rand_class(rng, A, 5)) for _ in range(3))
+            ab = oracle_product(A, a, b)
+            assert ab == oracle_product(A, b, a)
+            assert oracle_product(A, ab, c) == oracle_product(A, a, oracle_product(A, b, c))
+            assert oracle_product(A, a, plus(b, c)) == plus(ab, oracle_product(A, a, c))
 
     def test_degree_four_basis(self):
         # pair monomials are already normal forms, and every product of two
-        # degree-2 classes is supported on them
+        # degree-2 classes is supported on them, as product_terms says
         rng = random.Random(7)
         for _ in range(100):
             A = rand_matrix(rng, rng.randint(2, 6), 3)
             for i in range(1, A.n + 1):
                 for j in range(i + 1, A.n + 1):
-                    m = bc.reduce({(i, j): 1}, A)
-                    assert m.terms == {frozenset((i, j)): 1}
-            prod = bc.pair_product(rand_class(rng, A, 5), rand_class(rng, A, 5))
-            assert all(len(key) == 2 for key in prod.terms)
+                    assert reduce_oracle({(i, j): 1}, A) == {frozenset((i, j)): 1}
+            s, t = rand_class(rng, A, 5), rand_class(rng, A, 5)
+            prod = oracle_terms(A, s, t)
+            assert all(len(key) == 2 for key in prod)
+            assert bc.product_terms(A, s.coeffs, t.coeffs) == prod
 
     def test_square_coefficient_closed_form(self):
         # coefficient of x_j x_i (j < i) in z^2 is t_i^2 a_ij + 2 t_i t_j
@@ -125,17 +106,19 @@ class TestMultiply:
         for _ in range(200):
             A = rand_matrix(rng, rng.randint(1, 6), 3)
             z = rand_class(rng, A, 5)
-            sq = bc.square(z)
+            sq = oracle_product(A, class_terms(z), class_terms(z))
             for i in range(1, A.n + 1):
                 for j in range(1, i):
                     expect = z[i] ** 2 * A.a(i, j) + 2 * z[i] * z[j]
-                    assert sq.terms.get(frozenset((j, i)), 0) == expect
+                    assert sq.get(frozenset((j, i)), 0) == expect
 
 
 def kernel_agrees(A, s, t):
-    """product_is_zero against the general-degree product; returns the verdict."""
+    """product_is_zero and product_terms against the oracle; returns the verdict."""
     got = bc.product_is_zero(A, s.coeffs, t.coeffs)
-    assert got == bc.pair_product(s, t).is_zero()
+    expect = oracle_terms(A, s, t)
+    assert got == (not expect)
+    assert bc.product_terms(A, s.coeffs, t.coeffs) == expect
     return got
 
 
@@ -182,34 +165,51 @@ class TestProductKernel:
         with pytest.raises(bc.RelationViolated) as info:
             bc.make_iso(Z, Z, [[1, 0], [-1, 1]])
         assert str(info.value) == "relation 2 violated, residue CohClass(-2*x1*x2)"
+        # seeded failures: the residue of relation i is img*(img - phi(alpha_i))
+        # with img = phi(x_i), rendered from the oracle's normal form
+        rng = random.Random(31)
+        seen = 0
+        while seen < 400:
+            n = rng.randint(1, 6)
+            A, B = sparse_matrix(rng, n, 3), sparse_matrix(rng, n, 3)
+            C = [[int(r == c) for c in range(n)] for r in range(n)]
+            for _ in range(2 * n):
+                r, c, f = rng.randrange(n), rng.randrange(n), rng.choice((-1, 1))
+                if r != c:
+                    C[r] = [x + f * y for x, y in zip(C[r], C[c])]
+            try:
+                bc.make_iso(A, B, C)
+            except bc.RelationViolated as exc:
+                phi = bc.GradedIso(A, B, tuple(map(tuple, C)))
+                img = phi.row(exc.index)
+                diff = img - phi.apply2(A.alpha(exc.index))
+                residue = oracle_product(B, class_terms(img), class_terms(diff))
+                assert str(exc) == f"relation {exc.index} violated, residue {render_terms(residue)}"
+                assert exc.residue == bc.product_terms(B, img.coeffs, diff.coeffs)
+                assert {frozenset(k): c for k, c in exc.residue.items()} == residue
+                seen += 1
 
 
 class TestHeight:
     def test_zero(self):
-        assert bc.height(bc.Class2.zero(H3)) == 0
+        assert bc.Class2.zero(H3).height() == 0
 
     def test_sparse(self):
         A = bc.make_bott_matrix(4, [[], [0], [0, 0], [0, 0, 0]])
-        assert bc.height(bc.Class2(A, (-7, 0, 1, 0))) == 3
+        assert bc.Class2(A, (-7, 0, 1, 0)).height() == 3
 
     def test_braided_generator(self):
         A = bc.make_bott_matrix(2, [[], [1]])
-        assert bc.height(bc.two_x_minus_alpha(A, 2)) == 2
+        assert bc.two_x_minus_alpha(A, 2).height() == 2
 
 
 class TestSubmatrices:
-    def test_hat(self):
-        assert bc.sub_hat(H3, 1) == bc.make_bott_matrix(1, [[]])
-        assert bc.sub_hat(H3, 2) == bc.make_bott_matrix(2, [[], [1]])
-
     def test_bar(self):
         assert bc.sub_bar(H3, 1) == bc.make_bott_matrix(2, [[], [0]])
 
     def test_range(self):
         with pytest.raises(bc.RangeError):
             bc.sub_bar(H3, 3)
-        with pytest.raises(bc.RangeError):
-            bc.sub_hat(H3, 0)
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -222,20 +222,10 @@ matrices = st.integers(1, 5).flatmap(
 
 @given(matrices, st.data())
 @settings(max_examples=60, deadline=None)
-def test_reduce_idempotent_hypothesis(mat, data):
-    n, rows = mat
-    A = bc.make_bott_matrix(n, rows)
-    coeffs = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
-    sq = bc.square(bc.Class2(A, coeffs))
-    again = bc.reduce({tuple(sorted(k)): v for k, v in sq.terms.items()}, A)
-    assert again == sq
-
-
-@given(matrices, st.data())
-@settings(max_examples=60, deadline=None)
 def test_multiply_commutes_hypothesis(mat, data):
     n, rows = mat
     A = bc.make_bott_matrix(n, rows)
-    a = bc.Class2(A, data.draw(st.tuples(*[st.integers(-4, 4)] * n))).to_coh()
-    b = bc.Class2(A, data.draw(st.tuples(*[st.integers(-4, 4)] * n))).to_coh()
-    assert bc.multiply(a, b) == bc.multiply(b, a)
+    a = bc.Class2(A, data.draw(st.tuples(*[st.integers(-4, 4)] * n)))
+    b = bc.Class2(A, data.draw(st.tuples(*[st.integers(-4, 4)] * n)))
+    ab = bc.product_terms(A, a.coeffs, b.coeffs)
+    assert ab == bc.product_terms(A, b.coeffs, a.coeffs) == oracle_terms(A, b, a)

@@ -17,6 +17,10 @@ def hirzebruch(a):
     return bc.make_bott_matrix(2, [[], [a]])
 
 
+def square_zero(c):
+    return bc.product_is_zero(c.context, c.coeffs, c.coeffs)
+
+
 def h_block_diagonal(parts):
     """Block-diagonal assembly of one-block factors of the given heights."""
     n = sum(parts)
@@ -48,7 +52,7 @@ class TestSquareZeroGenerators:
     def test_skips_nonzero_square(self):
         A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
         assert [g.index for g in bc.square_zero_generators(A)] == [1, 2]
-        assert bc.square(A.alpha(3)) == bc.reduce({(1, 2): 2}, A)
+        assert bc.product_terms(A, A.alpha(3).coeffs, A.alpha(3).coeffs) == {(1, 2): 2}
 
 
 class TestSquareZeroBruteforce:
@@ -97,7 +101,7 @@ class TestWellOrder:
 
     def test_single_switch(self):
         A = bc.make_bott_matrix(4, [[], [0], [1, 1], [0, 0, 0]])
-        assert not bc.square(A.alpha(3)).is_zero()
+        assert not square_zero(A.alpha(3))
         B, moves = bc.well_order(A)
         assert [m.j for m in moves] == [3]
         assert B == bc.make_bott_matrix(4, [[], [0], [0, 0], [1, 1, 0]])
@@ -108,7 +112,7 @@ class TestWellOrder:
         for _ in range(80):
             A = rand_matrix(rng, rng.randint(1, 6), 2)
             B, _ = bc.well_order(A)
-            flags = [bc.square(B.alpha(i)).is_zero() for i in range(1, B.n + 1)]
+            flags = [square_zero(B.alpha(i)) for i in range(1, B.n + 1)]
             assert flags == sorted(flags, reverse=True)
 
 
@@ -137,7 +141,7 @@ class TestDecomposeTower:
             prev = 0
             for d in T.dims:
                 fiber = T.base if prev == 0 else bc.sub_bar(T.base, prev)
-                flags = [bc.square(fiber.alpha(i)).is_zero() for i in range(1, fiber.n + 1)]
+                flags = [square_zero(fiber.alpha(i)) for i in range(1, fiber.n + 1)]
                 assert all(flags[: d - prev])
                 if d - prev < len(flags):
                     assert not flags[d - prev]
@@ -149,9 +153,6 @@ class TestLevel:
         A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
         T = bc.decompose_tower(A)
         assert [T.level_of_index(i) for i in (1, 2, 3)] == [1, 1, 2]
-        assert bc.level(bc.Class2.basis(T.base, 1), T) == 1
-        assert bc.level(bc.Class2(T.base, (0, 0, 1)), T) == 2
-        assert bc.level(bc.Class2.zero(T.base), T) == 0
 
     def test_monotone_in_height(self):
         rng = random.Random(9)

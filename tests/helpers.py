@@ -12,6 +12,7 @@ pruning and checks relations with the oracle.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import bottcert as bc
@@ -246,6 +247,26 @@ def moved_partner(rng, A, count, twist_mag=1):
         if vs:
             M = bc.twist(M, j, rng.choice(vs)).after
     return M
+
+
+def trace_isos():
+    """Isomorphisms whose stabilization takes the proof's harder paths.
+
+    Up to three hits, spread over each result, of ``search_isos`` at bound
+    2 between move-related pairs (n = 3..4), seeded like the base
+    certificates of the certificate fuzz test, then four scrambled
+    isomorphisms (n = 4..6).  Between them they take zero, even and odd key
+    steps, twists and odd branches.
+    """
+    rng = random.Random(5150)
+    for _ in range(10):
+        A = sparse_matrix(rng, rng.randint(3, 4), 2)
+        B = moved_partner(rng, A, rng.randint(1, 3))
+        hits = bc.search_isos(A, B, 2)
+        yield from hits[:: max(1, len(hits) // 3)][:3]
+    for _ in range(4):
+        A = sparse_matrix(rng, rng.randint(4, 6), 2)
+        yield scrambled_iso(rng, A, 5, twist_mag=1)
 
 
 def block_map(A):

@@ -105,7 +105,7 @@ def _cmd_iso_check(args) -> dict:
         "valid": True,
         "max_stable": max_stable(phi),
         "sigma": list(se.sigma),
-        "eps_times_2": [encode_int(int(2 * e)) for e in se.eps],
+        "eps_times_2": [encode_int(e) for e in se.e],
     }
 
 

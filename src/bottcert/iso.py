@@ -10,17 +10,18 @@ build it directly, because their results are isomorphisms by algebra (or,
 for the search, by the checks made while enumerating).
 
 All operations are pure and exact in integers; ``compose``, ``int_inverse``
-(Euclidean row reduction, no fractions) and ``int_det`` follow the sparsity
-of move maps.  ``search_isos`` enumerates candidates following the structure
-theory: the image of each 2x_i - alpha_i must be a rational multiple of some
-2y_m - beta_m with matching level, so candidate rows are solved from (target
-index, scalar) pairs and checked row by row.
+(Euclidean row reduction over Z) and ``int_det`` follow the sparsity of
+move maps.  ``search_isos`` follows the structure theory: phi(2x_i -
+alpha_i) = eps_i (2y_m - beta_m) for some m of matching level, with e_i =
+2 eps_i an integer, so rows are solved from (m, e) pairs.  Stacked, these
+say 2(2I - A) C = diag(e) P (2I - B), and det(2I - A) = det(2I - B) = 2^n,
+so det C = +-prod(e_i) / 2^n: C is unimodular exactly when every |e_i| is
+2^t_i and the t_i sum to n.  ``int_det`` therefore serves ``make_iso`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -232,10 +233,10 @@ def max_stable(phi: GradedIso) -> int:
 
 @dataclass(frozen=True)
 class SigmaEps:
-    """Permutation sigma and scalars eps with phi(2x_i - alpha_i) = eps_i (2y_sigma(i) - beta_sigma(i))."""
+    """Permutation sigma and e = 2 eps: 2 phi(2x_i - alpha_i) = e_i (2y_sigma(i) - beta_sigma(i))."""
 
     sigma: tuple[int, ...]
-    eps: tuple[Fraction, ...]
+    e: tuple[int, ...]
 
 
 def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
@@ -251,7 +252,7 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
     if tower_src.origin != A or tower_tgt.origin != B:
         raise ContextMismatch("towers do not belong to the isomorphism's matrices")
     sigma: list[int] = []
-    eps: list[Fraction] = []
+    e: list[int] = []
     for i in range(1, A.n + 1):
         q = phi.apply2(two_x_minus_alpha(A, i))
         m = q.height()
@@ -265,10 +266,10 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
         if tower_src.level_of_index(i) != tower_tgt.level_of_index(m):
             raise ExtractionFailure(i, f"level of x_{i} differs from level of y_{m}")
         sigma.append(m)
-        eps.append(Fraction(top, 2))
+        e.append(top)
     if sorted(sigma) != list(range(1, A.n + 1)):
         raise ExtractionFailure(0, f"indices {sigma} do not form a permutation")
-    return SigmaEps(tuple(sigma), tuple(eps))
+    return SigmaEps(tuple(sigma), tuple(e))
 
 
 def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
@@ -276,17 +277,17 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
 
     Complete for the given bound: any valid isomorphism determines, for each
     i, a unique target index m (the height of the image of 2x_i - alpha_i,
-    with matching level) and scalar 2eps in a range fixed by the bound; the
-    search enumerates exactly those and solves for the row.  Rows of a
+    with matching level) and an integer e = 2 eps = +-2^t with t at most
+    ``spare``, n minus the exponents used so far; a complete candidate is
+    unimodular exactly when spare is 0 (see the module docstring).  The
+    bound only filters rows, it does not set how many are tried.  Rows of a
     unimodular matrix are primitive and the indices m are pairwise distinct,
-    which prunes scalar multiples early.  Every hit has passed the same
-    determinant and relation checks as ``make_iso``, so it is not revalidated.
+    which prunes scalar multiples early.  Every hit meets the checks of
+    ``make_iso``, so it is not revalidated.
     """
     from .structure import decompose_tower
 
-    if A.n != B.n:
-        return []
-    if bound < 1:
+    if A.n != B.n or bound < 1:
         return []
     n = A.n
     tower_a = decompose_tower(A)
@@ -298,12 +299,12 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     found: list[tuple[tuple[int, ...], ...]] = []
     rows: list[tuple[int, ...]] = []
     used = [False] * n
+    scalars = [[(t, sign << t) for t in range(k + 1) for sign in (1, -1)] for k in range(n + 1)]
 
-    def extend(i: int) -> None:
+    def extend(i: int, spare: int) -> None:
         if i > n:
-            C = tuple(rows)
-            if int_det(C) in (1, -1):
-                found.append(C)
+            if spare == 0:
+                found.append(tuple(rows))
             return
         phi_alpha = [0] * n
         for j, aij in enumerate(A.rows[i - 1], start=1):
@@ -314,11 +315,8 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
             if used[m - 1] or lev_b[m - 1] != lev_a[i - 1]:
                 continue
             frame = [2 if col == m - 1 else -betas[m - 1][col] for col in range(n)]
-            # row = (e * frame + 2 * phi_alpha) / 4 with e = 2 eps
-            lo, hi = -2 * bound - phi_alpha[m - 1], 2 * bound - phi_alpha[m - 1]
-            for e in range(lo, hi + 1):
-                if e == 0:
-                    continue
+            # row = (e * frame + 2 * phi_alpha) / 4 with e = 2 eps = +-2^t
+            for t, e in scalars[spare]:
                 numer = [e * frame[col] + 2 * phi_alpha[col] for col in range(n)]
                 if any(v % 4 for v in numer):
                     continue
@@ -332,10 +330,10 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
                     continue
                 rows.append(row)
                 used[m - 1] = True
-                extend(i + 1)
+                extend(i + 1, spare - t)
                 used[m - 1] = False
                 rows.pop()
 
-    extend(1)
+    extend(1, n)
     del extend  # it refers to itself; the cycle would keep its state alive until a full GC
     return [GradedIso(A, B, C) for C in sorted(set(found))]

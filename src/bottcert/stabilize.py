@@ -17,7 +17,6 @@ error rather than producing a wrong certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import (
     ContractViolation,
@@ -35,10 +34,10 @@ from .structure import decompose_tower, same_block
 
 @dataclass(frozen=True)
 class XkDecomposition:
-    """Shape of the image of x_{k+1}: eps(2y_l - trunc(beta_l)) + w, w in F_k."""
+    """Shape of the image of x_{k+1}: eps(2y_l - trunc(beta_l)) + w, w in F_k; e = 2 eps."""
 
     ell: int
-    eps: Fraction
+    e: int
     w: Class2
 
 
@@ -46,10 +45,10 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
     """Decompose the image of x_{k+1} for a k-stable isomorphism.
 
     Returns None when the image already lies in F_{k+1} (nothing to do);
-    otherwise the height l, the half-integral scalar eps and the F_k part w,
-    after verifying that coefficients at indices strictly between k and l
-    equal -eps * b_{l,j}.  A mismatch is impossible for validated input and
-    raises DecompositionInconsistent.
+    otherwise the height l, the integer e = 2 eps (the coefficient at y_l)
+    and the F_k part w, after verifying that coefficients at indices
+    strictly between k and l equal -eps * b_{l,j}.  A mismatch is
+    impossible for validated input and raises DecompositionInconsistent.
     """
     n = phi.source.n
     if not 0 <= k < n:
@@ -69,13 +68,12 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
             raise DecompositionInconsistent(
                 f"coefficient at y_{j} is {img[j]}, expected -eps*b[{ell},{j}]"
             )
-    eps = Fraction(top, 2)
     w = img.truncated_head(k)
     bar_ell = B.alpha(ell).truncated_tail(k)
     frame2 = Class2.basis(B, ell).scale(2) - bar_ell
     if w.scale(2) + frame2.scale(top) != img.scale(2):
         raise DecompositionInconsistent("decomposition does not reproduce the image")
-    return XkDecomposition(ell, eps, w)
+    return XkDecomposition(ell, top, w)
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ class KeyStepTrace:
     ell: int
     p: int
     case: str  # "zero" | "even" | "odd"
-    eps: Fraction
+    e: int  # 2 eps
     w: Class2
     u: Class2 | None
     moves: MoveSeq
@@ -105,12 +103,10 @@ class _Budget:
             raise NonTermination(f"exceeded the cap of {self.limit} height-reduction steps")
 
 
-def _key_step(phi: GradedIso, k: int, budget: _Budget):
+def _key_step(phi: GradedIso, k: int, dec: XkDecomposition, budget: _Budget):
+    """Height-reduction step for ``dec``, the decomposition of phi at k."""
     budget.spend()
-    dec = decompose_xk(phi, k)
-    if dec is None:
-        raise ValueError("image of x_{k+1} is already in F_{k+1}")
-    ell, eps, w = dec.ell, dec.eps, dec.w
+    ell, e, w = dec.ell, dec.e, dec.w
     B = phi.target
     p = B.a(ell, ell - 1)
     moves: list[Move] = []
@@ -123,12 +119,11 @@ def _key_step(phi: GradedIso, k: int, budget: _Budget):
         moves.append(mv)
         cur = mv.after
     else:
-        t = int(2 * eps)
         head = B.alpha(ell).truncated_head(k)  # beta_l minus its truncation
         bar_ell = B.alpha(ell).truncated_tail(k)
         phi_alpha = phi.apply2(phi.source.alpha(k + 1))
         # forced identity: 2eps*(beta_l - trunc beta_l) = phi(alpha_{k+1}) - 2w
-        if head.scale(t) != phi_alpha - w.scale(2):
+        if head.scale(e) != phi_alpha - w.scale(2):
             raise ContractViolation("F_k part of beta_l does not match phi(alpha_{k+1})")
         u = head.scale(2)
         if not product_is_zero(B, bar_ell.coeffs, (bar_ell + u).coeffs):
@@ -187,7 +182,7 @@ def _key_step(phi: GradedIso, k: int, budget: _Budget):
         raise ContractViolation("height reduction broke k-stability")
     if phi_new.row(k + 1).height() >= ell:
         raise ContractViolation("height of the tracked image did not decrease")
-    trace = KeyStepTrace(k=k, ell=ell, p=p, case=case, eps=eps, w=w, u=u, moves=seq)
+    trace = KeyStepTrace(k=k, ell=ell, p=p, case=case, e=e, w=w, u=u, moves=seq)
     return seq, phi_new, trace
 
 
@@ -198,7 +193,10 @@ def key_step(phi: GradedIso, k: int):
     l > k+2 when the subdiagonal entry p = b_{l,l-1} is odd (otherwise
     OddAtBoundary is raised and the caller must take the two-sided route).
     """
-    return _key_step(phi, k, _Budget(None))
+    dec = decompose_xk(phi, k)
+    if dec is None:
+        raise ValueError("image of x_{k+1} is already in F_{k+1}")
+    return _key_step(phi, k, dec, _Budget(None))
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,7 @@ def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
             raise ProofPathViolation("inverse image of y_{k+1} fell below height k+2")
         if dec.ell <= k + 3:
             break
-        seq, psi, tr = _key_step(psi, k, budget)
+        seq, psi, tr = _key_step(psi, k, dec, budget)
         if last is not None and tr.ell >= last:
             raise ProofPathViolation("tracked height must strictly decrease")
         last = tr.ell
@@ -258,7 +256,7 @@ def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
         final_entry = A_cur.a(k + 3, k + 2)
         if final_entry % 2 != 0:
             raise ProofPathViolation("entry (k+3, k+2) must be even on the source side")
-        seq, psi, final_tr = _key_step(psi, k, budget)
+        seq, psi, final_tr = _key_step(psi, k, dec, budget)
         src_moves.extend(seq.moves)
         if psi.target.rows[k] != original_row:
             raise ProofPathViolation("row k+1 of the source matrix changed")
@@ -286,7 +284,7 @@ def _raise_fwd(phi: GradedIso, k: int, budget: _Budget):
     cur = phi
     last: int | None = None
     while (dec := decompose_xk(cur, k)) is not None and dec.ell > k + 2:
-        seq, cur, tr = _key_step(cur, k, budget)
+        seq, cur, tr = _key_step(cur, k, dec, budget)
         if last is not None and tr.ell >= last:
             raise ProofPathViolation("tracked height must strictly decrease")
         last = tr.ell
@@ -295,7 +293,7 @@ def _raise_fwd(phi: GradedIso, k: int, budget: _Budget):
     if dec is not None:  # height is exactly k+2
         p = cur.target.a(k + 2, k + 1)
         if p % 2 == 0:
-            seq, cur, tr = _key_step(cur, k, budget)
+            seq, cur, tr = _key_step(cur, k, dec, budget)
             phase1.append(tr)
             tgt_moves.extend(seq.moves)
         else:

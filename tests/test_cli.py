@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +117,28 @@ def test_iso_search_bound_env_not_an_integer(files, capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert "invalid int value: 'x'" in captured.err
+
+
+def test_iso_search_huge_bound(files, capsys):
+    # the bound filters rows; it does not set how many candidates are tried
+    rows = [[], [2], [0, 1]]
+    a = files("a.json", {"n": 3, "rows": rows})
+    code, out = run(capsys, "iso-search", a, a, "--bound", "1000000000")
+    assert code == 0
+    data = json.loads(out)
+    A = bc.make_bott_matrix(3, rows)
+    assert data["bound"] == 10**9
+    assert len(data["isos"]) == len(bc.search_isos(A, A, 10**9)) > 0
+
+
+def test_import_graph_is_integer_only():
+    # the library computes in integers: importing the CLI loads neither
+    # fractions nor decimal
+    src = str(Path(bc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bottcert.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["iso-check", "stabilize"])

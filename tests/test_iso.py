@@ -1,7 +1,8 @@
 """Graded isomorphisms: validation, application, stability, extraction, search."""
 
+import itertools
+import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,9 @@ from helpers import (
     rand_class,
     raw_iso_search,
     reduce_oracle,
+    scrambled_iso,
     sparse_matrix,
+    trace_isos,
 )
 
 
@@ -229,26 +232,47 @@ class TestSigmaEps:
     def test_identity(self):
         se = bc.extract_sigma_eps(bc.identity_iso(ZERO3), *self.towers(ZERO3, ZERO3))
         assert se.sigma == (1, 2, 3)
-        assert se.eps == (Fraction(1), Fraction(1), Fraction(1))
+        assert se.e == (2, 2, 2)
 
     def test_even_hirzebruch_pair(self):
         A, B = ZERO2, hirzebruch(2)
         phi = bc.make_iso(A, B, [[1, 0], [-1, 1]])
         se = bc.extract_sigma_eps(phi, *self.towers(A, B))
-        assert se.sigma == (1, 2) and se.eps == (Fraction(1), Fraction(1))
+        assert se.sigma == (1, 2) and se.e == (2, 2)
 
     def test_negated_identity(self):
         phi = bc.make_iso(ZERO2, ZERO2, [[-1, 0], [0, -1]])
         se = bc.extract_sigma_eps(phi, *self.towers(ZERO2, ZERO2))
-        assert se.sigma == (1, 2) and se.eps == (Fraction(-1), Fraction(-1))
+        assert se.sigma == (1, 2) and se.e == (-2, -2)
 
     def test_half_integral_scalar(self):
         A = bc.make_bott_matrix(2, [[], [1]])
         phi = bc.make_iso(A, A, [[-1, 2], [0, 1]])
         se = bc.extract_sigma_eps(phi, *self.towers(A, A))
         assert se.sigma == (2, 1)
-        assert se.eps[1] == Fraction(1, 2)
-        assert all(2 * e == int(2 * e) for e in se.eps)
+        assert se.e[1] == 1
+        assert all(type(e) is int for e in se.e)
+
+
+class TestFrameIdentity:
+    """det C = +-prod(e_i) / 2^n, which lets the search skip determinants."""
+
+    def isos(self):
+        yield from trace_isos()
+        rng = random.Random(31)
+        for k in range(30):
+            A = sparse_matrix(rng, 4 + k % 7, 2)
+            yield scrambled_iso(rng, A, rng.randint(3, 8), twist_mag=1)
+
+    def test_det_is_signed_product_of_scalars(self):
+        for phi in self.isos():
+            n = phi.source.n
+            towers = bc.decompose_tower(phi.source), bc.decompose_tower(phi.target)
+            e = bc.extract_sigma_eps(phi, *towers).e
+            assert fraction_det(phi.C) * 2**n in (math.prod(e), -math.prod(e))
+            exps = [abs(v).bit_length() - 1 for v in e]
+            assert all(abs(v) == 1 << t for v, t in zip(e, exps))
+            assert sum(exps) == n
 
 
 class TestSearch:
@@ -257,6 +281,14 @@ class TestSearch:
         assert len(isos) == 8
         mats = {phi.C for phi in isos}
         assert ((0, 1), (1, 0)) in mats and ((-1, 0), (0, -1)) in mats
+        # a huge bound filters rows; it does not widen the enumeration
+        isos = bc.search_isos(ZERO3, ZERO3, 10**9)
+        perms = {
+            tuple(tuple(s if col == p else 0 for col in range(3)) for p, s in zip(perm, signs))
+            for perm in itertools.permutations(range(3))
+            for signs in itertools.product((1, -1), repeat=3)
+        }
+        assert len(isos) == 48 and {phi.C for phi in isos} == perms
 
     def test_even_pair_found(self):
         isos = bc.search_isos(ZERO2, hirzebruch(2), 2)
@@ -280,6 +312,25 @@ class TestSearch:
             pruned = {phi.C for phi in bc.search_isos(A, B, bound)}
             raw = set(raw_iso_search(A, B, bound))
             assert pruned == raw
+        # n = 4 at bound 1: the raw box has 3^4 rows, every one tried per row
+        found = 0
+        for _ in range(3):
+            A = sparse_matrix(rng, 4, 2)
+            B = moved_partner(rng, A, rng.randint(1, 2))
+            pruned = {phi.C for phi in bc.search_isos(A, B, 1)}
+            assert pruned == set(raw_iso_search(A, B, 1))
+            found += len(pruned)
+        assert found
+
+    def test_huge_bound_filters_like_small_bound(self):
+        rng = random.Random(37)
+        for _ in range(5):
+            A = sparse_matrix(rng, 3, 2)
+            B = moved_partner(rng, A, rng.randint(1, 3))
+            small = {phi.C for phi in bc.search_isos(A, B, 6)}
+            huge = {phi.C for phi in bc.search_isos(A, B, 10**9)}
+            assert small
+            assert {C for C in huge if max(abs(v) for row in C for v in row) <= 6} == small
 
     def test_found_isos_are_ring_homs(self):
         rng = random.Random(23)

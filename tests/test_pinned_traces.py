@@ -19,7 +19,7 @@ TRACE_DIGEST = "3bfbf746db4e7f159ffcde20140180220b80f2f116a472e91e0035378cb17f89
 
 def _step(st):
     u = None if st.u is None else st.u.coeffs
-    return repr((st.case, st.ell, st.p, int(2 * st.eps), st.w.coeffs, u))
+    return repr((st.case, st.ell, st.p, st.e, st.w.coeffs, u))
 
 
 def trace_records():
@@ -35,7 +35,7 @@ def trace_records():
                     yield _step(rt.odd.final_step)
         towers = bc.decompose_tower(phi.source), bc.decompose_tower(phi.target)
         se = bc.extract_sigma_eps(phi, *towers)
-        yield repr((se.sigma, tuple(int(2 * e) for e in se.eps)))
+        yield repr((se.sigma, se.e))
 
 
 def test_trace_coverage():

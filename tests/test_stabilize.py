@@ -2,7 +2,6 @@
 
 import dataclasses
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -59,7 +58,7 @@ class TestDecomposeXk:
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[-1, 1], [1, 0]])
         dec = bc.decompose_xk(phi, 0)
         assert dec.ell == 2
-        assert dec.eps == Fraction(1, 2)
+        assert dec.e == 1
         assert dec.w.is_zero()
 
     def test_requires_stability(self):

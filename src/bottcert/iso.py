@@ -21,9 +21,8 @@ so det C = +-prod(e_i) / 2^n: C is unimodular exactly when every |e_i| is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 from .errors import (
     ContextMismatch,
@@ -231,12 +230,12 @@ def max_stable(phi: GradedIso) -> int:
     return n if best == n - 1 else best
 
 
-@dataclass(frozen=True)
 class SigmaEps:
     """Permutation sigma and e = 2 eps: 2 phi(2x_i - alpha_i) = e_i (2y_sigma(i) - beta_sigma(i))."""
+    __slots__ = ("sigma", "e")
 
-    sigma: tuple[int, ...]
-    e: tuple[int, ...]
+    def __init__(self, sigma: tuple[int, ...], e: tuple[int, ...]):
+        self.sigma, self.e = sigma, e
 
 
 def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:

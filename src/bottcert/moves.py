@@ -20,23 +20,28 @@ parameters; the JSON reader builds one from them, so reading it is its replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContextMismatch, RangeError, ShapeError, SwitchBlocked, TwistInvalid
 from .iso import GradedIso, compose, identity_iso, make_iso
 from .ring import BottMatrix, Class2, product_is_zero
 
 
-@dataclass(frozen=True)
 class Move:
     """One switch or twist together with its matrices and induced isomorphism."""
+    __slots__ = ("kind", "j", "v", "before", "after", "induced")
 
-    kind: str  # "switch" | "twist"
-    j: int
-    v: Class2 | None
-    before: BottMatrix
-    after: BottMatrix
-    induced: GradedIso
+    def __init__(self, kind: str, j: int, v: Class2 | None, before: BottMatrix, after: BottMatrix,
+                 induced: GradedIso):
+        self.kind, self.j, self.v = kind, j, v  # kind is "switch" or "twist"
+        self.before, self.after, self.induced = before, after, induced
+
+    def _key(self) -> tuple:
+        return (self.kind, self.j, self.v, self.before, self.after, self.induced)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Move) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def switch(B: BottMatrix, j: int) -> Move:
@@ -104,14 +109,13 @@ def invert_move(mv: Move) -> Move:
     return build_move(mv.after, mv.kind, mv.j, None if mv.v is None else (-mv.v).coeffs)
 
 
-@dataclass(frozen=True)
 class MoveSeq:
     """Chained moves with their start/end matrices and composite isomorphism."""
+    __slots__ = ("start", "moves", "end", "composite")
 
-    start: BottMatrix
-    moves: tuple[Move, ...]
-    end: BottMatrix
-    composite: GradedIso
+    def __init__(self, start: BottMatrix, moves: tuple[Move, ...], end: BottMatrix,
+                 composite: GradedIso):
+        self.start, self.moves, self.end, self.composite = start, moves, end, composite
 
     @staticmethod
     def build(start: BottMatrix, moves) -> "MoveSeq":
@@ -131,13 +135,20 @@ def invert_seq(seq: MoveSeq) -> MoveSeq:
     return MoveSeq.build(seq.end, tuple(invert_move(mv) for mv in reversed(seq.moves)))
 
 
-@dataclass(frozen=True)
 class ReplayResult:
-    ok: bool
-    diagnostic: str | None = None
+    __slots__ = ("ok", "diagnostic")
+
+    def __init__(self, ok: bool, diagnostic: str | None = None):
+        self.ok, self.diagnostic = ok, diagnostic
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ReplayResult) and (self.ok, self.diagnostic) == (other.ok, other.diagnostic)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.diagnostic))
 
 
 def replay(seq: MoveSeq) -> ReplayResult:

@@ -27,8 +27,8 @@ interfaces.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable
 
 from .errors import ContextMismatch, RangeError, ShapeError
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
 
 from .errors import BottError, ShapeError
 from .iso import GradedIso, make_iso
@@ -29,7 +28,7 @@ def encode_int(x: int) -> int | str:
     return x if -_JSON_INT_LIMIT < x < _JSON_INT_LIMIT else str(x)
 
 
-def decode_int(v: Any) -> int:
+def decode_int(v: object) -> int:
     if isinstance(v, bool):
         raise ShapeError("expected an integer, got a boolean")
     if isinstance(v, int):
@@ -44,17 +43,17 @@ def decode_int(v: Any) -> int:
     raise ShapeError(f"expected an integer, got {type(v).__name__}")
 
 
-def _list(v: Any, what: str) -> list:
+def _list(v: object, what: str) -> list:
     if not isinstance(v, list):
         raise ShapeError(f"{what} must be a list, got {type(v).__name__}")
     return v
 
 
-def _ints(v: Any, what: str) -> list[int]:
+def _ints(v: object, what: str) -> list[int]:
     return [decode_int(e) for e in _list(v, what)]
 
 
-def dumps_canonical(payload: Any) -> str:
+def dumps_canonical(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -62,7 +61,7 @@ def matrix_to_obj(A: BottMatrix) -> dict:
     return {"n": A.n, "rows": [[encode_int(e) for e in row] for row in A.rows]}
 
 
-def matrix_from_obj(obj: Any) -> BottMatrix:
+def matrix_from_obj(obj: object) -> BottMatrix:
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise ShapeError("matrix object needs keys 'n' and 'rows'")
     rows = [_ints(r, "matrix row") for r in _list(obj["rows"], "'rows'")]
@@ -73,7 +72,7 @@ def iso_to_obj(phi: GradedIso) -> dict:
     return {"C": [[encode_int(e) for e in row] for row in phi.C]}
 
 
-def iso_matrix_from_obj(obj: Any) -> list[list[int]]:
+def iso_matrix_from_obj(obj: object) -> list[list[int]]:
     if not isinstance(obj, dict) or "C" not in obj:
         raise ShapeError("isomorphism object needs key 'C'")
     return [_ints(row, "row of 'C'") for row in _list(obj["C"], "'C'")]
@@ -85,7 +84,7 @@ def move_to_obj(mv: Move) -> dict:
     return {"kind": "twist", "j": mv.j, "v": [encode_int(t) for t in mv.v.coeffs]}
 
 
-def move_from_obj(obj: Any, before: BottMatrix) -> Move:
+def move_from_obj(obj: object, before: BottMatrix) -> Move:
     if not isinstance(obj, dict) or "kind" not in obj or "j" not in obj:
         raise ShapeError("move object needs keys 'kind' and 'j'")
     j = decode_int(obj["j"])
@@ -101,7 +100,7 @@ def seq_to_obj(seq: MoveSeq) -> dict:
     return {"start": matrix_to_obj(seq.start), "moves": [move_to_obj(m) for m in seq.moves]}
 
 
-def seq_from_obj(obj: Any) -> MoveSeq:
+def seq_from_obj(obj: object) -> MoveSeq:
     if not isinstance(obj, dict) or "start" not in obj or "moves" not in obj:
         raise ShapeError("move sequence object needs keys 'start' and 'moves'")
     cur = matrix_from_obj(obj["start"])
@@ -127,7 +126,7 @@ def certificate_to_obj(cert: StabilizationCertificate) -> dict:
     }
 
 
-def certificate_from_obj(obj: Any) -> StabilizationCertificate:
+def certificate_from_obj(obj: object) -> StabilizationCertificate:
     """Read a certificate, building each move (switch or twist) and map (make_iso) once.
 
     This is its replay; ``check_claims`` checks the rest.
@@ -156,7 +155,7 @@ def certificate_from_obj(obj: Any) -> StabilizationCertificate:
     )
 
 
-def verify_certificate_obj(obj: Any) -> ReplayResult:
+def verify_certificate_obj(obj: object) -> ReplayResult:
     """Verify a parsed certificate object in one pass; bad data yields False, not a raise."""
     try:
         cert = certificate_from_obj(obj)

@@ -16,8 +16,6 @@ error rather than producing a wrong certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import (
     ContractViolation,
     DecompositionInconsistent,
@@ -32,13 +30,12 @@ from .ring import BottMatrix, Class2, product_is_zero
 from .structure import decompose_tower, same_block
 
 
-@dataclass(frozen=True)
 class XkDecomposition:
     """Shape of the image of x_{k+1}: eps(2y_l - trunc(beta_l)) + w, w in F_k; e = 2 eps."""
+    __slots__ = ("ell", "e", "w")
 
-    ell: int
-    e: int
-    w: Class2
+    def __init__(self, ell: int, e: int, w: Class2):
+        self.ell, self.e, self.w = ell, e, w
 
 
 def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
@@ -76,18 +73,14 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
     return XkDecomposition(ell, top, w)
 
 
-@dataclass(frozen=True)
 class KeyStepTrace:
     """Record of one height-reduction step, for audit and conformance tests."""
+    __slots__ = ("k", "ell", "p", "case", "e", "w", "u", "moves")
 
-    k: int
-    ell: int
-    p: int
-    case: str  # "zero" | "even" | "odd"
-    e: int  # 2 eps
-    w: Class2
-    u: Class2 | None
-    moves: MoveSeq
+    def __init__(self, k: int, ell: int, p: int, case: str, e: int, w: Class2, u: Class2 | None,
+                 moves: MoveSeq):
+        self.k, self.ell, self.p, self.case = k, ell, p, case  # "zero" | "even" | "odd"
+        self.e, self.w, self.u, self.moves = e, w, u, moves  # e = 2 eps
 
 
 class _Budget:
@@ -199,21 +192,21 @@ def key_step(phi: GradedIso, k: int):
     return _key_step(phi, k, dec, _Budget(None))
 
 
-@dataclass(frozen=True)
 class OddBranchTrace:
     """Source-side detour taken when the entry (k+2, k+1) is odd."""
+    __slots__ = ("p", "source_steps", "final_entry", "final_step")
 
-    p: int
-    source_steps: tuple[KeyStepTrace, ...]
-    final_entry: int | None
-    final_step: KeyStepTrace | None
+    def __init__(self, p: int, source_steps: tuple[KeyStepTrace, ...], final_entry: int | None,
+                 final_step: KeyStepTrace | None):
+        self.p, self.source_steps = p, source_steps
+        self.final_entry, self.final_step = final_entry, final_step
 
 
-@dataclass(frozen=True)
 class RaiseTrace:
-    k: int
-    phase1: tuple[KeyStepTrace, ...]
-    odd: OddBranchTrace | None
+    __slots__ = ("k", "phase1", "odd")
+
+    def __init__(self, k: int, phase1: tuple[KeyStepTrace, ...], odd: OddBranchTrace | None):
+        self.k, self.phase1, self.odd = k, phase1, odd
 
 
 def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
@@ -317,14 +310,15 @@ def raise_stability(phi: GradedIso, k: int):
     return f_seq, g_seq, cur
 
 
-@dataclass(frozen=True)
 class StabilizeTrace:
-    normalization_source: MoveSeq
-    normalization_target: MoveSeq
-    raises: tuple[RaiseTrace, ...]
+    __slots__ = ("normalization_source", "normalization_target", "raises")
+
+    def __init__(self, normalization_source: MoveSeq, normalization_target: MoveSeq,
+                 raises: tuple[RaiseTrace, ...]):
+        self.normalization_source, self.normalization_target = normalization_source, normalization_target
+        self.raises = raises
 
 
-@dataclass(frozen=True)
 class StabilizationCertificate:
     """Self-contained, replayable witness of a stabilization run.
 
@@ -332,14 +326,12 @@ class StabilizationCertificate:
     the new target matrix, phi_prime equals g o phi o f exactly, both
     sequences replay, and k_final = max_stable(phi_prime) >= n - 2.
     """
+    __slots__ = ("A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final")
 
-    A: BottMatrix
-    B: BottMatrix
-    phi: GradedIso
-    f_seq: MoveSeq
-    g_seq: MoveSeq
-    phi_prime: GradedIso
-    k_final: int
+    def __init__(self, A: BottMatrix, B: BottMatrix, phi: GradedIso, f_seq: MoveSeq, g_seq: MoveSeq,
+                 phi_prime: GradedIso, k_final: int):
+        self.A, self.B, self.phi = A, B, phi
+        self.f_seq, self.g_seq, self.phi_prime, self.k_final = f_seq, g_seq, phi_prime, k_final
 
 
 def stabilize_full(phi: GradedIso, with_trace: bool = False):
@@ -426,6 +418,7 @@ def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
             return ReplayResult(False, f"target sequence: {r.diagnostic}")
         phi = make_iso(cert.phi.source, cert.phi.target, cert.phi.C)
         phi_prime = make_iso(cert.phi_prime.source, cert.phi_prime.target, cert.phi_prime.C)
-        return check_claims(replace(cert, phi=phi, phi_prime=phi_prime))
+        fresh = StabilizationCertificate(cert.A, cert.B, phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)
+        return check_claims(fresh)
     except Exception as exc:
         return ReplayResult(False, f"certificate data invalid: {exc}")

@@ -11,8 +11,6 @@ square-zero representatives partition the stage indices into blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContextMismatch, ContractViolation, RangeError, WellOrderFailure
 from .moves import Move, MoveSeq, switch
 from .ring import (
@@ -25,13 +23,12 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
 class SquareZeroGenerator:
     """Index i with alpha_i^2 = 0, the class 2x_i - alpha_i, and its primitive form."""
+    __slots__ = ("index", "gen", "primitive_form")
 
-    index: int
-    gen: Class2
-    primitive_form: Class2
+    def __init__(self, index: int, gen: Class2, primitive_form: Class2):
+        self.index, self.gen, self.primitive_form = index, gen, primitive_form
 
 
 def square_zero_generators(A: BottMatrix) -> list[SquareZeroGenerator]:
@@ -121,7 +118,6 @@ def well_order(A: BottMatrix) -> tuple[BottMatrix, list[Move]]:
     return M, moves
 
 
-@dataclass(frozen=True)
 class DecompositionTower:
     """Stages of the tower over rationally trivial fibers.
 
@@ -130,11 +126,11 @@ class DecompositionTower:
     ``origin`` to ``base``.  Level-monotonicity holds by construction: a
     class of height h lies in stage min{t : h <= dims[t-1]}.
     """
+    __slots__ = ("origin", "base", "dims", "moves_applied")
 
-    origin: BottMatrix
-    base: BottMatrix
-    dims: tuple[int, ...]
-    moves_applied: tuple[Move, ...]
+    def __init__(self, origin: BottMatrix, base: BottMatrix, dims: tuple[int, ...],
+                 moves_applied: tuple[Move, ...]):
+        self.origin, self.base, self.dims, self.moves_applied = origin, base, dims, moves_applied
 
     @property
     def stages(self) -> int:
@@ -185,7 +181,6 @@ def decompose_tower(A: BottMatrix) -> DecompositionTower:
     return DecompositionTower(A, M, tuple(dims), tuple(moves))
 
 
-@dataclass(frozen=True)
 class BlockStructure:
     """Partition of one level's indices by mod-2 congruence of representatives.
 
@@ -194,11 +189,11 @@ class BlockStructure:
     ``primitives`` holds the representatives themselves; ``classes`` is the
     partition, each class sorted, classes ordered by smallest member.
     """
+    __slots__ = ("level", "reps", "primitives", "classes")
 
-    level: int
-    reps: dict[int, tuple[int, ...]]
-    primitives: dict[int, Class2]
-    classes: tuple[tuple[int, ...], ...]
+    def __init__(self, level: int, reps: dict[int, tuple[int, ...]], primitives: dict[int, Class2],
+                 classes: tuple[tuple[int, ...], ...]):
+        self.level, self.reps, self.primitives, self.classes = level, reps, primitives, classes
 
 
 def blocks_at(A: BottMatrix, T: DecompositionTower, lev: int) -> BlockStructure:

@@ -132,12 +132,15 @@ def test_iso_search_huge_bound(files, capsys):
 
 
 def test_import_graph_is_integer_only():
-    # the library computes in integers: importing the CLI loads neither
-    # fractions nor decimal
+    # the library computes in integers, so importing the CLI loads neither
+    # fractions nor decimal; its records are plain classes, so it loads no
+    # dataclasses, inspect or typing either.  -S keeps site (and any .pth
+    # file it runs) from loading modules of its own.
     src = str(Path(bc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, bottcert.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    banned = "{'fractions', 'decimal', 'dataclasses', 'inspect', 'typing'}"
+    code = f"import sys, bottcert.cli; print(sorted({banned} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
 
 

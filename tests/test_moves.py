@@ -1,6 +1,5 @@
 """Switch and twist moves, their induced isomorphisms, sequences and replay."""
 
-import dataclasses
 import random
 
 import pytest
@@ -150,8 +149,9 @@ class TestBuildMove:
 
     def test_replay_reports_unknown_kind(self):
         seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
-        bad = dataclasses.replace(seq.moves[0], kind="flip")
-        res = bc.replay(dataclasses.replace(seq, moves=(bad,)))
+        mv = seq.moves[0]
+        bad = bc.Move("flip", mv.j, mv.v, mv.before, mv.after, mv.induced)
+        res = bc.replay(bc.MoveSeq(seq.start, (bad,), seq.end, seq.composite))
         assert res.diagnostic == "move 0: unknown move kind 'flip'"
 
 
@@ -180,7 +180,7 @@ class TestMoveSeq:
         B = hirzebruch(3)
         mv = bc.twist(B, 2, bc.Class2.basis(B, 1))
         seq = bc.MoveSeq.build(B, [mv])
-        bad_after = dataclasses.replace(mv, after=hirzebruch(2))
+        bad_after = bc.Move(mv.kind, mv.j, mv.v, mv.before, hirzebruch(2), mv.induced)
         tampered = bc.MoveSeq(seq.start, (bad_after,), hirzebruch(2), seq.composite)
         res = bc.replay(tampered)
         assert not res.ok and "result matrix" in res.diagnostic
@@ -189,8 +189,8 @@ class TestMoveSeq:
         B = hirzebruch(3)
         mv = bc.twist(B, 2, bc.Class2.basis(B, 1))
         seq = bc.MoveSeq.build(B, [mv])
-        bad = dataclasses.replace(mv, induced=bc.GradedIso(mv.before, mv.after, ((1, 0), (0, 1))))
-        res = bc.replay(dataclasses.replace(seq, moves=(bad,)))
+        bad = bc.Move(mv.kind, mv.j, mv.v, mv.before, mv.after, bc.GradedIso(mv.before, mv.after, ((1, 0), (0, 1))))
+        res = bc.replay(bc.MoveSeq(seq.start, (bad,), seq.end, seq.composite))
         assert res.diagnostic == "move 0: recorded induced map is wrong"
 
     def test_replay_detects_wrong_composite(self):
@@ -200,7 +200,7 @@ class TestMoveSeq:
             bc.GradedIso(seq.start, seq.end, ((1, 0), (2, 1))),
             bc.GradedIso(seq.end, seq.end, seq.composite.C),
         ):
-            res = bc.replay(dataclasses.replace(seq, composite=composite))
+            res = bc.replay(bc.MoveSeq(seq.start, seq.moves, seq.end, composite))
             assert res.diagnostic == "composite does not match the chain"
 
     def test_replay_detects_wrong_end(self):

@@ -1,6 +1,5 @@
 """Height reduction, stability raising, full stabilization and certificates."""
 
-import dataclasses
 import random
 
 import pytest
@@ -233,6 +232,12 @@ class TestOrganicSearches:
         assert certified > 0
 
 
+def _with_seq(cert, side, seq):
+    """The certificate with its ``side`` ("f_seq" or "g_seq") sequence replaced by ``seq``."""
+    f_seq, g_seq = (seq, cert.g_seq) if side == "f_seq" else (cert.f_seq, seq)
+    return bc.StabilizationCertificate(cert.A, cert.B, cert.phi, f_seq, g_seq, cert.phi_prime, cert.k_final)
+
+
 class TestVerifyCertificate:
     def test_round_trip(self):
         cert = bc.stabilize_full(odd_short_fixture())
@@ -240,13 +245,16 @@ class TestVerifyCertificate:
 
     def test_tampered_matrix(self):
         cert = bc.stabilize_full(even_case_fixture())
-        bad = dataclasses.replace(cert, B=bc.make_bott_matrix(3, [[], [0], [0, 4]]))
+        B = bc.make_bott_matrix(3, [[], [0], [0, 4]])
+        bad = bc.StabilizationCertificate(cert.A, B, cert.phi, cert.f_seq, cert.g_seq, cert.phi_prime, cert.k_final)
         res = bc.verify_certificate(bad)
         assert not res.ok
 
     def test_wrong_k_final(self):
         cert = bc.stabilize_full(even_case_fixture())
-        bad = dataclasses.replace(cert, k_final=cert.k_final - 1)
+        bad = bc.StabilizationCertificate(
+            cert.A, cert.B, cert.phi, cert.f_seq, cert.g_seq, cert.phi_prime, cert.k_final - 1
+        )
         res = bc.verify_certificate(bad)
         assert not res.ok and "k_final" in res.diagnostic
 
@@ -254,9 +262,8 @@ class TestVerifyCertificate:
         cert = bc.stabilize_full(even_case_fixture())
         C = [list(r) for r in cert.phi_prime.C]
         C[-1][-1] += 1
-        bad = dataclasses.replace(
-            cert, phi_prime=bc.GradedIso(cert.phi_prime.source, cert.phi_prime.target, tuple(tuple(r) for r in C))
-        )
+        phi_prime = bc.GradedIso(cert.phi_prime.source, cert.phi_prime.target, tuple(tuple(r) for r in C))
+        bad = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)
         assert not bc.verify_certificate(bad).ok
 
     @pytest.mark.parametrize(
@@ -269,10 +276,10 @@ class TestVerifyCertificate:
         mv = seq.moves[0]
         n = mv.before.n
         identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
-        bad_mv = dataclasses.replace(mv, induced=bc.GradedIso(mv.before, mv.after, identity))
-        bad_seq = dataclasses.replace(seq, moves=(bad_mv,) + seq.moves[1:])
+        bad_mv = bc.Move(mv.kind, mv.j, mv.v, mv.before, mv.after, bc.GradedIso(mv.before, mv.after, identity))
+        bad_seq = bc.MoveSeq(seq.start, (bad_mv,) + seq.moves[1:], seq.end, seq.composite)
         assert bc.replay(bad_seq).diagnostic == "move 0: recorded induced map is wrong"
-        res = bc.verify_certificate(dataclasses.replace(cert, **{side: bad_seq}))
+        res = bc.verify_certificate(_with_seq(cert, side, bad_seq))
         assert not res.ok
         assert res.diagnostic == f"{label} sequence: move 0: recorded induced map is wrong"
 
@@ -286,8 +293,8 @@ class TestVerifyCertificate:
         C = [list(r) for r in seq.composite.C]
         C[-1][0] += 2
         composite = bc.GradedIso(seq.start, seq.end, tuple(tuple(r) for r in C))
-        bad_seq = dataclasses.replace(seq, composite=composite)
+        bad_seq = bc.MoveSeq(seq.start, seq.moves, seq.end, composite)
         assert bc.replay(bad_seq).diagnostic == "composite does not match the chain"
-        res = bc.verify_certificate(dataclasses.replace(cert, **{side: bad_seq}))
+        res = bc.verify_certificate(_with_seq(cert, side, bad_seq))
         assert not res.ok
         assert res.diagnostic == f"{label} sequence: composite does not match the chain"

@@ -17,6 +17,13 @@ alpha_i) = eps_i (2y_m - beta_m) for some m of matching level, with e_i =
 say 2(2I - A) C = diag(e) P (2I - B), and det(2I - A) = det(2I - B) = 2^n,
 so det C = +-prod(e_i) / 2^n: C is unimodular exactly when every |e_i| is
 2^t_i and the t_i sum to n.  ``int_det`` therefore serves ``make_iso`` alone.
+
+Row i is (e frame_m + 2 phi(alpha_i)) / 4, and every filter a candidate row
+meets (mod 4, the bound, primitivity and the relation) is a function of m,
+e and phi(alpha_i) alone, not of the rows above that produced
+phi(alpha_i).  The search therefore solves the rows for a given (m, spare,
+phi(alpha_i)) once per call and reuses them at every node with that key,
+such as every node of a zero-matrix search, where phi(alpha_i) is always 0.
 """
 
 from __future__ import annotations
@@ -168,9 +175,13 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
     """
     if A.n != B.n:
         raise ShapeError(f"source has n={A.n} but target has n={B.n}")
-    C = tuple(tuple(map(int, row)) for row in C)
+    C = tuple(tuple(row) for row in C)
     if len(C) != A.n or any(len(row) != A.n for row in C):
         raise ShapeError(f"degree-2 matrix must be {A.n}x{A.n}")
+    for row in C:
+        for v in row:
+            if type(v) is not int:
+                raise ShapeError(f"degree-2 matrix has entry {v!r}, not an integer")
     if int_det(C) not in (1, -1):
         raise NotUnimodular(f"det is not +-1 for {C}")
     for i, (img, arow) in enumerate(zip(C, A.rows), start=1):
@@ -283,6 +294,15 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     unimodular matrix are primitive and the indices m are pairwise distinct,
     which prunes scalar multiples early.  Every hit meets the checks of
     ``make_iso``, so it is not revalidated.
+
+    The rows that survive for target m, with t <= spare, are kept in a dict
+    local to the call keyed by (m, spare, phi(alpha_i)); this is sound
+    because no filter looks at anything else (see the module docstring),
+    and keying on spare makes a miss cost what one node's loop would.  Two
+    prefilters skip scalars before any per-column work: entry m of the
+    numerator is 2(e + phi(alpha_i)_m), so e has the parity of
+    phi(alpha_i)_m, and entry m of the row is (e + phi(alpha_i)_m) / 2, so
+    |e| <= 2 bound + |phi(alpha_i)_m|, after which no larger scalar passes.
     """
     from .structure import decompose_tower
 
@@ -293,12 +313,47 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     tower_b = decompose_tower(B)
     lev_a = [tower_a.level_of_index(i) for i in range(1, n + 1)]
     lev_b = [tower_b.level_of_index(m) for m in range(1, n + 1)]
-    betas = [B.alpha(m).coeffs for m in range(1, n + 1)]
+    # frame m is 2y_m - beta_m; beta_m has no entry at m
+    frames = [
+        tuple(2 if col == m else -b for col, b in enumerate(B.alpha(m + 1).coeffs)) for m in range(n)
+    ]
+    scalars = [[(t, sign << t) for t in range(k + 1) for sign in (1, -1)] for k in range(n + 1)]
+    memo: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+
+    def candidates(m: int, spare: int, phi_alpha: tuple[int, ...]) -> list:
+        """The (t, row) pairs with t <= spare that pass every row filter for target m."""
+        key = (m, spare, phi_alpha)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = memo[key] = []
+        frame = frames[m]
+        pm = phi_alpha[m]
+        # the two prefilters on entry m (see the docstring); scalars ascend in |e|
+        limit = 2 * bound + abs(pm)
+        # row = (e * frame + 2 * phi_alpha) / 4 with e = 2 eps = +-2^t
+        for t, e in scalars[spare]:
+            if abs(e) > limit:
+                break
+            if (e - pm) % 2:
+                continue
+            numer = [e * f + 2 * p for f, p in zip(frame, phi_alpha)]
+            if any(v % 4 for v in numer):
+                continue
+            row = tuple(v // 4 for v in numer)
+            if any(abs(v) > bound for v in row):
+                continue
+            if gcd(*row) != 1:
+                continue
+            # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
+            if not product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):
+                continue
+            out.append((t, row))
+        return out
 
     found: list[tuple[tuple[int, ...], ...]] = []
     rows: list[tuple[int, ...]] = []
     used = [False] * n
-    scalars = [[(t, sign << t) for t in range(k + 1) for sign in (1, -1)] for k in range(n + 1)]
 
     def extend(i: int, spare: int) -> None:
         if i > n:
@@ -306,32 +361,21 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
                 found.append(tuple(rows))
             return
         phi_alpha = [0] * n
-        for j, aij in enumerate(A.rows[i - 1], start=1):
+        for j, aij in enumerate(A.rows[i - 1]):
             if aij:
-                for col in range(n):
-                    phi_alpha[col] += aij * rows[j - 1][col]
-        for m in range(1, n + 1):
-            if used[m - 1] or lev_b[m - 1] != lev_a[i - 1]:
+                for col, c in enumerate(rows[j]):
+                    phi_alpha[col] += aij * c
+        phi_alpha = tuple(phi_alpha)
+        level = lev_a[i - 1]
+        for m in range(n):
+            if used[m] or lev_b[m] != level:
                 continue
-            frame = [2 if col == m - 1 else -betas[m - 1][col] for col in range(n)]
-            # row = (e * frame + 2 * phi_alpha) / 4 with e = 2 eps = +-2^t
-            for t, e in scalars[spare]:
-                numer = [e * frame[col] + 2 * phi_alpha[col] for col in range(n)]
-                if any(v % 4 for v in numer):
-                    continue
-                row = tuple(v // 4 for v in numer)
-                if any(abs(v) > bound for v in row):
-                    continue
-                if gcd(*row) != 1:
-                    continue
-                # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
-                if not product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):
-                    continue
+            used[m] = True
+            for t, row in candidates(m, spare, phi_alpha):
                 rows.append(row)
-                used[m - 1] = True
                 extend(i + 1, spare - t)
-                used[m - 1] = False
                 rows.pop()
+            used[m] = False
 
     extend(1, n)
     del extend  # it refers to itself; the cycle would keep its state alive until a full GC

@@ -41,12 +41,15 @@ class BottMatrix:
     def __init__(self, n: int, rows: Iterable[Iterable[int]]):
         if n < 1:
             raise ShapeError(f"tower height must be >= 1, got {n}")
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
         if len(rows) != n:
             raise ShapeError(f"expected {n} rows, got {len(rows)}")
         for i, row in enumerate(rows, start=1):
             if len(row) != i - 1:
                 raise ShapeError(f"row {i} must have {i - 1} entries, got {len(row)}")
+            for v in row:
+                if type(v) is not int:
+                    raise ShapeError(f"row {i} has entry {v!r}, not an integer")
         self.n = n
         self.rows = rows
 

@@ -58,6 +58,19 @@ class TestMakeIso:
         with pytest.raises(bc.ShapeError):
             bc.make_iso(ZERO2, ZERO2, [[1, 0, 0], [0, 1, 0]])
 
+    @pytest.mark.parametrize(
+        "C", [[[1.7, 0], [0, True]], [[1.0, 0], [0, 1]], [[1, 0], [0, True]], [["1", 0], [0, 1]]]
+    )
+    def test_non_integer_entry(self, C):
+        # each of these would read as the identity if entries were coerced
+        with pytest.raises(bc.ShapeError):
+            bc.make_iso(ZERO2, ZERO2, C)
+
+    def test_big_integer_entry(self):
+        big = 2**70
+        phi = bc.make_iso(ZERO2, hirzebruch(2 * big), [[1, 0], [-big, 1]])
+        assert phi.C == ((1, 0), (-big, 1))
+
 
 class TestApply:
     def test_identity_on_generator(self):
@@ -289,6 +302,15 @@ class TestSearch:
             for signs in itertools.product((1, -1), repeat=3)
         }
         assert len(isos) == 48 and {phi.C for phi in isos} == perms
+        # the zero-matrix searches of the benchmark, and one size up
+        for n, count in ((5, 3840), (6, 46080)):
+            Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+            isos = bc.search_isos(Z, Z, 1)
+            assert len(isos) == count
+            for phi in isos:
+                cols = [col for row in phi.C for col, v in enumerate(row) if v]
+                assert sorted(cols) == list(range(n))
+                assert all(abs(v) == 1 for row in phi.C for v in row if v)
 
     def test_even_pair_found(self):
         isos = bc.search_isos(ZERO2, hirzebruch(2), 2)
@@ -316,6 +338,18 @@ class TestSearch:
         found = 0
         for _ in range(3):
             A = sparse_matrix(rng, 4, 2)
+            B = moved_partner(rng, A, rng.randint(1, 2))
+            pruned = {phi.C for phi in bc.search_isos(A, B, 1)}
+            assert pruned == set(raw_iso_search(A, B, 1))
+            found += len(pruned)
+        assert found
+        # n = 4 with a zero middle row: many partial maps share phi(alpha_i)
+        found = 0
+        for _ in range(3):
+            rows = [list(r) for r in sparse_matrix(rng, 4, 2).rows]
+            z = rng.randint(2, 3)
+            rows[z - 1] = [0] * (z - 1)
+            A = bc.make_bott_matrix(4, rows)
             B = moved_partner(rng, A, rng.randint(1, 2))
             pruned = {phi.C for phi in bc.search_isos(A, B, 1)}
             assert pruned == set(raw_iso_search(A, B, 1))

@@ -4,6 +4,13 @@ The digests were taken before the integer kernels (``compose``,
 ``int_inverse``, ``int_det``, ``switch``) were rewritten for sparsity, so
 any change to the integers those kernels produce shows up here, not only in
 the CLI fixtures of ``test_cli.test_pinned_stdout_bytes``.
+
+``SEARCH_MEMO_DIGEST`` was taken before ``search_isos`` shared candidate
+rows between nodes with equal (m, spare, phi(alpha_i)).  It covers the
+searches where such nodes are most common: zero matrices, and rationally
+trivial matrices with a zero row, where many partial maps give the same
+phi(alpha_i).  Hirzebruch pairs and move-related pairs at a huge bound
+cover the scalars e = +-2^t with t > 0.
 """
 
 import copy
@@ -13,10 +20,11 @@ import random
 
 import bottcert as bc
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
-from helpers import moved_partner, scrambled_iso, sparse_matrix
+from helpers import class_terms, moved_partner, oracle_product, scrambled_iso, sparse_matrix
 
 CERT_DIGEST = "ca2d377229cddd618f0759aa5d30aee1dea1013f0c8ca7f97e6910d70e149123"
 SEARCH_DIGEST = "e2cce42baaf53b50f7222f4809b8b1f68ecfade1347f61ea048e29f401ac0a3d"
+SEARCH_MEMO_DIGEST = "17a7c5372dfae9136c73ca2e76d107642d2b7ce2029054ebcbec3d1c5f8414ac"
 
 
 def _verdict(result):
@@ -57,6 +65,44 @@ def search_records():
         yield repr((A.rows, B.rows, [phi.C for phi in bc.search_isos(A, B, 3)]))
 
 
+def _rationally_trivial(rng, n):
+    """A matrix with a zero row below the first, every alpha_i squaring to zero."""
+    while True:
+        rows = [list(r) for r in sparse_matrix(rng, n, 2, p_zero=0.5).rows]
+        z = rng.randint(2, n - 1)
+        rows[z - 1] = [0] * (z - 1)
+        A = bc.make_bott_matrix(n, rows)
+        alphas = [class_terms(A.alpha(i)) for i in range(1, n + 1)]
+        if any(map(any, A.rows)) and not any(oracle_product(A, a, a) for a in alphas):
+            return A
+
+
+def search_memo_records():
+    """Complete search results where many nodes share (m, spare, phi(alpha_i))."""
+
+    def record(A, B, bound):
+        return repr((A.rows, B.rows, bound, [phi.C for phi in bc.search_isos(A, B, bound)]))
+
+    for n in range(1, 6):
+        Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+        for bound in (1, 2):
+            yield record(Z, Z, bound)
+    rng = random.Random(9090)
+    for k in range(8):
+        A = _rationally_trivial(rng, 4 + k % 2)
+        B = A if k % 2 == 0 else moved_partner(rng, A, rng.randint(1, 2))
+        yield record(A, B, 2)
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            H = [bc.make_bott_matrix(2, [[], [c]]) for c in (a, b)]
+            yield record(*H, 6)
+    rng = random.Random(3131)
+    for _ in range(5):
+        A = sparse_matrix(rng, 3, 2)
+        B = moved_partner(rng, A, rng.randint(1, 3))
+        yield record(A, B, 10**9)
+
+
 def digest(records):
     h = hashlib.sha256()
     for rec in records:
@@ -71,3 +117,7 @@ def test_certificates_and_verdicts_pinned():
 
 def test_search_results_pinned():
     assert digest(search_records()) == SEARCH_DIGEST
+
+
+def test_search_memo_cases_pinned():
+    assert digest(search_memo_records()) == SEARCH_MEMO_DIGEST

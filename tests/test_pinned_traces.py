@@ -11,7 +11,11 @@ None of those odd branches takes a source-side key step, so a second digest
 pins four n = 4 isomorphisms whose odd branch does: search hits at bound 2
 between move-related pairs (rng 2718 over ``sparse_matrix`` and
 ``moved_partner``), kept as literals so the digest does not follow the
-generators.
+generators.  At n = 4 such a branch takes at most one source-side step,
+so the check that the tracked height strictly decreases between steps
+never runs there; a third digest pins an n = 5 isomorphism, a bound-2
+search hit, whose odd branch at k = 0 takes zero-case steps at l = 5 and
+then l = 4.
 """
 
 import hashlib
@@ -23,6 +27,7 @@ from helpers import trace_isos
 
 TRACE_DIGEST = "3bfbf746db4e7f159ffcde20140180220b80f2f116a472e91e0035378cb17f89"
 SOURCE_STEP_DIGEST = "a51ac42aa5640c92233cf6fb9f45cdefd4c3c8ec81aa52ca620a2cbfe66b2d19"
+TWO_SOURCE_STEPS_DIGEST = "1fbfd2baeb88ffe41449521bab96a60e2161d053adc9dca9d377cca007b87d55"
 
 # (A rows, B rows, C): the first hit of each of the four pairs whose odd
 # branch steps on the source side
@@ -36,6 +41,13 @@ SOURCE_SIDE = [
     (((), (0,), (-2, 0), (-1, 0, 0)), ((), (0,), (0, -2), (0, 1, 0)),
      ((0, -1, 0, 2), (-1, 0, 0, 0), (0, 0, -1, -2), (0, 0, 0, -1))),
 ]
+
+# (A rows, B rows, C) at n = 5: two source-side steps in one odd branch
+TWO_SOURCE_STEPS = (
+    ((), (0,), (0, 0), (0, 0, 0), (-1, 0, 0, 0)),
+    ((), (0,), (0, 0), (-1, 0, 0), (0, 0, 0, 0)),
+    ((-1, 0, 0, -2, 0), (0, -1, 0, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, 0, -1), (0, 0, 0, 1, 0)),
+)
 
 
 def source_side_isos():
@@ -81,15 +93,24 @@ def test_trace_coverage():
     assert twists >= 5 and odd_branches >= 1
 
 
+def two_source_steps_iso():
+    a, b, c = TWO_SOURCE_STEPS
+    return bc.make_iso(bc.make_bott_matrix(5, a), bc.make_bott_matrix(5, b), c)
+
+
+def _source_step_records(phi):
+    cert, trace = bc.stabilize_full(phi, with_trace=True)
+    yield dumps_canonical(certificate_to_obj(cert))
+    for rt in trace.raises:
+        if rt.odd is not None:
+            yield from map(_step, rt.odd.source_steps)
+            if rt.odd.final_step is not None:
+                yield _step(rt.odd.final_step)
+
+
 def source_step_records():
     for phi in source_side_isos():
-        cert, trace = bc.stabilize_full(phi, with_trace=True)
-        yield dumps_canonical(certificate_to_obj(cert))
-        for rt in trace.raises:
-            if rt.odd is not None:
-                yield from map(_step, rt.odd.source_steps)
-                if rt.odd.final_step is not None:
-                    yield _step(rt.odd.final_step)
+        yield from _source_step_records(phi)
 
 
 def _digest(records):
@@ -115,3 +136,19 @@ def test_source_side_odd_steps():
 
 def test_source_side_steps_pinned():
     assert _digest(source_step_records()) == SOURCE_STEP_DIGEST
+
+
+def test_two_source_side_steps():
+    cert, trace = bc.stabilize_full(two_source_steps_iso(), with_trace=True)
+    odd = trace.raises[0].odd
+    assert trace.raises[0].k == 0 and odd is not None
+    assert len(odd.source_steps) >= 2
+    assert [(st.case, st.ell) for st in odd.source_steps] == [("zero", 5), ("zero", 4)]
+    assert bc.verify_certificate(cert).ok
+    assert cert.k_final == 5
+    text = dumps_canonical(certificate_to_obj(cert))
+    assert verify_certificate_obj(json.loads(text)).ok
+
+
+def test_two_source_side_steps_pinned():
+    assert _digest(_source_step_records(two_source_steps_iso())) == TWO_SOURCE_STEPS_DIGEST

@@ -33,6 +33,18 @@ class TestMakeBottMatrix:
         with pytest.raises(bc.ShapeError):
             bc.make_bott_matrix(3, [[], [1]])
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, "1"])
+    def test_non_integer_entry(self, bad):
+        # no float, bool or string is silently turned into an integer
+        with pytest.raises(bc.ShapeError):
+            bc.make_bott_matrix(2, [[], [bad]])
+        with pytest.raises(bc.ShapeError):
+            bc.make_bott_matrix(3, [[], [0], [0, bad]])
+
+    def test_big_integer_entry(self):
+        A = bc.make_bott_matrix(2, [[], [2**70 + 1]])
+        assert A.a(2, 1) == 2**70 + 1
+
 
 class TestReduce:
     def test_x1_squared_vanishes(self):

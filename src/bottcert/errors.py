@@ -23,10 +23,6 @@ class ContextMismatch(BottError):
     """Operands belong to different Bott matrices."""
 
 
-class WellOrderFailure(BottError):
-    """No admissible switch sequence orders the square-zero rows first."""
-
-
 class NotUnimodular(BottError):
     """A degree-2 matrix does not have determinant +1 or -1."""
 
@@ -83,3 +79,13 @@ class ProofPathViolation(TripwireError):
 
 class NonTermination(TripwireError):
     """The stabilization loop exceeded its step budget."""
+
+
+class WellOrderFailure(TripwireError):
+    """A switch that well-ordering needs is blocked (a bug, never the data).
+
+    Each such switch at j moves a square-zero row j+1 over a row j that is
+    not.  Were a = a_{j+1,j} nonzero, writing alpha_{j+1} = a x_j + gamma
+    with gamma in F_{j-1} would give 0 = alpha_{j+1}^2 = (a^2 alpha_j +
+    2a gamma) x_j + gamma^2, so gamma = -a alpha_j / 2 and alpha_j^2 = 0.
+    """

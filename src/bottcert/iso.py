@@ -293,7 +293,8 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     bound only filters rows, it does not set how many are tried.  Rows of a
     unimodular matrix are primitive and the indices m are pairwise distinct,
     which prunes scalar multiples early.  Every hit meets the checks of
-    ``make_iso``, so it is not revalidated.
+    ``make_iso``, so it is not revalidated.  No hit repeats: frame m has
+    height m and entry 2 there, so a row fixes its (m, e).
 
     The rows that survive for target m, with t <= spare, are kept in a dict
     local to the call keyed by (m, spare, phi(alpha_i)); this is sound
@@ -313,10 +314,7 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     tower_b = decompose_tower(B)
     lev_a = [tower_a.level_of_index(i) for i in range(1, n + 1)]
     lev_b = [tower_b.level_of_index(m) for m in range(1, n + 1)]
-    # frame m is 2y_m - beta_m; beta_m has no entry at m
-    frames = [
-        tuple(2 if col == m else -b for col, b in enumerate(B.alpha(m + 1).coeffs)) for m in range(n)
-    ]
+    frames = [two_x_minus_alpha(B, m).coeffs for m in range(1, n + 1)]
     scalars = [[(t, sign << t) for t in range(k + 1) for sign in (1, -1)] for k in range(n + 1)]
     memo: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
 
@@ -379,4 +377,4 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
 
     extend(1, n)
     del extend  # it refers to itself; the cycle would keep its state alive until a full GC
-    return [GradedIso(A, B, C) for C in sorted(set(found))]
+    return [GradedIso(A, B, C) for C in sorted(found)]

@@ -94,9 +94,12 @@ class Class2:
     __slots__ = ("context", "coeffs")
 
     def __init__(self, context: BottMatrix, coeffs: Iterable[int]):
-        coeffs = tuple(map(int, coeffs))
+        coeffs = tuple(coeffs)
         if len(coeffs) != context.n:
             raise ShapeError(f"expected {context.n} coefficients, got {len(coeffs)}")
+        for v in coeffs:
+            if type(v) is not int:
+                raise ShapeError(f"coefficient {v!r} is not an integer")
         self.context = context
         self.coeffs = coeffs
 

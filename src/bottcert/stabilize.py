@@ -264,12 +264,10 @@ def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
 
 
 def _raise_fwd(phi: GradedIso, k: int, budget: _Budget):
-    """Raise stability by at least one; returns forward move lists and trace."""
-    n = phi.source.n
-    if not 0 <= k < n:
-        raise RangeError(f"stability index {k} outside 0..{n - 1}")
-    if not phi.is_k_stable(k):
-        raise ValueError(f"isomorphism is not {k}-stable")
+    """Raise stability by at least one; returns forward move lists and trace.
+
+    The first ``decompose_xk`` checks that k is in range and phi is k-stable.
+    """
     phase1: list[KeyStepTrace] = []
     tgt_moves: list[Move] = []
     src_moves: list[Move] = []

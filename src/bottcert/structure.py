@@ -2,7 +2,9 @@
 
 Every degree-2 class with square zero is a rational multiple of some
 2x_i - alpha_i with alpha_i^2 = 0; those indices can be moved to the front
-by switches (well-ordering), and cutting at the largest such index and
+by switches (well-ordering).  A switch is a ring isomorphism, so each row
+keeps its alpha^2 = 0 flag as it moves, and the well-ordering is a stable
+partition that tests each row once.  Cutting at the largest such index and
 recursing on the lower-right submatrix produces a tower of stages whose
 fibers have rationally trivial cohomology.  The stage containing a class is
 its level.  Within one level, the mod-2 reductions of the primitive
@@ -70,48 +72,39 @@ def square_zero_bruteforce(A: BottMatrix, bound: int) -> list[Class2]:
         coeffs[pos] += 1
 
 
-def _fiber_flags(M: BottMatrix, k: int) -> list[bool]:
-    """Whether alpha^2 = 0 in the fiber ring cut at k, per fiber row."""
-    fiber = M if k == 0 else sub_bar(M, k)
-    alphas = [fiber.alpha(i).coeffs for i in range(1, fiber.n + 1)]
-    return [product_is_zero(fiber, a, a) for a in alphas]
-
-
 def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], int]:
-    """Bubble the square-zero fiber rows of the cut at k to the front.
+    """Move the square-zero fiber rows of the cut at k to the front, stably.
 
-    Uses only switches at absolute positions > k.  Whenever a square-zero
-    row sits directly below a non-square-zero one, the subdiagonal entry
-    between them vanishes, so the switch is admissible; a blocked switch is
-    reported as WellOrderFailure instead of guessed around.
+    A stable partition with one alpha^2 = 0 test per fiber row: a switch is
+    a ring isomorphism, so each row carries its flag along.  A square-zero
+    row at fiber position r with d square-zero rows before it moves to d by
+    switches at absolute positions k+r, k+r-1, ..., k+d+1; each passes over
+    a row that is not square-zero, so the subdiagonal entry between them
+    vanishes and a blocked switch is a tripwire (see WellOrderFailure).
+    Fiber row 1 has alpha = 0, so the returned count d is at least 1.
     """
-    n = M.n
+    fiber = M if k == 0 else sub_bar(M, k)
     moves: list[Move] = []
-    for _ in range((n - k) * (n - k) + 1):
-        flags = _fiber_flags(M, k)
-        first_bad = next((r for r in range(len(flags) - 1) if not flags[r] and flags[r + 1]), None)
-        if first_bad is None:
-            d = 0
-            while d < len(flags) and flags[d]:
-                d += 1
-            if d == 0:
-                raise WellOrderFailure("first fiber row must always have square zero")
-            return M, moves, d
-        abs_j = k + first_bad + 1
-        if M.a(abs_j + 1, abs_j) != 0:
-            raise WellOrderFailure(
-                f"switch at {abs_j} needed but entry ({abs_j + 1},{abs_j}) is nonzero"
-            )
-        mv = switch(M, abs_j)
-        moves.append(mv)
-        M = mv.after
-    raise WellOrderFailure("well-ordering did not stabilize")
+    d = 0
+    for r in range(fiber.n):
+        alpha = fiber.alpha(r + 1).coeffs
+        if not product_is_zero(fiber, alpha, alpha):
+            continue
+        for j in range(k + r, k + d, -1):
+            if M.a(j + 1, j) != 0:
+                raise WellOrderFailure(f"switch at {j} needed but entry ({j + 1},{j}) is nonzero")
+            mv = switch(M, j)
+            moves.append(mv)
+            M = mv.after
+        d += 1
+    return M, moves, d
 
 
 def well_order(A: BottMatrix) -> tuple[BottMatrix, list[Move]]:
     """Reorder stages by switches so square-zero rows come first.
 
     The result satisfies: alpha_j^2 = 0 implies alpha_i^2 = 0 for all i < j.
+    The square-zero rows keep their relative order, and so do the others.
     The returned moves replay from A to the result.
     """
     M, moves, _ = _suffix_well_order(A, 0)
@@ -199,9 +192,10 @@ class BlockStructure:
 def blocks_at(A: BottMatrix, T: DecompositionTower, lev: int) -> BlockStructure:
     """Block partition of the indices at one level of the tower.
 
-    With k the previous stage dimension, z_r is the image of 2x_r - alpha_r
-    under dropping all terms of index <= k, divided by 2 when not primitive;
-    two indices share a block exactly when their z_r agree mod 2.
+    With k the previous stage dimension, z_r is the primitive part of
+    2x - alpha of fiber row r - k, the image of 2x_r - alpha_r under
+    dropping all terms of index <= k (it has an entry 2, so its gcd is 1 or
+    2); two indices share a block exactly when their z_r agree mod 2.
     """
     if T.origin != A:
         raise ContextMismatch("tower was not built from this matrix")
@@ -213,13 +207,7 @@ def blocks_at(A: BottMatrix, T: DecompositionTower, lev: int) -> BlockStructure:
     reps: dict[int, tuple[int, ...]] = {}
     prims: dict[int, Class2] = {}
     for r in range(k + 1, hi + 1):
-        vec = [0] * fiber.n
-        vec[r - k - 1] = 2
-        for m in range(k + 1, r):
-            vec[m - k - 1] = -T.base.a(r, m)
-        z = Class2(fiber, vec)
-        if all(t % 2 == 0 for t in z.coeffs):
-            z = Class2(fiber, tuple(t // 2 for t in z.coeffs))
+        z = primitive_part(two_x_minus_alpha(fiber, r - k))
         if not product_is_zero(fiber, z.coeffs, z.coeffs):
             raise ContractViolation(f"representative z_{r} fails z^2 = 0 in the fiber")
         prims[r] = z

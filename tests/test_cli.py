@@ -309,3 +309,14 @@ def test_tripwire_exit_code(files, capsys, monkeypatch):
     code, out = run(capsys, "stabilize", a, a, c)
     assert code == 3
     assert json.loads(out) == {"error": "forced for the test", "tripwire": True}
+
+
+def test_blocked_well_ordering_is_a_tripwire(files, capsys, monkeypatch):
+    def fire(A):
+        raise bc.WellOrderFailure("forced for the test")
+
+    monkeypatch.setattr(bottcert.cli, "decompose_tower", fire)
+    a = files("a.json", {"n": 2, "rows": [[], [0]]})
+    code, out = run(capsys, "decompose", a)
+    assert code == 3
+    assert json.loads(out) == {"error": "forced for the test", "tripwire": True}

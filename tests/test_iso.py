@@ -306,7 +306,8 @@ class TestSearch:
         for n, count in ((5, 3840), (6, 46080)):
             Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
             isos = bc.search_isos(Z, Z, 1)
-            assert len(isos) == count
+            # each hit is reached by one path only, so none repeats
+            assert len(isos) == count == len({phi.C for phi in isos})
             for phi in isos:
                 cols = [col for row in phi.C for col, v in enumerate(row) if v]
                 assert sorted(cols) == list(range(n))

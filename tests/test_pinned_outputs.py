@@ -11,6 +11,12 @@ searches where such nodes are most common: zero matrices, and rationally
 trivial matrices with a zero row, where many partial maps give the same
 phi(alpha_i).  Hirzebruch pairs and move-related pairs at a huge bound
 cover the scalars e = +-2^t with t > 0.
+
+``TOWER_DIGEST`` was taken before the well-ordering of a tower stage became
+one stable partition pass.  It pins each tower's dimensions, switch
+positions, base matrix and index map, the blocks of every level and the
+square-zero generators, over seeded matrices with n = 1..8 and partners
+scrambled by switches, so that later stages need switches too.
 """
 
 import copy
@@ -20,11 +26,12 @@ import random
 
 import bottcert as bc
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
-from helpers import class_terms, moved_partner, oracle_product, scrambled_iso, sparse_matrix
+from helpers import class_terms, moved_partner, oracle_product, rand_matrix, scrambled_iso, sparse_matrix
 
 CERT_DIGEST = "ca2d377229cddd618f0759aa5d30aee1dea1013f0c8ca7f97e6910d70e149123"
 SEARCH_DIGEST = "e2cce42baaf53b50f7222f4809b8b1f68ecfade1347f61ea048e29f401ac0a3d"
 SEARCH_MEMO_DIGEST = "17a7c5372dfae9136c73ca2e76d107642d2b7ce2029054ebcbec3d1c5f8414ac"
+TOWER_DIGEST = "a6858da8d053c4e3c03adc7c7a726e230465cdc01a1a1c5ca922e3710c91b5d1"
 
 
 def _verdict(result):
@@ -81,7 +88,9 @@ def search_memo_records():
     """Complete search results where many nodes share (m, spare, phi(alpha_i))."""
 
     def record(A, B, bound):
-        return repr((A.rows, B.rows, bound, [phi.C for phi in bc.search_isos(A, B, bound)]))
+        found = [phi.C for phi in bc.search_isos(A, B, bound)]
+        assert len(found) == len(set(found))  # each hit is reached by one path only
+        return repr((A.rows, B.rows, bound, found))
 
     for n in range(1, 6):
         Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
@@ -103,6 +112,27 @@ def search_memo_records():
         yield record(A, B, 10**9)
 
 
+def tower_matrices():
+    """Seeded matrices, n = 1..8, each followed by a partner scrambled by switches."""
+    rng = random.Random(7373)
+    for k in range(800):
+        n = 1 + k % 8
+        A = rand_matrix(rng, n, 1) if k % 2 else sparse_matrix(rng, n, 2)
+        yield A
+        yield moved_partner(rng, A, rng.randint(4, 12), twist_mag=0)
+
+
+def tower_record(A, T):
+    levels = []
+    for lev in range(1, T.stages + 1):
+        blocks = bc.blocks_at(A, T, lev)
+        prims = sorted((r, z.coeffs) for r, z in blocks.primitives.items())
+        levels.append((blocks.classes, sorted(blocks.reps.items()), prims))
+    gens = [(g.index, g.gen.coeffs, g.primitive_form.coeffs) for g in bc.square_zero_generators(A)]
+    switches = [mv.j for mv in T.moves_applied]
+    return repr((A.rows, T.dims, switches, T.base.rows, T.perm(), levels, gens))
+
+
 def digest(records):
     h = hashlib.sha256()
     for rec in records:
@@ -121,3 +151,16 @@ def test_search_results_pinned():
 
 def test_search_memo_cases_pinned():
     assert digest(search_memo_records()) == SEARCH_MEMO_DIGEST
+
+
+def test_towers_pinned():
+    records = []
+    switches = later_stage_switching = 0
+    for A in tower_matrices():
+        T = bc.decompose_tower(A)
+        records.append(tower_record(A, T))
+        switches += len(T.moves_applied)
+        # well_order(A) is the first stage alone; any further switch is a later stage's
+        later_stage_switching += len(T.moves_applied) > len(bc.well_order(A)[1])
+    assert switches >= 300 and later_stage_switching >= 30
+    assert digest(records) == TOWER_DIGEST

@@ -46,6 +46,18 @@ class TestMakeBottMatrix:
         assert A.a(2, 1) == 2**70 + 1
 
 
+class TestClass2:
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, "3"])
+    def test_non_integer_coefficient(self, bad):
+        with pytest.raises(bc.ShapeError):
+            bc.Class2(H3, [bad, 0, 0])
+        with pytest.raises(bc.ShapeError):
+            bc.Class2(H3, (0, 0, bad))
+
+    def test_big_integer_coefficient(self):
+        assert bc.Class2(H3, [2**70 + 1, 0, -(2**65)]).coeffs == (2**70 + 1, 0, -(2**65))
+
+
 class TestReduce:
     def test_x1_squared_vanishes(self):
         A = rand_matrix(random.Random(0), 4, 3)

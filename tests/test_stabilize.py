@@ -131,6 +131,17 @@ class TestRaiseStability:
         with pytest.raises(bc.NonTermination):
             _raise_fwd(phi, 0, _Budget(0))
 
+    @pytest.mark.parametrize("k", [2, -1])
+    def test_index_out_of_range(self, k):
+        phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])
+        with pytest.raises(bc.RangeError, match=f"stability index {k} outside 0..1"):
+            bc.raise_stability(phi, k)
+
+    def test_not_k_stable(self):
+        phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="isomorphism is not 1-stable"):
+            bc.raise_stability(phi, 1)
+
 
 class TestStabilizeFull:
     def test_small_towers_immediate(self):

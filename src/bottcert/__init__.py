@@ -67,9 +67,7 @@ from .structure import (
     decompose_tower,
     qtrivial_partition,
     same_block,
-    square_zero_bruteforce,
     square_zero_generators,
-    well_order,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import BottError, TripwireError
+from .errors import BottError, ContractViolation, TripwireError
 from .iso import extract_sigma_eps, make_iso, max_stable, search_isos
 from .ring import product_is_zero
 from .serialize import (
@@ -76,17 +76,16 @@ def _cmd_sqzero(args) -> dict:
 def _cmd_decompose(args) -> dict:
     A = _load_matrix(args.matrix)
     tower = decompose_tower(A)
-    perm = tower.perm()
-    inv = {perm[i]: i for i in range(1, A.n + 1)}  # base index -> original index
+    inv = {tower.perm[i]: i for i in range(1, A.n + 1)}  # base index -> original index
     blocks = []
     for lev in range(1, tower.stages + 1):
-        for cls in blocks_at(A, tower, lev).classes:
+        for cls in blocks_at(tower, lev).classes:
             blocks.append(sorted(inv[r] for r in cls))
     blocks.sort(key=lambda c: (min(c), c))
-    partition = qtrivial_partition(A)
+    partition = qtrivial_partition(tower)
     return {
         "dims": list(tower.dims),
-        "levels": [tower.level_of_index(i) for i in range(1, A.n + 1)],
+        "levels": list(tower.levels[1:]),
         "blocks": blocks,
         "partition_if_qtrivial": list(partition) if partition is not None else None,
     }
@@ -126,7 +125,7 @@ def _cmd_stabilize(args) -> dict:
     cert = stabilize_full(phi)
     result = verify_certificate(cert)
     if not result:
-        raise BottError(f"freshly built certificate failed verification: {result.diagnostic}")
+        raise ContractViolation(f"freshly built certificate failed verification: {result.diagnostic}")
     cert_obj = certificate_to_obj(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

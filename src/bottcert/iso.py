@@ -12,11 +12,12 @@ for the search, by the checks made while enumerating).
 All operations are pure and exact in integers; ``compose``, ``int_inverse``
 (Euclidean row reduction over Z) and ``int_det`` follow the sparsity of
 move maps.  ``search_isos`` follows the structure theory: phi(2x_i -
-alpha_i) = eps_i (2y_m - beta_m) for some m of matching level, with e_i =
-2 eps_i an integer, so rows are solved from (m, e) pairs.  Stacked, these
-say 2(2I - A) C = diag(e) P (2I - B), and det(2I - A) = det(2I - B) = 2^n,
-so det C = +-prod(e_i) / 2^n: C is unimodular exactly when every |e_i| is
-2^t_i and the t_i sum to n.  ``int_det`` therefore serves ``make_iso`` alone.
+alpha_i) = eps_i (2y_m - beta_m) for some m of matching level (read from
+the towers' ``levels``), with e_i = 2 eps_i an integer, so rows are solved
+from (m, e) pairs.  Stacked, these say 2(2I - A) C = diag(e) P (2I - B),
+and det(2I - A) = det(2I - B) = 2^n, so det C = +-prod(e_i) / 2^n: C is
+unimodular exactly when every |e_i| is 2^t_i and the t_i sum to n.
+``int_det`` therefore serves ``make_iso`` alone.
 
 Row i is (e frame_m + 2 phi(alpha_i)) / 4, and every filter a candidate row
 meets (mod 4, the bound, primitivity and the relation) is a function of m,
@@ -254,9 +255,9 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
 
     ``tower_src`` and ``tower_tgt`` are the decomposition towers of the
     source and target matrices; the extraction verifies the exact identity
-    and that levels are preserved.  Failure contradicts the structure theory
-    for a validated isomorphism, so it is a test tripwire rather than an
-    expected path.
+    and that levels are preserved, reading both towers' ``levels``.
+    Failure contradicts the structure theory for a validated isomorphism,
+    so it is a test tripwire rather than an expected path.
     """
     A, B = phi.source, phi.target
     if tower_src.origin != A or tower_tgt.origin != B:
@@ -273,7 +274,7 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
         # exact identity, cross-multiplied to stay in integers: 2q = top * frame
         if q.scale(2) != frame.scale(top):
             raise ExtractionFailure(i, f"image {q!r} is not a multiple of {frame!r}")
-        if tower_src.level_of_index(i) != tower_tgt.level_of_index(m):
+        if tower_src.levels[i] != tower_tgt.levels[m]:
             raise ExtractionFailure(i, f"level of x_{i} differs from level of y_{m}")
         sigma.append(m)
         e.append(top)
@@ -310,10 +311,8 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     if A.n != B.n or bound < 1:
         return []
     n = A.n
-    tower_a = decompose_tower(A)
-    tower_b = decompose_tower(B)
-    lev_a = [tower_a.level_of_index(i) for i in range(1, n + 1)]
-    lev_b = [tower_b.level_of_index(m) for m in range(1, n + 1)]
+    lev_a = decompose_tower(A).levels
+    lev_b = decompose_tower(B).levels[1:]  # 0-based, like frames and used
     frames = [two_x_minus_alpha(B, m).coeffs for m in range(1, n + 1)]
     scalars = [[(t, sign << t) for t in range(k + 1) for sign in (1, -1)] for k in range(n + 1)]
     memo: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
@@ -364,7 +363,7 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
                 for col, c in enumerate(rows[j]):
                     phi_alpha[col] += aij * c
         phi_alpha = tuple(phi_alpha)
-        level = lev_a[i - 1]
+        level = lev_a[i]
         for m in range(n):
             if used[m] or lev_b[m] != level:
                 continue

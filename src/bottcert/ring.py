@@ -79,7 +79,11 @@ class BottMatrix:
 
 
 def make_bott_matrix(n: int, rows: Iterable[Iterable[int]]) -> BottMatrix:
-    """Validate and build a Bott matrix from per-row coefficient lists."""
+    """Validate and build a Bott matrix from per-row coefficient lists.
+
+    The same as ``BottMatrix(n, rows)``; it stays because ``bench/`` calls
+    it, and can go with the next change to ``bench/``.
+    """
     return BottMatrix(n, rows)
 
 

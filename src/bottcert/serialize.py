@@ -15,7 +15,7 @@ import re
 from .errors import BottError, ShapeError
 from .iso import GradedIso, make_iso
 from .moves import Move, MoveSeq, ReplayResult, build_move
-from .ring import BottMatrix, make_bott_matrix
+from .ring import BottMatrix
 from .stabilize import StabilizationCertificate, check_claims
 
 CERT_SCHEMA = "bott-stabilization-cert/1"
@@ -65,7 +65,7 @@ def matrix_from_obj(obj: object) -> BottMatrix:
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise ShapeError("matrix object needs keys 'n' and 'rows'")
     rows = [_ints(r, "matrix row") for r in _list(obj["rows"], "'rows'")]
-    return make_bott_matrix(decode_int(obj["n"]), rows)
+    return BottMatrix(decode_int(obj["n"]), rows)
 
 
 def iso_to_obj(phi: GradedIso) -> dict:

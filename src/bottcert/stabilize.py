@@ -219,7 +219,7 @@ def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
     matrix, and a leftover height of k+3 comes with an even entry
     (k+3, k+2).  Each of these facts is recomputed and enforced.
     """
-    if not same_block(phi.target, k + 1, k + 2):
+    if not same_block(decompose_tower(phi.target), k + 1, k + 2):
         raise ProofPathViolation("k+1 and k+2 must share a block on the target side")
     psi = invert(phi)  # maps the target ring back to the source ring; k-stable
     original_row = psi.target.rows[k]  # row k+1 of the source matrix
@@ -244,7 +244,7 @@ def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
     final_tr = None
     if dec.ell == k + 3:
         A_cur = psi.target
-        if not same_block(A_cur, k + 1, k + 3):
+        if not same_block(decompose_tower(A_cur), k + 1, k + 3):
             raise ProofPathViolation("k+1 and k+3 must share a block on the source side")
         final_entry = A_cur.a(k + 3, k + 2)
         if final_entry % 2 != 0:

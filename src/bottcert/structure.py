@@ -7,14 +7,16 @@ keeps its alpha^2 = 0 flag as it moves, and the well-ordering is a stable
 partition that tests each row once.  Cutting at the largest such index and
 recursing on the lower-right submatrix produces a tower of stages whose
 fibers have rationally trivial cohomology.  The stage containing a class is
-its level.  Within one level, the mod-2 reductions of the primitive
-square-zero representatives partition the stage indices into blocks.
+its level; the tower fixes each generator's base index and level once, as
+``perm`` and ``levels``, and the block queries read them from it.  Within
+one level, the mod-2 reductions of the primitive square-zero
+representatives partition the stage indices into blocks.
 """
 
 from __future__ import annotations
 
-from .errors import ContextMismatch, ContractViolation, RangeError, WellOrderFailure
-from .moves import Move, MoveSeq, switch
+from .errors import ContractViolation, RangeError, WellOrderFailure
+from .moves import Move, switch
 from .ring import (
     BottMatrix,
     Class2,
@@ -48,30 +50,6 @@ def square_zero_generators(A: BottMatrix) -> list[SquareZeroGenerator]:
     return out
 
 
-def square_zero_bruteforce(A: BottMatrix, bound: int) -> list[Class2]:
-    """All nonzero z with coefficients in [-bound, bound] and z^2 = 0.
-
-    Plain enumeration against the degree-2 product; serves as the
-    independent check of the closed-form classification.
-    """
-    if bound < 0:
-        raise RangeError(f"bound must be >= 0, got {bound}")
-    out: list[Class2] = []
-    coeffs = [-bound] * A.n
-    if bound == 0:
-        return out
-    while True:
-        if any(coeffs) and product_is_zero(A, coeffs, coeffs):
-            out.append(Class2(A, coeffs))
-        pos = A.n - 1
-        while pos >= 0 and coeffs[pos] == bound:
-            coeffs[pos] = -bound
-            pos -= 1
-        if pos < 0:
-            return out
-        coeffs[pos] += 1
-
-
 def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], int]:
     """Move the square-zero fiber rows of the cut at k to the front, stably.
 
@@ -100,59 +78,37 @@ def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], i
     return M, moves, d
 
 
-def well_order(A: BottMatrix) -> tuple[BottMatrix, list[Move]]:
-    """Reorder stages by switches so square-zero rows come first.
-
-    The result satisfies: alpha_j^2 = 0 implies alpha_i^2 = 0 for all i < j.
-    The square-zero rows keep their relative order, and so do the others.
-    The returned moves replay from A to the result.
-    """
-    M, moves, _ = _suffix_well_order(A, 0)
-    return M, moves
-
-
 class DecompositionTower:
     """Stages of the tower over rationally trivial fibers.
 
     ``base`` is the fully reordered matrix, ``dims`` the increasing stage
     dimensions (ending at n) and ``moves_applied`` the switches leading from
     ``origin`` to ``base``.  Level-monotonicity holds by construction: a
-    class of height h lies in stage min{t : h <= dims[t-1]}.
+    class of height h lies in stage min{t : h <= dims[t-1]}.  ``perm[i]`` is
+    the base index of the origin generator x_i and ``levels[i]`` its level,
+    both fixed here once; entry 0 of each is a placeholder.
     """
-    __slots__ = ("origin", "base", "dims", "moves_applied")
+    __slots__ = ("origin", "base", "dims", "moves_applied", "perm", "levels")
 
     def __init__(self, origin: BottMatrix, base: BottMatrix, dims: tuple[int, ...],
                  moves_applied: tuple[Move, ...]):
         self.origin, self.base, self.dims, self.moves_applied = origin, base, dims, moves_applied
+        order = list(range(origin.n + 1))  # order[m]: the origin index now at base index m
+        for mv in moves_applied:
+            j = mv.j
+            order[j], order[j + 1] = order[j + 1], order[j]
+        perm = [0] * (origin.n + 1)
+        levels = [0] * (origin.n + 1)
+        lo = 1
+        for t, d in enumerate(dims, start=1):
+            for m in range(lo, d + 1):
+                perm[order[m]], levels[order[m]] = m, t
+            lo = d + 1
+        self.perm, self.levels = tuple(perm), tuple(levels)
 
     @property
     def stages(self) -> int:
         return len(self.dims)
-
-    def perm(self) -> tuple[int, ...]:
-        """Index map origin -> base induced by the switches (1-based, perm[0] unused)."""
-        p = list(range(self.origin.n + 1))
-        for mv in self.moves_applied:
-            j = mv.j
-            for i in range(1, len(p)):
-                if p[i] == j:
-                    p[i] = j + 1
-                elif p[i] == j + 1:
-                    p[i] = j
-        return tuple(p)
-
-    def stage_of(self, m: int) -> int:
-        """Stage of the base index m."""
-        if not 1 <= m <= self.base.n:
-            raise RangeError(f"index {m} outside 1..{self.base.n}")
-        for t, d in enumerate(self.dims, start=1):
-            if m <= d:
-                return t
-        raise RangeError(f"index {m} beyond the tower")  # unreachable: dims end at n
-
-    def level_of_index(self, i: int) -> int:
-        """Level of the generator x_i of the origin matrix."""
-        return self.stage_of(self.perm()[i])
 
 
 def decompose_tower(A: BottMatrix) -> DecompositionTower:
@@ -189,16 +145,14 @@ class BlockStructure:
         self.level, self.reps, self.primitives, self.classes = level, reps, primitives, classes
 
 
-def blocks_at(A: BottMatrix, T: DecompositionTower, lev: int) -> BlockStructure:
-    """Block partition of the indices at one level of the tower.
+def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
+    """Block partition of the base indices at one level of the tower.
 
     With k the previous stage dimension, z_r is the primitive part of
     2x - alpha of fiber row r - k, the image of 2x_r - alpha_r under
     dropping all terms of index <= k (it has an entry 2, so its gcd is 1 or
     2); two indices share a block exactly when their z_r agree mod 2.
     """
-    if T.origin != A:
-        raise ContextMismatch("tower was not built from this matrix")
     if not 1 <= lev <= T.stages:
         raise RangeError(f"level {lev} outside 1..{T.stages}")
     k = T.dims[lev - 2] if lev >= 2 else 0
@@ -219,28 +173,26 @@ def blocks_at(A: BottMatrix, T: DecompositionTower, lev: int) -> BlockStructure:
     return BlockStructure(lev, reps, prims, ordered)
 
 
-def same_block(A: BottMatrix, i: int, j: int) -> bool:
-    """Whether generators i and j share both level and block."""
-    T = decompose_tower(A)
-    li, lj = T.level_of_index(i), T.level_of_index(j)
-    if li != lj:
+def same_block(T: DecompositionTower, i: int, j: int) -> bool:
+    """Whether the generators x_i and x_j of ``T.origin`` share both level and block."""
+    for x in (i, j):
+        if not 1 <= x <= T.origin.n:
+            raise RangeError(f"index {x} outside 1..{T.origin.n}")
+    lev = T.levels[i]
+    if lev != T.levels[j]:
         return False
-    blocks = blocks_at(A, T, li)
-    p = T.perm()
-    return any(p[i] in cls and p[j] in cls for cls in blocks.classes)
+    reps = blocks_at(T, lev).reps
+    return reps[T.perm[i]] == reps[T.perm[j]]
 
 
-def qtrivial_partition(A: BottMatrix) -> tuple[int, ...] | None:
-    """Block-size partition when the ring is rationally trivial, else None.
+def qtrivial_partition(T: DecompositionTower) -> tuple[int, ...] | None:
+    """Block-size partition when the ring of ``T.origin`` is rationally trivial, else None.
 
     The ring is rationally trivial exactly when every alpha_i has square
-    zero; the ring is then a product of height-lambda_i one-block factors
-    and the partition is recovered from the level-1 block sizes, sorted
-    descending.
+    zero, that is when the tower has one stage; the ring is then a product
+    of height-lambda_i one-block factors and the partition is recovered
+    from the level-1 block sizes, sorted descending.
     """
-    alphas = [A.alpha(i).coeffs for i in range(1, A.n + 1)]
-    if not all(product_is_zero(A, a, a) for a in alphas):
+    if T.stages != 1:
         return None
-    T = decompose_tower(A)
-    blocks = blocks_at(A, T, 1)
-    return tuple(sorted((len(c) for c in blocks.classes), reverse=True))
+    return tuple(sorted((len(c) for c in blocks_at(T, 1).classes), reverse=True))

@@ -1,6 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles deliberately avoid the production code paths they check.
+``square_zero_bruteforce`` enumerates a coefficient box against the
+degree-2 product, with none of the closed-form classification it checks.
 ``reduce_oracle`` is the suite's only general-degree ring: it brings any
 polynomial to normal form on the square-free monomials, substituting the
 smallest repeated index first, and ``oracle_product`` and ``oracle_apply``
@@ -31,6 +33,30 @@ def sparse_matrix(rng, n, mag, p_zero=0.6):
 
 def rand_class(rng, A, mag):
     return bc.Class2(A, [rng.randint(-mag, mag) for _ in range(A.n)])
+
+
+def square_zero_bruteforce(A, bound):
+    """All nonzero z with coefficients in [-bound, bound] and z^2 = 0.
+
+    Plain enumeration against the degree-2 product; serves as the
+    independent check of the closed-form classification.
+    """
+    if bound < 0:
+        raise bc.RangeError(f"bound must be >= 0, got {bound}")
+    out = []
+    coeffs = [-bound] * A.n
+    if bound == 0:
+        return out
+    while True:
+        if any(coeffs) and bc.product_is_zero(A, coeffs, coeffs):
+            out.append(bc.Class2(A, coeffs))
+        pos = A.n - 1
+        while pos >= 0 and coeffs[pos] == bound:
+            coeffs[pos] = -bound
+            pos -= 1
+        if pos < 0:
+            return out
+        coeffs[pos] += 1
 
 
 def reduce_oracle(raw, A):
@@ -272,10 +298,10 @@ def trace_isos():
 def block_map(A):
     """index -> (level, block id) for the generators of A, via one tower."""
     T = bc.decompose_tower(A)
-    p = T.perm()
+    p = T.perm
     out = {}
     for lev in range(1, T.stages + 1):
-        blocks = bc.blocks_at(A, T, lev)
+        blocks = bc.blocks_at(T, lev)
         for b_id, cls in enumerate(blocks.classes):
             for r in cls:
                 out[r] = (lev, b_id)

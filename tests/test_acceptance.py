@@ -22,6 +22,7 @@ from helpers import (
     raw_iso_search,
     scrambled_iso,
     sparse_matrix,
+    square_zero_bruteforce,
 )
 
 
@@ -44,7 +45,7 @@ def test_c1_square_zero_classification():
     t0 = time.monotonic()
     for _ in range(200):
         A = rand_matrix(rng, rng.randint(1, 4), 3)
-        brute = {z.coeffs for z in bc.square_zero_bruteforce(A, bound)}
+        brute = {z.coeffs for z in square_zero_bruteforce(A, bound)}
         family = set()
         for g in bc.square_zero_generators(A):
             prim = g.primitive_form.coeffs

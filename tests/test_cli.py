@@ -11,6 +11,7 @@ import pytest
 
 import bottcert as bc
 import bottcert.cli
+from bottcert import structure
 from bottcert.cli import main
 from bottcert.serialize import dumps_canonical, matrix_to_obj
 
@@ -320,3 +321,45 @@ def test_blocked_well_ordering_is_a_tripwire(files, capsys, monkeypatch):
     code, out = run(capsys, "decompose", a)
     assert code == 3
     assert json.loads(out) == {"error": "forced for the test", "tripwire": True}
+
+
+def test_failed_self_check_is_a_tripwire(files, capsys, monkeypatch):
+    # a certificate stabilize_full has just built always verifies; if it does not, that is a bug
+    monkeypatch.setattr(bottcert.cli, "verify_certificate", lambda cert: bc.ReplayResult(False, "forced"))
+    a = files("a.json", {"n": 2, "rows": [[], [0]]})
+    c = files("c.json", {"C": [[0, 1], [1, 0]]})
+    code, out = run(capsys, "stabilize", a, a, c)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "freshly built certificate failed verification: forced",
+        "tripwire": True,
+    }
+
+
+def test_decompose_builds_one_tower(files, capsys, monkeypatch):
+    # the tower fixes levels, index map and stage count once; decompose and
+    # qtrivial_partition read them instead of testing alpha^2 = 0 again
+    counts = {"towers": 0, "products": 0}
+    decompose_tower, product_is_zero = structure.decompose_tower, structure.product_is_zero
+
+    def counted_tower(A):
+        counts["towers"] += 1
+        return decompose_tower(A)
+
+    def counted_product(*args):
+        counts["products"] += 1
+        return product_is_zero(*args)
+
+    monkeypatch.setattr(structure, "decompose_tower", counted_tower)
+    monkeypatch.setattr(bottcert.cli, "decompose_tower", counted_tower)
+    monkeypatch.setattr(structure, "product_is_zero", counted_product)
+    n = 5
+    path = files("z.json", {"n": n, "rows": [[0] * i for i in range(n)]})
+    code, out = run(capsys, "decompose", path)
+    assert code == 0 and json.loads(out)["partition_if_qtrivial"] == [1] * n
+    # one tower (one stage, n rows) and blocks_at(T, 1) twice: for the blocks and the partition
+    assert counts == {"towers": 1, "products": 3 * n}
+    T = decompose_tower(bc.make_bott_matrix(n, [[0] * i for i in range(n)]))
+    counts["products"] = 0
+    assert bc.qtrivial_partition(T) == (1,) * n
+    assert counts["products"] == n

@@ -25,6 +25,7 @@ import json
 import random
 
 import bottcert as bc
+from bottcert import structure
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
 from helpers import class_terms, moved_partner, oracle_product, rand_matrix, scrambled_iso, sparse_matrix
 
@@ -125,12 +126,12 @@ def tower_matrices():
 def tower_record(A, T):
     levels = []
     for lev in range(1, T.stages + 1):
-        blocks = bc.blocks_at(A, T, lev)
+        blocks = bc.blocks_at(T, lev)
         prims = sorted((r, z.coeffs) for r, z in blocks.primitives.items())
         levels.append((blocks.classes, sorted(blocks.reps.items()), prims))
     gens = [(g.index, g.gen.coeffs, g.primitive_form.coeffs) for g in bc.square_zero_generators(A)]
     switches = [mv.j for mv in T.moves_applied]
-    return repr((A.rows, T.dims, switches, T.base.rows, T.perm(), levels, gens))
+    return repr((A.rows, T.dims, switches, T.base.rows, T.perm, levels, gens))
 
 
 def digest(records):
@@ -160,7 +161,7 @@ def test_towers_pinned():
         T = bc.decompose_tower(A)
         records.append(tower_record(A, T))
         switches += len(T.moves_applied)
-        # well_order(A) is the first stage alone; any further switch is a later stage's
-        later_stage_switching += len(T.moves_applied) > len(bc.well_order(A)[1])
+        # the first stage alone is _suffix_well_order(A, 0); any further switch is a later stage's
+        later_stage_switching += len(T.moves_applied) > len(structure._suffix_well_order(A, 0)[1])
     assert switches >= 300 and later_stage_switching >= 30
     assert digest(records) == TOWER_DIGEST

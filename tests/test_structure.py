@@ -6,7 +6,7 @@ import pytest
 
 import bottcert as bc
 from bottcert import structure
-from helpers import block_map, moved_partner, rand_matrix, sparse_matrix
+from helpers import block_map, moved_partner, rand_matrix, sparse_matrix, square_zero_bruteforce
 
 
 H3 = bc.make_bott_matrix(3, [[], [1], [1, 0]])
@@ -58,15 +58,15 @@ class TestSquareZeroGenerators:
 
 class TestSquareZeroBruteforce:
     def test_product_of_lines(self):
-        got = {z.coeffs for z in bc.square_zero_bruteforce(ZERO2, 2)}
+        got = {z.coeffs for z in square_zero_bruteforce(ZERO2, 2)}
         assert got == {(t, 0) for t in (-2, -1, 1, 2)} | {(0, t) for t in (-2, -1, 1, 2)}
 
     def test_hirzebruch_odd(self):
-        got = {z.coeffs for z in bc.square_zero_bruteforce(hirzebruch(3), 3)}
+        got = {z.coeffs for z in square_zero_bruteforce(hirzebruch(3), 3)}
         assert got == {(-3, 0), (-2, 0), (-1, 0), (1, 0), (2, 0), (3, 0), (-3, 2), (3, -2)}
 
     def test_bound_zero(self):
-        assert bc.square_zero_bruteforce(H3, 0) == []
+        assert square_zero_bruteforce(H3, 0) == []
 
     def test_classification_small(self):
         # every brute-force hit is an integer multiple of a primitive form,
@@ -75,7 +75,7 @@ class TestSquareZeroBruteforce:
         for _ in range(40):
             A = rand_matrix(rng, rng.randint(1, 3), 3)
             bound = 4
-            brute = {z.coeffs for z in bc.square_zero_bruteforce(A, bound)}
+            brute = {z.coeffs for z in square_zero_bruteforce(A, bound)}
             family = set()
             for g in bc.square_zero_generators(A):
                 prim = g.primitive_form.coeffs
@@ -92,18 +92,18 @@ class TestSquareZeroBruteforce:
 
 class TestWellOrder:
     def test_already_ordered(self):
-        B, moves = bc.well_order(H3)
+        B, moves, _ = structure._suffix_well_order(H3, 0)
         assert B == H3 and moves == []
 
     def test_two_stage_always_ordered(self):
         for a in range(-3, 4):
-            B, moves = bc.well_order(hirzebruch(a))
+            B, moves, _ = structure._suffix_well_order(hirzebruch(a), 0)
             assert B == hirzebruch(a) and moves == []
 
     def test_single_switch(self):
         A = bc.make_bott_matrix(4, [[], [0], [1, 1], [0, 0, 0]])
         assert not square_zero(A.alpha(3))
-        B, moves = bc.well_order(A)
+        B, moves, _ = structure._suffix_well_order(A, 0)
         assert [m.j for m in moves] == [3]
         assert B == bc.make_bott_matrix(4, [[], [0], [0, 0], [1, 1, 0]])
         assert bc.replay(bc.MoveSeq.build(A, moves)).ok
@@ -112,7 +112,7 @@ class TestWellOrder:
         rng = random.Random(5)
         for _ in range(80):
             A = rand_matrix(rng, rng.randint(1, 6), 2)
-            B, _ = bc.well_order(A)
+            B, _, _ = structure._suffix_well_order(A, 0)
             flags = [square_zero(B.alpha(i)) for i in range(1, B.n + 1)]
             assert flags == sorted(flags, reverse=True)
 
@@ -177,21 +177,21 @@ class TestLevel:
     def test_generator_levels(self):
         A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
         T = bc.decompose_tower(A)
-        assert [T.level_of_index(i) for i in (1, 2, 3)] == [1, 1, 2]
+        assert [T.levels[i] for i in (1, 2, 3)] == [1, 1, 2]
 
     def test_monotone_in_height(self):
         rng = random.Random(9)
         for _ in range(60):
             A = rand_matrix(rng, rng.randint(1, 6), 2)
             T = bc.decompose_tower(A)
-            levels = [T.stage_of(m) for m in range(1, A.n + 1)]
+            levels = [T.levels[i] for i in sorted(range(1, A.n + 1), key=T.perm.__getitem__)]
             assert levels == sorted(levels)
 
 
 class TestBlocks:
     def test_one_block(self):
         T = bc.decompose_tower(H3)
-        blocks = bc.blocks_at(H3, T, 1)
+        blocks = bc.blocks_at(T, 1)
         assert blocks.classes == ((1, 2, 3),)
         assert blocks.reps[1] == (1, 0, 0)
         assert blocks.reps[2] == (1, 0, 0)  # 2x2 - x1 mod 2
@@ -199,17 +199,17 @@ class TestBlocks:
 
     def test_singletons(self):
         T = bc.decompose_tower(ZERO3)
-        assert bc.blocks_at(ZERO3, T, 1).classes == ((1,), (2,), (3,))
+        assert bc.blocks_at(T, 1).classes == ((1,), (2,), (3,))
 
     def test_two_factors(self):
         A = h_block_diagonal([2, 2])
         T = bc.decompose_tower(A)
-        assert bc.blocks_at(A, T, 1).classes == ((1, 2), (3, 4))
+        assert bc.blocks_at(T, 1).classes == ((1, 2), (3, 4))
 
     def test_level_out_of_range(self):
         T = bc.decompose_tower(H3)
         with pytest.raises(bc.RangeError):
-            bc.blocks_at(H3, T, 2)
+            bc.blocks_at(T, 2)
 
     def test_independent_of_extra_switch(self):
         # an admissible switch across a stage boundary relabels indices but
@@ -217,52 +217,61 @@ class TestBlocks:
         A = bc.make_bott_matrix(4, [[], [1], [1, 0], [1, 1, 0]])
         T = bc.decompose_tower(A)
         assert T.dims == (3, 4) and T.moves_applied == ()
-        mv = bc.switch(A, 3)
+        TS = bc.decompose_tower(bc.switch(A, 3).after)
         relabel = {1: 1, 2: 2, 3: 4, 4: 3}
         for i in range(1, 5):
             for j in range(i + 1, 5):
-                assert bc.same_block(A, i, j) == bc.same_block(mv.after, relabel[i], relabel[j])
+                assert bc.same_block(T, i, j) == bc.same_block(TS, relabel[i], relabel[j])
 
 
 class TestSameBlock:
     def test_odd_subdiagonal_joins(self):
         A = bc.make_bott_matrix(3, [[], [0], [0, 1]])
-        assert bc.same_block(A, 2, 3)
+        assert bc.same_block(bc.decompose_tower(A), 2, 3)
 
     def test_odd_subdiagonal_separates_lower(self):
         A = bc.make_bott_matrix(3, [[], [0], [0, 1]])
-        assert not bc.same_block(A, 1, 3)
+        assert not bc.same_block(bc.decompose_tower(A), 1, 3)
 
     def test_different_levels(self):
         A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
-        assert not bc.same_block(A, 1, 3)
+        assert not bc.same_block(bc.decompose_tower(A), 1, 3)
+
+    @pytest.mark.parametrize("bad", [0, -1, 4])
+    def test_index_outside_range(self, bad):
+        # levels[0] and perm[0] are placeholders; no index outside 1..n may reach them
+        T = bc.decompose_tower(bc.make_bott_matrix(3, [[], [0], [0, 1]]))
+        with pytest.raises(bc.RangeError):
+            bc.same_block(T, bad, 2)
+        with pytest.raises(bc.RangeError):
+            bc.same_block(T, 1, bad)
 
     def test_odd_subdiagonal_cases_random(self):
         rng = random.Random(31)
         seen = 0
         for _ in range(200):
             A = rand_matrix(rng, rng.randint(2, 5), 2)
-            T = bc.decompose_tower(A)
-            base = T.base
+            base = bc.decompose_tower(A).base
+            T = bc.decompose_tower(base)
             for j in range(1, base.n):
                 if base.a(j + 1, j) % 2 == 1:
-                    if T.stage_of(j) == T.stage_of(j + 1):
-                        assert bc.same_block(base, j, j + 1)
+                    if T.levels[j] == T.levels[j + 1]:
+                        assert bc.same_block(T, j, j + 1)
                         seen += 1
                     for i in range(1, j):
-                        assert not bc.same_block(base, i, j + 1)
+                        assert not bc.same_block(T, i, j + 1)
         assert seen > 10
 
 
 class TestQTrivialPartition:
     def test_one_block_factor(self):
-        assert bc.qtrivial_partition(H3) == (3,)
+        assert bc.qtrivial_partition(bc.decompose_tower(H3)) == (3,)
 
     def test_product_of_lines(self):
-        assert bc.qtrivial_partition(ZERO3) == (1, 1, 1)
+        assert bc.qtrivial_partition(bc.decompose_tower(ZERO3)) == (1, 1, 1)
 
     def test_not_qtrivial(self):
-        assert bc.qtrivial_partition(bc.make_bott_matrix(3, [[], [0], [1, 1]])) is None
+        assert bc.qtrivial_partition(bc.decompose_tower(bc.make_bott_matrix(3, [[], [0], [1, 1]]))) is None
 
     def partitions(self, n):
         if n == 0:
@@ -277,7 +286,7 @@ class TestQTrivialPartition:
         for n in range(1, 7):
             for parts in self.partitions(n):
                 A = h_block_diagonal(parts)
-                assert bc.qtrivial_partition(A) == tuple(sorted(parts, reverse=True))
+                assert bc.qtrivial_partition(bc.decompose_tower(A)) == tuple(sorted(parts, reverse=True))
 
     def test_block_map_helper_consistency(self):
         A = h_block_diagonal([2, 1])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import BottError, ContractViolation, TripwireError
@@ -175,12 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("iso")
     p.set_defaults(func=_cmd_iso_check)
 
-    # a string default goes through type=int, so a bad value is a usage error
-    default_bound = os.environ.get("BOTT_SEARCH_BOUND", DEFAULT_SEARCH_BOUND)
     p = sub.add_parser("iso-search", help="enumerate isomorphisms with bounded entries")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--bound", type=int, default=default_bound)
+    p.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND)
     p.set_defaults(func=_cmd_iso_search)
 
     p = sub.add_parser("stabilize", help="produce a stabilization certificate")

@@ -41,14 +41,6 @@ class RelationViolated(BottError):
         self.residue = residue
 
 
-class ExtractionFailure(BottError):
-    """A validated isomorphism does not permute the classes 2x_i - alpha_i."""
-
-    def __init__(self, index, message):
-        super().__init__(f"generator {index}: {message}")
-        self.index = index
-
-
 class SwitchBlocked(BottError):
     """Switch requested at j with b_{j+1,j} != 0."""
 
@@ -63,6 +55,14 @@ class OddAtBoundary(BottError):
 
 class TripwireError(BottError):
     """A mathematically guaranteed runtime check failed (bug indicator)."""
+
+
+class ExtractionFailure(TripwireError):
+    """A validated isomorphism does not permute the classes 2x_i - alpha_i (theory rules it out)."""
+
+    def __init__(self, index, message):
+        super().__init__(f"generator {index}: {message}")
+        self.index = index
 
 
 class ContractViolation(TripwireError):

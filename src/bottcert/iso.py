@@ -5,9 +5,10 @@ phi(x_i) = sum_j C_ij y_j; since the ring is generated in degree 2 this
 determines phi completely.  ``make_iso`` is the one validating constructor:
 it checks unimodularity and that every relation x_i^2 = alpha_i x_i is
 respected, and it runs where a matrix enters from outside.  ``GradedIso``
-itself trusts its arguments; ``compose``, ``invert`` and ``search_isos``
-build it directly, because their results are isomorphisms by algebra (or,
-for the search, by the checks made while enumerating).
+itself trusts its arguments; ``compose``, ``invert``, ``search_isos`` and
+the moves ``switch`` and ``twist`` build it directly, because their results
+are isomorphisms by algebra (or, for the search, by the checks made while
+enumerating).
 
 All operations are pure and exact in integers; ``compose``, ``int_inverse``
 (Euclidean row reduction over Z) and ``int_det`` follow the sparsity of

@@ -11,11 +11,11 @@ manifolds:
   identity on F_{j-1}.
 
 Rows above j of a twisted matrix become beta_i + b_ij v; this completion is
-forced by requiring the induced map to be a ring isomorphism, and every
-constructed move is machine-verified by full relation checking rather than
-trusted.  Sequences of moves chain matrices and compose the induced
-isomorphisms.  ``replay`` rebuilds an in-memory sequence from its move
-parameters; the JSON reader builds one from them, so reading it is its replay.
+forced by requiring the induced map to be a ring isomorphism, so ``switch``
+and ``twist`` check their preconditions and build that map by algebra.  The
+gate is ``build_move``: it builds a move from outside parameters and checks
+its map by full relation checking (``make_iso``).  ``replay`` rebuilds an
+in-memory sequence through it, as the JSON reader does, so reading is replay.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ def switch(B: BottMatrix, j: int) -> Move:
     after = BottMatrix(n, rows)
     C = list(identity_iso(B).C)
     C[j - 1], C[j] = C[j], C[j - 1]
-    induced = make_iso(B, after, C)
-    return Move("switch", j, None, B, after, induced)
+    return Move("switch", j, None, B, after, GradedIso(B, after, tuple(C)))
 
 
 def twist(B: BottMatrix, j: int, v: Class2) -> Move:
@@ -91,22 +90,26 @@ def twist(B: BottMatrix, j: int, v: Class2) -> Move:
     after = BottMatrix(n, rows)
     C = list(identity_iso(B).C)
     C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], vc))
-    induced = make_iso(B, after, C)
-    return Move("twist", j, v, B, after, induced)
+    return Move("twist", j, v, B, after, GradedIso(B, after, tuple(C)))
 
 
 def build_move(before: BottMatrix, kind: str, j: int, v) -> Move:
-    """The checked move (kind, j, v) from before; v is a twist's coefficient list."""
+    """The move (kind, j, v) from before, checked by ``make_iso``; v is a twist's coefficients."""
     if kind == "switch":
-        return switch(before, j)
-    if kind == "twist":
-        return twist(before, j, Class2(before, v))
-    raise ShapeError(f"unknown move kind {kind!r}")
+        mv = switch(before, j)
+    elif kind == "twist":
+        mv = twist(before, j, Class2(before, v))
+    else:
+        raise ShapeError(f"unknown move kind {kind!r}")
+    make_iso(before, mv.after, mv.induced.C)
+    return mv
 
 
 def invert_move(mv: Move) -> Move:
-    """The move undoing mv, constructed (and hence verified) from mv.after."""
-    return build_move(mv.after, mv.kind, mv.j, None if mv.v is None else (-mv.v).coeffs)
+    """The move undoing mv, built by algebra from mv.after: the switch at j or the twist (j, -v)."""
+    if mv.kind == "switch":
+        return switch(mv.after, mv.j)
+    return twist(mv.after, mv.j, Class2(mv.after, (-mv.v).coeffs))
 
 
 class MoveSeq:

@@ -295,6 +295,23 @@ def trace_isos():
         yield scrambled_iso(rng, A, 5, twist_mag=1)
 
 
+def fuzz_base_isos():
+    """The isomorphisms behind the certificate fuzz test's base certificates.
+
+    The first hit of ``search_isos`` at bound 2 for each of eight
+    move-related pairs (n = 3..4), then four scrambled isomorphisms
+    (n = 4..6).
+    """
+    rng = random.Random(5150)
+    for _ in range(8):
+        A = sparse_matrix(rng, rng.randint(3, 4), 2)
+        B = moved_partner(rng, A, rng.randint(1, 3))
+        yield from bc.search_isos(A, B, 2)[:1]
+    for _ in range(4):
+        A = sparse_matrix(rng, rng.randint(4, 6), 2)
+        yield scrambled_iso(rng, A, 5, twist_mag=1)
+
+
 def block_map(A):
     """index -> (level, block id) for the generators of A, via one tower."""
     T = bc.decompose_tower(A)

@@ -101,19 +101,9 @@ def test_iso_search_parity(files, capsys):
     assert json.loads(out) == {"bound": 6, "isos": []}
 
 
-def test_iso_search_bound_env(files, capsys, monkeypatch):
-    monkeypatch.setenv("BOTT_SEARCH_BOUND", "1")
+def test_iso_search_bound_not_an_integer(files, capsys):
     a = files("z.json", {"n": 2, "rows": [[], [0]]})
-    code, out = run(capsys, "iso-search", a, a)
-    assert code == 0
-    data = json.loads(out)
-    assert data["bound"] == 1 and len(data["isos"]) == 8
-
-
-def test_iso_search_bound_env_not_an_integer(files, capsys, monkeypatch):
-    monkeypatch.setenv("BOTT_SEARCH_BOUND", "x")
-    a = files("z.json", {"n": 2, "rows": [[], [0]]})
-    code = main(["iso-search", a, a])
+    code = main(["iso-search", a, a, "--bound", "x"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -321,6 +311,19 @@ def test_blocked_well_ordering_is_a_tripwire(files, capsys, monkeypatch):
     code, out = run(capsys, "decompose", a)
     assert code == 3
     assert json.loads(out) == {"error": "forced for the test", "tripwire": True}
+
+
+def test_failed_extraction_is_a_tripwire(files, capsys, monkeypatch):
+    # a validated isomorphism always permutes the classes 2x_i - alpha_i; if it does not, that is a bug
+    def fire(phi, tower_src, tower_tgt):
+        raise bc.ExtractionFailure(1, "forced")
+
+    monkeypatch.setattr(bottcert.cli, "extract_sigma_eps", fire)
+    a = files("a.json", {"n": 2, "rows": [[], [0]]})
+    c = files("c.json", {"C": [[0, 1], [1, 0]]})
+    code, out = run(capsys, "iso-check", a, a, c)
+    assert code == 3
+    assert json.loads(out) == {"error": "generator 1: forced", "tripwire": True}
 
 
 def test_failed_self_check_is_a_tripwire(files, capsys, monkeypatch):

@@ -17,13 +17,12 @@ stabilization, integers written as strings) and checks
 
 import copy
 import json
-import random
 
 from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
 from bottcert import serialize as ser
-from helpers import moved_partner, scrambled_iso, sparse_matrix
+from helpers import fuzz_base_isos
 
 SIDES = ("f_seq", "g_seq")
 BIG = 2**53
@@ -31,16 +30,7 @@ BIG = 2**53
 
 def _base_objs():
     """Certificates of searched (often with twists) and scrambled isomorphisms."""
-    rng = random.Random(5150)
-    objs = []
-    for _ in range(8):
-        A = sparse_matrix(rng, rng.randint(3, 4), 2)
-        B = moved_partner(rng, A, rng.randint(1, 3))
-        for phi in bc.search_isos(A, B, 2)[:1]:
-            objs.append(ser.certificate_to_obj(bc.stabilize_full(phi)))
-    for _ in range(4):
-        A = sparse_matrix(rng, rng.randint(4, 6), 2)
-        objs.append(ser.certificate_to_obj(bc.stabilize_full(scrambled_iso(rng, A, 5, twist_mag=1))))
+    objs = [ser.certificate_to_obj(bc.stabilize_full(phi)) for phi in fuzz_base_isos()]
     return [json.loads(json.dumps(obj)) for obj in objs]
 
 

@@ -1,6 +1,9 @@
-"""Source hygiene: every name a library module imports is used in it.
+"""Source hygiene, checked statically with ``ast``.
 
-``__init__.py`` is left out: it imports names to re-export them.
+* Every name a library module imports is used in it.  ``__init__.py`` is
+  left out: it imports names to re-export them.
+* ``make_iso`` runs only at the trust boundaries: the move gate, the
+  certificate readers and verifiers, and the CLI commands that read a map.
 """
 
 import ast
@@ -37,3 +40,52 @@ def test_no_unused_imports(path):
 
 def test_detects_unused_import():
     assert unused_imports("from .moves import Move, MoveSeq\nx: Move = 1\n") == ["line 1: MoveSeq"]
+
+
+GATES = {
+    "moves.build_move",
+    "stabilize.verify_certificate",
+    "serialize.certificate_from_obj",
+    "cli._cmd_iso_check",
+    "cli._cmd_stabilize",
+}
+
+
+def callers(source: str, name: str) -> set[str]:
+    """Functions whose own body (not a nested function's) calls ``name`` or ``x.name``.
+
+    A call outside every function counts as one by ``<module>``.
+    """
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    found.add(func)
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_make_iso_runs_only_at_the_gates():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "make_iso")}
+    assert found == GATES
+
+
+def test_detects_callers():
+    source = (
+        "def gate():\n    return make_iso(1)\n"
+        "class K:\n    def meth(self):\n        iso.make_iso(2)\n"
+        "def outer():\n    def inner():\n        make_iso(3)\n    return inner\n"
+        "def other():\n    return make_iso\n"
+        "CHECKED = make_iso(4)\n"
+    )
+    assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import bottcert as bc
-from helpers import admissible_twists, rand_matrix
+from bottcert import moves, serialize, stabilize
+from helpers import admissible_twists, fuzz_base_isos, rand_matrix, trace_isos
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
@@ -126,9 +127,78 @@ class TestMoveSoundness:
                 if not vs:
                     continue
                 mv = bc.twist(B, j, rng.choice(vs))
-            # revalidate from scratch on top of the constructor's own check
+            # the constructors build the induced map by algebra; make_iso checks it
             bc.make_iso(mv.before, mv.after, mv.induced.C)
             done += 1
+
+
+class TestMoveLemma:
+    """Every move stabilize_full makes is a ring isomorphism and inverts by algebra.
+
+    ``switch`` and ``twist`` build their maps without ``make_iso``, so the
+    suite checks the lemma on certificates that take zero, even and odd key
+    steps, twists and odd branches.
+    """
+
+    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos], ids=lambda f: f.__name__)
+    def test_certificate_moves(self, source):
+        count = 0
+        for phi in source():
+            cert = bc.stabilize_full(phi)
+            for mv in cert.f_seq.moves + cert.g_seq.moves:
+                assert bc.make_iso(mv.before, mv.after, mv.induced.C) == mv.induced
+                back = bc.invert_move(mv)
+                assert (back.before, back.after) == (mv.after, mv.before)
+                assert bc.compose(back.induced, mv.induced) == bc.identity_iso(mv.before)
+                count += 1
+        assert count > 0
+
+
+def counting_gate(monkeypatch):
+    """Count make_iso calls made through moves, stabilize and serialize."""
+    calls = [0]
+
+    def counted(A, B, C):
+        calls[0] += 1
+        return bc.make_iso(A, B, C)
+
+    for module in (moves, stabilize, serialize):
+        monkeypatch.setattr(module, "make_iso", counted)
+    return calls
+
+
+class TestGate:
+    def test_make_iso_runs_once_per_move_at_the_gate(self, monkeypatch):
+        calls = counting_gate(monkeypatch)
+        total = 0
+        for phi in trace_isos():
+            calls[0] = 0
+            cert = bc.stabilize_full(phi)
+            assert calls[0] == 0
+            for seq in (cert.f_seq, cert.g_seq):
+                calls[0] = 0
+                assert bc.replay(seq).ok
+                assert calls[0] == len(seq.moves)
+            n_moves = len(cert.f_seq.moves) + len(cert.g_seq.moves)
+            total += n_moves
+            calls[0] = 0
+            assert bc.verify_certificate(cert).ok
+            assert calls[0] == n_moves + 2
+            calls[0] = 0
+            assert serialize.verify_certificate_obj(serialize.certificate_to_obj(cert)).ok
+            assert calls[0] == n_moves + 2
+        assert total > 0
+
+    def test_moves_trust_algebra_and_the_gate_checks(self, monkeypatch):
+        def reject(A, B, C):
+            raise bc.RelationViolated(1, {})
+
+        monkeypatch.setattr(moves, "make_iso", reject)
+        mv = bc.switch(ZERO2, 1)
+        with pytest.raises(bc.RelationViolated):
+            bc.build_move(ZERO2, "switch", 1, None)
+        res = bc.replay(bc.MoveSeq.build(ZERO2, [mv]))
+        assert not res.ok and res.diagnostic.startswith("move 0: ")
 
 
 class TestBuildMove:

@@ -14,7 +14,6 @@ from .errors import (
     ContractViolation,
     DecompositionInconsistent,
     ExtractionFailure,
-    NonTermination,
     NotUnimodular,
     OddAtBoundary,
     ProofPathViolation,
@@ -54,8 +53,6 @@ from .stabilize import (
     XkDecomposition,
     check_claims,
     decompose_xk,
-    key_step,
-    raise_stability,
     stabilize_full,
     verify_certificate,
 )

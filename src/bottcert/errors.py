@@ -49,10 +49,6 @@ class TwistInvalid(BottError):
     """Twist parameter v fails height(v) < j or v(beta_j - v) = 0."""
 
 
-class OddAtBoundary(BottError):
-    """Height-reduction step with odd subdiagonal entry at l = k+2."""
-
-
 class TripwireError(BottError):
     """A mathematically guaranteed runtime check failed (bug indicator)."""
 
@@ -74,11 +70,11 @@ class DecompositionInconsistent(TripwireError):
 
 
 class ProofPathViolation(TripwireError):
-    """A parity, block, height or row-preservation fact failed mid-run."""
+    """A parity, block or height fact failed mid-run."""
 
 
-class NonTermination(TripwireError):
-    """The stabilization loop exceeded its step budget."""
+class OddAtBoundary(TripwireError):
+    """A key step met an odd b_{l,l-1} at l <= k+2; stabilization takes the odd branch there."""
 
 
 class WellOrderFailure(TripwireError):

@@ -220,7 +220,7 @@ def primitive_part(c: Class2) -> Class2:
 
 
 def sub_bar(A: BottMatrix, k: int) -> BottMatrix:
-    """Lower-right (n-k) x (n-k) submatrix (the fiber of the cut at k)."""
-    if not 1 <= k < A.n:
-        raise RangeError(f"cut {k} outside 1..{A.n - 1}")
-    return BottMatrix(A.n - k, tuple(A.rows[i][k:] for i in range(k, A.n)))
+    """Lower-right (n-k) x (n-k) submatrix (the fiber of the cut at k); A itself at k = 0."""
+    if not 0 <= k < A.n:
+        raise RangeError(f"cut {k} outside 0..{A.n - 1}")
+    return A if k == 0 else BottMatrix(A.n - k, tuple(A.rows[i][k:] for i in range(k, A.n)))

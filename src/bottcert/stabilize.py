@@ -19,7 +19,6 @@ from __future__ import annotations
 from .errors import (
     ContractViolation,
     DecompositionInconsistent,
-    NonTermination,
     OddAtBoundary,
     ProofPathViolation,
     RangeError,
@@ -44,8 +43,8 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
     Returns None when the image already lies in F_{k+1} (nothing to do);
     otherwise the height l, the integer e = 2 eps (the coefficient at y_l)
     and the F_k part w, after verifying that coefficients at indices
-    strictly between k and l equal -eps * b_{l,j}.  A mismatch is
-    impossible for validated input and raises DecompositionInconsistent.
+    strictly between k and l equal -eps * b_{l,j}, which makes the image
+    w + eps(2y_l - trunc(beta_l)).  A mismatch raises DecompositionInconsistent.
     """
     n = phi.source.n
     if not 0 <= k < n:
@@ -65,12 +64,7 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
             raise DecompositionInconsistent(
                 f"coefficient at y_{j} is {img[j]}, expected -eps*b[{ell},{j}]"
             )
-    w = img.truncated_head(k)
-    bar_ell = B.alpha(ell).truncated_tail(k)
-    frame2 = Class2.basis(B, ell).scale(2) - bar_ell
-    if w.scale(2) + frame2.scale(top) != img.scale(2):
-        raise DecompositionInconsistent("decomposition does not reproduce the image")
-    return XkDecomposition(ell, top, w)
+    return XkDecomposition(ell, top, img.truncated_head(k))
 
 
 class KeyStepTrace:
@@ -83,22 +77,8 @@ class KeyStepTrace:
         self.e, self.w, self.u, self.moves = e, w, u, moves  # e = 2 eps
 
 
-class _Budget:
-    """Counts height-reduction steps against an optional hard cap."""
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> None:
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise NonTermination(f"exceeded the cap of {self.limit} height-reduction steps")
-
-
-def _key_step(phi: GradedIso, k: int, dec: XkDecomposition, budget: _Budget):
+def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
     """Height-reduction step for ``dec``, the decomposition of phi at k."""
-    budget.spend()
     ell, e, w = dec.ell, dec.e, dec.w
     B = phi.target
     p = B.a(ell, ell - 1)
@@ -179,19 +159,6 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition, budget: _Budget):
     return seq, phi_new, trace
 
 
-def key_step(phi: GradedIso, k: int):
-    """One height-reduction step; returns (target moves, new iso, trace).
-
-    Requires phi k-stable with the image of x_{k+1} of height l > k+1, and
-    l > k+2 when the subdiagonal entry p = b_{l,l-1} is odd (otherwise
-    OddAtBoundary is raised and the caller must take the two-sided route).
-    """
-    dec = decompose_xk(phi, k)
-    if dec is None:
-        raise ValueError("image of x_{k+1} is already in F_{k+1}")
-    return _key_step(phi, k, dec, _Budget(None))
-
-
 class OddBranchTrace:
     """Source-side detour taken when the entry (k+2, k+1) is odd."""
     __slots__ = ("p", "source_steps", "final_entry", "final_step")
@@ -209,7 +176,7 @@ class RaiseTrace:
         self.k, self.phase1, self.odd = k, phase1, odd
 
 
-def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
+def _odd_branch(phi: GradedIso, k: int, p: int):
     """Reduce on the source side via the inverse, keeping row k+1 fixed.
 
     Entered when the image of x_{k+1} has height exactly k+2 and the entry
@@ -217,29 +184,23 @@ def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
     k+1 and k+2 share a block on the target side, the inverse images can be
     pushed into F_{k+3} and F_{k+1} without touching row k+1 of the source
     matrix, and a leftover height of k+3 comes with an even entry
-    (k+3, k+2).  Each of these facts is recomputed and enforced.
+    (k+3, k+2).  Each fact is recomputed; row k+1 by ``_key_step``, as each
+    step here has l >= k+4 or is an even step at l = k+3.
     """
     if not same_block(decompose_tower(phi.target), k + 1, k + 2):
         raise ProofPathViolation("k+1 and k+2 must share a block on the target side")
     psi = invert(phi)  # maps the target ring back to the source ring; k-stable
-    original_row = psi.target.rows[k]  # row k+1 of the source matrix
     src_moves: list[Move] = []
     steps: list[KeyStepTrace] = []
-    last: int | None = None
     while True:
         dec = decompose_xk(psi, k)
         if dec is None:
             raise ProofPathViolation("inverse image of y_{k+1} fell below height k+2")
         if dec.ell <= k + 3:
             break
-        seq, psi, tr = _key_step(psi, k, dec, budget)
-        if last is not None and tr.ell >= last:
-            raise ProofPathViolation("tracked height must strictly decrease")
-        last = tr.ell
+        seq, psi, tr = _key_step(psi, k, dec)
         steps.append(tr)
         src_moves.extend(seq.moves)
-        if psi.target.rows[k] != original_row:
-            raise ProofPathViolation("row k+1 of the source matrix changed")
     final_entry = None
     final_tr = None
     if dec.ell == k + 3:
@@ -249,10 +210,8 @@ def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
         final_entry = A_cur.a(k + 3, k + 2)
         if final_entry % 2 != 0:
             raise ProofPathViolation("entry (k+3, k+2) must be even on the source side")
-        seq, psi, final_tr = _key_step(psi, k, dec, budget)
+        seq, psi, final_tr = _key_step(psi, k, dec)
         src_moves.extend(seq.moves)
-        if psi.target.rows[k] != original_row:
-            raise ProofPathViolation("row k+1 of the source matrix changed")
     if psi.row(k + 1).height() > k + 2:
         raise ProofPathViolation("inverse image of y_{k+1} must land in F_{k+2}")
     # row k+2 of the inverse follows: 2 psi(y_{k+2}) is eps'(2x_{k+1} - alpha_{k+1})
@@ -263,7 +222,7 @@ def _odd_branch(phi: GradedIso, k: int, p: int, budget: _Budget):
     return phi_new, src_moves, OddBranchTrace(p, tuple(steps), final_entry, final_tr)
 
 
-def _raise_fwd(phi: GradedIso, k: int, budget: _Budget):
+def _raise_fwd(phi: GradedIso, k: int):
     """Raise stability by at least one; returns forward move lists and trace.
 
     The first ``decompose_xk`` checks that k is in range and phi is k-stable.
@@ -273,39 +232,22 @@ def _raise_fwd(phi: GradedIso, k: int, budget: _Budget):
     src_moves: list[Move] = []
     odd: OddBranchTrace | None = None
     cur = phi
-    last: int | None = None
     while (dec := decompose_xk(cur, k)) is not None and dec.ell > k + 2:
-        seq, cur, tr = _key_step(cur, k, dec, budget)
-        if last is not None and tr.ell >= last:
-            raise ProofPathViolation("tracked height must strictly decrease")
-        last = tr.ell
+        seq, cur, tr = _key_step(cur, k, dec)
         phase1.append(tr)
         tgt_moves.extend(seq.moves)
     if dec is not None:  # height is exactly k+2
         p = cur.target.a(k + 2, k + 1)
         if p % 2 == 0:
-            seq, cur, tr = _key_step(cur, k, dec, budget)
+            seq, cur, tr = _key_step(cur, k, dec)
             phase1.append(tr)
             tgt_moves.extend(seq.moves)
         else:
-            cur, new_src, odd = _odd_branch(cur, k, p, budget)
+            cur, new_src, odd = _odd_branch(cur, k, p)
             src_moves.extend(new_src)
     if not (cur.is_k_stable(k + 1) or cur.is_k_stable(k + 2)):
         raise ProofPathViolation("result is neither (k+1)- nor (k+2)-stable")
     return src_moves, tgt_moves, cur, RaiseTrace(k, tuple(phase1), odd)
-
-
-def raise_stability(phi: GradedIso, k: int):
-    """Make phi (k+1)- or (k+2)-stable via realizable moves on both sides.
-
-    Returns (f, g, phi') with f a move sequence from the new source matrix
-    back to phi's source, g a move sequence from phi's target forward, and
-    phi' = g o phi o f.  phi must be k-stable; k is normally max_stable(phi).
-    """
-    src_moves, tgt_moves, cur, _ = _raise_fwd(phi, k, _Budget(None))
-    f_seq = invert_seq(MoveSeq.build(phi.source, src_moves))
-    g_seq = MoveSeq.build(phi.target, tgt_moves)
-    return f_seq, g_seq, cur
 
 
 class StabilizeTrace:
@@ -336,13 +278,12 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     """Iterate stability raising until the top two stages are preserved.
 
     Both matrices are first brought to stagewise order by switches (those
-    moves are part of the certificate); afterwards each round strictly
-    increases max_stable, and the total number of height-reduction steps is
-    capped at n(n+2), beyond which NonTermination is raised.
+    moves are part of the certificate).  Two checks bound the run: each key
+    step lowers the height of the tracked image (``_key_step``), so each
+    loop of a round ends within n steps, and each round raises max_stable.
     """
     A, B = phi.source, phi.target
     n = A.n
-    budget = _Budget(n * (n + 2))
     tower_a = decompose_tower(A)
     tower_b = decompose_tower(B)
     norm_src = MoveSeq.build(A, tower_a.moves_applied)
@@ -353,7 +294,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     raises: list[RaiseTrace] = []
     k = max_stable(cur)
     while k < n - 2:
-        new_src, new_tgt, cur, rt = _raise_fwd(cur, k, budget)
+        new_src, new_tgt, cur, rt = _raise_fwd(cur, k)
         src_fwd.extend(new_src)
         tgt_fwd.extend(new_tgt)
         raises.append(rt)

@@ -61,7 +61,7 @@ def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], i
     vanishes and a blocked switch is a tripwire (see WellOrderFailure).
     Fiber row 1 has alpha = 0, so the returned count d is at least 1.
     """
-    fiber = M if k == 0 else sub_bar(M, k)
+    fiber = sub_bar(M, k)
     moves: list[Move] = []
     d = 0
     for r in range(fiber.n):
@@ -157,7 +157,7 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
         raise RangeError(f"level {lev} outside 1..{T.stages}")
     k = T.dims[lev - 2] if lev >= 2 else 0
     hi = T.dims[lev - 1]
-    fiber = T.base if k == 0 else sub_bar(T.base, k)
+    fiber = sub_bar(T.base, k)
     reps: dict[int, tuple[int, ...]] = {}
     prims: dict[int, Class2] = {}
     for r in range(k + 1, hi + 1):

@@ -4,6 +4,9 @@
   left out: it imports names to re-export them.
 * ``make_iso`` runs only at the trust boundaries: the move gate, the
   certificate readers and verifiers, and the CLI commands that read a map.
+* Every top-level function and class of a library module is referenced by
+  name in the library (``__init__.py`` aside) or in ``bench/``, so no entry
+  point is kept for the tests alone.
 """
 
 import ast
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bottcert"
+BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -89,3 +93,41 @@ def test_detects_callers():
         "CHECKED = make_iso(4)\n"
     )
     assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}
+
+
+def unreferenced(defining: str, *others: str) -> list[str]:
+    """Top-level functions and classes of ``defining`` that no source names.
+
+    A name counts as referenced when it appears as a name or an attribute
+    in ``defining`` or in any of ``others``.
+    """
+    trees = [ast.parse(text) for text in (defining, *others)]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = [node.name for node in trees[0].body if isinstance(node, defs)]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [name for name in names if name not in used]
+
+
+def test_no_test_only_library_names():
+    others = [p.read_text(encoding="utf-8") for p in MODULES + sorted(BENCH.glob("*.py"))]
+    found = []
+    for path in MODULES:
+        found += [f"{path.stem}.{name}" for name in unreferenced(path.read_text(encoding="utf-8"), *others)]
+    assert found == []
+
+
+def test_detects_unreferenced():
+    source = (
+        "def used():\n    return 1\n"
+        "def read_by_bench():\n    return 2\n"
+        "def orphan():\n    return used()\n"
+        "class Orphan:\n    pass\n"
+    )
+    bench = "import lib\nlib.read_by_bench()\n"
+    assert unreferenced(source, bench) == ["orphan", "Orphan"]

@@ -74,8 +74,6 @@ class TestTwist:
             bc.twist(B, 1, bc.Class2.basis(B, 1))
 
     def test_invalid_product(self):
-        B = hirzebruch(3)
-        # v(beta_2 - v) = 2*(3-2) x1^2 = 2 x1^2 = 0 ... need a genuinely bad one
         C = bc.make_bott_matrix(3, [[], [1], [0, 0]])
         v = bc.Class2(C, (0, 1, 0))
         with pytest.raises(bc.TwistInvalid):

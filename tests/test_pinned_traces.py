@@ -12,10 +12,10 @@ pins four n = 4 isomorphisms whose odd branch does: search hits at bound 2
 between move-related pairs (rng 2718 over ``sparse_matrix`` and
 ``moved_partner``), kept as literals so the digest does not follow the
 generators.  At n = 4 such a branch takes at most one source-side step,
-so the check that the tracked height strictly decreases between steps
-never runs there; a third digest pins an n = 5 isomorphism, a bound-2
-search hit, whose odd branch at k = 0 takes zero-case steps at l = 5 and
-then l = 4.
+so a third digest pins an n = 5 isomorphism, a bound-2 search hit, whose
+odd branch at k = 0 takes zero-case steps at l = 5 and then l = 4: there
+``_key_step``'s check that the tracked height strictly decreases runs on
+two source-side steps in a row.
 """
 
 import hashlib

@@ -231,9 +231,14 @@ class TestSubmatrices:
     def test_bar(self):
         assert bc.sub_bar(H3, 1) == bc.make_bott_matrix(2, [[], [0]])
 
+    def test_cut_at_zero_is_the_matrix(self):
+        assert bc.sub_bar(H3, 0) is H3
+
     def test_range(self):
         with pytest.raises(bc.RangeError):
             bc.sub_bar(H3, 3)
+        with pytest.raises(bc.RangeError, match="cut -1 outside 0..2"):
+            bc.sub_bar(H3, -1)
 
 
 matrices = st.integers(1, 5).flatmap(

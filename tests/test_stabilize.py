@@ -5,8 +5,8 @@ import random
 import pytest
 
 import bottcert as bc
-from bottcert.stabilize import _Budget, _raise_fwd
-from helpers import scrambled_iso, sparse_matrix
+from bottcert.stabilize import _key_step, _raise_fwd
+from helpers import fuzz_base_isos, scrambled_iso, sparse_matrix, trace_isos
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
@@ -45,6 +45,17 @@ def odd_long_fixture():
     return bc.compose(phi0, back)
 
 
+def key_step(phi, k):
+    return _key_step(phi, k, bc.decompose_xk(phi, k))
+
+
+def raise_stability(phi, k):
+    """(f, g, phi') with phi' = g o phi o f, from one ``_raise_fwd`` round."""
+    src_moves, tgt_moves, phi2, _ = _raise_fwd(phi, k)
+    f = bc.invert_seq(bc.MoveSeq.build(phi.source, src_moves))
+    return f, bc.MoveSeq.build(phi.target, tgt_moves), phi2
+
+
 class TestDecomposeXk:
     def test_identity_already_stable(self):
         assert bc.decompose_xk(bc.identity_iso(ZERO3), 0) is None
@@ -69,14 +80,14 @@ class TestDecomposeXk:
 class TestKeyStep:
     def test_zero_case_single_switch(self):
         phi = bc.make_iso(ZERO3, ZERO3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-        seq, phi_new, trace = bc.key_step(phi, 0)
+        seq, phi_new, trace = key_step(phi, 0)
         assert trace.case == "zero" and trace.p == 0 and trace.ell == 3
         assert [m.kind for m in seq.moves] == ["switch"]
         assert phi_new.row(1).height() == 2
 
     def test_even_case_twist_then_switch(self):
         phi = even_case_fixture()
-        seq, phi_new, trace = bc.key_step(phi, 0)
+        seq, phi_new, trace = key_step(phi, 0)
         assert trace.case == "even" and trace.p == 2 and trace.ell == 3
         assert [m.kind for m in seq.moves] == ["twist", "switch"]
         assert phi_new.row(1).height() == 2
@@ -86,32 +97,34 @@ class TestKeyStep:
         assert bc.replay(seq).ok
 
     def test_even_case_records_w_and_u(self):
-        _, _, trace = bc.key_step(even_case_fixture(), 0)
+        _, _, trace = key_step(even_case_fixture(), 0)
         assert trace.w.is_zero()
         assert isinstance(trace.u, bc.Class2)
 
     def test_odd_at_boundary(self):
         A = bc.make_bott_matrix(2, [[], [1]])
         phi = bc.make_iso(A, A, [[-1, 2], [0, 1]])
-        with pytest.raises(bc.OddAtBoundary):
-            bc.key_step(phi, 0)
+        with pytest.raises(bc.OddAtBoundary) as exc:
+            key_step(phi, 0)
+        # stabilize_full takes the odd branch here, so this is a tripwire
+        assert isinstance(exc.value, bc.TripwireError)
 
     def test_keeps_k_stability(self):
         phi = even_case_fixture()
-        _, phi_new, _ = bc.key_step(phi, 0)
+        _, phi_new, _ = key_step(phi, 0)
         assert phi_new.is_k_stable(0)
 
 
 class TestRaiseStability:
     def test_nothing_to_do(self):
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[1, 0], [-1, 1]])
-        f, g, phi2 = bc.raise_stability(phi, 1)
+        f, g, phi2 = raise_stability(phi, 1)
         assert f.moves == () and g.moves == ()
         assert phi2.C == phi.C
 
     def test_even_path_target_moves_only(self):
         phi = even_case_fixture()
-        f, g, phi2 = bc.raise_stability(phi, 0)
+        f, g, phi2 = raise_stability(phi, 0)
         assert f.moves == () and len(g.moves) >= 1
         assert bc.max_stable(phi2) >= 1
         assert bc.compose(g.composite, bc.compose(phi, f.composite)).C == phi2.C
@@ -119,28 +132,23 @@ class TestRaiseStability:
     def test_odd_path_source_moves(self):
         phi = odd_long_fixture()
         assert bc.max_stable(phi) == 0
-        f, g, phi2 = bc.raise_stability(phi, 0)
+        f, g, phi2 = raise_stability(phi, 0)
         assert len(f.moves) >= 1
         assert bc.max_stable(phi2) >= 1
         assert f.end == phi.source and f.start == phi2.source
         assert bc.replay(f).ok and bc.replay(g).ok
         assert bc.compose(g.composite, bc.compose(phi, f.composite)).C == phi2.C
 
-    def test_budget_exhaustion(self):
-        phi = even_case_fixture()
-        with pytest.raises(bc.NonTermination):
-            _raise_fwd(phi, 0, _Budget(0))
-
     @pytest.mark.parametrize("k", [2, -1])
     def test_index_out_of_range(self, k):
         phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])
         with pytest.raises(bc.RangeError, match=f"stability index {k} outside 0..1"):
-            bc.raise_stability(phi, k)
+            raise_stability(phi, k)
 
     def test_not_k_stable(self):
         phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="isomorphism is not 1-stable"):
-            bc.raise_stability(phi, 1)
+            raise_stability(phi, 1)
 
 
 class TestStabilizeFull:
@@ -241,6 +249,41 @@ class TestOrganicSearches:
                     assert bc.verify_certificate(cert).ok
                     certified += 1
         assert certified > 0
+
+
+class TestTermination:
+    """The height check in ``_key_step`` and the max_stable check bound the run."""
+
+    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos], ids=lambda f: f.__name__)
+    def test_key_steps_within_n_times_n_plus_2(self, source):
+        seen = 0
+        for phi in source():
+            n = phi.source.n
+            _, trace = bc.stabilize_full(phi, with_trace=True)
+            total = 0
+            for rt in trace.raises:
+                src = (len(rt.odd.source_steps) + (rt.odd.final_step is not None)) if rt.odd else 0
+                # heights fall strictly: phase 1 steps at n..k+2, the odd branch at n..k+3
+                assert len(rt.phase1) <= n - rt.k - 1 and src <= n - rt.k - 2
+                total += len(rt.phase1) + src
+            assert total <= n * (n + 2)
+            seen += 1
+        assert seen > 0
+
+    @pytest.mark.parametrize("fixture", [even_case_fixture, odd_long_fixture])
+    def test_height_check_fires_when_a_step_does_not_reduce(self, fixture, monkeypatch):
+        phi = fixture()
+        calls = []
+
+        def stuck(outer, inner):
+            calls.append(outer)
+            assert len(calls) == 1, "a step that kept the height was not stopped"
+            return inner
+
+        monkeypatch.setattr("bottcert.stabilize.compose", stuck)
+        with pytest.raises(bc.ContractViolation, match="^height of the tracked image did not decrease$"):
+            _raise_fwd(phi, 0)
+        assert len(calls) == 1
 
 
 def _with_seq(cert, side, seq):

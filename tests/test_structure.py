@@ -141,7 +141,7 @@ class TestDecomposeTower:
             assert T.dims[-1] == A.n
             prev = 0
             for d in T.dims:
-                fiber = T.base if prev == 0 else bc.sub_bar(T.base, prev)
+                fiber = bc.sub_bar(T.base, prev)
                 flags = [square_zero(fiber.alpha(i)) for i in range(1, fiber.n + 1)]
                 assert all(flags[: d - prev])
                 if d - prev < len(flags):

@@ -11,14 +11,14 @@ are isomorphisms by algebra (or, for the search, by the checks made while
 enumerating).
 
 All operations are pure and exact in integers; ``compose``, ``int_inverse``
-(Euclidean row reduction over Z) and ``int_det`` follow the sparsity of
-move maps.  ``search_isos`` follows the structure theory: phi(2x_i -
-alpha_i) = eps_i (2y_m - beta_m) for some m of matching level (read from
-the towers' ``levels``), with e_i = 2 eps_i an integer, so rows are solved
-from (m, e) pairs.  Stacked, these say 2(2I - A) C = diag(e) P (2I - B),
-and det(2I - A) = det(2I - B) = 2^n, so det C = +-prod(e_i) / 2^n: C is
-unimodular exactly when every |e_i| is 2^t_i and the t_i sum to n.
-``int_det`` therefore serves ``make_iso`` alone.
+(Euclidean row reduction over Z) and ``int_det`` serve dense maps (``moves``
+composes move maps by column operations).  ``search_isos`` follows the
+structure theory: phi(2x_i - alpha_i) = eps_i (2y_m - beta_m) for some m
+of matching level (read from the towers' ``levels``), with e_i = 2 eps_i an
+integer, so rows are solved from (m, e) pairs.  Stacked, these say
+2(2I - A) C = diag(e) P (2I - B), and det(2I - A) = det(2I - B) = 2^n, so
+det C = +-prod(e_i) / 2^n: C is unimodular exactly when every |e_i| is
+2^t_i and the t_i sum to n.  ``int_det`` therefore serves ``make_iso`` alone.
 
 Row i is (e frame_m + 2 phi(alpha_i)) / 4, and every filter a candidate row
 meets (mod 4, the bound, primitivity and the relation) is a function of m,
@@ -31,6 +31,7 @@ such as every node of a zero-matrix search, where phi(alpha_i) is always 0.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -196,18 +197,17 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
     return GradedIso(A, B, C)
 
 
+@lru_cache(maxsize=32)
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n))
+
+
 def identity_iso(A: BottMatrix) -> GradedIso:
-    n = A.n
-    C = tuple((0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n))
-    return GradedIso(A, A, C)
+    return GradedIso(A, A, _identity_rows(A.n))
 
 
 def compose(g: GradedIso, f: GradedIso) -> GradedIso:
-    """g after f; contexts must chain.  A composite of isomorphisms is one.
-
-    Each row of f.C g.C sums rows of g.C over nonzero entries only, so
-    composing with a move map (about n nonzeros) costs O(n^2).
-    """
+    """g after f (contexts must chain), an isomorphism if both are; sums nonzero entries only."""
     if f.target != g.source:
         raise ContextMismatch("target of the inner map differs from source of the outer")
     g_rows = [[(j, e) for j, e in enumerate(row) if e] for row in g.C]

@@ -16,12 +16,15 @@ and ``twist`` check their preconditions and build that map by algebra.  The
 gate is ``build_move``: it builds a move from outside parameters and checks
 its map by full relation checking (``make_iso``).  ``replay`` rebuilds an
 in-memory sequence through it, as the JSON reader does, so reading is replay.
+
+A move's map is elementary (a transposition, or the identity plus one row),
+so a sequence composes it as a column operation (``_then``), not by ``compose``.
 """
 
 from __future__ import annotations
 
 from .errors import ContextMismatch, RangeError, ShapeError, SwitchBlocked, TwistInvalid
-from .iso import GradedIso, compose, identity_iso, make_iso
+from .iso import GradedIso, identity_iso, make_iso
 from .ring import BottMatrix, Class2, product_is_zero
 
 
@@ -56,11 +59,8 @@ def switch(B: BottMatrix, j: int) -> Move:
     # every row below them swaps its columns j and j+1
     rows = list(B.rows)
     rows[j - 1], rows[j] = B.rows[j][: j - 1], B.rows[j - 1] + (0,)
-    for i in range(j + 1, n):
-        row = list(rows[i])
-        row[j - 1], row[j] = row[j], row[j - 1]
-        rows[i] = tuple(row)
-    after = BottMatrix(n, rows)
+    rows[j + 1 :] = [r[: j - 1] + (r[j], r[j - 1]) + r[j + 1 :] for r in rows[j + 1 :]]
+    after = BottMatrix._derived(n, tuple(rows))
     C = list(identity_iso(B).C)
     C[j - 1], C[j] = C[j], C[j - 1]
     return Move("switch", j, None, B, after, GradedIso(B, after, tuple(C)))
@@ -84,10 +84,9 @@ def twist(B: BottMatrix, j: int, v: Class2) -> Move:
     rows = list(B.rows)
     rows[j - 1] = tuple(b - 2 * t for b, t in zip(B.rows[j - 1], vc))
     for i in range(j, n):
-        bij = B.rows[i][j - 1]
-        if bij:
+        if bij := B.rows[i][j - 1]:
             rows[i] = tuple(b + bij * t for b, t in zip(B.rows[i], vc))
-    after = BottMatrix(n, rows)
+    after = BottMatrix._derived(n, tuple(rows))
     C = list(identity_iso(B).C)
     C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], vc))
     return Move("twist", j, v, B, after, GradedIso(B, after, tuple(C)))
@@ -112,6 +111,19 @@ def invert_move(mv: Move) -> Move:
     return twist(mv.after, mv.j, Class2(mv.after, (-mv.v).coeffs))
 
 
+def _then(C: list[list[int]], mv: Move) -> None:
+    """C, then mv, in place: a switch at j swaps columns j and j+1 of C; a
+    twist (j, v) adds c v to each row whose entry j is c (v has height < j)."""
+    j = mv.j
+    if mv.kind == "switch":
+        for row in C:
+            row[j - 1], row[j] = row[j], row[j - 1]
+        return
+    for row in C:
+        if c := row[j - 1]:
+            row[: j - 1] = [e + c * t for e, t in zip(row[: j - 1], mv.v.coeffs)]
+
+
 class MoveSeq:
     """Chained moves with their start/end matrices and composite isomorphism."""
     __slots__ = ("start", "moves", "end", "composite")
@@ -123,14 +135,14 @@ class MoveSeq:
     @staticmethod
     def build(start: BottMatrix, moves) -> "MoveSeq":
         moves = tuple(moves)
-        comp = identity_iso(start)
+        C = [list(row) for row in identity_iso(start).C]
         cur = start
         for idx, mv in enumerate(moves):
             if mv.before != cur:
                 raise ContextMismatch(f"move {idx} starts at {mv.before!r}, expected {cur!r}")
-            comp = compose(mv.induced, comp)
+            _then(C, mv)
             cur = mv.after
-        return MoveSeq(start, moves, cur, comp)
+        return MoveSeq(start, moves, cur, GradedIso(start, cur, tuple(map(tuple, C))))
 
 
 def invert_seq(seq: MoveSeq) -> MoveSeq:
@@ -160,7 +172,7 @@ def replay(seq: MoveSeq) -> ReplayResult:
     The JSON reader builds each move from its parameters, so its sequences need none.
     """
     cur = seq.start
-    comp = identity_iso(seq.start)
+    C = [list(row) for row in identity_iso(cur).C]
     for idx, mv in enumerate(seq.moves):
         if mv.before != cur:
             return ReplayResult(False, f"move {idx}: chain broken, before != previous after")
@@ -172,10 +184,10 @@ def replay(seq: MoveSeq) -> ReplayResult:
             return ReplayResult(False, f"move {idx}: recorded result matrix is wrong")
         if fresh.induced.C != mv.induced.C:
             return ReplayResult(False, f"move {idx}: recorded induced map is wrong")
-        comp = compose(fresh.induced, comp)
+        _then(C, fresh)
         cur = fresh.after
     if cur != seq.end:
         return ReplayResult(False, "end matrix does not match the chain")
-    if comp != seq.composite:
+    if GradedIso(seq.start, cur, tuple(map(tuple, C))) != seq.composite:
         return ReplayResult(False, "composite does not match the chain")
     return ReplayResult(True, None)

@@ -53,6 +53,13 @@ class BottMatrix:
         self.n = n
         self.rows = rows
 
+    @classmethod
+    def _derived(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "BottMatrix":
+        """A matrix from rows that integer algebra derived from validated data, unchecked."""
+        M = object.__new__(cls)
+        M.n, M.rows = n, rows
+        return M
+
     def a(self, i: int, j: int) -> int:
         """Entry a_ij; zero for j >= i (strict lower triangularity)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -223,4 +230,4 @@ def sub_bar(A: BottMatrix, k: int) -> BottMatrix:
     """Lower-right (n-k) x (n-k) submatrix (the fiber of the cut at k); A itself at k = 0."""
     if not 0 <= k < A.n:
         raise RangeError(f"cut {k} outside 0..{A.n - 1}")
-    return A if k == 0 else BottMatrix(A.n - k, tuple(A.rows[i][k:] for i in range(k, A.n)))
+    return A if k == 0 else BottMatrix._derived(A.n - k, tuple(A.rows[i][k:] for i in range(k, A.n)))

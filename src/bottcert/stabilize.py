@@ -288,7 +288,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     tower_b = decompose_tower(B)
     norm_src = MoveSeq.build(A, tower_a.moves_applied)
     norm_tgt = MoveSeq.build(B, tower_b.moves_applied)
-    cur = compose(norm_tgt.composite, compose(phi, invert(norm_src.composite)))
+    cur = compose(norm_tgt.composite, compose(phi, invert_seq(norm_src).composite))
     src_fwd: list[Move] = list(norm_src.moves)
     tgt_fwd: list[Move] = list(norm_tgt.moves)
     raises: list[RaiseTrace] = []

@@ -88,7 +88,7 @@ class DecompositionTower:
     the base index of the origin generator x_i and ``levels[i]`` its level,
     both fixed here once; entry 0 of each is a placeholder.
     """
-    __slots__ = ("origin", "base", "dims", "moves_applied", "perm", "levels")
+    __slots__ = ("origin", "base", "dims", "moves_applied", "perm", "levels", "blocks")
 
     def __init__(self, origin: BottMatrix, base: BottMatrix, dims: tuple[int, ...],
                  moves_applied: tuple[Move, ...]):
@@ -105,6 +105,7 @@ class DecompositionTower:
                 perm[order[m]], levels[order[m]] = m, t
             lo = d + 1
         self.perm, self.levels = tuple(perm), tuple(levels)
+        self.blocks: dict[int, BlockStructure] = {}  # by level, filled by blocks_at
 
     @property
     def stages(self) -> int:
@@ -146,7 +147,7 @@ class BlockStructure:
 
 
 def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
-    """Block partition of the base indices at one level of the tower.
+    """Block partition of the base indices at one level of the tower, built once per level.
 
     With k the previous stage dimension, z_r is the primitive part of
     2x - alpha of fiber row r - k, the image of 2x_r - alpha_r under
@@ -155,6 +156,8 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
     """
     if not 1 <= lev <= T.stages:
         raise RangeError(f"level {lev} outside 1..{T.stages}")
+    if lev in T.blocks:
+        return T.blocks[lev]
     k = T.dims[lev - 2] if lev >= 2 else 0
     hi = T.dims[lev - 1]
     fiber = sub_bar(T.base, k)
@@ -170,7 +173,8 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
     for r in sorted(reps):
         classes.setdefault(reps[r], []).append(r)
     ordered = tuple(tuple(c) for c in sorted(classes.values(), key=lambda c: c[0]))
-    return BlockStructure(lev, reps, prims, ordered)
+    T.blocks[lev] = BlockStructure(lev, reps, prims, ordered)
+    return T.blocks[lev]
 
 
 def same_block(T: DecompositionTower, i: int, j: int) -> bool:

@@ -360,8 +360,8 @@ def test_decompose_builds_one_tower(files, capsys, monkeypatch):
     path = files("z.json", {"n": n, "rows": [[0] * i for i in range(n)]})
     code, out = run(capsys, "decompose", path)
     assert code == 0 and json.loads(out)["partition_if_qtrivial"] == [1] * n
-    # one tower (one stage, n rows) and blocks_at(T, 1) twice: for the blocks and the partition
-    assert counts == {"towers": 1, "products": 3 * n}
+    # one tower (one stage, n rows) and blocks_at(T, 1) built once, for the blocks and the partition
+    assert counts == {"towers": 1, "products": 2 * n}
     T = decompose_tower(bc.make_bott_matrix(n, [[0] * i for i in range(n)]))
     counts["products"] = 0
     assert bc.qtrivial_partition(T) == (1,) * n

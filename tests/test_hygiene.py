@@ -4,6 +4,8 @@
   left out: it imports names to re-export them.
 * ``make_iso`` runs only at the trust boundaries: the move gate, the
   certificate readers and verifiers, and the CLI commands that read a map.
+* ``BottMatrix._derived``, which skips validation, is called only where
+  integer algebra derives the rows from a validated matrix or class.
 * Every top-level function and class of a library module is referenced by
   name in the library (``__init__.py`` aside) or in ``bench/``, so no entry
   point is kept for the tests alone.
@@ -93,6 +95,25 @@ def test_detects_callers():
         "CHECKED = make_iso(4)\n"
     )
     assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}
+
+
+DERIVERS = {"moves.switch", "moves.twist", "ring.sub_bar"}
+
+
+def test_unvalidated_matrices_come_only_from_algebra():
+    found = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "_derived")}
+    assert found == DERIVERS
+
+
+def test_detects_derived_callers():
+    source = (
+        "def switch(B):\n    return BottMatrix._derived(B.n, B.rows)\n"
+        "def reader(obj):\n    return ring.BottMatrix._derived(obj['n'], obj['rows'])\n"
+        "def strict(n, rows):\n    return BottMatrix(n, rows)\n"
+    )
+    assert callers(source, "_derived") == {"switch", "reader"}
 
 
 def unreferenced(defining: str, *others: str) -> list[str]:

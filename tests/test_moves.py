@@ -152,6 +152,63 @@ class TestMoveLemma:
         assert count > 0
 
 
+def fold_both_ways(C, mvs):
+    """C followed by mvs: by the column operation ``_then`` and by ``compose``."""
+    cols = [list(row) for row in C.C]
+    dense = C
+    for mv in mvs:
+        moves._then(cols, mv)
+        dense = bc.compose(mv.induced, dense)
+    return tuple(map(tuple, cols)), dense.C
+
+
+def assert_after_is_valid(mv):
+    # after is built without re-validation; the strict constructor must accept it unchanged
+    assert bc.BottMatrix(mv.after.n, mv.after.rows) == mv.after
+
+
+class TestColumnFold:
+    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos], ids=lambda f: f.__name__)
+    def test_certificate_moves(self, source):
+        twists = 0
+        for phi in source():
+            cert = bc.stabilize_full(phi)
+            for seq in (cert.f_seq, cert.g_seq):
+                cols, dense = fold_both_ways(bc.identity_iso(seq.start), seq.moves)
+                assert cols == dense == seq.composite.C
+                for mv in seq.moves:
+                    assert_after_is_valid(mv)
+                    twists += mv.kind == "twist"
+        assert twists > 0
+
+    def test_random_moves_on_dense_maps(self):
+        rng = random.Random(14)
+        kinds = {"switch": 0, "twist": 0}
+        for n in range(3, 9):
+            for _ in range(12):
+                B = rand_matrix(rng, n, 2)
+                # a dense map into B; compose trusts it, which is all the algebra needs
+                start = bc.GradedIso(B, B, tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)))
+                cur, mvs = B, []
+                for _ in range(4):
+                    js = [j for j in range(1, n) if cur.a(j + 1, j) == 0]
+                    j = rng.randint(2, n)
+                    vs = [v for v in admissible_twists(cur, j, 1) if not v.is_zero()]
+                    if vs and (not js or rng.random() < 0.5):
+                        mv = bc.twist(cur, j, rng.choice(vs))
+                    elif js:
+                        mv = bc.switch(cur, rng.choice(js))
+                    else:
+                        break
+                    assert_after_is_valid(mv)
+                    kinds[mv.kind] += 1
+                    mvs.append(mv)
+                    cur = mv.after
+                cols, dense = fold_both_ways(start, mvs)
+                assert cols == dense
+        assert min(kinds.values()) > 0
+
+
 def counting_gate(monkeypatch):
     """Count make_iso calls made through moves, stabilize and serialize."""
     calls = [0]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import bottcert as bc
+from bottcert import iso, moves, stabilize
 from bottcert.stabilize import _key_step, _raise_fwd
 from helpers import fuzz_base_isos, scrambled_iso, sparse_matrix, trace_isos
 
@@ -284,6 +285,86 @@ class TestTermination:
         with pytest.raises(bc.ContractViolation, match="^height of the tracked image did not decrease$"):
             _raise_fwd(phi, 0)
         assert len(calls) == 1
+
+
+class TestKeepBelow:
+    def test_fires_when_a_switch_changes_a_lower_row(self, monkeypatch):
+        switch = bc.switch
+        tampered = [0]
+
+        def bent(B, j):
+            # the real move, but with row 2 of its result changed when j > 2
+            mv = switch(B, j)
+            if j <= 2:
+                return mv
+            tampered[0] += 1
+            rows = list(mv.after.rows)
+            rows[1] = (rows[1][0] + 2,)
+            after = bc.BottMatrix(B.n, rows)
+            return bc.Move(mv.kind, mv.j, mv.v, mv.before, after, bc.GradedIso(mv.before, after, mv.induced.C))
+
+        monkeypatch.setattr("bottcert.stabilize.switch", bent)
+        fired = 0
+        for phi in trace_isos():
+            tampered[0] = 0
+            try:
+                bc.stabilize_full(phi)
+            except bc.ContractViolation as exc:
+                assert str(exc).startswith("row 2 changed; rows below ")
+                assert str(exc).endswith(" must be kept")
+                fired += 1
+            else:
+                assert tampered[0] == 0, "a key step kept a changed lower row"
+        assert fired > 0
+
+
+class TestGuardCounts:
+    def test_invert_runs_twice_per_odd_branch(self, monkeypatch):
+        calls = {"invert": 0, "int_inverse": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr("bottcert.stabilize.invert", counted("invert", bc.invert))
+        monkeypatch.setattr("bottcert.iso.int_inverse", counted("int_inverse", iso.int_inverse))
+        odd_total = 0
+        for phi in trace_isos():
+            calls.update(invert=0, int_inverse=0)
+            _, trace = bc.stabilize_full(phi, with_trace=True)
+            odd = sum(rt.odd is not None for rt in trace.raises)
+            # _odd_branch inverts once on entry and once on exit; the normalization inverts by its moves
+            assert calls == {"invert": 2 * odd, "int_inverse": 2 * odd}
+            odd_total += odd
+        assert odd_total > 0
+
+    def test_compose_never_takes_a_move_map(self, monkeypatch):
+        induced = []  # every move map built, kept alive so that ids stay unique
+        init = moves.Move.__init__
+
+        def recorded(self, kind, j, v, before, after, ind):
+            induced.append(ind)
+            init(self, kind, j, v, before, after, ind)
+
+        monkeypatch.setattr(moves.Move, "__init__", recorded)
+        composed = []  # the operands, kept alive for the same reason
+        compose = iso.compose
+
+        def counted(g, f):
+            composed.append((g, f))
+            return compose(g, f)
+
+        for module in (iso, moves, stabilize):
+            if hasattr(module, "compose"):
+                monkeypatch.setattr(module, "compose", counted)
+        for source in (trace_isos, fuzz_base_isos):
+            for phi in source():
+                assert bc.verify_certificate(bc.stabilize_full(phi)).ok
+        move_maps = {id(m) for m in induced}
+        assert induced and composed
+        assert not any(id(g) in move_maps or id(f) in move_maps for g, f in composed)
 
 
 def _with_seq(cert, side, seq):

@@ -5,10 +5,10 @@ phi(x_i) = sum_j C_ij y_j; since the ring is generated in degree 2 this
 determines phi completely.  ``make_iso`` is the one validating constructor:
 it checks unimodularity and that every relation x_i^2 = alpha_i x_i is
 respected, and it runs where a matrix enters from outside.  ``GradedIso``
-itself trusts its arguments; ``compose``, ``invert``, ``search_isos`` and
-the moves ``switch`` and ``twist`` build it directly, because their results
-are isomorphisms by algebra (or, for the search, by the checks made while
-enumerating).
+itself trusts its arguments; ``compose``, ``invert``, ``search_isos``, the
+moves ``switch`` and ``twist``, move sequences and ``stabilize_full``'s
+working map build it directly, because their results are isomorphisms by
+algebra (or, for the search, by the checks made while enumerating).
 
 All operations are pure and exact in integers; ``compose``, ``int_inverse``
 (Euclidean row reduction over Z) and ``int_det`` serve dense maps (``moves``
@@ -230,15 +230,16 @@ def invert(phi: GradedIso) -> GradedIso:
 def max_stable(phi: GradedIso) -> int:
     """Largest k <= n-1 with phi(F_k) inside F_k; n when (n-1)-stable.
 
-    Stability at a given k is the block condition C_ij = 0 for i <= k < j.
-    The condition is vacuous at k = n, so n is reported exactly when the
-    isomorphism is stable at n-1, i.e. genuinely filtration preserving at
-    the top.
+    Stability at k is the block condition C_ij = 0 for i <= k < j: rows
+    1..k have height <= k, so one pass keeps their running maximum.  The
+    condition is vacuous at k = n, so n is reported exactly when the
+    isomorphism is (n-1)-stable, i.e. filtration preserving at the top.
     """
     n = phi.source.n
-    best = 0
-    for k in range(1, n):
-        if phi.is_k_stable(k):
+    best = top = 0
+    for k, row in enumerate(phi.C[: n - 1], start=1):
+        top = next((h for h in range(n, top, -1) if row[h - 1]), top)
+        if top <= k:
             best = k
     return n if best == n - 1 else best
 

@@ -145,9 +145,13 @@ class MoveSeq:
         return MoveSeq(start, moves, cur, GradedIso(start, cur, tuple(map(tuple, C))))
 
 
-def invert_seq(seq: MoveSeq) -> MoveSeq:
-    """Reverse a sequence, inverting each move; runs from seq.end to seq.start."""
-    return MoveSeq.build(seq.end, tuple(invert_move(mv) for mv in reversed(seq.moves)))
+def invert_seq(start: BottMatrix, moves) -> MoveSeq:
+    """Undo moves that run from start, the last first; building the result checks their chain."""
+    back = tuple(invert_move(mv) for mv in reversed(moves))
+    seq = MoveSeq.build(back[0].before if back else start, back)
+    if seq.end != start:
+        raise ContextMismatch(f"moves start at {seq.end!r}, expected {start!r}")
+    return seq
 
 
 class ReplayResult:

@@ -115,10 +115,6 @@ class Class2:
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(context: BottMatrix) -> "Class2":
-        return Class2(context, (0,) * context.n)
-
-    @staticmethod
     def basis(context: BottMatrix, i: int) -> "Class2":
         """The generator x_i."""
         if not 1 <= i <= context.n:
@@ -142,9 +138,6 @@ class Class2:
 
     def scale(self, c: int) -> "Class2":
         return Class2(self.context, tuple(c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def height(self) -> int:
         """Largest index with nonzero coefficient; 0 for the zero class."""

@@ -24,7 +24,7 @@ from .errors import (
     RangeError,
 )
 from .iso import GradedIso, compose, invert, make_iso, max_stable
-from .moves import Move, MoveSeq, ReplayResult, invert_seq, replay, switch, twist
+from .moves import Move, MoveSeq, ReplayResult, _then, invert_seq, replay, switch, twist
 from .ring import BottMatrix, Class2, product_is_zero
 from .structure import decompose_tower, same_block
 
@@ -72,25 +72,31 @@ class KeyStepTrace:
     __slots__ = ("k", "ell", "p", "case", "e", "w", "u", "moves")
 
     def __init__(self, k: int, ell: int, p: int, case: str, e: int, w: Class2, u: Class2 | None,
-                 moves: MoveSeq):
+                 moves: tuple[Move, ...]):
         self.k, self.ell, self.p, self.case = k, ell, p, case  # "zero" | "even" | "odd"
-        self.e, self.w, self.u, self.moves = e, w, u, moves  # e = 2 eps
+        self.e, self.w, self.u = e, w, u  # e = 2 eps
+        self.moves = moves  # one to three, the first from the target of the map reduced
 
 
 def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
-    """Height-reduction step for ``dec``, the decomposition of phi at k."""
+    """Height-reduction step for ``dec``, the decomposition of phi at k; returns (phi', trace)."""
     ell, e, w = dec.ell, dec.e, dec.w
     B = phi.target
     p = B.a(ell, ell - 1)
     moves: list[Move] = []
+    C = [list(row) for row in phi.C]  # phi, then the moves so far as column operations
+
+    def play(mv: Move) -> BottMatrix:
+        moves.append(mv)
+        _then(C, mv)
+        return mv.after
+
     cur = B
     u: Class2 | None = None
     if p == 0:
         case = "zero"
         # the image has no y_{l-1} term, so exchanging l-1 and l drops the height
-        mv = switch(cur, ell - 1)
-        moves.append(mv)
-        cur = mv.after
+        cur = play(switch(cur, ell - 1))
     else:
         head = B.alpha(ell).truncated_head(k)  # beta_l minus its truncation
         bar_ell = B.alpha(ell).truncated_tail(k)
@@ -110,14 +116,10 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
             v = Class2.basis(B, ell - 1).scale(p // 2)
             if not product_is_zero(B, v.coeffs, (B.alpha(ell) - v).coeffs):
                 raise ContractViolation("v(beta_l - v) != 0 with v = (p/2) y_{l-1}")
-            mv = twist(cur, ell, v)
-            moves.append(mv)
-            cur = mv.after
+            cur = play(twist(cur, ell, v))
             if cur.a(ell, ell - 1) != 0:
                 raise ContractViolation("twist did not clear the entry (l, l-1)")
-            mv = switch(cur, ell - 1)
-            moves.append(mv)
-            cur = mv.after
+            cur = play(switch(cur, ell - 1))
         else:
             case = "odd"
             if ell <= k + 2:
@@ -127,9 +129,7 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
             v = Class2(B, [t // 2 for t in bar_prev.coeffs])
             if not product_is_zero(B, v.coeffs, (B.alpha(ell - 1) - v).coeffs):
                 raise ContractViolation("v(beta_{l-1} - v) != 0 with v = trunc(beta_{l-1})/2")
-            mv = twist(cur, ell - 1, v)
-            moves.append(mv)
-            cur = mv.after
+            cur = play(twist(cur, ell - 1, v))
             if cur.a(ell, ell - 2) != 0:
                 raise ContractViolation("entry (l, l-2) must vanish after the odd twist")
             for col in range(k + 1, ell - 1):
@@ -137,26 +137,20 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
                     raise ContractViolation(f"entry (l, {col}) must vanish after the odd twist")
                 if cur.a(ell - 1, col) != 0:
                     raise ContractViolation(f"entry (l-1, {col}) must vanish after the odd twist")
-            mv = switch(cur, ell - 2)
-            moves.append(mv)
-            cur = mv.after
+            cur = play(switch(cur, ell - 2))
             if cur.a(ell, ell - 1) != 0:
                 raise ContractViolation("entry (l, l-1) must vanish before the final switch")
-            mv = switch(cur, ell - 1)
-            moves.append(mv)
-            cur = mv.after
+            cur = play(switch(cur, ell - 1))
     keep_below = ell - 1 if case in ("zero", "even") else ell - 2
     for i in range(1, keep_below):
         if cur.rows[i - 1] != B.rows[i - 1]:
             raise ContractViolation(f"row {i} changed; rows below {keep_below} must be kept")
-    seq = MoveSeq.build(B, moves)
-    phi_new = compose(seq.composite, phi)
+    phi_new = GradedIso(phi.source, cur, tuple(map(tuple, C)))
     if not phi_new.is_k_stable(k):
         raise ContractViolation("height reduction broke k-stability")
     if phi_new.row(k + 1).height() >= ell:
         raise ContractViolation("height of the tracked image did not decrease")
-    trace = KeyStepTrace(k=k, ell=ell, p=p, case=case, e=e, w=w, u=u, moves=seq)
-    return seq, phi_new, trace
+    return phi_new, KeyStepTrace(k=k, ell=ell, p=p, case=case, e=e, w=w, u=u, moves=tuple(moves))
 
 
 class OddBranchTrace:
@@ -198,9 +192,9 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
             raise ProofPathViolation("inverse image of y_{k+1} fell below height k+2")
         if dec.ell <= k + 3:
             break
-        seq, psi, tr = _key_step(psi, k, dec)
+        psi, tr = _key_step(psi, k, dec)
         steps.append(tr)
-        src_moves.extend(seq.moves)
+        src_moves.extend(tr.moves)
     final_entry = None
     final_tr = None
     if dec.ell == k + 3:
@@ -210,8 +204,8 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
         final_entry = A_cur.a(k + 3, k + 2)
         if final_entry % 2 != 0:
             raise ProofPathViolation("entry (k+3, k+2) must be even on the source side")
-        seq, psi, final_tr = _key_step(psi, k, dec)
-        src_moves.extend(seq.moves)
+        psi, final_tr = _key_step(psi, k, dec)
+        src_moves.extend(final_tr.moves)
     if psi.row(k + 1).height() > k + 2:
         raise ProofPathViolation("inverse image of y_{k+1} must land in F_{k+2}")
     # row k+2 of the inverse follows: 2 psi(y_{k+2}) is eps'(2x_{k+1} - alpha_{k+1})
@@ -233,15 +227,15 @@ def _raise_fwd(phi: GradedIso, k: int):
     odd: OddBranchTrace | None = None
     cur = phi
     while (dec := decompose_xk(cur, k)) is not None and dec.ell > k + 2:
-        seq, cur, tr = _key_step(cur, k, dec)
+        cur, tr = _key_step(cur, k, dec)
         phase1.append(tr)
-        tgt_moves.extend(seq.moves)
+        tgt_moves.extend(tr.moves)
     if dec is not None:  # height is exactly k+2
         p = cur.target.a(k + 2, k + 1)
         if p % 2 == 0:
-            seq, cur, tr = _key_step(cur, k, dec)
+            cur, tr = _key_step(cur, k, dec)
             phase1.append(tr)
-            tgt_moves.extend(seq.moves)
+            tgt_moves.extend(tr.moves)
         else:
             cur, new_src, odd = _odd_branch(cur, k, p)
             src_moves.extend(new_src)
@@ -251,11 +245,9 @@ def _raise_fwd(phi: GradedIso, k: int):
 
 
 class StabilizeTrace:
-    __slots__ = ("normalization_source", "normalization_target", "raises")
+    __slots__ = ("raises",)
 
-    def __init__(self, normalization_source: MoveSeq, normalization_target: MoveSeq,
-                 raises: tuple[RaiseTrace, ...]):
-        self.normalization_source, self.normalization_target = normalization_source, normalization_target
+    def __init__(self, raises: tuple[RaiseTrace, ...]):
         self.raises = raises
 
 
@@ -278,19 +270,24 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     """Iterate stability raising until the top two stages are preserved.
 
     Both matrices are first brought to stagewise order by switches (those
-    moves are part of the certificate).  Two checks bound the run: each key
-    step lowers the height of the tracked image (``_key_step``), so each
-    loop of a round ends within n steps, and each round raises max_stable.
+    moves are part of the certificate); switch maps carry no signs, so the
+    normalized map is phi relabelled by the towers' ``perm``.  Two checks
+    bound the run: each key step lowers the height of the tracked image
+    (``_key_step``), so each loop of a round ends within n steps, and each
+    round raises max_stable.  ``check_claims`` is the last tripwire.
     """
     A, B = phi.source, phi.target
     n = A.n
     tower_a = decompose_tower(A)
     tower_b = decompose_tower(B)
-    norm_src = MoveSeq.build(A, tower_a.moves_applied)
-    norm_tgt = MoveSeq.build(B, tower_b.moves_applied)
-    cur = compose(norm_tgt.composite, compose(phi, invert_seq(norm_src).composite))
-    src_fwd: list[Move] = list(norm_src.moves)
-    tgt_fwd: list[Move] = list(norm_tgt.moves)
+    pa, pb = tower_a.perm, tower_b.perm
+    C = [[0] * n for _ in range(n)]
+    for i, row in enumerate(phi.C, start=1):
+        for j, c in enumerate(row, start=1):
+            C[pa[i] - 1][pb[j] - 1] = c
+    cur = GradedIso(tower_a.base, tower_b.base, tuple(map(tuple, C)))
+    src_fwd: list[Move] = list(tower_a.moves_applied)
+    tgt_fwd: list[Move] = list(tower_b.moves_applied)
     raises: list[RaiseTrace] = []
     k = max_stable(cur)
     while k < n - 2:
@@ -302,16 +299,14 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
         if k_next <= k:
             raise ProofPathViolation("max_stable did not increase across a round")
         k = k_next
-    f_seq = invert_seq(MoveSeq.build(A, src_fwd))
-    g_seq = MoveSeq.build(B, tgt_fwd)
-    check = compose(g_seq.composite, compose(phi, f_seq.composite))
-    if check != cur:
-        raise ContractViolation("certificate composition equation failed")
     cert = StabilizationCertificate(
-        A=A, B=B, phi=phi, f_seq=f_seq, g_seq=g_seq, phi_prime=cur, k_final=k
+        A=A, B=B, phi=phi, f_seq=invert_seq(A, src_fwd), g_seq=MoveSeq.build(B, tgt_fwd),
+        phi_prime=cur, k_final=k
     )
+    if not (r := check_claims(cert)):
+        raise ContractViolation(r.diagnostic)
     if with_trace:
-        return cert, StabilizeTrace(norm_src, norm_tgt, tuple(raises))
+        return cert, StabilizeTrace(tuple(raises))
     return cert
 
 

@@ -252,7 +252,7 @@ def scrambled_iso(rng, A, rounds, twist_mag=2):
             phi = lift_chain(phi, tgt_side, i, rng.randint(i + 1, M.n))
         else:
             j = rng.randint(1, M.n)
-            vs = [v for v in admissible_twists(M, j, twist_mag) if not v.is_zero()]
+            vs = [v for v in admissible_twists(M, j, twist_mag) if any(v.coeffs)]
             if vs:
                 mv = bc.twist(M, j, rng.choice(vs))
                 phi = bc.compose(mv.induced, phi) if tgt_side else bc.compose(phi, bc.invert(mv.induced))
@@ -269,7 +269,7 @@ def moved_partner(rng, A, count, twist_mag=1):
                 M = bc.switch(M, rng.choice(js)).after
                 continue
         j = rng.randint(1, M.n)
-        vs = [v for v in admissible_twists(M, j, twist_mag) if not v.is_zero()]
+        vs = [v for v in admissible_twists(M, j, twist_mag) if any(v.coeffs)]
         if vs:
             M = bc.twist(M, j, rng.choice(vs)).after
     return M

@@ -125,7 +125,7 @@ def test_c4_move_soundness():
             switches += 1
         else:
             j = rng.randint(1, B.n)
-            vs = [v for v in admissible_twists(B, j, 2) if not v.is_zero()]
+            vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
             if not vs:
                 continue
             v = rng.choice(vs)

@@ -4,11 +4,14 @@
   left out: it imports names to re-export them.
 * ``make_iso`` runs only at the trust boundaries: the move gate, the
   certificate readers and verifiers, and the CLI commands that read a map.
+* ``compose`` runs only in ``check_claims``: moves fold as column
+  operations, and the normalization relabels generators.
 * ``BottMatrix._derived``, which skips validation, is called only where
   integer algebra derives the rows from a validated matrix or class.
-* Every top-level function and class of a library module is referenced by
-  name in the library (``__init__.py`` aside) or in ``bench/``, so no entry
-  point is kept for the tests alone.
+* Every top-level function and class of a library module, and every
+  method of such a class (dunders aside), is referenced by name in the
+  library (``__init__.py`` aside) or in ``bench/``, so no entry point is
+  kept for the tests alone.
 """
 
 import ast
@@ -97,6 +100,13 @@ def test_detects_callers():
     assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}
 
 
+def test_compose_runs_only_in_check_claims():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "compose")}
+    assert found == {"stabilize.check_claims"}
+
+
 DERIVERS = {"moves.switch", "moves.twist", "ring.sub_bar"}
 
 
@@ -117,14 +127,21 @@ def test_detects_derived_callers():
 
 
 def unreferenced(defining: str, *others: str) -> list[str]:
-    """Top-level functions and classes of ``defining`` that no source names.
+    """Top-level functions and classes of ``defining``, and methods of those
+    classes as ``Class.method`` (dunders aside), that no source names.
 
     A name counts as referenced when it appears as a name or an attribute
     in ``defining`` or in any of ``others``.
     """
     trees = [ast.parse(text) for text in (defining, *others)]
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    names = [node.name for node in trees[0].body if isinstance(node, defs)]
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = []
+    for node in trees[0].body:
+        if isinstance(node, (*funcs, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, funcs) and not (m.name.startswith("__") and m.name.endswith("__"))]
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -132,7 +149,7 @@ def unreferenced(defining: str, *others: str) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return [name for name in names if name not in used]
+    return [name for name in names if name.rpartition(".")[2] not in used]
 
 
 def test_no_test_only_library_names():
@@ -149,6 +166,8 @@ def test_detects_unreferenced():
         "def read_by_bench():\n    return 2\n"
         "def orphan():\n    return used()\n"
         "class Orphan:\n    pass\n"
+        "class Kept:\n    def __init__(self):\n        self.x = 1\n"
+        "    def read(self):\n        return self.x\n    def spare(self):\n        return 0\n"
     )
-    bench = "import lib\nlib.read_by_bench()\n"
-    assert unreferenced(source, bench) == ["orphan", "Orphan"]
+    bench = "import lib\nlib.read_by_bench()\nlib.Kept().read()\n"
+    assert unreferenced(source, bench) == ["orphan", "Orphan", "Kept.spare"]

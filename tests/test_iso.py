@@ -85,7 +85,7 @@ class TestApply:
 
     def test_zero(self):
         phi = bc.identity_iso(ZERO2)
-        assert phi.apply2(bc.Class2.zero(ZERO2)).is_zero()
+        assert not any(phi.apply2(bc.Class2(ZERO2, (0,) * ZERO2.n)).coeffs)
 
     def test_wrong_context(self):
         phi = bc.identity_iso(ZERO2)
@@ -223,6 +223,21 @@ class TestMaxStable:
         phi = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
         assert not phi.is_k_stable(1) and phi.is_k_stable(2)
         assert bc.max_stable(phi) == 3
+
+    def test_one_pass_matches_the_definition(self):
+        # largest k <= n-1 with is_k_stable(k), reported as n when that is n-1;
+        # the maps are plain integer matrices, with zero rows and gaps
+        rng = random.Random(7)
+        for _ in range(3000):
+            n = rng.randint(1, 7)
+            Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+            C = tuple(
+                tuple(0 if zero_row or rng.random() < 0.7 else rng.randint(-3, 3) for _ in range(n))
+                for zero_row in (rng.random() < 0.2 for _ in range(n))
+            )
+            phi = bc.GradedIso(Z, Z, C)
+            best = max(k for k in range(n) if phi.is_k_stable(k))
+            assert bc.max_stable(phi) == (n if best == n - 1 else best)
 
     def test_composition_preserves_stability(self):
         rng = random.Random(2)

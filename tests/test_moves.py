@@ -59,7 +59,7 @@ class TestTwist:
 
     def test_zero_parameter(self):
         B = hirzebruch(3)
-        mv = bc.twist(B, 2, bc.Class2.zero(B))
+        mv = bc.twist(B, 2, bc.Class2(B, (0,) * B.n))
         assert mv.after == B
         assert mv.induced.C == bc.identity_iso(B).C
 
@@ -96,7 +96,7 @@ class TestTwist:
         for _ in range(100):
             B = rand_matrix(rng, rng.randint(2, 5), 2)
             j = rng.randint(2, B.n)
-            vs = [v for v in admissible_twists(B, j, 2) if not v.is_zero()]
+            vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
             if not vs:
                 continue
             v = rng.choice(vs)
@@ -121,7 +121,7 @@ class TestMoveSoundness:
                 mv = bc.switch(B, rng.choice(js))
             else:
                 j = rng.randint(1, B.n)
-                vs = [v for v in admissible_twists(B, j, 2) if not v.is_zero()]
+                vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
                 if not vs:
                     continue
                 mv = bc.twist(B, j, rng.choice(vs))
@@ -193,7 +193,7 @@ class TestColumnFold:
                 for _ in range(4):
                     js = [j for j in range(1, n) if cur.a(j + 1, j) == 0]
                     j = rng.randint(2, n)
-                    vs = [v for v in admissible_twists(cur, j, 1) if not v.is_zero()]
+                    vs = [v for v in admissible_twists(cur, j, 1) if any(v.coeffs)]
                     if vs and (not js or rng.random() < 0.5):
                         mv = bc.twist(cur, j, rng.choice(vs))
                     elif js:
@@ -340,7 +340,13 @@ class TestMoveSeq:
         assert mv1.after == hirzebruch(0)
         mv2 = bc.switch(mv1.after, 1)
         seq = bc.MoveSeq.build(B, [mv1, mv2])
-        inv = bc.invert_seq(seq)
+        inv = bc.invert_seq(B, [mv1, mv2])
         assert inv.start == seq.end and inv.end == seq.start
         assert bc.compose(inv.composite, seq.composite).C == bc.identity_iso(B).C
         assert bc.replay(inv).ok
+        empty = bc.invert_seq(B, ())
+        assert empty.start == empty.end == B and empty.moves == ()
+        with pytest.raises(bc.ContextMismatch, match="^moves start at "):
+            bc.invert_seq(B, [mv2])  # mv2 starts at mv1.after
+        with pytest.raises(bc.ContextMismatch):
+            bc.invert_seq(B, [mv2, mv1])  # not a chain

@@ -16,10 +16,20 @@ so a third digest pins an n = 5 isomorphism, a bound-2 search hit, whose
 odd branch at k = 0 takes zero-case steps at l = 5 and then l = 4: there
 ``_key_step``'s check that the tracked height strictly decreases runs on
 two source-side steps in a row.
+
+A fourth digest pins an exhaustive sweep: every n = 3 matrix with entries
+in -2..2 (125 of them), each with the first 50 hits of its
+self-isomorphism search at bound 2, 1952 certificates in all.  Each one
+also round-trips through JSON and ``verify_certificate_obj``.  The sweep
+takes hundreds of zero and even key steps on the target side and hundreds
+of odd branches, whose final source-side steps are zero or even; floors
+on those counts keep the digest from pinning easy paths alone.
 """
 
 import hashlib
+import itertools
 import json
+from collections import Counter
 
 import bottcert as bc
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
@@ -28,6 +38,8 @@ from helpers import trace_isos
 TRACE_DIGEST = "3bfbf746db4e7f159ffcde20140180220b80f2f116a472e91e0035378cb17f89"
 SOURCE_STEP_DIGEST = "a51ac42aa5640c92233cf6fb9f45cdefd4c3c8ec81aa52ca620a2cbfe66b2d19"
 TWO_SOURCE_STEPS_DIGEST = "1fbfd2baeb88ffe41449521bab96a60e2161d053adc9dca9d377cca007b87d55"
+SWEEP_DIGEST = "4996d216e9ccad3eea979ae162b57184b323c27df623aca8054e025c3a41d41e"
+SWEEP_HITS = 50
 
 # (A rows, B rows, C): the first hit of each of the four pairs whose odd
 # branch steps on the source side
@@ -60,17 +72,21 @@ def _step(st):
     return repr((st.case, st.ell, st.p, st.e, st.w.coeffs, u))
 
 
+def _records(cert, trace):
+    """The certificate text, then every key step and odd branch in order."""
+    yield dumps_canonical(certificate_to_obj(cert))
+    for rt in trace.raises:
+        yield from map(_step, rt.phase1)
+        if rt.odd is not None:
+            yield repr((rt.odd.p, rt.odd.final_entry))
+            yield from map(_step, rt.odd.source_steps)
+            if rt.odd.final_step is not None:
+                yield _step(rt.odd.final_step)
+
+
 def trace_records():
     for phi in trace_isos():
-        cert, trace = bc.stabilize_full(phi, with_trace=True)
-        yield dumps_canonical(certificate_to_obj(cert))
-        for rt in trace.raises:
-            yield from map(_step, rt.phase1)
-            if rt.odd is not None:
-                yield repr((rt.odd.p, rt.odd.final_entry))
-                yield from map(_step, rt.odd.source_steps)
-                if rt.odd.final_step is not None:
-                    yield _step(rt.odd.final_step)
+        yield from _records(*bc.stabilize_full(phi, with_trace=True))
         towers = bc.decompose_tower(phi.source), bc.decompose_tower(phi.target)
         se = bc.extract_sigma_eps(phi, *towers)
         yield repr((se.sigma, se.e))
@@ -152,3 +168,34 @@ def test_two_source_side_steps():
 
 def test_two_source_side_steps_pinned():
     assert _digest(_source_step_records(two_source_steps_iso())) == TWO_SOURCE_STEPS_DIGEST
+
+
+def sweep_isos():
+    """The first hits of each n = 3 matrix's self-isomorphism search at bound 2.
+
+    The matrices are all 125 with entries in -2..2.
+    """
+    for a, b, c in itertools.product(range(-2, 3), repeat=3):
+        A = bc.make_bott_matrix(3, [[], [a], [b, c]])
+        yield from bc.search_isos(A, A, 2)[:SWEEP_HITS]
+
+
+def test_n3_sweep_pinned():
+    records, counts = [], Counter()
+    for phi in sweep_isos():
+        cert, trace = bc.stabilize_full(phi, with_trace=True)
+        recs = list(_records(cert, trace))
+        assert verify_certificate_obj(json.loads(recs[0])).ok
+        records += recs
+        for rt in trace.raises:
+            counts.update(("target", st.case) for st in rt.phase1)
+            if rt.odd is not None:
+                counts["odd branch"] += 1
+                counts.update(("source", st.case) for st in rt.odd.source_steps)
+                if rt.odd.final_step is not None:
+                    counts["final", rt.odd.final_step.case] += 1
+    assert _digest(records) == SWEEP_DIGEST
+    # the digest is worth having only while the sweep reaches these paths
+    assert counts["target", "zero"] >= 360 and counts["target", "even"] >= 380
+    assert counts["odd branch"] >= 225
+    assert counts["final", "zero"] >= 100 and counts["final", "even"] >= 60

@@ -216,7 +216,7 @@ class TestProductKernel:
 
 class TestHeight:
     def test_zero(self):
-        assert bc.Class2.zero(H3).height() == 0
+        assert bc.Class2(H3, (0,) * H3.n).height() == 0
 
     def test_sparse(self):
         A = bc.make_bott_matrix(4, [[], [0], [0, 0], [0, 0, 0]])

@@ -47,14 +47,17 @@ def odd_long_fixture():
 
 
 def key_step(phi, k):
-    return _key_step(phi, k, bc.decompose_xk(phi, k))
+    """(seq, phi', trace) for one ``_key_step``; seq holds its moves from phi's target."""
+    phi_new, trace = _key_step(phi, k, bc.decompose_xk(phi, k))
+    seq = bc.MoveSeq.build(phi.target, trace.moves)
+    assert phi_new == bc.compose(seq.composite, phi)  # the fold is the dense product
+    return seq, phi_new, trace
 
 
 def raise_stability(phi, k):
     """(f, g, phi') with phi' = g o phi o f, from one ``_raise_fwd`` round."""
     src_moves, tgt_moves, phi2, _ = _raise_fwd(phi, k)
-    f = bc.invert_seq(bc.MoveSeq.build(phi.source, src_moves))
-    return f, bc.MoveSeq.build(phi.target, tgt_moves), phi2
+    return bc.invert_seq(phi.source, src_moves), bc.MoveSeq.build(phi.target, tgt_moves), phi2
 
 
 class TestDecomposeXk:
@@ -70,7 +73,7 @@ class TestDecomposeXk:
         dec = bc.decompose_xk(phi, 0)
         assert dec.ell == 2
         assert dec.e == 1
-        assert dec.w.is_zero()
+        assert not any(dec.w.coeffs)
 
     def test_requires_stability(self):
         phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])
@@ -99,7 +102,7 @@ class TestKeyStep:
 
     def test_even_case_records_w_and_u(self):
         _, _, trace = key_step(even_case_fixture(), 0)
-        assert trace.w.is_zero()
+        assert not any(trace.w.coeffs)
         assert isinstance(trace.u, bc.Class2)
 
     def test_odd_at_boundary(self):
@@ -221,7 +224,7 @@ class TestStabilizeFull:
                 assert bc.verify_certificate(cert).ok
                 for rt in trace.raises:
                     for t in rt.phase1:
-                        B0 = t.moves.start
+                        B0 = t.moves[0].before
                         assert t.p == B0.a(t.ell, t.ell - 1)
                         assert t.case == ("zero" if t.p == 0 else "even" if t.p % 2 == 0 else "odd")
                     if rt.odd:
@@ -274,17 +277,17 @@ class TestTermination:
     @pytest.mark.parametrize("fixture", [even_case_fixture, odd_long_fixture])
     def test_height_check_fires_when_a_step_does_not_reduce(self, fixture, monkeypatch):
         phi = fixture()
-        calls = []
+        folded = []  # the working map of each step whose moves reached the fold
 
-        def stuck(outer, inner):
-            calls.append(outer)
-            assert len(calls) == 1, "a step that kept the height was not stopped"
-            return inner
+        def stuck(C, mv):
+            if not folded or folded[-1] is not C:
+                folded.append(C)
+            assert len(folded) == 1, "a step that kept the height was not stopped"
 
-        monkeypatch.setattr("bottcert.stabilize.compose", stuck)
+        monkeypatch.setattr("bottcert.stabilize._then", stuck)
         with pytest.raises(bc.ContractViolation, match="^height of the tracked image did not decrease$"):
             _raise_fwd(phi, 0)
-        assert len(calls) == 1
+        assert len(folded) == 1
 
 
 class TestKeepBelow:
@@ -335,10 +338,44 @@ class TestGuardCounts:
             calls.update(invert=0, int_inverse=0)
             _, trace = bc.stabilize_full(phi, with_trace=True)
             odd = sum(rt.odd is not None for rt in trace.raises)
-            # _odd_branch inverts once on entry and once on exit; the normalization inverts by its moves
+            # _odd_branch inverts once on entry and once on exit; the normalization relabels
             assert calls == {"invert": 2 * odd, "int_inverse": 2 * odd}
             odd_total += odd
         assert odd_total > 0
+
+    def test_two_composes_and_two_builds_per_run(self, monkeypatch):
+        # check_claims composes twice; the certificate's two sequences are the only builds
+        calls = {"compose": 0, "build": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr("bottcert.stabilize.compose", counted("compose", iso.compose))
+        monkeypatch.setattr(moves.MoveSeq, "build", staticmethod(counted("build", moves.MoveSeq.build)))
+        runs = 0
+        for source in (trace_isos, fuzz_base_isos):
+            for phi in source():
+                calls.update(compose=0, build=0)
+                bc.stabilize_full(phi)
+                assert calls == {"compose": 2, "build": 2}
+                runs += 1
+        assert runs > 0
+
+    @pytest.mark.parametrize("fixture", [even_case_fixture, odd_short_fixture])
+    def test_check_claims_is_the_last_tripwire(self, fixture, monkeypatch):
+        def bent(phi, k):
+            # the real round, handing back a working map with its last entry changed
+            src, tgt, cur, rt = _raise_fwd(phi, k)
+            C = [list(row) for row in cur.C]
+            C[-1][-1] += 1
+            return src, tgt, bc.GradedIso(cur.source, cur.target, tuple(map(tuple, C))), rt
+
+        monkeypatch.setattr("bottcert.stabilize._raise_fwd", bent)
+        with pytest.raises(bc.ContractViolation, match="^phi_prime is not g o phi o f$"):
+            bc.stabilize_full(fixture())
 
     def test_compose_never_takes_a_move_map(self, monkeypatch):
         induced = []  # every move map built, kept alive so that ids stay unique

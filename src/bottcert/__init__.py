@@ -28,7 +28,6 @@ from .errors import (
 from .iso import (
     GradedIso,
     SigmaEps,
-    compose,
     extract_sigma_eps,
     identity_iso,
     invert,

@@ -5,14 +5,14 @@ phi(x_i) = sum_j C_ij y_j; since the ring is generated in degree 2 this
 determines phi completely.  ``make_iso`` is the one validating constructor:
 it checks unimodularity and that every relation x_i^2 = alpha_i x_i is
 respected, and it runs where a matrix enters from outside.  ``GradedIso``
-itself trusts its arguments; ``compose``, ``invert``, ``search_isos``, the
-moves ``switch`` and ``twist``, move sequences and ``stabilize_full``'s
-working map build it directly, because their results are isomorphisms by
-algebra (or, for the search, by the checks made while enumerating).
+itself trusts its arguments; ``invert``, ``search_isos``, the moves'
+induced maps and ``stabilize_full``'s working map build it directly,
+because their results are isomorphisms by algebra (or, for the search, by
+the checks made while enumerating).
 
-All operations are pure and exact in integers; ``compose``, ``int_inverse``
-(Euclidean row reduction over Z) and ``int_det`` serve dense maps (``moves``
-composes move maps by column operations).  ``search_isos`` follows the
+All operations are pure and exact in integers; ``int_inverse`` (Euclidean
+row reduction over Z) and ``int_det`` serve dense maps, and no two maps are
+multiplied (``moves`` folds moves onto a map).  ``search_isos`` follows the
 structure theory: phi(2x_i - alpha_i) = eps_i (2y_m - beta_m) for some m
 of matching level (read from the towers' ``levels``), with e_i = 2 eps_i an
 integer, so rows are solved from (m, e) pairs.  Stacked, these say
@@ -204,22 +204,6 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 def identity_iso(A: BottMatrix) -> GradedIso:
     return GradedIso(A, A, _identity_rows(A.n))
-
-
-def compose(g: GradedIso, f: GradedIso) -> GradedIso:
-    """g after f (contexts must chain), an isomorphism if both are; sums nonzero entries only."""
-    if f.target != g.source:
-        raise ContextMismatch("target of the inner map differs from source of the outer")
-    g_rows = [[(j, e) for j, e in enumerate(row) if e] for row in g.C]
-    C = []
-    for frow in f.C:
-        out = [0] * len(frow)
-        for k, a in enumerate(frow):
-            if a:
-                for j, e in g_rows[k]:
-                    out[j] += a * e
-        C.append(tuple(out))
-    return GradedIso(f.source, g.target, tuple(C))
 
 
 def invert(phi: GradedIso) -> GradedIso:

@@ -12,13 +12,15 @@ manifolds:
 
 Rows above j of a twisted matrix become beta_i + b_ij v; this completion is
 forced by requiring the induced map to be a ring isomorphism, so ``switch``
-and ``twist`` check their preconditions and build that map by algebra.  The
-gate is ``build_move``: it builds a move from outside parameters and checks
-its map by full relation checking (``make_iso``).  ``replay`` rebuilds an
-in-memory sequence through it, as the JSON reader does, so reading is replay.
+and ``twist`` check their preconditions and ``Move.induced`` builds that map
+by algebra.  The gate is ``build_move``: it builds a move from outside
+parameters and checks its map by full relation checking (``make_iso``).
+``replay`` rebuilds an in-memory sequence through it, as the JSON reader
+does, so reading is replay.
 
-A move's map is elementary (a transposition, or the identity plus one row),
-so a sequence composes it as a column operation (``_then``), not by ``compose``.
+A move's map is fixed by (kind, j, v) and elementary, so neither moves nor
+sequences store maps: ``_then`` and ``_before`` compose a map with a move by
+a column or a row operation, and no other module acts with a move on a matrix.
 """
 
 from __future__ import annotations
@@ -29,16 +31,26 @@ from .ring import BottMatrix, Class2, product_is_zero
 
 
 class Move:
-    """One switch or twist together with its matrices and induced isomorphism."""
-    __slots__ = ("kind", "j", "v", "before", "after", "induced")
+    """One switch or twist together with the matrices before and after it."""
+    __slots__ = ("kind", "j", "v", "before", "after")
 
-    def __init__(self, kind: str, j: int, v: Class2 | None, before: BottMatrix, after: BottMatrix,
-                 induced: GradedIso):
+    def __init__(self, kind: str, j: int, v: Class2 | None, before: BottMatrix, after: BottMatrix):
         self.kind, self.j, self.v = kind, j, v  # kind is "switch" or "twist"
-        self.before, self.after, self.induced = before, after, induced
+        self.before, self.after = before, after
+
+    @property
+    def induced(self) -> GradedIso:
+        """The induced map, by algebra: identity rows j, j+1 swapped, or v added to row j."""
+        C = list(identity_iso(self.before).C)
+        j = self.j
+        if self.kind == "switch":
+            C[j - 1], C[j] = C[j], C[j - 1]
+        else:
+            C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], self.v.coeffs))
+        return GradedIso(self.before, self.after, tuple(C))
 
     def _key(self) -> tuple:
-        return (self.kind, self.j, self.v, self.before, self.after, self.induced)
+        return (self.kind, self.j, self.v, self.before, self.after)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Move) and self._key() == other._key()
@@ -60,10 +72,7 @@ def switch(B: BottMatrix, j: int) -> Move:
     rows = list(B.rows)
     rows[j - 1], rows[j] = B.rows[j][: j - 1], B.rows[j - 1] + (0,)
     rows[j + 1 :] = [r[: j - 1] + (r[j], r[j - 1]) + r[j + 1 :] for r in rows[j + 1 :]]
-    after = BottMatrix._derived(n, tuple(rows))
-    C = list(identity_iso(B).C)
-    C[j - 1], C[j] = C[j], C[j - 1]
-    return Move("switch", j, None, B, after, GradedIso(B, after, tuple(C)))
+    return Move("switch", j, None, B, BottMatrix._derived(n, tuple(rows)))
 
 
 def twist(B: BottMatrix, j: int, v: Class2) -> Move:
@@ -86,10 +95,7 @@ def twist(B: BottMatrix, j: int, v: Class2) -> Move:
     for i in range(j, n):
         if bij := B.rows[i][j - 1]:
             rows[i] = tuple(b + bij * t for b, t in zip(B.rows[i], vc))
-    after = BottMatrix._derived(n, tuple(rows))
-    C = list(identity_iso(B).C)
-    C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], vc))
-    return Move("twist", j, v, B, after, GradedIso(B, after, tuple(C)))
+    return Move("twist", j, v, B, BottMatrix._derived(n, tuple(rows)))
 
 
 def build_move(before: BottMatrix, kind: str, j: int, v) -> Move:
@@ -124,25 +130,34 @@ def _then(C: list[list[int]], mv: Move) -> None:
             row[: j - 1] = [e + c * t for e, t in zip(row[: j - 1], mv.v.coeffs)]
 
 
-class MoveSeq:
-    """Chained moves with their start/end matrices and composite isomorphism."""
-    __slots__ = ("start", "moves", "end", "composite")
+def _before(C: list[list[int]], mv: Move) -> None:
+    """mv, then C, in place: a switch at j swaps rows j and j+1 of C; a
+    twist (j, v) adds v_t times row t to row j."""
+    j = mv.j
+    if mv.kind == "switch":
+        C[j - 1], C[j] = C[j], C[j - 1]
+        return
+    for t, vt in enumerate(mv.v.coeffs[: j - 1]):
+        if vt:
+            C[j - 1] = [e + vt * s for e, s in zip(C[j - 1], C[t])]
 
-    def __init__(self, start: BottMatrix, moves: tuple[Move, ...], end: BottMatrix,
-                 composite: GradedIso):
-        self.start, self.moves, self.end, self.composite = start, moves, end, composite
+
+class MoveSeq:
+    """Chained moves with their start and end matrices."""
+    __slots__ = ("start", "moves", "end")
+
+    def __init__(self, start: BottMatrix, moves: tuple[Move, ...], end: BottMatrix):
+        self.start, self.moves, self.end = start, moves, end
 
     @staticmethod
     def build(start: BottMatrix, moves) -> "MoveSeq":
         moves = tuple(moves)
-        C = [list(row) for row in identity_iso(start).C]
         cur = start
         for idx, mv in enumerate(moves):
             if mv.before != cur:
                 raise ContextMismatch(f"move {idx} starts at {mv.before!r}, expected {cur!r}")
-            _then(C, mv)
             cur = mv.after
-        return MoveSeq(start, moves, cur, GradedIso(start, cur, tuple(map(tuple, C))))
+        return MoveSeq(start, moves, cur)
 
 
 def invert_seq(start: BottMatrix, moves) -> MoveSeq:
@@ -171,12 +186,11 @@ class ReplayResult:
 
 
 def replay(seq: MoveSeq) -> ReplayResult:
-    """Re-verify an in-memory sequence from scratch: chaining, each move, the composite.
+    """Re-verify an in-memory sequence: its chain, each move through ``build_move``, its end.
 
     The JSON reader builds each move from its parameters, so its sequences need none.
     """
     cur = seq.start
-    C = [list(row) for row in identity_iso(cur).C]
     for idx, mv in enumerate(seq.moves):
         if mv.before != cur:
             return ReplayResult(False, f"move {idx}: chain broken, before != previous after")
@@ -186,12 +200,7 @@ def replay(seq: MoveSeq) -> ReplayResult:
             return ReplayResult(False, f"move {idx}: {exc}")
         if fresh.after != mv.after:
             return ReplayResult(False, f"move {idx}: recorded result matrix is wrong")
-        if fresh.induced.C != mv.induced.C:
-            return ReplayResult(False, f"move {idx}: recorded induced map is wrong")
-        _then(C, fresh)
         cur = fresh.after
     if cur != seq.end:
         return ReplayResult(False, "end matrix does not match the chain")
-    if GradedIso(seq.start, cur, tuple(map(tuple, C))) != seq.composite:
-        return ReplayResult(False, "composite does not match the chain")
     return ReplayResult(True, None)

@@ -29,9 +29,7 @@ def encode_int(x: int) -> int | str:
 
 
 def decode_int(v: object) -> int:
-    if isinstance(v, bool):
-        raise ShapeError("expected an integer, got a boolean")
-    if isinstance(v, int):
+    if type(v) is int:  # excludes bool and every other int subclass
         return v
     if isinstance(v, str):
         try:
@@ -40,6 +38,8 @@ def decode_int(v: object) -> int:
             return int(v)  # ValueError past the interpreter's digit limit
         except ValueError as exc:
             raise ShapeError(f"not a decimal integer: {v!r}") from exc
+    if isinstance(v, bool):
+        raise ShapeError("expected an integer, got a boolean")
     raise ShapeError(f"expected an integer, got {type(v).__name__}")
 
 

@@ -23,8 +23,8 @@ from .errors import (
     ProofPathViolation,
     RangeError,
 )
-from .iso import GradedIso, compose, invert, make_iso, max_stable
-from .moves import Move, MoveSeq, ReplayResult, _then, invert_seq, replay, switch, twist
+from .iso import GradedIso, invert, make_iso, max_stable
+from .moves import Move, MoveSeq, ReplayResult, _before, _then, invert_seq, replay, switch, twist
 from .ring import BottMatrix, Class2, product_is_zero
 from .structure import decompose_tower, same_block
 
@@ -314,7 +314,8 @@ def check_claims(cert: StabilizationCertificate) -> ReplayResult:
     """Check the claims tying a certificate's validated moves and maps together.
 
     The sequences and maps connect A, B and the moved matrices, phi_prime is
-    g o phi o f exactly, and k_final = max_stable(phi_prime) >= n - 2.
+    g o phi o f exactly (g's moves fold onto phi as column operations, f's as
+    row operations, last first), and k_final = max_stable(phi_prime) >= n - 2.
     """
     if cert.f_seq.end != cert.A:
         return ReplayResult(False, "source sequence does not end at A")
@@ -324,8 +325,12 @@ def check_claims(cert: StabilizationCertificate) -> ReplayResult:
         return ReplayResult(False, "phi is not a map from A to B")
     if cert.phi_prime.source != cert.f_seq.start or cert.phi_prime.target != cert.g_seq.end:
         return ReplayResult(False, "phi_prime does not connect the moved matrices")
-    comp = compose(cert.g_seq.composite, compose(cert.phi, cert.f_seq.composite))
-    if comp.C != cert.phi_prime.C:
+    C = [list(row) for row in cert.phi.C]
+    for mv in cert.g_seq.moves:
+        _then(C, mv)
+    for mv in reversed(cert.f_seq.moves):
+        _before(C, mv)
+    if tuple(map(tuple, C)) != cert.phi_prime.C:
         return ReplayResult(False, "phi_prime is not g o phi o f")
     k = max_stable(cert.phi_prime)
     if k != cert.k_final:
@@ -338,8 +343,9 @@ def check_claims(cert: StabilizationCertificate) -> ReplayResult:
 def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     """Re-verify an in-memory certificate from its raw data only.
 
-    Replays both move sequences, revalidates both isomorphisms, then
-    ``check_claims``.  Nothing from the construction is trusted.  A
+    Replays both move sequences (their moves, as they store no maps),
+    revalidates both isomorphisms, then ``check_claims``, which folds the
+    moves onto phi.  Nothing from the construction is trusted.  A
     certificate read from JSON needs only ``check_claims``: reading it
     built and validated each move and map.
     """

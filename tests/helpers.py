@@ -177,6 +177,25 @@ def dense_product(F, G):
     return tuple(tuple(sum(F[i][k] * G[k][j] for k in range(n)) for j in range(n)) for i in range(len(F)))
 
 
+def compose_dense(g, f):
+    """g after f, by ``dense_product``: f's rows written in g's basis."""
+    return bc.GradedIso(f.source, g.target, dense_product(f.C, g.C))
+
+
+def moves_product(start, mvs):
+    """The map of moves mvs run from start: the dense product of their induced maps."""
+    C = bc.identity_iso(start).C
+    for mv in mvs:
+        C = dense_product(C, mv.induced.C)
+    return C
+
+
+def claim_product(phi, f_seq, g_seq):
+    """The matrix of g o phi o f, by dense products of the sequences' move maps."""
+    F = moves_product(f_seq.start, f_seq.moves)
+    return dense_product(dense_product(F, phi.C), moves_product(g_seq.start, g_seq.moves))
+
+
 def raw_iso_search(A, B, bound):
     """Exhaustive box enumeration of valid isomorphism matrices.
 
@@ -235,7 +254,7 @@ def lift_chain(phi, tgt_side, i, t):
         if M.a(j + 1, j) != 0:
             break
         mv = bc.switch(M, j)
-        phi = bc.compose(mv.induced, phi) if tgt_side else bc.compose(phi, bc.invert(mv.induced))
+        phi = compose_dense(mv.induced, phi) if tgt_side else compose_dense(phi, bc.invert(mv.induced))
         M = phi.target if tgt_side else phi.source
     return phi
 
@@ -255,7 +274,7 @@ def scrambled_iso(rng, A, rounds, twist_mag=2):
             vs = [v for v in admissible_twists(M, j, twist_mag) if any(v.coeffs)]
             if vs:
                 mv = bc.twist(M, j, rng.choice(vs))
-                phi = bc.compose(mv.induced, phi) if tgt_side else bc.compose(phi, bc.invert(mv.induced))
+                phi = compose_dense(mv.induced, phi) if tgt_side else compose_dense(phi, bc.invert(mv.induced))
     return phi
 
 

@@ -17,6 +17,7 @@ from bottcert.serialize import dumps_canonical
 from helpers import (
     admissible_twists,
     block_map,
+    dense_product,
     moved_partner,
     rand_matrix,
     raw_iso_search,
@@ -121,7 +122,7 @@ def test_c4_move_soundness():
             bc.make_iso(mv.before, mv.after, mv.induced.C)
             back = bc.switch(mv.after, mv.j)
             assert back.after == B
-            assert bc.compose(back.induced, mv.induced).C == bc.identity_iso(B).C
+            assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(B).C
             switches += 1
         else:
             j = rng.randint(1, B.n)
@@ -133,7 +134,7 @@ def test_c4_move_soundness():
             bc.make_iso(mv.before, mv.after, mv.induced.C)
             back = bc.twist(mv.after, j, -bc.Class2(mv.after, v.coeffs))
             assert back.after == B
-            assert bc.compose(back.induced, mv.induced).C == bc.identity_iso(B).C
+            assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(B).C
             twists += 1
     print(f"CRITERION 4 PASS: 500 moves sound ({switches} switches, {twists} twists)")
 

@@ -4,8 +4,10 @@
   left out: it imports names to re-export them.
 * ``make_iso`` runs only at the trust boundaries: the move gate, the
   certificate readers and verifiers, and the CLI commands that read a map.
-* ``compose`` runs only in ``check_claims``: moves fold as column
-  operations, and the normalization relabels generators.
+* ``moves._before``, the row fold, runs only in ``check_claims``:
+  stabilization folds its moves onto its working map as columns, so only
+  the claim check applies the source-side moves f, and no library function
+  multiplies two maps.
 * ``BottMatrix._derived``, which skips validation, is called only where
   integer algebra derives the rows from a validated matrix or class.
 * Every top-level function and class of a library module, and every
@@ -100,11 +102,20 @@ def test_detects_callers():
     assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}
 
 
-def test_compose_runs_only_in_check_claims():
+def test_row_fold_runs_only_in_check_claims():
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "compose")}
+        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "_before")}
     assert found == {"stabilize.check_claims"}
+
+
+def test_detects_row_fold_callers():
+    source = (
+        "def check_claims(cert):\n    for mv in reversed(cert.f_seq.moves):\n        _before(C, mv)\n"
+        "def key_step(phi):\n    moves._before(C, mv)\n"
+        "def play(C, mv):\n    _then(C, mv)\n"
+    )
+    assert callers(source, "_before") == {"check_claims", "key_step"}
 
 
 DERIVERS = {"moves.switch", "moves.twist", "ring.sub_bar"}

@@ -6,7 +6,16 @@ import pytest
 
 import bottcert as bc
 from bottcert import moves, serialize, stabilize
-from helpers import admissible_twists, fuzz_base_isos, rand_matrix, trace_isos
+from helpers import (
+    admissible_twists,
+    claim_product,
+    dense_product,
+    fuzz_base_isos,
+    moves_product,
+    rand_matrix,
+    trace_isos,
+)
+from test_pinned_traces import sweep_isos
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
@@ -46,7 +55,7 @@ class TestSwitch:
             mv = bc.switch(A, j)
             back = bc.switch(mv.after, j)
             assert back.after == A
-            assert bc.compose(back.induced, mv.induced).C == bc.identity_iso(A).C
+            assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(A).C
 
 
 class TestTwist:
@@ -104,7 +113,7 @@ class TestTwist:
             v_hat = bc.Class2(mv.after, v.coeffs)
             back = bc.twist(mv.after, j, -v_hat)
             assert back.after == B
-            assert bc.compose(back.induced, mv.induced).C == bc.identity_iso(B).C
+            assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(B).C
             assert bc.invert_move(mv).after == B
 
 
@@ -147,24 +156,48 @@ class TestMoveLemma:
                 assert bc.make_iso(mv.before, mv.after, mv.induced.C) == mv.induced
                 back = bc.invert_move(mv)
                 assert (back.before, back.after) == (mv.after, mv.before)
-                assert bc.compose(back.induced, mv.induced) == bc.identity_iso(mv.before)
+                assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(mv.before).C
                 count += 1
         assert count > 0
 
 
 def fold_both_ways(C, mvs):
-    """C followed by mvs: by the column operation ``_then`` and by ``compose``."""
+    """C followed by mvs: by the column operation ``_then`` and by ``dense_product``."""
     cols = [list(row) for row in C.C]
-    dense = C
     for mv in mvs:
         moves._then(cols, mv)
-        dense = bc.compose(mv.induced, dense)
-    return tuple(map(tuple, cols)), dense.C
+    return tuple(map(tuple, cols)), dense_product(C.C, moves_product(C.target, mvs))
 
 
 def assert_after_is_valid(mv):
     # after is built without re-validation; the strict constructor must accept it unchanged
     assert bc.BottMatrix(mv.after.n, mv.after.rows) == mv.after
+
+
+def random_dense_map(rng, A, B):
+    # a dense map from A to B; the folds trust it, which is all the algebra needs
+    n = A.n
+    return bc.GradedIso(A, B, tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)))
+
+
+def random_moves(rng, M, kinds):
+    """Up to four random switches and twists (entries of v in -1..1) from M, counted in ``kinds``."""
+    n, mvs = M.n, []
+    for _ in range(4):
+        js = [j for j in range(1, n) if M.a(j + 1, j) == 0]
+        j = rng.randint(2, n)
+        vs = [v for v in admissible_twists(M, j, 1) if any(v.coeffs)]
+        if vs and (not js or rng.random() < 0.5):
+            mv = bc.twist(M, j, rng.choice(vs))
+        elif js:
+            mv = bc.switch(M, rng.choice(js))
+        else:
+            break
+        assert_after_is_valid(mv)
+        kinds[mv.kind] += 1
+        mvs.append(mv)
+        M = mv.after
+    return mvs
 
 
 class TestColumnFold:
@@ -175,7 +208,7 @@ class TestColumnFold:
             cert = bc.stabilize_full(phi)
             for seq in (cert.f_seq, cert.g_seq):
                 cols, dense = fold_both_ways(bc.identity_iso(seq.start), seq.moves)
-                assert cols == dense == seq.composite.C
+                assert cols == dense
                 for mv in seq.moves:
                     assert_after_is_valid(mv)
                     twists += mv.kind == "twist"
@@ -187,25 +220,54 @@ class TestColumnFold:
         for n in range(3, 9):
             for _ in range(12):
                 B = rand_matrix(rng, n, 2)
-                # a dense map into B; compose trusts it, which is all the algebra needs
-                start = bc.GradedIso(B, B, tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)))
-                cur, mvs = B, []
-                for _ in range(4):
-                    js = [j for j in range(1, n) if cur.a(j + 1, j) == 0]
-                    j = rng.randint(2, n)
-                    vs = [v for v in admissible_twists(cur, j, 1) if any(v.coeffs)]
-                    if vs and (not js or rng.random() < 0.5):
-                        mv = bc.twist(cur, j, rng.choice(vs))
-                    elif js:
-                        mv = bc.switch(cur, rng.choice(js))
-                    else:
-                        break
-                    assert_after_is_valid(mv)
-                    kinds[mv.kind] += 1
-                    mvs.append(mv)
-                    cur = mv.after
-                cols, dense = fold_both_ways(start, mvs)
+                start = random_dense_map(rng, B, B)
+                cols, dense = fold_both_ways(start, random_moves(rng, B, kinds))
                 assert cols == dense
+        assert min(kinds.values()) > 0
+
+
+def claims_on(phi, f_seq, g_seq, C):
+    """``check_claims`` on the certificate (phi, f_seq, g_seq) claiming the map C."""
+    phi_prime = bc.GradedIso(f_seq.start, g_seq.end, C)
+    k = bc.max_stable(phi_prime)
+    return bc.check_claims(bc.StabilizationCertificate(phi.source, phi.target, phi, f_seq, g_seq, phi_prime, k))
+
+
+def assert_claim_fold_is_dense(rng, phi, f_seq, g_seq):
+    """``check_claims`` takes phi' = F phi G, with F and G the dense products of
+    the moves' maps, and no map one entry away from it; returns that phi'."""
+    ref = claim_product(phi, f_seq, g_seq)
+    res = claims_on(phi, f_seq, g_seq, ref)
+    # a random map is rarely (n-2)-stable, so the last check may still fail
+    assert res.ok or res.diagnostic.startswith("k_final "), res.diagnostic
+    off = [list(row) for row in ref]
+    off[rng.randrange(len(off))][rng.randrange(len(off))] += rng.choice((-1, 1))
+    assert claims_on(phi, f_seq, g_seq, tuple(map(tuple, off))).diagnostic == "phi_prime is not g o phi o f"
+    return ref
+
+
+class TestClaimFold:
+    """``check_claims`` folds g's moves onto phi as columns and f's as rows, the last first."""
+
+    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos, sweep_isos], ids=lambda f: f.__name__)
+    def test_certificates(self, source):
+        rng = random.Random(16)
+        source_moves = 0
+        for phi in source():
+            cert = bc.stabilize_full(phi)
+            assert assert_claim_fold_is_dense(rng, cert.phi, cert.f_seq, cert.g_seq) == cert.phi_prime.C
+            source_moves += len(cert.f_seq.moves)
+        assert source_moves > 0
+
+    def test_random_maps_with_moves_on_both_sides(self):
+        rng = random.Random(15)
+        kinds = {"switch": 0, "twist": 0}
+        for n in range(3, 9):
+            for _ in range(12):
+                A0, B = rand_matrix(rng, n, 2), rand_matrix(rng, n, 2)
+                f_seq = bc.MoveSeq.build(A0, random_moves(rng, A0, kinds))
+                g_seq = bc.MoveSeq.build(B, random_moves(rng, B, kinds))
+                assert_claim_fold_is_dense(rng, random_dense_map(rng, f_seq.end, B), f_seq, g_seq)
         assert min(kinds.values()) > 0
 
 
@@ -275,8 +337,8 @@ class TestBuildMove:
     def test_replay_reports_unknown_kind(self):
         seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
         mv = seq.moves[0]
-        bad = bc.Move("flip", mv.j, mv.v, mv.before, mv.after, mv.induced)
-        res = bc.replay(bc.MoveSeq(seq.start, (bad,), seq.end, seq.composite))
+        bad = bc.Move("flip", mv.j, mv.v, mv.before, mv.after)
+        res = bc.replay(bc.MoveSeq(seq.start, (bad,), seq.end))
         assert res.diagnostic == "move 0: unknown move kind 'flip'"
 
 
@@ -284,7 +346,7 @@ class TestMoveSeq:
     def test_empty(self):
         seq = bc.MoveSeq.build(ZERO2, [])
         assert seq.end == ZERO2
-        assert seq.composite.C == bc.identity_iso(ZERO2).C
+        assert seq.moves == ()
         assert bc.replay(seq).ok
 
     def test_two_twists(self):
@@ -305,32 +367,14 @@ class TestMoveSeq:
         B = hirzebruch(3)
         mv = bc.twist(B, 2, bc.Class2.basis(B, 1))
         seq = bc.MoveSeq.build(B, [mv])
-        bad_after = bc.Move(mv.kind, mv.j, mv.v, mv.before, hirzebruch(2), mv.induced)
-        tampered = bc.MoveSeq(seq.start, (bad_after,), hirzebruch(2), seq.composite)
+        bad_after = bc.Move(mv.kind, mv.j, mv.v, mv.before, hirzebruch(2))
+        tampered = bc.MoveSeq(seq.start, (bad_after,), hirzebruch(2))
         res = bc.replay(tampered)
         assert not res.ok and "result matrix" in res.diagnostic
 
-    def test_replay_detects_wrong_induced_map(self):
-        B = hirzebruch(3)
-        mv = bc.twist(B, 2, bc.Class2.basis(B, 1))
-        seq = bc.MoveSeq.build(B, [mv])
-        bad = bc.Move(mv.kind, mv.j, mv.v, mv.before, mv.after, bc.GradedIso(mv.before, mv.after, ((1, 0), (0, 1))))
-        res = bc.replay(bc.MoveSeq(seq.start, (bad,), seq.end, seq.composite))
-        assert res.diagnostic == "move 0: recorded induced map is wrong"
-
-    def test_replay_detects_wrong_composite(self):
-        B = hirzebruch(3)
-        seq = bc.MoveSeq.build(B, [bc.twist(B, 2, bc.Class2.basis(B, 1))])
-        for composite in (
-            bc.GradedIso(seq.start, seq.end, ((1, 0), (2, 1))),
-            bc.GradedIso(seq.end, seq.end, seq.composite.C),
-        ):
-            res = bc.replay(bc.MoveSeq(seq.start, seq.moves, seq.end, composite))
-            assert res.diagnostic == "composite does not match the chain"
-
     def test_replay_detects_wrong_end(self):
         seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
-        tampered = bc.MoveSeq(seq.start, seq.moves, hirzebruch(2), seq.composite)
+        tampered = bc.MoveSeq(seq.start, seq.moves, hirzebruch(2))
         res = bc.replay(tampered)
         assert not res.ok
 
@@ -342,7 +386,7 @@ class TestMoveSeq:
         seq = bc.MoveSeq.build(B, [mv1, mv2])
         inv = bc.invert_seq(B, [mv1, mv2])
         assert inv.start == seq.end and inv.end == seq.start
-        assert bc.compose(inv.composite, seq.composite).C == bc.identity_iso(B).C
+        assert dense_product(moves_product(B, seq.moves), moves_product(inv.start, inv.moves)) == bc.identity_iso(B).C
         assert bc.replay(inv).ok
         empty = bc.invert_seq(B, ())
         assert empty.start == empty.end == B and empty.moves == ()

@@ -6,6 +6,7 @@ import pytest
 
 import bottcert as bc
 from bottcert import serialize as ser
+from helpers import compose_dense
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
@@ -29,12 +30,18 @@ class TestIntEncoding:
             assert ser.decode_int(ser.encode_int(x)) == x
 
     def test_decode_rejects_bool_and_junk(self):
-        with pytest.raises(bc.ShapeError):
+        with pytest.raises(bc.ShapeError, match="^expected an integer, got a boolean$"):
             ser.decode_int(True)
         with pytest.raises(bc.ShapeError):
             ser.decode_int("12.5")
-        with pytest.raises(bc.ShapeError):
+        with pytest.raises(bc.ShapeError, match="^expected an integer, got float$"):
             ser.decode_int(1.5)
+
+        class Count(int):
+            pass
+
+        with pytest.raises(bc.ShapeError, match="^expected an integer, got Count$"):
+            ser.decode_int(Count(3))
 
     @pytest.mark.parametrize(
         "text",
@@ -75,12 +82,12 @@ class TestRoundTrips:
         obj = json.loads(json.dumps(ser.seq_to_obj(seq)))
         back = ser.seq_from_obj(obj)
         assert back.start == seq.start and back.end == seq.end
-        assert back.composite.C == seq.composite.C
+        assert back.moves == seq.moves
 
     def test_certificate(self):
         A = bc.make_bott_matrix(3, [[], [1], [0, 0]])
         phi0 = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
-        phi = bc.compose(phi0, bc.invert(bc.switch(A, 2).induced))
+        phi = compose_dense(phi0, bc.invert(bc.switch(A, 2).induced))
         cert = bc.stabilize_full(phi)
         obj = json.loads(json.dumps(ser.certificate_to_obj(cert)))
         back = ser.certificate_from_obj(obj)

@@ -206,7 +206,9 @@ def product_terms(A: BottMatrix, s, t) -> dict[tuple[int, int], int]:
 
 def two_x_minus_alpha(A: BottMatrix, i: int) -> Class2:
     """The class 2x_i - alpha_i, whose square equals alpha_i^2."""
-    return Class2.basis(A, i).scale(2) - A.alpha(i)
+    if not 1 <= i <= A.n:
+        raise RangeError(f"generator index {i} outside 1..{A.n}")
+    return Class2(A, [-a for a in A.rows[i - 1]] + [2] + [0] * (A.n - i))
 
 
 def primitive_part(c: Class2) -> Class2:

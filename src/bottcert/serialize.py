@@ -5,12 +5,18 @@ strings beyond that; readers accept both forms.  Readers take arrays only
 as JSON lists: a string, object or other iterable never stands in for one.
 Writers sort object keys and keep arrays in index order, so equal values
 serialize to equal bytes.
+
+``dumps_canonical``, the one writer of output text, emits the bytes of
+``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.  It walks
+objects and arrays itself and joins an array of plain ints in one step:
+``json``'s indenting encoder is pure Python and encodes each element alone.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BottError, ShapeError
 from .iso import GradedIso, make_iso
@@ -54,7 +60,25 @@ def _ints(v: object, what: str) -> list[int]:
 
 
 def dumps_canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline; object keys must be strings."""
+    return _dump(payload, "\n") + "\n"
+
+
+def _dump(o: object, nl: str) -> str:
+    if type(o) is int:
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        plain = set(map(type, o)) == {int}  # a bool is an int, but not a plain one
+        items = map(int.__repr__, o) if plain else [_dump(e, inner) for e in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, dict):
+        inner = nl + "  "
+        items = [_quote(k) + ": " + _dump(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if o else "{}"
+    return json.dumps(o)  # bool, None, float
 
 
 def matrix_to_obj(A: BottMatrix) -> dict:

@@ -8,6 +8,9 @@
   stabilization folds its moves onto its working map as columns, so only
   the claim check applies the source-side moves f, and no library function
   multiplies two maps.
+* ``serialize.dumps_canonical`` is the one writer of output text: no
+  library call passes ``indent=`` to ``json``, and ``json.dumps`` runs only
+  inside the writer, for the scalars it does not write itself.
 * ``BottMatrix._derived``, which skips validation, is called only where
   integer algebra derives the rows from a validated matrix or class.
 * Every top-level function and class of a library module, and every
@@ -116,6 +119,39 @@ def test_detects_row_fold_callers():
         "def play(C, mv):\n    _then(C, mv)\n"
     )
     assert callers(source, "_before") == {"check_claims", "key_step"}
+
+
+def indent_calls(source: str) -> list[int]:
+    """Lines of calls that pass ``indent=`` to ``json``'s ``dump``, ``dumps`` or ``JSONEncoder``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("dump", "dumps", "JSONEncoder")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    )
+
+
+def test_one_canonical_writer():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert indent_calls(source) == [], path.name
+        found |= {f"{path.stem}.{f}" for f in callers(source, "dumps")}
+    assert found == {"serialize._dump"}
+
+
+def test_detects_json_indent_and_dumps_callers():
+    source = (
+        "def write(x):\n    return json.dumps(x, sort_keys=True, indent=2)\n"
+        "def save(x, fh):\n    json.dump(x, fh,\n              indent=None)\n"
+        "def plain(x):\n    return dumps(x)\n"
+        "def pad(s):\n    return textwrap.indent(s, '  ')\n"
+        "def canonical(x):\n    return dumps_canonical(x)\n"
+    )
+    assert indent_calls(source) == [2, 4]
+    assert callers(source, "dumps") == {"write", "plain"}
 
 
 DERIVERS = {"moves.switch", "moves.twist", "ring.sub_bar"}

@@ -1,5 +1,6 @@
 """Switch and twist moves, their induced isomorphisms, sequences and replay."""
 
+import json
 import random
 
 import pytest
@@ -269,6 +270,32 @@ class TestClaimFold:
                 g_seq = bc.MoveSeq.build(B, random_moves(rng, B, kinds))
                 assert_claim_fold_is_dense(rng, random_dense_map(rng, f_seq.end, B), f_seq, g_seq)
         assert min(kinds.values()) > 0
+
+    @pytest.mark.parametrize(
+        "rows, c", [([[], [1], [2, 1]], 1), ([[], [0], [1, -1], [2, 0, 3]], -2)], ids=["n3", "n4"]
+    )
+    def test_source_twist_below_the_top(self, rows, c):
+        # phi = id, g empty, f = twist(A', 2, c y_1), valid for every c as alpha_1 = 0;
+        # its row fold adds c times row 1 to row 2 of phi, never to row 3
+        n = len(rows)
+        start = bc.make_bott_matrix(n, rows)
+        mv = bc.twist(start, 2, bc.Class2(start, [c] + [0] * (n - 1)))
+        A = mv.after
+
+        def cert(phi_prime_rows):
+            phi_prime = bc.GradedIso(start, A, tuple(map(tuple, phi_prime_rows)))
+            return bc.StabilizationCertificate(
+                A, A, bc.identity_iso(A), bc.MoveSeq.build(start, [mv]), bc.MoveSeq.build(A, []), phi_prime, n
+            )
+
+        good = cert(mv.induced.C)
+        assert bc.verify_certificate(good).ok
+        text = serialize.dumps_canonical(serialize.certificate_to_obj(good))
+        assert serialize.verify_certificate_obj(json.loads(text)).ok
+        wrong_row = [list(row) for row in mv.induced.C]
+        wrong_row[2] = [e + t for e, t in zip(wrong_row[2], mv.v.coeffs)]
+        res = stabilize.check_claims(cert(wrong_row))
+        assert not res.ok and res.diagnostic == "phi_prime is not g o phi o f"
 
 
 def counting_gate(monkeypatch):

@@ -168,9 +168,13 @@ class TestProductKernel:
             for i in range(1, A.n + 1):
                 alpha_sq_zero = kernel_agrees(A, A.alpha(i), A.alpha(i))
                 frame = bc.two_x_minus_alpha(A, i)
+                assert frame == bc.Class2.basis(A, i).scale(2) - A.alpha(i)
                 assert kernel_agrees(A, frame, frame) == alpha_sq_zero
                 zeros += alpha_sq_zero
         assert zeros > 0
+        for i in (0, H3.n + 1):
+            with pytest.raises(bc.RangeError, match=rf"^generator index {i} outside 1\.\.{H3.n}$"):
+                bc.two_x_minus_alpha(H3, i)
 
     def test_twist_pairs(self):
         # v(beta_j - v) over every small v of height < j: the admissibility test of twist

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
 from bottcert import serialize as ser
@@ -185,3 +186,35 @@ class TestCanonicalDump:
         assert ser.dumps_canonical(ser.matrix_to_obj(A)) == ser.dumps_canonical(
             ser.matrix_to_obj(bc.make_bott_matrix(3, [[], [2], [1, 0]]))
         )
+
+
+class IntSubclass(int):
+    pass
+
+
+_EDGE_INTS = [2**53 - 1, 2**53, 2**53 + 1, 2**80]
+INTS = st.one_of(
+    st.integers(),
+    st.sampled_from(_EDGE_INTS + [-x for x in _EDGE_INTS]),
+    st.integers(min_value=-(2**200), max_value=2**200),
+)
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'), st.characters()),
+               max_size=8)
+SCALARS = st.one_of(INTS, st.booleans(), st.none(), st.floats(allow_nan=False, allow_infinity=False), TEXT)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=6),
+        st.lists(INTS, max_size=8),
+        st.lists(st.one_of(INTS, st.booleans(), INTS.map(IntSubclass)), max_size=8),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(VALUES)
+def test_writer_is_json_dumps_indent_2(x):
+    assert ser.dumps_canonical(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"

@@ -35,7 +35,7 @@ from .iso import (
     max_stable,
     search_isos,
 )
-from .moves import Move, MoveSeq, ReplayResult, build_move, invert_move, invert_seq, replay, switch, twist
+from .moves import Move, MoveSeq, ReplayResult, build_move, invert_move, invert_seq, rebuild, switch, twist
 from .ring import (
     BottMatrix,
     Class2,

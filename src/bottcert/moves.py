@@ -15,8 +15,8 @@ forced by requiring the induced map to be a ring isomorphism, so ``switch``
 and ``twist`` check their preconditions and ``Move.induced`` builds that map
 by algebra.  The gate is ``build_move``: it builds a move from outside
 parameters and checks its map by full relation checking (``make_iso``).
-``replay`` rebuilds an in-memory sequence through it, as the JSON reader
-does, so reading is replay.
+``rebuild`` alone calls it, building a sequence from its start and its
+moves' parameters; the JSON reader and ``verify_certificate`` both use it.
 
 A move's map is fixed by (kind, j, v) and elementary, so neither moves nor
 sequences store maps: ``_then`` and ``_before`` compose a map with a move by
@@ -160,6 +160,20 @@ class MoveSeq:
         return MoveSeq(start, moves, cur)
 
 
+def rebuild(start: BottMatrix, params) -> MoveSeq:
+    """The moves (kind, j, v) from start, each built through ``build_move`` from the one before.
+
+    v is a twist's coefficients; the moves chain by construction.
+    """
+    cur = start
+    moves = []
+    for kind, j, v in params:
+        mv = build_move(cur, kind, j, v)
+        moves.append(mv)
+        cur = mv.after
+    return MoveSeq(start, tuple(moves), cur)
+
+
 def invert_seq(start: BottMatrix, moves) -> MoveSeq:
     """Undo moves that run from start, the last first; building the result checks their chain."""
     back = tuple(invert_move(mv) for mv in reversed(moves))
@@ -183,24 +197,3 @@ class ReplayResult:
 
     def __hash__(self) -> int:
         return hash((self.ok, self.diagnostic))
-
-
-def replay(seq: MoveSeq) -> ReplayResult:
-    """Re-verify an in-memory sequence: its chain, each move through ``build_move``, its end.
-
-    The JSON reader builds each move from its parameters, so its sequences need none.
-    """
-    cur = seq.start
-    for idx, mv in enumerate(seq.moves):
-        if mv.before != cur:
-            return ReplayResult(False, f"move {idx}: chain broken, before != previous after")
-        try:
-            fresh = build_move(mv.before, mv.kind, mv.j, None if mv.v is None else mv.v.coeffs)
-        except Exception as exc:  # invalid parameters surface as a diagnostic
-            return ReplayResult(False, f"move {idx}: {exc}")
-        if fresh.after != mv.after:
-            return ReplayResult(False, f"move {idx}: recorded result matrix is wrong")
-        cur = fresh.after
-    if cur != seq.end:
-        return ReplayResult(False, "end matrix does not match the chain")
-    return ReplayResult(True, None)

@@ -6,6 +6,10 @@ as JSON lists: a string, object or other iterable never stands in for one.
 Writers sort object keys and keep arrays in index order, so equal values
 serialize to equal bytes.
 
+A move sequence is read through ``moves.rebuild``: ``move_from_obj`` only
+decodes a move's parameters, just before the move is built and checked, so
+reading stops at the first bad move and builds each good one once.
+
 ``dumps_canonical``, the one writer of output text, emits the bytes of
 ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.  It walks
 objects and arrays itself and joins an array of plain ints in one step:
@@ -20,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BottError, ShapeError
 from .iso import GradedIso, make_iso
-from .moves import Move, MoveSeq, ReplayResult, build_move
+from .moves import Move, MoveSeq, ReplayResult, rebuild
 from .ring import BottMatrix
 from .stabilize import StabilizationCertificate, check_claims
 
@@ -108,7 +112,8 @@ def move_to_obj(mv: Move) -> dict:
     return {"kind": "twist", "j": mv.j, "v": [encode_int(t) for t in mv.v.coeffs]}
 
 
-def move_from_obj(obj: object, before: BottMatrix) -> Move:
+def move_from_obj(obj: object) -> tuple:
+    """A move's parameters (kind, j, v); v is a twist's coefficients, None for a switch."""
     if not isinstance(obj, dict) or "kind" not in obj or "j" not in obj:
         raise ShapeError("move object needs keys 'kind' and 'j'")
     j = decode_int(obj["j"])
@@ -117,7 +122,7 @@ def move_from_obj(obj: object, before: BottMatrix) -> Move:
         if "v" not in obj:
             raise ShapeError("twist move needs key 'v'")
         v = _ints(obj["v"], "twist 'v'")
-    return build_move(before, obj["kind"], j, v)
+    return obj["kind"], j, v
 
 
 def seq_to_obj(seq: MoveSeq) -> dict:
@@ -127,14 +132,7 @@ def seq_to_obj(seq: MoveSeq) -> dict:
 def seq_from_obj(obj: object) -> MoveSeq:
     if not isinstance(obj, dict) or "start" not in obj or "moves" not in obj:
         raise ShapeError("move sequence object needs keys 'start' and 'moves'")
-    cur = matrix_from_obj(obj["start"])
-    start = cur
-    moves = []
-    for mv_obj in _list(obj["moves"], "'moves'"):
-        mv = move_from_obj(mv_obj, cur)
-        moves.append(mv)
-        cur = mv.after
-    return MoveSeq.build(start, moves)
+    return rebuild(matrix_from_obj(obj["start"]), map(move_from_obj, _list(obj["moves"], "'moves'")))
 
 
 def certificate_to_obj(cert: StabilizationCertificate) -> dict:
@@ -151,9 +149,9 @@ def certificate_to_obj(cert: StabilizationCertificate) -> dict:
 
 
 def certificate_from_obj(obj: object) -> StabilizationCertificate:
-    """Read a certificate, building each move (switch or twist) and map (make_iso) once.
+    """Read a certificate, building each move (``rebuild``) and map (``make_iso``) once.
 
-    This is its replay; ``check_claims`` checks the rest.
+    ``check_claims`` checks the rest.
     """
     if not isinstance(obj, dict):
         raise ShapeError("certificate must be a JSON object")

@@ -3,8 +3,8 @@
 Given a validated isomorphism phi between two Bott rings, the routines here
 produce realizable move sequences f (on the source side) and g (on the
 target side) such that g o phi o f preserves the filtration up to the top
-two stages, together with a self-contained certificate that replays every
-move and recomputes every claim.
+two stages, together with a self-contained certificate: each of its moves
+is rebuilt from its parameters and every claim is recomputed.
 
 The engine is a height-reduction step: for a k-stable phi whose image of
 x_{k+1} has height l > k+1, the target matrix admits moves (depending on
@@ -24,7 +24,7 @@ from .errors import (
     RangeError,
 )
 from .iso import GradedIso, invert, make_iso, max_stable
-from .moves import Move, MoveSeq, ReplayResult, _before, _then, invert_seq, replay, switch, twist
+from .moves import Move, MoveSeq, ReplayResult, _before, _then, invert_seq, rebuild, switch, twist
 from .ring import BottMatrix, Class2, product_is_zero
 from .structure import decompose_tower, same_block
 
@@ -256,7 +256,8 @@ class StabilizationCertificate:
 
     Invariants: f_seq runs from the new source matrix to A, g_seq from B to
     the new target matrix, phi_prime equals g o phi o f exactly, both
-    sequences replay, and k_final = max_stable(phi_prime) >= n - 2.
+    sequences rebuild from their parameters, and
+    k_final = max_stable(phi_prime) >= n - 2.
     """
     __slots__ = ("A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final")
 
@@ -343,19 +344,19 @@ def check_claims(cert: StabilizationCertificate) -> ReplayResult:
 def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     """Re-verify an in-memory certificate from its raw data only.
 
-    Replays both move sequences (their moves, as they store no maps),
+    Rebuilds both move sequences from their starts and their moves'
+    parameters (``rebuild``) and requires the stored moves and ends back,
     revalidates both isomorphisms, then ``check_claims``, which folds the
     moves onto phi.  Nothing from the construction is trusted.  A
-    certificate read from JSON needs only ``check_claims``: reading it
-    built and validated each move and map.
+    certificate read from JSON needs only ``check_claims``: the reader
+    rebuilt each move and validated each map.
     """
     try:
-        r = replay(cert.f_seq)
-        if not r:
-            return ReplayResult(False, f"source sequence: {r.diagnostic}")
-        r = replay(cert.g_seq)
-        if not r:
-            return ReplayResult(False, f"target sequence: {r.diagnostic}")
+        for side, seq in (("source", cert.f_seq), ("target", cert.g_seq)):
+            params = ((mv.kind, mv.j, None if mv.v is None else mv.v.coeffs) for mv in seq.moves)
+            rebuilt = rebuild(seq.start, params)
+            if rebuilt.moves != seq.moves or rebuilt.end != seq.end:
+                return ReplayResult(False, f"{side} sequence is not its rebuild from its parameters")
         phi = make_iso(cert.phi.source, cert.phi.target, cert.phi.C)
         phi_prime = make_iso(cert.phi_prime.source, cert.phi_prime.target, cert.phi_prime.C)
         fresh = StabilizationCertificate(cert.A, cert.B, phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)

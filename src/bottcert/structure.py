@@ -42,9 +42,8 @@ def square_zero_generators(A: BottMatrix) -> list[SquareZeroGenerator]:
     returned generators.
     """
     out = []
-    for i in range(1, A.n + 1):
-        alpha = A.alpha(i).coeffs
-        if product_is_zero(A, alpha, alpha):
+    for i, row in enumerate(A.rows, start=1):
+        if product_is_zero(A, row, row):  # alpha_i is row i padded with zeros
             gen = two_x_minus_alpha(A, i)
             out.append(SquareZeroGenerator(i, gen, primitive_part(gen)))
     return out
@@ -64,9 +63,8 @@ def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], i
     fiber = sub_bar(M, k)
     moves: list[Move] = []
     d = 0
-    for r in range(fiber.n):
-        alpha = fiber.alpha(r + 1).coeffs
-        if not product_is_zero(fiber, alpha, alpha):
+    for r, row in enumerate(fiber.rows):
+        if not product_is_zero(fiber, row, row):  # alpha_{r+1} is the row padded with zeros
             continue
         for j in range(k + r, k + d, -1):
             if M.a(j + 1, j) != 0:

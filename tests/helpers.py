@@ -190,6 +190,12 @@ def moves_product(start, mvs):
     return C
 
 
+def rebuild_matches(seq):
+    """(moves, end) of seq each equal to those ``rebuild`` gives from its start and its moves' (kind, j, v)."""
+    fresh = bc.rebuild(seq.start, [(mv.kind, mv.j, None if mv.v is None else mv.v.coeffs) for mv in seq.moves])
+    return fresh.moves == seq.moves, fresh.end == seq.end
+
+
 def claim_product(phi, f_seq, g_seq):
     """The matrix of g o phi o f, by dense products of the sequences' move maps."""
     F = moves_product(f_seq.start, f_seq.moves)

@@ -8,7 +8,8 @@ steps.  Each certificate is verified in memory and through its JSON text.
 The script prints the digest of the certificates and traces, made from the
 same records as the pinned sweeps, then the number of certificates and the
 key steps counted by side and case.  It exits with status 1 if any
-certificate fails to verify.
+certificate fails to verify or if the digest is not ``SWEEP_N4_DIGEST``,
+so a change to the search order, the certificates or the traces shows.
 
     PYTHONPATH=src python tests/sweep_n4.py
 """
@@ -22,6 +23,7 @@ import bottcert as bc
 from bottcert.serialize import verify_certificate_obj
 from test_pinned_traces import SWEEP_HITS, _digest, _records
 
+SWEEP_N4_DIGEST = "3439a16451ab4ccb1a33425d4517f30ae65d904eb4384f9887e69c05eadee03b"
 
 def sweep_isos():
     for rows in itertools.product(range(-1, 2), repeat=6):
@@ -45,11 +47,14 @@ def main() -> int:
                 counts.update(f"source {st.case}" for st in rt.odd.source_steps)
                 if rt.odd.final_step is not None:
                     counts[f"final {rt.odd.final_step.case}"] += 1
-    print(f"digest {_digest(records)}")
+    digest = _digest(records)
+    print(f"digest {digest}")
     for key in sorted(counts):
         print(f"{key} {counts[key]}")
     print(f"failed {failed}")
-    return 1 if failed else 0
+    if digest != SWEEP_N4_DIGEST:
+        print(f"digest differs from the pinned {SWEEP_N4_DIGEST}")
+    return 1 if failed or digest != SWEEP_N4_DIGEST else 0
 
 
 if __name__ == "__main__":

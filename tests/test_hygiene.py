@@ -4,6 +4,9 @@
   left out: it imports names to re-export them.
 * ``make_iso`` runs only at the trust boundaries: the move gate, the
   certificate readers and verifiers, and the CLI commands that read a map.
+* ``moves.build_move``, the move gate, runs only in ``moves.rebuild``:
+  every move built from outside parameters, by the JSON reader or by
+  ``verify_certificate``, goes through that one loop.
 * ``moves._before``, the row fold, runs only in ``check_claims``:
   stabilization folds its moves onto its working map as columns, so only
   the claim check applies the source-side moves f, and no library function
@@ -103,6 +106,22 @@ def test_detects_callers():
         "CHECKED = make_iso(4)\n"
     )
     assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}
+
+
+def test_move_gate_runs_only_in_rebuild():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "build_move")}
+    assert found == {"moves.rebuild"}
+
+
+def test_detects_move_gate_callers():
+    source = (
+        "def rebuild(start, params):\n    for kind, j, v in params:\n        mv = build_move(cur, kind, j, v)\n"
+        "def move_from_obj(obj, before):\n    return moves.build_move(before, obj['kind'], obj['j'], None)\n"
+        "def twist_only(B, j, v):\n    return twist(B, j, v)\n"
+    )
+    assert callers(source, "build_move") == {"rebuild", "move_from_obj"}
 
 
 def test_row_fold_runs_only_in_check_claims():

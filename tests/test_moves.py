@@ -1,4 +1,4 @@
-"""Switch and twist moves, their induced isomorphisms, sequences and replay."""
+"""Switch and twist moves, their induced isomorphisms, sequences and their rebuild."""
 
 import json
 import random
@@ -14,6 +14,7 @@ from helpers import (
     fuzz_base_isos,
     moves_product,
     rand_matrix,
+    rebuild_matches,
     trace_isos,
 )
 from test_pinned_traces import sweep_isos
@@ -321,7 +322,7 @@ class TestGate:
             assert calls[0] == 0
             for seq in (cert.f_seq, cert.g_seq):
                 calls[0] = 0
-                assert bc.replay(seq).ok
+                assert rebuild_matches(seq) == (True, True)
                 assert calls[0] == len(seq.moves)
             n_moves = len(cert.f_seq.moves) + len(cert.g_seq.moves)
             total += n_moves
@@ -341,8 +342,16 @@ class TestGate:
         mv = bc.switch(ZERO2, 1)
         with pytest.raises(bc.RelationViolated):
             bc.build_move(ZERO2, "switch", 1, None)
-        res = bc.replay(bc.MoveSeq.build(ZERO2, [mv]))
-        assert not res.ok and res.diagnostic.startswith("move 0: ")
+        with pytest.raises(bc.RelationViolated):
+            rebuild_matches(bc.MoveSeq.build(ZERO2, [mv]))
+        phi = bc.identity_iso(ZERO2)
+        cert = bc.StabilizationCertificate(
+            ZERO2, ZERO2, phi, bc.MoveSeq.build(ZERO2, []), bc.MoveSeq.build(ZERO2, [mv]), mv.induced,
+            bc.max_stable(mv.induced),
+        )
+        assert stabilize.check_claims(cert).ok
+        res = bc.verify_certificate(cert)
+        assert not res.ok and res.diagnostic.startswith("certificate data invalid: ")
 
 
 class TestBuildMove:
@@ -361,12 +370,12 @@ class TestBuildMove:
         with pytest.raises(bc.ShapeError, match="unknown move kind 'flip'"):
             bc.build_move(ZERO2, "flip", 1, None)
 
-    def test_replay_reports_unknown_kind(self):
+    def test_rebuild_reports_unknown_kind(self):
         seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
         mv = seq.moves[0]
         bad = bc.Move("flip", mv.j, mv.v, mv.before, mv.after)
-        res = bc.replay(bc.MoveSeq(seq.start, (bad,), seq.end))
-        assert res.diagnostic == "move 0: unknown move kind 'flip'"
+        with pytest.raises(bc.ShapeError, match="^unknown move kind 'flip'$"):
+            rebuild_matches(bc.MoveSeq(seq.start, (bad,), seq.end))
 
 
 class TestMoveSeq:
@@ -374,7 +383,7 @@ class TestMoveSeq:
         seq = bc.MoveSeq.build(ZERO2, [])
         assert seq.end == ZERO2
         assert seq.moves == ()
-        assert bc.replay(seq).ok
+        assert rebuild_matches(seq) == (True, True)
 
     def test_two_twists(self):
         B = hirzebruch(3)
@@ -382,7 +391,7 @@ class TestMoveSeq:
         mv2 = bc.twist(mv1.after, 2, bc.Class2.basis(mv1.after, 1))
         seq = bc.MoveSeq.build(B, [mv1, mv2])
         assert seq.end == hirzebruch(-1)
-        assert bc.replay(seq).ok
+        assert rebuild_matches(seq) == (True, True)
 
     def test_chain_mismatch_rejected(self):
         mv = bc.switch(ZERO2, 1)
@@ -390,20 +399,18 @@ class TestMoveSeq:
         with pytest.raises(bc.ContextMismatch):
             bc.MoveSeq.build(ZERO2, [mv, other])
 
-    def test_replay_detects_tampering(self):
+    def test_rebuild_detects_tampering(self):
         B = hirzebruch(3)
         mv = bc.twist(B, 2, bc.Class2.basis(B, 1))
         seq = bc.MoveSeq.build(B, [mv])
         bad_after = bc.Move(mv.kind, mv.j, mv.v, mv.before, hirzebruch(2))
         tampered = bc.MoveSeq(seq.start, (bad_after,), hirzebruch(2))
-        res = bc.replay(tampered)
-        assert not res.ok and "result matrix" in res.diagnostic
+        assert rebuild_matches(tampered) == (False, False)
 
-    def test_replay_detects_wrong_end(self):
+    def test_rebuild_detects_wrong_end(self):
         seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
         tampered = bc.MoveSeq(seq.start, seq.moves, hirzebruch(2))
-        res = bc.replay(tampered)
-        assert not res.ok
+        assert rebuild_matches(tampered) == (True, False)
 
     def test_invert_seq(self):
         B = hirzebruch(2)
@@ -414,7 +421,7 @@ class TestMoveSeq:
         inv = bc.invert_seq(B, [mv1, mv2])
         assert inv.start == seq.end and inv.end == seq.start
         assert dense_product(moves_product(B, seq.moves), moves_product(inv.start, inv.moves)) == bc.identity_iso(B).C
-        assert bc.replay(inv).ok
+        assert rebuild_matches(inv) == (True, True)
         empty = bc.invert_seq(B, ())
         assert empty.start == empty.end == B and empty.moves == ()
         with pytest.raises(bc.ContextMismatch, match="^moves start at "):

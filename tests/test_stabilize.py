@@ -13,6 +13,7 @@ from helpers import (
     dense_product,
     fuzz_base_isos,
     moves_product,
+    rebuild_matches,
     scrambled_iso,
     sparse_matrix,
     trace_isos,
@@ -108,7 +109,7 @@ class TestKeyStep:
         # rows below l-1 of the target matrix are untouched
         for i in range(1, trace.ell - 1):
             assert seq.end.rows[i - 1] == seq.start.rows[i - 1]
-        assert bc.replay(seq).ok
+        assert rebuild_matches(seq) == (True, True)
 
     def test_even_case_records_w_and_u(self):
         _, _, trace = key_step(even_case_fixture(), 0)
@@ -150,7 +151,7 @@ class TestRaiseStability:
         assert len(f.moves) >= 1
         assert bc.max_stable(phi2) >= 1
         assert f.end == phi.source and f.start == phi2.source
-        assert bc.replay(f).ok and bc.replay(g).ok
+        assert rebuild_matches(f) == rebuild_matches(g) == (True, True)
         assert claim_product(phi, f, g) == phi2.C
 
     @pytest.mark.parametrize("k", [2, -1])
@@ -437,3 +438,29 @@ class TestVerifyCertificate:
         phi_prime = bc.GradedIso(cert.phi_prime.source, cert.phi_prime.target, tuple(tuple(r) for r in C))
         bad = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)
         assert not bc.verify_certificate(bad).ok
+
+    @staticmethod
+    def moved_target(cert, moves, end):
+        """cert with g's moves and end replaced and phi' retargeted at end; the claims still hold."""
+        g = bc.MoveSeq(cert.g_seq.start, moves, end)
+        phi_prime = bc.GradedIso(cert.phi_prime.source, end, cert.phi_prime.C)
+        bad = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, cert.f_seq, g, phi_prime, cert.k_final)
+        assert stabilize.check_claims(bad).ok  # the fold reads only (kind, j, v)
+        return bad
+
+    def test_stored_move_matrix_disagrees_with_its_parameters(self):
+        cert = bc.stabilize_full(even_case_fixture())
+        *head, last = cert.g_seq.moves
+        other = bc.make_bott_matrix(3, [[], [0], [0, 4]])
+        assert other != last.after
+        bad = self.moved_target(cert, (*head, bc.Move(last.kind, last.j, last.v, last.before, other)), other)
+        res = bc.verify_certificate(bad)
+        assert (res.ok, res.diagnostic) == (False, "target sequence is not its rebuild from its parameters")
+
+    def test_sequence_end_disagrees_with_its_parameters(self):
+        cert = bc.stabilize_full(even_case_fixture())
+        other = bc.make_bott_matrix(3, [[], [0], [0, 4]])
+        assert other != cert.g_seq.end
+        bad = self.moved_target(cert, cert.g_seq.moves, other)
+        res = bc.verify_certificate(bad)
+        assert (res.ok, res.diagnostic) == (False, "target sequence is not its rebuild from its parameters")

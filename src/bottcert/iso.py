@@ -18,7 +18,9 @@ of matching level (read from the towers' ``levels``), with e_i = 2 eps_i an
 integer, so rows are solved from (m, e) pairs.  Stacked, these say
 2(2I - A) C = diag(e) P (2I - B), and det(2I - A) = det(2I - B) = 2^n, so
 det C = +-prod(e_i) / 2^n: C is unimodular exactly when every |e_i| is
-2^t_i and the t_i sum to n.  ``int_det`` therefore serves ``make_iso`` alone.
+2^t_i and the t_i sum to n.  ``int_det`` therefore serves ``make_iso`` alone,
+and only for maps that are not signed permutations: ``make_iso`` checks
+rows that are signed unit vectors, such as a move's, in closed form.
 
 Row i is (e frame_m + 2 phi(alpha_i)) / 4, and every filter a candidate row
 meets (mod 4, the bound, primitivity and the relation) is a function of m,
@@ -175,6 +177,15 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
 
     Checks det C = +-1 and, for every i, that phi(x_i)^2 - phi(alpha_i)phi(x_i)
     = phi(x_i)(phi(x_i) - phi(alpha_i)) reduces to zero over B.
+
+    Rows that are signed unit rows c y_r (c = +-1), such as every row of a
+    switch's map and all but one of a twist's, take a closed form.  When
+    every row is one, det C = +-1 exactly when the positions r are distinct.
+    When row i is c y_r and each row k with a_ik != 0 is c_k y_q with q < r,
+    the relation reads y_r beta_r = sum_k c c_k a_ik y_q y_r, so it holds
+    exactly when row r of B has sum c c_k a_ik at each such q and zeros
+    elsewhere.  Every other row, and a failed comparison, takes the dense
+    product, which alone rejects.
     """
     if A.n != B.n:
         raise ShapeError(f"source has n={A.n} but target has n={B.n}")
@@ -185,9 +196,24 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
         for v in row:
             if type(v) is not int:
                 raise ShapeError(f"degree-2 matrix has entry {v!r}, not an integer")
-    if int_det(C) not in (1, -1):
+    units = [_unit(row, A.n) for row in C]
+    if None in units:
+        if int_det(C) not in (1, -1):
+            raise NotUnimodular(f"det is not +-1 for {C}")
+    elif len({r for r, _ in units}) != A.n:
         raise NotUnimodular(f"det is not +-1 for {C}")
-    for i, (img, arow) in enumerate(zip(C, A.rows), start=1):
+    for i, (img, arow, unit) in enumerate(zip(C, A.rows, units), start=1):
+        if unit is not None:
+            r, c = unit
+            expect = [0] * r
+            for aij, uk in zip(arow, units):
+                if aij:
+                    if uk is None or uk[0] >= r:
+                        break
+                    expect[uk[0]] += c * uk[1] * aij
+            else:
+                if B.rows[r] == tuple(expect):
+                    continue
         diff = img
         for aij, crow in zip(arow, C):
             if aij:
@@ -195,6 +221,15 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
         if not product_is_zero(B, img, diff):
             raise RelationViolated(i, product_terms(B, img, diff))
     return GradedIso(A, B, C)
+
+
+def _unit(row: tuple[int, ...], n: int) -> tuple[int, int] | None:
+    """(r, c) when row is c times the 0-based unit vector r with c = +-1, else None."""
+    if row.count(0) == n - 1:
+        for c in (1, -1):
+            if c in row:
+                return row.index(c), c
+    return None
 
 
 @lru_cache(maxsize=32)

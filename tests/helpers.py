@@ -8,7 +8,8 @@ polynomial to normal form on the square-free monomials, substituting the
 smallest repeated index first, and ``oracle_product`` and ``oracle_apply``
 build on it; the library itself has only the degree-4 closed form.  The
 raw isomorphism search enumerates full coefficient boxes with no structural
-pruning and checks relations with the oracle.
+pruning and checks relations with the oracle.  ``reference_make_iso`` is
+``make_iso`` without its closed form for signed unit rows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 from fractions import Fraction
 
 import bottcert as bc
+from bottcert.iso import int_det
 
 
 def rand_matrix(rng, n, mag):
@@ -170,6 +172,33 @@ def fraction_inverse(C):
     if any(e.denominator != 1 for row in work for e in row[n:]):
         raise bc.NotUnimodular("inverse is not integral")
     return tuple(tuple(int(e) for e in row[n:]) for row in work)
+
+
+def reference_make_iso(A, B, C):
+    """``make_iso`` with every row checked densely: ``int_det``, then ``product_is_zero``.
+
+    The reference for ``iso.make_iso``'s closed form on signed unit rows:
+    the same result, or the same exception with the same message and terms.
+    """
+    if A.n != B.n:
+        raise bc.ShapeError(f"source has n={A.n} but target has n={B.n}")
+    C = tuple(tuple(row) for row in C)
+    if len(C) != A.n or any(len(row) != A.n for row in C):
+        raise bc.ShapeError(f"degree-2 matrix must be {A.n}x{A.n}")
+    for row in C:
+        for v in row:
+            if type(v) is not int:
+                raise bc.ShapeError(f"degree-2 matrix has entry {v!r}, not an integer")
+    if int_det(C) not in (1, -1):
+        raise bc.NotUnimodular(f"det is not +-1 for {C}")
+    for i, (img, arow) in enumerate(zip(C, A.rows), start=1):
+        diff = img
+        for aij, crow in zip(arow, C):
+            if aij:
+                diff = [d - aij * c for d, c in zip(diff, crow)]
+        if not bc.product_is_zero(B, img, diff):
+            raise bc.RelationViolated(i, bc.product_terms(B, img, diff))
+    return bc.GradedIso(A, B, C)
 
 
 def dense_product(F, G):

@@ -328,7 +328,7 @@ def test_failed_extraction_is_a_tripwire(files, capsys, monkeypatch):
 
 def test_failed_self_check_is_a_tripwire(files, capsys, monkeypatch):
     # a certificate stabilize_full has just built always verifies; if it does not, that is a bug
-    monkeypatch.setattr(bottcert.cli, "verify_certificate", lambda cert: bc.ReplayResult(False, "forced"))
+    monkeypatch.setattr(bottcert.cli, "verify_certificate_obj", lambda obj: bc.ReplayResult(False, "forced"))
     a = files("a.json", {"n": 2, "rows": [[], [0]]})
     c = files("c.json", {"C": [[0, 1], [1, 0]]})
     code, out = run(capsys, "stabilize", a, a, c)
@@ -337,6 +337,34 @@ def test_failed_self_check_is_a_tripwire(files, capsys, monkeypatch):
         "error": "freshly built certificate failed verification: forced",
         "tripwire": True,
     }
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_self_check_reads_the_shipped_text(files, capsys, tmp_path, monkeypatch, out):
+    # a writer that drops a twist's v ships a certificate no reader accepts; the self-check reads the text
+    real = bottcert.cli.certificate_to_obj
+    dropped = []
+
+    def drop_v(cert):
+        obj = real(cert)
+        twists = [mv for side in ("f_seq", "g_seq") for mv in obj[side]["moves"] if mv["kind"] == "twist"]
+        del twists[0]["v"]
+        dropped.append(True)
+        return obj
+
+    monkeypatch.setattr(bottcert.cli, "certificate_to_obj", drop_v)
+    a = files("a.json", {"n": 3, "rows": [[], [0], [0, 2]]})
+    b = files("b.json", {"n": 3, "rows": [[], [-2], [2, 2]]})
+    c = files("c.json", {"C": [[-1, -1, 0], [-1, -1, 1], [-2, -1, 1]]})
+    out_path = tmp_path / "cert.json"
+    code, text = run(capsys, "stabilize", a, b, c, *(["--out", str(out_path)] if out else []))
+    assert dropped and code == 3
+    assert json.loads(text) == {
+        "error": "freshly built certificate failed verification: "
+        "certificate does not parse: twist move needs key 'v'",
+        "tripwire": True,
+    }
+    assert not out_path.exists()
 
 
 def test_decompose_builds_one_tower(files, capsys, monkeypatch):

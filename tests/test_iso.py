@@ -5,10 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
+from bottcert import iso
 from bottcert.iso import int_det, int_inverse
 from helpers import (
+    admissible_twists,
     block_map,
     class_terms,
     compose_dense,
@@ -21,6 +24,7 @@ from helpers import (
     rand_class,
     raw_iso_search,
     reduce_oracle,
+    reference_make_iso,
     scrambled_iso,
     sparse_matrix,
     trace_isos,
@@ -71,6 +75,204 @@ class TestMakeIso:
         big = 2**70
         phi = bc.make_iso(ZERO2, hirzebruch(2 * big), [[1, 0], [-big, 1]])
         assert phi.C == ((1, 0), (-big, 1))
+
+
+def gate_outcome(fn, A, B, C):
+    """The map fn accepts, or its exception's type, message, index and terms."""
+    try:
+        return fn(A, B, C)
+    except bc.BottError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "residue", None)
+
+
+def switch_map(rng, A):
+    """A random switch's (after, map) from A, or None when no switch is allowed."""
+    js = [j for j in range(1, A.n) if A.a(j + 1, j) == 0]
+    if not js:
+        return None
+    mv = bc.switch(A, rng.choice(js))
+    return mv.after, mv.induced.C
+
+
+def twist_map(rng, A):
+    """A random nonzero twist's (j, after, map) from A with |v_t| <= 1 and j <= 4, or None."""
+    j = rng.randint(2, min(A.n, 4))
+    vs = [v for v in admissible_twists(A, j, 1) if any(v.coeffs)]
+    if not vs:
+        return None
+    mv = bc.twist(A, j, rng.choice(vs))
+    return j, mv.after, mv.induced.C
+
+
+def gate_input(rng, kind):
+    """(A, B, C) for make_iso: a move's map, a signed permutation, or a dense scrambled map."""
+    n = rng.randint(2, 7 if kind in ("switch", "permutation") else 5)
+    A = sparse_matrix(rng, n, 2)
+    if kind == "switch":
+        got = switch_map(rng, A)
+        return (A, *got) if got else (A, A, bc.identity_iso(A).C)
+    if kind == "twist":
+        got = twist_map(rng, A)
+        return (A, *got[1:]) if got else (A, A, bc.identity_iso(A).C)
+    if kind == "permutation":
+        # switches then sign flips onto their end, or any signed permutation onto a random target
+        if rng.random() < 0.5:
+            B, C = A, bc.identity_iso(A).C
+            for _ in range(rng.randint(0, 4)):
+                got = switch_map(rng, B)
+                if got:
+                    B, C = got[0], dense_product(C, got[1])
+            return A, B, [[rng.choice((1, -1)) * e for e in row] for row in C]
+        return A, sparse_matrix(rng, n, 1, p_zero=0.8), signed_permutation(rng, n)
+    phi = scrambled_iso(rng, A, 3, twist_mag=1)
+    return phi.source, phi.target, phi.C
+
+
+CORRUPTIONS = ("none", "B entry", "B sign", "C sign", "C swap", "C unit moved", "C entry")
+
+
+def corrupt(rng, A, B, C, how):
+    """(A, B, C) with one change: an entry of B or C, a sign, two rows of C, or a unit row's column."""
+    n = A.n
+    rows = [list(r) for r in B.rows]
+    C = [list(r) for r in C]
+    if how in ("B entry", "B sign"):
+        i = rng.randint(1, n - 1)
+        k = rng.randrange(i)
+        rows[i][k] = -rows[i][k] if how == "B sign" and rows[i][k] else rows[i][k] + rng.choice((1, -1))
+        B = bc.make_bott_matrix(n, rows)
+    elif how == "C swap":
+        a, b = rng.sample(range(n), 2)
+        C[a], C[b] = C[b], C[a]
+    elif how != "none":
+        r = rng.randrange(n)
+        nonzero = [c for c, e in enumerate(C[r]) if e]
+        c = rng.choice(nonzero)
+        if how == "C sign":
+            C[r][c] = -C[r][c]
+        elif how == "C entry":
+            C[r][rng.randrange(n)] += rng.choice((1, -1))
+        else:
+            C[r][c], C[r][rng.choice([k for k in range(n) if k != c])] = 0, C[r][c]
+    return A, B, C
+
+
+def count_calls(monkeypatch, name):
+    """Count make_iso's calls of the kernel ``iso.<name>``."""
+    calls = [0]
+    real = getattr(iso, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(iso, name, counted)
+    return calls
+
+
+# two blocks x_1, x_2 and x_3, x_4 of Hirzebruch type -2 onto type 2; no row of
+# the map is a unit row
+NO_UNIT_A = bc.make_bott_matrix(4, [[], [-2], [0, 0], [0, 0, -2]])
+NO_UNIT_B = bc.make_bott_matrix(4, [[], [2], [0, 0], [0, 0, 2]])
+NO_UNIT_C = ((-1, 1, 0, 0), (2, -1, 0, 0), (0, 0, -1, 1), (0, 0, 2, -1))
+
+
+class TestMakeIsoClosedForm:
+    """make_iso's closed form on signed unit rows against the dense reference."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from(("switch", "twist", "permutation", "dense")), st.sampled_from(CORRUPTIONS),
+           st.integers(0, 2**32))
+    def test_matches_the_dense_reference(self, kind, how, seed):
+        rng = random.Random(seed)
+        A, B, C = corrupt(rng, *gate_input(rng, kind), how)
+        assert gate_outcome(bc.make_iso, A, B, C) == gate_outcome(reference_make_iso, A, B, C)
+
+    def test_inputs_reach_every_verdict(self):
+        # the inputs above are accepted and rejected both ways, from every kind
+        seen = set()
+        rng = random.Random(61)
+        for kind in ("switch", "twist", "permutation", "dense"):
+            for how in CORRUPTIONS:
+                for _ in range(6):
+                    got = gate_outcome(reference_make_iso, *corrupt(rng, *gate_input(rng, kind), how))
+                    seen.add((kind, "accepted" if isinstance(got, bc.GradedIso) else got[0].__name__))
+        for kind in ("switch", "twist", "permutation", "dense"):
+            assert {(kind, "accepted"), (kind, "NotUnimodular"), (kind, "RelationViolated")} <= seen
+
+    @pytest.mark.parametrize(
+        "A, B, C",
+        [
+            # row 3 is y_3 and refers to rows 1 and 2, the switched y_2 and y_1, both below it
+            pytest.param(bc.make_bott_matrix(3, [[], [0], [1, 2]]), bc.make_bott_matrix(3, [[], [0], [2, 1]]),
+                         ((0, 1, 0), (1, 0, 0), (0, 0, 1)), id="switched rows below r"),
+            # row 2 is y_1 and refers to row 1, a unit row placed above it at y_2
+            pytest.param(hirzebruch(1), hirzebruch(0), ((0, 1), (1, 0)), id="referenced row above r"),
+            pytest.param(hirzebruch(1), hirzebruch(1), ((0, 1), (1, 0)), id="row 1 fails first"),
+            pytest.param(hirzebruch(0), hirzebruch(0), ((0, 1), (1, 0)), id="swap of the zero matrix"),
+            pytest.param(hirzebruch(2), hirzebruch(-2), ((1, 0), (0, -1)), id="c = -1 accepted"),
+            pytest.param(hirzebruch(2), hirzebruch(2), ((1, 0), (0, -1)), id="c = -1 rejected"),
+            pytest.param(hirzebruch(3), hirzebruch(3), ((-1, 0), (0, -1)), id="c_k = c = -1"),
+            pytest.param(hirzebruch(3), hirzebruch(3), ((-1, 0), (0, 1)), id="c_k = -1 rejected"),
+            # a twist's map: row 2 is not a unit row and row 3 refers to it
+            pytest.param(bc.make_bott_matrix(3, [[], [2], [0, 1]]), bc.make_bott_matrix(3, [[], [0], [1, 1]]),
+                         ((1, 0, 0), (1, 1, 0), (0, 0, 1)), id="twist accepted"),
+            pytest.param(bc.make_bott_matrix(3, [[], [2], [0, 1]]), bc.make_bott_matrix(3, [[], [0], [0, 1]]),
+                         ((1, 0, 0), (1, 1, 0), (0, 0, 1)), id="twist rejected at row 3"),
+            pytest.param(bc.make_bott_matrix(3, [[], [2], [0, 1]]), ZERO3,
+                         ((1, 0, 0), (1, 1, 0), (0, 0, 1)), id="unit row 3 refers to a non-unit row"),
+            pytest.param(ZERO2, ZERO2, ((1, 0), (1, 0)), id="repeated position"),
+            pytest.param(ZERO3, ZERO3, ((0, -1, 0), (1, 0, 0), (0, 1, 0)), id="repeated position, signed"),
+            pytest.param(ZERO2, ZERO2, ((2, 0), (0, 1)), id="2 y_1 is not a unit row"),
+            pytest.param(NO_UNIT_A, NO_UNIT_B, NO_UNIT_C, id="no unit row"),
+        ],
+    )
+    def test_hand_built(self, A, B, C):
+        assert gate_outcome(bc.make_iso, A, B, C) == gate_outcome(reference_make_iso, A, B, C)
+
+    def test_hand_built_verdicts(self):
+        # the cases above reach what they name: each verdict of the closed form and the fall-through
+        assert bc.make_iso(hirzebruch(2), hirzebruch(-2), ((1, 0), (0, -1)))
+        with pytest.raises(bc.RelationViolated):
+            bc.make_iso(hirzebruch(1), hirzebruch(1), ((0, 1), (1, 0)))
+        assert bc.make_iso(bc.make_bott_matrix(3, [[], [2], [0, 1]]),
+                           bc.make_bott_matrix(3, [[], [0], [1, 1]]), ((1, 0, 0), (1, 1, 0), (0, 0, 1)))
+        with pytest.raises(bc.NotUnimodular, match=r"det is not \+-1 for \(\(1, 0\), \(1, 0\)\)"):
+            bc.make_iso(ZERO2, ZERO2, ((1, 0), (1, 0)))
+        assert bc.make_iso(NO_UNIT_A, NO_UNIT_B, NO_UNIT_C)
+
+    def test_switch_maps_take_no_product_and_no_elimination(self, monkeypatch):
+        calls = count_calls(monkeypatch, "product_is_zero")
+        dets = count_calls(monkeypatch, "int_det")
+        rng = random.Random(67)
+        checked = 0
+        for _ in range(40):
+            A = sparse_matrix(rng, rng.randint(2, 9), 2)
+            got = switch_map(rng, A)
+            if got:
+                bc.make_iso(A, *got)
+                checked += 1
+        assert checked > 20 and calls[0] == dets[0] == 0
+
+    def test_twist_maps_take_a_product_per_row_touching_j(self, monkeypatch):
+        calls = count_calls(monkeypatch, "product_is_zero")
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(40):
+            A = sparse_matrix(rng, rng.randint(2, 7), 2, p_zero=0.4)
+            got = twist_map(rng, A)
+            if got:
+                j, B, C = got
+                calls[0] = 0
+                bc.make_iso(A, B, C)
+                assert calls[0] == 1 + sum(1 for i in range(j + 1, A.n + 1) if A.a(i, j))
+                checked += 1
+        assert checked > 10
+
+    def test_maps_without_unit_rows_take_a_product_per_row(self, monkeypatch):
+        calls = count_calls(monkeypatch, "product_is_zero")
+        bc.make_iso(NO_UNIT_A, NO_UNIT_B, NO_UNIT_C)
+        assert calls[0] == 4
 
 
 class TestApply:

@@ -440,6 +440,27 @@ class TestVerifyCertificate:
         assert not bc.verify_certificate(bad).ok
 
     @staticmethod
+    def both_verdicts(cert):
+        """(ok, diagnostic) of check_claims and of verify_certificate, which validates the maps first."""
+        return [(r.ok, r.diagnostic) for r in (stabilize.check_claims(cert), bc.verify_certificate(cert))]
+
+    def test_phi_is_not_a_map_from_A_to_B(self):
+        # valid isomorphisms between the wrong matrices: the source B, then the target A
+        cert = bc.stabilize_full(even_case_fixture())
+        assert cert.A != cert.B
+        for phi in (bc.identity_iso(cert.B), bc.identity_iso(cert.A)):
+            bad = bc.StabilizationCertificate(cert.A, cert.B, phi, cert.f_seq, cert.g_seq, cert.phi_prime, cert.k_final)
+            assert self.both_verdicts(bad) == [(False, "phi is not a map from A to B")] * 2
+
+    def test_phi_prime_does_not_connect_the_moved_matrices(self):
+        # valid isomorphisms from the wrong source (B), then onto the wrong target (phi itself, onto B)
+        cert = bc.stabilize_full(even_case_fixture())
+        assert cert.f_seq.start == cert.g_seq.end == cert.A != cert.B
+        for phi_prime in (bc.identity_iso(cert.B), cert.phi):
+            bad = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)
+            assert self.both_verdicts(bad) == [(False, "phi_prime does not connect the moved matrices")] * 2
+
+    @staticmethod
     def moved_target(cert, moves, end):
         """cert with g's moves and end replaced and phi' retargeted at end; the claims still hold."""
         g = bc.MoveSeq(cert.g_seq.start, moves, end)

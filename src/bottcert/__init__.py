@@ -35,7 +35,7 @@ from .iso import (
     max_stable,
     search_isos,
 )
-from .moves import Move, MoveSeq, ReplayResult, build_move, invert_move, invert_seq, rebuild, switch, twist
+from .moves import Move, MoveSeq, build_move, invert_move, invert_seq, rebuild, switch, twist
 from .ring import (
     BottMatrix,
     Class2,
@@ -48,6 +48,7 @@ from .ring import (
 )
 from .stabilize import (
     KeyStepTrace,
+    ReplayResult,
     StabilizationCertificate,
     XkDecomposition,
     check_claims,

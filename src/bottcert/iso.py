@@ -10,8 +10,8 @@ induced maps and ``stabilize_full``'s working map build it directly,
 because their results are isomorphisms by algebra (or, for the search, by
 the checks made while enumerating).
 
-All operations are pure and exact in integers; ``int_inverse`` (Euclidean
-row reduction over Z) and ``int_det`` serve dense maps, and no two maps are
+All operations are pure and exact in integers; ``int_inverse`` and
+``int_det`` serve dense maps by one Bareiss elimination, and no two maps are
 multiplied (``moves`` folds moves onto a map).  ``search_isos`` follows the
 structure theory: phi(2x_i - alpha_i) = eps_i (2y_m - beta_m) for some m
 of matching level (read from the towers' ``levels``), with e_i = 2 eps_i an
@@ -46,14 +46,14 @@ from .errors import (
 from .ring import BottMatrix, Class2, product_is_zero, product_terms, two_x_minus_alpha
 
 
-def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) elimination of the square left block of m, in place; its determinant.
 
+    Every column of m is updated, so an augmented block rides along exactly.
     A row with a zero in the pivot column is skipped when the pivot equals
     the previous one: its update would leave it unchanged.
     """
-    n = len(matrix)
-    m = [list(row) for row in matrix]
+    n, width = len(m), len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -69,57 +69,41 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
         for i in range(k + 1, n):
             if m[i][k] == 0 and pivot == prev:
                 continue
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
 
 
-def _reduce(work: list[list[int]], col: int, rows: Iterable[int]) -> None:
-    """Reduce column ``col`` of ``rows`` (other than ``col``) mod its pivot by row ``col``."""
-    prow = work[col]
-    nonzero = [(c, e) for c, e in enumerate(prow) if e]
-    for r in rows:
-        q = work[r][col] // prow[col]
-        if q and r != col:
-            row = work[r]
-            for c, e in nonzero:
-                row[c] -= q * e
+def int_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant, by ``_bareiss`` on a copy."""
+    return _bareiss([list(row) for row in matrix])
 
 
 def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a unimodular integer matrix, by row reduction over Z.
+    """Exact inverse of a unimodular integer matrix.
 
-    The matrix is reduced next to an identity block.  Each column is cleared
-    below the diagonal by Euclid's algorithm on its entries, so every step is
-    an integer row operation.  A column with no nonzero entry left means the
-    matrix is singular; a pivot other than +-1 means |det| > 1, so the
-    inverse is not integral.  An integral inverse proves det = +-1, so no
-    separate determinant is taken.
+    ``_bareiss`` reduces [C | I] to [U | R] with U upper triangular and
+    det C = +-U_nn; the inverse U^-1 R follows by back-substitution.  When
+    det C = +-1 the inverse is integral, so every quotient there is exact.
     """
     n = len(matrix)
-    work = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(matrix)]
-    integral = True
-    for col in range(n):
-        while True:
-            rows = [r for r in range(col, n) if work[r][col]]
-            if not rows:
-                raise NotUnimodular("matrix is not invertible over the integers")
-            p = min(rows, key=lambda r: abs(work[r][col]))
-            work[col], work[p] = work[p], work[col]
-            pivot = work[col][col]
-            if len(rows) == 1 or pivot in (1, -1):
-                break
-            _reduce(work, col, range(col + 1, n))
-        if pivot in (1, -1):
-            work[col] = [pivot * e for e in work[col]]
-        else:
-            integral = False  # reduce on: a singular matrix is reported as such
-        _reduce(work, col, range(n) if integral else range(col + 1, n))
-    if not integral:
+    m = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(matrix)]
+    det = _bareiss(m)
+    if det == 0:
+        raise NotUnimodular("matrix is not invertible over the integers")
+    if det not in (1, -1):
         raise NotUnimodular("inverse is not integral")
-    return tuple(tuple(row[n:]) for row in work)
+    inv = [None] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        acc = row[n:]
+        for j in range(i + 1, n):
+            if u := row[j]:
+                acc = [a - u * x for a, x in zip(acc, inv[j])]
+        inv[i] = [a // row[i] for a in acc]
+    return tuple(map(tuple, inv))
 
 
 class GradedIso:

@@ -182,18 +182,3 @@ def invert_seq(start: BottMatrix, moves) -> MoveSeq:
         raise ContextMismatch(f"moves start at {seq.end!r}, expected {start!r}")
     return seq
 
-
-class ReplayResult:
-    __slots__ = ("ok", "diagnostic")
-
-    def __init__(self, ok: bool, diagnostic: str | None = None):
-        self.ok, self.diagnostic = ok, diagnostic
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ReplayResult) and (self.ok, self.diagnostic) == (other.ok, other.diagnostic)
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.diagnostic))

@@ -24,9 +24,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BottError, ShapeError
 from .iso import GradedIso, make_iso
-from .moves import Move, MoveSeq, ReplayResult, rebuild
+from .moves import Move, MoveSeq, rebuild
 from .ring import BottMatrix
-from .stabilize import StabilizationCertificate, check_claims
+from .stabilize import ReplayResult, StabilizationCertificate, check_claims
 
 CERT_SCHEMA = "bott-stabilization-cert/1"
 _JSON_INT_LIMIT = 2**53

@@ -11,12 +11,15 @@ x_{k+1} has height l > k+1, the target matrix admits moves (depending on
 the parity of p = b_{l,l-1}) after which the image lands in F_{l-1}.  The
 identities this relies on are mathematically forced for valid isomorphisms,
 so each one is recomputed at runtime and any failure raises a tripwire
-error rather than producing a wrong certificate.
+error rather than producing a wrong certificate.  A move's own
+precondition is checked once, by ``switch`` or ``twist`` as the step
+builds it; a move that fails to build there is a tripwire too.
 """
 
 from __future__ import annotations
 
 from .errors import (
+    BottError,
     ContractViolation,
     DecompositionInconsistent,
     OddAtBoundary,
@@ -24,7 +27,7 @@ from .errors import (
     RangeError,
 )
 from .iso import GradedIso, invert, make_iso, max_stable
-from .moves import Move, MoveSeq, ReplayResult, _before, _then, invert_seq, rebuild, switch, twist
+from .moves import Move, MoveSeq, _before, _then, invert_seq, rebuild, switch, twist
 from .ring import BottMatrix, Class2, product_is_zero
 from .structure import decompose_tower, same_block
 
@@ -85,18 +88,24 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
     p = B.a(ell, ell - 1)
     moves: list[Move] = []
     C = [list(row) for row in phi.C]  # phi, then the moves so far as column operations
+    cur = B
 
-    def play(mv: Move) -> BottMatrix:
+    def play(build, *args) -> None:
+        """Build a move from the current matrix and fold it onto C; a failed build is a bug."""
+        nonlocal cur
+        try:
+            mv = build(cur, *args)
+        except BottError as exc:
+            raise ContractViolation(f"key step at l={ell} could not build a move: {exc}") from exc
         moves.append(mv)
         _then(C, mv)
-        return mv.after
+        cur = mv.after
 
-    cur = B
     u: Class2 | None = None
     if p == 0:
         case = "zero"
         # the image has no y_{l-1} term, so exchanging l-1 and l drops the height
-        cur = play(switch(cur, ell - 1))
+        play(switch, ell - 1)
     else:
         head = B.alpha(ell).truncated_head(k)  # beta_l minus its truncation
         bar_ell = B.alpha(ell).truncated_tail(k)
@@ -113,34 +122,24 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
             raise ContractViolation("trunc(beta_l) is not p*(y_{l-1} - trunc(beta_{l-1})/2)")
         if p % 2 == 0:
             case = "even"
-            v = Class2.basis(B, ell - 1).scale(p // 2)
-            if not product_is_zero(B, v.coeffs, (B.alpha(ell) - v).coeffs):
-                raise ContractViolation("v(beta_l - v) != 0 with v = (p/2) y_{l-1}")
-            cur = play(twist(cur, ell, v))
-            if cur.a(ell, ell - 1) != 0:
-                raise ContractViolation("twist did not clear the entry (l, l-1)")
-            cur = play(switch(cur, ell - 1))
+            # twist checks v(beta_l - v) = 0, and the switch that b_{l,l-1} is cleared
+            play(twist, ell, Class2.basis(B, ell - 1).scale(p // 2))
+            play(switch, ell - 1)
         else:
             case = "odd"
             if ell <= k + 2:
                 raise OddAtBoundary(f"p={p} odd requires height > {k + 2}, got {ell}")
             if any(t % 2 for t in bar_prev.coeffs):
                 raise ContractViolation("trunc(beta_{l-1}) is not divisible by 2")
-            v = Class2(B, [t // 2 for t in bar_prev.coeffs])
-            if not product_is_zero(B, v.coeffs, (B.alpha(ell - 1) - v).coeffs):
-                raise ContractViolation("v(beta_{l-1} - v) != 0 with v = trunc(beta_{l-1})/2")
-            cur = play(twist(cur, ell - 1, v))
-            if cur.a(ell, ell - 2) != 0:
-                raise ContractViolation("entry (l, l-2) must vanish after the odd twist")
+            # twist checks v(beta_{l-1} - v) = 0; l > k+2, so the loop reaches column l-2
+            play(twist, ell - 1, Class2(B, [t // 2 for t in bar_prev.coeffs]))
             for col in range(k + 1, ell - 1):
                 if cur.a(ell, col) != 0:
                     raise ContractViolation(f"entry (l, {col}) must vanish after the odd twist")
                 if cur.a(ell - 1, col) != 0:
                     raise ContractViolation(f"entry (l-1, {col}) must vanish after the odd twist")
-            cur = play(switch(cur, ell - 2))
-            if cur.a(ell, ell - 1) != 0:
-                raise ContractViolation("entry (l, l-1) must vanish before the final switch")
-            cur = play(switch(cur, ell - 1))
+            play(switch, ell - 2)
+            play(switch, ell - 1)
     keep_below = ell - 1 if case in ("zero", "even") else ell - 2
     for i in range(1, keep_below):
         if cur.rows[i - 1] != B.rows[i - 1]:
@@ -170,6 +169,18 @@ class RaiseTrace:
         self.k, self.phase1, self.odd = k, phase1, odd
 
 
+def _descend(phi: GradedIso, k: int, floor: int):
+    """Key steps while the tracked height is above ``floor``; returns (phi', steps, dec).
+
+    dec is the decomposition of phi' at k, None when its height is k+1.
+    """
+    steps: list[KeyStepTrace] = []
+    while (dec := decompose_xk(phi, k)) is not None and dec.ell > floor:
+        phi, tr = _key_step(phi, k, dec)
+        steps.append(tr)
+    return phi, steps, dec
+
+
 def _odd_branch(phi: GradedIso, k: int, p: int):
     """Reduce on the source side via the inverse, keeping row k+1 fixed.
 
@@ -183,18 +194,10 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
     """
     if not same_block(decompose_tower(phi.target), k + 1, k + 2):
         raise ProofPathViolation("k+1 and k+2 must share a block on the target side")
-    psi = invert(phi)  # maps the target ring back to the source ring; k-stable
-    src_moves: list[Move] = []
-    steps: list[KeyStepTrace] = []
-    while True:
-        dec = decompose_xk(psi, k)
-        if dec is None:
-            raise ProofPathViolation("inverse image of y_{k+1} fell below height k+2")
-        if dec.ell <= k + 3:
-            break
-        psi, tr = _key_step(psi, k, dec)
-        steps.append(tr)
-        src_moves.extend(tr.moves)
+    # the inverse maps the target ring back to the source ring and is k-stable
+    psi, steps, dec = _descend(invert(phi), k, k + 3)
+    if dec is None:
+        raise ProofPathViolation("inverse image of y_{k+1} fell below height k+2")
     final_entry = None
     final_tr = None
     if dec.ell == k + 3:
@@ -205,43 +208,32 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
         if final_entry % 2 != 0:
             raise ProofPathViolation("entry (k+3, k+2) must be even on the source side")
         psi, final_tr = _key_step(psi, k, dec)
-        src_moves.extend(final_tr.moves)
     if psi.row(k + 1).height() > k + 2:
         raise ProofPathViolation("inverse image of y_{k+1} must land in F_{k+2}")
     # row k+2 of the inverse follows: 2 psi(y_{k+2}) is eps'(2x_{k+1} - alpha_{k+1})
     # plus p psi(y_{k+1}) plus an F_k class, all of height <= k+2
     if psi.row(k + 2).height() > k + 2:
         raise ProofPathViolation("inverse image of y_{k+2} must land in F_{k+2}")
-    phi_new = invert(psi)
-    return phi_new, src_moves, OddBranchTrace(p, tuple(steps), final_entry, final_tr)
+    return invert(psi), OddBranchTrace(p, tuple(steps), final_entry, final_tr)
 
 
 def _raise_fwd(phi: GradedIso, k: int):
-    """Raise stability by at least one; returns forward move lists and trace.
+    """Raise stability by at least one; returns (phi', trace), whose steps hold the moves.
 
     The first ``decompose_xk`` checks that k is in range and phi is k-stable.
     """
-    phase1: list[KeyStepTrace] = []
-    tgt_moves: list[Move] = []
-    src_moves: list[Move] = []
     odd: OddBranchTrace | None = None
-    cur = phi
-    while (dec := decompose_xk(cur, k)) is not None and dec.ell > k + 2:
-        cur, tr = _key_step(cur, k, dec)
-        phase1.append(tr)
-        tgt_moves.extend(tr.moves)
+    phi, phase1, dec = _descend(phi, k, k + 2)
     if dec is not None:  # height is exactly k+2
-        p = cur.target.a(k + 2, k + 1)
+        p = phi.target.a(k + 2, k + 1)
         if p % 2 == 0:
-            cur, tr = _key_step(cur, k, dec)
+            phi, tr = _key_step(phi, k, dec)
             phase1.append(tr)
-            tgt_moves.extend(tr.moves)
         else:
-            cur, new_src, odd = _odd_branch(cur, k, p)
-            src_moves.extend(new_src)
-    if not (cur.is_k_stable(k + 1) or cur.is_k_stable(k + 2)):
+            phi, odd = _odd_branch(phi, k, p)
+    if not (phi.is_k_stable(k + 1) or phi.is_k_stable(k + 2)):
         raise ProofPathViolation("result is neither (k+1)- nor (k+2)-stable")
-    return src_moves, tgt_moves, cur, RaiseTrace(k, tuple(phase1), odd)
+    return phi, RaiseTrace(k, tuple(phase1), odd)
 
 
 class StabilizeTrace:
@@ -287,19 +279,24 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
         for j, c in enumerate(row, start=1):
             C[pa[i] - 1][pb[j] - 1] = c
     cur = GradedIso(tower_a.base, tower_b.base, tuple(map(tuple, C)))
-    src_fwd: list[Move] = list(tower_a.moves_applied)
-    tgt_fwd: list[Move] = list(tower_b.moves_applied)
     raises: list[RaiseTrace] = []
     k = max_stable(cur)
     while k < n - 2:
-        new_src, new_tgt, cur, rt = _raise_fwd(cur, k)
-        src_fwd.extend(new_src)
-        tgt_fwd.extend(new_tgt)
+        cur, rt = _raise_fwd(cur, k)
         raises.append(rt)
         k_next = max_stable(cur)
         if k_next <= k:
             raise ProofPathViolation("max_stable did not increase across a round")
         k = k_next
+    # the forward moves of f and g: the towers', then each round's steps on that side
+    src_fwd = list(tower_a.moves_applied)
+    tgt_fwd = list(tower_b.moves_applied)
+    for rt in raises:
+        tgt_fwd += (mv for tr in rt.phase1 for mv in tr.moves)
+        if rt.odd is not None:
+            src_fwd += (mv for tr in rt.odd.source_steps for mv in tr.moves)
+            if rt.odd.final_step is not None:
+                src_fwd += rt.odd.final_step.moves
     cert = StabilizationCertificate(
         A=A, B=B, phi=phi, f_seq=invert_seq(A, src_fwd), g_seq=MoveSeq.build(B, tgt_fwd),
         phi_prime=cur, k_final=k
@@ -309,6 +306,22 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     if with_trace:
         return cert, StabilizeTrace(tuple(raises))
     return cert
+
+
+class ReplayResult:
+    __slots__ = ("ok", "diagnostic")
+
+    def __init__(self, ok: bool, diagnostic: str | None = None):
+        self.ok, self.diagnostic = ok, diagnostic
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ReplayResult) and (self.ok, self.diagnostic) == (other.ok, other.diagnostic)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.diagnostic))
 
 
 def check_claims(cert: StabilizationCertificate) -> ReplayResult:

@@ -14,6 +14,7 @@ import bottcert.cli
 from bottcert import structure
 from bottcert.cli import main
 from bottcert.serialize import dumps_canonical, matrix_to_obj
+from test_stabilize import even_case_fixture, odd_step_fixture
 
 
 @pytest.fixture
@@ -324,6 +325,25 @@ def test_failed_extraction_is_a_tripwire(files, capsys, monkeypatch):
     code, out = run(capsys, "iso-check", a, a, c)
     assert code == 3
     assert json.loads(out) == {"error": "generator 1: forced", "tripwire": True}
+
+
+@pytest.mark.parametrize("fixture", [even_case_fixture, odd_step_fixture])
+@pytest.mark.parametrize("name, error", [("twist", bc.TwistInvalid), ("switch", bc.SwitchBlocked)])
+def test_failed_key_step_move_is_a_tripwire(files, capsys, monkeypatch, fixture, name, error):
+    # a key step's move always builds; if one does not, that is a bug
+    def fail(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(f"bottcert.stabilize.{name}", fail)
+    phi = fixture()
+    a = files("a.json", matrix_to_obj(phi.source))
+    b = files("b.json", matrix_to_obj(phi.target))
+    c = files("c.json", {"C": [list(row) for row in phi.C]})
+    code, out = run(capsys, "stabilize", a, b, c)
+    assert code == 3
+    data = json.loads(out)
+    assert data["tripwire"] is True
+    assert data["error"].endswith("could not build a move: planted")
 
 
 def test_failed_self_check_is_a_tripwire(files, capsys, monkeypatch):

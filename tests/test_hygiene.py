@@ -11,6 +11,9 @@
   stabilization folds its moves onto its working map as columns, so only
   the claim check applies the source-side moves f, and no library function
   multiplies two maps.
+* No function of ``stabilize`` calls ``switch`` or ``twist`` itself: a key
+  step hands each move to its ``play``, which reports a move that fails to
+  build as a tripwire, so no check there restates a move's precondition.
 * ``serialize.dumps_canonical`` is the one writer of output text: no
   library call passes ``indent=`` to ``json``, and ``json.dumps`` runs only
   inside the writer, for the scalars it does not write itself.
@@ -138,6 +141,20 @@ def test_detects_row_fold_callers():
         "def play(C, mv):\n    _then(C, mv)\n"
     )
     assert callers(source, "_before") == {"check_claims", "key_step"}
+
+
+def test_key_step_moves_are_built_only_through_play():
+    source = (SRC / "stabilize.py").read_text(encoding="utf-8")
+    assert callers(source, "switch") | callers(source, "twist") == set()
+
+
+def test_detects_direct_move_builds():
+    source = (
+        "def key_step(B, j):\n    def play(build, *args):\n        return build(B, *args)\n"
+        "    play(switch, j)\n    return moves.twist(B, j, v)\n"
+        "def normalize(B):\n    return switch(B, 1)\n"
+    )
+    assert callers(source, "switch") | callers(source, "twist") == {"key_step", "normalize"}
 
 
 def indent_calls(source: str) -> list[int]:

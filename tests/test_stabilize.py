@@ -56,6 +56,14 @@ def odd_long_fixture():
     return compose_dense(phi0, back)
 
 
+def odd_step_fixture():
+    # a zero step at height 4, then an odd step at height 3 over b_32 = 1:
+    # the twist at 2 is the run's only twist, and the switch at 1 follows it
+    A = bc.make_bott_matrix(4, [[], [0], [1, 0], [0, 0, 0]])
+    B = bc.make_bott_matrix(4, [[], [0], [0, 0], [0, 1, 0]])
+    return bc.make_iso(A, B, [[0, -1, 0, 2], [0, 0, -1, 0], [0, -1, 0, 1], [1, 0, 0, 0]])
+
+
 def key_step(phi, k):
     """(seq, phi', trace) for one ``_key_step``; seq holds its moves from phi's target."""
     phi_new, trace = _key_step(phi, k, bc.decompose_xk(phi, k))
@@ -66,8 +74,11 @@ def key_step(phi, k):
 
 
 def raise_stability(phi, k):
-    """(f, g, phi') with phi' = g o phi o f, from one ``_raise_fwd`` round."""
-    src_moves, tgt_moves, phi2, _ = _raise_fwd(phi, k)
+    """(f, g, phi') with phi' = g o phi o f, from one ``_raise_fwd`` round; its steps hold the moves."""
+    phi2, rt = _raise_fwd(phi, k)
+    src_steps = (*rt.odd.source_steps, rt.odd.final_step) if rt.odd else ()
+    src_moves = [mv for tr in src_steps if tr is not None for mv in tr.moves]
+    tgt_moves = [mv for tr in rt.phase1 for mv in tr.moves]
     return bc.invert_seq(phi.source, src_moves), bc.MoveSeq.build(phi.target, tgt_moves), phi2
 
 
@@ -332,6 +343,70 @@ class TestKeepBelow:
         assert fired > 0
 
 
+def changed(mv, i, j):
+    """mv with the entry (i, j) of its result raised by one."""
+    rows = [list(row) for row in mv.after.rows]
+    rows[i - 1][j - 1] += 1
+    return bc.Move(mv.kind, mv.j, mv.v, mv.before, bc.BottMatrix(mv.before.n, [tuple(r) for r in rows]))
+
+
+class TestMoveTripwires:
+    """A move that fails to build in a key step is a tripwire chained from the move's error.
+
+    ``_key_step`` does not restate a move's precondition: ``switch`` and
+    ``twist`` check it as ``play`` builds the move.  Each test plants the bug
+    that one of the restating checks guarded and sees a tripwire fire.
+    """
+
+    @pytest.mark.parametrize("fixture", [even_case_fixture, odd_step_fixture])
+    @pytest.mark.parametrize("name, error", [("twist", bc.TwistInvalid), ("switch", bc.SwitchBlocked)])
+    def test_failed_move_is_a_contract_violation(self, fixture, name, error, monkeypatch):
+        # the first twist of each fixture is its even or odd step's: v(beta - v) != 0 lands here
+        planted = error("planted")
+
+        def fail(*args):
+            raise planted
+
+        monkeypatch.setattr(f"bottcert.stabilize.{name}", fail)
+        with pytest.raises(bc.ContractViolation, match=r"^key step at l=\d could not build a move: planted$") as info:
+            bc.stabilize_full(fixture())
+        assert info.value.__cause__ is planted
+
+    def test_even_twist_that_keeps_the_entry(self, monkeypatch):
+        # a twist that leaves b_{l,l-1} = p: the switch at l-1 refuses it
+        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: bc.Move("twist", j, v, B, B))
+        with pytest.raises(bc.ContractViolation, match="^key step at l=3 could not build a move: ") as info:
+            bc.stabilize_full(even_case_fixture())
+        assert isinstance(info.value.__cause__, bc.SwitchBlocked)
+
+    def test_odd_twist_that_leaves_the_entry_l_l_minus_2(self, monkeypatch):
+        # the odd twist is at j = l-1; the column loop reads the entry (l, l-2) first
+        twist = bc.twist
+        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: changed(twist(B, j, v), j + 1, j - 1))
+        with pytest.raises(bc.ContractViolation, match=r"^entry \(l, 1\) must vanish after the odd twist$"):
+            bc.stabilize_full(odd_step_fixture())
+
+    def test_odd_switch_that_leaves_the_entry_l_l_minus_1(self, monkeypatch):
+        # the switch at l-2 right after the odd twist at l-1 leaves b_{l,l-1}: the final switch refuses it
+        twist, switch = bc.twist, bc.switch
+        last = []
+
+        def recorded(B, j, v):
+            last.append(j)
+            return twist(B, j, v)
+
+        def bent(B, j):
+            mv = switch(B, j)
+            return changed(mv, j + 2, j + 1) if last and j == last.pop() - 1 else mv
+
+        monkeypatch.setattr("bottcert.stabilize.twist", recorded)
+        monkeypatch.setattr("bottcert.stabilize.switch", bent)
+        with pytest.raises(bc.ContractViolation, match="^key step at l=3 could not build a move: ") as info:
+            bc.stabilize_full(odd_step_fixture())
+        assert isinstance(info.value.__cause__, bc.SwitchBlocked)
+        assert last == []
+
+
 class TestGuardCounts:
     def test_invert_runs_twice_per_odd_branch(self, monkeypatch):
         calls = {"invert": 0, "int_inverse": 0}
@@ -379,10 +454,10 @@ class TestGuardCounts:
     def test_check_claims_is_the_last_tripwire(self, fixture, monkeypatch):
         def bent(phi, k):
             # the real round, handing back a working map with its last entry changed
-            src, tgt, cur, rt = _raise_fwd(phi, k)
+            cur, rt = _raise_fwd(phi, k)
             C = [list(row) for row in cur.C]
             C[-1][-1] += 1
-            return src, tgt, bc.GradedIso(cur.source, cur.target, tuple(map(tuple, C))), rt
+            return bc.GradedIso(cur.source, cur.target, tuple(map(tuple, C))), rt
 
         monkeypatch.setattr("bottcert.stabilize._raise_fwd", bent)
         with pytest.raises(bc.ContractViolation, match="^phi_prime is not g o phi o f$"):

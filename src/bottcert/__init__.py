@@ -15,7 +15,6 @@ from .errors import (
     DecompositionInconsistent,
     ExtractionFailure,
     NotUnimodular,
-    OddAtBoundary,
     ProofPathViolation,
     RangeError,
     RelationViolated,

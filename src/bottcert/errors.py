@@ -73,12 +73,8 @@ class ProofPathViolation(TripwireError):
     """A parity, block or height fact failed mid-run."""
 
 
-class OddAtBoundary(TripwireError):
-    """A key step met an odd b_{l,l-1} at l <= k+2; stabilization takes the odd branch there."""
-
-
 class WellOrderFailure(TripwireError):
-    """A switch that well-ordering needs is blocked (a bug, never the data).
+    """A switch that well-ordering needs fails to build (a bug, never the data).
 
     Each such switch at j moves a square-zero row j+1 over a row j that is
     not.  Were a = a_{j+1,j} nonzero, writing alpha_{j+1} = a x_j + gamma

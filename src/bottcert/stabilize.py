@@ -9,11 +9,11 @@ is rebuilt from its parameters and every claim is recomputed.
 The engine is a height-reduction step: for a k-stable phi whose image of
 x_{k+1} has height l > k+1, the target matrix admits moves (depending on
 the parity of p = b_{l,l-1}) after which the image lands in F_{l-1}.  The
-identities this relies on are mathematically forced for valid isomorphisms,
-so each one is recomputed at runtime and any failure raises a tripwire
-error rather than producing a wrong certificate.  A move's own
-precondition is checked once, by ``switch`` or ``twist`` as the step
-builds it; a move that fails to build there is a tripwire too.
+identities this relies on are mathematically forced for valid isomorphisms;
+each one that no earlier check implies is recomputed at runtime, and a
+failure raises a tripwire error rather than producing a wrong certificate.
+A move's own precondition is checked once, by ``switch`` or ``twist`` as
+the step builds it; a move that fails to build there is a tripwire too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     BottError,
     ContractViolation,
     DecompositionInconsistent,
-    OddAtBoundary,
     ProofPathViolation,
     RangeError,
 )
@@ -114,12 +113,11 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
         if head.scale(e) != phi_alpha - w.scale(2):
             raise ContractViolation("F_k part of beta_l does not match phi(alpha_{k+1})")
         u = head.scale(2)
+        # for k < j < l-1, the coefficient of y_j y_{l-1} in this product is
+        # p(2 trunc(beta_l)_j + p b_{l-1,j}): with p != 0 it forces the identity
+        # 2 trunc(beta_l) = p (2 y_{l-1} - trunc(beta_{l-1}))
         if not product_is_zero(B, bar_ell.coeffs, (bar_ell + u).coeffs):
             raise ContractViolation("trunc(beta_l) * (trunc(beta_l) + u) != 0")
-        bar_prev = B.alpha(ell - 1).truncated_tail(k)
-        # forced identity: 2 trunc(beta_l) = p (2 y_{l-1} - trunc(beta_{l-1}))
-        if bar_ell.scale(2) != (Class2.basis(B, ell - 1).scale(2) - bar_prev).scale(p):
-            raise ContractViolation("trunc(beta_l) is not p*(y_{l-1} - trunc(beta_{l-1})/2)")
         if p % 2 == 0:
             case = "even"
             # twist checks v(beta_l - v) = 0, and the switch that b_{l,l-1} is cleared
@@ -127,11 +125,11 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
             play(switch, ell - 1)
         else:
             case = "odd"
-            if ell <= k + 2:
-                raise OddAtBoundary(f"p={p} odd requires height > {k + 2}, got {ell}")
-            if any(t % 2 for t in bar_prev.coeffs):
-                raise ContractViolation("trunc(beta_{l-1}) is not divisible by 2")
-            # twist checks v(beta_{l-1} - v) = 0; l > k+2, so the loop reaches column l-2
+            # p trunc(beta_{l-1}) is even by that identity, so with p odd it halves
+            # exactly; twist checks v(beta_{l-1} - v) = 0.  No caller steps at l = k+2
+            # with p odd (_descend steps at l > k+2, _raise_fwd at k+2 for even p only),
+            # so the loop reaches column l-2
+            bar_prev = B.alpha(ell - 1).truncated_tail(k)
             play(twist, ell - 1, Class2(B, [t // 2 for t in bar_prev.coeffs]))
             for col in range(k + 1, ell - 1):
                 if cur.a(ell, col) != 0:
@@ -189,8 +187,12 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
     k+1 and k+2 share a block on the target side, the inverse images can be
     pushed into F_{k+3} and F_{k+1} without touching row k+1 of the source
     matrix, and a leftover height of k+3 comes with an even entry
-    (k+3, k+2).  Each fact is recomputed; row k+1 by ``_key_step``, as each
-    step here has l >= k+4 or is an even step at l = k+3.
+    (k+3, k+2).  The block and parity facts are recomputed.  The inverse
+    image of y_{k+1} then lies in F_{k+2} with no check of its own:
+    ``_descend`` stops at height k+2 or k+3, and at k+3 the final
+    ``_key_step`` checks that the height fell.  Row k+1 of the source matrix
+    is kept by ``_key_step``, as each step here has l >= k+4 or is an even
+    step at l = k+3.
     """
     if not same_block(decompose_tower(phi.target), k + 1, k + 2):
         raise ProofPathViolation("k+1 and k+2 must share a block on the target side")
@@ -208,8 +210,6 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
         if final_entry % 2 != 0:
             raise ProofPathViolation("entry (k+3, k+2) must be even on the source side")
         psi, final_tr = _key_step(psi, k, dec)
-    if psi.row(k + 1).height() > k + 2:
-        raise ProofPathViolation("inverse image of y_{k+1} must land in F_{k+2}")
     # row k+2 of the inverse follows: 2 psi(y_{k+2}) is eps'(2x_{k+1} - alpha_{k+1})
     # plus p psi(y_{k+1}) plus an F_k class, all of height <= k+2
     if psi.row(k + 2).height() > k + 2:
@@ -264,10 +264,12 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
 
     Both matrices are first brought to stagewise order by switches (those
     moves are part of the certificate); switch maps carry no signs, so the
-    normalized map is phi relabelled by the towers' ``perm``.  Two checks
-    bound the run: each key step lowers the height of the tracked image
-    (``_key_step``), so each loop of a round ends within n steps, and each
-    round raises max_stable.  ``check_claims`` is the last tripwire.
+    normalized map is phi relabelled by the towers' ``perm``.  Each key
+    step lowers the height of the tracked image (``_key_step`` checks it),
+    so each loop of a round ends within n steps.  ``_raise_fwd`` checks that
+    a round leaves the map (k+1)- or (k+2)-stable, and k+2 <= n-1 while the
+    loop runs, so each round raises max_stable and there are at most n-2
+    rounds.  ``check_claims`` is the last tripwire.
     """
     A, B = phi.source, phi.target
     n = A.n
@@ -284,10 +286,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     while k < n - 2:
         cur, rt = _raise_fwd(cur, k)
         raises.append(rt)
-        k_next = max_stable(cur)
-        if k_next <= k:
-            raise ProofPathViolation("max_stable did not increase across a round")
-        k = k_next
+        k = max_stable(cur)
     # the forward moves of f and g: the towers', then each round's steps on that side
     src_fwd = list(tower_a.moves_applied)
     tgt_fwd = list(tower_b.moves_applied)

@@ -15,7 +15,7 @@ representatives partition the stage indices into blocks.
 
 from __future__ import annotations
 
-from .errors import ContractViolation, RangeError, WellOrderFailure
+from .errors import BottError, RangeError, WellOrderFailure
 from .moves import Move, switch
 from .ring import (
     BottMatrix,
@@ -57,7 +57,8 @@ def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], i
     row at fiber position r with d square-zero rows before it moves to d by
     switches at absolute positions k+r, k+r-1, ..., k+d+1; each passes over
     a row that is not square-zero, so the subdiagonal entry between them
-    vanishes and a blocked switch is a tripwire (see WellOrderFailure).
+    vanishes (see WellOrderFailure).  ``switch`` checks that entry, and a
+    switch that fails here is a WellOrderFailure chained from its error.
     Fiber row 1 has alpha = 0, so the returned count d is at least 1.
     """
     fiber = sub_bar(M, k)
@@ -67,9 +68,10 @@ def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], i
         if not product_is_zero(fiber, row, row):  # alpha_{r+1} is the row padded with zeros
             continue
         for j in range(k + r, k + d, -1):
-            if M.a(j + 1, j) != 0:
-                raise WellOrderFailure(f"switch at {j} needed but entry ({j + 1},{j}) is nonzero")
-            mv = switch(M, j)
+            try:
+                mv = switch(M, j)
+            except BottError as exc:
+                raise WellOrderFailure(f"well-ordering switch at {j} failed: {exc}") from exc
             moves.append(mv)
             M = mv.after
         d += 1
@@ -137,11 +139,11 @@ class BlockStructure:
     ``primitives`` holds the representatives themselves; ``classes`` is the
     partition, each class sorted, classes ordered by smallest member.
     """
-    __slots__ = ("level", "reps", "primitives", "classes")
+    __slots__ = ("reps", "primitives", "classes")
 
-    def __init__(self, level: int, reps: dict[int, tuple[int, ...]], primitives: dict[int, Class2],
+    def __init__(self, reps: dict[int, tuple[int, ...]], primitives: dict[int, Class2],
                  classes: tuple[tuple[int, ...], ...]):
-        self.level, self.reps, self.primitives, self.classes = level, reps, primitives, classes
+        self.reps, self.primitives, self.classes = reps, primitives, classes
 
 
 def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
@@ -150,7 +152,10 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
     With k the previous stage dimension, z_r is the primitive part of
     2x - alpha of fiber row r - k, the image of 2x_r - alpha_r under
     dropping all terms of index <= k (it has an entry 2, so its gcd is 1 or
-    2); two indices share a block exactly when their z_r agree mod 2.
+    2); two indices share a block exactly when their z_r agree mod 2.  In
+    the fiber z_r^2 = alpha^2 / g^2 is zero without a test here: the
+    well-ordering tested alpha^2 = 0 on this row, a switch carries that
+    flag, and later stages switch only rows past ``hi``.
     """
     if not 1 <= lev <= T.stages:
         raise RangeError(f"level {lev} outside 1..{T.stages}")
@@ -163,15 +168,13 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
     prims: dict[int, Class2] = {}
     for r in range(k + 1, hi + 1):
         z = primitive_part(two_x_minus_alpha(fiber, r - k))
-        if not product_is_zero(fiber, z.coeffs, z.coeffs):
-            raise ContractViolation(f"representative z_{r} fails z^2 = 0 in the fiber")
         prims[r] = z
         reps[r] = z.mod2()
     classes: dict[tuple[int, ...], list[int]] = {}
     for r in sorted(reps):
         classes.setdefault(reps[r], []).append(r)
     ordered = tuple(tuple(c) for c in sorted(classes.values(), key=lambda c: c[0]))
-    T.blocks[lev] = BlockStructure(lev, reps, prims, ordered)
+    T.blocks[lev] = BlockStructure(reps, prims, ordered)
     return T.blocks[lev]
 
 

@@ -366,6 +366,18 @@ def fuzz_base_isos():
         yield scrambled_iso(rng, A, 5, twist_mag=1)
 
 
+def odd_twist_isos():
+    """Self-isomorphisms whose stabilization takes odd key steps that twist by v != 0.
+
+    The hits of ``search_isos`` at bound 2 on one n = 4 matrix with entries
+    down to -2.  The sweeps' entries lie in -1..1, and every odd key step
+    they take twists by v = 0; sixteen of these runs take an odd
+    target-side step at k = 1, l = 4 that twists by v = -y_2.
+    """
+    A = bc.BottMatrix(4, [[], [-2], [-2, -2], [-1, -1, 0]])
+    return bc.search_isos(A, A, 2)
+
+
 def block_map(A):
     """index -> (level, block id) for the generators of A, via one tower."""
     T = bc.decompose_tower(A)

@@ -389,7 +389,8 @@ def test_self_check_reads_the_shipped_text(files, capsys, tmp_path, monkeypatch,
 
 def test_decompose_builds_one_tower(files, capsys, monkeypatch):
     # the tower fixes levels, index map and stage count once; decompose and
-    # qtrivial_partition read them instead of testing alpha^2 = 0 again
+    # qtrivial_partition read them instead of testing alpha^2 = 0 again, and
+    # blocks_at tests no square: the tower tested each row once
     counts = {"towers": 0, "products": 0}
     decompose_tower, product_is_zero = structure.decompose_tower, structure.product_is_zero
 
@@ -408,9 +409,9 @@ def test_decompose_builds_one_tower(files, capsys, monkeypatch):
     path = files("z.json", {"n": n, "rows": [[0] * i for i in range(n)]})
     code, out = run(capsys, "decompose", path)
     assert code == 0 and json.loads(out)["partition_if_qtrivial"] == [1] * n
-    # one tower (one stage, n rows) and blocks_at(T, 1) built once, for the blocks and the partition
-    assert counts == {"towers": 1, "products": 2 * n}
+    # one tower (one stage, n rows), whose rows are the only square tests
+    assert counts == {"towers": 1, "products": n}
     T = decompose_tower(bc.make_bott_matrix(n, [[0] * i for i in range(n)]))
     counts["products"] = 0
     assert bc.qtrivial_partition(T) == (1,) * n
-    assert counts["products"] == n
+    assert counts["products"] == 0

@@ -468,6 +468,37 @@ class TestSigmaEps:
         assert se.e[1] == 1
         assert all(type(e) is int for e in se.e)
 
+    def test_towers_of_other_matrices(self):
+        phi = bc.identity_iso(ZERO2)
+        for towers in (self.towers(hirzebruch(2), ZERO2), self.towers(ZERO2, hirzebruch(2))):
+            with pytest.raises(bc.ContextMismatch, match="^towers do not belong to the isomorphism's matrices$"):
+                bc.extract_sigma_eps(phi, *towers)
+
+    # maps that make_iso rejects, built directly over real towers: each is the bug an extraction tripwire guards
+    @pytest.mark.parametrize(
+        "C, message",
+        [
+            (((1, 0), (0, 0)), "generator 2: image of 2x_i - alpha_i is zero"),
+            (((1, 1), (0, 1)), "generator 1: image Class2[2, 2] is not a multiple of Class2[0, 2]"),
+            (((1, 0), (1, 0)), "generator 0: indices [1, 1] do not form a permutation"),
+        ],
+        ids=["zero-image", "off-frame", "repeated-index"],
+    )
+    def test_extraction_failure(self, C, message):
+        with pytest.raises(bc.ExtractionFailure) as info:
+            bc.extract_sigma_eps(bc.GradedIso(ZERO2, ZERO2, C), *self.towers(ZERO2, ZERO2))
+        assert str(info.value) == message
+
+    def test_level_mismatch(self):
+        # the zero matrix has one stage; B has two, with y_3 alone at level 2, and x_3 goes to
+        # 2y_3 - y_1 - y_2, twice the frame of y_3
+        B = bc.make_bott_matrix(3, [[], [0], [1, 1]])
+        phi = bc.GradedIso(ZERO3, B, ((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
+        assert bc.decompose_tower(B).levels == (0, 1, 1, 2)
+        with pytest.raises(bc.ExtractionFailure) as info:
+            bc.extract_sigma_eps(phi, *self.towers(ZERO3, B))
+        assert str(info.value) == "generator 3: level of x_3 differs from level of y_3"
+
 
 class TestFrameIdentity:
     """det C = +-prod(e_i) / 2^n, which lets the search skip determinants."""

@@ -13,6 +13,7 @@ from helpers import (
     dense_product,
     fuzz_base_isos,
     moves_product,
+    odd_twist_isos,
     rand_matrix,
     rebuild_matches,
     trace_isos,
@@ -149,7 +150,7 @@ class TestMoveLemma:
     steps, twists and odd branches.
     """
 
-    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos, odd_twist_isos], ids=lambda f: f.__name__)
     def test_certificate_moves(self, source):
         count = 0
         for phi in source():
@@ -203,7 +204,7 @@ def random_moves(rng, M, kinds):
 
 
 class TestColumnFold:
-    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos, odd_twist_isos], ids=lambda f: f.__name__)
     def test_certificate_moves(self, source):
         twists = 0
         for phi in source():
@@ -251,7 +252,9 @@ def assert_claim_fold_is_dense(rng, phi, f_seq, g_seq):
 class TestClaimFold:
     """``check_claims`` folds g's moves onto phi as columns and f's as rows, the last first."""
 
-    @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos, sweep_isos], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "source", [trace_isos, fuzz_base_isos, sweep_isos, odd_twist_isos], ids=lambda f: f.__name__
+    )
     def test_certificates(self, source):
         rng = random.Random(16)
         source_moves = 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
 from bottcert import serialize as ser
-from helpers import compose_dense
+from helpers import compose_dense, odd_twist_isos
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
@@ -174,6 +174,49 @@ class TestStrictLists:
     def test_seq_moves_not_a_list(self, moves):
         with pytest.raises(bc.ShapeError):
             ser.seq_from_obj({"start": ser.matrix_to_obj(ZERO2), "moves": moves})
+
+
+def _edit(*path, value=None):
+    """A mutation that sets the entry at path to value, or deletes it when value is None."""
+
+    def mutate(obj):
+        *head, last = path
+        node = obj
+        for key in head:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        return obj
+
+    return mutate
+
+
+class TestTrustBoundary:
+    """The reader's own rejections, each with its diagnostic, on an n = 4 certificate.
+
+    Its g_seq starts with the twist (3, -y_2).
+    """
+
+    @pytest.mark.parametrize(
+        "mutate, diagnostic",
+        [
+            (lambda obj: [obj], "certificate must be a JSON object"),
+            (_edit("phi"), "certificate is missing key 'phi'"),
+            (_edit("g_seq", "start"), "move sequence object needs keys 'start' and 'moves'"),
+            (_edit("g_seq", "moves", 0, "kind"), "move object needs keys 'kind' and 'j'"),
+            (_edit("B", value={"n": 3, "rows": [[], [0], [0, 0]]}), "source has n=4 but target has n=3"),
+            (_edit("g_seq", "moves", 0, "j", value=0), "twist position 0 outside 1..4"),
+        ],
+        ids=["list", "no-phi", "seq-no-start", "move-no-kind", "B-other-n", "twist-at-0"],
+    )
+    def test_rejection(self, mutate, diagnostic):
+        obj = json.loads(json.dumps(ser.certificate_to_obj(bc.stabilize_full(odd_twist_isos()[0]))))
+        assert ser.verify_certificate_obj(obj).ok
+        assert obj["g_seq"]["moves"][0] == {"kind": "twist", "j": 3, "v": [0, -1, 0, 0]}
+        res = ser.verify_certificate_obj(mutate(obj))
+        assert (res.ok, res.diagnostic) == (False, f"certificate does not parse: {diagnostic}")
 
 
 class TestCanonicalDump:

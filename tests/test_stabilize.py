@@ -1,18 +1,20 @@
 """Height reduction, stability raising, full stabilization and certificates."""
 
+import json
 import random
 
 import pytest
 
 import bottcert as bc
-from bottcert import iso, moves, stabilize
-from bottcert.stabilize import _key_step, _raise_fwd
+from bottcert import iso, moves, serialize, stabilize
+from bottcert.stabilize import _key_step, _odd_branch, _raise_fwd
 from helpers import (
     claim_product,
     compose_dense,
     dense_product,
     fuzz_base_isos,
     moves_product,
+    odd_twist_isos,
     rebuild_matches,
     scrambled_iso,
     sparse_matrix,
@@ -62,6 +64,17 @@ def odd_step_fixture():
     A = bc.make_bott_matrix(4, [[], [0], [1, 0], [0, 0, 0]])
     B = bc.make_bott_matrix(4, [[], [0], [0, 0], [0, 1, 0]])
     return bc.make_iso(A, B, [[0, -1, 0, 2], [0, 0, -1, 0], [0, -1, 0, 1], [1, 0, 0, 0]])
+
+
+def odd_twist_step():
+    """(phi, k, dec) of an odd key step with v != 0, the one the first run of ``odd_twist_isos`` takes.
+
+    k = 1, l = 4 and p = -1; the step twists at 3 by v = -y_2, then switches at 2 and 3.
+    """
+    A = bc.make_bott_matrix(4, [[], [-2], [-2, -2], [-1, -1, 0]])
+    B = bc.make_bott_matrix(4, [[], [0], [0, -2], [0, -1, -1]])
+    phi = bc.make_iso(A, B, [[-1, 0, 0, 0], [1, -1, -1, -2], [0, 0, 1, 2], [0, 0, 0, 1]])
+    return phi, 1, bc.decompose_xk(phi, 1)
 
 
 def key_step(phi, k):
@@ -127,13 +140,23 @@ class TestKeyStep:
         assert not any(trace.w.coeffs)
         assert isinstance(trace.u, bc.Class2)
 
-    def test_odd_at_boundary(self):
+    def test_odd_step_at_the_boundary_is_a_tripwire(self):
+        # stabilize_full takes the odd branch at l = k+2; a direct step there cannot switch at l-2 = 0
         A = bc.make_bott_matrix(2, [[], [1]])
         phi = bc.make_iso(A, A, [[-1, 2], [0, 1]])
-        with pytest.raises(bc.OddAtBoundary) as exc:
+        with pytest.raises(bc.ContractViolation, match="^key step at l=2 could not build a move: ") as exc:
             key_step(phi, 0)
-        # stabilize_full takes the odd branch here, so this is a tripwire
-        assert isinstance(exc.value, bc.TripwireError)
+        assert isinstance(exc.value.__cause__, bc.RangeError)
+        assert str(exc.value.__cause__) == "switch position 0 outside 1..1"
+
+    def test_odd_case_twists_by_nonzero_v(self):
+        phi, k, _ = odd_twist_step()
+        seq, phi_new, trace = key_step(phi, k)
+        assert (trace.case, trace.ell, trace.p) == ("odd", 4, -1)
+        assert [(m.kind, m.j) for m in seq.moves] == [("twist", 3), ("switch", 2), ("switch", 3)]
+        assert seq.moves[0].v.coeffs == (0, -1, 0, 0)
+        assert phi_new.row(k + 1).height() == 3
+        assert rebuild_matches(seq) == (True, True)
 
     def test_keeps_k_stability(self):
         phi = even_case_fixture()
@@ -257,6 +280,19 @@ class TestStabilizeFull:
         assert seen_odd >= 1
 
 
+class TestOddTwistIsos:
+    def test_odd_steps_twist_by_nonzero_v_and_verify(self):
+        # tier-1's other odd key steps all twist by v = 0
+        odd = []
+        for phi in odd_twist_isos():
+            cert, trace = bc.stabilize_full(phi, with_trace=True)
+            odd += [(rt.k, t.ell, t.moves[0].v.coeffs) for rt in trace.raises for t in rt.phase1 if t.case == "odd"]
+            assert bc.verify_certificate(cert).ok
+            text = serialize.dumps_canonical(serialize.certificate_to_obj(cert))
+            assert serialize.verify_certificate_obj(json.loads(text)).ok
+        assert odd == [(1, 4, (0, -1, 0, 0))] * 16
+
+
 class TestOrganicSearches:
     def test_searched_isos_certify_n3_to_n5(self):
         rng = random.Random(555)
@@ -278,7 +314,7 @@ class TestOrganicSearches:
 
 
 class TestTermination:
-    """The height check in ``_key_step`` and the max_stable check bound the run."""
+    """The height check in ``_key_step`` and the stability check in ``_raise_fwd`` bound the run."""
 
     @pytest.mark.parametrize("source", [trace_isos, fuzz_base_isos], ids=lambda f: f.__name__)
     def test_key_steps_within_n_times_n_plus_2(self, source):
@@ -343,11 +379,16 @@ class TestKeepBelow:
         assert fired > 0
 
 
+def raised(M, i, j):
+    """M with the entry (i, j) raised by one."""
+    rows = [list(row) for row in M.rows]
+    rows[i - 1][j - 1] += 1
+    return bc.BottMatrix(M.n, rows)
+
+
 def changed(mv, i, j):
     """mv with the entry (i, j) of its result raised by one."""
-    rows = [list(row) for row in mv.after.rows]
-    rows[i - 1][j - 1] += 1
-    return bc.Move(mv.kind, mv.j, mv.v, mv.before, bc.BottMatrix(mv.before.n, [tuple(r) for r in rows]))
+    return bc.Move(mv.kind, mv.j, mv.v, mv.before, raised(mv.after, i, j))
 
 
 class TestMoveTripwires:
@@ -405,6 +446,130 @@ class TestMoveTripwires:
             bc.stabilize_full(odd_step_fixture())
         assert isinstance(info.value.__cause__, bc.SwitchBlocked)
         assert last == []
+
+
+@pytest.fixture
+def no_claims(monkeypatch):
+    """Make a run that reaches ``check_claims`` fail: the tripwire under test must fire first."""
+
+    def claims(cert):
+        raise AssertionError("check_claims ran before the tripwire")
+
+    monkeypatch.setattr("bottcert.stabilize.check_claims", claims)
+
+
+def says(*answers):
+    """A ``same_block`` that gives these answers in turn."""
+    it = iter(answers)
+    return lambda T, i, j: next(it)
+
+
+class TestPlantedTripwires:
+    """Each construction tripwire fires on the bug it guards, with its own message.
+
+    A doctored map or matrix goes straight to ``decompose_xk``, ``_key_step``
+    or ``_odd_branch``, or a monkeypatched helper runs inside
+    ``stabilize_full``, where the ``no_claims`` fixture checks that the
+    tripwire fires before ``check_claims``.  TestMoveTripwires, TestKeepBelow
+    and TestTermination plant the others; README lists them all.
+    """
+
+    def test_image_inside_F_k(self):
+        # a singular map: the images of x_1 and x_2 both lie in F_1
+        phi = bc.GradedIso(ZERO2, ZERO2, ((1, 0), (1, 0)))
+        with pytest.raises(bc.DecompositionInconsistent, match=r"^image of x_\{k\+1\} lies inside F_k$"):
+            bc.decompose_xk(phi, 1)
+
+    def test_image_off_its_frame(self):
+        # x_1 goes to y_2 + y_3 over the zero matrix: a class of height 3 with a y_2 term is no multiple of a frame
+        phi = bc.GradedIso(ZERO3, ZERO3, ((0, 1, 1), (1, 0, 0), (0, 0, 1)))
+        with pytest.raises(bc.DecompositionInconsistent, match=r"^coefficient at y_2 is 1, expected -eps\*b\[3,2\]$"):
+            bc.decompose_xk(phi, 0)
+
+    def test_source_row_the_map_does_not_respect(self):
+        # alpha_2 of the source gains x_1, so phi(alpha_2) moves while beta_4 does not
+        phi, k, dec = odd_twist_step()
+        bent = bc.GradedIso(raised(phi.source, k + 1, 1), phi.target, phi.C)
+        with pytest.raises(bc.ContractViolation, match=r"^F_k part of beta_l does not match phi\(alpha_\{k\+1\}\)$"):
+            _key_step(bent, k, bc.decompose_xk(bent, k))
+
+    def test_target_row_the_map_does_not_respect(self):
+        # b_31 of the target changes: the coefficient of y_1 y_3 in trunc(beta_4)^2 becomes p^2 = 1
+        phi, k, _ = odd_twist_step()
+        bent = bc.GradedIso(phi.source, raised(phi.target, 3, 1), phi.C)
+        with pytest.raises(bc.ContractViolation, match=r"^trunc\(beta_l\) \* \(trunc\(beta_l\) \+ u\) != 0$"):
+            _key_step(bent, k, bc.decompose_xk(bent, k))
+
+    def test_odd_twist_that_leaves_the_entry_l_minus_1_l_minus_2(self, monkeypatch):
+        # the twist at l-1 = 3 should clear row 3 past F_1; the loop reads (4, 2), then (3, 2)
+        twist = bc.twist
+        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: changed(twist(B, j, v), j, j - 1))
+        phi, k, dec = odd_twist_step()
+        with pytest.raises(bc.ContractViolation, match=r"^entry \(l-1, 2\) must vanish after the odd twist$"):
+            _key_step(phi, k, dec)
+
+    def test_fold_that_leaks_out_of_F_k(self, monkeypatch):
+        then = moves._then
+
+        def leaky(C, mv):
+            then(C, mv)
+            C[0][-1] += 1  # the image of x_1 gains y_4
+
+        monkeypatch.setattr("bottcert.stabilize._then", leaky)
+        phi, k, dec = odd_twist_step()
+        with pytest.raises(bc.ContractViolation, match="^height reduction broke k-stability$"):
+            _key_step(phi, k, dec)
+
+    def test_target_side_block(self, monkeypatch, no_claims):
+        monkeypatch.setattr("bottcert.stabilize.same_block", says(False))
+        with pytest.raises(bc.ProofPathViolation, match=r"^k\+1 and k\+2 must share a block on the target side$"):
+            bc.stabilize_full(odd_short_fixture())
+
+    def test_inversion_that_keeps_y_k_plus_1(self, monkeypatch, no_claims):
+        # the detour's inverse comes back as the identity, which is already (k+1)-stable
+        monkeypatch.setattr("bottcert.stabilize.invert", lambda phi: bc.identity_iso(phi.target))
+        with pytest.raises(bc.ProofPathViolation, match=r"^inverse image of y_\{k\+1\} fell below height k\+2$"):
+            bc.stabilize_full(odd_short_fixture())
+
+    def test_source_side_block(self, monkeypatch, no_claims):
+        # odd_short_fixture's detour ends with a step at k+3
+        monkeypatch.setattr("bottcert.stabilize.same_block", says(True, False))
+        with pytest.raises(bc.ProofPathViolation, match=r"^k\+1 and k\+3 must share a block on the source side$"):
+            bc.stabilize_full(odd_short_fixture())
+
+    def test_source_side_parity(self, monkeypatch):
+        # a same_block that always agrees, on a detour whose inverse image of y_1 is 2x_3 - x_2
+        # over a source matrix with the odd entry a_32 = 1
+        monkeypatch.setattr("bottcert.stabilize.same_block", lambda T, i, j: True)
+        A = bc.make_bott_matrix(3, [[], [0], [0, 1]])
+        phi = bc.invert(bc.GradedIso(ZERO3, A, ((0, -1, 2), (1, 0, 0), (0, 0, 1))))
+        with pytest.raises(bc.ProofPathViolation, match=r"^entry \(k\+3, k\+2\) must be even on the source side$"):
+            _odd_branch(phi, 0, 1)
+
+    def test_detour_on_a_map_without_the_odd_entry(self, monkeypatch):
+        # a same_block that always agrees lets a rotation of the zero matrix, b_21 = 0, into the
+        # detour: the inverse images of y_1 and y_2 are x_2 and x_3
+        monkeypatch.setattr("bottcert.stabilize.same_block", lambda T, i, j: True)
+        phi = bc.invert(bc.GradedIso(ZERO3, ZERO3, ((0, 1, 0), (0, 0, 1), (1, 0, 0))))
+        with pytest.raises(bc.ProofPathViolation, match=r"^inverse image of y_\{k\+2\} must land in F_\{k\+2\}$"):
+            _odd_branch(phi, 0, 1)
+
+    def test_detour_that_drops_its_work(self, monkeypatch, no_claims):
+        # the first inversion is real; the last hands back the map the detour received,
+        # which in odd_long_fixture is neither 1- nor 2-stable
+        invert = bc.invert
+        received = []
+
+        def dropped(phi):
+            # without the tripwire the same round would repeat forever
+            assert len(received) < 2, "a round that kept the map's stability was not stopped"
+            received.append(phi)
+            return invert(phi) if len(received) == 1 else received[0]
+
+        monkeypatch.setattr("bottcert.stabilize.invert", dropped)
+        with pytest.raises(bc.ProofPathViolation, match=r"^result is neither \(k\+1\)- nor \(k\+2\)-stable$"):
+            bc.stabilize_full(odd_long_fixture())
+        assert len(received) == 2
 
 
 class TestGuardCounts:

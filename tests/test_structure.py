@@ -116,6 +116,16 @@ class TestWellOrder:
             flags = [square_zero(B.alpha(i)) for i in range(1, B.n + 1)]
             assert flags == sorted(flags, reverse=True)
 
+    def test_failed_switch_is_a_well_order_failure(self, monkeypatch):
+        # a square-zero test that wrongly rejects row 1 of H(1) sends row 2 over it, across b_21 = 1
+        product_is_zero = structure.product_is_zero
+        first = iter([False])
+        monkeypatch.setattr(structure, "product_is_zero", lambda A, s, t: next(first, True) and product_is_zero(A, s, t))
+        with pytest.raises(bc.WellOrderFailure) as info:
+            bc.decompose_tower(hirzebruch(1))
+        assert str(info.value) == "well-ordering switch at 1 failed: entry (2,1) is 1, must be 0"
+        assert isinstance(info.value.__cause__, bc.SwitchBlocked)
+
 
 class TestDecomposeTower:
     def test_one_block_factor(self):

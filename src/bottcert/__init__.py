@@ -11,18 +11,13 @@ emitting a replayable certificate.
 from .errors import (
     BottError,
     ContextMismatch,
-    ContractViolation,
-    DecompositionInconsistent,
-    ExtractionFailure,
     NotUnimodular,
-    ProofPathViolation,
     RangeError,
     RelationViolated,
     ShapeError,
     SwitchBlocked,
     TripwireError,
     TwistInvalid,
-    WellOrderFailure,
 )
 from .iso import (
     GradedIso,

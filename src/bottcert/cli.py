@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import BottError, ContractViolation, TripwireError
+from .errors import BottError, TripwireError
 from .iso import extract_sigma_eps, make_iso, max_stable, search_isos
 from .ring import product_is_zero
 from .serialize import (
@@ -127,7 +127,7 @@ def _cmd_stabilize(args) -> dict | str:
     text = dumps_canonical(certificate_to_obj(cert))
     result = verify_certificate_obj(json.loads(text))
     if not result:
-        raise ContractViolation(f"freshly built certificate failed verification: {result.diagnostic}")
+        raise TripwireError(f"freshly built certificate failed verification: {result.diagnostic}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     except TripwireError as exc:
         sys.stdout.write(dumps_canonical({"error": str(exc), "tripwire": True}))
         return 3
-    except (BottError, OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (BottError, OSError, ValueError, TypeError, KeyError) as exc:
         sys.stdout.write(dumps_canonical({"error": str(exc)}))
         return 1
     sys.stdout.write(payload if isinstance(payload, str) else dumps_canonical(payload))

@@ -1,9 +1,11 @@
 """Exception hierarchy.
 
-Domain errors signal bad input or an unsatisfiable request.  Tripwire errors
-signal that a runtime consistency check failed which, for valid inputs, is
-mathematically guaranteed to hold; seeing one means an implementation bug,
-never a property of the data.
+Domain errors signal bad input or an unsatisfiable request; each type tells
+a caller what was wrong with the input.  ``TripwireError`` signals that a
+runtime consistency check failed which, for valid inputs, is mathematically
+guaranteed to hold; seeing one means an implementation bug, never a
+property of the data.  It has no subclasses: its message names the check,
+and whether a ``raise`` is a tripwire can be read from its syntax.
 """
 
 
@@ -50,34 +52,4 @@ class TwistInvalid(BottError):
 
 
 class TripwireError(BottError):
-    """A mathematically guaranteed runtime check failed (bug indicator)."""
-
-
-class ExtractionFailure(TripwireError):
-    """A validated isomorphism does not permute the classes 2x_i - alpha_i (theory rules it out)."""
-
-    def __init__(self, index, message):
-        super().__init__(f"generator {index}: {message}")
-        self.index = index
-
-
-class ContractViolation(TripwireError):
-    """A verified identity of the height-reduction step failed."""
-
-
-class DecompositionInconsistent(TripwireError):
-    """The image of x_{k+1} is not of the shape eps(2y_l - trunc(beta_l)) + w."""
-
-
-class ProofPathViolation(TripwireError):
-    """A parity, block or height fact failed mid-run."""
-
-
-class WellOrderFailure(TripwireError):
-    """A switch that well-ordering needs fails to build (a bug, never the data).
-
-    Each such switch at j moves a square-zero row j+1 over a row j that is
-    not.  Were a = a_{j+1,j} nonzero, writing alpha_{j+1} = a x_j + gamma
-    with gamma in F_{j-1} would give 0 = alpha_{j+1}^2 = (a^2 alpha_j +
-    2a gamma) x_j + gamma^2, so gamma = -a alpha_j / 2 and alpha_j^2 = 0.
-    """
+    """A mathematically guaranteed runtime check failed (bug indicator); the message names it."""

@@ -36,13 +36,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd
 
-from .errors import (
-    ContextMismatch,
-    ExtractionFailure,
-    NotUnimodular,
-    RelationViolated,
-    ShapeError,
-)
+from .errors import ContextMismatch, NotUnimodular, RelationViolated, ShapeError, TripwireError
 from .ring import BottMatrix, Class2, product_is_zero, product_terms, two_x_minus_alpha
 
 
@@ -273,18 +267,18 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
         q = phi.apply2(two_x_minus_alpha(A, i))
         m = q.height()
         if m == 0:
-            raise ExtractionFailure(i, "image of 2x_i - alpha_i is zero")
+            raise TripwireError(f"generator {i}: image of 2x_i - alpha_i is zero")
         frame = two_x_minus_alpha(B, m)
         top = q[m]
         # exact identity, cross-multiplied to stay in integers: 2q = top * frame
         if q.scale(2) != frame.scale(top):
-            raise ExtractionFailure(i, f"image {q!r} is not a multiple of {frame!r}")
+            raise TripwireError(f"generator {i}: image {q!r} is not a multiple of {frame!r}")
         if tower_src.levels[i] != tower_tgt.levels[m]:
-            raise ExtractionFailure(i, f"level of x_{i} differs from level of y_{m}")
+            raise TripwireError(f"generator {i}: level of x_{i} differs from level of y_{m}")
         sigma.append(m)
         e.append(top)
     if sorted(sigma) != list(range(1, A.n + 1)):
-        raise ExtractionFailure(0, f"indices {sigma} do not form a permutation")
+        raise TripwireError(f"generator 0: indices {sigma} do not form a permutation")
     return SigmaEps(tuple(sigma), tuple(e))
 
 

@@ -18,13 +18,7 @@ the step builds it; a move that fails to build there is a tripwire too.
 
 from __future__ import annotations
 
-from .errors import (
-    BottError,
-    ContractViolation,
-    DecompositionInconsistent,
-    ProofPathViolation,
-    RangeError,
-)
+from .errors import BottError, RangeError, TripwireError
 from .iso import GradedIso, invert, make_iso, max_stable
 from .moves import Move, MoveSeq, _before, _then, invert_seq, rebuild, switch, twist
 from .ring import BottMatrix, Class2, product_is_zero
@@ -46,7 +40,7 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
     otherwise the height l, the integer e = 2 eps (the coefficient at y_l)
     and the F_k part w, after verifying that coefficients at indices
     strictly between k and l equal -eps * b_{l,j}, which makes the image
-    w + eps(2y_l - trunc(beta_l)).  A mismatch raises DecompositionInconsistent.
+    w + eps(2y_l - trunc(beta_l)).  A mismatch raises a TripwireError.
     """
     n = phi.source.n
     if not 0 <= k < n:
@@ -56,16 +50,14 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
     img = phi.row(k + 1)
     ell = img.height()
     if ell <= k:
-        raise DecompositionInconsistent("image of x_{k+1} lies inside F_k")
+        raise TripwireError("image of x_{k+1} lies inside F_k")
     if ell == k + 1:
         return None
     B = phi.target
     top = img[ell]
     for j in range(k + 1, ell):
         if 2 * img[j] != -top * B.a(ell, j):
-            raise DecompositionInconsistent(
-                f"coefficient at y_{j} is {img[j]}, expected -eps*b[{ell},{j}]"
-            )
+            raise TripwireError(f"coefficient at y_{j} is {img[j]}, expected -eps*b[{ell},{j}]")
     return XkDecomposition(ell, top, img.truncated_head(k))
 
 
@@ -95,7 +87,7 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
         try:
             mv = build(cur, *args)
         except BottError as exc:
-            raise ContractViolation(f"key step at l={ell} could not build a move: {exc}") from exc
+            raise TripwireError(f"key step at l={ell} could not build a move: {exc}") from exc
         moves.append(mv)
         _then(C, mv)
         cur = mv.after
@@ -111,13 +103,13 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
         phi_alpha = phi.apply2(phi.source.alpha(k + 1))
         # forced identity: 2eps*(beta_l - trunc beta_l) = phi(alpha_{k+1}) - 2w
         if head.scale(e) != phi_alpha - w.scale(2):
-            raise ContractViolation("F_k part of beta_l does not match phi(alpha_{k+1})")
+            raise TripwireError("F_k part of beta_l does not match phi(alpha_{k+1})")
         u = head.scale(2)
         # for k < j < l-1, the coefficient of y_j y_{l-1} in this product is
         # p(2 trunc(beta_l)_j + p b_{l-1,j}): with p != 0 it forces the identity
         # 2 trunc(beta_l) = p (2 y_{l-1} - trunc(beta_{l-1}))
         if not product_is_zero(B, bar_ell.coeffs, (bar_ell + u).coeffs):
-            raise ContractViolation("trunc(beta_l) * (trunc(beta_l) + u) != 0")
+            raise TripwireError("trunc(beta_l) * (trunc(beta_l) + u) != 0")
         if p % 2 == 0:
             case = "even"
             # twist checks v(beta_l - v) = 0, and the switch that b_{l,l-1} is cleared
@@ -133,20 +125,20 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
             play(twist, ell - 1, Class2(B, [t // 2 for t in bar_prev.coeffs]))
             for col in range(k + 1, ell - 1):
                 if cur.a(ell, col) != 0:
-                    raise ContractViolation(f"entry (l, {col}) must vanish after the odd twist")
+                    raise TripwireError(f"entry (l, {col}) must vanish after the odd twist")
                 if cur.a(ell - 1, col) != 0:
-                    raise ContractViolation(f"entry (l-1, {col}) must vanish after the odd twist")
+                    raise TripwireError(f"entry (l-1, {col}) must vanish after the odd twist")
             play(switch, ell - 2)
             play(switch, ell - 1)
     keep_below = ell - 1 if case in ("zero", "even") else ell - 2
     for i in range(1, keep_below):
         if cur.rows[i - 1] != B.rows[i - 1]:
-            raise ContractViolation(f"row {i} changed; rows below {keep_below} must be kept")
+            raise TripwireError(f"row {i} changed; rows below {keep_below} must be kept")
     phi_new = GradedIso(phi.source, cur, tuple(map(tuple, C)))
     if not phi_new.is_k_stable(k):
-        raise ContractViolation("height reduction broke k-stability")
+        raise TripwireError("height reduction broke k-stability")
     if phi_new.row(k + 1).height() >= ell:
-        raise ContractViolation("height of the tracked image did not decrease")
+        raise TripwireError("height of the tracked image did not decrease")
     return phi_new, KeyStepTrace(k=k, ell=ell, p=p, case=case, e=e, w=w, u=u, moves=tuple(moves))
 
 
@@ -195,25 +187,25 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
     step at l = k+3.
     """
     if not same_block(decompose_tower(phi.target), k + 1, k + 2):
-        raise ProofPathViolation("k+1 and k+2 must share a block on the target side")
+        raise TripwireError("k+1 and k+2 must share a block on the target side")
     # the inverse maps the target ring back to the source ring and is k-stable
     psi, steps, dec = _descend(invert(phi), k, k + 3)
     if dec is None:
-        raise ProofPathViolation("inverse image of y_{k+1} fell below height k+2")
+        raise TripwireError("inverse image of y_{k+1} fell below height k+2")
     final_entry = None
     final_tr = None
     if dec.ell == k + 3:
         A_cur = psi.target
         if not same_block(decompose_tower(A_cur), k + 1, k + 3):
-            raise ProofPathViolation("k+1 and k+3 must share a block on the source side")
+            raise TripwireError("k+1 and k+3 must share a block on the source side")
         final_entry = A_cur.a(k + 3, k + 2)
         if final_entry % 2 != 0:
-            raise ProofPathViolation("entry (k+3, k+2) must be even on the source side")
+            raise TripwireError("entry (k+3, k+2) must be even on the source side")
         psi, final_tr = _key_step(psi, k, dec)
     # row k+2 of the inverse follows: 2 psi(y_{k+2}) is eps'(2x_{k+1} - alpha_{k+1})
     # plus p psi(y_{k+1}) plus an F_k class, all of height <= k+2
     if psi.row(k + 2).height() > k + 2:
-        raise ProofPathViolation("inverse image of y_{k+2} must land in F_{k+2}")
+        raise TripwireError("inverse image of y_{k+2} must land in F_{k+2}")
     return invert(psi), OddBranchTrace(p, tuple(steps), final_entry, final_tr)
 
 
@@ -232,7 +224,7 @@ def _raise_fwd(phi: GradedIso, k: int):
         else:
             phi, odd = _odd_branch(phi, k, p)
     if not (phi.is_k_stable(k + 1) or phi.is_k_stable(k + 2)):
-        raise ProofPathViolation("result is neither (k+1)- nor (k+2)-stable")
+        raise TripwireError("result is neither (k+1)- nor (k+2)-stable")
     return phi, RaiseTrace(k, tuple(phase1), odd)
 
 
@@ -269,39 +261,47 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     so each loop of a round ends within n steps.  ``_raise_fwd`` checks that
     a round leaves the map (k+1)- or (k+2)-stable, and k+2 <= n-1 while the
     loop runs, so each round raises max_stable and there are at most n-2
-    rounds.  ``check_claims`` is the last tripwire.
+    rounds.  ``check_claims`` is the last tripwire.  phi is a validated
+    isomorphism, so a domain error raised on the way (by a tower, a move, an
+    inversion or a sequence build) is a bug too: it becomes a TripwireError
+    chained from it, and a tripwire passes through unchanged.
     """
-    A, B = phi.source, phi.target
-    n = A.n
-    tower_a = decompose_tower(A)
-    tower_b = decompose_tower(B)
-    pa, pb = tower_a.perm, tower_b.perm
-    C = [[0] * n for _ in range(n)]
-    for i, row in enumerate(phi.C, start=1):
-        for j, c in enumerate(row, start=1):
-            C[pa[i] - 1][pb[j] - 1] = c
-    cur = GradedIso(tower_a.base, tower_b.base, tuple(map(tuple, C)))
-    raises: list[RaiseTrace] = []
-    k = max_stable(cur)
-    while k < n - 2:
-        cur, rt = _raise_fwd(cur, k)
-        raises.append(rt)
+    try:
+        A, B = phi.source, phi.target
+        n = A.n
+        tower_a = decompose_tower(A)
+        tower_b = decompose_tower(B)
+        pa, pb = tower_a.perm, tower_b.perm
+        C = [[0] * n for _ in range(n)]
+        for i, row in enumerate(phi.C, start=1):
+            for j, c in enumerate(row, start=1):
+                C[pa[i] - 1][pb[j] - 1] = c
+        cur = GradedIso(tower_a.base, tower_b.base, tuple(map(tuple, C)))
+        raises: list[RaiseTrace] = []
         k = max_stable(cur)
-    # the forward moves of f and g: the towers', then each round's steps on that side
-    src_fwd = list(tower_a.moves_applied)
-    tgt_fwd = list(tower_b.moves_applied)
-    for rt in raises:
-        tgt_fwd += (mv for tr in rt.phase1 for mv in tr.moves)
-        if rt.odd is not None:
-            src_fwd += (mv for tr in rt.odd.source_steps for mv in tr.moves)
-            if rt.odd.final_step is not None:
-                src_fwd += rt.odd.final_step.moves
-    cert = StabilizationCertificate(
-        A=A, B=B, phi=phi, f_seq=invert_seq(A, src_fwd), g_seq=MoveSeq.build(B, tgt_fwd),
-        phi_prime=cur, k_final=k
-    )
+        while k < n - 2:
+            cur, rt = _raise_fwd(cur, k)
+            raises.append(rt)
+            k = max_stable(cur)
+        # the forward moves of f and g: the towers', then each round's steps on that side
+        src_fwd = list(tower_a.moves_applied)
+        tgt_fwd = list(tower_b.moves_applied)
+        for rt in raises:
+            tgt_fwd += (mv for tr in rt.phase1 for mv in tr.moves)
+            if rt.odd is not None:
+                src_fwd += (mv for tr in rt.odd.source_steps for mv in tr.moves)
+                if rt.odd.final_step is not None:
+                    src_fwd += rt.odd.final_step.moves
+        cert = StabilizationCertificate(
+            A=A, B=B, phi=phi, f_seq=invert_seq(A, src_fwd), g_seq=MoveSeq.build(B, tgt_fwd),
+            phi_prime=cur, k_final=k
+        )
+    except TripwireError:
+        raise
+    except BottError as exc:
+        raise TripwireError(f"certificate construction failed: {exc}") from exc
     if not (r := check_claims(cert)):
-        raise ContractViolation(r.diagnostic)
+        raise TripwireError(r.diagnostic)
     if with_trace:
         return cert, StabilizeTrace(tuple(raises))
     return cert

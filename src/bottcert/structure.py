@@ -15,7 +15,7 @@ representatives partition the stage indices into blocks.
 
 from __future__ import annotations
 
-from .errors import BottError, RangeError, WellOrderFailure
+from .errors import BottError, RangeError, TripwireError
 from .moves import Move, switch
 from .ring import (
     BottMatrix,
@@ -56,10 +56,13 @@ def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], i
     a ring isomorphism, so each row carries its flag along.  A square-zero
     row at fiber position r with d square-zero rows before it moves to d by
     switches at absolute positions k+r, k+r-1, ..., k+d+1; each passes over
-    a row that is not square-zero, so the subdiagonal entry between them
-    vanishes (see WellOrderFailure).  ``switch`` checks that entry, and a
-    switch that fails here is a WellOrderFailure chained from its error.
-    Fiber row 1 has alpha = 0, so the returned count d is at least 1.
+    a row that is not square-zero, so the subdiagonal entry a = a_{j+1,j}
+    between them vanishes: were a nonzero, writing alpha_{j+1} = a x_j +
+    gamma with gamma in F_{j-1} would give 0 = alpha_{j+1}^2 = (a^2 alpha_j
+    + 2a gamma) x_j + gamma^2, so gamma = -a alpha_j / 2 and alpha_j^2 = 0.
+    ``switch`` checks that entry, and a switch that fails here is a bug: a
+    TripwireError chained from its error.  Fiber row 1 has alpha = 0, so
+    the returned count d is at least 1.
     """
     fiber = sub_bar(M, k)
     moves: list[Move] = []
@@ -71,7 +74,7 @@ def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], i
             try:
                 mv = switch(M, j)
             except BottError as exc:
-                raise WellOrderFailure(f"well-ordering switch at {j} failed: {exc}") from exc
+                raise TripwireError(f"well-ordering switch at {j} failed: {exc}") from exc
             moves.append(mv)
             M = mv.after
         d += 1
@@ -88,7 +91,7 @@ class DecompositionTower:
     the base index of the origin generator x_i and ``levels[i]`` its level,
     both fixed here once; entry 0 of each is a placeholder.
     """
-    __slots__ = ("origin", "base", "dims", "moves_applied", "perm", "levels", "blocks")
+    __slots__ = ("origin", "base", "dims", "moves_applied", "perm", "levels")
 
     def __init__(self, origin: BottMatrix, base: BottMatrix, dims: tuple[int, ...],
                  moves_applied: tuple[Move, ...]):
@@ -105,7 +108,6 @@ class DecompositionTower:
                 perm[order[m]], levels[order[m]] = m, t
             lo = d + 1
         self.perm, self.levels = tuple(perm), tuple(levels)
-        self.blocks: dict[int, BlockStructure] = {}  # by level, filled by blocks_at
 
     @property
     def stages(self) -> int:
@@ -147,7 +149,7 @@ class BlockStructure:
 
 
 def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
-    """Block partition of the base indices at one level of the tower, built once per level.
+    """Block partition of the base indices at one level of the tower.
 
     With k the previous stage dimension, z_r is the primitive part of
     2x - alpha of fiber row r - k, the image of 2x_r - alpha_r under
@@ -159,8 +161,6 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
     """
     if not 1 <= lev <= T.stages:
         raise RangeError(f"level {lev} outside 1..{T.stages}")
-    if lev in T.blocks:
-        return T.blocks[lev]
     k = T.dims[lev - 2] if lev >= 2 else 0
     hi = T.dims[lev - 1]
     fiber = sub_bar(T.base, k)
@@ -174,8 +174,7 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
     for r in sorted(reps):
         classes.setdefault(reps[r], []).append(r)
     ordered = tuple(tuple(c) for c in sorted(classes.values(), key=lambda c: c[0]))
-    T.blocks[lev] = BlockStructure(reps, prims, ordered)
-    return T.blocks[lev]
+    return BlockStructure(reps, prims, ordered)
 
 
 def same_block(T: DecompositionTower, i: int, j: int) -> bool:

@@ -12,7 +12,9 @@ calls nothing.
 
 Then it prints every ``raise`` statement and every ``return
 ReplayResult(False, ...)`` in ``src/bottcert`` whose first line no traced
-frame ran, and their count.  It exits with pytest's status.
+frame ran, and their count.  A line that raises ``TripwireError`` is tagged
+``[tripwire]``: a tripwire is a check valid input cannot fail, so tier-1
+reaches it only by planting its bug.  It exits with pytest's status.
 
     PYTHONPATH=src python tests/reach.py [pytest arguments]
 
@@ -76,17 +78,18 @@ def follow(out_dir: str) -> None:
     atexit.register(dump)
 
 
-def checks(path: Path) -> list[int]:
-    """Lines of each raise and each ``return ReplayResult(False, ...)`` in a module."""
+def checks(path: Path) -> list[tuple[int, bool]]:
+    """Each raise and each ``return ReplayResult(False, ...)`` in a module: (line, raises TripwireError)."""
     out = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Raise):
-            out.append(node.lineno)
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.append((node.lineno, isinstance(exc, ast.Name) and exc.id == "TripwireError"))
         elif isinstance(node, ast.Return) and isinstance(node.value, ast.Call):
             call = node.value
             if (isinstance(call.func, ast.Name) and call.func.id == "ReplayResult" and call.args
                     and isinstance(call.args[0], ast.Constant) and call.args[0].value is False):
-                out.append(node.lineno)
+                out.append((node.lineno, False))
     return sorted(out)
 
 
@@ -118,9 +121,10 @@ def main(argv: list[str]) -> int:
     missed = 0
     for path in sorted(LIBRARY.glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
-        for line in checks(path):
+        for line, tripwire in checks(path):
             if (str(path), line) not in reached:
-                print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
+                tag = " [tripwire]" if tripwire else ""
+                print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}{tag}")
                 missed += 1
     print(f"{missed} raise or reject lines not reached "
           f"(pytest status {int(status)}, {len(children)} child processes followed)")

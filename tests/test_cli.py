@@ -293,7 +293,7 @@ def test_pinned_stdout_bytes(files, capsys, tmp_path, monkeypatch):
 
 def test_tripwire_exit_code(files, capsys, monkeypatch):
     def fire(phi):
-        raise bc.ContractViolation("forced for the test")
+        raise bc.TripwireError("forced for the test")
 
     monkeypatch.setattr(bottcert.cli, "stabilize_full", fire)
     a = files("a.json", {"n": 2, "rows": [[], [0]]})
@@ -305,7 +305,7 @@ def test_tripwire_exit_code(files, capsys, monkeypatch):
 
 def test_blocked_well_ordering_is_a_tripwire(files, capsys, monkeypatch):
     def fire(A):
-        raise bc.WellOrderFailure("forced for the test")
+        raise bc.TripwireError("forced for the test")
 
     monkeypatch.setattr(bottcert.cli, "decompose_tower", fire)
     a = files("a.json", {"n": 2, "rows": [[], [0]]})
@@ -317,7 +317,7 @@ def test_blocked_well_ordering_is_a_tripwire(files, capsys, monkeypatch):
 def test_failed_extraction_is_a_tripwire(files, capsys, monkeypatch):
     # a validated isomorphism always permutes the classes 2x_i - alpha_i; if it does not, that is a bug
     def fire(phi, tower_src, tower_tgt):
-        raise bc.ExtractionFailure(1, "forced")
+        raise bc.TripwireError("generator 1: forced")
 
     monkeypatch.setattr(bottcert.cli, "extract_sigma_eps", fire)
     a = files("a.json", {"n": 2, "rows": [[], [0]]})
@@ -357,6 +357,19 @@ def test_failed_self_check_is_a_tripwire(files, capsys, monkeypatch):
         "error": "freshly built certificate failed verification: forced",
         "tripwire": True,
     }
+
+
+def test_failed_construction_is_a_tripwire(files, capsys, monkeypatch):
+    # the source tower takes one switch, which invert_seq inverts; a domain error there blames no input
+    def fail(*args):
+        raise bc.SwitchBlocked("planted")
+
+    monkeypatch.setattr("bottcert.moves.invert_move", fail)
+    a = files("a.json", {"n": 4, "rows": [[], [1], [1, 1], [0, 0, 0]]})
+    c = files("c.json", {"C": [[int(i == j) for j in range(4)] for i in range(4)]})
+    code, out = run(capsys, "stabilize", a, a, c)
+    assert code == 3
+    assert json.loads(out) == {"error": "certificate construction failed: planted", "tripwire": True}
 
 
 @pytest.mark.parametrize("out", [False, True])

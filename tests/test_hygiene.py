@@ -19,6 +19,9 @@
   inside the writer, for the scalars it does not write itself.
 * ``BottMatrix._derived``, which skips validation, is called only where
   integer algebra derives the rows from a validated matrix or class.
+* No class in the library subclasses ``TripwireError``: it is the one
+  tripwire type, its message names the check, and whether a ``raise`` is a
+  tripwire can be read from its syntax.
 * Every top-level function and class of a library module, and every
   method of such a class (dunders aside), is referenced by name in the
   library (``__init__.py`` aside) or in ``bench/``, so no entry point is
@@ -207,6 +210,34 @@ def test_detects_derived_callers():
         "def strict(n, rows):\n    return BottMatrix(n, rows)\n"
     )
     assert callers(source, "_derived") == {"switch", "reader"}
+
+
+def subclasses(source: str, base: str) -> list[str]:
+    """Classes of ``source`` that name ``base`` (or ``x.base``) among their bases."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any((b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) == base for b in node.bases)
+    ]
+
+
+def test_one_tripwire_type():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.stem}.{name}" for name in subclasses(path.read_text(encoding="utf-8"), "TripwireError")]
+    assert found == []
+
+
+def test_detects_subclasses():
+    source = (
+        "class TripwireError(BottError):\n    pass\n"
+        "class Failure(TripwireError):\n    pass\n"
+        "class Qualified(errors.TripwireError, ValueError):\n    pass\n"
+        "class Domain(BottError):\n    pass\n"
+        "def f():\n    class Nested(TripwireError):\n        pass\n"
+    )
+    assert subclasses(source, "TripwireError") == ["Failure", "Qualified", "Nested"]
 
 
 def unreferenced(defining: str, *others: str) -> list[str]:

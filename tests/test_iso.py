@@ -485,7 +485,7 @@ class TestSigmaEps:
         ids=["zero-image", "off-frame", "repeated-index"],
     )
     def test_extraction_failure(self, C, message):
-        with pytest.raises(bc.ExtractionFailure) as info:
+        with pytest.raises(bc.TripwireError) as info:
             bc.extract_sigma_eps(bc.GradedIso(ZERO2, ZERO2, C), *self.towers(ZERO2, ZERO2))
         assert str(info.value) == message
 
@@ -495,7 +495,7 @@ class TestSigmaEps:
         B = bc.make_bott_matrix(3, [[], [0], [1, 1]])
         phi = bc.GradedIso(ZERO3, B, ((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
         assert bc.decompose_tower(B).levels == (0, 1, 1, 2)
-        with pytest.raises(bc.ExtractionFailure) as info:
+        with pytest.raises(bc.TripwireError) as info:
             bc.extract_sigma_eps(phi, *self.towers(ZERO3, B))
         assert str(info.value) == "generator 3: level of x_3 differs from level of y_3"
 

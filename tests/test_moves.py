@@ -91,6 +91,11 @@ class TestTwist:
         with pytest.raises(bc.TwistInvalid):
             bc.twist(C, 3, v)  # v(beta_3 - v) = x2(-x2) = -x1 x2 != 0
 
+    def test_parameter_over_another_matrix(self):
+        B = hirzebruch(3)
+        with pytest.raises(bc.ContextMismatch, match="^twist parameter lives over a different matrix$"):
+            bc.twist(B, 2, bc.Class2.basis(hirzebruch(1), 1))
+
     def test_identity_below_j(self):
         rng = random.Random(6)
         for _ in range(60):

@@ -45,6 +45,16 @@ class TestMakeBottMatrix:
         A = bc.make_bott_matrix(2, [[], [2**70 + 1]])
         assert A.a(2, 1) == 2**70 + 1
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (4, 1), (2, 0), (2, 4)])
+    def test_entry_out_of_range(self, i, j):
+        with pytest.raises(bc.RangeError, match=rf"^index \({i}, {j}\) outside 1\.\.3$"):
+            H3.a(i, j)
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_row_out_of_range(self, i):
+        with pytest.raises(bc.RangeError, match=rf"^row {i} outside 1\.\.3$"):
+            H3.alpha(i)
+
 
 class TestClass2:
     @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, "3"])
@@ -56,6 +66,17 @@ class TestClass2:
 
     def test_big_integer_coefficient(self):
         assert bc.Class2(H3, [2**70 + 1, 0, -(2**65)]).coeffs == (2**70 + 1, 0, -(2**65))
+
+    def test_operands_over_different_matrices(self):
+        other = bc.make_bott_matrix(3, [[], [0], [0, 0]])
+        for op in (lambda s, t: s + t, lambda s, t: s - t):
+            with pytest.raises(bc.ContextMismatch, match="^operands live over different Bott matrices$"):
+                op(bc.Class2.basis(H3, 1), bc.Class2.basis(other, 1))
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_basis_out_of_range(self, i):
+        with pytest.raises(bc.RangeError, match=rf"^generator index {i} outside 1\.\.3$"):
+            bc.Class2.basis(H3, i)
 
 
 class TestReduce:

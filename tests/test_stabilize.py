@@ -58,6 +58,12 @@ def odd_long_fixture():
     return compose_dense(phi0, back)
 
 
+def one_switch_tower_fixture():
+    # the identity on a matrix whose tower takes one switch, so f is that switch's inverse
+    A = bc.make_bott_matrix(4, [[], [1], [1, 1], [0, 0, 0]])
+    return bc.identity_iso(A)
+
+
 def odd_step_fixture():
     # a zero step at height 4, then an odd step at height 3 over b_32 = 1:
     # the twist at 2 is the run's only twist, and the switch at 1 follows it
@@ -144,7 +150,7 @@ class TestKeyStep:
         # stabilize_full takes the odd branch at l = k+2; a direct step there cannot switch at l-2 = 0
         A = bc.make_bott_matrix(2, [[], [1]])
         phi = bc.make_iso(A, A, [[-1, 2], [0, 1]])
-        with pytest.raises(bc.ContractViolation, match="^key step at l=2 could not build a move: ") as exc:
+        with pytest.raises(bc.TripwireError, match="^key step at l=2 could not build a move: ") as exc:
             key_step(phi, 0)
         assert isinstance(exc.value.__cause__, bc.RangeError)
         assert str(exc.value.__cause__) == "switch position 0 outside 1..1"
@@ -343,7 +349,7 @@ class TestTermination:
             assert len(folded) == 1, "a step that kept the height was not stopped"
 
         monkeypatch.setattr("bottcert.stabilize._then", stuck)
-        with pytest.raises(bc.ContractViolation, match="^height of the tracked image did not decrease$"):
+        with pytest.raises(bc.TripwireError, match="^height of the tracked image did not decrease$"):
             _raise_fwd(phi, 0)
         assert len(folded) == 1
 
@@ -370,7 +376,7 @@ class TestKeepBelow:
             tampered[0] = 0
             try:
                 bc.stabilize_full(phi)
-            except bc.ContractViolation as exc:
+            except bc.TripwireError as exc:
                 assert str(exc).startswith("row 2 changed; rows below ")
                 assert str(exc).endswith(" must be kept")
                 fired += 1
@@ -409,14 +415,14 @@ class TestMoveTripwires:
             raise planted
 
         monkeypatch.setattr(f"bottcert.stabilize.{name}", fail)
-        with pytest.raises(bc.ContractViolation, match=r"^key step at l=\d could not build a move: planted$") as info:
+        with pytest.raises(bc.TripwireError, match=r"^key step at l=\d could not build a move: planted$") as info:
             bc.stabilize_full(fixture())
         assert info.value.__cause__ is planted
 
     def test_even_twist_that_keeps_the_entry(self, monkeypatch):
         # a twist that leaves b_{l,l-1} = p: the switch at l-1 refuses it
         monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: bc.Move("twist", j, v, B, B))
-        with pytest.raises(bc.ContractViolation, match="^key step at l=3 could not build a move: ") as info:
+        with pytest.raises(bc.TripwireError, match="^key step at l=3 could not build a move: ") as info:
             bc.stabilize_full(even_case_fixture())
         assert isinstance(info.value.__cause__, bc.SwitchBlocked)
 
@@ -424,7 +430,7 @@ class TestMoveTripwires:
         # the odd twist is at j = l-1; the column loop reads the entry (l, l-2) first
         twist = bc.twist
         monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: changed(twist(B, j, v), j + 1, j - 1))
-        with pytest.raises(bc.ContractViolation, match=r"^entry \(l, 1\) must vanish after the odd twist$"):
+        with pytest.raises(bc.TripwireError, match=r"^entry \(l, 1\) must vanish after the odd twist$"):
             bc.stabilize_full(odd_step_fixture())
 
     def test_odd_switch_that_leaves_the_entry_l_l_minus_1(self, monkeypatch):
@@ -442,7 +448,7 @@ class TestMoveTripwires:
 
         monkeypatch.setattr("bottcert.stabilize.twist", recorded)
         monkeypatch.setattr("bottcert.stabilize.switch", bent)
-        with pytest.raises(bc.ContractViolation, match="^key step at l=3 could not build a move: ") as info:
+        with pytest.raises(bc.TripwireError, match="^key step at l=3 could not build a move: ") as info:
             bc.stabilize_full(odd_step_fixture())
         assert isinstance(info.value.__cause__, bc.SwitchBlocked)
         assert last == []
@@ -477,27 +483,27 @@ class TestPlantedTripwires:
     def test_image_inside_F_k(self):
         # a singular map: the images of x_1 and x_2 both lie in F_1
         phi = bc.GradedIso(ZERO2, ZERO2, ((1, 0), (1, 0)))
-        with pytest.raises(bc.DecompositionInconsistent, match=r"^image of x_\{k\+1\} lies inside F_k$"):
+        with pytest.raises(bc.TripwireError, match=r"^image of x_\{k\+1\} lies inside F_k$"):
             bc.decompose_xk(phi, 1)
 
     def test_image_off_its_frame(self):
         # x_1 goes to y_2 + y_3 over the zero matrix: a class of height 3 with a y_2 term is no multiple of a frame
         phi = bc.GradedIso(ZERO3, ZERO3, ((0, 1, 1), (1, 0, 0), (0, 0, 1)))
-        with pytest.raises(bc.DecompositionInconsistent, match=r"^coefficient at y_2 is 1, expected -eps\*b\[3,2\]$"):
+        with pytest.raises(bc.TripwireError, match=r"^coefficient at y_2 is 1, expected -eps\*b\[3,2\]$"):
             bc.decompose_xk(phi, 0)
 
     def test_source_row_the_map_does_not_respect(self):
         # alpha_2 of the source gains x_1, so phi(alpha_2) moves while beta_4 does not
         phi, k, dec = odd_twist_step()
         bent = bc.GradedIso(raised(phi.source, k + 1, 1), phi.target, phi.C)
-        with pytest.raises(bc.ContractViolation, match=r"^F_k part of beta_l does not match phi\(alpha_\{k\+1\}\)$"):
+        with pytest.raises(bc.TripwireError, match=r"^F_k part of beta_l does not match phi\(alpha_\{k\+1\}\)$"):
             _key_step(bent, k, bc.decompose_xk(bent, k))
 
     def test_target_row_the_map_does_not_respect(self):
         # b_31 of the target changes: the coefficient of y_1 y_3 in trunc(beta_4)^2 becomes p^2 = 1
         phi, k, _ = odd_twist_step()
         bent = bc.GradedIso(phi.source, raised(phi.target, 3, 1), phi.C)
-        with pytest.raises(bc.ContractViolation, match=r"^trunc\(beta_l\) \* \(trunc\(beta_l\) \+ u\) != 0$"):
+        with pytest.raises(bc.TripwireError, match=r"^trunc\(beta_l\) \* \(trunc\(beta_l\) \+ u\) != 0$"):
             _key_step(bent, k, bc.decompose_xk(bent, k))
 
     def test_odd_twist_that_leaves_the_entry_l_minus_1_l_minus_2(self, monkeypatch):
@@ -505,7 +511,7 @@ class TestPlantedTripwires:
         twist = bc.twist
         monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: changed(twist(B, j, v), j, j - 1))
         phi, k, dec = odd_twist_step()
-        with pytest.raises(bc.ContractViolation, match=r"^entry \(l-1, 2\) must vanish after the odd twist$"):
+        with pytest.raises(bc.TripwireError, match=r"^entry \(l-1, 2\) must vanish after the odd twist$"):
             _key_step(phi, k, dec)
 
     def test_fold_that_leaks_out_of_F_k(self, monkeypatch):
@@ -517,24 +523,24 @@ class TestPlantedTripwires:
 
         monkeypatch.setattr("bottcert.stabilize._then", leaky)
         phi, k, dec = odd_twist_step()
-        with pytest.raises(bc.ContractViolation, match="^height reduction broke k-stability$"):
+        with pytest.raises(bc.TripwireError, match="^height reduction broke k-stability$"):
             _key_step(phi, k, dec)
 
     def test_target_side_block(self, monkeypatch, no_claims):
         monkeypatch.setattr("bottcert.stabilize.same_block", says(False))
-        with pytest.raises(bc.ProofPathViolation, match=r"^k\+1 and k\+2 must share a block on the target side$"):
+        with pytest.raises(bc.TripwireError, match=r"^k\+1 and k\+2 must share a block on the target side$"):
             bc.stabilize_full(odd_short_fixture())
 
     def test_inversion_that_keeps_y_k_plus_1(self, monkeypatch, no_claims):
         # the detour's inverse comes back as the identity, which is already (k+1)-stable
         monkeypatch.setattr("bottcert.stabilize.invert", lambda phi: bc.identity_iso(phi.target))
-        with pytest.raises(bc.ProofPathViolation, match=r"^inverse image of y_\{k\+1\} fell below height k\+2$"):
+        with pytest.raises(bc.TripwireError, match=r"^inverse image of y_\{k\+1\} fell below height k\+2$"):
             bc.stabilize_full(odd_short_fixture())
 
     def test_source_side_block(self, monkeypatch, no_claims):
         # odd_short_fixture's detour ends with a step at k+3
         monkeypatch.setattr("bottcert.stabilize.same_block", says(True, False))
-        with pytest.raises(bc.ProofPathViolation, match=r"^k\+1 and k\+3 must share a block on the source side$"):
+        with pytest.raises(bc.TripwireError, match=r"^k\+1 and k\+3 must share a block on the source side$"):
             bc.stabilize_full(odd_short_fixture())
 
     def test_source_side_parity(self, monkeypatch):
@@ -543,7 +549,7 @@ class TestPlantedTripwires:
         monkeypatch.setattr("bottcert.stabilize.same_block", lambda T, i, j: True)
         A = bc.make_bott_matrix(3, [[], [0], [0, 1]])
         phi = bc.invert(bc.GradedIso(ZERO3, A, ((0, -1, 2), (1, 0, 0), (0, 0, 1))))
-        with pytest.raises(bc.ProofPathViolation, match=r"^entry \(k\+3, k\+2\) must be even on the source side$"):
+        with pytest.raises(bc.TripwireError, match=r"^entry \(k\+3, k\+2\) must be even on the source side$"):
             _odd_branch(phi, 0, 1)
 
     def test_detour_on_a_map_without_the_odd_entry(self, monkeypatch):
@@ -551,7 +557,7 @@ class TestPlantedTripwires:
         # detour: the inverse images of y_1 and y_2 are x_2 and x_3
         monkeypatch.setattr("bottcert.stabilize.same_block", lambda T, i, j: True)
         phi = bc.invert(bc.GradedIso(ZERO3, ZERO3, ((0, 1, 0), (0, 0, 1), (1, 0, 0))))
-        with pytest.raises(bc.ProofPathViolation, match=r"^inverse image of y_\{k\+2\} must land in F_\{k\+2\}$"):
+        with pytest.raises(bc.TripwireError, match=r"^inverse image of y_\{k\+2\} must land in F_\{k\+2\}$"):
             _odd_branch(phi, 0, 1)
 
     def test_detour_that_drops_its_work(self, monkeypatch, no_claims):
@@ -567,9 +573,31 @@ class TestPlantedTripwires:
             return invert(phi) if len(received) == 1 else received[0]
 
         monkeypatch.setattr("bottcert.stabilize.invert", dropped)
-        with pytest.raises(bc.ProofPathViolation, match=r"^result is neither \(k\+1\)- nor \(k\+2\)-stable$"):
+        with pytest.raises(bc.TripwireError, match=r"^result is neither \(k\+1\)- nor \(k\+2\)-stable$"):
             bc.stabilize_full(odd_long_fixture())
         assert len(received) == 2
+
+    @pytest.mark.parametrize(
+        "name, fixture",
+        [
+            ("bottcert.moves.invert_move", one_switch_tower_fixture),
+            ("bottcert.moves.MoveSeq.build", even_case_fixture),
+            ("bottcert.stabilize.invert", odd_short_fixture),
+        ],
+        ids=["invert_seq", "MoveSeq.build", "odd-branch-invert"],
+    )
+    def test_domain_error_while_building(self, name, fixture, monkeypatch, no_claims):
+        # phi is valid, so a domain error from inverting f's moves, from building a
+        # sequence or from the detour's inversion is a bug, not the input's fault
+        planted = bc.SwitchBlocked("planted")
+
+        def fail(*args):
+            raise planted
+
+        monkeypatch.setattr(name, fail)
+        with pytest.raises(bc.TripwireError, match="^certificate construction failed: planted$") as info:
+            bc.stabilize_full(fixture())
+        assert info.value.__cause__ is planted
 
 
 class TestGuardCounts:
@@ -625,7 +653,7 @@ class TestGuardCounts:
             return bc.GradedIso(cur.source, cur.target, tuple(map(tuple, C))), rt
 
         monkeypatch.setattr("bottcert.stabilize._raise_fwd", bent)
-        with pytest.raises(bc.ContractViolation, match="^phi_prime is not g o phi o f$"):
+        with pytest.raises(bc.TripwireError, match="^phi_prime is not g o phi o f$"):
             bc.stabilize_full(fixture())
 
     def test_move_maps_are_built_only_at_the_gate(self, monkeypatch):

@@ -121,7 +121,7 @@ class TestWellOrder:
         product_is_zero = structure.product_is_zero
         first = iter([False])
         monkeypatch.setattr(structure, "product_is_zero", lambda A, s, t: next(first, True) and product_is_zero(A, s, t))
-        with pytest.raises(bc.WellOrderFailure) as info:
+        with pytest.raises(bc.TripwireError) as info:
             bc.decompose_tower(hirzebruch(1))
         assert str(info.value) == "well-ordering switch at 1 failed: entry (2,1) is 1, must be 0"
         assert isinstance(info.value.__cause__, bc.SwitchBlocked)

@@ -12,55 +12,61 @@ manifolds:
 
 Rows above j of a twisted matrix become beta_i + b_ij v; this completion is
 forced by requiring the induced map to be a ring isomorphism, so ``switch``
-and ``twist`` check their preconditions and ``Move.induced`` builds that map
-by algebra.  The gate is ``build_move``: it builds a move from outside
+and ``twist`` check their preconditions and return the matrix after the
+move, and ``Move.induced`` builds that map by algebra.  A move is its
+parameters (kind, j, v) and holds no matrix, so reading a sequence holds one
+matrix at a time.  The gate is ``build_move``: it builds a move from outside
 parameters and checks its map by full relation checking (``make_iso``).
-``rebuild`` alone calls it, building a sequence from its start and its
-moves' parameters; the JSON reader and ``verify_certificate`` both use it.
+``rebuild`` alone calls it; the JSON reader and ``verify_certificate`` both
+use it.
 
-A move's map is fixed by (kind, j, v) and elementary, so neither moves nor
-sequences store maps: ``_then`` and ``_before`` compose a map with a move by
-a column or a row operation, and no other module acts with a move on a matrix.
+A move's map is fixed by n and (kind, j, v) and elementary, so neither moves
+nor sequences store maps: ``_then`` and ``_before`` compose a map with a move
+by a column or a row operation, and no other module acts with a move on a
+matrix.
 """
 
 from __future__ import annotations
 
 from .errors import ContextMismatch, RangeError, ShapeError, SwitchBlocked, TwistInvalid
-from .iso import GradedIso, identity_iso, make_iso
+from .iso import identity_iso, make_iso
 from .ring import BottMatrix, Class2, product_is_zero
 
 
 class Move:
-    """One switch or twist together with the matrices before and after it."""
-    __slots__ = ("kind", "j", "v", "before", "after")
+    """One switch or twist by its parameters; v is a twist's coefficients, None for a switch."""
+    __slots__ = ("kind", "j", "v")
 
-    def __init__(self, kind: str, j: int, v: Class2 | None, before: BottMatrix, after: BottMatrix):
+    def __init__(self, kind: str, j: int, v: tuple[int, ...] | None):
         self.kind, self.j, self.v = kind, j, v  # kind is "switch" or "twist"
-        self.before, self.after = before, after
 
-    @property
-    def induced(self) -> GradedIso:
-        """The induced map, by algebra: identity rows j, j+1 swapped, or v added to row j."""
-        C = list(identity_iso(self.before).C)
+    def apply(self, B: BottMatrix) -> BottMatrix:
+        """The matrix after this move from B; ``switch`` or ``twist`` checks its precondition."""
+        if self.kind == "switch":
+            return switch(B, self.j)
+        if self.kind == "twist":
+            return twist(B, self.j, self.v)
+        raise ShapeError(f"unknown move kind {self.kind!r}")
+
+    def induced(self, B: BottMatrix) -> tuple[tuple[int, ...], ...]:
+        """The rows of the map induced from B: identity rows j, j+1 swapped, or v added to row j."""
+        C = list(identity_iso(B).C)
         j = self.j
         if self.kind == "switch":
             C[j - 1], C[j] = C[j], C[j - 1]
         else:
-            C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], self.v.coeffs))
-        return GradedIso(self.before, self.after, tuple(C))
-
-    def _key(self) -> tuple:
-        return (self.kind, self.j, self.v, self.before, self.after)
+            C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], self.v))
+        return tuple(C)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Move) and self._key() == other._key()
+        return isinstance(other, Move) and (self.kind, self.j, self.v) == (other.kind, other.j, other.v)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.kind, self.j, self.v))
 
 
-def switch(B: BottMatrix, j: int) -> Move:
-    """Exchange adjacent stages j and j+1; requires b_{j+1,j} = 0."""
+def switch(B: BottMatrix, j: int) -> BottMatrix:
+    """B with adjacent stages j and j+1 exchanged; requires b_{j+1,j} = 0."""
     n = B.n
     if not 1 <= j < n:
         raise RangeError(f"switch position {j} outside 1..{n - 1}")
@@ -72,49 +78,43 @@ def switch(B: BottMatrix, j: int) -> Move:
     rows = list(B.rows)
     rows[j - 1], rows[j] = B.rows[j][: j - 1], B.rows[j - 1] + (0,)
     rows[j + 1 :] = [r[: j - 1] + (r[j], r[j - 1]) + r[j + 1 :] for r in rows[j + 1 :]]
-    return Move("switch", j, None, B, BottMatrix._derived(n, tuple(rows)))
+    return BottMatrix._derived(n, tuple(rows))
 
 
-def twist(B: BottMatrix, j: int, v: Class2) -> Move:
-    """Replace row j by beta_j - 2v for v in F_{j-1} with v(beta_j - v) = 0."""
+def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
+    """B with row j replaced by beta_j - 2v, for v (n coefficients) in F_{j-1} with v(beta_j - v) = 0."""
     n = B.n
     if not 1 <= j <= n:
         raise RangeError(f"twist position {j} outside 1..{n}")
-    if v.context != B:
-        raise ContextMismatch("twist parameter lives over a different matrix")
-    if v.height() >= j:
-        raise TwistInvalid(f"v has height {v.height()}, needs < {j}")
-    if not product_is_zero(B, v.coeffs, (B.alpha(j) - v).coeffs):
-        raise TwistInvalid(f"v(beta_j - v) != 0 for v={v!r}")
-
+    height = max((i for i, t in enumerate(v, start=1) if t), default=0)
+    if height >= j:
+        raise TwistInvalid(f"v has height {height}, needs < {j}")
     # v has height < j, so only its first j-1 entries can be nonzero: row j
     # becomes beta_j - 2v and each row i > j gains b_ij v
-    vc = v.coeffs
+    row = B.rows[j - 1]
+    if not product_is_zero(B, v, [b - t for b, t in zip(row, v)] + [0] * (n - j + 1)):
+        raise TwistInvalid(f"v(beta_j - v) != 0 for v=Class2{list(v)}")
     rows = list(B.rows)
-    rows[j - 1] = tuple(b - 2 * t for b, t in zip(B.rows[j - 1], vc))
+    rows[j - 1] = tuple(b - 2 * t for b, t in zip(row, v))
     for i in range(j, n):
         if bij := B.rows[i][j - 1]:
-            rows[i] = tuple(b + bij * t for b, t in zip(B.rows[i], vc))
-    return Move("twist", j, v, B, BottMatrix._derived(n, tuple(rows)))
+            rows[i] = tuple(b + bij * t for b, t in zip(B.rows[i], v))
+    return BottMatrix._derived(n, tuple(rows))
 
 
-def build_move(before: BottMatrix, kind: str, j: int, v) -> Move:
-    """The move (kind, j, v) from before, checked by ``make_iso``; v is a twist's coefficients."""
-    if kind == "switch":
-        mv = switch(before, j)
-    elif kind == "twist":
-        mv = twist(before, j, Class2(before, v))
-    else:
-        raise ShapeError(f"unknown move kind {kind!r}")
-    make_iso(before, mv.after, mv.induced.C)
-    return mv
+def build_move(before: BottMatrix, kind: str, j: int, v) -> tuple[Move, BottMatrix]:
+    """The move (kind, j, v) from before, checked by ``make_iso``, and the matrix after it."""
+    mv = Move(kind, j, Class2(before, v).coeffs if kind == "twist" else None)
+    after = mv.apply(before)
+    make_iso(before, after, mv.induced(before))
+    return mv, after
 
 
 def invert_move(mv: Move) -> Move:
-    """The move undoing mv, built by algebra from mv.after: the switch at j or the twist (j, -v)."""
+    """The move undoing mv: the switch at the same j, or the twist (j, -v)."""
     if mv.kind == "switch":
-        return switch(mv.after, mv.j)
-    return twist(mv.after, mv.j, Class2(mv.after, (-mv.v).coeffs))
+        return mv
+    return Move("twist", mv.j, tuple(-t for t in mv.v))
 
 
 def _then(C: list[list[int]], mv: Move) -> None:
@@ -127,7 +127,7 @@ def _then(C: list[list[int]], mv: Move) -> None:
         return
     for row in C:
         if c := row[j - 1]:
-            row[: j - 1] = [e + c * t for e, t in zip(row[: j - 1], mv.v.coeffs)]
+            row[: j - 1] = [e + c * t for e, t in zip(row[: j - 1], mv.v)]
 
 
 def _before(C: list[list[int]], mv: Move) -> None:
@@ -137,7 +137,7 @@ def _before(C: list[list[int]], mv: Move) -> None:
     if mv.kind == "switch":
         C[j - 1], C[j] = C[j], C[j - 1]
         return
-    for t, vt in enumerate(mv.v.coeffs[: j - 1]):
+    for t, vt in enumerate(mv.v[: j - 1]):
         if vt:
             C[j - 1] = [e + vt * s for e, s in zip(C[j - 1], C[t])]
 
@@ -151,34 +151,31 @@ class MoveSeq:
 
     @staticmethod
     def build(start: BottMatrix, moves) -> "MoveSeq":
+        """The moves from start; the end is their replay, in which each move checks its precondition."""
         moves = tuple(moves)
-        cur = start
-        for idx, mv in enumerate(moves):
-            if mv.before != cur:
-                raise ContextMismatch(f"move {idx} starts at {mv.before!r}, expected {cur!r}")
-            cur = mv.after
-        return MoveSeq(start, moves, cur)
+        end = start
+        for mv in moves:
+            end = mv.apply(end)
+        return MoveSeq(start, moves, end)
 
 
 def rebuild(start: BottMatrix, params) -> MoveSeq:
     """The moves (kind, j, v) from start, each built through ``build_move`` from the one before.
 
-    v is a twist's coefficients; the moves chain by construction.
+    v is a twist's coefficients; the moves chain by construction, and only
+    the current matrix is kept.
     """
     cur = start
     moves = []
     for kind, j, v in params:
-        mv = build_move(cur, kind, j, v)
+        mv, cur = build_move(cur, kind, j, v)
         moves.append(mv)
-        cur = mv.after
     return MoveSeq(start, tuple(moves), cur)
 
 
-def invert_seq(start: BottMatrix, moves) -> MoveSeq:
-    """Undo moves that run from start, the last first; building the result checks their chain."""
-    back = tuple(invert_move(mv) for mv in reversed(moves))
-    seq = MoveSeq.build(back[0].before if back else start, back)
+def invert_seq(start: BottMatrix, moves, end: BottMatrix) -> MoveSeq:
+    """Undo moves that run from start to end, the last first, walking back from end; the walk must reach start."""
+    seq = MoveSeq.build(end, [invert_move(mv) for mv in reversed(moves)])
     if seq.end != start:
         raise ContextMismatch(f"moves start at {seq.end!r}, expected {start!r}")
     return seq
-

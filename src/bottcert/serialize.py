@@ -109,7 +109,7 @@ def iso_matrix_from_obj(obj: object) -> list[list[int]]:
 def move_to_obj(mv: Move) -> dict:
     if mv.kind == "switch":
         return {"kind": "switch", "j": mv.j}
-    return {"kind": "twist", "j": mv.j, "v": [encode_int(t) for t in mv.v.coeffs]}
+    return {"kind": "twist", "j": mv.j, "v": [encode_int(t) for t in mv.v]}
 
 
 def move_from_obj(obj: object) -> tuple:

@@ -69,7 +69,7 @@ class KeyStepTrace:
                  moves: tuple[Move, ...]):
         self.k, self.ell, self.p, self.case = k, ell, p, case  # "zero" | "even" | "odd"
         self.e, self.w, self.u = e, w, u  # e = 2 eps
-        self.moves = moves  # one to three, the first from the target of the map reduced
+        self.moves = moves  # one to three, run from the target of the map reduced
 
 
 def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
@@ -81,16 +81,16 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
     C = [list(row) for row in phi.C]  # phi, then the moves so far as column operations
     cur = B
 
-    def play(build, *args) -> None:
-        """Build a move from the current matrix and fold it onto C; a failed build is a bug."""
+    def play(build, j: int, v: tuple[int, ...] | None = None) -> None:
+        """Apply ``build``, a switch at j or twist (j, v), and fold it onto C; a failed build is a bug."""
         nonlocal cur
         try:
-            mv = build(cur, *args)
+            cur = build(cur, j) if v is None else build(cur, j, v)
         except BottError as exc:
             raise TripwireError(f"key step at l={ell} could not build a move: {exc}") from exc
+        mv = Move("switch" if v is None else "twist", j, v)
         moves.append(mv)
         _then(C, mv)
-        cur = mv.after
 
     u: Class2 | None = None
     if p == 0:
@@ -113,7 +113,7 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
         if p % 2 == 0:
             case = "even"
             # twist checks v(beta_l - v) = 0, and the switch that b_{l,l-1} is cleared
-            play(twist, ell, Class2.basis(B, ell - 1).scale(p // 2))
+            play(twist, ell, Class2.basis(B, ell - 1).scale(p // 2).coeffs)
             play(switch, ell - 1)
         else:
             case = "odd"
@@ -122,7 +122,7 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
             # with p odd (_descend steps at l > k+2, _raise_fwd at k+2 for even p only),
             # so the loop reaches column l-2
             bar_prev = B.alpha(ell - 1).truncated_tail(k)
-            play(twist, ell - 1, Class2(B, [t // 2 for t in bar_prev.coeffs]))
+            play(twist, ell - 1, tuple(t // 2 for t in bar_prev.coeffs))
             for col in range(k + 1, ell - 1):
                 if cur.a(ell, col) != 0:
                     raise TripwireError(f"entry (l, {col}) must vanish after the odd twist")
@@ -261,7 +261,8 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     so each loop of a round ends within n steps.  ``_raise_fwd`` checks that
     a round leaves the map (k+1)- or (k+2)-stable, and k+2 <= n-1 while the
     loop runs, so each round raises max_stable and there are at most n-2
-    rounds.  ``check_claims`` is the last tripwire.  phi is a validated
+    rounds.  ``check_claims`` is the last tripwire; it compares g's end,
+    replayed from B, with the working map's target.  phi is a validated
     isomorphism, so a domain error raised on the way (by a tower, a move, an
     inversion or a sequence build) is a bug too: it becomes a TripwireError
     chained from it, and a tripwire passes through unchanged.
@@ -293,7 +294,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
                 if rt.odd.final_step is not None:
                     src_fwd += rt.odd.final_step.moves
         cert = StabilizationCertificate(
-            A=A, B=B, phi=phi, f_seq=invert_seq(A, src_fwd), g_seq=MoveSeq.build(B, tgt_fwd),
+            A=A, B=B, phi=phi, f_seq=invert_seq(A, src_fwd, cur.source), g_seq=MoveSeq.build(B, tgt_fwd),
             phi_prime=cur, k_final=k
         )
     except TripwireError:
@@ -365,8 +366,7 @@ def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     """
     try:
         for side, seq in (("source", cert.f_seq), ("target", cert.g_seq)):
-            params = ((mv.kind, mv.j, None if mv.v is None else mv.v.coeffs) for mv in seq.moves)
-            rebuilt = rebuild(seq.start, params)
+            rebuilt = rebuild(seq.start, ((mv.kind, mv.j, mv.v) for mv in seq.moves))
             if rebuilt.moves != seq.moves or rebuilt.end != seq.end:
                 return ReplayResult(False, f"{side} sequence is not its rebuild from its parameters")
         phi = make_iso(cert.phi.source, cert.phi.target, cert.phi.C)

@@ -72,11 +72,10 @@ def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], i
             continue
         for j in range(k + r, k + d, -1):
             try:
-                mv = switch(M, j)
+                M = switch(M, j)
             except BottError as exc:
                 raise TripwireError(f"well-ordering switch at {j} failed: {exc}") from exc
-            moves.append(mv)
-            M = mv.after
+            moves.append(Move("switch", j, None))
         d += 1
     return M, moves, d
 

@@ -211,17 +211,23 @@ def compose_dense(g, f):
     return bc.GradedIso(f.source, g.target, dense_product(f.C, g.C))
 
 
+def move_iso(B, mv):
+    """The isomorphism mv induces, from B onto the matrix after mv."""
+    return bc.GradedIso(B, mv.apply(B), mv.induced(B))
+
+
 def moves_product(start, mvs):
     """The map of moves mvs run from start: the dense product of their induced maps."""
     C = bc.identity_iso(start).C
     for mv in mvs:
-        C = dense_product(C, mv.induced.C)
+        phi = move_iso(start, mv)
+        C, start = dense_product(C, phi.C), phi.target
     return C
 
 
 def rebuild_matches(seq):
     """(moves, end) of seq each equal to those ``rebuild`` gives from its start and its moves' (kind, j, v)."""
-    fresh = bc.rebuild(seq.start, [(mv.kind, mv.j, None if mv.v is None else mv.v.coeffs) for mv in seq.moves])
+    fresh = bc.rebuild(seq.start, [(mv.kind, mv.j, mv.v) for mv in seq.moves])
     return fresh.moves == seq.moves, fresh.end == seq.end
 
 
@@ -288,8 +294,8 @@ def lift_chain(phi, tgt_side, i, t):
     for j in range(i, t):
         if M.a(j + 1, j) != 0:
             break
-        mv = bc.switch(M, j)
-        phi = compose_dense(mv.induced, phi) if tgt_side else compose_dense(phi, bc.invert(mv.induced))
+        mv = move_iso(M, bc.Move("switch", j, None))
+        phi = compose_dense(mv, phi) if tgt_side else compose_dense(phi, bc.invert(mv))
         M = phi.target if tgt_side else phi.source
     return phi
 
@@ -308,8 +314,8 @@ def scrambled_iso(rng, A, rounds, twist_mag=2):
             j = rng.randint(1, M.n)
             vs = [v for v in admissible_twists(M, j, twist_mag) if any(v.coeffs)]
             if vs:
-                mv = bc.twist(M, j, rng.choice(vs))
-                phi = compose_dense(mv.induced, phi) if tgt_side else compose_dense(phi, bc.invert(mv.induced))
+                mv = move_iso(M, bc.Move("twist", j, rng.choice(vs).coeffs))
+                phi = compose_dense(mv, phi) if tgt_side else compose_dense(phi, bc.invert(mv))
     return phi
 
 
@@ -320,12 +326,12 @@ def moved_partner(rng, A, count, twist_mag=1):
         if rng.random() < 0.5:
             js = [j for j in range(1, M.n) if M.a(j + 1, j) == 0]
             if js:
-                M = bc.switch(M, rng.choice(js)).after
+                M = bc.switch(M, rng.choice(js))
                 continue
         j = rng.randint(1, M.n)
         vs = [v for v in admissible_twists(M, j, twist_mag) if any(v.coeffs)]
         if vs:
-            M = bc.twist(M, j, rng.choice(vs)).after
+            M = bc.twist(M, j, rng.choice(vs).coeffs)
     return M
 
 

@@ -1,4 +1,4 @@
-"""Exhaustive n = 4 sweep, run as a script; pytest does not collect it.
+"""Exhaustive n = 4 sweep, pinned in tier-1 by ``test_sweep_n4.py`` and runnable as a script.
 
 Every n = 4 Bott matrix with entries in -1..1 (729 of them) is searched
 against itself at bound 2, and the first 50 hits of each are stabilized:
@@ -31,7 +31,8 @@ def sweep_isos():
         yield from bc.search_isos(A, A, 2)[:SWEEP_HITS]
 
 
-def main() -> int:
+def sweep() -> tuple[str, Counter, int]:
+    """(digest, counts, failures) of the sweep."""
     records, counts, failed = [], Counter(), 0
     for phi in sweep_isos():
         cert, trace = bc.stabilize_full(phi, with_trace=True)
@@ -47,7 +48,11 @@ def main() -> int:
                 counts.update(f"source {st.case}" for st in rt.odd.source_steps)
                 if rt.odd.final_step is not None:
                     counts[f"final {rt.odd.final_step.case}"] += 1
-    digest = _digest(records)
+    return _digest(records), counts, failed
+
+
+def main() -> int:
+    digest, counts, failed = sweep()
     print(f"digest {digest}")
     for key in sorted(counts):
         print(f"{key} {counts[key]}")

@@ -118,23 +118,23 @@ def test_c4_move_soundness():
             js = [j for j in range(1, B.n) if B.a(j + 1, j) == 0]
             if not js:
                 continue
-            mv = bc.switch(B, rng.choice(js))
-            bc.make_iso(mv.before, mv.after, mv.induced.C)
-            back = bc.switch(mv.after, mv.j)
-            assert back.after == B
-            assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(B).C
+            mv = bc.Move("switch", rng.choice(js), None)
+            after = bc.switch(B, mv.j)
+            bc.make_iso(B, after, mv.induced(B))
+            assert bc.switch(after, mv.j) == B
+            assert dense_product(mv.induced(B), mv.induced(after)) == bc.identity_iso(B).C
             switches += 1
         else:
             j = rng.randint(1, B.n)
             vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
             if not vs:
                 continue
-            v = rng.choice(vs)
-            mv = bc.twist(B, j, v)
-            bc.make_iso(mv.before, mv.after, mv.induced.C)
-            back = bc.twist(mv.after, j, -bc.Class2(mv.after, v.coeffs))
-            assert back.after == B
-            assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(B).C
+            v = rng.choice(vs).coeffs
+            mv, back = bc.Move("twist", j, v), bc.Move("twist", j, tuple(-t for t in v))
+            after = bc.twist(B, j, v)
+            bc.make_iso(B, after, mv.induced(B))
+            assert bc.twist(after, j, back.v) == B
+            assert dense_product(mv.induced(B), back.induced(after)) == bc.identity_iso(B).C
             twists += 1
     print(f"CRITERION 4 PASS: 500 moves sound ({switches} switches, {twists} twists)")
 

@@ -26,12 +26,18 @@
   method of such a class (dunders aside), is referenced by name in the
   library (``__init__.py`` aside) or in ``bench/``, so no entry point is
   kept for the tests alone.
+* A move is its parameters (kind, j, v) and holds no matrix: v is None for
+  a switch and a tuple of plain ints for a twist, so reading a sequence
+  keeps one matrix at a time.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import bottcert as bc
+from helpers import trace_isos
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bottcert"
 BENCH = SRC.parent.parent / "bench"
@@ -285,3 +291,44 @@ def test_detects_unreferenced():
     )
     bench = "import lib\nlib.read_by_bench()\nlib.Kept().read()\n"
     assert unreferenced(source, bench) == ["orphan", "Orphan", "Kept.spare"]
+
+
+def parameters_only(mv) -> bool:
+    """Whether mv holds (kind, j, v) and nothing else: v None for a switch, a tuple of plain ints for a twist."""
+    if getattr(type(mv), "__slots__", None) != ("kind", "j", "v") or hasattr(mv, "__dict__"):
+        return False
+    if type(mv.j) is not int:
+        return False
+    if mv.kind == "switch":
+        return mv.v is None
+    return mv.kind == "twist" and type(mv.v) is tuple and all(type(t) is int for t in mv.v)
+
+
+def test_moves_hold_only_their_parameters():
+    assert bc.Move.__slots__ == ("kind", "j", "v")
+    twists = 0
+    for phi in trace_isos():
+        cert = bc.stabilize_full(phi)
+        for mv in cert.f_seq.moves + cert.g_seq.moves:
+            assert parameters_only(mv), (mv.kind, mv.j, mv.v)
+            twists += mv.kind == "twist"
+    assert twists > 0
+
+
+def test_detects_moves_that_hold_more():
+    class Carrying:
+        """A move that also keeps the matrices around it."""
+        __slots__ = ("kind", "j", "v", "before", "after")
+
+        def __init__(self, kind, j, v):
+            self.kind, self.j, self.v = kind, j, v
+
+    B = bc.BottMatrix(2, [[], [2]])
+    assert parameters_only(bc.Move("twist", 2, (1, 0)))
+    assert parameters_only(bc.Move("switch", 1, None))
+    assert not parameters_only(Carrying("switch", 1, None))
+    assert not parameters_only(bc.Move("twist", 2, bc.Class2(B, (1, 0))))  # a class carries its matrix
+    assert not parameters_only(bc.Move("twist", 2, [1, 0]))
+    assert not parameters_only(bc.Move("twist", 2, (1, True)))
+    assert not parameters_only(bc.Move("switch", 1, (0, 0)))
+    assert not parameters_only(bc.Move("flip", 1, None))

@@ -90,8 +90,8 @@ def switch_map(rng, A):
     js = [j for j in range(1, A.n) if A.a(j + 1, j) == 0]
     if not js:
         return None
-    mv = bc.switch(A, rng.choice(js))
-    return mv.after, mv.induced.C
+    mv = bc.Move("switch", rng.choice(js), None)
+    return mv.apply(A), mv.induced(A)
 
 
 def twist_map(rng, A):
@@ -100,8 +100,8 @@ def twist_map(rng, A):
     vs = [v for v in admissible_twists(A, j, 1) if any(v.coeffs)]
     if not vs:
         return None
-    mv = bc.twist(A, j, rng.choice(vs))
-    return j, mv.after, mv.induced.C
+    mv = bc.Move("twist", j, rng.choice(vs).coeffs)
+    return j, mv.apply(A), mv.induced(A)
 
 
 def gate_input(rng, kind):

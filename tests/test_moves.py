@@ -1,7 +1,9 @@
 """Switch and twist moves, their induced isomorphisms, sequences and their rebuild."""
 
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from helpers import (
     claim_product,
     dense_product,
     fuzz_base_isos,
+    move_iso,
     moves_product,
     odd_twist_isos,
     rand_matrix,
@@ -22,6 +25,7 @@ from test_pinned_traces import sweep_isos
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
+ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
 
 
 def hirzebruch(a):
@@ -30,14 +34,12 @@ def hirzebruch(a):
 
 class TestSwitch:
     def test_factor_swap(self):
-        mv = bc.switch(ZERO2, 1)
-        assert mv.after == ZERO2
-        assert mv.induced.C == ((0, 1), (1, 0))
+        assert bc.switch(ZERO2, 1) == ZERO2
+        assert bc.Move("switch", 1, None).induced(ZERO2) == ((0, 1), (1, 0))
 
     def test_column_swap_in_later_rows(self):
         A = bc.make_bott_matrix(3, [[], [0], [1, 2]])
-        mv = bc.switch(A, 1)
-        assert mv.after == bc.make_bott_matrix(3, [[], [0], [2, 1]])
+        assert bc.switch(A, 1) == bc.make_bott_matrix(3, [[], [0], [2, 1]])
 
     def test_blocked(self):
         with pytest.raises(bc.SwitchBlocked):
@@ -55,46 +57,36 @@ class TestSwitch:
             if not js:
                 continue
             j = rng.choice(js)
-            mv = bc.switch(A, j)
-            back = bc.switch(mv.after, j)
-            assert back.after == A
-            assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(A).C
+            mv = bc.Move("switch", j, None)
+            after = bc.switch(A, j)
+            assert bc.switch(after, j) == A
+            assert dense_product(mv.induced(A), mv.induced(after)) == bc.identity_iso(A).C
 
 
 class TestTwist:
     def test_hirzebruch_step(self):
         B = hirzebruch(3)
-        v = bc.Class2.basis(B, 1)
-        mv = bc.twist(B, 2, v)
-        assert mv.after == hirzebruch(1)
-        assert mv.induced.C == ((1, 0), (1, 1))
+        assert bc.twist(B, 2, (1, 0)) == hirzebruch(1)
+        assert bc.Move("twist", 2, (1, 0)).induced(B) == ((1, 0), (1, 1))
 
     def test_zero_parameter(self):
         B = hirzebruch(3)
-        mv = bc.twist(B, 2, bc.Class2(B, (0,) * B.n))
-        assert mv.after == B
-        assert mv.induced.C == bc.identity_iso(B).C
+        assert bc.twist(B, 2, (0, 0)) == B
+        assert bc.Move("twist", 2, (0, 0)).induced(B) == bc.identity_iso(B).C
 
     def test_rows_above_pick_up_v(self):
         B = bc.make_bott_matrix(3, [[], [2], [0, 1]])
-        mv = bc.twist(B, 2, bc.Class2.basis(B, 1))
-        assert mv.after == bc.make_bott_matrix(3, [[], [0], [1, 1]])
+        assert bc.twist(B, 2, (1, 0, 0)) == bc.make_bott_matrix(3, [[], [0], [1, 1]])
 
     def test_invalid_height(self):
         B = hirzebruch(3)
         with pytest.raises(bc.TwistInvalid):
-            bc.twist(B, 1, bc.Class2.basis(B, 1))
+            bc.twist(B, 1, (1, 0))
 
     def test_invalid_product(self):
         C = bc.make_bott_matrix(3, [[], [1], [0, 0]])
-        v = bc.Class2(C, (0, 1, 0))
         with pytest.raises(bc.TwistInvalid):
-            bc.twist(C, 3, v)  # v(beta_3 - v) = x2(-x2) = -x1 x2 != 0
-
-    def test_parameter_over_another_matrix(self):
-        B = hirzebruch(3)
-        with pytest.raises(bc.ContextMismatch, match="^twist parameter lives over a different matrix$"):
-            bc.twist(B, 2, bc.Class2.basis(hirzebruch(1), 1))
+            bc.twist(C, 3, (0, 1, 0))  # v(beta_3 - v) = x2(-x2) = -x1 x2 != 0
 
     def test_identity_below_j(self):
         rng = random.Random(6)
@@ -102,11 +94,11 @@ class TestTwist:
             B = rand_matrix(rng, rng.randint(2, 5), 2)
             j = rng.randint(2, B.n)
             vs = admissible_twists(B, j, 2)
-            v = rng.choice(vs)
-            mv = bc.twist(B, j, v)
+            v = rng.choice(vs).coeffs
+            C, after = bc.Move("twist", j, v).induced(B), bc.twist(B, j, v)
             for i in range(1, j):
-                assert mv.induced.C[i - 1] == tuple(int(c == i) for c in range(1, B.n + 1))
-                assert mv.after.rows[i - 1] == B.rows[i - 1]
+                assert C[i - 1] == tuple(int(c == i) for c in range(1, B.n + 1))
+                assert after.rows[i - 1] == B.rows[i - 1]
 
     def test_inverse_via_negated_parameter(self):
         rng = random.Random(14)
@@ -116,13 +108,13 @@ class TestTwist:
             vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
             if not vs:
                 continue
-            v = rng.choice(vs)
-            mv = bc.twist(B, j, v)
-            v_hat = bc.Class2(mv.after, v.coeffs)
-            back = bc.twist(mv.after, j, -v_hat)
-            assert back.after == B
-            assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(B).C
-            assert bc.invert_move(mv).after == B
+            v = rng.choice(vs).coeffs
+            mv = bc.Move("twist", j, v)
+            after = bc.twist(B, j, v)
+            back = bc.invert_move(mv)
+            assert back == bc.Move("twist", j, tuple(-t for t in v))
+            assert bc.twist(after, j, back.v) == B
+            assert dense_product(mv.induced(B), back.induced(after)) == bc.identity_iso(B).C
 
 
 class TestMoveSoundness:
@@ -135,15 +127,15 @@ class TestMoveSoundness:
                 js = [j for j in range(1, B.n) if B.a(j + 1, j) == 0]
                 if not js:
                     continue
-                mv = bc.switch(B, rng.choice(js))
+                mv = bc.Move("switch", rng.choice(js), None)
             else:
                 j = rng.randint(1, B.n)
                 vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
                 if not vs:
                     continue
-                mv = bc.twist(B, j, rng.choice(vs))
-            # the constructors build the induced map by algebra; make_iso checks it
-            bc.make_iso(mv.before, mv.after, mv.induced.C)
+                mv = bc.Move("twist", j, rng.choice(vs).coeffs)
+            # switch, twist and Move.induced work by algebra; make_iso checks the map
+            bc.make_iso(B, mv.apply(B), mv.induced(B))
             done += 1
 
 
@@ -160,12 +152,16 @@ class TestMoveLemma:
         count = 0
         for phi in source():
             cert = bc.stabilize_full(phi)
-            for mv in cert.f_seq.moves + cert.g_seq.moves:
-                assert bc.make_iso(mv.before, mv.after, mv.induced.C) == mv.induced
-                back = bc.invert_move(mv)
-                assert (back.before, back.after) == (mv.after, mv.before)
-                assert dense_product(mv.induced.C, back.induced.C) == bc.identity_iso(mv.before).C
-                count += 1
+            for seq in (cert.f_seq, cert.g_seq):
+                M = seq.start
+                for mv in seq.moves:
+                    phi_mv = move_iso(M, mv)
+                    assert bc.make_iso(M, phi_mv.target, phi_mv.C) == phi_mv
+                    back = move_iso(phi_mv.target, bc.invert_move(mv))
+                    assert back.target == M
+                    assert dense_product(phi_mv.C, back.C) == bc.identity_iso(M).C
+                    M = phi_mv.target
+                    count += 1
         assert count > 0
 
 
@@ -177,9 +173,9 @@ def fold_both_ways(C, mvs):
     return tuple(map(tuple, cols)), dense_product(C.C, moves_product(C.target, mvs))
 
 
-def assert_after_is_valid(mv):
-    # after is built without re-validation; the strict constructor must accept it unchanged
-    assert bc.BottMatrix(mv.after.n, mv.after.rows) == mv.after
+def assert_derived_is_valid(M):
+    # a moved matrix is built without re-validation; the strict constructor must accept it unchanged
+    assert bc.BottMatrix(M.n, M.rows) == M
 
 
 def random_dense_map(rng, A, B):
@@ -196,15 +192,15 @@ def random_moves(rng, M, kinds):
         j = rng.randint(2, n)
         vs = [v for v in admissible_twists(M, j, 1) if any(v.coeffs)]
         if vs and (not js or rng.random() < 0.5):
-            mv = bc.twist(M, j, rng.choice(vs))
+            mv = bc.Move("twist", j, rng.choice(vs).coeffs)
         elif js:
-            mv = bc.switch(M, rng.choice(js))
+            mv = bc.Move("switch", rng.choice(js), None)
         else:
             break
-        assert_after_is_valid(mv)
+        M = mv.apply(M)
+        assert_derived_is_valid(M)
         kinds[mv.kind] += 1
         mvs.append(mv)
-        M = mv.after
     return mvs
 
 
@@ -217,8 +213,10 @@ class TestColumnFold:
             for seq in (cert.f_seq, cert.g_seq):
                 cols, dense = fold_both_ways(bc.identity_iso(seq.start), seq.moves)
                 assert cols == dense
+                M = seq.start
                 for mv in seq.moves:
-                    assert_after_is_valid(mv)
+                    M = mv.apply(M)
+                    assert_derived_is_valid(M)
                     twists += mv.kind == "twist"
         assert twists > 0
 
@@ -288,8 +286,8 @@ class TestClaimFold:
         # its row fold adds c times row 1 to row 2 of phi, never to row 3
         n = len(rows)
         start = bc.make_bott_matrix(n, rows)
-        mv = bc.twist(start, 2, bc.Class2(start, [c] + [0] * (n - 1)))
-        A = mv.after
+        mv = bc.Move("twist", 2, (c,) + (0,) * (n - 1))
+        A = mv.apply(start)
 
         def cert(phi_prime_rows):
             phi_prime = bc.GradedIso(start, A, tuple(map(tuple, phi_prime_rows)))
@@ -297,12 +295,12 @@ class TestClaimFold:
                 A, A, bc.identity_iso(A), bc.MoveSeq.build(start, [mv]), bc.MoveSeq.build(A, []), phi_prime, n
             )
 
-        good = cert(mv.induced.C)
+        good = cert(mv.induced(start))
         assert bc.verify_certificate(good).ok
         text = serialize.dumps_canonical(serialize.certificate_to_obj(good))
         assert serialize.verify_certificate_obj(json.loads(text)).ok
-        wrong_row = [list(row) for row in mv.induced.C]
-        wrong_row[2] = [e + t for e, t in zip(wrong_row[2], mv.v.coeffs)]
+        wrong_row = [list(row) for row in mv.induced(start)]
+        wrong_row[2] = [e + t for e, t in zip(wrong_row[2], mv.v)]
         res = stabilize.check_claims(cert(wrong_row))
         assert not res.ok and res.diagnostic == "phi_prime is not g o phi o f"
 
@@ -347,15 +345,16 @@ class TestGate:
             raise bc.RelationViolated(1, {})
 
         monkeypatch.setattr(moves, "make_iso", reject)
-        mv = bc.switch(ZERO2, 1)
+        mv = bc.Move("switch", 1, None)
         with pytest.raises(bc.RelationViolated):
             bc.build_move(ZERO2, "switch", 1, None)
         with pytest.raises(bc.RelationViolated):
             rebuild_matches(bc.MoveSeq.build(ZERO2, [mv]))
         phi = bc.identity_iso(ZERO2)
+        phi_mv = move_iso(ZERO2, mv)
         cert = bc.StabilizationCertificate(
-            ZERO2, ZERO2, phi, bc.MoveSeq.build(ZERO2, []), bc.MoveSeq.build(ZERO2, [mv]), mv.induced,
-            bc.max_stable(mv.induced),
+            ZERO2, ZERO2, phi, bc.MoveSeq.build(ZERO2, []), bc.MoveSeq.build(ZERO2, [mv]), phi_mv,
+            bc.max_stable(phi_mv),
         )
         assert stabilize.check_claims(cert).ok
         res = bc.verify_certificate(cert)
@@ -365,8 +364,10 @@ class TestGate:
 class TestBuildMove:
     def test_matches_switch_and_twist(self):
         B = hirzebruch(2)
-        assert bc.build_move(ZERO2, "switch", 1, None) == bc.switch(ZERO2, 1)
-        assert bc.build_move(B, "twist", 2, (1, 0)) == bc.twist(B, 2, bc.Class2.basis(B, 1))
+        assert bc.build_move(ZERO2, "switch", 1, None) == (bc.Move("switch", 1, None), bc.switch(ZERO2, 1))
+        assert bc.build_move(B, "twist", 2, (1, 0)) == (bc.Move("twist", 2, (1, 0)), bc.twist(B, 2, (1, 0)))
+        # the move keeps v as a tuple of plain ints, whatever sequence it was read from
+        assert bc.build_move(B, "twist", 2, [1, 0])[0].v == (1, 0)
 
     def test_runs_the_move_checks(self):
         with pytest.raises(bc.SwitchBlocked):
@@ -379,11 +380,13 @@ class TestBuildMove:
             bc.build_move(ZERO2, "flip", 1, None)
 
     def test_rebuild_reports_unknown_kind(self):
-        seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
-        mv = seq.moves[0]
-        bad = bc.Move("flip", mv.j, mv.v, mv.before, mv.after)
+        bad = bc.Move("flip", 1, None)
         with pytest.raises(bc.ShapeError, match="^unknown move kind 'flip'$"):
-            rebuild_matches(bc.MoveSeq(seq.start, (bad,), seq.end))
+            rebuild_matches(bc.MoveSeq(ZERO2, (bad,), ZERO2))
+
+    def test_sequence_build_reports_unknown_kind(self):
+        with pytest.raises(bc.ShapeError, match="^unknown move kind 'flip'$"):
+            bc.MoveSeq.build(ZERO2, [bc.Move("flip", 1, None)])
 
 
 class TestMoveSeq:
@@ -395,44 +398,82 @@ class TestMoveSeq:
 
     def test_two_twists(self):
         B = hirzebruch(3)
-        mv1 = bc.twist(B, 2, bc.Class2.basis(B, 1))
-        mv2 = bc.twist(mv1.after, 2, bc.Class2.basis(mv1.after, 1))
-        seq = bc.MoveSeq.build(B, [mv1, mv2])
+        mv = bc.Move("twist", 2, (1, 0))
+        seq = bc.MoveSeq.build(B, [mv, mv])
         assert seq.end == hirzebruch(-1)
         assert rebuild_matches(seq) == (True, True)
 
     def test_chain_mismatch_rejected(self):
-        mv = bc.switch(ZERO2, 1)
-        other = bc.twist(hirzebruch(3), 2, bc.Class2.basis(hirzebruch(3), 1))
-        with pytest.raises(bc.ContextMismatch):
-            bc.MoveSeq.build(ZERO2, [mv, other])
+        # each last move builds from start, not from the matrix the first move leaves;
+        # the build replays each move from the matrix before it, which checks its precondition
+        for start, first, last, error in [
+            (ZERO2, ("twist", 2, (1, 0)), ("switch", 1, None), bc.SwitchBlocked),
+            (ZERO3, ("twist", 2, (1, 0, 0)), ("twist", 3, (0, 1, 0)), bc.TwistInvalid),
+        ]:
+            bc.MoveSeq.build(start, [bc.Move(*last)])
+            with pytest.raises(error):
+                bc.MoveSeq.build(start, [bc.Move(*first), bc.Move(*last)])
 
     def test_rebuild_detects_tampering(self):
+        # a stored v that is a list, not the tuple the rebuild gives, and a wrong end
         B = hirzebruch(3)
-        mv = bc.twist(B, 2, bc.Class2.basis(B, 1))
-        seq = bc.MoveSeq.build(B, [mv])
-        bad_after = bc.Move(mv.kind, mv.j, mv.v, mv.before, hirzebruch(2))
-        tampered = bc.MoveSeq(seq.start, (bad_after,), hirzebruch(2))
+        tampered = bc.MoveSeq(B, (bc.Move("twist", 2, [1, 0]),), hirzebruch(2))
         assert rebuild_matches(tampered) == (False, False)
 
     def test_rebuild_detects_wrong_end(self):
-        seq = bc.MoveSeq.build(ZERO2, [bc.switch(ZERO2, 1)])
+        seq = bc.MoveSeq.build(ZERO2, [bc.Move("switch", 1, None)])
         tampered = bc.MoveSeq(seq.start, seq.moves, hirzebruch(2))
         assert rebuild_matches(tampered) == (True, False)
 
     def test_invert_seq(self):
         B = hirzebruch(2)
-        mv1 = bc.twist(B, 2, bc.Class2.basis(B, 1))
-        assert mv1.after == hirzebruch(0)
-        mv2 = bc.switch(mv1.after, 1)
+        mv1, mv2 = bc.Move("twist", 2, (1, 0)), bc.Move("switch", 1, None)
+        assert mv1.apply(B) == hirzebruch(0)
         seq = bc.MoveSeq.build(B, [mv1, mv2])
-        inv = bc.invert_seq(B, [mv1, mv2])
+        inv = bc.invert_seq(B, [mv1, mv2], seq.end)
         assert inv.start == seq.end and inv.end == seq.start
         assert dense_product(moves_product(B, seq.moves), moves_product(inv.start, inv.moves)) == bc.identity_iso(B).C
         assert rebuild_matches(inv) == (True, True)
-        empty = bc.invert_seq(B, ())
+        empty = bc.invert_seq(B, (), B)
         assert empty.start == empty.end == B and empty.moves == ()
         with pytest.raises(bc.ContextMismatch, match="^moves start at "):
-            bc.invert_seq(B, [mv2])  # mv2 starts at mv1.after
-        with pytest.raises(bc.ContextMismatch):
-            bc.invert_seq(B, [mv2, mv1])  # not a chain
+            bc.invert_seq(B, [mv2], seq.end)  # undoing mv2 alone leaves hirzebruch(0)
+        with pytest.raises(bc.SwitchBlocked):
+            bc.invert_seq(B, [mv2, mv1], seq.end)  # undoing mv1 first leaves hirzebruch(2), where no switch is
+
+
+def rebuild_peak(n, m):
+    """tracemalloc's peak while ``rebuild`` reads m switches at random positions on the zero matrix.
+
+    A full collection before each move empties the interpreter's free lists:
+    the tuples they keep after the library drops them are not the library's,
+    and their number grows with the spread of positions, not with what
+    ``rebuild`` holds.
+    """
+    rng = random.Random(48)
+    js = [rng.randint(1, n - 1) for _ in range(m)]
+
+    def params():
+        for j in js:
+            gc.collect()
+            yield "switch", j, None
+
+    start = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        seq = bc.rebuild(start, params())
+        return tracemalloc.get_traced_memory()[1], seq
+    finally:
+        tracemalloc.stop()
+
+
+class TestRebuildMemory:
+    def test_reading_holds_one_matrix_at_a_time(self):
+        # a move holds no matrix, so the peak is about one matrix, not one per move
+        # (a move that kept its two matrices gave 211 and 778 KB, a ratio of 3.7)
+        rebuild_peak(48, 1)  # fills the identity rows' cache, which only the first read pays for
+        short, seq = rebuild_peak(48, 25)
+        long, _ = rebuild_peak(48, 100)
+        assert len(seq.moves) == 25
+        assert long / short < 1.5, (short, long)

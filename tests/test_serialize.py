@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
 from bottcert import serialize as ser
-from helpers import compose_dense, odd_twist_isos
+from helpers import compose_dense, move_iso, odd_twist_isos
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
@@ -77,9 +77,7 @@ class TestRoundTrips:
 
     def test_move_seq(self):
         B = hirzebruch(2)
-        mv1 = bc.twist(B, 2, bc.Class2.basis(B, 1))
-        mv2 = bc.switch(mv1.after, 1)
-        seq = bc.MoveSeq.build(B, [mv1, mv2])
+        seq = bc.MoveSeq.build(B, [bc.Move("twist", 2, (1, 0)), bc.Move("switch", 1, None)])
         obj = json.loads(json.dumps(ser.seq_to_obj(seq)))
         back = ser.seq_from_obj(obj)
         assert back.start == seq.start and back.end == seq.end
@@ -88,7 +86,7 @@ class TestRoundTrips:
     def test_certificate(self):
         A = bc.make_bott_matrix(3, [[], [1], [0, 0]])
         phi0 = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
-        phi = compose_dense(phi0, bc.invert(bc.switch(A, 2).induced))
+        phi = compose_dense(phi0, bc.invert(move_iso(A, bc.Move("switch", 2, None))))
         cert = bc.stabilize_full(phi)
         obj = json.loads(json.dumps(ser.certificate_to_obj(cert)))
         back = ser.certificate_from_obj(obj)

@@ -13,6 +13,7 @@ from helpers import (
     compose_dense,
     dense_product,
     fuzz_base_isos,
+    move_iso,
     moves_product,
     odd_twist_isos,
     rebuild_matches,
@@ -42,7 +43,7 @@ def odd_short_fixture():
     # second source generator lifted out of the way
     A = bc.make_bott_matrix(3, [[], [1], [0, 0]])
     phi0 = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
-    return compose_dense(phi0, bc.invert(bc.switch(A, 2).induced))
+    return compose_dense(phi0, bc.invert(move_iso(A, bc.Move("switch", 2, None))))
 
 
 def odd_long_fixture():
@@ -52,9 +53,9 @@ def odd_long_fixture():
     phi0 = bc.make_iso(
         A, A, [[-1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
-    m1 = bc.switch(A, 2)
-    m2 = bc.switch(m1.after, 3)
-    back = compose_dense(bc.invert(m1.induced), bc.invert(m2.induced))
+    m1 = move_iso(A, bc.Move("switch", 2, None))
+    m2 = move_iso(m1.target, bc.Move("switch", 3, None))
+    back = compose_dense(bc.invert(m1), bc.invert(m2))
     return compose_dense(phi0, back)
 
 
@@ -98,7 +99,7 @@ def raise_stability(phi, k):
     src_steps = (*rt.odd.source_steps, rt.odd.final_step) if rt.odd else ()
     src_moves = [mv for tr in src_steps if tr is not None for mv in tr.moves]
     tgt_moves = [mv for tr in rt.phase1 for mv in tr.moves]
-    return bc.invert_seq(phi.source, src_moves), bc.MoveSeq.build(phi.target, tgt_moves), phi2
+    return bc.invert_seq(phi.source, src_moves, phi2.source), bc.MoveSeq.build(phi.target, tgt_moves), phi2
 
 
 class TestDecomposeXk:
@@ -160,7 +161,7 @@ class TestKeyStep:
         seq, phi_new, trace = key_step(phi, k)
         assert (trace.case, trace.ell, trace.p) == ("odd", 4, -1)
         assert [(m.kind, m.j) for m in seq.moves] == [("twist", 3), ("switch", 2), ("switch", 3)]
-        assert seq.moves[0].v.coeffs == (0, -1, 0, 0)
+        assert seq.moves[0].v == (0, -1, 0, 0)
         assert phi_new.row(k + 1).height() == 3
         assert rebuild_matches(seq) == (True, True)
 
@@ -273,11 +274,12 @@ class TestStabilizeFull:
             for phi in bc.search_isos(A, A, 2)[:6]:
                 cert, trace = bc.stabilize_full(phi, with_trace=True)
                 assert bc.verify_certificate(cert).ok
+                B0 = bc.decompose_tower(cert.B).base  # the target each round's first step starts from
                 for rt in trace.raises:
                     for t in rt.phase1:
-                        B0 = t.moves[0].before
                         assert t.p == B0.a(t.ell, t.ell - 1)
                         assert t.case == ("zero" if t.p == 0 else "even" if t.p % 2 == 0 else "odd")
+                        B0 = bc.MoveSeq.build(B0, t.moves).end
                     if rt.odd:
                         seen_odd += 1
                         assert rt.odd.p % 2 == 1
@@ -292,7 +294,7 @@ class TestOddTwistIsos:
         odd = []
         for phi in odd_twist_isos():
             cert, trace = bc.stabilize_full(phi, with_trace=True)
-            odd += [(rt.k, t.ell, t.moves[0].v.coeffs) for rt in trace.raises for t in rt.phase1 if t.case == "odd"]
+            odd += [(rt.k, t.ell, t.moves[0].v) for rt in trace.raises for t in rt.phase1 if t.case == "odd"]
             assert bc.verify_certificate(cert).ok
             text = serialize.dumps_canonical(serialize.certificate_to_obj(cert))
             assert serialize.verify_certificate_obj(json.loads(text)).ok
@@ -360,15 +362,14 @@ class TestKeepBelow:
         tampered = [0]
 
         def bent(B, j):
-            # the real move, but with row 2 of its result changed when j > 2
-            mv = switch(B, j)
+            # the real switch, but with row 2 of its result changed when j > 2
+            after = switch(B, j)
             if j <= 2:
-                return mv
+                return after
             tampered[0] += 1
-            rows = list(mv.after.rows)
+            rows = list(after.rows)
             rows[1] = (rows[1][0] + 2,)
-            after = bc.BottMatrix(B.n, rows)
-            return bc.Move(mv.kind, mv.j, mv.v, mv.before, after)
+            return bc.BottMatrix(B.n, rows)
 
         monkeypatch.setattr("bottcert.stabilize.switch", bent)
         fired = 0
@@ -390,11 +391,6 @@ def raised(M, i, j):
     rows = [list(row) for row in M.rows]
     rows[i - 1][j - 1] += 1
     return bc.BottMatrix(M.n, rows)
-
-
-def changed(mv, i, j):
-    """mv with the entry (i, j) of its result raised by one."""
-    return bc.Move(mv.kind, mv.j, mv.v, mv.before, raised(mv.after, i, j))
 
 
 class TestMoveTripwires:
@@ -421,7 +417,7 @@ class TestMoveTripwires:
 
     def test_even_twist_that_keeps_the_entry(self, monkeypatch):
         # a twist that leaves b_{l,l-1} = p: the switch at l-1 refuses it
-        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: bc.Move("twist", j, v, B, B))
+        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: B)
         with pytest.raises(bc.TripwireError, match="^key step at l=3 could not build a move: ") as info:
             bc.stabilize_full(even_case_fixture())
         assert isinstance(info.value.__cause__, bc.SwitchBlocked)
@@ -429,7 +425,7 @@ class TestMoveTripwires:
     def test_odd_twist_that_leaves_the_entry_l_l_minus_2(self, monkeypatch):
         # the odd twist is at j = l-1; the column loop reads the entry (l, l-2) first
         twist = bc.twist
-        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: changed(twist(B, j, v), j + 1, j - 1))
+        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: raised(twist(B, j, v), j + 1, j - 1))
         with pytest.raises(bc.TripwireError, match=r"^entry \(l, 1\) must vanish after the odd twist$"):
             bc.stabilize_full(odd_step_fixture())
 
@@ -443,8 +439,8 @@ class TestMoveTripwires:
             return twist(B, j, v)
 
         def bent(B, j):
-            mv = switch(B, j)
-            return changed(mv, j + 2, j + 1) if last and j == last.pop() - 1 else mv
+            after = switch(B, j)
+            return raised(after, j + 2, j + 1) if last and j == last.pop() - 1 else after
 
         monkeypatch.setattr("bottcert.stabilize.twist", recorded)
         monkeypatch.setattr("bottcert.stabilize.switch", bent)
@@ -509,7 +505,7 @@ class TestPlantedTripwires:
     def test_odd_twist_that_leaves_the_entry_l_minus_1_l_minus_2(self, monkeypatch):
         # the twist at l-1 = 3 should clear row 3 past F_1; the loop reads (4, 2), then (3, 2)
         twist = bc.twist
-        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: changed(twist(B, j, v), j, j - 1))
+        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: raised(twist(B, j, v), j, j - 1))
         phi, k, dec = odd_twist_step()
         with pytest.raises(bc.TripwireError, match=r"^entry \(l-1, 2\) must vanish after the odd twist$"):
             _key_step(phi, k, dec)
@@ -659,13 +655,13 @@ class TestGuardCounts:
     def test_move_maps_are_built_only_at_the_gate(self, monkeypatch):
         # moves store no map: stabilizing builds none, and verifying builds each move's once
         built = [0]
-        induced = moves.Move.induced.fget
+        induced = moves.Move.induced
 
-        def counted(mv):
+        def counted(mv, B):
             built[0] += 1
-            return induced(mv)
+            return induced(mv, B)
 
-        monkeypatch.setattr(moves.Move, "induced", property(counted))
+        monkeypatch.setattr(moves.Move, "induced", counted)
         total = 0
         for source in (trace_isos, fuzz_base_isos):
             for phi in source():
@@ -737,12 +733,12 @@ class TestVerifyCertificate:
         assert stabilize.check_claims(bad).ok  # the fold reads only (kind, j, v)
         return bad
 
-    def test_stored_move_matrix_disagrees_with_its_parameters(self):
+    def test_stored_move_disagrees_with_its_rebuild(self):
+        # a switch that stores a v: the fold reads no v of a switch, but the rebuild drops it
         cert = bc.stabilize_full(even_case_fixture())
         *head, last = cert.g_seq.moves
-        other = bc.make_bott_matrix(3, [[], [0], [0, 4]])
-        assert other != last.after
-        bad = self.moved_target(cert, (*head, bc.Move(last.kind, last.j, last.v, last.before, other)), other)
+        assert last.kind == "switch"
+        bad = self.moved_target(cert, (*head, bc.Move("switch", last.j, (0, 0, 0))), cert.g_seq.end)
         res = bc.verify_certificate(bad)
         assert (res.ok, res.diagnostic) == (False, "target sequence is not its rebuild from its parameters")
 

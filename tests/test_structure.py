@@ -227,7 +227,7 @@ class TestBlocks:
         A = bc.make_bott_matrix(4, [[], [1], [1, 0], [1, 1, 0]])
         T = bc.decompose_tower(A)
         assert T.dims == (3, 4) and T.moves_applied == ()
-        TS = bc.decompose_tower(bc.switch(A, 3).after)
+        TS = bc.decompose_tower(bc.switch(A, 3))
         relabel = {1: 1, 2: 2, 3: 4, 4: 3}
         for i in range(1, 5):
             for j in range(i + 1, 5):

@@ -28,6 +28,9 @@ e and phi(alpha_i) alone, not of the rows above that produced
 phi(alpha_i).  The search therefore solves the rows for a given (m, spare,
 phi(alpha_i)) once per call and reuses them at every node with that key,
 such as every node of a zero-matrix search, where phi(alpha_i) is always 0.
+A node's children, those rows over its free targets, are sorted once per
+(level, spare, phi(alpha_i), used) and visited in ascending order, which is
+what puts the hits in canonical (row-wise) order, with no sort at the end.
 """
 
 from __future__ import annotations
@@ -283,7 +286,7 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
 
 
 def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
-    """All valid isomorphisms with |C_ij| <= bound, in canonical (row-wise) order.
+    """All valid isomorphisms with |C_ij| <= bound.
 
     Complete for the given bound: any valid isomorphism determines, for each
     i, a unique target index m (the height of the image of 2x_i - alpha_i,
@@ -293,17 +296,20 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     bound only filters rows, it does not set how many are tried.  Rows of a
     unimodular matrix are primitive and the indices m are pairwise distinct,
     which prunes scalar multiples early.  Every hit meets the checks of
-    ``make_iso``, so it is not revalidated.  No hit repeats: frame m has
-    height m and entry 2 there, so a row fixes its (m, e).
+    ``make_iso``, so it is not revalidated.  Frame m has height m and entry
+    2 there, so a row fixes its (m, e): no two children of a node share a
+    row, so no hit repeats, and as each node visits its children in
+    ascending row order, the hits come out in canonical (row-wise) order.
 
-    The rows that survive for target m, with t <= spare, are kept in a dict
-    local to the call keyed by (m, spare, phi(alpha_i)); this is sound
-    because no filter looks at anything else (see the module docstring),
-    and keying on spare makes a miss cost what one node's loop would.  Two
-    prefilters skip scalars before any per-column work: entry m of the
-    numerator is 2(e + phi(alpha_i)_m), so e has the parity of
-    phi(alpha_i)_m, and entry m of the row is (e + phi(alpha_i)_m) / 2, so
-    |e| <= 2 bound + |phi(alpha_i)_m|, after which no larger scalar passes.
+    Dicts local to the call keep the rows that survive for target m, with
+    t <= spare, by (m, spare, phi(alpha_i)), and a node's sorted children by
+    (level, spare, phi(alpha_i), used); no filter looks at anything else
+    (see the module docstring), and keying on spare makes a miss cost what
+    one node's loop would.  Two prefilters skip scalars before any
+    per-column work: entry m of the numerator is 2(e + phi(alpha_i)_m), so e
+    has the parity of phi(alpha_i)_m, and entry m of the row is
+    (e + phi(alpha_i)_m) / 2, so |e| <= 2 bound + |phi(alpha_i)_m|, after
+    which no larger scalar passes.
     """
     from .structure import decompose_tower
 
@@ -312,67 +318,61 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     n = A.n
     lev_a = decompose_tower(A).levels
     lev_b = decompose_tower(B).levels[1:]  # 0-based, like frames and used
-    frames = [two_x_minus_alpha(B, m).coeffs for m in range(1, n + 1)]
-    scalars = [[(t, sign << t) for t in range(k + 1) for sign in (1, -1)] for k in range(n + 1)]
-    memo: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+    frames = [[-b for b in row] + [2] + [0] * (n - 1 - m) for m, row in enumerate(B.rows)]
+    scalars = [(t, sign << t) for t in range(n + 1) for sign in (1, -1)]
+    memo: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
+    children_of: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
 
     def candidates(m: int, spare: int, phi_alpha: tuple[int, ...]) -> list:
-        """The (t, row) pairs with t <= spare that pass every row filter for target m."""
+        """The (row, m, t) triples with t <= spare that pass every row filter for target m."""
         key = (m, spare, phi_alpha)
-        out = memo.get(key)
-        if out is not None:
-            return out
+        if key in memo:
+            return memo[key]
         out = memo[key] = []
-        frame = frames[m]
         pm = phi_alpha[m]
         # the two prefilters on entry m (see the docstring); scalars ascend in |e|
         limit = 2 * bound + abs(pm)
         # row = (e * frame + 2 * phi_alpha) / 4 with e = 2 eps = +-2^t
-        for t, e in scalars[spare]:
-            if abs(e) > limit:
+        for t, e in scalars:
+            if t > spare or abs(e) > limit:
                 break
             if (e - pm) % 2:
                 continue
-            numer = [e * f + 2 * p for f, p in zip(frame, phi_alpha)]
+            numer = [e * f + 2 * p for f, p in zip(frames[m], phi_alpha)]
             if any(v % 4 for v in numer):
                 continue
             row = tuple(v // 4 for v in numer)
-            if any(abs(v) > bound for v in row):
-                continue
-            if gcd(*row) != 1:
+            if any(abs(v) > bound for v in row) or gcd(*row) != 1:
                 continue
             # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
             if not product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):
                 continue
-            out.append((t, row))
+            out.append((row, m, t))
         return out
 
     found: list[tuple[tuple[int, ...], ...]] = []
-    rows: list[tuple[int, ...]] = []
-    used = [False] * n
 
-    def extend(i: int, spare: int) -> None:
-        if i > n:
-            if spare == 0:
-                found.append(tuple(rows))
-            return
+    def extend(i: int, spare: int, used: int, rows: tuple[tuple[int, ...], ...]) -> None:
         phi_alpha = [0] * n
         for j, aij in enumerate(A.rows[i - 1]):
             if aij:
                 for col, c in enumerate(rows[j]):
                     phi_alpha[col] += aij * c
         phi_alpha = tuple(phi_alpha)
-        level = lev_a[i]
-        for m in range(n):
-            if used[m] or lev_b[m] != level:
-                continue
-            used[m] = True
-            for t, row in candidates(m, spare, phi_alpha):
-                rows.append(row)
-                extend(i + 1, spare - t)
-                rows.pop()
-            used[m] = False
+        key = (lev_a[i], spare, phi_alpha, used)
+        children = children_of.get(key)
+        if children is None:
+            children = children_of[key] = []
+            for m in range(n):
+                if not used >> m & 1 and lev_b[m] == lev_a[i]:
+                    children += candidates(m, spare, phi_alpha)
+            children.sort()
+        for row, m, t in children:
+            if i < n:
+                extend(i + 1, spare - t, used | 1 << m, rows + (row,))
+            elif t == spare:
+                found.append(rows + (row,))
 
-    extend(1, n)
+    extend(1, n, 0, ())
     del extend  # it refers to itself; the cycle would keep its state alive until a full GC
-    return [GradedIso(A, B, C) for C in sorted(found)]
+    return [GradedIso(A, B, C) for C in found]

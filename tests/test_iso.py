@@ -39,6 +39,10 @@ def hirzebruch(a):
     return bc.make_bott_matrix(2, [[], [a]])
 
 
+def zero_matrix(n):
+    return bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+
+
 class TestMakeIso:
     def test_identity(self):
         phi = bc.make_iso(ZERO2, ZERO2, [[1, 0], [0, 1]])
@@ -158,7 +162,7 @@ def corrupt(rng, A, B, C, how):
 
 
 def count_calls(monkeypatch, name):
-    """Count make_iso's calls of the kernel ``iso.<name>``."""
+    """Count the calls of the kernel ``iso.<name>`` (from make_iso or search_isos)."""
     calls = [0]
     real = getattr(iso, name)
 
@@ -537,7 +541,7 @@ class TestSearch:
         assert len(isos) == 48 and {phi.C for phi in isos} == perms
         # the zero-matrix searches of the benchmark, and one size up
         for n, count in ((5, 3840), (6, 46080)):
-            Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+            Z = zero_matrix(n)
             isos = bc.search_isos(Z, Z, 1)
             # each hit is reached by one path only, so none repeats
             assert len(isos) == count == len({phi.C for phi in isos})
@@ -554,9 +558,39 @@ class TestSearch:
         assert bc.search_isos(ZERO2, hirzebruch(1), 6) == []
 
     def test_canonical_order_and_dedup(self):
-        isos = bc.search_isos(ZERO2, ZERO2, 2)
-        mats = [phi.C for phi in isos]
-        assert mats == sorted(set(mats))
+        # the search sorts nothing at the end: its order comes from visiting
+        # each node's children in ascending row order
+        cases = [(zero_matrix(n), zero_matrix(n), bound) for n in range(1, 7) for bound in (1, 2)]
+        cases += [(hirzebruch(a), hirzebruch(b), 6) for a in range(-3, 4) for b in range(-3, 4)]
+        rng = random.Random(4141)
+        for n in (3, 4, 5):
+            for _ in range(4):
+                A = sparse_matrix(rng, n, 2)
+                B = moved_partner(rng, A, rng.randint(1, 3))
+                cases += [(A, B, 3), (A, B, 10**9)]
+        hits = 0
+        for A, B, bound in cases:
+            mats = [phi.C for phi in bc.search_isos(A, B, bound)]
+            assert mats == sorted(set(mats))
+            hits += len(mats)
+        assert hits > 2 * 46080
+
+    def test_relation_checks_pinned(self, monkeypatch):
+        # the children memo adds no relation check to the per-(m, spare,
+        # phi(alpha_i)) memo; the counts were taken before it existed
+        calls = count_calls(monkeypatch, "product_is_zero")
+        Z = zero_matrix(5)
+        assert len(bc.search_isos(Z, Z, 1)) == 3840
+        assert calls[0] == 50
+        # move-related n = 3 pairs at bound 6, as in the benchmark's search workload
+        rng = random.Random(5151)
+        pairs = []
+        for _ in range(150):
+            A = sparse_matrix(rng, 3, 2)
+            pairs.append((A, moved_partner(rng, A, rng.randint(1, 3))))
+        calls[0] = 0
+        hits = sum(len(bc.search_isos(A, B, 6)) for A, B in pairs)
+        assert (calls[0], hits) == (3808, 4952)
 
     def test_matches_raw_enumeration(self):
         rng = random.Random(17)

@@ -10,7 +10,9 @@ rows between nodes with equal (m, spare, phi(alpha_i)).  It covers the
 searches where such nodes are most common: zero matrices, and rationally
 trivial matrices with a zero row, where many partial maps give the same
 phi(alpha_i).  Hirzebruch pairs and move-related pairs at a huge bound
-cover the scalars e = +-2^t with t > 0.
+cover the scalars e = +-2^t with t > 0.  Both search digests were taken
+while ``search_isos`` sorted its hits at the end, so they now also pin the
+order that the search produces by construction.
 
 ``TOWER_DIGEST`` was taken before the well-ordering of a tower stage became
 one stable partition pass.  It pins each tower's dimensions, switch

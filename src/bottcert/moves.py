@@ -17,8 +17,8 @@ move, and ``Move.induced`` builds that map by algebra.  A move is its
 parameters (kind, j, v) and holds no matrix, so reading a sequence holds one
 matrix at a time.  The gate is ``build_move``: it builds a move from outside
 parameters and checks its map by full relation checking (``make_iso``).
-``rebuild`` alone calls it; the JSON reader and ``verify_certificate`` both
-use it.
+``rebuild`` alone calls it, from ``stabilize.certificate_from_parts``: the
+one build path of the JSON reader and of ``verify_certificate``.
 
 A move's map is fixed by n and (kind, j, v) and elementary, so neither moves
 nor sequences store maps: ``_then`` and ``_before`` compose a map with a move

@@ -6,9 +6,10 @@ as JSON lists: a string, object or other iterable never stands in for one.
 Writers sort object keys and keep arrays in index order, so equal values
 serialize to equal bytes.
 
-A move sequence is read through ``moves.rebuild``: ``move_from_obj`` only
-decodes a move's parameters, just before the move is built and checked, so
-reading stops at the first bad move and builds each good one once.
+A certificate is built through ``stabilize.certificate_from_parts``, its one
+build path.  ``move_from_obj`` only decodes a move's parameters, just before
+the move is built and checked, so reading stops at the first bad move and
+builds each good one once.
 
 ``dumps_canonical``, the one writer of output text, emits the bytes of
 ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.  It walks
@@ -23,10 +24,10 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BottError, ShapeError
-from .iso import GradedIso, make_iso
-from .moves import Move, MoveSeq, rebuild
+from .iso import GradedIso
+from .moves import Move, MoveSeq
 from .ring import BottMatrix
-from .stabilize import ReplayResult, StabilizationCertificate, check_claims
+from .stabilize import ReplayResult, StabilizationCertificate, certificate_from_parts, check_claims
 
 CERT_SCHEMA = "bott-stabilization-cert/1"
 _JSON_INT_LIMIT = 2**53
@@ -129,10 +130,11 @@ def seq_to_obj(seq: MoveSeq) -> dict:
     return {"start": matrix_to_obj(seq.start), "moves": [move_to_obj(m) for m in seq.moves]}
 
 
-def seq_from_obj(obj: object) -> MoveSeq:
+def seq_from_obj(obj: object) -> tuple:
+    """A sequence's start and its moves' parameters, each decoded (``move_from_obj``) as it is read."""
     if not isinstance(obj, dict) or "start" not in obj or "moves" not in obj:
         raise ShapeError("move sequence object needs keys 'start' and 'moves'")
-    return rebuild(matrix_from_obj(obj["start"]), map(move_from_obj, _list(obj["moves"], "'moves'")))
+    return matrix_from_obj(obj["start"]), map(move_from_obj, _list(obj["moves"], "'moves'"))
 
 
 def certificate_to_obj(cert: StabilizationCertificate) -> dict:
@@ -149,10 +151,8 @@ def certificate_to_obj(cert: StabilizationCertificate) -> dict:
 
 
 def certificate_from_obj(obj: object) -> StabilizationCertificate:
-    """Read a certificate, building each move (``rebuild``) and map (``make_iso``) once.
-
-    ``check_claims`` checks the rest.
-    """
+    """Read a certificate through ``certificate_from_parts``, the one path that builds each move and
+    checks each map; ``check_claims`` checks the rest."""
     if not isinstance(obj, dict):
         raise ShapeError("certificate must be a JSON object")
     if obj.get("schema") != CERT_SCHEMA:
@@ -160,20 +160,10 @@ def certificate_from_obj(obj: object) -> StabilizationCertificate:
     for key in ("A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final"):
         if key not in obj:
             raise ShapeError(f"certificate is missing key {key!r}")
-    A = matrix_from_obj(obj["A"])
-    B = matrix_from_obj(obj["B"])
-    f_seq = seq_from_obj(obj["f_seq"])
-    g_seq = seq_from_obj(obj["g_seq"])
-    phi = make_iso(A, B, iso_matrix_from_obj(obj["phi"]))
-    phi_prime = make_iso(f_seq.start, g_seq.end, iso_matrix_from_obj(obj["phi_prime"]))
-    return StabilizationCertificate(
-        A=A,
-        B=B,
-        phi=phi,
-        f_seq=f_seq,
-        g_seq=g_seq,
-        phi_prime=phi_prime,
-        k_final=decode_int(obj["k_final"]),
+    return certificate_from_parts(
+        matrix_from_obj(obj["A"]), matrix_from_obj(obj["B"]), iso_matrix_from_obj(obj["phi"]),
+        *seq_from_obj(obj["f_seq"]), *seq_from_obj(obj["g_seq"]),
+        iso_matrix_from_obj(obj["phi_prime"]), decode_int(obj["k_final"]),
     )
 
 

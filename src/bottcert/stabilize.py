@@ -264,7 +264,8 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     rounds.  ``check_claims`` is the last tripwire; it compares g's end,
     replayed from B, with the working map's target.  phi is a validated
     isomorphism, so a domain error raised on the way (by a tower, a move, an
-    inversion or a sequence build) is a bug too: it becomes a TripwireError
+    inversion or a sequence build), or ``decompose_xk``'s ValueError for a
+    map that is not k-stable, is a bug too: it becomes a TripwireError
     chained from it, and a tripwire passes through unchanged.
     """
     try:
@@ -299,7 +300,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
         )
     except TripwireError:
         raise
-    except BottError as exc:
+    except (BottError, ValueError) as exc:
         raise TripwireError(f"certificate construction failed: {exc}") from exc
     if not (r := check_claims(cert)):
         raise TripwireError(r.diagnostic)
@@ -354,24 +355,33 @@ def check_claims(cert: StabilizationCertificate) -> ReplayResult:
     return ReplayResult(True, None)
 
 
+def certificate_from_parts(A: BottMatrix, B: BottMatrix, phi_rows, f_start: BottMatrix, f_params,
+                           g_start: BottMatrix, g_params, phi_prime_rows, k_final) -> StabilizationCertificate:
+    """The certificate these parts describe, the one path by which the JSON reader and
+    ``verify_certificate`` build one: f's moves, then g's, built from their (kind, j, v) by
+    ``rebuild``, then phi and phi_prime checked by ``make_iso``.  ``check_claims`` checks the rest."""
+    f_seq, g_seq = rebuild(f_start, f_params), rebuild(g_start, g_params)
+    return StabilizationCertificate(A, B, make_iso(A, B, phi_rows), f_seq, g_seq,
+                                    make_iso(f_seq.start, g_seq.end, phi_prime_rows), k_final)
+
+
 def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     """Re-verify an in-memory certificate from its raw data only.
 
-    Rebuilds both move sequences from their starts and their moves'
-    parameters (``rebuild``) and requires the stored moves and ends back,
-    revalidates both isomorphisms, then ``check_claims``, which folds the
-    moves onto phi.  Nothing from the construction is trusted.  A
-    certificate read from JSON needs only ``check_claims``: the reader
-    rebuilt each move and validated each map.
+    Builds it again from its parts (``certificate_from_parts``, as the JSON
+    reader does) and requires each sequence's moves and end and each map's
+    source and target back, then ``check_claims``.  Nothing from the
+    construction is trusted; data that cannot be read yields False.
     """
     try:
-        for side, seq in (("source", cert.f_seq), ("target", cert.g_seq)):
-            rebuilt = rebuild(seq.start, ((mv.kind, mv.j, mv.v) for mv in seq.moves))
-            if rebuilt.moves != seq.moves or rebuilt.end != seq.end:
-                return ReplayResult(False, f"{side} sequence is not its rebuild from its parameters")
-        phi = make_iso(cert.phi.source, cert.phi.target, cert.phi.C)
-        phi_prime = make_iso(cert.phi_prime.source, cert.phi_prime.target, cert.phi_prime.C)
-        fresh = StabilizationCertificate(cert.A, cert.B, phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)
-        return check_claims(fresh)
-    except Exception as exc:
+        fresh = certificate_from_parts(
+            cert.A, cert.B, cert.phi.C, cert.f_seq.start, ((mv.kind, mv.j, mv.v) for mv in cert.f_seq.moves),
+            cert.g_seq.start, ((mv.kind, mv.j, mv.v) for mv in cert.g_seq.moves), cert.phi_prime.C, cert.k_final
+        )
+        stored, rebuilt = ((c.f_seq.moves, c.f_seq.end, c.g_seq.moves, c.g_seq.end, c.phi.source,
+                            c.phi.target, c.phi_prime.source, c.phi_prime.target) for c in (cert, fresh))
+        if stored != rebuilt:
+            return ReplayResult(False, "certificate is not its rebuild from its parameters")
+    except (BottError, ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
         return ReplayResult(False, f"certificate data invalid: {exc}")
+    return check_claims(fresh)

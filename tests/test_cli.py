@@ -14,7 +14,7 @@ import bottcert.cli
 from bottcert import structure
 from bottcert.cli import main
 from bottcert.serialize import dumps_canonical, matrix_to_obj
-from test_stabilize import even_case_fixture, odd_step_fixture
+from test_stabilize import even_case_fixture, odd_step_fixture, overstated_stability
 
 
 @pytest.fixture
@@ -344,6 +344,18 @@ def test_failed_key_step_move_is_a_tripwire(files, capsys, monkeypatch, fixture,
     data = json.loads(out)
     assert data["tripwire"] is True
     assert data["error"].endswith("could not build a move: planted")
+
+
+def test_overstated_stability_is_a_tripwire(files, capsys, monkeypatch):
+    # a round that starts from a map that is not k-stable is a bug, not a domain error
+    phi = overstated_stability(monkeypatch)
+    a = files("a.json", matrix_to_obj(phi.source))
+    b = files("b.json", matrix_to_obj(phi.target))
+    c = files("c.json", {"C": [list(row) for row in phi.C]})
+    code, out = run(capsys, "stabilize", a, b, c)
+    assert code == 3
+    error = "certificate construction failed: isomorphism is not 1-stable"
+    assert json.loads(out) == {"error": error, "tripwire": True}
 
 
 def test_failed_self_check_is_a_tripwire(files, capsys, monkeypatch):

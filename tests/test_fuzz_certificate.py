@@ -8,11 +8,13 @@ stabilization, integers written as strings) and checks
 * it never raises;
 * when ``certificate_from_obj`` accepts the object, the verdict and the
   diagnostic equal those of ``verify_certificate`` on the parsed
-  certificate, which replays every move and revalidates both maps a second
-  time; otherwise the verdict is False with a parse diagnostic;
+  certificate; otherwise the verdict is False with a parse diagnostic.
+  Both build a certificate through ``certificate_from_parts``, so this
+  oracle checks that the two entry points agree, not the gate itself;
 * a True verdict comes only with a ``phi_prime`` that equals g o phi o f
   and is k-stable for some k >= n-2, both recomputed here from the move
-  parameters with plain integer matrices.
+  parameters with plain integer matrices.  This recomputation is the
+  check independent of the library's build path.
 """
 
 import copy

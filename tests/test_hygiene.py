@@ -2,11 +2,14 @@
 
 * Every name a library module imports is used in it.  ``__init__.py`` is
   left out: it imports names to re-export them.
-* ``make_iso`` runs only at the trust boundaries: the move gate, the
-  certificate readers and verifiers, and the CLI commands that read a map.
-* ``moves.build_move``, the move gate, runs only in ``moves.rebuild``:
-  every move built from outside parameters, by the JSON reader or by
-  ``verify_certificate``, goes through that one loop.
+* ``make_iso`` runs only at the trust boundaries: the move gate,
+  ``stabilize.certificate_from_parts``, and the CLI commands that read a
+  map.
+* ``moves.build_move``, the move gate, runs only in ``moves.rebuild``, and
+  ``rebuild`` only in ``stabilize.certificate_from_parts``: the JSON reader
+  and ``verify_certificate`` build a certificate through that one function,
+  so every move built from outside parameters goes through one loop and
+  there is no second gate path.
 * ``moves._before``, the row fold, runs only in ``check_claims``:
   stabilization folds its moves onto its working map as columns, so only
   the claim check applies the source-side moves f, and no library function
@@ -73,8 +76,7 @@ def test_detects_unused_import():
 
 GATES = {
     "moves.build_move",
-    "stabilize.verify_certificate",
-    "serialize.certificate_from_obj",
+    "stabilize.certificate_from_parts",
     "cli._cmd_iso_check",
     "cli._cmd_stabilize",
 }
@@ -125,6 +127,13 @@ def test_move_gate_runs_only_in_rebuild():
     for path in sorted(SRC.glob("*.py")):
         found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "build_move")}
     assert found == {"moves.rebuild"}
+
+
+def test_rebuild_runs_only_in_certificate_from_parts():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "rebuild")}
+    assert found == {"stabilize.certificate_from_parts"}
 
 
 def test_detects_move_gate_callers():

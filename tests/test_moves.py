@@ -306,14 +306,14 @@ class TestClaimFold:
 
 
 def counting_gate(monkeypatch):
-    """Count make_iso calls made through moves, stabilize and serialize."""
+    """Count make_iso calls made through moves and stabilize, the two modules of the gate."""
     calls = [0]
 
     def counted(A, B, C):
         calls[0] += 1
         return bc.make_iso(A, B, C)
 
-    for module in (moves, stabilize, serialize):
+    for module in (moves, stabilize):
         monkeypatch.setattr(module, "make_iso", counted)
     return calls
 

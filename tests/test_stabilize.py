@@ -460,6 +460,13 @@ def no_claims(monkeypatch):
     monkeypatch.setattr("bottcert.stabilize.check_claims", claims)
 
 
+def overstated_stability(monkeypatch):
+    """An n >= 4 input, not yet (n-2)-stable, with ``max_stable`` reporting one more than it finds, below n-2."""
+    found = stabilize.max_stable
+    monkeypatch.setattr("bottcert.stabilize.max_stable", lambda phi: min(found(phi) + 1, phi.source.n - 3))
+    return next(phi for phi in trace_isos() if phi.source.n >= 4 and found(phi) < phi.source.n - 2)
+
+
 def says(*answers):
     """A ``same_block`` that gives these answers in turn."""
     it = iter(answers)
@@ -595,6 +602,14 @@ class TestPlantedTripwires:
             bc.stabilize_full(fixture())
         assert info.value.__cause__ is planted
 
+    def test_round_from_an_overstated_stability(self, monkeypatch, no_claims):
+        # decompose_xk's ValueError for a map that is not k-stable is a bug here too
+        phi = overstated_stability(monkeypatch)
+        message = "^certificate construction failed: isomorphism is not 1-stable$"
+        with pytest.raises(bc.TripwireError, match=message) as info:
+            bc.stabilize_full(phi)
+        assert type(info.value.__cause__) is ValueError
+
 
 class TestGuardCounts:
     def test_invert_runs_twice_per_odd_branch(self, monkeypatch):
@@ -705,24 +720,67 @@ class TestVerifyCertificate:
 
     @staticmethod
     def both_verdicts(cert):
-        """(ok, diagnostic) of check_claims and of verify_certificate, which validates the maps first."""
+        """(ok, diagnostic) of check_claims and of verify_certificate, which rebuilds the certificate first."""
         return [(r.ok, r.diagnostic) for r in (stabilize.check_claims(cert), bc.verify_certificate(cert))]
 
     def test_phi_is_not_a_map_from_A_to_B(self):
-        # valid isomorphisms between the wrong matrices: the source B, then the target A
         cert = bc.stabilize_full(even_case_fixture())
-        assert cert.A != cert.B
-        for phi in (bc.identity_iso(cert.B), bc.identity_iso(cert.A)):
-            bad = bc.StabilizationCertificate(cert.A, cert.B, phi, cert.f_seq, cert.g_seq, cert.phi_prime, cert.k_final)
-            assert self.both_verdicts(bad) == [(False, "phi is not a map from A to B")] * 2
+        A, B = cert.A, cert.B
+        assert A != B
+        # phi's rows with the wrong source (B), then the wrong target (A): the rows check from A to B,
+        # so verify_certificate rejects the stored ends
+        for phi in (bc.GradedIso(B, B, cert.phi.C), bc.GradedIso(A, A, cert.phi.C)):
+            bad = bc.StabilizationCertificate(A, B, phi, cert.f_seq, cert.g_seq, cert.phi_prime, cert.k_final)
+            assert self.both_verdicts(bad) == [
+                (False, "phi is not a map from A to B"),
+                (False, "certificate is not its rebuild from its parameters"),
+            ]
+        # valid isomorphisms between the wrong matrices: their rows are no map from A to B
+        for phi in (bc.identity_iso(B), bc.identity_iso(A)):
+            bad = bc.StabilizationCertificate(A, B, phi, cert.f_seq, cert.g_seq, cert.phi_prime, cert.k_final)
+            claims, verdict = self.both_verdicts(bad)
+            assert claims == (False, "phi is not a map from A to B")
+            assert not verdict[0] and verdict[1].startswith("certificate data invalid: relation 3 violated")
 
     def test_phi_prime_does_not_connect_the_moved_matrices(self):
-        # valid isomorphisms from the wrong source (B), then onto the wrong target (phi itself, onto B)
         cert = bc.stabilize_full(even_case_fixture())
         assert cert.f_seq.start == cert.g_seq.end == cert.A != cert.B
-        for phi_prime in (bc.identity_iso(cert.B), cert.phi):
-            bad = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)
-            assert self.both_verdicts(bad) == [(False, "phi_prime does not connect the moved matrices")] * 2
+        # phi_prime's rows, or a valid isomorphism's (B's identity), from the wrong source (B),
+        # then phi_prime's rows onto the wrong target (B): verify_certificate rejects the stored ends
+        A, B, C = cert.A, cert.B, cert.phi_prime.C
+        for phi_prime in (bc.GradedIso(B, A, C), bc.identity_iso(B), bc.GradedIso(A, B, C)):
+            bad = bc.StabilizationCertificate(A, B, cert.phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)
+            assert self.both_verdicts(bad) == [
+                (False, "phi_prime does not connect the moved matrices"),
+                (False, "certificate is not its rebuild from its parameters"),
+            ]
+        # phi itself, onto B: its rows are no map from f's start to g's end
+        bad = bc.StabilizationCertificate(A, B, cert.phi, cert.f_seq, cert.g_seq, cert.phi, cert.k_final)
+        claims, verdict = self.both_verdicts(bad)
+        assert claims == (False, "phi_prime does not connect the moved matrices")
+        assert not verdict[0] and verdict[1].startswith("certificate data invalid: relation 1 violated")
+
+    def test_target_sequence_does_not_start_at_B(self):
+        # phi = id on B, f empty at A = B, g empty at another matrix S, and phi' a valid map from A to S:
+        # every part builds, so each path reaches the claim that g starts at B
+        B, S = ZERO2, hirzebruch(2)
+        cert = bc.StabilizationCertificate(
+            B, B, bc.identity_iso(B), bc.MoveSeq.build(B, []), bc.MoveSeq.build(S, []),
+            bc.make_iso(B, S, [[1, 0], [-1, 1]]), 2,
+        )
+        expected = (False, "target sequence does not start at B")
+        assert self.both_verdicts(cert) == [expected] * 2
+        res = serialize.verify_certificate_obj(json.loads(json.dumps(serialize.certificate_to_obj(cert))))
+        assert (res.ok, res.diagnostic) == expected
+
+    @pytest.mark.parametrize("field", ["A", "phi", "f_seq", "g_seq", "phi_prime"])
+    def test_unreadable_field(self, field):
+        # a field that cannot be read is invalid data: a False verdict, never a raise
+        cert = bc.stabilize_full(even_case_fixture())
+        parts = {name: getattr(cert, name) for name in bc.StabilizationCertificate.__slots__}
+        bad = bc.StabilizationCertificate(**{**parts, field: None})
+        res = bc.verify_certificate(bad)
+        assert not res.ok and res.diagnostic.startswith("certificate data invalid: ")
 
     @staticmethod
     def moved_target(cert, moves, end):
@@ -740,7 +798,7 @@ class TestVerifyCertificate:
         assert last.kind == "switch"
         bad = self.moved_target(cert, (*head, bc.Move("switch", last.j, (0, 0, 0))), cert.g_seq.end)
         res = bc.verify_certificate(bad)
-        assert (res.ok, res.diagnostic) == (False, "target sequence is not its rebuild from its parameters")
+        assert (res.ok, res.diagnostic) == (False, "certificate is not its rebuild from its parameters")
 
     def test_sequence_end_disagrees_with_its_parameters(self):
         cert = bc.stabilize_full(even_case_fixture())
@@ -748,4 +806,10 @@ class TestVerifyCertificate:
         assert other != cert.g_seq.end
         bad = self.moved_target(cert, cert.g_seq.moves, other)
         res = bc.verify_certificate(bad)
-        assert (res.ok, res.diagnostic) == (False, "target sequence is not its rebuild from its parameters")
+        assert (res.ok, res.diagnostic) == (False, "certificate is not its rebuild from its parameters")
+        # a stale end alone, on either side: the maps and the claims still hold
+        f, g = cert.f_seq, cert.g_seq
+        for f_seq, g_seq in ((bc.MoveSeq(f.start, f.moves, other), g), (f, bc.MoveSeq(g.start, g.moves, other))):
+            bad = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, f_seq, g_seq, cert.phi_prime, cert.k_final)
+            res = bc.verify_certificate(bad)
+            assert (res.ok, res.diagnostic) == (False, "certificate is not its rebuild from its parameters")

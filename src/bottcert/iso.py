@@ -22,15 +22,17 @@ det C = +-prod(e_i) / 2^n: C is unimodular exactly when every |e_i| is
 and only for maps that are not signed permutations: ``make_iso`` checks
 rows that are signed unit vectors, such as a move's, in closed form.
 
-Row i is (e frame_m + 2 phi(alpha_i)) / 4, and every filter a candidate row
-meets (mod 4, the bound, primitivity and the relation) is a function of m,
-e and phi(alpha_i) alone, not of the rows above that produced
-phi(alpha_i).  The search therefore solves the rows for a given (m, spare,
-phi(alpha_i)) once per call and reuses them at every node with that key,
-such as every node of a zero-matrix search, where phi(alpha_i) is always 0.
-A node's children, those rows over its free targets, are sorted once per
-(level, spare, phi(alpha_i), used) and visited in ascending order, which is
-what puts the hits in canonical (row-wise) order, with no sort at the end.
+Row i is (e frame_m + 2 phi(alpha_i)) / 4, and every filter on it (mod 4,
+the bound, primitivity, the relation) is a function of m, e and
+phi(alpha_i) alone.  So one call solves the rows once per (m, spare,
+phi(alpha_i)) and sorts a node's children, those rows over its free
+targets, once per (level, spare, phi(alpha_i), used).  A node's state is
+(i, spare, used) with the rows k < i that some row j >= i refers to (a_jk
+!= 0); each phi(alpha_j), j >= i, is built from those and rows i..j-1
+alone, so prefixes with the same state have the same completions (rows
+i..n), found once per state.  A node prefixes each child, in ascending row
+order, to that child's completions, so the hits come out in canonical
+order with no final sort.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd
+from operator import add, itemgetter, sub
 
 from .errors import ContextMismatch, NotUnimodular, RelationViolated, ShapeError, TripwireError
 from .ring import BottMatrix, Class2, product_is_zero, product_terms, two_x_minus_alpha
@@ -286,30 +289,16 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
 
 
 def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
-    """All valid isomorphisms with |C_ij| <= bound.
+    """All valid isomorphisms with |C_ij| <= bound, in canonical (row-wise) order.
 
-    Complete for the given bound: any valid isomorphism determines, for each
-    i, a unique target index m (the height of the image of 2x_i - alpha_i,
-    with matching level) and an integer e = 2 eps = +-2^t with t at most
-    ``spare``, n minus the exponents used so far; a complete candidate is
-    unimodular exactly when spare is 0 (see the module docstring).  The
-    bound only filters rows, it does not set how many are tried.  Rows of a
-    unimodular matrix are primitive and the indices m are pairwise distinct,
-    which prunes scalar multiples early.  Every hit meets the checks of
-    ``make_iso``, so it is not revalidated.  Frame m has height m and entry
-    2 there, so a row fixes its (m, e): no two children of a node share a
-    row, so no hit repeats, and as each node visits its children in
-    ascending row order, the hits come out in canonical (row-wise) order.
-
-    Dicts local to the call keep the rows that survive for target m, with
-    t <= spare, by (m, spare, phi(alpha_i)), and a node's sorted children by
-    (level, spare, phi(alpha_i), used); no filter looks at anything else
-    (see the module docstring), and keying on spare makes a miss cost what
-    one node's loop would.  Two prefilters skip scalars before any
-    per-column work: entry m of the numerator is 2(e + phi(alpha_i)_m), so e
-    has the parity of phi(alpha_i)_m, and entry m of the row is
-    (e + phi(alpha_i)_m) / 2, so |e| <= 2 bound + |phi(alpha_i)_m|, after
-    which no larger scalar passes.
+    Complete for the given bound, which only filters rows: row i is solved
+    from each (m, e) of the module docstring with t at most ``spare``, n
+    minus the exponents used so far, and a hit ends with spare 0.  Rows of a
+    unimodular matrix are primitive and its targets distinct.  Frame m has
+    height m and entry 2 there, so a row fixes its (m, e): no two children
+    of a node share a row, and no hit repeats.  Entry m of the row, (e +
+    phi(alpha_i)_m) / 2, gives two prefilters before any per-column work: e
+    has the parity of phi(alpha_i)_m, and |e| <= 2 bound + |phi(alpha_i)_m|.
     """
     from .structure import decompose_tower
 
@@ -319,7 +308,9 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     lev_a = decompose_tower(A).levels
     lev_b = decompose_tower(B).levels[1:]  # 0-based, like frames and used
     frames = [[-b for b in row] + [2] + [0] * (n - 1 - m) for m, row in enumerate(B.rows)]
-    scalars = [(t, sign << t) for t in range(n + 1) for sign in (1, -1)]
+    # scalars[p]: the e = +-2^t of parity p, in ascending |e|
+    scalars = ([(t, sign << t) for t in range(1, n + 1) for sign in (1, -1)], [(0, 1), (0, -1)])
+    fours = (4,) * n
     memo: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
     children_of: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
 
@@ -330,29 +321,34 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
             return memo[key]
         out = memo[key] = []
         pm = phi_alpha[m]
-        # the two prefilters on entry m (see the docstring); scalars ascend in |e|
         limit = 2 * bound + abs(pm)
-        # row = (e * frame + 2 * phi_alpha) / 4 with e = 2 eps = +-2^t
-        for t, e in scalars:
+        frame, twice = frames[m], [2 * p for p in phi_alpha]
+        for t, e in scalars[pm % 2]:
             if t > spare or abs(e) > limit:
                 break
-            if (e - pm) % 2:
-                continue
-            numer = [e * f + 2 * p for f, p in zip(frames[m], phi_alpha)]
-            if any(v % 4 for v in numer):
-                continue
-            row = tuple(v // 4 for v in numer)
-            if any(abs(v) > bound for v in row) or gcd(*row) != 1:
+            row, rem = zip(*map(divmod, map(add, map(e.__mul__, frame), twice), fours))
+            if any(rem) or max(map(abs, row)) > bound or gcd(*row) != 1:
                 continue
             # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
-            if not product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):
+            if not product_is_zero(B, row, tuple(map(sub, row, phi_alpha))):
                 continue
             out.append((row, m, t))
         return out
 
-    found: list[tuple[tuple[int, ...], ...]] = []
+    # refs[i - 1]: the rows k < i that some row j >= i refers to; take[i] picks them as a tuple (slice(0)
+    # adds an empty tail), or is None when they are every row above, as no other prefix has that state
+    refs = [[k for k, col in enumerate(zip(*A.rows[i - 1:])) if any(col)] for i in range(1, n + 1)]
+    take = [None] + [None if len(r) == k else itemgetter(*r, slice(0)) for k, r in enumerate(refs)]
+    completions: dict[tuple, list[tuple[tuple[int, ...], ...]]] = {}
 
-    def extend(i: int, spare: int, used: int, rows: tuple[tuple[int, ...], ...]) -> None:
+    def extend(i: int, spare: int, used: int, rows: tuple[tuple[int, ...], ...]) -> list:
+        """The tuples of rows i..n that complete the prefix rows, in ascending order."""
+        out = []
+        if take[i]:
+            state = (i, spare, used, take[i](rows))
+            if state in completions:
+                return completions[state]
+            completions[state] = out
         phi_alpha = [0] * n
         for j, aij in enumerate(A.rows[i - 1]):
             if aij:
@@ -369,10 +365,11 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
             children.sort()
         for row, m, t in children:
             if i < n:
-                extend(i + 1, spare - t, used | 1 << m, rows + (row,))
+                out += map((row,).__add__, extend(i + 1, spare - t, used | 1 << m, rows + (row,)))
             elif t == spare:
-                found.append(rows + (row,))
+                out.append((row,))
+        return out
 
-    extend(1, n, 0, ())
-    del extend  # it refers to itself; the cycle would keep its state alive until a full GC
+    found = extend(1, n, 0, ())
+    del extend, completions  # free the states' completions now, not at a full GC (extend refers to itself)
     return [GradedIso(A, B, C) for C in found]

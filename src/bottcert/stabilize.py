@@ -331,6 +331,9 @@ def check_claims(cert: StabilizationCertificate) -> ReplayResult:
     The sequences and maps connect A, B and the moved matrices, phi_prime is
     g o phi o f exactly (g's moves fold onto phi as column operations, f's as
     row operations, last first), and k_final = max_stable(phi_prime) >= n - 2.
+    Only a direct call reaches the checks on phi's and phi_prime's ends, as
+    ``certificate_from_parts`` and ``stabilize_full`` build both maps so.
+    They stay, as the gate never gets weaker; only ``test_phi_*`` kill their mutants.
     """
     if cert.f_seq.end != cert.A:
         return ReplayResult(False, "source sequence does not end at A")

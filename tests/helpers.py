@@ -9,7 +9,8 @@ smallest repeated index first, and ``oracle_product`` and ``oracle_apply``
 build on it; the library itself has only the degree-4 closed form.  The
 raw isomorphism search enumerates full coefficient boxes with no structural
 pruning and checks relations with the oracle.  ``reference_make_iso`` is
-``make_iso`` without its closed form for signed unit rows.
+``make_iso`` without its closed form for signed unit rows, and
+``reference_search_isos`` is ``search_isos`` without its completions memo.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import bottcert as bc
 from bottcert.iso import int_det
@@ -32,6 +34,18 @@ def sparse_matrix(rng, n, mag, p_zero=0.6):
         [[(rng.randint(-mag, mag) if rng.random() > p_zero else 0) for _ in range(i)] for i in range(n)],
     )
 
+
+
+def rationally_trivial(rng, n):
+    """A matrix with a zero row below the first, every alpha_i squaring to zero."""
+    while True:
+        rows = [list(r) for r in sparse_matrix(rng, n, 2, p_zero=0.5).rows]
+        z = rng.randint(2, n - 1)
+        rows[z - 1] = [0] * (z - 1)
+        A = bc.make_bott_matrix(n, rows)
+        alphas = [class_terms(A.alpha(i)) for i in range(1, n + 1)]
+        if any(map(any, A.rows)) and not any(oracle_product(A, a, a) for a in alphas):
+            return A
 
 def rand_class(rng, A, mag):
     return bc.Class2(A, [rng.randint(-mag, mag) for _ in range(A.n)])
@@ -199,6 +213,78 @@ def reference_make_iso(A, B, C):
         if not bc.product_is_zero(B, img, diff):
             raise bc.RelationViolated(i, bc.product_terms(B, img, diff))
     return bc.GradedIso(A, B, C)
+
+
+def reference_search_isos(A, B, bound):
+    """``search_isos`` as it was before it memoized a node's completions: node by node.
+
+    The reference for ``iso.search_isos``'s completions memo: the same hits
+    in the same order.  Each node solves its children, the rows over its free
+    targets, through the same two dicts, and recurses into every child.
+    """
+    if A.n != B.n or bound < 1:
+        return []
+    n = A.n
+    lev_a = bc.decompose_tower(A).levels
+    lev_b = bc.decompose_tower(B).levels[1:]  # 0-based, like frames and used
+    frames = [[-b for b in row] + [2] + [0] * (n - 1 - m) for m, row in enumerate(B.rows)]
+    scalars = [(t, sign << t) for t in range(n + 1) for sign in (1, -1)]
+    memo = {}
+    children_of = {}
+
+    def candidates(m, spare, phi_alpha):
+        """The (row, m, t) triples with t <= spare that pass every row filter for target m."""
+        key = (m, spare, phi_alpha)
+        if key in memo:
+            return memo[key]
+        out = memo[key] = []
+        pm = phi_alpha[m]
+        # the two prefilters on entry m (see search_isos); scalars ascend in |e|
+        limit = 2 * bound + abs(pm)
+        # row = (e * frame + 2 * phi_alpha) / 4 with e = 2 eps = +-2^t
+        for t, e in scalars:
+            if t > spare or abs(e) > limit:
+                break
+            if (e - pm) % 2:
+                continue
+            numer = [e * f + 2 * p for f, p in zip(frames[m], phi_alpha)]
+            if any(v % 4 for v in numer):
+                continue
+            row = tuple(v // 4 for v in numer)
+            if any(abs(v) > bound for v in row) or gcd(*row) != 1:
+                continue
+            # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
+            if not bc.product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):
+                continue
+            out.append((row, m, t))
+        return out
+
+    found = []
+
+    def extend(i, spare, used, rows):
+        phi_alpha = [0] * n
+        for j, aij in enumerate(A.rows[i - 1]):
+            if aij:
+                for col, c in enumerate(rows[j]):
+                    phi_alpha[col] += aij * c
+        phi_alpha = tuple(phi_alpha)
+        key = (lev_a[i], spare, phi_alpha, used)
+        children = children_of.get(key)
+        if children is None:
+            children = children_of[key] = []
+            for m in range(n):
+                if not used >> m & 1 and lev_b[m] == lev_a[i]:
+                    children += candidates(m, spare, phi_alpha)
+            children.sort()
+        for row, m, t in children:
+            if i < n:
+                extend(i + 1, spare - t, used | 1 << m, rows + (row,))
+            elif t == spare:
+                found.append(rows + (row,))
+
+    extend(1, n, 0, ())
+    del extend  # it refers to itself; the cycle would keep its state alive until a full GC
+    return [bc.GradedIso(A, B, C) for C in found]
 
 
 def dense_product(F, G):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +23,11 @@ from helpers import (
     oracle_apply,
     oracle_product,
     rand_class,
+    rationally_trivial,
     raw_iso_search,
     reduce_oracle,
     reference_make_iso,
+    reference_search_isos,
     scrambled_iso,
     sparse_matrix,
     trace_isos,
@@ -576,8 +579,9 @@ class TestSearch:
         assert hits > 2 * 46080
 
     def test_relation_checks_pinned(self, monkeypatch):
-        # the children memo adds no relation check to the per-(m, spare,
-        # phi(alpha_i)) memo; the counts were taken before it existed
+        # neither the children memo nor the completions memo adds a relation
+        # check to the per-(m, spare, phi(alpha_i)) memo; the counts were taken
+        # before either existed
         calls = count_calls(monkeypatch, "product_is_zero")
         Z = zero_matrix(5)
         assert len(bc.search_isos(Z, Z, 1)) == 3840
@@ -591,6 +595,59 @@ class TestSearch:
         calls[0] = 0
         hits = sum(len(bc.search_isos(A, B, 6)) for A, B in pairs)
         assert (calls[0], hits) == (3808, 4952)
+
+    def test_extend_calls_pinned(self):
+        # each state's completions are found once: one call of the nested
+        # extend per state and one per reuse of a state.  The zero matrix at
+        # n = 5 has 31 states, reused 120 times; the node-by-node search called
+        # extend once per node, 2491 times there, 29893 at n = 6 and 4350 on
+        # the n = 3 pairs.
+        extend = next(c for c in iso.search_isos.__code__.co_consts if getattr(c, "co_name", "") == "extend")
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is extend:
+                calls[0] += 1
+
+        def counted(cases):
+            calls[0] = 0
+            before = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                hits = sum(len(bc.search_isos(A, B, bound)) for A, B, bound in cases)
+            finally:
+                sys.setprofile(before)
+            return calls[0], hits
+
+        assert counted([(zero_matrix(5), zero_matrix(5), 1)]) == (151, 3840)
+        assert counted([(zero_matrix(6), zero_matrix(6), 1)]) == (373, 46080)
+        # the move-related n = 3 pairs of test_relation_checks_pinned
+        rng = random.Random(5151)
+        pairs = []
+        for _ in range(150):
+            A = sparse_matrix(rng, 3, 2)
+            pairs.append((A, moved_partner(rng, A, rng.randint(1, 3)), 6))
+        assert counted(pairs) == (3426, 4952)
+
+    def test_matches_node_by_node_search(self):
+        # the completions memo changes no hit and no order
+        cases = [(zero_matrix(n), zero_matrix(n), bound) for n in range(1, 7) for bound in (1, 2)]
+        rng = random.Random(6262)
+        for n in (4, 5, 6):
+            A = rationally_trivial(rng, n)
+            cases += [(A, A, 2), (A, moved_partner(rng, A, rng.randint(1, 2)), 2)]
+        cases += [(hirzebruch(a), hirzebruch(b), 6) for a in range(-3, 4) for b in range(-3, 4)]
+        for n in (3, 4, 5):
+            for _ in range(3):
+                A = sparse_matrix(rng, n, 2)
+                B = moved_partner(rng, A, rng.randint(1, 3))
+                cases += [(A, B, 3), (A, B, 10**9)]
+        hits = 0
+        for A, B, bound in cases:
+            found = bc.search_isos(A, B, bound)
+            assert found == reference_search_isos(A, B, bound)
+            hits += len(found)
+        assert hits > 2 * 46080
 
     def test_matches_raw_enumeration(self):
         rng = random.Random(17)

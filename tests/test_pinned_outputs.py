@@ -29,7 +29,7 @@ import random
 import bottcert as bc
 from bottcert import structure
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
-from helpers import class_terms, moved_partner, oracle_product, rand_matrix, scrambled_iso, sparse_matrix
+from helpers import moved_partner, rand_matrix, rationally_trivial, scrambled_iso, sparse_matrix
 
 CERT_DIGEST = "ca2d377229cddd618f0759aa5d30aee1dea1013f0c8ca7f97e6910d70e149123"
 SEARCH_DIGEST = "e2cce42baaf53b50f7222f4809b8b1f68ecfade1347f61ea048e29f401ac0a3d"
@@ -75,18 +75,6 @@ def search_records():
         yield repr((A.rows, B.rows, [phi.C for phi in bc.search_isos(A, B, 3)]))
 
 
-def _rationally_trivial(rng, n):
-    """A matrix with a zero row below the first, every alpha_i squaring to zero."""
-    while True:
-        rows = [list(r) for r in sparse_matrix(rng, n, 2, p_zero=0.5).rows]
-        z = rng.randint(2, n - 1)
-        rows[z - 1] = [0] * (z - 1)
-        A = bc.make_bott_matrix(n, rows)
-        alphas = [class_terms(A.alpha(i)) for i in range(1, n + 1)]
-        if any(map(any, A.rows)) and not any(oracle_product(A, a, a) for a in alphas):
-            return A
-
-
 def search_memo_records():
     """Complete search results where many nodes share (m, spare, phi(alpha_i))."""
 
@@ -101,7 +89,7 @@ def search_memo_records():
             yield record(Z, Z, bound)
     rng = random.Random(9090)
     for k in range(8):
-        A = _rationally_trivial(rng, 4 + k % 2)
+        A = rationally_trivial(rng, 4 + k % 2)
         B = A if k % 2 == 0 else moved_partner(rng, A, rng.randint(1, 2))
         yield record(A, B, 2)
     for a in range(-3, 4):

@@ -2,11 +2,12 @@
 
 Subcommands parse matrices, isomorphisms and certificates from JSON files,
 dispatch to the library, and emit canonical JSON on standard output.  Exit
-codes: 0 on success, 1 on domain errors (with an {"error": ...} payload),
-2 on usage errors, 3 when a tripwire fires (payload {"error": ...,
-"tripwire": true}; that is a bug, never a property of the input).  Output
-is byte-deterministic for fixed input.  A handler returns its payload, or,
-for ``stabilize``'s certificate, the text it has already checked.
+codes: 0 on success, 1 on domain errors and on running out of memory or
+recursion depth (with an {"error": ...} payload), 2 on usage errors, 3 when
+a tripwire fires (payload {"error": ..., "tripwire": true}; that is a bug,
+never a property of the input).  Output is byte-deterministic for fixed
+input.  A handler returns its payload, or, for ``stabilize``'s certificate,
+the text it has already checked.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .ring import product_is_zero
 from .serialize import (
     certificate_to_obj,
     dumps_canonical,
-    encode_int,
     iso_matrix_from_obj,
     matrix_from_obj,
     verify_certificate_obj,
@@ -54,7 +54,7 @@ def _cmd_ring(args) -> dict:
     alphas = [A.alpha(i).coeffs for i in range(1, A.n + 1)]
     return {
         "n": A.n,
-        "alpha": [[encode_int(t) for t in a] for a in alphas],
+        "alpha": alphas,
         "alpha_sq_zero": [product_is_zero(A, a, a) for a in alphas],
     }
 
@@ -65,8 +65,8 @@ def _cmd_sqzero(args) -> dict:
         "generators": [
             {
                 "index": g.index,
-                "gen": [encode_int(t) for t in g.gen.coeffs],
-                "primitive": [encode_int(t) for t in g.primitive_form.coeffs],
+                "gen": g.gen.coeffs,
+                "primitive": g.primitive_form.coeffs,
             }
             for g in square_zero_generators(A)
         ]
@@ -82,12 +82,11 @@ def _cmd_decompose(args) -> dict:
         for cls in blocks_at(tower, lev).classes:
             blocks.append(sorted(inv[r] for r in cls))
     blocks.sort(key=lambda c: (min(c), c))
-    partition = qtrivial_partition(tower)
     return {
-        "dims": list(tower.dims),
-        "levels": list(tower.levels[1:]),
+        "dims": tower.dims,
+        "levels": tower.levels[1:],
         "blocks": blocks,
-        "partition_if_qtrivial": list(partition) if partition is not None else None,
+        "partition_if_qtrivial": qtrivial_partition(tower),
     }
 
 
@@ -103,19 +102,15 @@ def _cmd_iso_check(args) -> dict:
     return {
         "valid": True,
         "max_stable": max_stable(phi),
-        "sigma": list(se.sigma),
-        "eps_times_2": [encode_int(e) for e in se.e],
+        "sigma": se.sigma,
+        "eps_times_2": se.e,
     }
 
 
 def _cmd_iso_search(args) -> dict:
     A = _load_matrix(args.source)
     B = _load_matrix(args.target)
-    isos = search_isos(A, B, args.bound)
-    return {
-        "bound": args.bound,
-        "isos": [[[encode_int(e) for e in row] for row in phi.C] for phi in isos],
-    }
+    return {"bound": args.bound, "isos": [phi.C for phi in search_isos(A, B, args.bound)]}
 
 
 def _cmd_stabilize(args) -> dict | str:
@@ -204,13 +199,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         payload = args.func(args)
+        text = payload if isinstance(payload, str) else dumps_canonical(payload)
     except TripwireError as exc:
         sys.stdout.write(dumps_canonical({"error": str(exc), "tripwire": True}))
         return 3
-    except (BottError, OSError, ValueError, TypeError, KeyError) as exc:
-        sys.stdout.write(dumps_canonical({"error": str(exc)}))
+    except (BottError, OSError, ValueError, TypeError, KeyError, RecursionError, MemoryError) as exc:
+        # the writer runs here too: a large payload can exhaust memory, and a MemoryError may have no message
+        sys.stdout.write(dumps_canonical({"error": str(exc) or type(exc).__name__}))
         return 1
-    sys.stdout.write(payload if isinstance(payload, str) else dumps_canonical(payload))
+    sys.stdout.write(text)
     return 0
 
 

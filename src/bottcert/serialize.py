@@ -1,10 +1,11 @@
 """JSON readers and writers with canonical, byte-deterministic output.
 
 Exact integers are emitted as JSON numbers while |x| < 2^53 and as decimal
-strings beyond that; readers accept both forms.  Readers take arrays only
-as JSON lists: a string, object or other iterable never stands in for one.
-Writers sort object keys and keep arrays in index order, so equal values
-serialize to equal bytes.
+strings beyond that; the writer applies that rule to every plain int it
+writes, so payload builders hand it their rows as they are.  Readers accept
+both forms, and take arrays only as JSON lists: a string, object or other
+iterable never stands in for one.  Writers sort object keys and keep arrays
+in index order, so equal values serialize to equal bytes.
 
 A certificate is built through ``stabilize.certificate_from_parts``, its one
 build path.  ``move_from_obj`` only decodes a move's parameters, just before
@@ -12,7 +13,8 @@ the move is built and checked, so reading stops at the first bad move and
 builds each good one once.
 
 ``dumps_canonical``, the one writer of output text, emits the bytes of
-``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.  It walks
+``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, with each
+plain int of magnitude >= 2^53 written as its decimal string.  It walks
 objects and arrays itself and joins an array of plain ints in one step:
 ``json``'s indenting encoder is pure Python and encodes each element alone.
 """
@@ -33,10 +35,6 @@ CERT_SCHEMA = "bott-stabilization-cert/1"
 _JSON_INT_LIMIT = 2**53
 # int() also takes "+3", " 7 ", "1_0" and non-ASCII digits; the format does not
 _DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def encode_int(x: int) -> int | str:
-    return x if -_JSON_INT_LIMIT < x < _JSON_INT_LIMIT else str(x)
 
 
 def decode_int(v: object) -> int:
@@ -65,16 +63,18 @@ def _ints(v: object, what: str) -> list[int]:
 
 
 def dumps_canonical(payload: object) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline; object keys must be strings."""
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, plain ints of magnitude >= 2^53 as
+    decimal strings; object keys must be strings."""
     return _dump(payload, "\n") + "\n"
 
 
 def _dump(o: object, nl: str) -> str:
     if type(o) is int:
-        return int.__repr__(o)
+        return int.__repr__(o) if -_JSON_INT_LIMIT < o < _JSON_INT_LIMIT else f'"{o}"'
     if isinstance(o, (list, tuple)):
         inner = nl + "  "
-        plain = set(map(type, o)) == {int}  # a bool is an int, but not a plain one
+        # a bool is an int, but not a plain one
+        plain = set(map(type, o)) == {int} and -_JSON_INT_LIMIT < min(o) and max(o) < _JSON_INT_LIMIT
         items = map(int.__repr__, o) if plain else [_dump(e, inner) for e in o]
         return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
     if isinstance(o, str):
@@ -87,7 +87,7 @@ def _dump(o: object, nl: str) -> str:
 
 
 def matrix_to_obj(A: BottMatrix) -> dict:
-    return {"n": A.n, "rows": [[encode_int(e) for e in row] for row in A.rows]}
+    return {"n": A.n, "rows": [list(row) for row in A.rows]}
 
 
 def matrix_from_obj(obj: object) -> BottMatrix:
@@ -98,7 +98,7 @@ def matrix_from_obj(obj: object) -> BottMatrix:
 
 
 def iso_to_obj(phi: GradedIso) -> dict:
-    return {"C": [[encode_int(e) for e in row] for row in phi.C]}
+    return {"C": [list(row) for row in phi.C]}
 
 
 def iso_matrix_from_obj(obj: object) -> list[list[int]]:
@@ -110,7 +110,7 @@ def iso_matrix_from_obj(obj: object) -> list[list[int]]:
 def move_to_obj(mv: Move) -> dict:
     if mv.kind == "switch":
         return {"kind": "switch", "j": mv.j}
-    return {"kind": "twist", "j": mv.j, "v": [encode_int(t) for t in mv.v]}
+    return {"kind": "twist", "j": mv.j, "v": list(mv.v)}
 
 
 def move_from_obj(obj: object) -> tuple:
@@ -146,7 +146,7 @@ def certificate_to_obj(cert: StabilizationCertificate) -> dict:
         "f_seq": seq_to_obj(cert.f_seq),
         "g_seq": seq_to_obj(cert.g_seq),
         "phi_prime": iso_to_obj(cert.phi_prime),
-        "k_final": encode_int(cert.k_final),
+        "k_final": cert.k_final,
     }
 
 

@@ -1,10 +1,13 @@
 """Command line interface: schemas, determinism, exit codes."""
 
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,6 +198,61 @@ def test_decompose_unordered_matrix(files, capsys):
     assert data["levels"] == [1, 1, 2, 1]
     assert data["blocks"] == [[1], [2], [3], [4]]
     assert data["partition_if_qtrivial"] is None
+
+
+def test_iso_search_big_bound_is_a_decimal_string(files, capsys):
+    # the writer applies the 2^53 rule to every plain int, the bound included
+    a = files("f0.json", {"n": 2, "rows": [[], [0]]})
+    b = files("f1.json", {"n": 2, "rows": [[], [1]]})
+    code, out = run(capsys, "iso-search", a, b, "--bound", str(2**60))
+    assert code == 0
+    assert out == '{\n  "bound": "1152921504606846976",\n  "isos": []\n}\n'
+
+
+def test_iso_search_memory_is_a_few_times_its_output(files, monkeypatch):
+    # the payload holds the hits' own rows; 3840 hits at n = 5 (5.5 times the
+    # output when each entry was copied into new lists of lists)
+    n = 5
+    z = files("z.json", {"n": n, "rows": [[0] * i for i in range(n)]})
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["iso-search", z, z, "--bound", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.getvalue()
+    assert code == 0 and len(json.loads(text)["isos"]) == 3840
+    assert peak < 4.5 * len(text), (peak, len(text))
+
+
+def test_recursion_limit_is_a_domain_error(files):
+    # the search recurses once per row; running out of depth is exit 1 with a payload, not a traceback
+    n = 150
+    ones = files("ones.json", {"n": n, "rows": [[1] * i for i in range(n)]})
+    src = str(Path(bc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from bottcert.cli import main; sys.setrecursionlimit(120); sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, "iso-search", ones, ones, "--bound", "1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(json.loads(proc.stdout)) == ["error"]
+
+
+def test_memory_error_is_a_domain_error(files, capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(bottcert.cli, "_cmd_iso_search", exhaust)
+    z = files("z.json", {"n": 2, "rows": [[], [0]]})
+    code = main(["iso-search", z, z])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": "MemoryError"}
+    assert captured.err == ""
 
 
 def test_byte_determinism(files, capsys):

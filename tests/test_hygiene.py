@@ -20,6 +20,11 @@
 * ``serialize.dumps_canonical`` is the one writer of output text: no
   library call passes ``indent=`` to ``json``, and ``json.dumps`` runs only
   inside the writer, for the scalars it does not write itself.
+* ``serialize`` owns the number format: no other library module names the
+  2^53 limit (``2**53``, ``_JSON_INT_LIMIT``) or turns a value into a
+  string with ``str``, ``repr``, ``__str__`` or ``__repr__``, other than
+  ``str(e)`` of an exception caught as ``e``.  The writer applies the rule
+  to every plain int, so a payload builder passes its rows as they are.
 * ``BottMatrix._derived``, which skips validation, is called only where
   integer algebra derives the rows from a validated matrix or class.
 * No class in the library subclasses ``TripwireError``: it is the one
@@ -206,6 +211,55 @@ def test_detects_json_indent_and_dumps_callers():
     )
     assert indent_calls(source) == [2, 4]
     assert callers(source, "dumps") == {"write", "plain"}
+
+
+def number_format_lines(source: str) -> list[int]:
+    """Lines that name the 2^53 limit, or call or map ``str``, ``repr``, ``__str__`` or ``__repr__``;
+    ``str(e)`` of an exception caught by ``except ... as e`` is left out."""
+    tree = ast.parse(source)
+    caught = {h.name for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and h.name}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if [getattr(node.left, "value", None), getattr(node.right, "value", None)] == [2, 53]:
+                found.add(node.lineno)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in ("_JSON_INT_LIMIT", "__str__", "__repr__"):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "map" and node.args:
+                f = node.args[0]
+            name = f.id if isinstance(f, ast.Name) else None
+            exc = node.args[0].id if len(node.args) == 1 and isinstance(node.args[0], ast.Name) else None
+            if name == "repr" or (name == "str" and not (node.func is f and exc in caught)):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_serialize_owns_the_number_format():
+    found = {}
+    for path in MODULES:
+        if path.name != "serialize.py" and (lines := number_format_lines(path.read_text(encoding="utf-8"))):
+            found[path.name] = lines
+    assert found == {}
+    assert number_format_lines((SRC / "serialize.py").read_text(encoding="utf-8")) != []
+
+
+def test_detects_number_format_outside_serialize():
+    source = (
+        "LIMIT = 2**53\n"
+        "def encode(x):\n    return x if abs(x) < LIMIT else str(x)\n"
+        "def rows(C):\n    return [list(map(str, r)) for r in C]\n"
+        "def shown(x):\n    return repr(x)\n"
+        "def raw(x):\n    return int.__repr__(x)\n"
+        "def owner():\n    return serialize._JSON_INT_LIMIT\n"
+        "def report(path: str) -> str:\n    try:\n        return open(path).read()\n"
+        "    except OSError as exc:\n        return str(exc) if isinstance(exc, str) else f'{path}'\n"
+        "def echo(x):\n    return str(x)\n"
+    )
+    assert number_format_lines(source) == [1, 3, 5, 7, 9, 11, 18]
 
 
 DERIVERS = {"moves.switch", "moves.twist", "ring.sub_bar"}

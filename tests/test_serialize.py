@@ -17,18 +17,27 @@ def hirzebruch(a):
     return bc.make_bott_matrix(2, [[], [a]])
 
 
+def written(x):
+    """``x`` as ``dumps_canonical`` writes it alone, in a plain-int array, in a mixed array and in an object."""
+    return [json.loads(ser.dumps_canonical(o)) for o in (x, [x], (1, x), [None, x], {"k": x})]
+
+
 class TestIntEncoding:
+    """The writer owns the number format: a plain int of magnitude >= 2^53 is written as its decimal string."""
+
     def test_small_ints_stay_numbers(self):
-        assert ser.encode_int(2**53 - 1) == 2**53 - 1
-        assert ser.encode_int(-(2**53) + 1) == -(2**53) + 1
+        for x in (2**53 - 1, -(2**53) + 1):
+            assert written(x) == [x, [x], [1, x], [None, x], {"k": x}]
 
     def test_large_ints_become_strings(self):
-        assert ser.encode_int(2**53) == str(2**53)
-        assert ser.encode_int(-(2**53)) == str(-(2**53))
+        for x in (2**53, -(2**53)):
+            assert written(x) == [str(x), [str(x)], [1, str(x)], [None, str(x)], {"k": str(x)}]
+        assert ser.dumps_canonical([2**53, 1]) == f'[\n  "{2**53}",\n  1\n]\n'
 
     def test_decode_round_trip(self):
         for x in (0, 7, -(2**60), 2**80 + 3):
-            assert ser.decode_int(ser.encode_int(x)) == x
+            assert ser.decode_int(json.loads(ser.dumps_canonical(x))) == x
+            assert [ser.decode_int(e) for e in json.loads(ser.dumps_canonical([x, -x]))] == [x, -x]
 
     def test_decode_rejects_bool_and_junk(self):
         with pytest.raises(bc.ShapeError, match="^expected an integer, got a boolean$"):
@@ -257,7 +266,19 @@ VALUES = st.recursive(
 )
 
 
+def big_ints_as_strings(x):
+    """A copy of x with each plain int of magnitude >= 2^53 replaced by its decimal string; bools and int
+    subclasses stay as they are."""
+    if type(x) is int:
+        return str(x) if abs(x) >= 2**53 else x
+    if isinstance(x, (list, tuple)):
+        return [big_ints_as_strings(e) for e in x]
+    if isinstance(x, dict):
+        return {k: big_ints_as_strings(v) for k, v in x.items()}
+    return x
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(VALUES)
 def test_writer_is_json_dumps_indent_2(x):
-    assert ser.dumps_canonical(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+    assert ser.dumps_canonical(x) == json.dumps(big_ints_as_strings(x), sort_keys=True, indent=2) + "\n"

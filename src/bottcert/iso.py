@@ -22,17 +22,19 @@ det C = +-prod(e_i) / 2^n: C is unimodular exactly when every |e_i| is
 and only for maps that are not signed permutations: ``make_iso`` checks
 rows that are signed unit vectors, such as a move's, in closed form.
 
-Row i is (e frame_m + 2 phi(alpha_i)) / 4, and every filter on it (mod 4,
-the bound, primitivity, the relation) is a function of m, e and
-phi(alpha_i) alone.  So one call solves the rows once per (m, spare,
-phi(alpha_i)) and sorts a node's children, those rows over its free
-targets, once per (level, spare, phi(alpha_i), used).  A node's state is
-(i, spare, used) with the rows k < i that some row j >= i refers to (a_jk
-!= 0); each phi(alpha_j), j >= i, is built from those and rows i..j-1
-alone, so prefixes with the same state have the same completions (rows
-i..n), found once per state.  A node prefixes each child, in ascending row
-order, to that child's completions, so the hits come out in canonical
-order with no final sort.
+Row i is r_e = (e frame_m + 2 phi(alpha_i)) / 4, and every filter on it
+(mod 4, the bound, primitivity, the relation) is a function of m, e and
+phi(alpha_i) alone.  As r_-e = phi(alpha_i) - r_e, the rows of +-e are
+integral together, and as frame_m^2 = beta_m^2 they share the relation
+product r(r - phi(alpha_i)) = (e^2 beta_m^2 - 4 phi(alpha_i)^2) / 16.  So
+one call solves and checks each pair once per (m, spare, phi(alpha_i)) and
+sorts a node's children, those rows over its free targets, once per
+(level, spare, phi(alpha_i), used).  A node's state is (i, spare, used)
+with the rows k < i that some row j >= i refers to (a_jk != 0); each
+phi(alpha_j), j >= i, is built from those and rows i..j-1 alone, so
+prefixes with the same state have the same completions (rows i..n), found
+once per state.  A node prefixes each child, in ascending row order, to
+its completions, so the hits come out in canonical order with no sort.
 """
 
 from __future__ import annotations
@@ -291,14 +293,10 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
 def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     """All valid isomorphisms with |C_ij| <= bound, in canonical (row-wise) order.
 
-    Complete for the given bound, which only filters rows: row i is solved
-    from each (m, e) of the module docstring with t at most ``spare``, n
-    minus the exponents used so far, and a hit ends with spare 0.  Rows of a
-    unimodular matrix are primitive and its targets distinct.  Frame m has
-    height m and entry 2 there, so a row fixes its (m, e): no two children
-    of a node share a row, and no hit repeats.  Entry m of the row, (e +
-    phi(alpha_i)_m) / 2, gives two prefilters before any per-column work: e
-    has the parity of phi(alpha_i)_m, and |e| <= 2 bound + |phi(alpha_i)_m|.
+    Complete for the given bound, which only filters rows.  Row i takes each
+    (m, e) of the module docstring with t <= ``spare`` (n less the t so far),
+    and a hit ends at spare 0.  C unimodular means primitive rows and distinct
+    targets; frame m has height m and entry 2 there, so no hit repeats.
     """
     from .structure import decompose_tower
 
@@ -308,31 +306,33 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     lev_a = decompose_tower(A).levels
     lev_b = decompose_tower(B).levels[1:]  # 0-based, like frames and used
     frames = [[-b for b in row] + [2] + [0] * (n - 1 - m) for m, row in enumerate(B.rows)]
-    # scalars[p]: the e = +-2^t of parity p, in ascending |e|
-    scalars = ([(t, sign << t) for t in range(1, n + 1) for sign in (1, -1)], [(0, 1), (0, -1)])
+    # scalars[p]: the e = 2^t > 0 of parity p, in ascending order; -e rides along as its pair
+    scalars = ([(t, 1 << t) for t in range(1, n + 1)], [(0, 1)])
     fours = (4,) * n
     memo: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
     children_of: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
 
     def candidates(m: int, spare: int, phi_alpha: tuple[int, ...]) -> list:
-        """The (row, m, t) triples with t <= spare that pass every row filter for target m."""
+        """The (row, m, t) triples with t <= spare that pass every row filter for target m.
+
+        Each e > 0 solves r_e and its pair neg = r_-e, filtered apart and relation-checked once.
+        """
         key = (m, spare, phi_alpha)
         if key in memo:
             return memo[key]
         out = memo[key] = []
-        pm = phi_alpha[m]
-        limit = 2 * bound + abs(pm)
+        limit = 2 * bound + abs(phi_alpha[m])  # entry m of r_e is (e + phi(alpha_i)_m) / 2
         frame, twice = frames[m], [2 * p for p in phi_alpha]
-        for t, e in scalars[pm % 2]:
-            if t > spare or abs(e) > limit:
+        for t, e in scalars[phi_alpha[m] % 2]:
+            if t > spare or e > limit:
                 break
             row, rem = zip(*map(divmod, map(add, map(e.__mul__, frame), twice), fours))
-            if any(rem) or max(map(abs, row)) > bound or gcd(*row) != 1:
+            if any(rem):
                 continue
-            # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
-            if not product_is_zero(B, row, tuple(map(sub, row, phi_alpha))):
-                continue
-            out.append((row, m, t))
+            neg = tuple(map(sub, phi_alpha, row))
+            kept = [(r, m, t) for r in (row, neg) if max(map(abs, r)) <= bound and gcd(*r) == 1]
+            if kept and product_is_zero(B, row, neg):
+                out += kept
         return out
 
     # refs[i - 1]: the rows k < i that some row j >= i refers to; take[i] picks them as a tuple (slice(0)

@@ -528,6 +528,37 @@ class TestFrameIdentity:
             assert sum(exps) == n
 
 
+class TestScalarPairs:
+    """The rows of e and -e, which the search solves and relation-checks as one pair."""
+
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_rows_of_plus_minus_e_share_their_relation(self, data):
+        n = data.draw(st.integers(1, 6))
+        B = bc.make_bott_matrix(n, [data.draw(st.lists(st.integers(-3, 3), min_size=i, max_size=i)) for i in range(n)])
+        m = data.draw(st.integers(0, n - 1))
+        e = 1 << data.draw(st.integers(0, 3))
+        frame = [-b for b in B.rows[m]] + [2] + [0] * (n - 1 - m)
+        # phi(alpha) in -6..6, each entry of the parity that makes r_e integral when any does
+        phi_alpha = [
+            data.draw(st.integers(-6, 6).filter(lambda p, f=f: (e * f + 2 * p) % 4 == 0 or e * f % 2)) for f in frame
+        ]
+        rows = {}
+        for s in (e, -e):
+            quotients, rems = zip(*(divmod(s * f + 2 * p, 4) for f, p in zip(frame, phi_alpha)))
+            rows[s] = None if any(rems) else list(quotients)
+        assert (rows[e] is None) == (rows[-e] is None)
+        if rows[e] is None:
+            return
+        assert rows[-e] == [p - r for p, r in zip(phi_alpha, rows[e])]
+        beta = list(B.rows[m]) + [0] * (n - m)
+        beta_sq, phi_sq = bc.product_terms(B, beta, beta), bc.product_terms(B, phi_alpha, phi_alpha)
+        relation = {s: bc.product_terms(B, r, [a - p for a, p in zip(r, phi_alpha)]) for s, r in rows.items()}
+        assert relation[e] == relation[-e]
+        for key in set(relation[e]) | set(beta_sq) | set(phi_sq):
+            assert 16 * relation[e].get(key, 0) == e * e * beta_sq.get(key, 0) - 4 * phi_sq.get(key, 0)
+
+
 class TestSearch:
     def test_signed_permutations(self):
         isos = bc.search_isos(ZERO2, ZERO2, 1)
@@ -579,13 +610,15 @@ class TestSearch:
         assert hits > 2 * 46080
 
     def test_relation_checks_pinned(self, monkeypatch):
-        # neither the children memo nor the completions memo adds a relation
-        # check to the per-(m, spare, phi(alpha_i)) memo; the counts were taken
-        # before either existed
+        # one relation check per +-e pair of rows: r_-e = phi(alpha_i) - r_e, so
+        # r_e (r_e - phi(alpha_i)) and r_-e (r_-e - phi(alpha_i)) are the same
+        # product, checked once when either row passes its filters.  Neither the
+        # children memo nor the completions memo adds a check to the
+        # per-(m, spare, phi(alpha_i)) memo
         calls = count_calls(monkeypatch, "product_is_zero")
         Z = zero_matrix(5)
         assert len(bc.search_isos(Z, Z, 1)) == 3840
-        assert calls[0] == 50
+        assert calls[0] == 25
         # move-related n = 3 pairs at bound 6, as in the benchmark's search workload
         rng = random.Random(5151)
         pairs = []
@@ -594,7 +627,7 @@ class TestSearch:
             pairs.append((A, moved_partner(rng, A, rng.randint(1, 3))))
         calls[0] = 0
         hits = sum(len(bc.search_isos(A, B, 6)) for A, B in pairs)
-        assert (calls[0], hits) == (3808, 4952)
+        assert (calls[0], hits) == (1904, 4952)
 
     def test_extend_calls_pinned(self):
         # each state's completions are found once: one call of the nested

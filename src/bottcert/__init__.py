@@ -32,7 +32,7 @@ from .iso import (
 from .moves import Move, MoveSeq, build_move, invert_move, invert_seq, rebuild, switch, twist
 from .ring import (
     BottMatrix,
-    Class2,
+    height,
     make_bott_matrix,
     primitive_part,
     product_is_zero,

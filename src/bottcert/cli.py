@@ -51,7 +51,7 @@ def _load_matrix(path: str):
 
 def _cmd_ring(args) -> dict:
     A = _load_matrix(args.matrix)
-    alphas = [A.alpha(i).coeffs for i in range(1, A.n + 1)]
+    alphas = [A.alpha(i) for i in range(1, A.n + 1)]
     return {
         "n": A.n,
         "alpha": alphas,
@@ -65,8 +65,8 @@ def _cmd_sqzero(args) -> dict:
         "generators": [
             {
                 "index": g.index,
-                "gen": g.gen.coeffs,
-                "primitive": g.primitive_form.coeffs,
+                "gen": g.gen,
+                "primitive": g.primitive_form,
             }
             for g in square_zero_generators(A)
         ]

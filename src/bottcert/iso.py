@@ -2,7 +2,8 @@
 
 An isomorphism is represented by its degree-2 integer matrix C with
 phi(x_i) = sum_j C_ij y_j; since the ring is generated in degree 2 this
-determines phi completely.  ``make_iso`` is the one validating constructor:
+determines phi completely.  A degree-2 class is a tuple of n coefficients,
+so row i of C is phi(x_i) and ``apply2`` maps any class.  ``make_iso`` is the one validating constructor:
 it checks unimodularity and that every relation x_i^2 = alpha_i x_i is
 respected, and it runs where a matrix enters from outside.  ``GradedIso``
 itself trusts its arguments; ``invert``, ``search_isos``, the moves'
@@ -45,7 +46,7 @@ from math import gcd
 from operator import add, itemgetter, sub
 
 from .errors import ContextMismatch, NotUnimodular, RelationViolated, ShapeError, TripwireError
-from .ring import BottMatrix, Class2, product_is_zero, product_terms, two_x_minus_alpha
+from .ring import BottMatrix, height, product_is_zero, product_terms, two_x_minus_alpha
 
 
 def _bareiss(m: list[list[int]]) -> int:
@@ -121,22 +122,17 @@ class GradedIso:
         self.target = target
         self.C = C
 
-    def apply2(self, c: Class2) -> Class2:
-        """Image of a degree-2 class."""
-        if c.context != self.source:
-            raise ContextMismatch("class does not live over the source matrix")
+    def apply2(self, c: tuple[int, ...]) -> tuple[int, ...]:
+        """Image of a degree-2 class, given as its n coefficients over the source."""
         n = self.source.n
+        if len(c) != n:
+            raise ShapeError(f"expected {n} coefficients, got {len(c)}")
         out = [0] * n
-        for i, t in enumerate(c.coeffs):
+        for t, row in zip(c, self.C):
             if t:
-                row = self.C[i]
                 for j in range(n):
                     out[j] += t * row[j]
-        return Class2(self.target, out)
-
-    def row(self, i: int) -> Class2:
-        """phi(x_i) as a class over the target."""
-        return Class2(self.target, self.C[i - 1])
+        return tuple(out)
 
     def is_k_stable(self, k: int) -> bool:
         """Whether phi(F_k) lands in F_k, i.e. rows <= k have support <= k."""
@@ -273,14 +269,14 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
     e: list[int] = []
     for i in range(1, A.n + 1):
         q = phi.apply2(two_x_minus_alpha(A, i))
-        m = q.height()
+        m = height(q)
         if m == 0:
             raise TripwireError(f"generator {i}: image of 2x_i - alpha_i is zero")
         frame = two_x_minus_alpha(B, m)
-        top = q[m]
+        top = q[m - 1]
         # exact identity, cross-multiplied to stay in integers: 2q = top * frame
-        if q.scale(2) != frame.scale(top):
-            raise TripwireError(f"generator {i}: image {q!r} is not a multiple of {frame!r}")
+        if [2 * t for t in q] != [top * f for f in frame]:
+            raise TripwireError(f"generator {i}: image {list(q)} is not a multiple of {list(frame)}")
         if tower_src.levels[i] != tower_tgt.levels[m]:
             raise TripwireError(f"generator {i}: level of x_{i} differs from level of y_{m}")
         sigma.append(m)
@@ -305,7 +301,7 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     n = A.n
     lev_a = decompose_tower(A).levels
     lev_b = decompose_tower(B).levels[1:]  # 0-based, like frames and used
-    frames = [[-b for b in row] + [2] + [0] * (n - 1 - m) for m, row in enumerate(B.rows)]
+    frames = [two_x_minus_alpha(B, m) for m in range(1, n + 1)]
     # scalars[p]: the e = 2^t > 0 of parity p, in ascending order; -e rides along as its pair
     scalars = ([(t, 1 << t) for t in range(1, n + 1)], [(0, 1)])
     fours = (4,) * n

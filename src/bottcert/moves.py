@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .errors import ContextMismatch, RangeError, ShapeError, SwitchBlocked, TwistInvalid
 from .iso import identity_iso, make_iso
-from .ring import BottMatrix, Class2, product_is_zero
+from .ring import BottMatrix, product_is_zero
 
 
 class Move:
@@ -103,8 +103,18 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
 
 
 def build_move(before: BottMatrix, kind: str, j: int, v) -> tuple[Move, BottMatrix]:
-    """The move (kind, j, v) from before, checked by ``make_iso``, and the matrix after it."""
-    mv = Move(kind, j, Class2(before, v).coeffs if kind == "twist" else None)
+    """The move (kind, j, v) from before, checked by ``make_iso``, and the matrix after it.
+
+    A twist's v comes from outside, so it must be n plain ints; it is kept as a tuple.
+    """
+    if kind == "twist":
+        v = tuple(v)
+        if len(v) != before.n:
+            raise ShapeError(f"expected {before.n} coefficients, got {len(v)}")
+        for t in v:
+            if type(t) is not int:
+                raise ShapeError(f"coefficient {t!r} is not an integer")
+    mv = Move(kind, j, v if kind == "twist" else None)
     after = mv.apply(before)
     make_iso(before, after, mv.induced(before))
     return mv, after

@@ -7,9 +7,11 @@ total space is
     Z[x_1, ..., x_n] / (x_i^2 - alpha_i x_i),    alpha_i = sum_{j<i} a_ij x_j,
 
 and the square-free monomials x_S, S a subset of {1..n}, are an additive
-basis.  This module provides the matrix type, integral degree-2 classes,
-the filtration F_k = span{x_1..x_k} with its height function, and the one
-product the library needs: degree 2 times degree 2.
+basis.  A degree-2 class sum t_i x_i is the tuple (t_1, ..., t_n) of its
+plain int coefficients, everywhere in the library; it carries no matrix.
+This module provides the matrix type, the height of a class in the
+filtration F_k = span{x_1..x_k}, and the one product the library needs:
+degree 2 times degree 2.
 
 A graded isomorphism is fixed by its degree-2 matrix and every relation
 x_i^2 = alpha_i x_i lives in degree 4, where the pair monomials x_j x_i
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd
 
-from .errors import ContextMismatch, RangeError, ShapeError
+from .errors import RangeError, ShapeError
 
 
 class BottMatrix:
@@ -68,12 +70,11 @@ class BottMatrix:
             return 0
         return self.rows[i - 1][j - 1]
 
-    def alpha(self, i: int) -> "Class2":
+    def alpha(self, i: int) -> tuple[int, ...]:
         """Row i as the degree-2 class alpha_i = sum_{j<i} a_ij x_j."""
         if not 1 <= i <= self.n:
             raise RangeError(f"row {i} outside 1..{self.n}")
-        coeffs = list(self.rows[i - 1]) + [0] * (self.n - i + 1)
-        return Class2(self, coeffs)
+        return self.rows[i - 1] + (0,) * (self.n - i + 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BottMatrix) and self.rows == other.rows
@@ -94,81 +95,12 @@ def make_bott_matrix(n: int, rows: Iterable[Iterable[int]]) -> BottMatrix:
     return BottMatrix(n, rows)
 
 
-def _check_context(a, b) -> None:
-    if a.context != b.context:
-        raise ContextMismatch("operands live over different Bott matrices")
-
-
-class Class2:
-    """Degree-2 class sum t_i x_i over a fixed Bott matrix."""
-
-    __slots__ = ("context", "coeffs")
-
-    def __init__(self, context: BottMatrix, coeffs: Iterable[int]):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != context.n:
-            raise ShapeError(f"expected {context.n} coefficients, got {len(coeffs)}")
-        for v in coeffs:
-            if type(v) is not int:
-                raise ShapeError(f"coefficient {v!r} is not an integer")
-        self.context = context
-        self.coeffs = coeffs
-
-    @staticmethod
-    def basis(context: BottMatrix, i: int) -> "Class2":
-        """The generator x_i."""
-        if not 1 <= i <= context.n:
-            raise RangeError(f"generator index {i} outside 1..{context.n}")
-        return Class2(context, tuple(1 if m == i else 0 for m in range(1, context.n + 1)))
-
-    def __getitem__(self, i: int) -> int:
-        """Coefficient of x_i (1-based)."""
-        return self.coeffs[i - 1]
-
-    def __add__(self, other: "Class2") -> "Class2":
-        _check_context(self, other)
-        return Class2(self.context, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Class2") -> "Class2":
-        _check_context(self, other)
-        return Class2(self.context, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Class2":
-        return Class2(self.context, tuple(-a for a in self.coeffs))
-
-    def scale(self, c: int) -> "Class2":
-        return Class2(self.context, tuple(c * a for a in self.coeffs))
-
-    def height(self) -> int:
-        """Largest index with nonzero coefficient; 0 for the zero class."""
-        for i in range(self.context.n, 0, -1):
-            if self.coeffs[i - 1]:
-                return i
-        return 0
-
-    def truncated_tail(self, k: int) -> "Class2":
-        """Copy with coefficients at indices <= k set to zero."""
-        return Class2(self.context, tuple(0 if i < k else t for i, t in enumerate(self.coeffs)))
-
-    def truncated_head(self, k: int) -> "Class2":
-        """The F_k part: coefficients at indices > k set to zero."""
-        return Class2(self.context, tuple(t if i < k else 0 for i, t in enumerate(self.coeffs)))
-
-    def mod2(self) -> tuple[int, ...]:
-        return tuple(t % 2 for t in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Class2)
-            and self.context == other.context
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Class2{list(self.coeffs)}"
+def height(c: tuple[int, ...]) -> int:
+    """Largest index with nonzero coefficient; 0 for the zero class."""
+    for i in range(len(c), 0, -1):
+        if c[i - 1]:
+            return i
+    return 0
 
 
 def product_is_zero(A: BottMatrix, s, t) -> bool:
@@ -204,21 +136,19 @@ def product_terms(A: BottMatrix, s, t) -> dict[tuple[int, int], int]:
     return out
 
 
-def two_x_minus_alpha(A: BottMatrix, i: int) -> Class2:
+def two_x_minus_alpha(A: BottMatrix, i: int) -> tuple[int, ...]:
     """The class 2x_i - alpha_i, whose square equals alpha_i^2."""
     if not 1 <= i <= A.n:
         raise RangeError(f"generator index {i} outside 1..{A.n}")
-    return Class2(A, [-a for a in A.rows[i - 1]] + [2] + [0] * (A.n - i))
+    return tuple(-a for a in A.rows[i - 1]) + (2,) + (0,) * (A.n - i)
 
 
-def primitive_part(c: Class2) -> Class2:
+def primitive_part(c: tuple[int, ...]) -> tuple[int, ...]:
     """c divided by the gcd of its coefficients (zero class returned as is)."""
-    g = 0
-    for t in c.coeffs:
-        g = gcd(g, t)
+    g = gcd(*c)
     if g in (0, 1):
         return c
-    return Class2(c.context, tuple(t // g for t in c.coeffs))
+    return tuple(t // g for t in c)
 
 
 def sub_bar(A: BottMatrix, k: int) -> BottMatrix:

@@ -14,6 +14,7 @@ each one that no earlier check implies is recomputed at runtime, and a
 failure raises a tripwire error rather than producing a wrong certificate.
 A move's own precondition is checked once, by ``switch`` or ``twist`` as
 the step builds it; a move that fails to build there is a tripwire too.
+Degree-2 classes (images, w, u, a twist's v) are tuples of n coefficients.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from .errors import BottError, RangeError, TripwireError
 from .iso import GradedIso, invert, make_iso, max_stable
 from .moves import Move, MoveSeq, _before, _then, invert_seq, rebuild, switch, twist
-from .ring import BottMatrix, Class2, product_is_zero
+from .ring import BottMatrix, height, product_is_zero
 from .structure import decompose_tower, same_block
 
 
@@ -29,7 +30,7 @@ class XkDecomposition:
     """Shape of the image of x_{k+1}: eps(2y_l - trunc(beta_l)) + w, w in F_k; e = 2 eps."""
     __slots__ = ("ell", "e", "w")
 
-    def __init__(self, ell: int, e: int, w: Class2):
+    def __init__(self, ell: int, e: int, w: tuple[int, ...]):
         self.ell, self.e, self.w = ell, e, w
 
 
@@ -47,26 +48,26 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
         raise RangeError(f"stability index {k} outside 0..{n - 1}")
     if not phi.is_k_stable(k):
         raise ValueError(f"isomorphism is not {k}-stable")
-    img = phi.row(k + 1)
-    ell = img.height()
+    img = phi.C[k]
+    ell = height(img)
     if ell <= k:
         raise TripwireError("image of x_{k+1} lies inside F_k")
     if ell == k + 1:
         return None
     B = phi.target
-    top = img[ell]
+    top = img[ell - 1]
     for j in range(k + 1, ell):
-        if 2 * img[j] != -top * B.a(ell, j):
-            raise TripwireError(f"coefficient at y_{j} is {img[j]}, expected -eps*b[{ell},{j}]")
-    return XkDecomposition(ell, top, img.truncated_head(k))
+        if 2 * img[j - 1] != -top * B.a(ell, j):
+            raise TripwireError(f"coefficient at y_{j} is {img[j - 1]}, expected -eps*b[{ell},{j}]")
+    return XkDecomposition(ell, top, img[:k] + (0,) * (n - k))
 
 
 class KeyStepTrace:
     """Record of one height-reduction step, for audit and conformance tests."""
     __slots__ = ("k", "ell", "p", "case", "e", "w", "u", "moves")
 
-    def __init__(self, k: int, ell: int, p: int, case: str, e: int, w: Class2, u: Class2 | None,
-                 moves: tuple[Move, ...]):
+    def __init__(self, k: int, ell: int, p: int, case: str, e: int, w: tuple[int, ...],
+                 u: tuple[int, ...] | None, moves: tuple[Move, ...]):
         self.k, self.ell, self.p, self.case = k, ell, p, case  # "zero" | "even" | "odd"
         self.e, self.w, self.u = e, w, u  # e = 2 eps
         self.moves = moves  # one to three, run from the target of the map reduced
@@ -92,28 +93,30 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
         moves.append(mv)
         _then(C, mv)
 
-    u: Class2 | None = None
+    u: tuple[int, ...] | None = None
     if p == 0:
         case = "zero"
         # the image has no y_{l-1} term, so exchanging l-1 and l drops the height
         play(switch, ell - 1)
     else:
-        head = B.alpha(ell).truncated_head(k)  # beta_l minus its truncation
-        bar_ell = B.alpha(ell).truncated_tail(k)
+        n = B.n
+        beta = B.alpha(ell)
+        head = beta[:k] + (0,) * (n - k)  # beta_l minus its truncation
+        bar_ell = (0,) * k + beta[k:]
         phi_alpha = phi.apply2(phi.source.alpha(k + 1))
         # forced identity: 2eps*(beta_l - trunc beta_l) = phi(alpha_{k+1}) - 2w
-        if head.scale(e) != phi_alpha - w.scale(2):
+        if [e * h for h in head] != [a - 2 * t for a, t in zip(phi_alpha, w)]:
             raise TripwireError("F_k part of beta_l does not match phi(alpha_{k+1})")
-        u = head.scale(2)
+        u = tuple(2 * h for h in head)
         # for k < j < l-1, the coefficient of y_j y_{l-1} in this product is
         # p(2 trunc(beta_l)_j + p b_{l-1,j}): with p != 0 it forces the identity
         # 2 trunc(beta_l) = p (2 y_{l-1} - trunc(beta_{l-1}))
-        if not product_is_zero(B, bar_ell.coeffs, (bar_ell + u).coeffs):
+        if not product_is_zero(B, bar_ell, [b + t for b, t in zip(bar_ell, u)]):
             raise TripwireError("trunc(beta_l) * (trunc(beta_l) + u) != 0")
         if p % 2 == 0:
             case = "even"
             # twist checks v(beta_l - v) = 0, and the switch that b_{l,l-1} is cleared
-            play(twist, ell, Class2.basis(B, ell - 1).scale(p // 2).coeffs)
+            play(twist, ell, (0,) * (ell - 2) + (p // 2,) + (0,) * (n - ell + 1))
             play(switch, ell - 1)
         else:
             case = "odd"
@@ -121,8 +124,7 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
             # exactly; twist checks v(beta_{l-1} - v) = 0.  No caller steps at l = k+2
             # with p odd (_descend steps at l > k+2, _raise_fwd at k+2 for even p only),
             # so the loop reaches column l-2
-            bar_prev = B.alpha(ell - 1).truncated_tail(k)
-            play(twist, ell - 1, tuple(t // 2 for t in bar_prev.coeffs))
+            play(twist, ell - 1, (0,) * k + tuple(t // 2 for t in B.alpha(ell - 1)[k:]))
             for col in range(k + 1, ell - 1):
                 if cur.a(ell, col) != 0:
                     raise TripwireError(f"entry (l, {col}) must vanish after the odd twist")
@@ -137,7 +139,7 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
     phi_new = GradedIso(phi.source, cur, tuple(map(tuple, C)))
     if not phi_new.is_k_stable(k):
         raise TripwireError("height reduction broke k-stability")
-    if phi_new.row(k + 1).height() >= ell:
+    if height(phi_new.C[k]) >= ell:
         raise TripwireError("height of the tracked image did not decrease")
     return phi_new, KeyStepTrace(k=k, ell=ell, p=p, case=case, e=e, w=w, u=u, moves=tuple(moves))
 
@@ -204,7 +206,7 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
         psi, final_tr = _key_step(psi, k, dec)
     # row k+2 of the inverse follows: 2 psi(y_{k+2}) is eps'(2x_{k+1} - alpha_{k+1})
     # plus p psi(y_{k+1}) plus an F_k class, all of height <= k+2
-    if psi.row(k + 2).height() > k + 2:
+    if height(psi.C[k + 1]) > k + 2:
         raise TripwireError("inverse image of y_{k+2} must land in F_{k+2}")
     return invert(psi), OddBranchTrace(p, tuple(steps), final_entry, final_tr)
 

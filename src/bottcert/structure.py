@@ -19,7 +19,6 @@ from .errors import BottError, RangeError, TripwireError
 from .moves import Move, switch
 from .ring import (
     BottMatrix,
-    Class2,
     primitive_part,
     product_is_zero,
     sub_bar,
@@ -31,7 +30,7 @@ class SquareZeroGenerator:
     """Index i with alpha_i^2 = 0, the class 2x_i - alpha_i, and its primitive form."""
     __slots__ = ("index", "gen", "primitive_form")
 
-    def __init__(self, index: int, gen: Class2, primitive_form: Class2):
+    def __init__(self, index: int, gen: tuple[int, ...], primitive_form: tuple[int, ...]):
         self.index, self.gen, self.primitive_form = index, gen, primitive_form
 
 
@@ -142,7 +141,7 @@ class BlockStructure:
     """
     __slots__ = ("reps", "primitives", "classes")
 
-    def __init__(self, reps: dict[int, tuple[int, ...]], primitives: dict[int, Class2],
+    def __init__(self, reps: dict[int, tuple[int, ...]], primitives: dict[int, tuple[int, ...]],
                  classes: tuple[tuple[int, ...], ...]):
         self.reps, self.primitives, self.classes = reps, primitives, classes
 
@@ -164,11 +163,11 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
     hi = T.dims[lev - 1]
     fiber = sub_bar(T.base, k)
     reps: dict[int, tuple[int, ...]] = {}
-    prims: dict[int, Class2] = {}
+    prims: dict[int, tuple[int, ...]] = {}
     for r in range(k + 1, hi + 1):
         z = primitive_part(two_x_minus_alpha(fiber, r - k))
         prims[r] = z
-        reps[r] = z.mod2()
+        reps[r] = tuple(t % 2 for t in z)
     classes: dict[tuple[int, ...], list[int]] = {}
     for r in sorted(reps):
         classes.setdefault(reps[r], []).append(r)

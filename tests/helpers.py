@@ -48,7 +48,7 @@ def rationally_trivial(rng, n):
             return A
 
 def rand_class(rng, A, mag):
-    return bc.Class2(A, [rng.randint(-mag, mag) for _ in range(A.n)])
+    return tuple(rng.randint(-mag, mag) for _ in range(A.n))
 
 
 def square_zero_bruteforce(A, bound):
@@ -65,7 +65,7 @@ def square_zero_bruteforce(A, bound):
         return out
     while True:
         if any(coeffs) and bc.product_is_zero(A, coeffs, coeffs):
-            out.append(bc.Class2(A, coeffs))
+            out.append(tuple(coeffs))
         pos = A.n - 1
         while pos >= 0 and coeffs[pos] == bound:
             coeffs[pos] = -bound
@@ -107,7 +107,7 @@ def reduce_oracle(raw, A):
 
 def class_terms(c):
     """A degree-2 class as a term map {frozenset({i}): t_i}."""
-    return {frozenset((i,)): t for i, t in enumerate(c.coeffs, start=1) if t}
+    return {frozenset((i,)): t for i, t in enumerate(c, start=1) if t}
 
 
 def oracle_product(A, a, b):
@@ -339,14 +339,14 @@ def raw_iso_search(A, B, bound):
     rows = []
 
     def relation_ok(i):
-        img = bc.Class2(B, rows[i - 1])
+        img = rows[i - 1]
         phi_alpha = [0] * n
         for j in range(1, i):
             aij = A.a(i, j)
             if aij:
                 for col in range(n):
                     phi_alpha[col] += aij * rows[j - 1][col]
-        diff = bc.Class2(B, [r - a for r, a in zip(rows[i - 1], phi_alpha)])
+        diff = [r - a for r, a in zip(rows[i - 1], phi_alpha)]
         return not oracle_product(B, class_terms(img), class_terms(diff))
 
     def extend(i):
@@ -368,8 +368,8 @@ def admissible_twists(M, j, mag):
     """All v with entries in [-mag, mag], height < j and v(beta_j - v) = 0."""
     out = []
     for tail in itertools.product(range(-mag, mag + 1), repeat=j - 1):
-        v = bc.Class2(M, list(tail) + [0] * (M.n - j + 1))
-        if not oracle_product(M, class_terms(v), class_terms(M.alpha(j) - v)):
+        v = tail + (0,) * (M.n - j + 1)
+        if not oracle_product(M, class_terms(v), class_terms([a - t for a, t in zip(M.alpha(j), v)])):
             out.append(v)
     return out
 
@@ -398,9 +398,9 @@ def scrambled_iso(rng, A, rounds, twist_mag=2):
             phi = lift_chain(phi, tgt_side, i, rng.randint(i + 1, M.n))
         else:
             j = rng.randint(1, M.n)
-            vs = [v for v in admissible_twists(M, j, twist_mag) if any(v.coeffs)]
+            vs = [v for v in admissible_twists(M, j, twist_mag) if any(v)]
             if vs:
-                mv = move_iso(M, bc.Move("twist", j, rng.choice(vs).coeffs))
+                mv = move_iso(M, bc.Move("twist", j, rng.choice(vs)))
                 phi = compose_dense(mv, phi) if tgt_side else compose_dense(phi, bc.invert(mv))
     return phi
 
@@ -415,9 +415,9 @@ def moved_partner(rng, A, count, twist_mag=1):
                 M = bc.switch(M, rng.choice(js))
                 continue
         j = rng.randint(1, M.n)
-        vs = [v for v in admissible_twists(M, j, twist_mag) if any(v.coeffs)]
+        vs = [v for v in admissible_twists(M, j, twist_mag) if any(v)]
         if vs:
-            M = bc.twist(M, j, rng.choice(vs).coeffs)
+            M = bc.twist(M, j, rng.choice(vs))
     return M
 
 

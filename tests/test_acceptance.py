@@ -46,10 +46,10 @@ def test_c1_square_zero_classification():
     t0 = time.monotonic()
     for _ in range(200):
         A = rand_matrix(rng, rng.randint(1, 4), 3)
-        brute = {z.coeffs for z in square_zero_bruteforce(A, bound)}
+        brute = set(square_zero_bruteforce(A, bound))
         family = set()
         for g in bc.square_zero_generators(A):
-            prim = g.primitive_form.coeffs
+            prim = g.primitive_form
             c = 1
             while True:
                 vec = tuple(c * t for t in prim)
@@ -126,10 +126,10 @@ def test_c4_move_soundness():
             switches += 1
         else:
             j = rng.randint(1, B.n)
-            vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
+            vs = [v for v in admissible_twists(B, j, 2) if any(v)]
             if not vs:
                 continue
-            v = rng.choice(vs).coeffs
+            v = rng.choice(vs)
             mv, back = bc.Move("twist", j, v), bc.Move("twist", j, tuple(-t for t in v))
             after = bc.twist(B, j, v)
             bc.make_iso(B, after, mv.induced(B))

@@ -386,11 +386,18 @@ def test_detects_moves_that_hold_more():
         def __init__(self, kind, j, v):
             self.kind, self.j, self.v = kind, j, v
 
+    class WithMatrix:
+        """A twist's coefficients that also keep the matrix they live over."""
+        __slots__ = ("matrix", "coeffs")
+
+        def __init__(self, matrix, coeffs):
+            self.matrix, self.coeffs = matrix, coeffs
+
     B = bc.BottMatrix(2, [[], [2]])
     assert parameters_only(bc.Move("twist", 2, (1, 0)))
     assert parameters_only(bc.Move("switch", 1, None))
     assert not parameters_only(Carrying("switch", 1, None))
-    assert not parameters_only(bc.Move("twist", 2, bc.Class2(B, (1, 0))))  # a class carries its matrix
+    assert not parameters_only(bc.Move("twist", 2, WithMatrix(B, (1, 0))))  # a v that carries its matrix
     assert not parameters_only(bc.Move("twist", 2, [1, 0]))
     assert not parameters_only(bc.Move("twist", 2, (1, True)))
     assert not parameters_only(bc.Move("switch", 1, (0, 0)))

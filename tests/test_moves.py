@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -94,7 +95,7 @@ class TestTwist:
             B = rand_matrix(rng, rng.randint(2, 5), 2)
             j = rng.randint(2, B.n)
             vs = admissible_twists(B, j, 2)
-            v = rng.choice(vs).coeffs
+            v = rng.choice(vs)
             C, after = bc.Move("twist", j, v).induced(B), bc.twist(B, j, v)
             for i in range(1, j):
                 assert C[i - 1] == tuple(int(c == i) for c in range(1, B.n + 1))
@@ -105,10 +106,10 @@ class TestTwist:
         for _ in range(100):
             B = rand_matrix(rng, rng.randint(2, 5), 2)
             j = rng.randint(2, B.n)
-            vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
+            vs = [v for v in admissible_twists(B, j, 2) if any(v)]
             if not vs:
                 continue
-            v = rng.choice(vs).coeffs
+            v = rng.choice(vs)
             mv = bc.Move("twist", j, v)
             after = bc.twist(B, j, v)
             back = bc.invert_move(mv)
@@ -130,10 +131,10 @@ class TestMoveSoundness:
                 mv = bc.Move("switch", rng.choice(js), None)
             else:
                 j = rng.randint(1, B.n)
-                vs = [v for v in admissible_twists(B, j, 2) if any(v.coeffs)]
+                vs = [v for v in admissible_twists(B, j, 2) if any(v)]
                 if not vs:
                     continue
-                mv = bc.Move("twist", j, rng.choice(vs).coeffs)
+                mv = bc.Move("twist", j, rng.choice(vs))
             # switch, twist and Move.induced work by algebra; make_iso checks the map
             bc.make_iso(B, mv.apply(B), mv.induced(B))
             done += 1
@@ -190,9 +191,9 @@ def random_moves(rng, M, kinds):
     for _ in range(4):
         js = [j for j in range(1, n) if M.a(j + 1, j) == 0]
         j = rng.randint(2, n)
-        vs = [v for v in admissible_twists(M, j, 1) if any(v.coeffs)]
+        vs = [v for v in admissible_twists(M, j, 1) if any(v)]
         if vs and (not js or rng.random() < 0.5):
-            mv = bc.Move("twist", j, rng.choice(vs).coeffs)
+            mv = bc.Move("twist", j, rng.choice(vs))
         elif js:
             mv = bc.Move("switch", rng.choice(js), None)
         else:
@@ -387,6 +388,46 @@ class TestBuildMove:
     def test_sequence_build_reports_unknown_kind(self):
         with pytest.raises(bc.ShapeError, match="^unknown move kind 'flip'$"):
             bc.MoveSeq.build(ZERO2, [bc.Move("flip", 1, None)])
+
+    # a twist's v enters from the reader or from an in-memory certificate, and
+    # build_move checks its length and that each entry is a plain int
+    BAD_V = [
+        ((-1, 0), "expected 3 coefficients, got 2"),
+        ((-1, 0, 0, 0), "expected 3 coefficients, got 4"),
+        ((True, 0, 0), "coefficient True is not an integer"),
+        ((-1.0, 0, 0), "coefficient -1.0 is not an integer"),
+        (("-1", 0, 0), "coefficient '-1' is not an integer"),
+    ]
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, "3"])
+    def test_non_integer_coefficient(self, bad):
+        # no float, bool or string is silently turned into an integer, wherever it stands in v
+        for v in ([bad, 0], (0, bad)):
+            with pytest.raises(bc.ShapeError, match=f"^coefficient {re.escape(repr(bad))} is not an integer$"):
+                bc.build_move(ZERO2, "twist", 2, v)
+
+    def test_big_integer_coefficient(self):
+        mv, after = bc.build_move(ZERO2, "twist", 2, [2**70 + 1, 0])
+        assert mv.v == (2**70 + 1, 0) and after.rows == ((), (-2 * (2**70 + 1),))
+
+    @pytest.mark.parametrize("v, message", BAD_V, ids=["short", "long", "bool", "float", "str"])
+    def test_twist_v_checked_at_every_entry(self, v, message):
+        # g's first move is the twist (2, -y_1) from B
+        A = bc.BottMatrix(3, [[], [0], [0, 2]])
+        B = bc.BottMatrix(3, [[], [-2], [2, 2]])
+        cert = bc.stabilize_full(bc.make_iso(A, B, [[-1, -1, 0], [-1, -1, 1], [-2, -1, 1]]))
+        assert cert.g_seq.moves[0] == bc.Move("twist", 2, (-1, 0, 0))
+        with pytest.raises(bc.ShapeError, match=f"^{re.escape(message)}$"):
+            bc.build_move(B, "twist", 2, v)
+        bad = bc.MoveSeq(B, (bc.Move("twist", 2, v),) + cert.g_seq.moves[1:], cert.g_seq.end)
+        forged = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, cert.f_seq, bad, cert.phi_prime, cert.k_final)
+        assert bc.verify_certificate(forged) == bc.ReplayResult(False, f"certificate data invalid: {message}")
+        if len(v) == 2:
+            obj = serialize.certificate_to_obj(cert)
+            obj["g_seq"]["moves"][0]["v"] = list(v)
+            assert serialize.verify_certificate_obj(obj) == bc.ReplayResult(
+                False, f"certificate does not parse: {message}"
+            )
 
 
 class TestMoveSeq:

@@ -117,9 +117,9 @@ def tower_record(A, T):
     levels = []
     for lev in range(1, T.stages + 1):
         blocks = bc.blocks_at(T, lev)
-        prims = sorted((r, z.coeffs) for r, z in blocks.primitives.items())
+        prims = sorted(blocks.primitives.items())
         levels.append((blocks.classes, sorted(blocks.reps.items()), prims))
-    gens = [(g.index, g.gen.coeffs, g.primitive_form.coeffs) for g in bc.square_zero_generators(A)]
+    gens = [(g.index, g.gen, g.primitive_form) for g in bc.square_zero_generators(A)]
     switches = [mv.j for mv in T.moves_applied]
     return repr((A.rows, T.dims, switches, T.base.rows, T.perm, levels, gens))
 

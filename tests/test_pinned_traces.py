@@ -68,8 +68,7 @@ def source_side_isos():
 
 
 def _step(st):
-    u = None if st.u is None else st.u.coeffs
-    return repr((st.case, st.ell, st.p, st.e, st.w.coeffs, u))
+    return repr((st.case, st.ell, st.p, st.e, st.w, st.u))
 
 
 def _records(cert, trace):

@@ -23,7 +23,7 @@ class TestMakeBottMatrix:
     def test_h3_entries(self):
         assert H3.a(2, 1) == 1 and H3.a(3, 1) == 1 and H3.a(3, 2) == 0
         assert H3.a(1, 2) == 0  # implicit upper zero
-        assert H3.alpha(3).coeffs == (1, 0, 0)
+        assert H3.alpha(3) == (1, 0, 0)
 
     def test_wrong_row_length(self):
         with pytest.raises(bc.ShapeError):
@@ -56,29 +56,6 @@ class TestMakeBottMatrix:
             H3.alpha(i)
 
 
-class TestClass2:
-    @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, "3"])
-    def test_non_integer_coefficient(self, bad):
-        with pytest.raises(bc.ShapeError):
-            bc.Class2(H3, [bad, 0, 0])
-        with pytest.raises(bc.ShapeError):
-            bc.Class2(H3, (0, 0, bad))
-
-    def test_big_integer_coefficient(self):
-        assert bc.Class2(H3, [2**70 + 1, 0, -(2**65)]).coeffs == (2**70 + 1, 0, -(2**65))
-
-    def test_operands_over_different_matrices(self):
-        other = bc.make_bott_matrix(3, [[], [0], [0, 0]])
-        for op in (lambda s, t: s + t, lambda s, t: s - t):
-            with pytest.raises(bc.ContextMismatch, match="^operands live over different Bott matrices$"):
-                op(bc.Class2.basis(H3, 1), bc.Class2.basis(other, 1))
-
-    @pytest.mark.parametrize("i", [0, 4])
-    def test_basis_out_of_range(self, i):
-        with pytest.raises(bc.RangeError, match=rf"^generator index {i} outside 1\.\.3$"):
-            bc.Class2.basis(H3, i)
-
-
 class TestReduce:
     def test_x1_squared_vanishes(self):
         A = rand_matrix(random.Random(0), 4, 3)
@@ -107,18 +84,18 @@ def oracle_terms(A, s, t):
 
 class TestMultiply:
     def test_x1_squared(self):
-        x1 = bc.Class2.basis(H3, 1).coeffs
+        x1 = (1, 0, 0)
         assert bc.product_terms(H3, x1, x1) == {}
 
     def test_x2_squared(self):
         A = bc.make_bott_matrix(2, [[], [3]])
-        x2 = bc.Class2.basis(A, 2)
-        assert bc.product_terms(A, x2.coeffs, x2.coeffs) == {(1, 2): 3} == oracle_terms(A, x2, x2)
+        x2 = (0, 1)
+        assert bc.product_terms(A, x2, x2) == {(1, 2): 3} == oracle_terms(A, x2, x2)
 
     def test_square_zero_class(self):
         A = bc.make_bott_matrix(2, [[], [3]])
-        z = bc.Class2(A, (-3, 2))
-        assert bc.product_terms(A, z.coeffs, z.coeffs) == {} == oracle_terms(A, z, z)
+        z = (-3, 2)
+        assert bc.product_terms(A, z, z) == {} == oracle_terms(A, z, z)
 
     def test_ring_axioms_on_random_triples(self):
         # the oracle's product is exactly associative, commutative, distributive
@@ -143,7 +120,7 @@ class TestMultiply:
             s, t = rand_class(rng, A, 5), rand_class(rng, A, 5)
             prod = oracle_terms(A, s, t)
             assert all(len(key) == 2 for key in prod)
-            assert bc.product_terms(A, s.coeffs, t.coeffs) == prod
+            assert bc.product_terms(A, s, t) == prod
 
     def test_square_coefficient_closed_form(self):
         # coefficient of x_j x_i (j < i) in z^2 is t_i^2 a_ij + 2 t_i t_j
@@ -154,16 +131,16 @@ class TestMultiply:
             sq = oracle_product(A, class_terms(z), class_terms(z))
             for i in range(1, A.n + 1):
                 for j in range(1, i):
-                    expect = z[i] ** 2 * A.a(i, j) + 2 * z[i] * z[j]
+                    expect = z[i - 1] ** 2 * A.a(i, j) + 2 * z[i - 1] * z[j - 1]
                     assert sq.get(frozenset((j, i)), 0) == expect
 
 
 def kernel_agrees(A, s, t):
     """product_is_zero and product_terms against the oracle; returns the verdict."""
-    got = bc.product_is_zero(A, s.coeffs, t.coeffs)
+    got = bc.product_is_zero(A, s, t)
     expect = oracle_terms(A, s, t)
     assert got == (not expect)
-    assert bc.product_terms(A, s.coeffs, t.coeffs) == expect
+    assert bc.product_terms(A, s, t) == expect
     return got
 
 
@@ -176,7 +153,11 @@ class TestProductKernel:
             s = rand_class(rng, A, 3)
             # a multiple of s forces s*t = 0 whenever s^2 = 0, and sparse
             # classes over small n often multiply to zero
-            t = s.scale(rng.randint(-2, 2)) if rng.random() < 0.3 else rand_class(rng, A, 1)
+            if rng.random() < 0.3:
+                c = rng.randint(-2, 2)
+                t = tuple(c * x for x in s)
+            else:
+                t = rand_class(rng, A, 1)
             verdicts.add(kernel_agrees(A, s, t))
         assert verdicts == {True, False}
 
@@ -189,7 +170,7 @@ class TestProductKernel:
             for i in range(1, A.n + 1):
                 alpha_sq_zero = kernel_agrees(A, A.alpha(i), A.alpha(i))
                 frame = bc.two_x_minus_alpha(A, i)
-                assert frame == bc.Class2.basis(A, i).scale(2) - A.alpha(i)
+                assert frame == tuple(2 * (m == i) - a for m, a in enumerate(A.alpha(i), start=1))
                 assert kernel_agrees(A, frame, frame) == alpha_sq_zero
                 zeros += alpha_sq_zero
         assert zeros > 0
@@ -205,8 +186,8 @@ class TestProductKernel:
             A = sparse_matrix(rng, rng.randint(2, 5), 2)
             j = rng.randint(2, A.n)
             for tail in itertools.product(range(-1, 2), repeat=j - 1):
-                v = bc.Class2(A, list(tail) + [0] * (A.n - j + 1))
-                verdicts.add(kernel_agrees(A, v, A.alpha(j) - v))
+                v = tail + (0,) * (A.n - j + 1)
+                verdicts.add(kernel_agrees(A, v, tuple(a - t for a, t in zip(A.alpha(j), v))))
         assert verdicts == {True, False}
 
     def test_relation_violation_message(self):
@@ -230,26 +211,25 @@ class TestProductKernel:
                 bc.make_iso(A, B, C)
             except bc.RelationViolated as exc:
                 phi = bc.GradedIso(A, B, tuple(map(tuple, C)))
-                img = phi.row(exc.index)
-                diff = img - phi.apply2(A.alpha(exc.index))
+                img = phi.C[exc.index - 1]
+                diff = [r - a for r, a in zip(img, phi.apply2(A.alpha(exc.index)))]
                 residue = oracle_product(B, class_terms(img), class_terms(diff))
                 assert str(exc) == f"relation {exc.index} violated, residue {render_terms(residue)}"
-                assert exc.residue == bc.product_terms(B, img.coeffs, diff.coeffs)
+                assert exc.residue == bc.product_terms(B, img, diff)
                 assert {frozenset(k): c for k, c in exc.residue.items()} == residue
                 seen += 1
 
 
 class TestHeight:
     def test_zero(self):
-        assert bc.Class2(H3, (0,) * H3.n).height() == 0
+        assert bc.height((0,) * H3.n) == 0
 
     def test_sparse(self):
-        A = bc.make_bott_matrix(4, [[], [0], [0, 0], [0, 0, 0]])
-        assert bc.Class2(A, (-7, 0, 1, 0)).height() == 3
+        assert bc.height((-7, 0, 1, 0)) == 3
 
     def test_braided_generator(self):
         A = bc.make_bott_matrix(2, [[], [1]])
-        assert bc.two_x_minus_alpha(A, 2).height() == 2
+        assert bc.height(bc.two_x_minus_alpha(A, 2)) == 2
 
 
 class TestSubmatrices:
@@ -279,7 +259,7 @@ matrices = st.integers(1, 5).flatmap(
 def test_multiply_commutes_hypothesis(mat, data):
     n, rows = mat
     A = bc.make_bott_matrix(n, rows)
-    a = bc.Class2(A, data.draw(st.tuples(*[st.integers(-4, 4)] * n)))
-    b = bc.Class2(A, data.draw(st.tuples(*[st.integers(-4, 4)] * n)))
-    ab = bc.product_terms(A, a.coeffs, b.coeffs)
-    assert ab == bc.product_terms(A, b.coeffs, a.coeffs) == oracle_terms(A, b, a)
+    a = data.draw(st.tuples(*[st.integers(-4, 4)] * n))
+    b = data.draw(st.tuples(*[st.integers(-4, 4)] * n))
+    ab = bc.product_terms(A, a, b)
+    assert ab == bc.product_terms(A, b, a) == oracle_terms(A, b, a)

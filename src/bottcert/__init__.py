@@ -21,7 +21,6 @@ from .errors import (
 )
 from .iso import (
     GradedIso,
-    SigmaEps,
     extract_sigma_eps,
     identity_iso,
     invert,
@@ -44,16 +43,13 @@ from .stabilize import (
     KeyStepTrace,
     ReplayResult,
     StabilizationCertificate,
-    XkDecomposition,
     check_claims,
     decompose_xk,
     stabilize_full,
     verify_certificate,
 )
 from .structure import (
-    BlockStructure,
     DecompositionTower,
-    SquareZeroGenerator,
     blocks_at,
     decompose_tower,
     qtrivial_partition,

@@ -64,11 +64,11 @@ def _cmd_sqzero(args) -> dict:
     return {
         "generators": [
             {
-                "index": g.index,
-                "gen": g.gen,
-                "primitive": g.primitive_form,
+                "index": i,
+                "gen": gen,
+                "primitive": primitive,
             }
-            for g in square_zero_generators(A)
+            for i, gen, primitive in square_zero_generators(A)
         ]
     }
 
@@ -79,9 +79,9 @@ def _cmd_decompose(args) -> dict:
     inv = {tower.perm[i]: i for i in range(1, A.n + 1)}  # base index -> original index
     blocks = []
     for lev in range(1, tower.stages + 1):
-        for cls in blocks_at(tower, lev).classes:
+        for cls in blocks_at(tower, lev):
             blocks.append(sorted(inv[r] for r in cls))
-    blocks.sort(key=lambda c: (min(c), c))
+    blocks.sort()
     return {
         "dims": tower.dims,
         "levels": tower.levels[1:],
@@ -98,12 +98,12 @@ def _cmd_iso_check(args) -> dict:
         phi = make_iso(A, B, C)
     except BottError as exc:
         return {"valid": False, "reason": str(exc)}
-    se = extract_sigma_eps(phi, decompose_tower(A), decompose_tower(B))
+    sigma, e = extract_sigma_eps(phi)
     return {
         "valid": True,
         "max_stable": max_stable(phi),
-        "sigma": se.sigma,
-        "eps_times_2": se.e,
+        "sigma": sigma,
+        "eps_times_2": e,
     }
 
 

@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import gcd
 from operator import add, itemgetter, sub
 
-from .errors import ContextMismatch, NotUnimodular, RelationViolated, ShapeError, TripwireError
+from .errors import NotUnimodular, RelationViolated, ShapeError, TripwireError
 from .ring import BottMatrix, height, product_is_zero, product_terms, two_x_minus_alpha
 
 
@@ -147,9 +147,6 @@ class GradedIso:
             and self.C == other.C
         )
 
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.C))
-
     def __repr__(self) -> str:
         return f"GradedIso({[list(r) for r in self.C]})"
 
@@ -245,26 +242,19 @@ def max_stable(phi: GradedIso) -> int:
     return n if best == n - 1 else best
 
 
-class SigmaEps:
-    """Permutation sigma and e = 2 eps: 2 phi(2x_i - alpha_i) = e_i (2y_sigma(i) - beta_sigma(i))."""
-    __slots__ = ("sigma", "e")
+def extract_sigma_eps(phi: GradedIso) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The induced permutation sigma of square-zero frames and its scalars e = 2 eps.
 
-    def __init__(self, sigma: tuple[int, ...], e: tuple[int, ...]):
-        self.sigma, self.e = sigma, e
-
-
-def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
-    """Extract the induced permutation of square-zero frames and its scalars.
-
-    ``tower_src`` and ``tower_tgt`` are the decomposition towers of the
-    source and target matrices; the extraction verifies the exact identity
-    and that levels are preserved, reading both towers' ``levels``.
-    Failure contradicts the structure theory for a validated isomorphism,
-    so it is a test tripwire rather than an expected path.
+    Returns (sigma, e) with 2 phi(2x_i - alpha_i) = e_i (2y_sigma(i) - beta_sigma(i)),
+    after verifying that exact identity and that sigma preserves the levels
+    of the source and target towers.  Failure contradicts the structure
+    theory for a validated isomorphism, so it is a test tripwire rather
+    than an expected path.
     """
+    from .structure import decompose_tower
+
     A, B = phi.source, phi.target
-    if tower_src.origin != A or tower_tgt.origin != B:
-        raise ContextMismatch("towers do not belong to the isomorphism's matrices")
+    lev_a, lev_b = decompose_tower(A).levels, decompose_tower(B).levels
     sigma: list[int] = []
     e: list[int] = []
     for i in range(1, A.n + 1):
@@ -277,13 +267,13 @@ def extract_sigma_eps(phi: GradedIso, tower_src, tower_tgt) -> SigmaEps:
         # exact identity, cross-multiplied to stay in integers: 2q = top * frame
         if [2 * t for t in q] != [top * f for f in frame]:
             raise TripwireError(f"generator {i}: image {list(q)} is not a multiple of {list(frame)}")
-        if tower_src.levels[i] != tower_tgt.levels[m]:
+        if lev_a[i] != lev_b[m]:
             raise TripwireError(f"generator {i}: level of x_{i} differs from level of y_{m}")
         sigma.append(m)
         e.append(top)
     if sorted(sigma) != list(range(1, A.n + 1)):
         raise TripwireError(f"generator 0: indices {sigma} do not form a permutation")
-    return SigmaEps(tuple(sigma), tuple(e))
+    return tuple(sigma), tuple(e)
 
 
 def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:

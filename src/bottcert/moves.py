@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .errors import ContextMismatch, RangeError, ShapeError, SwitchBlocked, TwistInvalid
 from .iso import identity_iso, make_iso
-from .ring import BottMatrix, product_is_zero
+from .ring import BottMatrix, height, product_is_zero
 
 
 class Move:
@@ -61,9 +61,6 @@ class Move:
     def __eq__(self, other) -> bool:
         return isinstance(other, Move) and (self.kind, self.j, self.v) == (other.kind, other.j, other.v)
 
-    def __hash__(self) -> int:
-        return hash((self.kind, self.j, self.v))
-
 
 def switch(B: BottMatrix, j: int) -> BottMatrix:
     """B with adjacent stages j and j+1 exchanged; requires b_{j+1,j} = 0."""
@@ -86,9 +83,9 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
     n = B.n
     if not 1 <= j <= n:
         raise RangeError(f"twist position {j} outside 1..{n}")
-    height = max((i for i, t in enumerate(v, start=1) if t), default=0)
-    if height >= j:
-        raise TwistInvalid(f"v has height {height}, needs < {j}")
+    h = height(v)
+    if h >= j:
+        raise TwistInvalid(f"v has height {h}, needs < {j}")
     # v has height < j, so only its first j-1 entries can be nonzero: row j
     # becomes beta_j - 2v and each row i > j gains b_ij v
     row = B.rows[j - 1]

@@ -79,9 +79,6 @@ class BottMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, BottMatrix) and self.rows == other.rows
 
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     def __repr__(self) -> str:
         return f"BottMatrix(n={self.n}, rows={[list(r) for r in self.rows]})"
 

@@ -26,22 +26,14 @@ from .ring import BottMatrix, height, product_is_zero
 from .structure import decompose_tower, same_block
 
 
-class XkDecomposition:
-    """Shape of the image of x_{k+1}: eps(2y_l - trunc(beta_l)) + w, w in F_k; e = 2 eps."""
-    __slots__ = ("ell", "e", "w")
-
-    def __init__(self, ell: int, e: int, w: tuple[int, ...]):
-        self.ell, self.e, self.w = ell, e, w
-
-
-def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
-    """Decompose the image of x_{k+1} for a k-stable isomorphism.
+def decompose_xk(phi: GradedIso, k: int) -> int | None:
+    """The height l of the image of x_{k+1} for a k-stable isomorphism.
 
     Returns None when the image already lies in F_{k+1} (nothing to do);
-    otherwise the height l, the integer e = 2 eps (the coefficient at y_l)
-    and the F_k part w, after verifying that coefficients at indices
-    strictly between k and l equal -eps * b_{l,j}, which makes the image
-    w + eps(2y_l - trunc(beta_l)).  A mismatch raises a TripwireError.
+    otherwise l, after verifying that coefficients at indices strictly
+    between k and l equal -eps * b_{l,j}, where e = 2 eps is the
+    coefficient at y_l.  That makes the image w + eps(2y_l - trunc(beta_l))
+    with w its F_k part.  A mismatch raises a TripwireError.
     """
     n = phi.source.n
     if not 0 <= k < n:
@@ -59,7 +51,7 @@ def decompose_xk(phi: GradedIso, k: int) -> XkDecomposition | None:
     for j in range(k + 1, ell):
         if 2 * img[j - 1] != -top * B.a(ell, j):
             raise TripwireError(f"coefficient at y_{j} is {img[j - 1]}, expected -eps*b[{ell},{j}]")
-    return XkDecomposition(ell, top, img[:k] + (0,) * (n - k))
+    return ell
 
 
 class KeyStepTrace:
@@ -73,10 +65,16 @@ class KeyStepTrace:
         self.moves = moves  # one to three, run from the target of the map reduced
 
 
-def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
-    """Height-reduction step for ``dec``, the decomposition of phi at k; returns (phi', trace)."""
-    ell, e, w = dec.ell, dec.e, dec.w
+def _key_step(phi: GradedIso, k: int, ell: int):
+    """Height-reduction step at l = ``decompose_xk(phi, k)``; returns (phi', trace).
+
+    The image of x_{k+1} is eps(2y_l - trunc(beta_l)) + w: e = 2 eps is its
+    coefficient at y_l and w its F_k part.
+    """
     B = phi.target
+    n = B.n
+    e = phi.C[k][ell - 1]
+    w = phi.C[k][:k] + (0,) * (n - k)
     p = B.a(ell, ell - 1)
     moves: list[Move] = []
     C = [list(row) for row in phi.C]  # phi, then the moves so far as column operations
@@ -99,7 +97,6 @@ def _key_step(phi: GradedIso, k: int, dec: XkDecomposition):
         # the image has no y_{l-1} term, so exchanging l-1 and l drops the height
         play(switch, ell - 1)
     else:
-        n = B.n
         beta = B.alpha(ell)
         head = beta[:k] + (0,) * (n - k)  # beta_l minus its truncation
         bar_ell = (0,) * k + beta[k:]
@@ -162,15 +159,15 @@ class RaiseTrace:
 
 
 def _descend(phi: GradedIso, k: int, floor: int):
-    """Key steps while the tracked height is above ``floor``; returns (phi', steps, dec).
+    """Key steps while the tracked height is above ``floor``; returns (phi', steps, l).
 
-    dec is the decomposition of phi' at k, None when its height is k+1.
+    l is ``decompose_xk(phi', k)``, None when the height is k+1.
     """
     steps: list[KeyStepTrace] = []
-    while (dec := decompose_xk(phi, k)) is not None and dec.ell > floor:
-        phi, tr = _key_step(phi, k, dec)
+    while (ell := decompose_xk(phi, k)) is not None and ell > floor:
+        phi, tr = _key_step(phi, k, ell)
         steps.append(tr)
-    return phi, steps, dec
+    return phi, steps, ell
 
 
 def _odd_branch(phi: GradedIso, k: int, p: int):
@@ -191,19 +188,19 @@ def _odd_branch(phi: GradedIso, k: int, p: int):
     if not same_block(decompose_tower(phi.target), k + 1, k + 2):
         raise TripwireError("k+1 and k+2 must share a block on the target side")
     # the inverse maps the target ring back to the source ring and is k-stable
-    psi, steps, dec = _descend(invert(phi), k, k + 3)
-    if dec is None:
+    psi, steps, ell = _descend(invert(phi), k, k + 3)
+    if ell is None:
         raise TripwireError("inverse image of y_{k+1} fell below height k+2")
     final_entry = None
     final_tr = None
-    if dec.ell == k + 3:
+    if ell == k + 3:
         A_cur = psi.target
         if not same_block(decompose_tower(A_cur), k + 1, k + 3):
             raise TripwireError("k+1 and k+3 must share a block on the source side")
         final_entry = A_cur.a(k + 3, k + 2)
         if final_entry % 2 != 0:
             raise TripwireError("entry (k+3, k+2) must be even on the source side")
-        psi, final_tr = _key_step(psi, k, dec)
+        psi, final_tr = _key_step(psi, k, ell)
     # row k+2 of the inverse follows: 2 psi(y_{k+2}) is eps'(2x_{k+1} - alpha_{k+1})
     # plus p psi(y_{k+1}) plus an F_k class, all of height <= k+2
     if height(psi.C[k + 1]) > k + 2:
@@ -217,11 +214,11 @@ def _raise_fwd(phi: GradedIso, k: int):
     The first ``decompose_xk`` checks that k is in range and phi is k-stable.
     """
     odd: OddBranchTrace | None = None
-    phi, phase1, dec = _descend(phi, k, k + 2)
-    if dec is not None:  # height is exactly k+2
+    phi, phase1, ell = _descend(phi, k, k + 2)
+    if ell is not None:  # height is exactly k+2
         p = phi.target.a(k + 2, k + 1)
         if p % 2 == 0:
-            phi, tr = _key_step(phi, k, dec)
+            phi, tr = _key_step(phi, k, ell)
             phase1.append(tr)
         else:
             phi, odd = _odd_branch(phi, k, p)
@@ -322,9 +319,6 @@ class ReplayResult:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ReplayResult) and (self.ok, self.diagnostic) == (other.ok, other.diagnostic)
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.diagnostic))
 
 
 def check_claims(cert: StabilizationCertificate) -> ReplayResult:

@@ -26,16 +26,8 @@ from .ring import (
 )
 
 
-class SquareZeroGenerator:
-    """Index i with alpha_i^2 = 0, the class 2x_i - alpha_i, and its primitive form."""
-    __slots__ = ("index", "gen", "primitive_form")
-
-    def __init__(self, index: int, gen: tuple[int, ...], primitive_form: tuple[int, ...]):
-        self.index, self.gen, self.primitive_form = index, gen, primitive_form
-
-
-def square_zero_generators(A: BottMatrix) -> list[SquareZeroGenerator]:
-    """One generator per index i with alpha_i^2 = 0, ascending.
+def square_zero_generators(A: BottMatrix) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(i, 2x_i - alpha_i, its primitive part) for each index i with alpha_i^2 = 0, ascending.
 
     Every square-zero degree-2 class is a rational multiple of one of the
     returned generators.
@@ -44,7 +36,7 @@ def square_zero_generators(A: BottMatrix) -> list[SquareZeroGenerator]:
     for i, row in enumerate(A.rows, start=1):
         if product_is_zero(A, row, row):  # alpha_i is row i padded with zeros
             gen = two_x_minus_alpha(A, i)
-            out.append(SquareZeroGenerator(i, gen, primitive_part(gen)))
+            out.append((i, gen, primitive_part(gen)))
     return out
 
 
@@ -131,22 +123,7 @@ def decompose_tower(A: BottMatrix) -> DecompositionTower:
     return DecompositionTower(A, M, tuple(dims), tuple(moves))
 
 
-class BlockStructure:
-    """Partition of one level's indices by mod-2 congruence of representatives.
-
-    ``reps`` maps each base index r of the level to the mod-2 reduction of
-    z_r, the primitive square-zero representative in the fiber ring;
-    ``primitives`` holds the representatives themselves; ``classes`` is the
-    partition, each class sorted, classes ordered by smallest member.
-    """
-    __slots__ = ("reps", "primitives", "classes")
-
-    def __init__(self, reps: dict[int, tuple[int, ...]], primitives: dict[int, tuple[int, ...]],
-                 classes: tuple[tuple[int, ...], ...]):
-        self.reps, self.primitives, self.classes = reps, primitives, classes
-
-
-def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
+def blocks_at(T: DecompositionTower, lev: int) -> tuple[tuple[int, ...], ...]:
     """Block partition of the base indices at one level of the tower.
 
     With k the previous stage dimension, z_r is the primitive part of
@@ -155,24 +132,20 @@ def blocks_at(T: DecompositionTower, lev: int) -> BlockStructure:
     2); two indices share a block exactly when their z_r agree mod 2.  In
     the fiber z_r^2 = alpha^2 / g^2 is zero without a test here: the
     well-ordering tested alpha^2 = 0 on this row, a switch carries that
-    flag, and later stages switch only rows past ``hi``.
+    flag, and later stages switch only rows past ``hi``.  Each block is
+    sorted and the blocks come in order of their smallest member, as r
+    ascends.
     """
     if not 1 <= lev <= T.stages:
         raise RangeError(f"level {lev} outside 1..{T.stages}")
     k = T.dims[lev - 2] if lev >= 2 else 0
     hi = T.dims[lev - 1]
     fiber = sub_bar(T.base, k)
-    reps: dict[int, tuple[int, ...]] = {}
-    prims: dict[int, tuple[int, ...]] = {}
+    classes: dict[tuple[int, ...], list[int]] = {}
     for r in range(k + 1, hi + 1):
         z = primitive_part(two_x_minus_alpha(fiber, r - k))
-        prims[r] = z
-        reps[r] = tuple(t % 2 for t in z)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for r in sorted(reps):
-        classes.setdefault(reps[r], []).append(r)
-    ordered = tuple(tuple(c) for c in sorted(classes.values(), key=lambda c: c[0]))
-    return BlockStructure(reps, prims, ordered)
+        classes.setdefault(tuple(t % 2 for t in z), []).append(r)
+    return tuple(map(tuple, classes.values()))
 
 
 def same_block(T: DecompositionTower, i: int, j: int) -> bool:
@@ -183,8 +156,7 @@ def same_block(T: DecompositionTower, i: int, j: int) -> bool:
     lev = T.levels[i]
     if lev != T.levels[j]:
         return False
-    reps = blocks_at(T, lev).reps
-    return reps[T.perm[i]] == reps[T.perm[j]]
+    return any(T.perm[i] in c and T.perm[j] in c for c in blocks_at(T, lev))
 
 
 def qtrivial_partition(T: DecompositionTower) -> tuple[int, ...] | None:
@@ -197,4 +169,4 @@ def qtrivial_partition(T: DecompositionTower) -> tuple[int, ...] | None:
     """
     if T.stages != 1:
         return None
-    return tuple(sorted((len(c) for c in blocks_at(T, 1).classes), reverse=True))
+    return tuple(sorted((len(c) for c in blocks_at(T, 1)), reverse=True))

@@ -476,8 +476,7 @@ def block_map(A):
     p = T.perm
     out = {}
     for lev in range(1, T.stages + 1):
-        blocks = bc.blocks_at(T, lev)
-        for b_id, cls in enumerate(blocks.classes):
+        for b_id, cls in enumerate(bc.blocks_at(T, lev)):
             for r in cls:
                 out[r] = (lev, b_id)
     return {i: out[p[i]] for i in range(1, A.n + 1)}

@@ -48,8 +48,7 @@ def test_c1_square_zero_classification():
         A = rand_matrix(rng, rng.randint(1, 4), 3)
         brute = set(square_zero_bruteforce(A, bound))
         family = set()
-        for g in bc.square_zero_generators(A):
-            prim = g.primitive_form
+        for _, _, prim in bc.square_zero_generators(A):
             c = 1
             while True:
                 vec = tuple(c * t for t in prim)
@@ -157,17 +156,16 @@ def organic_pairs():
 def _check_sigma_and_blocks(A, B, isos):
     if not isos:
         return 0
-    towers = bc.decompose_tower(A), bc.decompose_tower(B)
     bm_a, bm_b = block_map(A), block_map(B)
     n = A.n
     for phi in isos:
-        se = bc.extract_sigma_eps(phi, *towers)
-        assert sorted(se.sigma) == list(range(1, n + 1))
+        sigma, _ = bc.extract_sigma_eps(phi)
+        assert sorted(sigma) == list(range(1, n + 1))
         for i in range(1, n + 1):
-            assert bm_a[i][0] == bm_b[se.sigma[i - 1]][0]  # levels preserved
+            assert bm_a[i][0] == bm_b[sigma[i - 1]][0]  # levels preserved
             for j in range(i + 1, n + 1):
                 assert (bm_a[i] == bm_a[j]) == (
-                    bm_b[se.sigma[i - 1]] == bm_b[se.sigma[j - 1]]
+                    bm_b[sigma[i - 1]] == bm_b[sigma[j - 1]]
                 )
     return len(isos)
 

@@ -87,6 +87,16 @@ def test_iso_check_valid(files, capsys):
     assert data == {"valid": True, "max_stable": 2, "sigma": [1, 2], "eps_times_2": [2, 2]}
 
 
+def test_iso_check_two_stage_tower(files, capsys):
+    # A and B have levels 1, 1, 2, so the extraction compares levels across two stages
+    a = files("a.json", {"n": 3, "rows": [[], [0], [1, -1]]})
+    b = files("b.json", {"n": 3, "rows": [[], [0], [1, 1]]})
+    c = files("c.json", {"C": [[0, 1, 0], [-1, 0, 0], [1, 1, -1]]})
+    code, out = run(capsys, "iso-check", a, b, c)
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "max_stable": 3, "sigma": [2, 1, 3], "eps_times_2": [2, -2, -2]}
+
+
 def test_iso_check_invalid(files, capsys):
     a = files("a.json", {"n": 2, "rows": [[], [0]]})
     b = files("b.json", {"n": 2, "rows": [[], [1]]})
@@ -374,7 +384,7 @@ def test_blocked_well_ordering_is_a_tripwire(files, capsys, monkeypatch):
 
 def test_failed_extraction_is_a_tripwire(files, capsys, monkeypatch):
     # a validated isomorphism always permutes the classes 2x_i - alpha_i; if it does not, that is a bug
-    def fire(phi, tower_src, tower_tgt):
+    def fire(phi):
         raise bc.TripwireError("generator 1: forced")
 
     monkeypatch.setattr(bottcert.cli, "extract_sigma_eps", fire)

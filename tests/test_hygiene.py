@@ -37,6 +37,10 @@
 * A move is its parameters (kind, j, v) and holds no matrix: v is None for
   a switch and a tuple of plain ints for a twist, so reading a sequence
   keeps one matrix at a time.
+* No library class is a plain record, one whose only method is an
+  ``__init__`` that stores its parameters: a function returns the values
+  its callers read.  ``PLAIN_RECORDS`` names the few that stay, each with
+  its reason.
 """
 
 import ast
@@ -402,3 +406,111 @@ def test_detects_moves_that_hold_more():
     assert not parameters_only(bc.Move("twist", 2, (1, True)))
     assert not parameters_only(bc.Move("switch", 1, (0, 0)))
     assert not parameters_only(bc.Move("flip", 1, None))
+
+
+PLAIN_RECORDS = {
+    # the step records, which bench/tracer.py and the pinned traces walk (ROADMAP item 14)
+    "stabilize.KeyStepTrace",
+    "stabilize.OddBranchTrace",
+    "stabilize.RaiseTrace",
+    "stabilize.StabilizeTrace",
+    # the certificate, whose named parts certificate_to_obj writes and check_claims checks
+    "stabilize.StabilizationCertificate",
+}
+
+
+def plain_records(source: str) -> list[str]:
+    """Classes whose only method is an ``__init__`` whose statements (a docstring aside)
+    only assign its parameters, by name, to attributes of ``self``."""
+
+    def elements(expr):
+        return expr.elts if isinstance(expr, ast.Tuple) else [expr]
+
+    def stores(stmt, self_name: str, params: list[str]) -> bool:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str):
+            return True
+        if not isinstance(stmt, ast.Assign):
+            return False
+        targets = [t for target in stmt.targets for t in elements(target)]
+        return all(
+            isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == self_name
+            for t in targets
+        ) and all(isinstance(v, ast.Name) and v.id in params for v in elements(stmt.value))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        if len(methods) != 1 or methods[0].name != "__init__":
+            continue
+        init = methods[0]
+        self_name, *params = [a.arg for a in init.args.posonlyargs + init.args.args + init.args.kwonlyargs]
+        if all(stores(stmt, self_name, params) for stmt in init.body):
+            found.append(node.name)
+    return found
+
+
+def test_no_new_plain_records():
+    found = set()
+    for path in MODULES:
+        found |= {f"{path.stem}.{name}" for name in plain_records(path.read_text(encoding="utf-8"))}
+    assert found == PLAIN_RECORDS
+
+
+def test_detects_plain_records():
+    source = '''
+class Pair:
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+
+class Single:
+    """A stored value."""
+
+    def __init__(self, x):
+        """Keep x."""
+        self.x = x  # as given
+
+
+class Derived:
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+
+
+class Constant:
+    def __init__(self, x):
+        self.x, self.y = x, 0
+
+
+class Counted:
+    def __init__(self, x):
+        self.x = x
+        COUNT.append(x)
+
+
+class Elsewhere:
+    def __init__(self, other, x):
+        other.x = x
+
+
+class Truthy:
+    def __init__(self, ok):
+        self.ok = ok
+
+    def __bool__(self):
+        return self.ok
+
+
+class Failure(Exception):
+    """No method at all."""
+
+
+class Raised(Exception):
+    def __init__(self, i):
+        super().__init__(f"{i}")
+        self.i = i
+'''
+    assert plain_records(source) == ["Pair", "Single"]

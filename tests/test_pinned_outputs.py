@@ -116,10 +116,14 @@ def tower_matrices():
 def tower_record(A, T):
     levels = []
     for lev in range(1, T.stages + 1):
-        blocks = bc.blocks_at(T, lev)
-        prims = sorted(blocks.primitives.items())
-        levels.append((blocks.classes, sorted(blocks.reps.items()), prims))
-    gens = [(g.index, g.gen, g.primitive_form) for g in bc.square_zero_generators(A)]
+        # the primitive representative z_r of each base index r of the level, and z_r mod 2
+        k = T.dims[lev - 2] if lev >= 2 else 0
+        fiber = bc.sub_bar(T.base, k)
+        prims = [(r, bc.primitive_part(bc.two_x_minus_alpha(fiber, r - k)))
+                 for r in range(k + 1, T.dims[lev - 1] + 1)]
+        reps = [(r, tuple(t % 2 for t in z)) for r, z in prims]
+        levels.append((bc.blocks_at(T, lev), reps, prims))
+    gens = bc.square_zero_generators(A)
     switches = [mv.j for mv in T.moves_applied]
     return repr((A.rows, T.dims, switches, T.base.rows, T.perm, levels, gens))
 

@@ -86,9 +86,7 @@ def _records(cert, trace):
 def trace_records():
     for phi in trace_isos():
         yield from _records(*bc.stabilize_full(phi, with_trace=True))
-        towers = bc.decompose_tower(phi.source), bc.decompose_tower(phi.target)
-        se = bc.extract_sigma_eps(phi, *towers)
-        yield repr((se.sigma, se.e))
+        yield repr(bc.extract_sigma_eps(phi))
 
 
 def test_trace_coverage():

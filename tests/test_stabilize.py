@@ -74,7 +74,7 @@ def odd_step_fixture():
 
 
 def odd_twist_step():
-    """(phi, k, dec) of an odd key step with v != 0, the one the first run of ``odd_twist_isos`` takes.
+    """(phi, k, l) of an odd key step with v != 0, the one the first run of ``odd_twist_isos`` takes.
 
     k = 1, l = 4 and p = -1; the step twists at 3 by v = -y_2, then switches at 2 and 3.
     """
@@ -112,10 +112,11 @@ class TestDecomposeXk:
 
     def test_half_integral_scalar(self):
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[-1, 1], [1, 0]])
-        dec = bc.decompose_xk(phi, 0)
-        assert dec.ell == 2
-        assert dec.e == 1
-        assert dec.w == (0, 0)
+        assert bc.decompose_xk(phi, 0) == 2
+        # the step reads e = 2 eps and the F_0 part w off the image itself
+        _, trace = _key_step(phi, 0, 2)
+        assert trace.e == 1
+        assert trace.w == (0, 0)
 
     def test_requires_stability(self):
         phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])

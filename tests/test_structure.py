@@ -37,22 +37,20 @@ def h_block_diagonal(parts):
 
 class TestSquareZeroGenerators:
     def test_product_of_lines(self):
-        gens = bc.square_zero_generators(ZERO2)
-        assert [(g.index, g.gen, g.primitive_form) for g in gens] == [
+        assert bc.square_zero_generators(ZERO2) == [
             (1, (2, 0), (1, 0)),
             (2, (0, 2), (0, 1)),
         ]
 
     def test_hirzebruch_odd(self):
-        gens = bc.square_zero_generators(hirzebruch(3))
-        assert [(g.index, g.gen, g.primitive_form) for g in gens] == [
+        assert bc.square_zero_generators(hirzebruch(3)) == [
             (1, (2, 0), (1, 0)),
             (2, (-3, 2), (-3, 2)),
         ]
 
     def test_skips_nonzero_square(self):
         A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
-        assert [g.index for g in bc.square_zero_generators(A)] == [1, 2]
+        assert [i for i, _, _ in bc.square_zero_generators(A)] == [1, 2]
         assert bc.product_terms(A, A.alpha(3), A.alpha(3)) == {(1, 2): 2}
 
 
@@ -77,8 +75,7 @@ class TestSquareZeroBruteforce:
             bound = 4
             brute = set(square_zero_bruteforce(A, bound))
             family = set()
-            for g in bc.square_zero_generators(A):
-                prim = g.primitive_form
+            for _, _, prim in bc.square_zero_generators(A):
                 c = 1
                 while True:
                     vec = tuple(c * t for t in prim)
@@ -201,20 +198,17 @@ class TestLevel:
 class TestBlocks:
     def test_one_block(self):
         T = bc.decompose_tower(H3)
-        blocks = bc.blocks_at(T, 1)
-        assert blocks.classes == ((1, 2, 3),)
-        assert blocks.reps[1] == (1, 0, 0)
-        assert blocks.reps[2] == (1, 0, 0)  # 2x2 - x1 mod 2
-        assert blocks.primitives[1] == (1, 0, 0)
+        # z_1 = x_1 and z_2 = 2x_2 - x_1 agree mod 2
+        assert bc.blocks_at(T, 1) == ((1, 2, 3),)
 
     def test_singletons(self):
         T = bc.decompose_tower(ZERO3)
-        assert bc.blocks_at(T, 1).classes == ((1,), (2,), (3,))
+        assert bc.blocks_at(T, 1) == ((1,), (2,), (3,))
 
     def test_two_factors(self):
         A = h_block_diagonal([2, 2])
         T = bc.decompose_tower(A)
-        assert bc.blocks_at(T, 1).classes == ((1, 2), (3, 4))
+        assert bc.blocks_at(T, 1) == ((1, 2), (3, 4))
 
     def test_level_out_of_range(self):
         T = bc.decompose_tower(H3)

@@ -22,7 +22,7 @@ class RangeError(BottError):
 
 
 class ContextMismatch(BottError):
-    """Operands belong to different Bott matrices."""
+    """Undoing a move sequence does not walk back to the matrix it started from."""
 
 
 class NotUnimodular(BottError):

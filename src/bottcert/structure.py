@@ -7,10 +7,10 @@ keeps its alpha^2 = 0 flag as it moves, and the well-ordering is a stable
 partition that tests each row once.  Cutting at the largest such index and
 recursing on the lower-right submatrix produces a tower of stages whose
 fibers have rationally trivial cohomology.  The stage containing a class is
-its level; the tower fixes each generator's base index and level once, as
-``perm`` and ``levels``, and the block queries read them from it.  Within
-one level, the mod-2 reductions of the primitive square-zero
-representatives partition the stage indices into blocks.
+its level; the tower fixes each generator's base index and level, as
+``perm`` and ``levels``, as it makes the switches, and the block queries
+read them from it.  Within one level, the mod-2 reductions of the primitive
+square-zero representatives partition the stage indices into blocks.
 """
 
 from __future__ import annotations
@@ -40,37 +40,6 @@ def square_zero_generators(A: BottMatrix) -> list[tuple[int, tuple[int, ...], tu
     return out
 
 
-def _suffix_well_order(M: BottMatrix, k: int) -> tuple[BottMatrix, list[Move], int]:
-    """Move the square-zero fiber rows of the cut at k to the front, stably.
-
-    A stable partition with one alpha^2 = 0 test per fiber row: a switch is
-    a ring isomorphism, so each row carries its flag along.  A square-zero
-    row at fiber position r with d square-zero rows before it moves to d by
-    switches at absolute positions k+r, k+r-1, ..., k+d+1; each passes over
-    a row that is not square-zero, so the subdiagonal entry a = a_{j+1,j}
-    between them vanishes: were a nonzero, writing alpha_{j+1} = a x_j +
-    gamma with gamma in F_{j-1} would give 0 = alpha_{j+1}^2 = (a^2 alpha_j
-    + 2a gamma) x_j + gamma^2, so gamma = -a alpha_j / 2 and alpha_j^2 = 0.
-    ``switch`` checks that entry, and a switch that fails here is a bug: a
-    TripwireError chained from its error.  Fiber row 1 has alpha = 0, so
-    the returned count d is at least 1.
-    """
-    fiber = sub_bar(M, k)
-    moves: list[Move] = []
-    d = 0
-    for r, row in enumerate(fiber.rows):
-        if not product_is_zero(fiber, row, row):  # alpha_{r+1} is the row padded with zeros
-            continue
-        for j in range(k + r, k + d, -1):
-            try:
-                M = switch(M, j)
-            except BottError as exc:
-                raise TripwireError(f"well-ordering switch at {j} failed: {exc}") from exc
-            moves.append(Move("switch", j, None))
-        d += 1
-    return M, moves, d
-
-
 class DecompositionTower:
     """Stages of the tower over rationally trivial fibers.
 
@@ -79,25 +48,15 @@ class DecompositionTower:
     ``origin`` to ``base``.  Level-monotonicity holds by construction: a
     class of height h lies in stage min{t : h <= dims[t-1]}.  ``perm[i]`` is
     the base index of the origin generator x_i and ``levels[i]`` its level,
-    both fixed here once; entry 0 of each is a placeholder.
+    both fixed by ``decompose_tower`` as it makes the switches; entry 0 of
+    each is a placeholder.
     """
     __slots__ = ("origin", "base", "dims", "moves_applied", "perm", "levels")
 
     def __init__(self, origin: BottMatrix, base: BottMatrix, dims: tuple[int, ...],
-                 moves_applied: tuple[Move, ...]):
+                 moves_applied: tuple[Move, ...], perm: tuple[int, ...], levels: tuple[int, ...]):
         self.origin, self.base, self.dims, self.moves_applied = origin, base, dims, moves_applied
-        order = list(range(origin.n + 1))  # order[m]: the origin index now at base index m
-        for mv in moves_applied:
-            j = mv.j
-            order[j], order[j + 1] = order[j + 1], order[j]
-        perm = [0] * (origin.n + 1)
-        levels = [0] * (origin.n + 1)
-        lo = 1
-        for t, d in enumerate(dims, start=1):
-            for m in range(lo, d + 1):
-                perm[order[m]], levels[order[m]] = m, t
-            lo = d + 1
-        self.perm, self.levels = tuple(perm), tuple(levels)
+        self.perm, self.levels = perm, levels
 
     @property
     def stages(self) -> int:
@@ -107,20 +66,49 @@ class DecompositionTower:
 def decompose_tower(A: BottMatrix) -> DecompositionTower:
     """Reorder stage by stage and record the cut dimensions.
 
-    Each stage takes the cut k to the largest index with square-zero fiber
-    row, after reordering the suffix; recursion proceeds on the lower-right
-    submatrix until the tower is exhausted.
+    Each stage moves the square-zero rows of the fiber over the cut k to
+    the front, in a stable partition with one alpha^2 = 0 test per fiber
+    row: a switch is a ring isomorphism, so each row carries its flag along.
+    A square-zero row at index r, with the stage's rows placed so far
+    ending at index d, moves to d+1 by switches at r-1, r-2, ..., d+1; each
+    passes over a row that is not square-zero, so the subdiagonal entry
+    a = a_{j+1,j} between them vanishes: were a nonzero, writing
+    alpha_{j+1} = a x_j + gamma with gamma in F_{j-1} would give
+    0 = alpha_{j+1}^2 = (a^2 alpha_j + 2a gamma) x_j + gamma^2, so
+    gamma = -a alpha_j / 2 and alpha_j^2 = 0.  ``switch`` checks that
+    entry, and a switch that fails here is a bug: a TripwireError chained
+    from its error.  Fiber row 1 has alpha = 0, so each stage places at
+    least one row; the next cut is the last placed index, and the tower
+    ends when every index is placed.  The placed indices of a stage take
+    its level, and later stages switch only past them, so ``perm`` and
+    ``levels`` are fixed as the stage closes.
     """
     M = A
     moves: list[Move] = []
     dims: list[int] = []
+    order = list(range(A.n + 1))  # order[m]: the origin index now at base index m
+    perm = [0] * (A.n + 1)
+    levels = [0] * (A.n + 1)
     k = 0
     while k < A.n:
-        M, stage_moves, d = _suffix_well_order(M, k)
-        moves.extend(stage_moves)
-        k += d
-        dims.append(k)
-    return DecompositionTower(A, M, tuple(dims), tuple(moves))
+        fiber = sub_bar(M, k)
+        d = k
+        for r, row in enumerate(fiber.rows, start=k + 1):
+            if not product_is_zero(fiber, row, row):  # alpha_{r-k} is the row padded with zeros
+                continue
+            for j in range(r - 1, d, -1):
+                try:
+                    M = switch(M, j)
+                except BottError as exc:
+                    raise TripwireError(f"well-ordering switch at {j} failed: {exc}") from exc
+                moves.append(Move("switch", j, None))
+                order[j], order[j + 1] = order[j + 1], order[j]
+            d += 1
+        dims.append(d)
+        for m in range(k + 1, d + 1):
+            perm[order[m]], levels[order[m]] = m, len(dims)
+        k = d
+    return DecompositionTower(A, M, tuple(dims), tuple(moves), tuple(perm), tuple(levels))
 
 
 def blocks_at(T: DecompositionTower, lev: int) -> tuple[tuple[int, ...], ...]:

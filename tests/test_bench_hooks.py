@@ -31,6 +31,7 @@ def test_traced_run_is_correct(workload):
     metrics = {k: m["value"] for k, m in result["metrics"].items()}
     assert metrics["iso.make_iso.calls"] > 0
     if workload == "certify":
-        # the rebound build and the trace walk both counted something
+        # the rebound build, the tower span and the trace walk all counted something
         assert metrics["moves.MoveSeq.build.calls"] > 0
+        assert metrics["structure.decompose_tower.calls"] > 0
         assert sum(metrics[f"stabilize.key_steps.{case}"] for case in ("zero", "even", "odd")) > 0

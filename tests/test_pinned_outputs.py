@@ -27,7 +27,6 @@ import json
 import random
 
 import bottcert as bc
-from bottcert import structure
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
 from helpers import moved_partner, rand_matrix, rationally_trivial, scrambled_iso, sparse_matrix
 
@@ -148,6 +147,16 @@ def test_search_memo_cases_pinned():
     assert digest(search_memo_records()) == SEARCH_MEMO_DIGEST
 
 
+def first_stage_switches(A):
+    """The first stage moves a square-zero row r (from 0) with d square-zero rows above it by r - d switches."""
+    count = d = 0
+    for r in range(A.n):
+        if bc.product_is_zero(A, A.alpha(r + 1), A.alpha(r + 1)):
+            count += r - d
+            d += 1
+    return count
+
+
 def test_towers_pinned():
     records = []
     switches = later_stage_switching = 0
@@ -155,7 +164,23 @@ def test_towers_pinned():
         T = bc.decompose_tower(A)
         records.append(tower_record(A, T))
         switches += len(T.moves_applied)
-        # the first stage alone is _suffix_well_order(A, 0); any further switch is a later stage's
-        later_stage_switching += len(T.moves_applied) > len(structure._suffix_well_order(A, 0)[1])
+        # any switch past the first stage's is a later stage's
+        later_stage_switching += len(T.moves_applied) > first_stage_switches(A)
     assert switches >= 300 and later_stage_switching >= 30
     assert digest(records) == TOWER_DIGEST
+
+
+def test_towers_agree_with_a_replay_of_their_switches():
+    # decompose_tower fixes perm and levels as it switches; replaying its
+    # switches on A and on an index list must give the same tower
+    for A in tower_matrices():
+        T = bc.decompose_tower(A)
+        assert bc.MoveSeq.build(A, T.moves_applied).end == T.base
+        order = list(range(A.n + 1))  # order[m]: the origin index at base index m
+        for mv in T.moves_applied:
+            order[mv.j], order[mv.j + 1] = order[mv.j + 1], order[mv.j]
+        assert [order[m] for m in T.perm] == list(range(A.n + 1))
+        cuts = (0,) + T.dims
+        for i in range(1, A.n + 1):
+            t = T.levels[i]
+            assert 1 <= t <= T.stages and cuts[t - 1] < T.perm[i] <= cuts[t]

@@ -89,27 +89,28 @@ class TestSquareZeroBruteforce:
 
 class TestWellOrder:
     def test_already_ordered(self):
-        B, moves, _ = structure._suffix_well_order(H3, 0)
-        assert B == H3 and moves == []
+        T = bc.decompose_tower(H3)
+        assert T.base == H3 and T.moves_applied == ()
 
     def test_two_stage_always_ordered(self):
         for a in range(-3, 4):
-            B, moves, _ = structure._suffix_well_order(hirzebruch(a), 0)
-            assert B == hirzebruch(a) and moves == []
+            T = bc.decompose_tower(hirzebruch(a))
+            assert T.base == hirzebruch(a) and T.moves_applied == ()
 
     def test_single_switch(self):
         A = bc.make_bott_matrix(4, [[], [0], [1, 1], [0, 0, 0]])
         assert not square_zero(A, A.alpha(3))
-        B, moves, _ = structure._suffix_well_order(A, 0)
-        assert [m.j for m in moves] == [3]
-        assert B == bc.make_bott_matrix(4, [[], [0], [0, 0], [1, 1, 0]])
-        assert rebuild_matches(bc.MoveSeq.build(A, moves)) == (True, True)
+        T = bc.decompose_tower(A)
+        # the first stage's one switch; the second stage is one row and switches nothing
+        assert [m.j for m in T.moves_applied] == [3]
+        assert T.base == bc.make_bott_matrix(4, [[], [0], [0, 0], [1, 1, 0]])
+        assert rebuild_matches(bc.MoveSeq.build(A, T.moves_applied)) == (True, True)
 
     def test_square_zero_flags_sorted(self):
         rng = random.Random(5)
         for _ in range(80):
             A = rand_matrix(rng, rng.randint(1, 6), 2)
-            B, _, _ = structure._suffix_well_order(A, 0)
+            B = bc.decompose_tower(A).base
             flags = [square_zero(B, B.alpha(i)) for i in range(1, B.n + 1)]
             assert flags == sorted(flags, reverse=True)
 

@@ -28,7 +28,7 @@ from .iso import (
     max_stable,
     search_isos,
 )
-from .moves import Move, MoveSeq, build_move, invert_move, invert_seq, rebuild, switch, twist
+from .moves import MoveSeq, build_move, invert_move, invert_seq, rebuild, switch, twist
 from .ring import (
     BottMatrix,
     height,

@@ -13,12 +13,13 @@ manifolds:
 Rows above j of a twisted matrix become beta_i + b_ij v; this completion is
 forced by requiring the induced map to be a ring isomorphism, so ``switch``
 and ``twist`` check their preconditions and return the matrix after the
-move, and ``Move.induced`` builds that map by algebra.  A move is its
-parameters (kind, j, v) and holds no matrix, so reading a sequence holds one
-matrix at a time.  The gate is ``build_move``: it builds a move from outside
-parameters and checks its map by full relation checking (``make_iso``).
-``rebuild`` alone calls it, from ``stabilize.certificate_from_parts``: the
-one build path of the JSON reader and of ``verify_certificate``.
+move.  A move is the tuple (kind, j, v) of its parameters, v None for a
+switch, and holds no matrix, so reading a sequence holds one matrix at a
+time.  The gate is ``build_move``: it builds a move from outside parameters,
+builds its map by algebra and checks it by full relation checking
+(``make_iso``).  ``rebuild`` alone calls it, from
+``stabilize.certificate_from_parts``: the one build path of the JSON reader
+and of ``verify_certificate``.
 
 A move's map is fixed by n and (kind, j, v) and elementary, so neither moves
 nor sequences store maps: ``_then`` and ``_before`` compose a map with a move
@@ -33,33 +34,14 @@ from .iso import identity_iso, make_iso
 from .ring import BottMatrix, height, product_is_zero
 
 
-class Move:
-    """One switch or twist by its parameters; v is a twist's coefficients, None for a switch."""
-    __slots__ = ("kind", "j", "v")
-
-    def __init__(self, kind: str, j: int, v: tuple[int, ...] | None):
-        self.kind, self.j, self.v = kind, j, v  # kind is "switch" or "twist"
-
-    def apply(self, B: BottMatrix) -> BottMatrix:
-        """The matrix after this move from B; ``switch`` or ``twist`` checks its precondition."""
-        if self.kind == "switch":
-            return switch(B, self.j)
-        if self.kind == "twist":
-            return twist(B, self.j, self.v)
-        raise ShapeError(f"unknown move kind {self.kind!r}")
-
-    def induced(self, B: BottMatrix) -> tuple[tuple[int, ...], ...]:
-        """The rows of the map induced from B: identity rows j, j+1 swapped, or v added to row j."""
-        C = list(identity_iso(B).C)
-        j = self.j
-        if self.kind == "switch":
-            C[j - 1], C[j] = C[j], C[j - 1]
-        else:
-            C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], self.v))
-        return tuple(C)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Move) and (self.kind, self.j, self.v) == (other.kind, other.j, other.v)
+def _apply(B: BottMatrix, mv: tuple) -> BottMatrix:
+    """The matrix after the move mv = (kind, j, v) from B; ``switch`` or ``twist`` checks its precondition."""
+    kind, j, v = mv
+    if kind == "switch":
+        return switch(B, j)
+    if kind == "twist":
+        return twist(B, j, v)
+    raise ShapeError(f"unknown move kind {kind!r}")
 
 
 def switch(B: BottMatrix, j: int) -> BottMatrix:
@@ -99,11 +81,13 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
     return BottMatrix._derived(n, tuple(rows))
 
 
-def build_move(before: BottMatrix, kind: str, j: int, v) -> tuple[Move, BottMatrix]:
+def build_move(before: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
     """The move (kind, j, v) from before, checked by ``make_iso``, and the matrix after it.
 
-    A twist's v comes from outside, so it must be n plain ints; it is kept as a tuple.
+    j and a twist's v come from outside, so j must be a plain int and v n plain ints; v is kept as a tuple.
     """
+    if type(j) is not int:
+        raise ShapeError(f"move position {j!r} is not an integer")
     if kind == "twist":
         v = tuple(v)
         if len(v) != before.n:
@@ -111,40 +95,46 @@ def build_move(before: BottMatrix, kind: str, j: int, v) -> tuple[Move, BottMatr
         for t in v:
             if type(t) is not int:
                 raise ShapeError(f"coefficient {t!r} is not an integer")
-    mv = Move(kind, j, v if kind == "twist" else None)
-    after = mv.apply(before)
-    make_iso(before, after, mv.induced(before))
+    mv = (kind, j, v if kind == "twist" else None)
+    after = _apply(before, mv)
+    C = list(identity_iso(before).C)  # the induced map: identity rows j, j+1 swapped, or v added to row j
+    if kind == "switch":
+        C[j - 1], C[j] = C[j], C[j - 1]
+    else:
+        C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], v))
+    make_iso(before, after, C)
     return mv, after
 
 
-def invert_move(mv: Move) -> Move:
+def invert_move(mv: tuple) -> tuple:
     """The move undoing mv: the switch at the same j, or the twist (j, -v)."""
-    if mv.kind == "switch":
+    kind, j, v = mv
+    if kind == "switch":
         return mv
-    return Move("twist", mv.j, tuple(-t for t in mv.v))
+    return "twist", j, tuple(-t for t in v)
 
 
-def _then(C: list[list[int]], mv: Move) -> None:
+def _then(C: list[list[int]], mv: tuple) -> None:
     """C, then mv, in place: a switch at j swaps columns j and j+1 of C; a
     twist (j, v) adds c v to each row whose entry j is c (v has height < j)."""
-    j = mv.j
-    if mv.kind == "switch":
+    kind, j, v = mv
+    if kind == "switch":
         for row in C:
             row[j - 1], row[j] = row[j], row[j - 1]
         return
     for row in C:
         if c := row[j - 1]:
-            row[: j - 1] = [e + c * t for e, t in zip(row[: j - 1], mv.v)]
+            row[: j - 1] = [e + c * t for e, t in zip(row[: j - 1], v)]
 
 
-def _before(C: list[list[int]], mv: Move) -> None:
+def _before(C: list[list[int]], mv: tuple) -> None:
     """mv, then C, in place: a switch at j swaps rows j and j+1 of C; a
     twist (j, v) adds v_t times row t to row j."""
-    j = mv.j
-    if mv.kind == "switch":
+    kind, j, v = mv
+    if kind == "switch":
         C[j - 1], C[j] = C[j], C[j - 1]
         return
-    for t, vt in enumerate(mv.v[: j - 1]):
+    for t, vt in enumerate(v[: j - 1]):
         if vt:
             C[j - 1] = [e + vt * s for e, s in zip(C[j - 1], C[t])]
 
@@ -153,7 +143,7 @@ class MoveSeq:
     """Chained moves with their start and end matrices."""
     __slots__ = ("start", "moves", "end")
 
-    def __init__(self, start: BottMatrix, moves: tuple[Move, ...], end: BottMatrix):
+    def __init__(self, start: BottMatrix, moves: tuple[tuple, ...], end: BottMatrix):
         self.start, self.moves, self.end = start, moves, end
 
     @staticmethod
@@ -162,7 +152,7 @@ class MoveSeq:
         moves = tuple(moves)
         end = start
         for mv in moves:
-            end = mv.apply(end)
+            end = _apply(end, mv)
         return MoveSeq(start, moves, end)
 
 

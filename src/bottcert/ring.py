@@ -41,6 +41,8 @@ class BottMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[Iterable[int]]):
+        if type(n) is not int:
+            raise ShapeError(f"tower height {n!r} is not an integer")
         if n < 1:
             raise ShapeError(f"tower height must be >= 1, got {n}")
         rows = tuple(tuple(row) for row in rows)

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BottError, ShapeError
 from .iso import GradedIso
-from .moves import Move, MoveSeq
+from .moves import MoveSeq
 from .ring import BottMatrix
 from .stabilize import ReplayResult, StabilizationCertificate, certificate_from_parts, check_claims
 
@@ -107,10 +107,11 @@ def iso_matrix_from_obj(obj: object) -> list[list[int]]:
     return [_ints(row, "row of 'C'") for row in _list(obj["C"], "'C'")]
 
 
-def move_to_obj(mv: Move) -> dict:
-    if mv.kind == "switch":
-        return {"kind": "switch", "j": mv.j}
-    return {"kind": "twist", "j": mv.j, "v": list(mv.v)}
+def move_to_obj(mv: tuple) -> dict:
+    kind, j, v = mv
+    if kind == "switch":
+        return {"kind": "switch", "j": j}
+    return {"kind": "twist", "j": j, "v": list(v)}
 
 
 def move_from_obj(obj: object) -> tuple:

@@ -19,9 +19,9 @@ Degree-2 classes (images, w, u, a twist's v) are tuples of n coefficients.
 
 from __future__ import annotations
 
-from .errors import BottError, RangeError, TripwireError
+from .errors import BottError, RangeError, ShapeError, TripwireError
 from .iso import GradedIso, invert, make_iso, max_stable
-from .moves import Move, MoveSeq, _before, _then, invert_seq, rebuild, switch, twist
+from .moves import MoveSeq, _before, _then, invert_seq, rebuild, switch, twist
 from .ring import BottMatrix, height, product_is_zero
 from .structure import decompose_tower, same_block
 
@@ -59,7 +59,7 @@ class KeyStepTrace:
     __slots__ = ("k", "ell", "p", "case", "e", "w", "u", "moves")
 
     def __init__(self, k: int, ell: int, p: int, case: str, e: int, w: tuple[int, ...],
-                 u: tuple[int, ...] | None, moves: tuple[Move, ...]):
+                 u: tuple[int, ...] | None, moves: tuple[tuple, ...]):
         self.k, self.ell, self.p, self.case = k, ell, p, case  # "zero" | "even" | "odd"
         self.e, self.w, self.u = e, w, u  # e = 2 eps
         self.moves = moves  # one to three, run from the target of the map reduced
@@ -76,7 +76,7 @@ def _key_step(phi: GradedIso, k: int, ell: int):
     e = phi.C[k][ell - 1]
     w = phi.C[k][:k] + (0,) * (n - k)
     p = B.a(ell, ell - 1)
-    moves: list[Move] = []
+    moves: list[tuple] = []
     C = [list(row) for row in phi.C]  # phi, then the moves so far as column operations
     cur = B
 
@@ -87,7 +87,7 @@ def _key_step(phi: GradedIso, k: int, ell: int):
             cur = build(cur, j) if v is None else build(cur, j, v)
         except BottError as exc:
             raise TripwireError(f"key step at l={ell} could not build a move: {exc}") from exc
-        mv = Move("switch" if v is None else "twist", j, v)
+        mv = ("switch" if v is None else "twist", j, v)
         moves.append(mv)
         _then(C, mv)
 
@@ -358,7 +358,10 @@ def certificate_from_parts(A: BottMatrix, B: BottMatrix, phi_rows, f_start: Bott
                            g_start: BottMatrix, g_params, phi_prime_rows, k_final) -> StabilizationCertificate:
     """The certificate these parts describe, the one path by which the JSON reader and
     ``verify_certificate`` build one: f's moves, then g's, built from their (kind, j, v) by
-    ``rebuild``, then phi and phi_prime checked by ``make_iso``.  ``check_claims`` checks the rest."""
+    ``rebuild``, then phi and phi_prime checked by ``make_iso``; k_final must be a plain int.
+    ``check_claims`` checks the rest."""
+    if type(k_final) is not int:
+        raise ShapeError(f"k_final {k_final!r} is not an integer")
     f_seq, g_seq = rebuild(f_start, f_params), rebuild(g_start, g_params)
     return StabilizationCertificate(A, B, make_iso(A, B, phi_rows), f_seq, g_seq,
                                     make_iso(f_seq.start, g_seq.end, phi_prime_rows), k_final)
@@ -373,10 +376,8 @@ def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     construction is trusted; data that cannot be read yields False.
     """
     try:
-        fresh = certificate_from_parts(
-            cert.A, cert.B, cert.phi.C, cert.f_seq.start, ((mv.kind, mv.j, mv.v) for mv in cert.f_seq.moves),
-            cert.g_seq.start, ((mv.kind, mv.j, mv.v) for mv in cert.g_seq.moves), cert.phi_prime.C, cert.k_final
-        )
+        fresh = certificate_from_parts(cert.A, cert.B, cert.phi.C, cert.f_seq.start, cert.f_seq.moves,
+                                       cert.g_seq.start, cert.g_seq.moves, cert.phi_prime.C, cert.k_final)
         stored, rebuilt = ((c.f_seq.moves, c.f_seq.end, c.g_seq.moves, c.g_seq.end, c.phi.source,
                             c.phi.target, c.phi_prime.source, c.phi_prime.target) for c in (cert, fresh))
         if stored != rebuilt:

@@ -16,7 +16,7 @@ square-zero representatives partition the stage indices into blocks.
 from __future__ import annotations
 
 from .errors import BottError, RangeError, TripwireError
-from .moves import Move, switch
+from .moves import switch
 from .ring import (
     BottMatrix,
     primitive_part,
@@ -54,7 +54,7 @@ class DecompositionTower:
     __slots__ = ("origin", "base", "dims", "moves_applied", "perm", "levels")
 
     def __init__(self, origin: BottMatrix, base: BottMatrix, dims: tuple[int, ...],
-                 moves_applied: tuple[Move, ...], perm: tuple[int, ...], levels: tuple[int, ...]):
+                 moves_applied: tuple[tuple, ...], perm: tuple[int, ...], levels: tuple[int, ...]):
         self.origin, self.base, self.dims, self.moves_applied = origin, base, dims, moves_applied
         self.perm, self.levels = perm, levels
 
@@ -84,7 +84,7 @@ def decompose_tower(A: BottMatrix) -> DecompositionTower:
     ``levels`` are fixed as the stage closes.
     """
     M = A
-    moves: list[Move] = []
+    moves: list[tuple] = []
     dims: list[int] = []
     order = list(range(A.n + 1))  # order[m]: the origin index now at base index m
     perm = [0] * (A.n + 1)
@@ -101,7 +101,7 @@ def decompose_tower(A: BottMatrix) -> DecompositionTower:
                     M = switch(M, j)
                 except BottError as exc:
                     raise TripwireError(f"well-ordering switch at {j} failed: {exc}") from exc
-                moves.append(Move("switch", j, None))
+                moves.append(("switch", j, None))
                 order[j], order[j + 1] = order[j + 1], order[j]
             d += 1
         dims.append(d)

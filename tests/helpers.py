@@ -11,6 +11,8 @@ raw isomorphism search enumerates full coefficient boxes with no structural
 pruning and checks relations with the oracle.  ``reference_make_iso`` is
 ``make_iso`` without its closed form for signed unit rows, and
 ``reference_search_isos`` is ``search_isos`` without its completions memo.
+``induced`` writes a move's map as a plain identity matrix with two rows
+swapped or v added to a row, apart from ``build_move`` and the folds.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 import bottcert as bc
+from bottcert import moves
 from bottcert.iso import int_det
 
 
@@ -297,9 +300,21 @@ def compose_dense(g, f):
     return bc.GradedIso(f.source, g.target, dense_product(f.C, g.C))
 
 
+def induced(B, mv):
+    """The rows of the map the move mv = (kind, j, v) induces from B: identity rows j, j+1 swapped, or v
+    added to row j."""
+    kind, j, v = mv
+    C = [[int(r == c) for c in range(B.n)] for r in range(B.n)]
+    if kind == "switch":
+        C[j - 1], C[j] = C[j], C[j - 1]
+    else:
+        C[j - 1] = [e + t for e, t in zip(C[j - 1], v)]
+    return tuple(map(tuple, C))
+
+
 def move_iso(B, mv):
     """The isomorphism mv induces, from B onto the matrix after mv."""
-    return bc.GradedIso(B, mv.apply(B), mv.induced(B))
+    return bc.GradedIso(B, moves._apply(B, mv), induced(B, mv))
 
 
 def moves_product(start, mvs):
@@ -312,8 +327,8 @@ def moves_product(start, mvs):
 
 
 def rebuild_matches(seq):
-    """(moves, end) of seq each equal to those ``rebuild`` gives from its start and its moves' (kind, j, v)."""
-    fresh = bc.rebuild(seq.start, [(mv.kind, mv.j, mv.v) for mv in seq.moves])
+    """(moves, end) of seq each equal to those ``rebuild`` gives from its start and its moves (kind, j, v)."""
+    fresh = bc.rebuild(seq.start, seq.moves)
     return fresh.moves == seq.moves, fresh.end == seq.end
 
 
@@ -380,7 +395,7 @@ def lift_chain(phi, tgt_side, i, t):
     for j in range(i, t):
         if M.a(j + 1, j) != 0:
             break
-        mv = move_iso(M, bc.Move("switch", j, None))
+        mv = move_iso(M, ("switch", j, None))
         phi = compose_dense(mv, phi) if tgt_side else compose_dense(phi, bc.invert(mv))
         M = phi.target if tgt_side else phi.source
     return phi
@@ -400,7 +415,7 @@ def scrambled_iso(rng, A, rounds, twist_mag=2):
             j = rng.randint(1, M.n)
             vs = [v for v in admissible_twists(M, j, twist_mag) if any(v)]
             if vs:
-                mv = move_iso(M, bc.Move("twist", j, rng.choice(vs)))
+                mv = move_iso(M, ("twist", j, rng.choice(vs)))
                 phi = compose_dense(mv, phi) if tgt_side else compose_dense(phi, bc.invert(mv))
     return phi
 

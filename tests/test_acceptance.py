@@ -18,6 +18,7 @@ from helpers import (
     admissible_twists,
     block_map,
     dense_product,
+    induced,
     moved_partner,
     rand_matrix,
     raw_iso_search,
@@ -117,11 +118,12 @@ def test_c4_move_soundness():
             js = [j for j in range(1, B.n) if B.a(j + 1, j) == 0]
             if not js:
                 continue
-            mv = bc.Move("switch", rng.choice(js), None)
-            after = bc.switch(B, mv.j)
-            bc.make_iso(B, after, mv.induced(B))
-            assert bc.switch(after, mv.j) == B
-            assert dense_product(mv.induced(B), mv.induced(after)) == bc.identity_iso(B).C
+            j = rng.choice(js)
+            mv = ("switch", j, None)
+            after = bc.switch(B, j)
+            bc.make_iso(B, after, induced(B, mv))
+            assert bc.switch(after, j) == B
+            assert dense_product(induced(B, mv), induced(after, mv)) == bc.identity_iso(B).C
             switches += 1
         else:
             j = rng.randint(1, B.n)
@@ -129,11 +131,11 @@ def test_c4_move_soundness():
             if not vs:
                 continue
             v = rng.choice(vs)
-            mv, back = bc.Move("twist", j, v), bc.Move("twist", j, tuple(-t for t in v))
+            mv, back = ("twist", j, v), ("twist", j, tuple(-t for t in v))
             after = bc.twist(B, j, v)
-            bc.make_iso(B, after, mv.induced(B))
-            assert bc.twist(after, j, back.v) == B
-            assert dense_product(mv.induced(B), back.induced(after)) == bc.identity_iso(B).C
+            bc.make_iso(B, after, induced(B, mv))
+            assert bc.twist(after, j, back[2]) == B
+            assert dense_product(induced(B, mv), induced(after, back)) == bc.identity_iso(B).C
             twists += 1
     print(f"CRITERION 4 PASS: 500 moves sound ({switches} switches, {twists} twists)")
 

@@ -34,9 +34,9 @@
   method of such a class (dunders aside), is referenced by name in the
   library (``__init__.py`` aside) or in ``bench/``, so no entry point is
   kept for the tests alone.
-* A move is its parameters (kind, j, v) and holds no matrix: v is None for
-  a switch and a tuple of plain ints for a twist, so reading a sequence
-  keeps one matrix at a time.
+* A move is the tuple (kind, j, v) of its parameters and holds no matrix:
+  j is a plain int and v is None for a switch and a tuple of plain ints for
+  a twist, so reading a sequence keeps one matrix at a time.
 * No library class is a plain record, one whose only method is an
   ``__init__`` that stores its parameters: a function returns the values
   its callers read.  ``PLAIN_RECORDS`` names the few that stay, each with
@@ -361,25 +361,43 @@ def test_detects_unreferenced():
 
 
 def parameters_only(mv) -> bool:
-    """Whether mv holds (kind, j, v) and nothing else: v None for a switch, a tuple of plain ints for a twist."""
-    if getattr(type(mv), "__slots__", None) != ("kind", "j", "v") or hasattr(mv, "__dict__"):
+    """Whether mv is the tuple (kind, j, v) and nothing else: a str kind, a plain int j, and v None for a
+    switch or a tuple of plain ints for a twist."""
+    if type(mv) is not tuple or len(mv) != 3:
         return False
-    if type(mv.j) is not int:
+    kind, j, v = mv
+    if type(kind) is not str or type(j) is not int:
         return False
-    if mv.kind == "switch":
-        return mv.v is None
-    return mv.kind == "twist" and type(mv.v) is tuple and all(type(t) is int for t in mv.v)
+    if kind == "switch":
+        return v is None
+    return kind == "twist" and type(v) is tuple and all(type(t) is int for t in v)
+
+
+def step_moves(trace):
+    """The moves of every key step in a stabilization trace, target side and source side."""
+    for rt in trace.raises:
+        steps = list(rt.phase1)
+        if rt.odd is not None:
+            steps += rt.odd.source_steps
+            steps += [rt.odd.final_step] if rt.odd.final_step is not None else []
+        for step in steps:
+            yield from step.moves
 
 
 def test_moves_hold_only_their_parameters():
-    assert bc.Move.__slots__ == ("kind", "j", "v")
-    twists = 0
+    # no move class: a move is its parameter tuple in certificates, towers and key-step traces
+    assert not hasattr(bc, "Move") and not hasattr(bc.moves, "Move")
+    twists = seen = 0
     for phi in trace_isos():
-        cert = bc.stabilize_full(phi)
-        for mv in cert.f_seq.moves + cert.g_seq.moves:
-            assert parameters_only(mv), (mv.kind, mv.j, mv.v)
-            twists += mv.kind == "twist"
-    assert twists > 0
+        cert, trace = bc.stabilize_full(phi, with_trace=True)
+        towers = [bc.decompose_tower(M) for M in (phi.source, phi.target)]
+        found = [*cert.f_seq.moves, *cert.g_seq.moves, *step_moves(trace)]
+        found += [mv for T in towers for mv in T.moves_applied]
+        for mv in found:
+            assert parameters_only(mv), mv
+            twists += mv[0] == "twist"
+        seen += len(found)
+    assert twists > 0 and seen > twists
 
 
 def test_detects_moves_that_hold_more():
@@ -398,14 +416,17 @@ def test_detects_moves_that_hold_more():
             self.matrix, self.coeffs = matrix, coeffs
 
     B = bc.BottMatrix(2, [[], [2]])
-    assert parameters_only(bc.Move("twist", 2, (1, 0)))
-    assert parameters_only(bc.Move("switch", 1, None))
+    assert parameters_only(("twist", 2, (1, 0)))
+    assert parameters_only(("switch", 1, None))
     assert not parameters_only(Carrying("switch", 1, None))
-    assert not parameters_only(bc.Move("twist", 2, WithMatrix(B, (1, 0))))  # a v that carries its matrix
-    assert not parameters_only(bc.Move("twist", 2, [1, 0]))
-    assert not parameters_only(bc.Move("twist", 2, (1, True)))
-    assert not parameters_only(bc.Move("switch", 1, (0, 0)))
-    assert not parameters_only(bc.Move("flip", 1, None))
+    assert not parameters_only(("twist", 2, (1, 0), B))  # a move that carries its matrix
+    assert not parameters_only(["switch", 1, None])
+    assert not parameters_only(("twist", 2, WithMatrix(B, (1, 0))))  # a v that carries its matrix
+    assert not parameters_only(("twist", 2, [1, 0]))
+    assert not parameters_only(("twist", 2, (1, True)))
+    assert not parameters_only(("switch", 1, (0, 0)))
+    assert not parameters_only(("switch", True, None))
+    assert not parameters_only(("flip", 1, None))
 
 
 PLAIN_RECORDS = {

@@ -19,6 +19,7 @@ from helpers import (
     dense_product,
     fraction_det,
     fraction_inverse,
+    induced,
     moved_partner,
     oracle_apply,
     oracle_product,
@@ -97,8 +98,8 @@ def switch_map(rng, A):
     js = [j for j in range(1, A.n) if A.a(j + 1, j) == 0]
     if not js:
         return None
-    mv = bc.Move("switch", rng.choice(js), None)
-    return mv.apply(A), mv.induced(A)
+    j = rng.choice(js)
+    return bc.switch(A, j), induced(A, ("switch", j, None))
 
 
 def twist_map(rng, A):
@@ -107,8 +108,8 @@ def twist_map(rng, A):
     vs = [v for v in admissible_twists(A, j, 1) if any(v)]
     if not vs:
         return None
-    mv = bc.Move("twist", j, rng.choice(vs))
-    return j, mv.apply(A), mv.induced(A)
+    v = rng.choice(vs)
+    return j, bc.twist(A, j, v), induced(A, ("twist", j, v))
 
 
 def gate_input(rng, kind):

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -15,6 +16,7 @@ from helpers import (
     claim_product,
     dense_product,
     fuzz_base_isos,
+    induced,
     move_iso,
     moves_product,
     odd_twist_isos,
@@ -33,10 +35,18 @@ def hirzebruch(a):
     return bc.make_bott_matrix(2, [[], [a]])
 
 
+def gate_map(B, kind, j, v):
+    """The rows of the map ``build_move`` writes for the move (kind, j, v) from B and hands to make_iso."""
+    seen = []
+    with mock.patch.object(moves, "make_iso", lambda A, after, C: seen.append(tuple(map(tuple, C)))):
+        bc.build_move(B, kind, j, v)
+    return seen[0]
+
+
 class TestSwitch:
     def test_factor_swap(self):
         assert bc.switch(ZERO2, 1) == ZERO2
-        assert bc.Move("switch", 1, None).induced(ZERO2) == ((0, 1), (1, 0))
+        assert gate_map(ZERO2, "switch", 1, None) == induced(ZERO2, ("switch", 1, None)) == ((0, 1), (1, 0))
 
     def test_column_swap_in_later_rows(self):
         A = bc.make_bott_matrix(3, [[], [0], [1, 2]])
@@ -58,22 +68,22 @@ class TestSwitch:
             if not js:
                 continue
             j = rng.choice(js)
-            mv = bc.Move("switch", j, None)
+            mv = ("switch", j, None)
             after = bc.switch(A, j)
             assert bc.switch(after, j) == A
-            assert dense_product(mv.induced(A), mv.induced(after)) == bc.identity_iso(A).C
+            assert dense_product(induced(A, mv), induced(after, mv)) == bc.identity_iso(A).C
 
 
 class TestTwist:
     def test_hirzebruch_step(self):
         B = hirzebruch(3)
         assert bc.twist(B, 2, (1, 0)) == hirzebruch(1)
-        assert bc.Move("twist", 2, (1, 0)).induced(B) == ((1, 0), (1, 1))
+        assert gate_map(B, "twist", 2, (1, 0)) == induced(B, ("twist", 2, (1, 0))) == ((1, 0), (1, 1))
 
     def test_zero_parameter(self):
         B = hirzebruch(3)
         assert bc.twist(B, 2, (0, 0)) == B
-        assert bc.Move("twist", 2, (0, 0)).induced(B) == bc.identity_iso(B).C
+        assert gate_map(B, "twist", 2, (0, 0)) == induced(B, ("twist", 2, (0, 0))) == bc.identity_iso(B).C
 
     def test_rows_above_pick_up_v(self):
         B = bc.make_bott_matrix(3, [[], [2], [0, 1]])
@@ -96,7 +106,7 @@ class TestTwist:
             j = rng.randint(2, B.n)
             vs = admissible_twists(B, j, 2)
             v = rng.choice(vs)
-            C, after = bc.Move("twist", j, v).induced(B), bc.twist(B, j, v)
+            C, after = gate_map(B, "twist", j, v), bc.twist(B, j, v)
             for i in range(1, j):
                 assert C[i - 1] == tuple(int(c == i) for c in range(1, B.n + 1))
                 assert after.rows[i - 1] == B.rows[i - 1]
@@ -110,12 +120,12 @@ class TestTwist:
             if not vs:
                 continue
             v = rng.choice(vs)
-            mv = bc.Move("twist", j, v)
+            mv = ("twist", j, v)
             after = bc.twist(B, j, v)
             back = bc.invert_move(mv)
-            assert back == bc.Move("twist", j, tuple(-t for t in v))
-            assert bc.twist(after, j, back.v) == B
-            assert dense_product(mv.induced(B), back.induced(after)) == bc.identity_iso(B).C
+            assert back == ("twist", j, tuple(-t for t in v))
+            assert bc.twist(after, j, back[2]) == B
+            assert dense_product(induced(B, mv), induced(after, back)) == bc.identity_iso(B).C
 
 
 class TestMoveSoundness:
@@ -128,15 +138,17 @@ class TestMoveSoundness:
                 js = [j for j in range(1, B.n) if B.a(j + 1, j) == 0]
                 if not js:
                     continue
-                mv = bc.Move("switch", rng.choice(js), None)
+                mv = ("switch", rng.choice(js), None)
             else:
                 j = rng.randint(1, B.n)
                 vs = [v for v in admissible_twists(B, j, 2) if any(v)]
                 if not vs:
                     continue
-                mv = bc.Move("twist", j, rng.choice(vs))
-            # switch, twist and Move.induced work by algebra; make_iso checks the map
-            bc.make_iso(B, mv.apply(B), mv.induced(B))
+                mv = ("twist", j, rng.choice(vs))
+            # switch, twist and build_move's map work by algebra; make_iso checks the map
+            C = gate_map(B, *mv)
+            assert C == induced(B, mv)
+            bc.make_iso(B, moves._apply(B, mv), C)
             done += 1
 
 
@@ -193,14 +205,14 @@ def random_moves(rng, M, kinds):
         j = rng.randint(2, n)
         vs = [v for v in admissible_twists(M, j, 1) if any(v)]
         if vs and (not js or rng.random() < 0.5):
-            mv = bc.Move("twist", j, rng.choice(vs))
+            mv = ("twist", j, rng.choice(vs))
         elif js:
-            mv = bc.Move("switch", rng.choice(js), None)
+            mv = ("switch", rng.choice(js), None)
         else:
             break
-        M = mv.apply(M)
+        M = moves._apply(M, mv)
         assert_derived_is_valid(M)
-        kinds[mv.kind] += 1
+        kinds[mv[0]] += 1
         mvs.append(mv)
     return mvs
 
@@ -216,9 +228,9 @@ class TestColumnFold:
                 assert cols == dense
                 M = seq.start
                 for mv in seq.moves:
-                    M = mv.apply(M)
+                    M = moves._apply(M, mv)
                     assert_derived_is_valid(M)
-                    twists += mv.kind == "twist"
+                    twists += mv[0] == "twist"
         assert twists > 0
 
     def test_random_moves_on_dense_maps(self):
@@ -287,8 +299,8 @@ class TestClaimFold:
         # its row fold adds c times row 1 to row 2 of phi, never to row 3
         n = len(rows)
         start = bc.make_bott_matrix(n, rows)
-        mv = bc.Move("twist", 2, (c,) + (0,) * (n - 1))
-        A = mv.apply(start)
+        mv = ("twist", 2, (c,) + (0,) * (n - 1))
+        A = bc.twist(start, 2, mv[2])
 
         def cert(phi_prime_rows):
             phi_prime = bc.GradedIso(start, A, tuple(map(tuple, phi_prime_rows)))
@@ -296,12 +308,12 @@ class TestClaimFold:
                 A, A, bc.identity_iso(A), bc.MoveSeq.build(start, [mv]), bc.MoveSeq.build(A, []), phi_prime, n
             )
 
-        good = cert(mv.induced(start))
+        good = cert(induced(start, mv))
         assert bc.verify_certificate(good).ok
         text = serialize.dumps_canonical(serialize.certificate_to_obj(good))
         assert serialize.verify_certificate_obj(json.loads(text)).ok
-        wrong_row = [list(row) for row in mv.induced(start)]
-        wrong_row[2] = [e + t for e, t in zip(wrong_row[2], mv.v)]
+        wrong_row = [list(row) for row in induced(start, mv)]
+        wrong_row[2] = [e + t for e, t in zip(wrong_row[2], mv[2])]
         res = stabilize.check_claims(cert(wrong_row))
         assert not res.ok and res.diagnostic == "phi_prime is not g o phi o f"
 
@@ -346,7 +358,7 @@ class TestGate:
             raise bc.RelationViolated(1, {})
 
         monkeypatch.setattr(moves, "make_iso", reject)
-        mv = bc.Move("switch", 1, None)
+        mv = ("switch", 1, None)
         with pytest.raises(bc.RelationViolated):
             bc.build_move(ZERO2, "switch", 1, None)
         with pytest.raises(bc.RelationViolated):
@@ -365,10 +377,10 @@ class TestGate:
 class TestBuildMove:
     def test_matches_switch_and_twist(self):
         B = hirzebruch(2)
-        assert bc.build_move(ZERO2, "switch", 1, None) == (bc.Move("switch", 1, None), bc.switch(ZERO2, 1))
-        assert bc.build_move(B, "twist", 2, (1, 0)) == (bc.Move("twist", 2, (1, 0)), bc.twist(B, 2, (1, 0)))
+        assert bc.build_move(ZERO2, "switch", 1, None) == (("switch", 1, None), bc.switch(ZERO2, 1))
+        assert bc.build_move(B, "twist", 2, (1, 0)) == (("twist", 2, (1, 0)), bc.twist(B, 2, (1, 0)))
         # the move keeps v as a tuple of plain ints, whatever sequence it was read from
-        assert bc.build_move(B, "twist", 2, [1, 0])[0].v == (1, 0)
+        assert bc.build_move(B, "twist", 2, [1, 0])[0] == ("twist", 2, (1, 0))
 
     def test_runs_the_move_checks(self):
         with pytest.raises(bc.SwitchBlocked):
@@ -381,13 +393,13 @@ class TestBuildMove:
             bc.build_move(ZERO2, "flip", 1, None)
 
     def test_rebuild_reports_unknown_kind(self):
-        bad = bc.Move("flip", 1, None)
+        bad = ("flip", 1, None)
         with pytest.raises(bc.ShapeError, match="^unknown move kind 'flip'$"):
             rebuild_matches(bc.MoveSeq(ZERO2, (bad,), ZERO2))
 
     def test_sequence_build_reports_unknown_kind(self):
         with pytest.raises(bc.ShapeError, match="^unknown move kind 'flip'$"):
-            bc.MoveSeq.build(ZERO2, [bc.Move("flip", 1, None)])
+            bc.MoveSeq.build(ZERO2, [("flip", 1, None)])
 
     # a twist's v enters from the reader or from an in-memory certificate, and
     # build_move checks its length and that each entry is a plain int
@@ -408,7 +420,7 @@ class TestBuildMove:
 
     def test_big_integer_coefficient(self):
         mv, after = bc.build_move(ZERO2, "twist", 2, [2**70 + 1, 0])
-        assert mv.v == (2**70 + 1, 0) and after.rows == ((), (-2 * (2**70 + 1),))
+        assert mv == ("twist", 2, (2**70 + 1, 0)) and after.rows == ((), (-2 * (2**70 + 1),))
 
     @pytest.mark.parametrize("v, message", BAD_V, ids=["short", "long", "bool", "float", "str"])
     def test_twist_v_checked_at_every_entry(self, v, message):
@@ -416,10 +428,10 @@ class TestBuildMove:
         A = bc.BottMatrix(3, [[], [0], [0, 2]])
         B = bc.BottMatrix(3, [[], [-2], [2, 2]])
         cert = bc.stabilize_full(bc.make_iso(A, B, [[-1, -1, 0], [-1, -1, 1], [-2, -1, 1]]))
-        assert cert.g_seq.moves[0] == bc.Move("twist", 2, (-1, 0, 0))
+        assert cert.g_seq.moves[0] == ("twist", 2, (-1, 0, 0))
         with pytest.raises(bc.ShapeError, match=f"^{re.escape(message)}$"):
             bc.build_move(B, "twist", 2, v)
-        bad = bc.MoveSeq(B, (bc.Move("twist", 2, v),) + cert.g_seq.moves[1:], cert.g_seq.end)
+        bad = bc.MoveSeq(B, (("twist", 2, v),) + cert.g_seq.moves[1:], cert.g_seq.end)
         forged = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, cert.f_seq, bad, cert.phi_prime, cert.k_final)
         assert bc.verify_certificate(forged) == bc.ReplayResult(False, f"certificate data invalid: {message}")
         if len(v) == 2:
@@ -439,7 +451,7 @@ class TestMoveSeq:
 
     def test_two_twists(self):
         B = hirzebruch(3)
-        mv = bc.Move("twist", 2, (1, 0))
+        mv = ("twist", 2, (1, 0))
         seq = bc.MoveSeq.build(B, [mv, mv])
         assert seq.end == hirzebruch(-1)
         assert rebuild_matches(seq) == (True, True)
@@ -451,25 +463,25 @@ class TestMoveSeq:
             (ZERO2, ("twist", 2, (1, 0)), ("switch", 1, None), bc.SwitchBlocked),
             (ZERO3, ("twist", 2, (1, 0, 0)), ("twist", 3, (0, 1, 0)), bc.TwistInvalid),
         ]:
-            bc.MoveSeq.build(start, [bc.Move(*last)])
+            bc.MoveSeq.build(start, [last])
             with pytest.raises(error):
-                bc.MoveSeq.build(start, [bc.Move(*first), bc.Move(*last)])
+                bc.MoveSeq.build(start, [first, last])
 
     def test_rebuild_detects_tampering(self):
         # a stored v that is a list, not the tuple the rebuild gives, and a wrong end
         B = hirzebruch(3)
-        tampered = bc.MoveSeq(B, (bc.Move("twist", 2, [1, 0]),), hirzebruch(2))
+        tampered = bc.MoveSeq(B, (("twist", 2, [1, 0]),), hirzebruch(2))
         assert rebuild_matches(tampered) == (False, False)
 
     def test_rebuild_detects_wrong_end(self):
-        seq = bc.MoveSeq.build(ZERO2, [bc.Move("switch", 1, None)])
+        seq = bc.MoveSeq.build(ZERO2, [("switch", 1, None)])
         tampered = bc.MoveSeq(seq.start, seq.moves, hirzebruch(2))
         assert rebuild_matches(tampered) == (True, False)
 
     def test_invert_seq(self):
         B = hirzebruch(2)
-        mv1, mv2 = bc.Move("twist", 2, (1, 0)), bc.Move("switch", 1, None)
-        assert mv1.apply(B) == hirzebruch(0)
+        mv1, mv2 = ("twist", 2, (1, 0)), ("switch", 1, None)
+        assert bc.twist(B, 2, mv1[2]) == hirzebruch(0)
         seq = bc.MoveSeq.build(B, [mv1, mv2])
         inv = bc.invert_seq(B, [mv1, mv2], seq.end)
         assert inv.start == seq.end and inv.end == seq.start

@@ -123,7 +123,7 @@ def tower_record(A, T):
         reps = [(r, tuple(t % 2 for t in z)) for r, z in prims]
         levels.append((bc.blocks_at(T, lev), reps, prims))
     gens = bc.square_zero_generators(A)
-    switches = [mv.j for mv in T.moves_applied]
+    switches = [j for _, j, _ in T.moves_applied]
     return repr((A.rows, T.dims, switches, T.base.rows, T.perm, levels, gens))
 
 
@@ -177,8 +177,8 @@ def test_towers_agree_with_a_replay_of_their_switches():
         T = bc.decompose_tower(A)
         assert bc.MoveSeq.build(A, T.moves_applied).end == T.base
         order = list(range(A.n + 1))  # order[m]: the origin index at base index m
-        for mv in T.moves_applied:
-            order[mv.j], order[mv.j + 1] = order[mv.j + 1], order[mv.j]
+        for _, j, _ in T.moves_applied:
+            order[j], order[j + 1] = order[j + 1], order[j]
         assert [order[m] for m in T.perm] == list(range(A.n + 1))
         cuts = (0,) + T.dims
         for i in range(1, A.n + 1):

@@ -95,7 +95,7 @@ def test_trace_coverage():
     for phi in trace_isos():
         isos += 1
         cert, trace = bc.stabilize_full(phi, with_trace=True)
-        twists += sum(mv.kind == "twist" for seq in (cert.f_seq, cert.g_seq) for mv in seq.moves)
+        twists += sum(mv[0] == "twist" for seq in (cert.f_seq, cert.g_seq) for mv in seq.moves)
         for rt in trace.raises:
             cases.update(st.case for st in rt.phase1)
             if rt.odd is not None:

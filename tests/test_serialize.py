@@ -86,7 +86,7 @@ class TestRoundTrips:
 
     def test_move_seq(self):
         B = hirzebruch(2)
-        seq = bc.MoveSeq.build(B, [bc.Move("twist", 2, (1, 0)), bc.Move("switch", 1, None)])
+        seq = bc.MoveSeq.build(B, [("twist", 2, (1, 0)), ("switch", 1, None)])
         obj = json.loads(json.dumps(ser.seq_to_obj(seq)))
         back = bc.rebuild(*ser.seq_from_obj(obj))
         assert back.start == seq.start and back.end == seq.end
@@ -95,7 +95,7 @@ class TestRoundTrips:
     def test_certificate(self):
         A = bc.make_bott_matrix(3, [[], [1], [0, 0]])
         phi0 = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
-        phi = compose_dense(phi0, bc.invert(move_iso(A, bc.Move("switch", 2, None))))
+        phi = compose_dense(phi0, bc.invert(move_iso(A, ("switch", 2, None))))
         cert = bc.stabilize_full(phi)
         obj = json.loads(json.dumps(ser.certificate_to_obj(cert)))
         back = ser.certificate_from_obj(obj)

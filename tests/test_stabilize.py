@@ -43,7 +43,7 @@ def odd_short_fixture():
     # second source generator lifted out of the way
     A = bc.make_bott_matrix(3, [[], [1], [0, 0]])
     phi0 = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
-    return compose_dense(phi0, bc.invert(move_iso(A, bc.Move("switch", 2, None))))
+    return compose_dense(phi0, bc.invert(move_iso(A, ("switch", 2, None))))
 
 
 def odd_long_fixture():
@@ -53,8 +53,8 @@ def odd_long_fixture():
     phi0 = bc.make_iso(
         A, A, [[-1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
-    m1 = move_iso(A, bc.Move("switch", 2, None))
-    m2 = move_iso(m1.target, bc.Move("switch", 3, None))
+    m1 = move_iso(A, ("switch", 2, None))
+    m2 = move_iso(m1.target, ("switch", 3, None))
     back = compose_dense(bc.invert(m1), bc.invert(m2))
     return compose_dense(phi0, back)
 
@@ -129,14 +129,14 @@ class TestKeyStep:
         phi = bc.make_iso(ZERO3, ZERO3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
         seq, phi_new, trace = key_step(phi, 0)
         assert trace.case == "zero" and trace.p == 0 and trace.ell == 3
-        assert [m.kind for m in seq.moves] == ["switch"]
+        assert [kind for kind, _, _ in seq.moves] == ["switch"]
         assert bc.height(phi_new.C[0]) == 2
 
     def test_even_case_twist_then_switch(self):
         phi = even_case_fixture()
         seq, phi_new, trace = key_step(phi, 0)
         assert trace.case == "even" and trace.p == 2 and trace.ell == 3
-        assert [m.kind for m in seq.moves] == ["twist", "switch"]
+        assert [kind for kind, _, _ in seq.moves] == ["twist", "switch"]
         assert bc.height(phi_new.C[0]) == 2
         # rows below l-1 of the target matrix are untouched
         for i in range(1, trace.ell - 1):
@@ -162,8 +162,8 @@ class TestKeyStep:
         phi, k, _ = odd_twist_step()
         seq, phi_new, trace = key_step(phi, k)
         assert (trace.case, trace.ell, trace.p) == ("odd", 4, -1)
-        assert [(m.kind, m.j) for m in seq.moves] == [("twist", 3), ("switch", 2), ("switch", 3)]
-        assert seq.moves[0].v == (0, -1, 0, 0)
+        assert [(kind, j) for kind, j, _ in seq.moves] == [("twist", 3), ("switch", 2), ("switch", 3)]
+        assert seq.moves[0][2] == (0, -1, 0, 0)
         assert bc.height(phi_new.C[k]) == 3
         assert rebuild_matches(seq) == (True, True)
 
@@ -296,7 +296,7 @@ class TestOddTwistIsos:
         odd = []
         for phi in odd_twist_isos():
             cert, trace = bc.stabilize_full(phi, with_trace=True)
-            odd += [(rt.k, t.ell, t.moves[0].v) for rt in trace.raises for t in rt.phase1 if t.case == "odd"]
+            odd += [(rt.k, t.ell, t.moves[0][2]) for rt in trace.raises for t in rt.phase1 if t.case == "odd"]
             assert bc.verify_certificate(cert).ok
             text = serialize.dumps_canonical(serialize.certificate_to_obj(cert))
             assert serialize.verify_certificate_obj(json.loads(text)).ok
@@ -670,15 +670,15 @@ class TestGuardCounts:
             bc.stabilize_full(fixture())
 
     def test_move_maps_are_built_only_at_the_gate(self, monkeypatch):
-        # moves store no map: stabilizing builds none, and verifying builds each move's once
+        # moves store no map: stabilizing builds none, and verifying builds each move's once, for make_iso to check
         built = [0]
-        induced = moves.Move.induced
+        make_iso = moves.make_iso
 
-        def counted(mv, B):
+        def counted(A, B, C):
             built[0] += 1
-            return induced(mv, B)
+            return make_iso(A, B, C)
 
-        monkeypatch.setattr(moves.Move, "induced", counted)
+        monkeypatch.setattr(moves, "make_iso", counted)
         total = 0
         for source in (trace_isos, fuzz_base_isos):
             for phi in source():
@@ -797,8 +797,9 @@ class TestVerifyCertificate:
         # a switch that stores a v: the fold reads no v of a switch, but the rebuild drops it
         cert = bc.stabilize_full(even_case_fixture())
         *head, last = cert.g_seq.moves
-        assert last.kind == "switch"
-        bad = self.moved_target(cert, (*head, bc.Move("switch", last.j, (0, 0, 0))), cert.g_seq.end)
+        kind, j, _ = last
+        assert kind == "switch"
+        bad = self.moved_target(cert, (*head, ("switch", j, (0, 0, 0))), cert.g_seq.end)
         res = bc.verify_certificate(bad)
         assert (res.ok, res.diagnostic) == (False, "certificate is not its rebuild from its parameters")
 
@@ -815,3 +816,57 @@ class TestVerifyCertificate:
             bad = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, f_seq, g_seq, cert.phi_prime, cert.k_final)
             res = bc.verify_certificate(bad)
             assert (res.ok, res.diagnostic) == (False, "certificate is not its rebuild from its parameters")
+
+
+def with_parts(cert, **parts):
+    """cert with some of its fields replaced."""
+    fields = {name: getattr(cert, name) for name in bc.StabilizationCertificate.__slots__}
+    return bc.StabilizationCertificate(**{**fields, **parts})
+
+
+def integer_variants(cert):
+    """cert, then cert with k_final or one move's j as a float, or as a bool where it equals one."""
+    yield cert
+    for k in (float(cert.k_final), True) if cert.k_final == 1 else (float(cert.k_final),):
+        yield with_parts(cert, k_final=k)
+    for side in ("f_seq", "g_seq"):
+        seq = getattr(cert, side)
+        for i, (kind, j, v) in enumerate(seq.moves):
+            for bad in (float(j), True) if j == 1 else (float(j),):
+                moves_ = seq.moves[:i] + ((kind, bad, v),) + seq.moves[i + 1 :]
+                yield with_parts(cert, **{side: bc.MoveSeq(seq.start, moves_, seq.end)})
+
+
+class TestIntegerGate:
+    """The in-memory gate takes a tower height, a move's j and k_final only as
+    plain ints, as the JSON reader does, so a value never verifies in memory
+    and fails as text."""
+
+    @pytest.mark.parametrize("n, rows", [(True, [[]]), (2.0, [[], [1]])], ids=["bool", "float"])
+    def test_height_must_be_a_plain_int(self, n, rows):
+        for build in (bc.BottMatrix, bc.make_bott_matrix):
+            with pytest.raises(bc.ShapeError, match=f"^tower height {n!r} is not an integer$"):
+                build(n, rows)
+
+    def test_position_must_be_a_plain_int(self):
+        with pytest.raises(bc.ShapeError, match="^move position True is not an integer$"):
+            bc.rebuild(ZERO2, [("switch", True, None)])
+        with pytest.raises(bc.ShapeError, match=r"^move position 2\.0 is not an integer$"):
+            bc.build_move(hirzebruch(3), "twist", 2.0, (1, 0))
+
+    def test_k_final_must_be_a_plain_int(self):
+        cert = bc.stabilize_full(even_case_fixture())
+        for k in (float(cert.k_final), True):
+            res = bc.verify_certificate(with_parts(cert, k_final=k))
+            assert res == bc.ReplayResult(False, f"certificate data invalid: k_final {k!r} is not an integer")
+
+    def test_in_memory_verdict_is_that_of_its_text(self):
+        variants = rejected = 0
+        for phi in trace_isos():
+            for cert in integer_variants(bc.stabilize_full(phi)):
+                text = serialize.dumps_canonical(serialize.certificate_to_obj(cert))
+                res = bc.verify_certificate(cert)
+                assert res.ok == serialize.verify_certificate_obj(json.loads(text)).ok, res.diagnostic
+                variants += 1
+                rejected += not res.ok
+        assert variants > rejected > 0

@@ -102,7 +102,7 @@ class TestWellOrder:
         assert not square_zero(A, A.alpha(3))
         T = bc.decompose_tower(A)
         # the first stage's one switch; the second stage is one row and switches nothing
-        assert [m.j for m in T.moves_applied] == [3]
+        assert [j for _, j, _ in T.moves_applied] == [3]
         assert T.base == bc.make_bott_matrix(4, [[], [0], [0, 0], [1, 1, 0]])
         assert rebuild_matches(bc.MoveSeq.build(A, T.moves_applied)) == (True, True)
 

@@ -10,7 +10,6 @@ emitting a replayable certificate.
 
 from .errors import (
     BottError,
-    ContextMismatch,
     NotUnimodular,
     RangeError,
     RelationViolated,
@@ -28,7 +27,7 @@ from .iso import (
     max_stable,
     search_isos,
 )
-from .moves import MoveSeq, build_move, invert_move, invert_seq, rebuild, switch, twist
+from .moves import MoveSeq, build_move, invert_move, rebuild, switch, twist
 from .ring import (
     BottMatrix,
     height,

@@ -21,10 +21,6 @@ class RangeError(BottError):
     """An index or cut position is out of range."""
 
 
-class ContextMismatch(BottError):
-    """Undoing a move sequence does not walk back to the matrix it started from."""
-
-
 class NotUnimodular(BottError):
     """A degree-2 matrix does not have determinant +1 or -1."""
 
@@ -38,7 +34,7 @@ class RelationViolated(BottError):
 
     def __init__(self, index, residue):
         terms = " + ".join(f"{residue[j, i]}*x{j}*x{i}" for j, i in sorted(residue)) or "0"
-        super().__init__(f"relation {index} violated, residue CohClass({terms})")
+        super().__init__(f"relation {index} violated, residue {terms}")
         self.index = index
         self.residue = residue
 

@@ -12,12 +12,13 @@ manifolds:
 
 Rows above j of a twisted matrix become beta_i + b_ij v; this completion is
 forced by requiring the induced map to be a ring isomorphism, so ``switch``
-and ``twist`` check their preconditions and return the matrix after the
-move.  A move is the tuple (kind, j, v) of its parameters, v None for a
-switch, and holds no matrix, so reading a sequence holds one matrix at a
-time.  The gate is ``build_move``: it builds a move from outside parameters,
-builds its map by algebra and checks it by full relation checking
-(``make_iso``).  ``rebuild`` alone calls it, from
+and ``twist`` check their parameters (j a plain int, v n plain ints) and
+preconditions and return the matrix after the move; every path that builds
+a move goes through them.  A move is the tuple (kind, j, v) of its
+parameters, v None for a switch, and holds no matrix, so reading a sequence
+holds one matrix at a time.  The gate is ``build_move``: it builds a move
+from outside parameters, builds its map by algebra and checks it by full
+relation checking (``make_iso``).  ``rebuild`` alone calls it, from
 ``stabilize.certificate_from_parts``: the one build path of the JSON reader
 and of ``verify_certificate``.
 
@@ -29,13 +30,13 @@ matrix.
 
 from __future__ import annotations
 
-from .errors import ContextMismatch, RangeError, ShapeError, SwitchBlocked, TwistInvalid
+from .errors import RangeError, ShapeError, SwitchBlocked, TwistInvalid
 from .iso import identity_iso, make_iso
 from .ring import BottMatrix, height, product_is_zero
 
 
 def _apply(B: BottMatrix, mv: tuple) -> BottMatrix:
-    """The matrix after the move mv = (kind, j, v) from B; ``switch`` or ``twist`` checks its precondition."""
+    """The matrix after the move mv = (kind, j, v) from B; ``switch`` or ``twist`` checks it."""
     kind, j, v = mv
     if kind == "switch":
         return switch(B, j)
@@ -45,8 +46,10 @@ def _apply(B: BottMatrix, mv: tuple) -> BottMatrix:
 
 
 def switch(B: BottMatrix, j: int) -> BottMatrix:
-    """B with adjacent stages j and j+1 exchanged; requires b_{j+1,j} = 0."""
+    """B with adjacent stages j and j+1 exchanged; requires a plain int j and b_{j+1,j} = 0."""
     n = B.n
+    if type(j) is not int:
+        raise ShapeError(f"move position {j!r} is not an integer")
     if not 1 <= j < n:
         raise RangeError(f"switch position {j} outside 1..{n - 1}")
     if B.a(j + 1, j) != 0:
@@ -61,8 +64,15 @@ def switch(B: BottMatrix, j: int) -> BottMatrix:
 
 
 def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
-    """B with row j replaced by beta_j - 2v, for v (n coefficients) in F_{j-1} with v(beta_j - v) = 0."""
+    """B with row j (a plain int) replaced by beta_j - 2v, for v (n plain ints) in F_{j-1} with v(beta_j - v) = 0."""
     n = B.n
+    if type(j) is not int:
+        raise ShapeError(f"move position {j!r} is not an integer")
+    if len(v) != n:
+        raise ShapeError(f"expected {n} coefficients, got {len(v)}")
+    for t in v:
+        if type(t) is not int:
+            raise ShapeError(f"coefficient {t!r} is not an integer")
     if not 1 <= j <= n:
         raise RangeError(f"twist position {j} outside 1..{n}")
     h = height(v)
@@ -72,7 +82,7 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
     # becomes beta_j - 2v and each row i > j gains b_ij v
     row = B.rows[j - 1]
     if not product_is_zero(B, v, [b - t for b, t in zip(row, v)] + [0] * (n - j + 1)):
-        raise TwistInvalid(f"v(beta_j - v) != 0 for v=Class2{list(v)}")
+        raise TwistInvalid(f"v(beta_j - v) != 0 for v={list(v)}")
     rows = list(B.rows)
     rows[j - 1] = tuple(b - 2 * t for b, t in zip(row, v))
     for i in range(j, n):
@@ -84,18 +94,10 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
 def build_move(before: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
     """The move (kind, j, v) from before, checked by ``make_iso``, and the matrix after it.
 
-    j and a twist's v come from outside, so j must be a plain int and v n plain ints; v is kept as a tuple.
+    A twist's v is kept as a tuple; ``switch`` or ``twist`` checks j and v as it builds the matrix.
     """
-    if type(j) is not int:
-        raise ShapeError(f"move position {j!r} is not an integer")
-    if kind == "twist":
-        v = tuple(v)
-        if len(v) != before.n:
-            raise ShapeError(f"expected {before.n} coefficients, got {len(v)}")
-        for t in v:
-            if type(t) is not int:
-                raise ShapeError(f"coefficient {t!r} is not an integer")
-    mv = (kind, j, v if kind == "twist" else None)
+    v = tuple(v) if kind == "twist" else None
+    mv = (kind, j, v)
     after = _apply(before, mv)
     C = list(identity_iso(before).C)  # the induced map: identity rows j, j+1 swapped, or v added to row j
     if kind == "switch":
@@ -168,11 +170,3 @@ def rebuild(start: BottMatrix, params) -> MoveSeq:
         mv, cur = build_move(cur, kind, j, v)
         moves.append(mv)
     return MoveSeq(start, tuple(moves), cur)
-
-
-def invert_seq(start: BottMatrix, moves, end: BottMatrix) -> MoveSeq:
-    """Undo moves that run from start to end, the last first, walking back from end; the walk must reach start."""
-    seq = MoveSeq.build(end, [invert_move(mv) for mv in reversed(moves)])
-    if seq.end != start:
-        raise ContextMismatch(f"moves start at {seq.end!r}, expected {start!r}")
-    return seq

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import BottError, RangeError, ShapeError, TripwireError
 from .iso import GradedIso, invert, make_iso, max_stable
-from .moves import MoveSeq, _before, _then, invert_seq, rebuild, switch, twist
+from .moves import MoveSeq, _before, _then, invert_move, rebuild, switch, twist
 from .ring import BottMatrix, height, product_is_zero
 from .structure import decompose_tower, same_block
 
@@ -260,8 +260,9 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     so each loop of a round ends within n steps.  ``_raise_fwd`` checks that
     a round leaves the map (k+1)- or (k+2)-stable, and k+2 <= n-1 while the
     loop runs, so each round raises max_stable and there are at most n-2
-    rounds.  ``check_claims`` is the last tripwire; it compares g's end,
-    replayed from B, with the working map's target.  phi is a validated
+    rounds.  f is replayed back from the working source by the inverse moves
+    and g forward from B; ``check_claims``, the last tripwire, compares f's
+    end with A and g's end with the working target.  phi is a validated
     isomorphism, so a domain error raised on the way (by a tower, a move, an
     inversion or a sequence build), or ``decompose_xk``'s ValueError for a
     map that is not k-stable, is a bug too: it becomes a TripwireError
@@ -294,8 +295,8 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
                 if rt.odd.final_step is not None:
                     src_fwd += rt.odd.final_step.moves
         cert = StabilizationCertificate(
-            A=A, B=B, phi=phi, f_seq=invert_seq(A, src_fwd, cur.source), g_seq=MoveSeq.build(B, tgt_fwd),
-            phi_prime=cur, k_final=k
+            A=A, B=B, phi=phi, f_seq=MoveSeq.build(cur.source, [invert_move(mv) for mv in reversed(src_fwd)]),
+            g_seq=MoveSeq.build(B, tgt_fwd), phi_prime=cur, k_final=k
         )
     except TripwireError:
         raise

@@ -137,12 +137,12 @@ def oracle_apply(phi, terms):
 
 
 def render_terms(terms):
-    """A term map in the library's residue notation, CohClass(c*x1*x2 + ...)."""
+    """A term map in the library's residue notation, c*x1*x2 + ..., or 0 when it is empty."""
     bits = [
         f"{terms[key]}*{'*'.join(f'x{i}' for i in sorted(key)) or '1'}"
         for key in sorted(terms, key=lambda k: (len(k), sorted(k)))
     ]
-    return f"CohClass({' + '.join(bits) or '0'})"
+    return " + ".join(bits) or "0"
 
 
 def fraction_det(C):

@@ -440,11 +440,11 @@ def test_failed_self_check_is_a_tripwire(files, capsys, monkeypatch):
 
 
 def test_failed_construction_is_a_tripwire(files, capsys, monkeypatch):
-    # the source tower takes one switch, which invert_seq inverts; a domain error there blames no input
+    # the source tower takes one switch, which stabilize_full inverts; a domain error there blames no input
     def fail(*args):
         raise bc.SwitchBlocked("planted")
 
-    monkeypatch.setattr("bottcert.moves.invert_move", fail)
+    monkeypatch.setattr("bottcert.stabilize.invert_move", fail)
     a = files("a.json", {"n": 4, "rows": [[], [1], [1, 1], [0, 0, 0]]})
     c = files("c.json", {"C": [[int(i == j) for j in range(4)] for i in range(4)]})
     code, out = run(capsys, "stabilize", a, a, c)

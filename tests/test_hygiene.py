@@ -37,6 +37,9 @@
 * A move is the tuple (kind, j, v) of its parameters and holds no matrix:
   j is a plain int and v is None for a switch and a tuple of plain ints for
   a twist, so reading a sequence keeps one matrix at a time.
+* Every error type that no error type subclasses is named by some
+  ``raise`` in the library, so no type is kept that the library never
+  raises.
 * No library class is a plain record, one whose only method is an
   ``__init__`` that stores its parameters: a function returns the values
   its callers read.  ``PLAIN_RECORDS`` names the few that stay, each with
@@ -311,6 +314,42 @@ def test_detects_subclasses():
         "def f():\n    class Nested(TripwireError):\n        pass\n"
     )
     assert subclasses(source, "TripwireError") == ["Failure", "Qualified", "Nested"]
+
+
+def unraised_errors(errors: str, *sources: str) -> list[str]:
+    """Classes of ``errors`` that no class there subclasses and that no ``raise`` in ``errors`` or
+    ``sources`` names, called or bare, plain or as ``x.Name``."""
+    classes = [node for node in ast.parse(errors).body if isinstance(node, ast.ClassDef)]
+    bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for c in classes for b in c.bases}
+    raised = set()
+    for text in (errors, *sources):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return [c.name for c in classes if c.name not in bases and c.name not in raised]
+
+
+def test_every_error_type_is_raised():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES if p.name != "errors.py"]
+    assert unraised_errors((SRC / "errors.py").read_text(encoding="utf-8"), *sources) == []
+
+
+def test_detects_unraised_errors():
+    errors = (
+        "class BottError(Exception):\n    pass\n"
+        "class Shape(BottError):\n    pass\n"
+        "class Qualified(BottError):\n    pass\n"
+        "class Bare(BottError):\n    pass\n"
+        "class Caught(BottError):\n    pass\n"
+        "class Unused(BottError):\n    pass\n"
+    )
+    library = (
+        "def check(x):\n    if x:\n        raise Shape(f'{x}')\n    raise errors.Qualified('no')\n"
+        "def bare():\n    raise Bare\n"
+        "def relay():\n    try:\n        check(1)\n    except Caught:\n        raise\n"
+    )
+    assert unraised_errors(errors, library) == ["Caught", "Unused"]
 
 
 def unreferenced(defining: str, *others: str) -> list[str]:

@@ -128,6 +128,67 @@ class TestTwist:
             assert dense_product(induced(B, mv), induced(after, back)) == bc.identity_iso(B).C
 
 
+class TestMoveParameters:
+    """``switch`` and ``twist`` check j and v themselves, with the messages of the move gate, so every
+    path that builds a move (``MoveSeq.build``, ``rebuild``, the key steps, the towers) is strict."""
+
+    def test_twist_rejects_one_coefficient(self):
+        # no row of the result may lose entries: row 3 of a 3-stage matrix has two
+        with pytest.raises(bc.ShapeError, match="^expected 3 coefficients, got 1$"):
+            bc.twist(bc.BottMatrix(3, [[], [0], [0, 0]]), 3, (1,))
+
+    @pytest.mark.parametrize("j", [True, 1.0, 2.0])
+    def test_position_must_be_a_plain_int(self, j):
+        message = f"^move position {re.escape(repr(j))} is not an integer$"
+        builds = [
+            lambda: bc.switch(ZERO3, j),
+            lambda: bc.MoveSeq.build(ZERO3, [("switch", j, None)]),
+            lambda: bc.twist(ZERO3, j, (0, 0, 0)),
+            lambda: bc.MoveSeq.build(ZERO3, [("twist", j, (0, 0, 0))]),
+        ]
+        for build in builds:
+            with pytest.raises(bc.ShapeError, match=message):
+                build()
+
+    def test_parameters_before_range_height_and_product(self):
+        # the position is checked first, then v's length, then each entry, then the range,
+        # the height and the product
+        with pytest.raises(bc.ShapeError, match="^move position 9.0 is not an integer$"):
+            bc.twist(ZERO3, 9.0, (1.5,))
+        with pytest.raises(bc.ShapeError, match="^expected 3 coefficients, got 1$"):
+            bc.twist(ZERO3, 9, (1.5,))
+        with pytest.raises(bc.ShapeError, match="^coefficient 1.5 is not an integer$"):
+            bc.twist(ZERO3, 9, (1, 1.5, 0))
+        with pytest.raises(bc.ShapeError, match="^move position 0.0 is not an integer$"):
+            bc.switch(ZERO3, 0.0)
+
+    def test_returned_matrices_revalidate(self):
+        # every matrix switch or twist returns is one the strict constructor accepts, for valid
+        # moves and for the same moves with a float or bool position or a mangled v
+        rng = random.Random(39)
+        built = 0
+        for _ in range(150):
+            B = rand_matrix(rng, rng.randint(2, 6), 2)
+            js = [j for j in range(1, B.n) if B.a(j + 1, j) == 0]
+            if js and rng.random() < 0.5:
+                kind, j, v = "switch", rng.choice(js), None
+            else:
+                kind, j = "twist", rng.randint(1, B.n)
+                v = rng.choice(admissible_twists(B, j, 2))
+            tries = [(j, v), (float(j), v), (bool(j), v)]
+            if kind == "twist":
+                tries += [(j, tuple(map(float, v))), (j, v[: j - 1]), (j, v + (0,)), (j, tuple(map(bool, v)))]
+            for mangled, (pj, pv) in enumerate(tries):
+                try:
+                    after = bc.switch(B, pj) if kind == "switch" else bc.twist(B, pj, pv)
+                except bc.BottError:
+                    assert mangled  # the valid move builds
+                    continue
+                assert bc.BottMatrix(after.n, after.rows).rows == after.rows
+                built += 1
+        assert built == 150  # only the valid moves build
+
+
 class TestMoveSoundness:
     def test_random_moves_validate(self):
         rng = random.Random(44)
@@ -402,7 +463,7 @@ class TestBuildMove:
             bc.MoveSeq.build(ZERO2, [("flip", 1, None)])
 
     # a twist's v enters from the reader or from an in-memory certificate, and
-    # build_move checks its length and that each entry is a plain int
+    # twist checks its length and that each entry is a plain int, on every build path
     BAD_V = [
         ((-1, 0), "expected 3 coefficients, got 2"),
         ((-1, 0, 0, 0), "expected 3 coefficients, got 4"),
@@ -429,8 +490,10 @@ class TestBuildMove:
         B = bc.BottMatrix(3, [[], [-2], [2, 2]])
         cert = bc.stabilize_full(bc.make_iso(A, B, [[-1, -1, 0], [-1, -1, 1], [-2, -1, 1]]))
         assert cert.g_seq.moves[0] == ("twist", 2, (-1, 0, 0))
-        with pytest.raises(bc.ShapeError, match=f"^{re.escape(message)}$"):
-            bc.build_move(B, "twist", 2, v)
+        for build in (lambda: bc.build_move(B, "twist", 2, v), lambda: bc.twist(B, 2, v),
+                      lambda: bc.MoveSeq.build(B, [("twist", 2, v)])):
+            with pytest.raises(bc.ShapeError, match=f"^{re.escape(message)}$"):
+                build()
         bad = bc.MoveSeq(B, (("twist", 2, v),) + cert.g_seq.moves[1:], cert.g_seq.end)
         forged = bc.StabilizationCertificate(cert.A, cert.B, cert.phi, cert.f_seq, bad, cert.phi_prime, cert.k_final)
         assert bc.verify_certificate(forged) == bc.ReplayResult(False, f"certificate data invalid: {message}")
@@ -478,21 +541,29 @@ class TestMoveSeq:
         tampered = bc.MoveSeq(seq.start, seq.moves, hirzebruch(2))
         assert rebuild_matches(tampered) == (True, False)
 
-    def test_invert_seq(self):
+    def test_inverted_moves_walk_back(self):
+        # stabilize_full builds f so: the inverse moves, the last first, replayed from the end
         B = hirzebruch(2)
         mv1, mv2 = ("twist", 2, (1, 0)), ("switch", 1, None)
         assert bc.twist(B, 2, mv1[2]) == hirzebruch(0)
         seq = bc.MoveSeq.build(B, [mv1, mv2])
-        inv = bc.invert_seq(B, [mv1, mv2], seq.end)
-        assert inv.start == seq.end and inv.end == seq.start
+        inv = bc.MoveSeq.build(seq.end, [bc.invert_move(mv) for mv in reversed(seq.moves)])
+        assert inv.end == seq.start
         assert dense_product(moves_product(B, seq.moves), moves_product(inv.start, inv.moves)) == bc.identity_iso(B).C
         assert rebuild_matches(inv) == (True, True)
-        empty = bc.invert_seq(B, (), B)
-        assert empty.start == empty.end == B and empty.moves == ()
-        with pytest.raises(bc.ContextMismatch, match="^moves start at "):
-            bc.invert_seq(B, [mv2], seq.end)  # undoing mv2 alone leaves hirzebruch(0)
         with pytest.raises(bc.SwitchBlocked):
-            bc.invert_seq(B, [mv2, mv1], seq.end)  # undoing mv1 first leaves hirzebruch(2), where no switch is
+            # undoing mv1 first leaves hirzebruch(2), where no switch is
+            bc.MoveSeq.build(seq.end, [bc.invert_move(mv) for mv in seq.moves])
+
+    def test_random_walks_back(self):
+        rng = random.Random(39)
+        kinds = {"switch": 0, "twist": 0}
+        for _ in range(60):
+            B = rand_matrix(rng, rng.randint(2, 6), 2)
+            seq = bc.MoveSeq.build(B, random_moves(rng, B, kinds))
+            back = bc.MoveSeq.build(seq.end, [bc.invert_move(mv) for mv in reversed(seq.moves)])
+            assert back.end == B
+        assert min(kinds.values()) > 20
 
 
 def rebuild_peak(n, m):

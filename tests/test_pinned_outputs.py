@@ -30,7 +30,7 @@ import bottcert as bc
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
 from helpers import moved_partner, rand_matrix, rationally_trivial, scrambled_iso, sparse_matrix
 
-CERT_DIGEST = "ca2d377229cddd618f0759aa5d30aee1dea1013f0c8ca7f97e6910d70e149123"
+CERT_DIGEST = "e3de9727e18ddc5d420be61d82e58b50508907fbb9aa0771c656bc411b2f0175"
 SEARCH_DIGEST = "e2cce42baaf53b50f7222f4809b8b1f68ecfade1347f61ea048e29f401ac0a3d"
 SEARCH_MEMO_DIGEST = "17a7c5372dfae9136c73ca2e76d107642d2b7ce2029054ebcbec3d1c5f8414ac"
 TOWER_DIGEST = "a6858da8d053c4e3c03adc7c7a726e230465cdc01a1a1c5ca922e3710c91b5d1"

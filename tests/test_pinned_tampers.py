@@ -17,7 +17,7 @@ from bottcert.serialize import certificate_to_obj, verify_certificate_obj
 from helpers import scrambled_iso, sparse_matrix
 from test_pinned_outputs import _verdict, digest
 
-TAMPER_DIGEST = "b5d5ec1f579b1fb41ba54cf0cf88d9d0c04b54932da2a77d0aa5d4d1fb16663c"
+TAMPER_DIGEST = "436f40286f947903804d253fa8226668a54f1396d1b99656f98f50330a30f4b8"
 
 
 def tampers(obj):

@@ -99,7 +99,9 @@ def raise_stability(phi, k):
     src_steps = (*rt.odd.source_steps, rt.odd.final_step) if rt.odd else ()
     src_moves = [mv for tr in src_steps if tr is not None for mv in tr.moves]
     tgt_moves = [mv for tr in rt.phase1 for mv in tr.moves]
-    return bc.invert_seq(phi.source, src_moves, phi2.source), bc.MoveSeq.build(phi.target, tgt_moves), phi2
+    f = bc.MoveSeq.build(phi2.source, [bc.invert_move(mv) for mv in reversed(src_moves)])
+    assert f.end == phi.source
+    return f, bc.MoveSeq.build(phi.target, tgt_moves), phi2
 
 
 class TestDecomposeXk:
@@ -585,11 +587,11 @@ class TestPlantedTripwires:
     @pytest.mark.parametrize(
         "name, fixture",
         [
-            ("bottcert.moves.invert_move", one_switch_tower_fixture),
+            ("bottcert.stabilize.invert_move", one_switch_tower_fixture),
             ("bottcert.moves.MoveSeq.build", even_case_fixture),
             ("bottcert.stabilize.invert", odd_short_fixture),
         ],
-        ids=["invert_seq", "MoveSeq.build", "odd-branch-invert"],
+        ids=["invert_move", "MoveSeq.build", "odd-branch-invert"],
     )
     def test_domain_error_while_building(self, name, fixture, monkeypatch, no_claims):
         # phi is valid, so a domain error from inverting f's moves, from building a
@@ -603,6 +605,20 @@ class TestPlantedTripwires:
         with pytest.raises(bc.TripwireError, match="^certificate construction failed: planted$") as info:
             bc.stabilize_full(fixture())
         assert info.value.__cause__ is planted
+
+    def test_walk_back_that_misses_A(self, monkeypatch):
+        # a switch's inverse planted as the identity twist: f's replay from the working source
+        # keeps the tower's switch, and check_claims is the check that sees f end away from A
+        phi = one_switch_tower_fixture()
+        n = phi.source.n
+
+        def identity_for_switch(mv):
+            kind, j, _ = mv
+            return ("twist", j, (0,) * n) if kind == "switch" else bc.invert_move(mv)
+
+        monkeypatch.setattr("bottcert.stabilize.invert_move", identity_for_switch)
+        with pytest.raises(bc.TripwireError, match="^source sequence does not end at A$"):
+            bc.stabilize_full(phi)
 
     def test_round_from_an_overstated_stability(self, monkeypatch, no_claims):
         # decompose_xk's ValueError for a map that is not k-stable is a bug here too

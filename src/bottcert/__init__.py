@@ -21,13 +21,12 @@ from .errors import (
 from .iso import (
     GradedIso,
     extract_sigma_eps,
-    identity_iso,
     invert,
     make_iso,
     max_stable,
     search_isos,
 )
-from .moves import MoveSeq, build_move, invert_move, rebuild, switch, twist
+from .moves import MoveSeq, invert_move, rebuild, switch, twist
 from .ring import (
     BottMatrix,
     height,

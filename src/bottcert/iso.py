@@ -216,10 +216,6 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n))
 
 
-def identity_iso(A: BottMatrix) -> GradedIso:
-    return GradedIso(A, A, _identity_rows(A.n))
-
-
 def invert(phi: GradedIso) -> GradedIso:
     """Inverse isomorphism (integral because det C = +-1)."""
     return GradedIso(phi.target, phi.source, int_inverse(phi.C))

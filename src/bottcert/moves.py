@@ -15,10 +15,11 @@ forced by requiring the induced map to be a ring isomorphism, so ``switch``
 and ``twist`` check their parameters (j a plain int, v n plain ints) and
 preconditions and return the matrix after the move; every path that builds
 a move goes through them.  A move is the tuple (kind, j, v) of its
-parameters, v None for a switch, and holds no matrix, so reading a sequence
-holds one matrix at a time.  The gate is ``build_move``: it builds a move
-from outside parameters, builds its map by algebra and checks it by full
-relation checking (``make_iso``).  ``rebuild`` alone calls it, from
+parameters, v None for a switch and a tuple for a twist, and holds no
+matrix, so reading a sequence holds one matrix at a time; ``_apply`` makes
+that tuple for both sequence builders.  The gate is ``rebuild``: it builds
+each move from outside parameters, writes its map by algebra and checks it
+by full relation checking (``make_iso``).  It runs only in
 ``stabilize.certificate_from_parts``: the one build path of the JSON reader
 and of ``verify_certificate``.
 
@@ -31,17 +32,18 @@ matrix.
 from __future__ import annotations
 
 from .errors import RangeError, ShapeError, SwitchBlocked, TwistInvalid
-from .iso import identity_iso, make_iso
+from .iso import _identity_rows, make_iso
 from .ring import BottMatrix, height, product_is_zero
 
 
-def _apply(B: BottMatrix, mv: tuple) -> BottMatrix:
-    """The matrix after the move mv = (kind, j, v) from B; ``switch`` or ``twist`` checks it."""
-    kind, j, v = mv
+def _apply(B: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
+    """The move (kind, j, v) as stored, a twist's v as a tuple and a switch's as None, and the matrix
+    after it from B; ``switch`` or ``twist`` checks it."""
     if kind == "switch":
-        return switch(B, j)
+        return (kind, j, None), switch(B, j)
     if kind == "twist":
-        return twist(B, j, v)
+        v = tuple(v)
+        return (kind, j, v), twist(B, j, v)
     raise ShapeError(f"unknown move kind {kind!r}")
 
 
@@ -91,23 +93,6 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
     return BottMatrix._derived(n, tuple(rows))
 
 
-def build_move(before: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
-    """The move (kind, j, v) from before, checked by ``make_iso``, and the matrix after it.
-
-    A twist's v is kept as a tuple; ``switch`` or ``twist`` checks j and v as it builds the matrix.
-    """
-    v = tuple(v) if kind == "twist" else None
-    mv = (kind, j, v)
-    after = _apply(before, mv)
-    C = list(identity_iso(before).C)  # the induced map: identity rows j, j+1 swapped, or v added to row j
-    if kind == "switch":
-        C[j - 1], C[j] = C[j], C[j - 1]
-    else:
-        C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], v))
-    make_iso(before, after, C)
-    return mv, after
-
-
 def invert_move(mv: tuple) -> tuple:
     """The move undoing mv: the switch at the same j, or the twist (j, -v)."""
     kind, j, v = mv
@@ -151,15 +136,17 @@ class MoveSeq:
     @staticmethod
     def build(start: BottMatrix, moves) -> "MoveSeq":
         """The moves from start; the end is their replay, in which each move checks its precondition."""
-        moves = tuple(moves)
+        stored = []
         end = start
-        for mv in moves:
-            end = _apply(end, mv)
-        return MoveSeq(start, moves, end)
+        for kind, j, v in moves:
+            mv, end = _apply(end, kind, j, v)
+            stored.append(mv)
+        return MoveSeq(start, tuple(stored), end)
 
 
 def rebuild(start: BottMatrix, params) -> MoveSeq:
-    """The moves (kind, j, v) from start, each built through ``build_move`` from the one before.
+    """The moves (kind, j, v) from start, the gate: each is built by ``_apply`` from the one before,
+    and its induced map, written by algebra, is checked by ``make_iso``.
 
     v is a twist's coefficients; the moves chain by construction, and only
     the current matrix is kept.
@@ -167,6 +154,13 @@ def rebuild(start: BottMatrix, params) -> MoveSeq:
     cur = start
     moves = []
     for kind, j, v in params:
-        mv, cur = build_move(cur, kind, j, v)
+        mv, after = _apply(cur, kind, j, v)
+        C = list(_identity_rows(cur.n))  # the induced map: identity rows j, j+1 swapped, or v added to row j
+        if kind == "switch":
+            C[j - 1], C[j] = C[j], C[j - 1]
+        else:
+            C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], mv[2]))
+        make_iso(cur, after, C)
         moves.append(mv)
+        cur = after
     return MoveSeq(start, tuple(moves), cur)

@@ -41,21 +41,21 @@ def square_zero_generators(A: BottMatrix) -> list[tuple[int, tuple[int, ...], tu
 
 
 class DecompositionTower:
-    """Stages of the tower over rationally trivial fibers.
+    """Stages of the tower over rationally trivial fibers of the matrix A it decomposes.
 
     ``base`` is the fully reordered matrix, ``dims`` the increasing stage
     dimensions (ending at n) and ``moves_applied`` the switches leading from
-    ``origin`` to ``base``.  Level-monotonicity holds by construction: a
-    class of height h lies in stage min{t : h <= dims[t-1]}.  ``perm[i]`` is
-    the base index of the origin generator x_i and ``levels[i]`` its level,
-    both fixed by ``decompose_tower`` as it makes the switches; entry 0 of
-    each is a placeholder.
+    A to ``base``.  Level-monotonicity holds by construction: a class of
+    height h lies in stage min{t : h <= dims[t-1]}.  ``perm[i]`` is the base
+    index of the generator x_i of A and ``levels[i]`` its level, both fixed
+    by ``decompose_tower`` as it makes the switches; entry 0 of each is a
+    placeholder.  Switches keep n, so ``base.n`` is the n of A.
     """
-    __slots__ = ("origin", "base", "dims", "moves_applied", "perm", "levels")
+    __slots__ = ("base", "dims", "moves_applied", "perm", "levels")
 
-    def __init__(self, origin: BottMatrix, base: BottMatrix, dims: tuple[int, ...],
-                 moves_applied: tuple[tuple, ...], perm: tuple[int, ...], levels: tuple[int, ...]):
-        self.origin, self.base, self.dims, self.moves_applied = origin, base, dims, moves_applied
+    def __init__(self, base: BottMatrix, dims: tuple[int, ...], moves_applied: tuple[tuple, ...],
+                 perm: tuple[int, ...], levels: tuple[int, ...]):
+        self.base, self.dims, self.moves_applied = base, dims, moves_applied
         self.perm, self.levels = perm, levels
 
     @property
@@ -86,7 +86,7 @@ def decompose_tower(A: BottMatrix) -> DecompositionTower:
     M = A
     moves: list[tuple] = []
     dims: list[int] = []
-    order = list(range(A.n + 1))  # order[m]: the origin index now at base index m
+    order = list(range(A.n + 1))  # order[m]: the index in A now at base index m
     perm = [0] * (A.n + 1)
     levels = [0] * (A.n + 1)
     k = 0
@@ -108,7 +108,7 @@ def decompose_tower(A: BottMatrix) -> DecompositionTower:
         for m in range(k + 1, d + 1):
             perm[order[m]], levels[order[m]] = m, len(dims)
         k = d
-    return DecompositionTower(A, M, tuple(dims), tuple(moves), tuple(perm), tuple(levels))
+    return DecompositionTower(M, tuple(dims), tuple(moves), tuple(perm), tuple(levels))
 
 
 def blocks_at(T: DecompositionTower, lev: int) -> tuple[tuple[int, ...], ...]:
@@ -137,10 +137,10 @@ def blocks_at(T: DecompositionTower, lev: int) -> tuple[tuple[int, ...], ...]:
 
 
 def same_block(T: DecompositionTower, i: int, j: int) -> bool:
-    """Whether the generators x_i and x_j of ``T.origin`` share both level and block."""
+    """Whether the generators x_i and x_j of the matrix T decomposes share both level and block."""
     for x in (i, j):
-        if not 1 <= x <= T.origin.n:
-            raise RangeError(f"index {x} outside 1..{T.origin.n}")
+        if not 1 <= x <= T.base.n:
+            raise RangeError(f"index {x} outside 1..{T.base.n}")
     lev = T.levels[i]
     if lev != T.levels[j]:
         return False
@@ -148,7 +148,7 @@ def same_block(T: DecompositionTower, i: int, j: int) -> bool:
 
 
 def qtrivial_partition(T: DecompositionTower) -> tuple[int, ...] | None:
-    """Block-size partition when the ring of ``T.origin`` is rationally trivial, else None.
+    """Block-size partition when the ring of the matrix T decomposes is rationally trivial, else None.
 
     The ring is rationally trivial exactly when every alpha_i has square
     zero, that is when the tower has one stage; the ring is then a product

@@ -12,7 +12,7 @@ pruning and checks relations with the oracle.  ``reference_make_iso`` is
 ``make_iso`` without its closed form for signed unit rows, and
 ``reference_search_isos`` is ``search_isos`` without its completions memo.
 ``induced`` writes a move's map as a plain identity matrix with two rows
-swapped or v added to a row, apart from ``build_move`` and the folds.
+swapped or v added to a row, apart from ``rebuild`` and the folds.
 """
 
 from __future__ import annotations
@@ -300,6 +300,11 @@ def compose_dense(g, f):
     return bc.GradedIso(f.source, g.target, dense_product(f.C, g.C))
 
 
+def identity(A):
+    """The identity map of A."""
+    return bc.GradedIso(A, A, tuple(tuple(int(r == c) for c in range(A.n)) for r in range(A.n)))
+
+
 def induced(B, mv):
     """The rows of the map the move mv = (kind, j, v) induces from B: identity rows j, j+1 swapped, or v
     added to row j."""
@@ -314,12 +319,12 @@ def induced(B, mv):
 
 def move_iso(B, mv):
     """The isomorphism mv induces, from B onto the matrix after mv."""
-    return bc.GradedIso(B, moves._apply(B, mv), induced(B, mv))
+    return bc.GradedIso(B, moves._apply(B, *mv)[1], induced(B, mv))
 
 
 def moves_product(start, mvs):
     """The map of moves mvs run from start: the dense product of their induced maps."""
-    C = bc.identity_iso(start).C
+    C = identity(start).C
     for mv in mvs:
         phi = move_iso(start, mv)
         C, start = dense_product(C, phi.C), phi.target
@@ -403,7 +408,7 @@ def lift_chain(phi, tgt_side, i, t):
 
 def scrambled_iso(rng, A, rounds, twist_mag=2):
     """Compose the identity with random realizable moves on both sides."""
-    phi = bc.identity_iso(A)
+    phi = identity(A)
     phi = lift_chain(phi, rng.random() < 0.5, 1, A.n)
     for _ in range(rounds):
         tgt_side = rng.random() < 0.5

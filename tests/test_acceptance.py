@@ -18,6 +18,7 @@ from helpers import (
     admissible_twists,
     block_map,
     dense_product,
+    identity,
     induced,
     moved_partner,
     rand_matrix,
@@ -123,7 +124,7 @@ def test_c4_move_soundness():
             after = bc.switch(B, j)
             bc.make_iso(B, after, induced(B, mv))
             assert bc.switch(after, j) == B
-            assert dense_product(induced(B, mv), induced(after, mv)) == bc.identity_iso(B).C
+            assert dense_product(induced(B, mv), induced(after, mv)) == identity(B).C
             switches += 1
         else:
             j = rng.randint(1, B.n)
@@ -135,7 +136,7 @@ def test_c4_move_soundness():
             after = bc.twist(B, j, v)
             bc.make_iso(B, after, induced(B, mv))
             assert bc.twist(after, j, back[2]) == B
-            assert dense_product(induced(B, mv), induced(after, back)) == bc.identity_iso(B).C
+            assert dense_product(induced(B, mv), induced(after, back)) == identity(B).C
             twists += 1
     print(f"CRITERION 4 PASS: 500 moves sound ({switches} switches, {twists} twists)")
 

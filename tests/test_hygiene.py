@@ -5,11 +5,16 @@
 * ``make_iso`` runs only at the trust boundaries: the move gate,
   ``stabilize.certificate_from_parts``, and the CLI commands that read a
   map.
-* ``moves.build_move``, the move gate, runs only in ``moves.rebuild``, and
-  ``rebuild`` only in ``stabilize.certificate_from_parts``: the JSON reader
-  and ``verify_certificate`` build a certificate through that one function,
-  so every move built from outside parameters goes through one loop and
-  there is no second gate path.
+* ``moves.rebuild``, the move gate, runs only in
+  ``stabilize.certificate_from_parts``: the JSON reader and
+  ``verify_certificate`` build a certificate through that one function, so
+  every move built from outside parameters goes through one loop and there
+  is no second gate path.
+* ``switch`` runs only in ``moves._apply`` and ``structure.decompose_tower``,
+  and ``twist`` only in ``moves._apply``: the one normalizer of a move's
+  parameters serves both sequence builders, so a new path that builds moves
+  past it fails here.  Key steps pass ``switch`` and ``twist`` to ``play``
+  without calling them.
 * ``moves._before``, the row fold, runs only in ``check_claims``:
   stabilization folds its moves onto its working map as columns, so only
   the claim check applies the source-side moves f, and no library function
@@ -87,7 +92,7 @@ def test_detects_unused_import():
 
 
 GATES = {
-    "moves.build_move",
+    "moves.rebuild",
     "stabilize.certificate_from_parts",
     "cli._cmd_iso_check",
     "cli._cmd_stabilize",
@@ -134,27 +139,11 @@ def test_detects_callers():
     assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}
 
 
-def test_move_gate_runs_only_in_rebuild():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "build_move")}
-    assert found == {"moves.rebuild"}
-
-
 def test_rebuild_runs_only_in_certificate_from_parts():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "rebuild")}
     assert found == {"stabilize.certificate_from_parts"}
-
-
-def test_detects_move_gate_callers():
-    source = (
-        "def rebuild(start, params):\n    for kind, j, v in params:\n        mv = build_move(cur, kind, j, v)\n"
-        "def move_from_obj(obj, before):\n    return moves.build_move(before, obj['kind'], obj['j'], None)\n"
-        "def twist_only(B, j, v):\n    return twist(B, j, v)\n"
-    )
-    assert callers(source, "build_move") == {"rebuild", "move_from_obj"}
 
 
 def test_row_fold_runs_only_in_check_claims():
@@ -171,6 +160,15 @@ def test_detects_row_fold_callers():
         "def play(C, mv):\n    _then(C, mv)\n"
     )
     assert callers(source, "_before") == {"check_claims", "key_step"}
+
+
+def test_moves_are_built_only_through_apply():
+    found = {"switch": set(), "twist": set()}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name, seen in found.items():
+            seen |= {f"{path.stem}.{f}" for f in callers(source, name)}
+    assert found == {"switch": {"moves._apply", "structure.decompose_tower"}, "twist": {"moves._apply"}}
 
 
 def test_key_step_moves_are_built_only_through_play():

@@ -19,6 +19,7 @@ from helpers import (
     dense_product,
     fraction_det,
     fraction_inverse,
+    identity,
     induced,
     moved_partner,
     oracle_apply,
@@ -118,14 +119,14 @@ def gate_input(rng, kind):
     A = sparse_matrix(rng, n, 2)
     if kind == "switch":
         got = switch_map(rng, A)
-        return (A, *got) if got else (A, A, bc.identity_iso(A).C)
+        return (A, *got) if got else (A, A, identity(A).C)
     if kind == "twist":
         got = twist_map(rng, A)
-        return (A, *got[1:]) if got else (A, A, bc.identity_iso(A).C)
+        return (A, *got[1:]) if got else (A, A, identity(A).C)
     if kind == "permutation":
         # switches then sign flips onto their end, or any signed permutation onto a random target
         if rng.random() < 0.5:
-            B, C = A, bc.identity_iso(A).C
+            B, C = A, identity(A).C
             for _ in range(rng.randint(0, 4)):
                 got = switch_map(rng, B)
                 if got:
@@ -285,7 +286,7 @@ class TestMakeIsoClosedForm:
 
 class TestApply:
     def test_identity_on_generator(self):
-        phi = bc.identity_iso(ZERO2)
+        phi = identity(ZERO2)
         assert phi.apply2((1, 0)) == (1, 0)
 
     def test_multiplicative(self):
@@ -295,11 +296,11 @@ class TestApply:
         assert oracle_apply(phi, x2sq) == {} == oracle_product(phi.target, img, img)
 
     def test_zero(self):
-        phi = bc.identity_iso(ZERO2)
+        phi = identity(ZERO2)
         assert phi.apply2((0,) * ZERO2.n) == (0, 0)
 
     def test_wrong_length(self):
-        phi = bc.identity_iso(ZERO2)
+        phi = identity(ZERO2)
         with pytest.raises(bc.ShapeError, match="^expected 2 coefficients, got 3$"):
             phi.apply2((1, 0, 0))
 
@@ -322,7 +323,7 @@ class TestComposeInvert:
 
     def test_identity_neutral(self):
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[1, 0], [-1, 1]])
-        assert dense_product(phi.C, bc.identity_iso(hirzebruch(2)).C) == phi.C
+        assert dense_product(phi.C, identity(hirzebruch(2)).C) == phi.C
 
 
 def signed_permutation(rng, n):
@@ -402,7 +403,7 @@ class TestKernelOracles:
 class TestMaxStable:
     def test_identity(self):
         for n, Z in ((2, ZERO2), (3, ZERO3)):
-            assert bc.max_stable(bc.identity_iso(Z)) == n
+            assert bc.max_stable(identity(Z)) == n
 
     def test_antidiagonal(self):
         phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])
@@ -450,7 +451,7 @@ class TestMaxStable:
 
 class TestSigmaEps:
     def test_identity(self):
-        sigma, e = bc.extract_sigma_eps(bc.identity_iso(ZERO3))
+        sigma, e = bc.extract_sigma_eps(identity(ZERO3))
         assert sigma == (1, 2, 3)
         assert e == (2, 2, 2)
 

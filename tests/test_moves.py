@@ -16,6 +16,7 @@ from helpers import (
     claim_product,
     dense_product,
     fuzz_base_isos,
+    identity,
     induced,
     move_iso,
     moves_product,
@@ -24,6 +25,7 @@ from helpers import (
     rebuild_matches,
     trace_isos,
 )
+from test_hygiene import parameters_only
 from test_pinned_traces import sweep_isos
 
 
@@ -36,11 +38,17 @@ def hirzebruch(a):
 
 
 def gate_map(B, kind, j, v):
-    """The rows of the map ``build_move`` writes for the move (kind, j, v) from B and hands to make_iso."""
+    """The rows of the map ``rebuild`` writes for the move (kind, j, v) from B and hands to make_iso."""
     seen = []
     with mock.patch.object(moves, "make_iso", lambda A, after, C: seen.append(tuple(map(tuple, C)))):
-        bc.build_move(B, kind, j, v)
+        bc.rebuild(B, [(kind, j, v)])
     return seen[0]
+
+
+def rebuild_one(B, kind, j, v):
+    """The move (kind, j, v) from B as ``rebuild`` stores it, and the matrix after it."""
+    seq = bc.rebuild(B, [(kind, j, v)])
+    return seq.moves[0], seq.end
 
 
 class TestSwitch:
@@ -71,7 +79,7 @@ class TestSwitch:
             mv = ("switch", j, None)
             after = bc.switch(A, j)
             assert bc.switch(after, j) == A
-            assert dense_product(induced(A, mv), induced(after, mv)) == bc.identity_iso(A).C
+            assert dense_product(induced(A, mv), induced(after, mv)) == identity(A).C
 
 
 class TestTwist:
@@ -83,7 +91,7 @@ class TestTwist:
     def test_zero_parameter(self):
         B = hirzebruch(3)
         assert bc.twist(B, 2, (0, 0)) == B
-        assert gate_map(B, "twist", 2, (0, 0)) == induced(B, ("twist", 2, (0, 0))) == bc.identity_iso(B).C
+        assert gate_map(B, "twist", 2, (0, 0)) == induced(B, ("twist", 2, (0, 0))) == identity(B).C
 
     def test_rows_above_pick_up_v(self):
         B = bc.make_bott_matrix(3, [[], [2], [0, 1]])
@@ -125,7 +133,7 @@ class TestTwist:
             back = bc.invert_move(mv)
             assert back == ("twist", j, tuple(-t for t in v))
             assert bc.twist(after, j, back[2]) == B
-            assert dense_product(induced(B, mv), induced(after, back)) == bc.identity_iso(B).C
+            assert dense_product(induced(B, mv), induced(after, back)) == identity(B).C
 
 
 class TestMoveParameters:
@@ -206,10 +214,10 @@ class TestMoveSoundness:
                 if not vs:
                     continue
                 mv = ("twist", j, rng.choice(vs))
-            # switch, twist and build_move's map work by algebra; make_iso checks the map
+            # switch, twist and rebuild's map work by algebra; make_iso checks the map
             C = gate_map(B, *mv)
             assert C == induced(B, mv)
-            bc.make_iso(B, moves._apply(B, mv), C)
+            bc.make_iso(B, moves._apply(B, *mv)[1], C)
             done += 1
 
 
@@ -233,7 +241,7 @@ class TestMoveLemma:
                     assert bc.make_iso(M, phi_mv.target, phi_mv.C) == phi_mv
                     back = move_iso(phi_mv.target, bc.invert_move(mv))
                     assert back.target == M
-                    assert dense_product(phi_mv.C, back.C) == bc.identity_iso(M).C
+                    assert dense_product(phi_mv.C, back.C) == identity(M).C
                     M = phi_mv.target
                     count += 1
         assert count > 0
@@ -271,7 +279,7 @@ def random_moves(rng, M, kinds):
             mv = ("switch", rng.choice(js), None)
         else:
             break
-        M = moves._apply(M, mv)
+        M = moves._apply(M, *mv)[1]
         assert_derived_is_valid(M)
         kinds[mv[0]] += 1
         mvs.append(mv)
@@ -285,11 +293,11 @@ class TestColumnFold:
         for phi in source():
             cert = bc.stabilize_full(phi)
             for seq in (cert.f_seq, cert.g_seq):
-                cols, dense = fold_both_ways(bc.identity_iso(seq.start), seq.moves)
+                cols, dense = fold_both_ways(identity(seq.start), seq.moves)
                 assert cols == dense
                 M = seq.start
                 for mv in seq.moves:
-                    M = moves._apply(M, mv)
+                    M = moves._apply(M, *mv)[1]
                     assert_derived_is_valid(M)
                     twists += mv[0] == "twist"
         assert twists > 0
@@ -366,7 +374,7 @@ class TestClaimFold:
         def cert(phi_prime_rows):
             phi_prime = bc.GradedIso(start, A, tuple(map(tuple, phi_prime_rows)))
             return bc.StabilizationCertificate(
-                A, A, bc.identity_iso(A), bc.MoveSeq.build(start, [mv]), bc.MoveSeq.build(A, []), phi_prime, n
+                A, A, identity(A), bc.MoveSeq.build(start, [mv]), bc.MoveSeq.build(A, []), phi_prime, n
             )
 
         good = cert(induced(start, mv))
@@ -421,10 +429,10 @@ class TestGate:
         monkeypatch.setattr(moves, "make_iso", reject)
         mv = ("switch", 1, None)
         with pytest.raises(bc.RelationViolated):
-            bc.build_move(ZERO2, "switch", 1, None)
+            bc.rebuild(ZERO2, [mv])
         with pytest.raises(bc.RelationViolated):
             rebuild_matches(bc.MoveSeq.build(ZERO2, [mv]))
-        phi = bc.identity_iso(ZERO2)
+        phi = identity(ZERO2)
         phi_mv = move_iso(ZERO2, mv)
         cert = bc.StabilizationCertificate(
             ZERO2, ZERO2, phi, bc.MoveSeq.build(ZERO2, []), bc.MoveSeq.build(ZERO2, [mv]), phi_mv,
@@ -438,20 +446,20 @@ class TestGate:
 class TestBuildMove:
     def test_matches_switch_and_twist(self):
         B = hirzebruch(2)
-        assert bc.build_move(ZERO2, "switch", 1, None) == (("switch", 1, None), bc.switch(ZERO2, 1))
-        assert bc.build_move(B, "twist", 2, (1, 0)) == (("twist", 2, (1, 0)), bc.twist(B, 2, (1, 0)))
+        assert rebuild_one(ZERO2, "switch", 1, None) == (("switch", 1, None), bc.switch(ZERO2, 1))
+        assert rebuild_one(B, "twist", 2, (1, 0)) == (("twist", 2, (1, 0)), bc.twist(B, 2, (1, 0)))
         # the move keeps v as a tuple of plain ints, whatever sequence it was read from
-        assert bc.build_move(B, "twist", 2, [1, 0])[0] == ("twist", 2, (1, 0))
+        assert rebuild_one(B, "twist", 2, [1, 0])[0] == ("twist", 2, (1, 0))
 
     def test_runs_the_move_checks(self):
         with pytest.raises(bc.SwitchBlocked):
-            bc.build_move(hirzebruch(3), "switch", 1, None)
+            rebuild_one(hirzebruch(3), "switch", 1, None)
         with pytest.raises(bc.TwistInvalid):
-            bc.build_move(hirzebruch(3), "twist", 2, (0, 1))
+            rebuild_one(hirzebruch(3), "twist", 2, (0, 1))
 
     def test_unknown_kind(self):
         with pytest.raises(bc.ShapeError, match="unknown move kind 'flip'"):
-            bc.build_move(ZERO2, "flip", 1, None)
+            rebuild_one(ZERO2, "flip", 1, None)
 
     def test_rebuild_reports_unknown_kind(self):
         bad = ("flip", 1, None)
@@ -477,10 +485,10 @@ class TestBuildMove:
         # no float, bool or string is silently turned into an integer, wherever it stands in v
         for v in ([bad, 0], (0, bad)):
             with pytest.raises(bc.ShapeError, match=f"^coefficient {re.escape(repr(bad))} is not an integer$"):
-                bc.build_move(ZERO2, "twist", 2, v)
+                rebuild_one(ZERO2, "twist", 2, v)
 
     def test_big_integer_coefficient(self):
-        mv, after = bc.build_move(ZERO2, "twist", 2, [2**70 + 1, 0])
+        mv, after = rebuild_one(ZERO2, "twist", 2, [2**70 + 1, 0])
         assert mv == ("twist", 2, (2**70 + 1, 0)) and after.rows == ((), (-2 * (2**70 + 1),))
 
     @pytest.mark.parametrize("v, message", BAD_V, ids=["short", "long", "bool", "float", "str"])
@@ -490,7 +498,7 @@ class TestBuildMove:
         B = bc.BottMatrix(3, [[], [-2], [2, 2]])
         cert = bc.stabilize_full(bc.make_iso(A, B, [[-1, -1, 0], [-1, -1, 1], [-2, -1, 1]]))
         assert cert.g_seq.moves[0] == ("twist", 2, (-1, 0, 0))
-        for build in (lambda: bc.build_move(B, "twist", 2, v), lambda: bc.twist(B, 2, v),
+        for build in (lambda: rebuild_one(B, "twist", 2, v), lambda: bc.twist(B, 2, v),
                       lambda: bc.MoveSeq.build(B, [("twist", 2, v)])):
             with pytest.raises(bc.ShapeError, match=f"^{re.escape(message)}$"):
                 build()
@@ -518,6 +526,17 @@ class TestMoveSeq:
         seq = bc.MoveSeq.build(B, [mv, mv])
         assert seq.end == hirzebruch(-1)
         assert rebuild_matches(seq) == (True, True)
+
+    def test_build_stores_moves_as_rebuild_does(self):
+        # both builders keep a twist's v as a tuple and a switch's as None, whatever sequence it came in
+        for start, given, stored in (
+            (hirzebruch(2), ("twist", 2, [1, 0]), ("twist", 2, (1, 0))),
+            (ZERO2, ("switch", 1, (0, 0)), ("switch", 1, None)),
+        ):
+            for build in (bc.MoveSeq.build, bc.rebuild):
+                seq = build(start, [given])
+                assert seq.moves == (stored,)
+                assert parameters_only(seq.moves[0])
 
     def test_chain_mismatch_rejected(self):
         # each last move builds from start, not from the matrix the first move leaves;
@@ -549,7 +568,7 @@ class TestMoveSeq:
         seq = bc.MoveSeq.build(B, [mv1, mv2])
         inv = bc.MoveSeq.build(seq.end, [bc.invert_move(mv) for mv in reversed(seq.moves)])
         assert inv.end == seq.start
-        assert dense_product(moves_product(B, seq.moves), moves_product(inv.start, inv.moves)) == bc.identity_iso(B).C
+        assert dense_product(moves_product(B, seq.moves), moves_product(inv.start, inv.moves)) == identity(B).C
         assert rebuild_matches(inv) == (True, True)
         with pytest.raises(bc.SwitchBlocked):
             # undoing mv1 first leaves hirzebruch(2), where no switch is

@@ -13,6 +13,7 @@ from helpers import (
     compose_dense,
     dense_product,
     fuzz_base_isos,
+    identity,
     move_iso,
     moves_product,
     odd_twist_isos,
@@ -62,7 +63,7 @@ def odd_long_fixture():
 def one_switch_tower_fixture():
     # the identity on a matrix whose tower takes one switch, so f is that switch's inverse
     A = bc.make_bott_matrix(4, [[], [1], [1, 1], [0, 0, 0]])
-    return bc.identity_iso(A)
+    return identity(A)
 
 
 def odd_step_fixture():
@@ -106,7 +107,7 @@ def raise_stability(phi, k):
 
 class TestDecomposeXk:
     def test_identity_already_stable(self):
-        assert bc.decompose_xk(bc.identity_iso(ZERO3), 0) is None
+        assert bc.decompose_xk(identity(ZERO3), 0) is None
 
     def test_triangular_already_stable(self):
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[1, 0], [-1, 1]])
@@ -220,7 +221,7 @@ class TestStabilizeFull:
                 assert bc.verify_certificate(cert).ok
 
     def test_identity_gives_empty_certificate(self):
-        cert = bc.stabilize_full(bc.identity_iso(ZERO3))
+        cert = bc.stabilize_full(identity(ZERO3))
         assert cert.k_final == 3
         assert cert.f_seq.moves == () and cert.g_seq.moves == ()
         assert bc.verify_certificate(cert).ok
@@ -248,7 +249,7 @@ class TestStabilizeFull:
 
     def test_unordered_input_normalized_by_switches(self):
         A = bc.make_bott_matrix(4, [[], [0], [1, 1], [0, 0, 0]])
-        cert = bc.stabilize_full(bc.identity_iso(A))
+        cert = bc.stabilize_full(identity(A))
         assert bc.verify_certificate(cert).ok
         # the well-ordering switches appear on both sides
         assert cert.f_seq.moves and cert.g_seq.moves
@@ -540,7 +541,7 @@ class TestPlantedTripwires:
 
     def test_inversion_that_keeps_y_k_plus_1(self, monkeypatch, no_claims):
         # the detour's inverse comes back as the identity, which is already (k+1)-stable
-        monkeypatch.setattr("bottcert.stabilize.invert", lambda phi: bc.identity_iso(phi.target))
+        monkeypatch.setattr("bottcert.stabilize.invert", lambda phi: identity(phi.target))
         with pytest.raises(bc.TripwireError, match=r"^inverse image of y_\{k\+1\} fell below height k\+2$"):
             bc.stabilize_full(odd_short_fixture())
 
@@ -754,7 +755,7 @@ class TestVerifyCertificate:
                 (False, "certificate is not its rebuild from its parameters"),
             ]
         # valid isomorphisms between the wrong matrices: their rows are no map from A to B
-        for phi in (bc.identity_iso(B), bc.identity_iso(A)):
+        for phi in (identity(B), identity(A)):
             bad = bc.StabilizationCertificate(A, B, phi, cert.f_seq, cert.g_seq, cert.phi_prime, cert.k_final)
             claims, verdict = self.both_verdicts(bad)
             assert claims == (False, "phi is not a map from A to B")
@@ -766,7 +767,7 @@ class TestVerifyCertificate:
         # phi_prime's rows, or a valid isomorphism's (B's identity), from the wrong source (B),
         # then phi_prime's rows onto the wrong target (B): verify_certificate rejects the stored ends
         A, B, C = cert.A, cert.B, cert.phi_prime.C
-        for phi_prime in (bc.GradedIso(B, A, C), bc.identity_iso(B), bc.GradedIso(A, B, C)):
+        for phi_prime in (bc.GradedIso(B, A, C), identity(B), bc.GradedIso(A, B, C)):
             bad = bc.StabilizationCertificate(A, B, cert.phi, cert.f_seq, cert.g_seq, phi_prime, cert.k_final)
             assert self.both_verdicts(bad) == [
                 (False, "phi_prime does not connect the moved matrices"),
@@ -783,7 +784,7 @@ class TestVerifyCertificate:
         # every part builds, so each path reaches the claim that g starts at B
         B, S = ZERO2, hirzebruch(2)
         cert = bc.StabilizationCertificate(
-            B, B, bc.identity_iso(B), bc.MoveSeq.build(B, []), bc.MoveSeq.build(S, []),
+            B, B, identity(B), bc.MoveSeq.build(B, []), bc.MoveSeq.build(S, []),
             bc.make_iso(B, S, [[1, 0], [-1, 1]]), 2,
         )
         expected = (False, "target sequence does not start at B")
@@ -868,7 +869,7 @@ class TestIntegerGate:
         with pytest.raises(bc.ShapeError, match="^move position True is not an integer$"):
             bc.rebuild(ZERO2, [("switch", True, None)])
         with pytest.raises(bc.ShapeError, match=r"^move position 2\.0 is not an integer$"):
-            bc.build_move(hirzebruch(3), "twist", 2.0, (1, 0))
+            bc.rebuild(hirzebruch(3), [("twist", 2.0, (1, 0))])
 
     def test_k_final_must_be_a_plain_int(self):
         cert = bc.stabilize_full(even_case_fixture())

@@ -37,10 +37,17 @@ from .structure import (
 DEFAULT_SEARCH_BOUND = 6
 
 
+def _unique_keys(pairs: list) -> dict:
+    if len(obj := dict(pairs)) < len(pairs):
+        keys = sorted(k for k, _ in pairs)
+        raise ValueError(f"duplicate key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r}")
+    return obj
+
+
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 

@@ -3,9 +3,9 @@
 Exact integers are emitted as JSON numbers while |x| < 2^53 and as decimal
 strings beyond that; the writer applies that rule to every plain int it
 writes, so payload builders hand it their rows as they are.  Readers accept
-both forms, and take arrays only as JSON lists: a string, object or other
-iterable never stands in for one.  Writers sort object keys and keep arrays
-in index order, so equal values serialize to equal bytes.
+both forms, take arrays only as JSON lists (no string, object or other
+iterable stands in for one) and reject an object key they do not read.
+Writers sort keys and keep arrays in index order: equal values, equal bytes.
 
 A certificate is built through ``stabilize.certificate_from_parts``, its one
 build path.  ``move_from_obj`` only decodes a move's parameters, just before
@@ -62,6 +62,12 @@ def _ints(v: object, what: str) -> list[int]:
     return [decode_int(e) for e in _list(v, what)]
 
 
+def _only(obj: dict, keys: tuple[str, ...]) -> None:
+    """Reject a key of obj other than keys, each of which the caller has found in obj."""
+    if len(obj) > len(keys):
+        raise ShapeError(f"unknown key {next(k for k in obj if k not in keys)!r}")
+
+
 def dumps_canonical(payload: object) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, plain ints of magnitude >= 2^53 as
     decimal strings; object keys must be strings."""
@@ -93,6 +99,7 @@ def matrix_to_obj(A: BottMatrix) -> dict:
 def matrix_from_obj(obj: object) -> BottMatrix:
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise ShapeError("matrix object needs keys 'n' and 'rows'")
+    _only(obj, ("n", "rows"))
     rows = [_ints(r, "matrix row") for r in _list(obj["rows"], "'rows'")]
     return BottMatrix(decode_int(obj["n"]), rows)
 
@@ -104,6 +111,7 @@ def iso_to_obj(phi: GradedIso) -> dict:
 def iso_matrix_from_obj(obj: object) -> list[list[int]]:
     if not isinstance(obj, dict) or "C" not in obj:
         raise ShapeError("isomorphism object needs key 'C'")
+    _only(obj, ("C",))
     return [_ints(row, "row of 'C'") for row in _list(obj["C"], "'C'")]
 
 
@@ -118,13 +126,11 @@ def move_from_obj(obj: object) -> tuple:
     """A move's parameters (kind, j, v); v is a twist's coefficients, None for a switch."""
     if not isinstance(obj, dict) or "kind" not in obj or "j" not in obj:
         raise ShapeError("move object needs keys 'kind' and 'j'")
-    j = decode_int(obj["j"])
-    v = None
-    if obj["kind"] == "twist":
-        if "v" not in obj:
-            raise ShapeError("twist move needs key 'v'")
-        v = _ints(obj["v"], "twist 'v'")
-    return obj["kind"], j, v
+    is_twist = obj["kind"] == "twist"
+    if is_twist and "v" not in obj:
+        raise ShapeError("twist move needs key 'v'")
+    _only(obj, ("kind", "j", "v") if is_twist else ("kind", "j"))
+    return obj["kind"], decode_int(obj["j"]), _ints(obj["v"], "twist 'v'") if is_twist else None
 
 
 def seq_to_obj(seq: MoveSeq) -> dict:
@@ -135,6 +141,7 @@ def seq_from_obj(obj: object) -> tuple:
     """A sequence's start and its moves' parameters, each decoded (``move_from_obj``) as it is read."""
     if not isinstance(obj, dict) or "start" not in obj or "moves" not in obj:
         raise ShapeError("move sequence object needs keys 'start' and 'moves'")
+    _only(obj, ("start", "moves"))
     return matrix_from_obj(obj["start"]), map(move_from_obj, _list(obj["moves"], "'moves'"))
 
 
@@ -161,6 +168,7 @@ def certificate_from_obj(obj: object) -> StabilizationCertificate:
     for key in ("A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final"):
         if key not in obj:
             raise ShapeError(f"certificate is missing key {key!r}")
+    _only(obj, ("schema", "A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final"))
     return certificate_from_parts(
         matrix_from_obj(obj["A"]), matrix_from_obj(obj["B"]), iso_matrix_from_obj(obj["phi"]),
         *seq_from_obj(obj["f_seq"]), *seq_from_obj(obj["g_seq"]),

@@ -8,7 +8,11 @@ processes are followed through a ``sitecustomize`` module on a temporary
 and writes the lines it ran when it exits.  A child started with ``-S``
 skips ``site`` and is not followed; in tier-1 that is only
 ``test_import_graph_is_integer_only``, whose child imports the CLI and
-calls nothing.
+calls nothing.  Python drops a trace function that raises, which one
+called at the recursion limit can do (the fuzz tests parse JSON nested
+that deep), so after each test in which that happened the tracer is
+installed again and the test is named: lines that only the rest of it ran
+count as unreached.
 
 Then it prints every ``raise`` statement and every ``return
 ReplayResult(False, ...)`` in ``src/bottcert`` whose first line no traced
@@ -107,8 +111,18 @@ def main(argv: list[str]) -> int:
         os.environ[OUT_ENV] = out_dir
         os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [site_dir, os.environ.get("PYTHONPATH")]))
         ran = trace()
+        tracer = sys.gettrace()
+        dropped = []
+
+        class Rearm:
+            @staticmethod
+            def pytest_runtest_teardown(item):
+                if sys.gettrace() is None:
+                    dropped.append(item.nodeid)
+                    sys.settrace(tracer)
+
         try:
-            status = pytest.main(args)
+            status = pytest.main(args, plugins=[Rearm()])
         finally:
             sys.settrace(None)
         children = os.listdir(out_dir)
@@ -126,6 +140,8 @@ def main(argv: list[str]) -> int:
                 tag = " [tripwire]" if tripwire else ""
                 print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}{tag}")
                 missed += 1
+    for nodeid in dropped:
+        print(f"tracer dropped during {nodeid} and installed again after it")
     print(f"{missed} raise or reject lines not reached "
           f"(pytest status {int(status)}, {len(children)} child processes followed)")
     return int(status)

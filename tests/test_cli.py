@@ -16,7 +16,7 @@ import bottcert as bc
 import bottcert.cli
 from bottcert import structure
 from bottcert.cli import main
-from bottcert.serialize import dumps_canonical, matrix_to_obj
+from bottcert.serialize import dumps_canonical, matrix_to_obj, verify_certificate_obj
 from test_stabilize import even_case_fixture, odd_step_fixture, overstated_stability
 
 
@@ -195,6 +195,21 @@ def test_verify_cert_rejects_tampering(files, capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["valid"] is False and "diagnostic" in data
+
+
+def test_duplicate_key_is_a_domain_error(files, capsys, tmp_path):
+    # json keeps the last of two equal keys, so a reader of the text would see another A than the verifier
+    a = files("a.json", {"n": 2, "rows": [[], [2]]})
+    c = files("c.json", {"C": [[1, 0], [0, 1]]})
+    code, text = run(capsys, "stabilize", a, a, c)
+    assert code == 0 and text.startswith('{\n  "A": ')
+    doubled = text.replace('{\n  "A": ', '{\n  "A": {"n": 2, "rows": [[], [5]]},\n  "A": ', 1)
+    assert verify_certificate_obj(json.loads(doubled)).ok
+    path = tmp_path / "doubled.json"
+    path.write_text(doubled, encoding="utf-8")
+    assert run(capsys, "verify-cert", str(path)) == (1, dumps_canonical({"error": "duplicate key 'A'"}))
+    path.write_text('{"n": 2, "rows": [[], [0]], "n": 3}', encoding="utf-8")
+    assert run(capsys, "ring", str(path)) == (1, dumps_canonical({"error": "duplicate key 'n'"}))
 
 
 def test_decompose_unordered_matrix(files, capsys):

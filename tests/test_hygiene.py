@@ -2,36 +2,17 @@
 
 * Every name a library module imports is used in it.  ``__init__.py`` is
   left out: it imports names to re-export them.
-* ``make_iso`` runs only at the trust boundaries: the move gate,
-  ``stabilize.certificate_from_parts``, and the CLI commands that read a
-  map.
-* ``moves.rebuild``, the move gate, runs only in
-  ``stabilize.certificate_from_parts``: the JSON reader and
-  ``verify_certificate`` build a certificate through that one function, so
-  every move built from outside parameters goes through one loop and there
-  is no second gate path.
-* ``switch`` runs only in ``moves._apply`` and ``structure.decompose_tower``,
-  and ``twist`` only in ``moves._apply``: the one normalizer of a move's
-  parameters serves both sequence builders, so a new path that builds moves
-  past it fails here.  Key steps pass ``switch`` and ``twist`` to ``play``
-  without calling them.
-* ``moves._before``, the row fold, runs only in ``check_claims``:
-  stabilization folds its moves onto its working map as columns, so only
-  the claim check applies the source-side moves f, and no library function
-  multiplies two maps.
-* No function of ``stabilize`` calls ``switch`` or ``twist`` itself: a key
-  step hands each move to its ``play``, which reports a move that fails to
-  build as a tripwire, so no check there restates a move's precondition.
+* Each callee of ``ONLY_CALLED_FROM`` is called by exactly the functions its
+  row names; each row gives its reason.
+* The functions a verdict rests on, the static call closure of the two
+  certificate verifiers, are the ones ``TRUSTED`` declares.
 * ``serialize.dumps_canonical`` is the one writer of output text: no
-  library call passes ``indent=`` to ``json``, and ``json.dumps`` runs only
-  inside the writer, for the scalars it does not write itself.
+  library call passes ``indent=`` to ``json``.
 * ``serialize`` owns the number format: no other library module names the
   2^53 limit (``2**53``, ``_JSON_INT_LIMIT``) or turns a value into a
   string with ``str``, ``repr``, ``__str__`` or ``__repr__``, other than
   ``str(e)`` of an exception caught as ``e``.  The writer applies the rule
   to every plain int, so a payload builder passes its rows as they are.
-* ``BottMatrix._derived``, which skips validation, is called only where
-  integer algebra derives the rows from a validated matrix or class.
 * No class in the library subclasses ``TripwireError``: it is the one
   tripwire type, its message names the check, and whether a ``raise`` is a
   tripwire can be read from its syntax.
@@ -52,6 +33,7 @@
 """
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -91,14 +73,6 @@ def test_detects_unused_import():
     assert unused_imports("from .moves import Move, MoveSeq\nx: Move = 1\n") == ["line 1: MoveSeq"]
 
 
-GATES = {
-    "moves.rebuild",
-    "stabilize.certificate_from_parts",
-    "cli._cmd_iso_check",
-    "cli._cmd_stabilize",
-}
-
-
 def callers(source: str, name: str) -> set[str]:
     """Functions whose own body (not a nested function's) calls ``name`` or ``x.name``.
 
@@ -121,13 +95,6 @@ def callers(source: str, name: str) -> set[str]:
     return found
 
 
-def test_make_iso_runs_only_at_the_gates():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "make_iso")}
-    assert found == GATES
-
-
 def test_detects_callers():
     source = (
         "def gate():\n    return make_iso(1)\n"
@@ -139,50 +106,176 @@ def test_detects_callers():
     assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}
 
 
-def test_rebuild_runs_only_in_certificate_from_parts():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "rebuild")}
-    assert found == {"stabilize.certificate_from_parts"}
+ONLY_CALLED_FROM = {
+    # the trust boundaries: the move gate, the certificate's one build path, and the CLI commands that read a map
+    "iso.make_iso": {"moves.rebuild", "stabilize.certificate_from_parts", "cli._cmd_iso_check", "cli._cmd_stabilize"},
+    # the move gate: the JSON reader and verify_certificate build a certificate through that one function, so
+    # every move built from outside parameters goes through one loop and there is no second gate path
+    "moves.rebuild": {"stabilize.certificate_from_parts"},
+    # the row fold: stabilization folds its moves onto its working map as columns, so only the claim check
+    # applies the source-side moves f, and no library function multiplies two maps
+    "moves._before": {"stabilize.check_claims"},
+    # the one normalizer of a move's parameters serves both sequence builders, so a new path that builds moves
+    # past it fails here.  No function of stabilize calls them: a key step hands each move to its play, which
+    # reports a move that fails to build as a tripwire, so no check there restates a move's precondition
+    "moves.switch": {"moves._apply", "structure.decompose_tower"},
+    "moves.twist": {"moves._apply"},
+    # it skips validation, so it runs only where integer algebra derives the rows from a validated matrix or class
+    "ring.BottMatrix._derived": {"moves.switch", "moves.twist", "ring.sub_bar"},
+    # dumps_canonical is the one writer of output text, and calls json.dumps only for the scalars it does not write
+    "json.dumps": {"serialize._dump"},
+}
+# the rows whose callee bench/ must not call either: its workloads build matrices through validation
+BENCH_ROWS = {"ring.BottMatrix._derived"}
 
 
-def test_row_fold_runs_only_in_check_claims():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "_before")}
-    assert found == {"stabilize.check_claims"}
+def call_sites(table: dict, library: dict, bench: dict) -> dict:
+    """The rows of ``table`` that the sources break, each with the functions that call its callee.
+
+    ``library`` and ``bench`` map a module's name to its text; only the
+    ``BENCH_ROWS`` search ``bench``.  A callee is ``module.name`` or
+    ``module.Class.method``, and one outside the library, such as
+    ``json.dumps``, names its module; a row whose callee is defined nowhere
+    breaks, so the table cannot name a function that is gone.
+    """
+    found = {}
+    for callee, allowed in table.items():
+        module, _, name = callee.partition(".")
+        if name not in (definitions(ast.parse(library[module])) if module in library else dir(import_module(module))):
+            found[callee] = "undefined"
+            continue
+        sources = {**library, **bench} if callee in BENCH_ROWS else library
+        seen = {f"{m}.{f}" for m, text in sources.items() for f in callers(text, name.rpartition(".")[2])}
+        if seen != allowed:
+            found[callee] = seen
+    return found
 
 
-def test_detects_row_fold_callers():
-    source = (
-        "def check_claims(cert):\n    for mv in reversed(cert.f_seq.moves):\n        _before(C, mv)\n"
-        "def key_step(phi):\n    moves._before(C, mv)\n"
-        "def play(C, mv):\n    _then(C, mv)\n"
-    )
-    assert callers(source, "_before") == {"check_claims", "key_step"}
+def library_sources() -> dict:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
 
-def test_moves_are_built_only_through_apply():
-    found = {"switch": set(), "twist": set()}
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        for name, seen in found.items():
-            seen |= {f"{path.stem}.{f}" for f in callers(source, name)}
-    assert found == {"switch": {"moves._apply", "structure.decompose_tower"}, "twist": {"moves._apply"}}
+def test_callees_run_only_where_allowed():
+    bench = {path.stem: path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))}
+    assert call_sites(ONLY_CALLED_FROM, library_sources(), bench) == {}
 
 
-def test_key_step_moves_are_built_only_through_play():
-    source = (SRC / "stabilize.py").read_text(encoding="utf-8")
-    assert callers(source, "switch") | callers(source, "twist") == set()
+@pytest.mark.parametrize("callee", sorted(ONLY_CALLED_FROM))
+def test_detects_calls_outside_a_row(callee):
+    library, allowed = library_sources(), ONLY_CALLED_FROM[callee]
+    call = f"{callee.partition('.')[2]}(x)"
+    planted = {**library, "planted": f"def intruder(x):\n    return {call}\n"}
+    assert call_sites(ONLY_CALLED_FROM, planted, {}) == {callee: allowed | {"planted.intruder"}}
+    bench = {"workload": f"def op(x):\n    return {call}\n"}
+    expected = {callee: allowed | {"workload.op"}} if callee in BENCH_ROWS else {}
+    assert call_sites(ONLY_CALLED_FROM, library, bench) == expected
+    gone = callee.replace(".", ".gone_", 1)
+    assert call_sites({gone: set()}, library, {}) == {gone: "undefined"}
+    assert call_sites({callee: allowed | {"cli.main"}}, library, {}) == {callee: allowed}
 
 
-def test_detects_direct_move_builds():
-    source = (
-        "def key_step(B, j):\n    def play(build, *args):\n        return build(B, *args)\n"
-        "    play(switch, j)\n    return moves.twist(B, j, v)\n"
-        "def normalize(B):\n    return switch(B, 1)\n"
-    )
-    assert callers(source, "switch") | callers(source, "twist") == {"key_step", "normalize"}
+def call_closure(library: dict, roots) -> set[str]:
+    """The functions and methods of ``library`` (a module's name to its text) that ``roots`` reach, by
+    static reference, each as ``module.name`` or ``module.Class.method``.
+
+    A body reaches what it names, called or passed, as a plain name, one
+    imported by ``from .module import``, or ``x.name`` on a module or class
+    so named; naming a class reaches its dunders, which Python calls
+    implicitly; and ``x.name`` on any other value reaches every method so
+    named, dunders aside, so ``super().__init__`` reaches none.
+    """
+    defs, scopes, methods = {}, {}, {}
+    for module, text in library.items():
+        tree = ast.parse(text)
+        scope = scopes[module] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                scope.update((a.asname or a.name, f"{node.module}.{a.name}" if node.module else a.name)
+                             for a in node.names)
+        for name, node in definitions(tree).items():
+            defs[f"{module}.{name}"] = node
+            scope[name] = f"{module}.{name}"
+            if "." in name and not dunder(name):
+                methods.setdefault(name.rpartition(".")[2], []).append(f"{module}.{name}")
+
+    def named(node, scope):
+        if isinstance(node, ast.Name):
+            return [scope.get(node.id)]
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in scope:
+                return [f"{scope[node.value.id]}.{node.attr}"]
+            return methods.get(node.attr, [])
+        return []
+
+    reached, todo = set(), list(roots)
+    while todo:
+        if (qual := todo.pop()) in reached:
+            continue
+        reached.add(qual)
+        scope = scopes[qual.partition(".")[0]]
+        for node in (n for stmt in defs[qual].body for n in ast.walk(stmt)):
+            for name in named(node, scope):
+                if isinstance(target := defs.get(name), ast.ClassDef):
+                    todo += [f"{name}.{m}" for m in definitions(target) if dunder(m)]
+                elif target is not None:
+                    todo.append(name)
+    return reached
+
+
+TRUSTED = {
+    # the readers, down to the integer rule
+    "serialize.verify_certificate_obj", "serialize.certificate_from_obj", "serialize.matrix_from_obj",
+    "serialize.iso_matrix_from_obj", "serialize.seq_from_obj", "serialize.move_from_obj", "serialize.decode_int",
+    "serialize._ints", "serialize._list", "serialize._only",
+    # the build path and the claims
+    "stabilize.verify_certificate", "stabilize.certificate_from_parts", "stabilize.check_claims",
+    "stabilize.StabilizationCertificate.__init__",
+    "stabilize.ReplayResult.__init__", "stabilize.ReplayResult.__bool__", "stabilize.ReplayResult.__eq__",
+    # the move gate, the moves and the two folds
+    "moves.rebuild", "moves._apply", "moves.switch", "moves.twist", "moves._then", "moves._before",
+    "moves.MoveSeq.__init__",
+    # the map check
+    "iso.make_iso", "iso._unit", "iso.int_det", "iso._bareiss", "iso._identity_rows", "iso.max_stable",
+    "iso.GradedIso.__init__", "iso.GradedIso.__eq__", "iso.GradedIso.__repr__",
+    # the matrix and the degree-4 product
+    "ring.BottMatrix.__init__", "ring.BottMatrix._derived", "ring.BottMatrix.a", "ring.BottMatrix.__eq__",
+    "ring.BottMatrix.__repr__", "ring.height", "ring.product_is_zero", "ring.product_terms",
+    "errors.RelationViolated.__init__",
+}
+
+
+def test_trusted_is_what_the_verifiers_reach():
+    roots = ["serialize.verify_certificate_obj", "stabilize.verify_certificate"]
+    assert call_closure(library_sources(), roots) == TRUSTED
+
+
+def test_detects_what_a_root_reaches():
+    package = {
+        "a": (
+            "from .b import Rec, helper\nfrom . import c\n"
+            "def root(xs):\n    def inner(y):\n        return helper(y)\n"
+            "    return list(map(passed, xs)), inner(xs), c.direct(), Rec.make(xs), xs.method()\n"
+            "def passed(x):\n    return x\n"
+            "def unreached():\n    return c.other()\n"
+        ),
+        "b": (
+            "class Base:\n    def __init__(self):\n        pass\n"
+            "class Rec(Base):\n    def __init__(self, x):\n        super().__init__()\n        self.x = x\n"
+            "    def __eq__(self, other):\n        return self.x == other.x\n"
+            "    @staticmethod\n    def make(x):\n        return Rec(x)\n"
+            "    def spare(self):\n        return 0\n"
+            "def helper(y):\n    return y\n"
+        ),
+        "c": (
+            "class Other:\n    def __init__(self):\n        pass\n    def method(self):\n        return 1\n"
+            "def direct():\n    return 1\n"
+            "def other():\n    return 2\n"
+        ),
+    }
+    assert call_closure(package, ["a.root"]) == {
+        "a.root", "a.passed", "b.helper", "c.direct", "b.Rec.make", "b.Rec.__init__", "b.Rec.__eq__",
+        "c.Other.method",
+    }
 
 
 def indent_calls(source: str) -> list[int]:
@@ -198,15 +291,11 @@ def indent_calls(source: str) -> list[int]:
 
 
 def test_one_canonical_writer():
-    found = set()
     for path in sorted(SRC.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        assert indent_calls(source) == [], path.name
-        found |= {f"{path.stem}.{f}" for f in callers(source, "dumps")}
-    assert found == {"serialize._dump"}
+        assert indent_calls(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def test_detects_json_indent_and_dumps_callers():
+def test_detects_json_indent():
     source = (
         "def write(x):\n    return json.dumps(x, sort_keys=True, indent=2)\n"
         "def save(x, fh):\n    json.dump(x, fh,\n              indent=None)\n"
@@ -215,7 +304,6 @@ def test_detects_json_indent_and_dumps_callers():
         "def canonical(x):\n    return dumps_canonical(x)\n"
     )
     assert indent_calls(source) == [2, 4]
-    assert callers(source, "dumps") == {"write", "plain"}
 
 
 def number_format_lines(source: str) -> list[int]:
@@ -265,25 +353,6 @@ def test_detects_number_format_outside_serialize():
         "def echo(x):\n    return str(x)\n"
     )
     assert number_format_lines(source) == [1, 3, 5, 7, 9, 11, 18]
-
-
-DERIVERS = {"moves.switch", "moves.twist", "ring.sub_bar"}
-
-
-def test_unvalidated_matrices_come_only_from_algebra():
-    found = set()
-    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
-        found |= {f"{path.stem}.{f}" for f in callers(path.read_text(encoding="utf-8"), "_derived")}
-    assert found == DERIVERS
-
-
-def test_detects_derived_callers():
-    source = (
-        "def switch(B):\n    return BottMatrix._derived(B.n, B.rows)\n"
-        "def reader(obj):\n    return ring.BottMatrix._derived(obj['n'], obj['rows'])\n"
-        "def strict(n, rows):\n    return BottMatrix(n, rows)\n"
-    )
-    assert callers(source, "_derived") == {"switch", "reader"}
 
 
 def subclasses(source: str, base: str) -> list[str]:
@@ -350,6 +419,25 @@ def test_detects_unraised_errors():
     assert unraised_errors(errors, library) == ["Caught", "Unused"]
 
 
+def dunder(name: str) -> bool:
+    """Whether the last part of a dotted name is a dunder."""
+    last = name.rpartition(".")[2]
+    return last.startswith("__") and last.endswith("__")
+
+
+def definitions(node) -> dict:
+    """The functions and classes of a module's or class's body, and the methods of those classes as
+    ``Class.method``, each with its node."""
+    found = {}
+    for child in node.body:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[child.name] = child
+        if isinstance(child, ast.ClassDef):
+            found.update((f"{child.name}.{m.name}", m) for m in child.body
+                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return found
+
+
 def unreferenced(defining: str, *others: str) -> list[str]:
     """Top-level functions and classes of ``defining``, and methods of those
     classes as ``Class.method`` (dunders aside), that no source names.
@@ -358,14 +446,7 @@ def unreferenced(defining: str, *others: str) -> list[str]:
     in ``defining`` or in any of ``others``.
     """
     trees = [ast.parse(text) for text in (defining, *others)]
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    names = []
-    for node in trees[0].body:
-        if isinstance(node, (*funcs, ast.ClassDef)):
-            names.append(node.name)
-        if isinstance(node, ast.ClassDef):
-            names += [f"{node.name}.{m.name}" for m in node.body
-                      if isinstance(m, funcs) and not (m.name.startswith("__") and m.name.endswith("__"))]
+    names = [name for name in definitions(trees[0]) if not dunder(name)]
     used = set()
     for tree in trees:
         for node in ast.walk(tree):

@@ -217,8 +217,14 @@ class TestTrustBoundary:
             (_edit("g_seq", "moves", 0, "kind"), "move object needs keys 'kind' and 'j'"),
             (_edit("B", value={"n": 3, "rows": [[], [0], [0, 0]]}), "source has n=4 but target has n=3"),
             (_edit("g_seq", "moves", 0, "j", value=0), "twist position 0 outside 1..4"),
+            (_edit("comment", value="a note"), "unknown key 'comment'"),
+            (_edit("A", "extra", value={}), "unknown key 'extra'"),
+            (_edit("phi", "extra", value={}), "unknown key 'extra'"),
+            (_edit("f_seq", "extra", value={}), "unknown key 'extra'"),
+            (_edit("g_seq", "moves", 0, "extra", value={}), "unknown key 'extra'"),
         ],
-        ids=["list", "no-phi", "seq-no-start", "move-no-kind", "B-other-n", "twist-at-0"],
+        ids=["list", "no-phi", "seq-no-start", "move-no-kind", "B-other-n", "twist-at-0",
+             "cert-comment", "matrix-extra", "map-extra", "seq-extra", "twist-extra"],
     )
     def test_rejection(self, mutate, diagnostic):
         obj = json.loads(json.dumps(ser.certificate_to_obj(bc.stabilize_full(odd_twist_isos()[0]))))
@@ -226,6 +232,19 @@ class TestTrustBoundary:
         assert obj["g_seq"]["moves"][0] == {"kind": "twist", "j": 3, "v": [0, -1, 0, 0]}
         res = ser.verify_certificate_obj(mutate(obj))
         assert (res.ok, res.diagnostic) == (False, f"certificate does not parse: {diagnostic}")
+
+    @pytest.mark.parametrize("key, value", [("v", ["junk", None]), ("extra", {})], ids=["v", "extra"])
+    def test_switch_reads_only_kind_and_j(self, key, value):
+        cert = bc.stabilize_full(odd_twist_isos()[0])
+        end = cert.g_seq.end
+        j = next(j for j in range(1, end.n) if end.a(j + 1, j) == 0)
+        obj = json.loads(json.dumps(ser.certificate_to_obj(cert)))
+        pair = [{"kind": "switch", "j": j}, {"kind": "switch", "j": j}]
+        obj["g_seq"]["moves"] += pair
+        assert ser.verify_certificate_obj(obj).ok  # a switch taken twice leaves g's end and phi_prime as they were
+        pair[1][key] = value
+        res = ser.verify_certificate_obj(obj)
+        assert (res.ok, res.diagnostic) == (False, f"certificate does not parse: unknown key {key!r}")
 
 
 class TestCanonicalDump:

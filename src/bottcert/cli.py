@@ -52,12 +52,7 @@ def _load(path: str):
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
-def _load_matrix(path: str):
-    return matrix_from_obj(_load(path))
-
-
-def _cmd_ring(args) -> dict:
-    A = _load_matrix(args.matrix)
+def _cmd_ring(A) -> dict:
     alphas = [A.alpha(i) for i in range(1, A.n + 1)]
     return {
         "n": A.n,
@@ -66,8 +61,7 @@ def _cmd_ring(args) -> dict:
     }
 
 
-def _cmd_sqzero(args) -> dict:
-    A = _load_matrix(args.matrix)
+def _cmd_sqzero(A) -> dict:
     return {
         "generators": [
             {
@@ -80,8 +74,7 @@ def _cmd_sqzero(args) -> dict:
     }
 
 
-def _cmd_decompose(args) -> dict:
-    A = _load_matrix(args.matrix)
+def _cmd_decompose(A) -> dict:
     tower = decompose_tower(A)
     inv = {tower.perm[i]: i for i in range(1, A.n + 1)}  # base index -> original index
     blocks = []
@@ -97,10 +90,7 @@ def _cmd_decompose(args) -> dict:
     }
 
 
-def _cmd_iso_check(args) -> dict:
-    A = _load_matrix(args.source)
-    B = _load_matrix(args.target)
-    C = iso_matrix_from_obj(_load(args.iso))
+def _cmd_iso_check(A, B, C) -> dict:
     try:
         phi = make_iso(A, B, C)
     except BottError as exc:
@@ -114,29 +104,25 @@ def _cmd_iso_check(args) -> dict:
     }
 
 
-def _cmd_iso_search(args) -> dict:
-    A = _load_matrix(args.source)
-    B = _load_matrix(args.target)
-    return {"bound": args.bound, "isos": [phi.C for phi in search_isos(A, B, args.bound)]}
+def _cmd_iso_search(A, B, bound) -> dict:
+    return {"bound": bound, "isos": [phi.C for phi in search_isos(A, B, bound)]}
 
 
-def _cmd_stabilize(args) -> dict | str:
-    A = _load_matrix(args.source)
-    B = _load_matrix(args.target)
-    phi = make_iso(A, B, iso_matrix_from_obj(_load(args.iso)))
+def _cmd_stabilize(A, B, C, out) -> dict | str:
+    phi = make_iso(A, B, C)
     cert = stabilize_full(phi)
     # the self-check reads the text that ships, as verify-cert would
     text = dumps_canonical(certificate_to_obj(cert))
     result = verify_certificate_obj(json.loads(text))
     if not result:
         raise TripwireError(f"freshly built certificate failed verification: {result.diagnostic}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
         return {
             "k_final": cert.k_final,
             "n": A.n,
-            "out": args.out,
+            "out": out,
             "source_moves": len(cert.f_seq.moves),
             "target_moves": len(cert.g_seq.moves),
             "verified": True,
@@ -144,12 +130,28 @@ def _cmd_stabilize(args) -> dict | str:
     return text
 
 
-def _cmd_verify_cert(args) -> dict:
-    obj = _load(args.certificate)
+def _cmd_verify_cert(obj) -> dict:
     result = verify_certificate_obj(obj)
     if result.ok:
         return {"valid": True}
     return {"valid": False, "diagnostic": result.diagnostic}
+
+
+_PAIR = {"source": matrix_from_obj, "target": matrix_from_obj}
+_TRIPLE = {**_PAIR, "iso": iso_matrix_from_obj}
+# name: (help, the file arguments in argv order, each with the reader of its JSON, the options with their
+# add_argument keywords, the handler); main reads the files in that order, so the first bad one is reported,
+# and calls the handler with their values, then the options' values
+COMMANDS = {
+    "ring": ("ring presentation data of a Bott matrix", {"matrix": matrix_from_obj}, {}, _cmd_ring),
+    "sqzero": ("square-zero generators of degree 2", {"matrix": matrix_from_obj}, {}, _cmd_sqzero),
+    "decompose": ("tower dimensions, levels, blocks, partition", {"matrix": matrix_from_obj}, {}, _cmd_decompose),
+    "iso-check": ("validate a degree-2 matrix as a ring isomorphism", _TRIPLE, {}, _cmd_iso_check),
+    "iso-search": ("enumerate isomorphisms with bounded entries", _PAIR,
+                   {"--bound": {"type": int, "default": DEFAULT_SEARCH_BOUND}}, _cmd_iso_search),
+    "stabilize": ("produce a stabilization certificate", _TRIPLE, {"--out": {"default": None}}, _cmd_stabilize),
+    "verify-cert": ("replay and verify a certificate", {"certificate": lambda obj: obj}, {}, _cmd_verify_cert),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,42 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
         "of graded ring isomorphisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ring", help="ring presentation data of a Bott matrix")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_ring)
-
-    p = sub.add_parser("sqzero", help="square-zero generators of degree 2")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_sqzero)
-
-    p = sub.add_parser("decompose", help="tower dimensions, levels, blocks, partition")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("iso-check", help="validate a degree-2 matrix as a ring isomorphism")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("iso")
-    p.set_defaults(func=_cmd_iso_check)
-
-    p = sub.add_parser("iso-search", help="enumerate isomorphisms with bounded entries")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND)
-    p.set_defaults(func=_cmd_iso_search)
-
-    p = sub.add_parser("stabilize", help="produce a stabilization certificate")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("iso")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_stabilize)
-
-    p = sub.add_parser("verify-cert", help="replay and verify a certificate")
-    p.add_argument("certificate")
-    p.set_defaults(func=_cmd_verify_cert)
-
+    for name, (help_text, files, options, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in files:
+            p.add_argument(arg)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -204,8 +176,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    _, files, options, handler = COMMANDS[args.command]
     try:
-        payload = args.func(args)
+        values = [read(_load(getattr(args, arg))) for arg, read in files.items()]
+        payload = handler(*values, *(getattr(args, flag.lstrip("-")) for flag in options))
         text = payload if isinstance(payload, str) else dumps_canonical(payload)
     except TripwireError as exc:
         sys.stdout.write(dumps_canonical({"error": str(exc), "tripwire": True}))

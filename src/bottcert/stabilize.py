@@ -233,6 +233,16 @@ class StabilizeTrace:
     def __init__(self, raises: tuple[RaiseTrace, ...]):
         self.raises = raises
 
+    def steps(self):
+        """Each key step in run order as (k, side, step): side "target" for a round's own steps,
+        "source" for its odd branch's steps and "final" for that branch's last step."""
+        for rt in self.raises:
+            yield from ((rt.k, "target", st) for st in rt.phase1)
+            if rt.odd is not None:
+                yield from ((rt.k, "source", st) for st in rt.odd.source_steps)
+                if rt.odd.final_step is not None:
+                    yield rt.k, "final", rt.odd.final_step
+
 
 class StabilizationCertificate:
     """Self-contained, replayable witness of a stabilization run.
@@ -285,15 +295,12 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
             cur, rt = _raise_fwd(cur, k)
             raises.append(rt)
             k = max_stable(cur)
-        # the forward moves of f and g: the towers', then each round's steps on that side
+        trace = StabilizeTrace(tuple(raises))
+        # the forward moves of f and g: the towers', then each key step's on its side
         src_fwd = list(tower_a.moves_applied)
         tgt_fwd = list(tower_b.moves_applied)
-        for rt in raises:
-            tgt_fwd += (mv for tr in rt.phase1 for mv in tr.moves)
-            if rt.odd is not None:
-                src_fwd += (mv for tr in rt.odd.source_steps for mv in tr.moves)
-                if rt.odd.final_step is not None:
-                    src_fwd += rt.odd.final_step.moves
+        for _, side, step in trace.steps():
+            (tgt_fwd if side == "target" else src_fwd).extend(step.moves)
         cert = StabilizationCertificate(
             A=A, B=B, phi=phi, f_seq=MoveSeq.build(cur.source, [invert_move(mv) for mv in reversed(src_fwd)]),
             g_seq=MoveSeq.build(B, tgt_fwd), phi_prime=cur, k_final=k
@@ -305,7 +312,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     if not (r := check_claims(cert)):
         raise TripwireError(r.diagnostic)
     if with_trace:
-        return cert, StabilizeTrace(tuple(raises))
+        return cert, trace
     return cert
 
 

@@ -500,3 +500,13 @@ def block_map(A):
             for r in cls:
                 out[r] = (lev, b_id)
     return {i: out[p[i]] for i in range(1, A.n + 1)}
+
+
+def hirzebruch(a):
+    """The n = 2 Bott matrix with entry a: a Hirzebruch surface."""
+    return bc.make_bott_matrix(2, [[], [a]])
+
+
+def zero_matrix(n):
+    """The n x n Bott matrix with every entry zero: the product of n projective lines."""
+    return bc.make_bott_matrix(n, [[0] * i for i in range(n)])

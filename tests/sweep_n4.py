@@ -62,13 +62,8 @@ def sweep(lo=-1, hi=1, stride=1, hits=SWEEP_HITS) -> tuple[str, Counter, int]:
             h.update(rec.encode())
             h.update(b"\n")
         counts["certificates"] += 1
-        for rt in trace.raises:
-            counts.update(f"target {st.case}" for st in rt.phase1)
-            if rt.odd is not None:
-                counts["odd branch"] += 1
-                counts.update(f"source {st.case}" for st in rt.odd.source_steps)
-                if rt.odd.final_step is not None:
-                    counts[f"final {rt.odd.final_step.case}"] += 1
+        counts.update(f"{side} {st.case}" for _, side, st in trace.steps())
+        counts["odd branch"] += sum(rt.odd is not None for rt in trace.raises)
     return h.hexdigest(), counts, failed
 
 

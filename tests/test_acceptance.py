@@ -18,6 +18,7 @@ from helpers import (
     admissible_twists,
     block_map,
     dense_product,
+    hirzebruch,
     identity,
     induced,
     moved_partner,
@@ -26,15 +27,8 @@ from helpers import (
     scrambled_iso,
     sparse_matrix,
     square_zero_bruteforce,
+    zero_matrix,
 )
-
-
-def hirzebruch(a):
-    return bc.make_bott_matrix(2, [[], [a]])
-
-
-def zero_matrix(n):
-    return bc.make_bott_matrix(n, [[0] * i for i in range(n)])
 
 
 # ---------------------------------------------------------------- criterion 1

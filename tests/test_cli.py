@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 import bottcert as bc
 import bottcert.cli
 from bottcert import structure
-from bottcert.cli import main
+from bottcert.cli import COMMANDS, main
 from bottcert.serialize import dumps_canonical, matrix_to_obj, verify_certificate_obj
 from test_stabilize import even_case_fixture, odd_step_fixture, overstated_stability
 
@@ -268,10 +269,10 @@ def test_recursion_limit_is_a_domain_error(files):
 
 
 def test_memory_error_is_a_domain_error(files, capsys, monkeypatch):
-    def exhaust(args):
+    def exhaust(*args):
         raise MemoryError
 
-    monkeypatch.setattr(bottcert.cli, "_cmd_iso_search", exhaust)
+    monkeypatch.setattr(bottcert.cli, "search_isos", exhaust)
     z = files("z.json", {"n": 2, "rows": [[], [0]]})
     code = main(["iso-search", z, z])
     captured = capsys.readouterr()
@@ -290,27 +291,44 @@ def test_byte_determinism(files, capsys):
     assert len(outs) == 1
 
 
-def test_domain_error_exit_code(files, capsys, tmp_path):
-    code, out = run(capsys, "ring", str(tmp_path / "missing.json"))
-    assert code == 1
-    assert "error" in json.loads(out)
+def test_domain_error_exit_code(files, capsys):
     bad = files("bad.json", {"n": 2, "rows": [[], [1, 2]]})
     code, out = run(capsys, "ring", bad)
     assert code == 1
     assert "error" in json.loads(out)
 
 
-@pytest.mark.parametrize("command", ["verify-cert", "decompose", "iso-check"])
-def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path, command):
-    # deeper than the parser's recursion limit: exit 1 with a payload, no traceback
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000, encoding="utf-8")
-    argv = [command] + [str(deep)] * (3 if command == "iso-check" else 1)
-    code = main(argv)
+@pytest.mark.parametrize("case", ["missing", "deep", "duplicate"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_unreadable_file_is_a_domain_error(capsys, tmp_path, command, case):
+    # every command reads its files through the one loader: exit 1 with a payload, no traceback
+    path = tmp_path / f"{case}.json"
+    if case == "deep":  # deeper than the parser's recursion limit
+        path.write_text("[" * 100_000, encoding="utf-8")
+    elif case == "duplicate":
+        path.write_text('{"n": 2, "rows": [[], [0]], "n": 3}', encoding="utf-8")
+    code = main([command] + [str(path)] * len(COMMANDS[command][1]))
     captured = capsys.readouterr()
-    assert code == 1
-    assert json.loads(captured.out) == {"error": f"{deep}: JSON nested too deeply to parse"}
-    assert captured.err == ""
+    assert code == 1 and captured.err == ""
+    payload = json.loads(captured.out)
+    if case == "missing":
+        assert list(payload) == ["error"] and str(path) in payload["error"]
+    else:
+        error = f"{path}: JSON nested too deeply to parse" if case == "deep" else "duplicate key 'n'"
+        assert payload == {"error": error}
+
+
+def test_readme_lists_the_commands():
+    # README's CLI block shows each command of the table once, with its files and its options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("bottcert ")]
+    assert sorted(line.split()[1] for line in lines) == sorted(COMMANDS)
+    for line in lines:
+        _, files, options, _ = COMMANDS[line.split()[1]]
+        outside_brackets = re.sub(r"\[[^]]*\]", "", line).split()
+        assert sum(word.endswith(".json") for word in outside_brackets) == len(files), line
+        assert re.findall(r"\[(--[\w-]+)", line) == list(options), line
 
 
 def test_usage_error_exit_code(files, capsys):

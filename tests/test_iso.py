@@ -19,6 +19,7 @@ from helpers import (
     dense_product,
     fraction_det,
     fraction_inverse,
+    hirzebruch,
     identity,
     induced,
     moved_partner,
@@ -33,19 +34,12 @@ from helpers import (
     scrambled_iso,
     sparse_matrix,
     trace_isos,
+    zero_matrix,
 )
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
 ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
-
-
-def hirzebruch(a):
-    return bc.make_bott_matrix(2, [[], [a]])
-
-
-def zero_matrix(n):
-    return bc.make_bott_matrix(n, [[0] * i for i in range(n)])
 
 
 class TestMakeIso:

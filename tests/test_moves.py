@@ -16,6 +16,7 @@ from helpers import (
     claim_product,
     dense_product,
     fuzz_base_isos,
+    hirzebruch,
     identity,
     induced,
     move_iso,
@@ -31,10 +32,6 @@ from test_pinned_traces import sweep_isos
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
 ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
-
-
-def hirzebruch(a):
-    return bc.make_bott_matrix(2, [[], [a]])
 
 
 def gate_map(B, kind, j, v):

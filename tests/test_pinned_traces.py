@@ -114,11 +114,7 @@ def two_source_steps_iso():
 def _source_step_records(phi):
     cert, trace = bc.stabilize_full(phi, with_trace=True)
     yield dumps_canonical(certificate_to_obj(cert))
-    for rt in trace.raises:
-        if rt.odd is not None:
-            yield from map(_step, rt.odd.source_steps)
-            if rt.odd.final_step is not None:
-                yield _step(rt.odd.final_step)
+    yield from (_step(st) for _, side, st in trace.steps() if side != "target")
 
 
 def source_step_records():
@@ -184,13 +180,8 @@ def test_n3_sweep_pinned():
         recs = list(_records(cert, trace))
         assert verify_certificate_obj(json.loads(recs[0])).ok
         records += recs
-        for rt in trace.raises:
-            counts.update(("target", st.case) for st in rt.phase1)
-            if rt.odd is not None:
-                counts["odd branch"] += 1
-                counts.update(("source", st.case) for st in rt.odd.source_steps)
-                if rt.odd.final_step is not None:
-                    counts["final", rt.odd.final_step.case] += 1
+        counts.update((side, st.case) for _, side, st in trace.steps())
+        counts["odd branch"] += sum(rt.odd is not None for rt in trace.raises)
     assert _digest(records) == SWEEP_DIGEST
     # the digest is worth having only while the sweep reaches these paths
     assert counts["target", "zero"] >= 360 and counts["target", "even"] >= 380

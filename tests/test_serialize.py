@@ -7,14 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
 from bottcert import serialize as ser
-from helpers import compose_dense, move_iso, odd_twist_isos
+from helpers import compose_dense, hirzebruch, move_iso, odd_twist_isos
 
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
-
-
-def hirzebruch(a):
-    return bc.make_bott_matrix(2, [[], [a]])
 
 
 def written(x):

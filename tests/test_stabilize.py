@@ -13,6 +13,7 @@ from helpers import (
     compose_dense,
     dense_product,
     fuzz_base_isos,
+    hirzebruch,
     identity,
     move_iso,
     moves_product,
@@ -26,10 +27,6 @@ from helpers import (
 
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
 ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
-
-
-def hirzebruch(a):
-    return bc.make_bott_matrix(2, [[], [a]])
 
 
 def even_case_fixture():

@@ -6,16 +6,20 @@ import pytest
 
 import bottcert as bc
 from bottcert import structure
-from helpers import block_map, moved_partner, rand_matrix, rebuild_matches, sparse_matrix, square_zero_bruteforce
+from helpers import (
+    block_map,
+    hirzebruch,
+    moved_partner,
+    rand_matrix,
+    rebuild_matches,
+    sparse_matrix,
+    square_zero_bruteforce,
+)
 
 
 H3 = bc.make_bott_matrix(3, [[], [1], [1, 0]])
 ZERO2 = bc.make_bott_matrix(2, [[], [0]])
 ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
-
-
-def hirzebruch(a):
-    return bc.make_bott_matrix(2, [[], [a]])
 
 
 def square_zero(A, c):

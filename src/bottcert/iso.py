@@ -282,6 +282,8 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     """
     from .structure import decompose_tower
 
+    if type(bound) is not int:
+        raise ShapeError(f"search bound {bound!r} is not an integer")
     if A.n != B.n or bound < 1:
         return []
     n = A.n

@@ -13,20 +13,21 @@ manifolds:
 Rows above j of a twisted matrix become beta_i + b_ij v; this completion is
 forced by requiring the induced map to be a ring isomorphism, so ``switch``
 and ``twist`` check their parameters (j a plain int, v n plain ints) and
-preconditions and return the matrix after the move; every path that builds
-a move goes through them.  A move is the tuple (kind, j, v) of its
-parameters, v None for a switch and a tuple for a twist, and holds no
-matrix, so reading a sequence holds one matrix at a time; ``_apply`` makes
-that tuple for both sequence builders.  The gate is ``rebuild``: it builds
-each move from outside parameters, writes its map by algebra and checks it
-by full relation checking (``make_iso``).  It runs only in
+preconditions and return the matrix after the move; ``_apply`` builds every
+move the library makes (sequences, towers, key steps) through them.  A move
+is the tuple (kind, j, v) of its parameters, v None for a switch and a tuple
+for a twist, and holds no matrix, so reading a sequence holds one matrix at
+a time.  The gate is ``rebuild``: it builds each move from outside
+parameters, writes its map as ``_then`` on the identity and checks it by
+full relation checking (``make_iso``).  It runs only in
 ``stabilize.certificate_from_parts``: the one build path of the JSON reader
 and of ``verify_certificate``.
 
 A move's map is fixed by n and (kind, j, v) and elementary, so neither moves
 nor sequences store maps: ``_then`` and ``_before`` compose a map with a move
 by a column or a row operation, and no other module acts with a move on a
-matrix.
+matrix; the gate checks on every move the column fold that the key steps and
+``check_claims`` apply.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .ring import BottMatrix, height, product_is_zero
 
 def _apply(B: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
     """The move (kind, j, v) as stored, a twist's v as a tuple and a switch's as None, and the matrix
-    after it from B; ``switch`` or ``twist`` checks it."""
+    after it from B; ``switch`` or ``twist`` checks it.  Every move the library makes is built here."""
     if kind == "switch":
         return (kind, j, None), switch(B, j)
     if kind == "twist":
@@ -146,7 +147,7 @@ class MoveSeq:
 
 def rebuild(start: BottMatrix, params) -> MoveSeq:
     """The moves (kind, j, v) from start, the gate: each is built by ``_apply`` from the one before,
-    and its induced map, written by algebra, is checked by ``make_iso``.
+    and its induced map, ``_then`` on the identity, is checked by ``make_iso``.
 
     v is a twist's coefficients; the moves chain by construction, and only
     the current matrix is kept.
@@ -155,11 +156,8 @@ def rebuild(start: BottMatrix, params) -> MoveSeq:
     moves = []
     for kind, j, v in params:
         mv, after = _apply(cur, kind, j, v)
-        C = list(_identity_rows(cur.n))  # the induced map: identity rows j, j+1 swapped, or v added to row j
-        if kind == "switch":
-            C[j - 1], C[j] = C[j], C[j - 1]
-        else:
-            C[j - 1] = tuple(e + t for e, t in zip(C[j - 1], mv[2]))
+        C = list(map(list, _identity_rows(cur.n)))
+        _then(C, mv)
         make_iso(cur, after, C)
         moves.append(mv)
         cur = after

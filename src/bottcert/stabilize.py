@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import BottError, RangeError, ShapeError, TripwireError
 from .iso import GradedIso, invert, make_iso, max_stable
-from .moves import MoveSeq, _before, _then, invert_move, rebuild, switch, twist
+from .moves import MoveSeq, _apply, _before, _then, invert_move, rebuild
 from .ring import BottMatrix, height, product_is_zero
 from .structure import decompose_tower, same_block
 
@@ -80,14 +80,13 @@ def _key_step(phi: GradedIso, k: int, ell: int):
     C = [list(row) for row in phi.C]  # phi, then the moves so far as column operations
     cur = B
 
-    def play(build, j: int, v: tuple[int, ...] | None = None) -> None:
-        """Apply ``build``, a switch at j or twist (j, v), and fold it onto C; a failed build is a bug."""
+    def play(kind: str, j: int, v: tuple[int, ...] | None = None) -> None:
+        """Build the move (kind, j, v) by ``_apply`` and fold it onto C; a failed build is a bug."""
         nonlocal cur
         try:
-            cur = build(cur, j) if v is None else build(cur, j, v)
+            mv, cur = _apply(cur, kind, j, v)
         except BottError as exc:
             raise TripwireError(f"key step at l={ell} could not build a move: {exc}") from exc
-        mv = ("switch" if v is None else "twist", j, v)
         moves.append(mv)
         _then(C, mv)
 
@@ -95,7 +94,7 @@ def _key_step(phi: GradedIso, k: int, ell: int):
     if p == 0:
         case = "zero"
         # the image has no y_{l-1} term, so exchanging l-1 and l drops the height
-        play(switch, ell - 1)
+        play("switch", ell - 1)
     else:
         beta = B.alpha(ell)
         head = beta[:k] + (0,) * (n - k)  # beta_l minus its truncation
@@ -113,22 +112,22 @@ def _key_step(phi: GradedIso, k: int, ell: int):
         if p % 2 == 0:
             case = "even"
             # twist checks v(beta_l - v) = 0, and the switch that b_{l,l-1} is cleared
-            play(twist, ell, (0,) * (ell - 2) + (p // 2,) + (0,) * (n - ell + 1))
-            play(switch, ell - 1)
+            play("twist", ell, (0,) * (ell - 2) + (p // 2,) + (0,) * (n - ell + 1))
+            play("switch", ell - 1)
         else:
             case = "odd"
             # p trunc(beta_{l-1}) is even by that identity, so with p odd it halves
             # exactly; twist checks v(beta_{l-1} - v) = 0.  No caller steps at l = k+2
             # with p odd (_descend steps at l > k+2, _raise_fwd at k+2 for even p only),
             # so the loop reaches column l-2
-            play(twist, ell - 1, (0,) * k + tuple(t // 2 for t in B.alpha(ell - 1)[k:]))
+            play("twist", ell - 1, (0,) * k + tuple(t // 2 for t in B.alpha(ell - 1)[k:]))
             for col in range(k + 1, ell - 1):
                 if cur.a(ell, col) != 0:
                     raise TripwireError(f"entry (l, {col}) must vanish after the odd twist")
                 if cur.a(ell - 1, col) != 0:
                     raise TripwireError(f"entry (l-1, {col}) must vanish after the odd twist")
-            play(switch, ell - 2)
-            play(switch, ell - 1)
+            play("switch", ell - 2)
+            play("switch", ell - 1)
     keep_below = ell - 1 if case in ("zero", "even") else ell - 2
     for i in range(1, keep_below):
         if cur.rows[i - 1] != B.rows[i - 1]:

@@ -16,7 +16,7 @@ square-zero representatives partition the stage indices into blocks.
 from __future__ import annotations
 
 from .errors import BottError, RangeError, TripwireError
-from .moves import switch
+from .moves import _apply
 from .ring import (
     BottMatrix,
     primitive_part,
@@ -98,10 +98,10 @@ def decompose_tower(A: BottMatrix) -> DecompositionTower:
                 continue
             for j in range(r - 1, d, -1):
                 try:
-                    M = switch(M, j)
+                    mv, M = _apply(M, "switch", j, None)
                 except BottError as exc:
                     raise TripwireError(f"well-ordering switch at {j} failed: {exc}") from exc
-                moves.append(("switch", j, None))
+                moves.append(mv)
                 order[j], order[j + 1] = order[j + 1], order[j]
             d += 1
         dims.append(d)

@@ -18,7 +18,7 @@ import bottcert.cli
 from bottcert import structure
 from bottcert.cli import COMMANDS, main
 from bottcert.serialize import dumps_canonical, matrix_to_obj, verify_certificate_obj
-from test_stabilize import even_case_fixture, odd_step_fixture, overstated_stability
+from test_stabilize import bend, even_case_fixture, odd_step_fixture, overstated_stability
 
 
 @pytest.fixture
@@ -435,7 +435,7 @@ def test_failed_key_step_move_is_a_tripwire(files, capsys, monkeypatch, fixture,
     def fail(*args):
         raise error("planted")
 
-    monkeypatch.setattr(f"bottcert.stabilize.{name}", fail)
+    bend(monkeypatch, **{name: fail})
     phi = fixture()
     a = files("a.json", matrix_to_obj(phi.source))
     b = files("b.json", matrix_to_obj(phi.target))

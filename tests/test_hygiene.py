@@ -22,7 +22,8 @@
   kept for the tests alone.
 * A move is the tuple (kind, j, v) of its parameters and holds no matrix:
   j is a plain int and v is None for a switch and a tuple of plain ints for
-  a twist, so reading a sequence keeps one matrix at a time.
+  a twist, so reading a sequence keeps one matrix at a time.  No library
+  module but ``moves`` writes a move tuple: ``moves._apply`` builds them all.
 * Every error type that no error type subclasses is named by some
   ``raise`` in the library, so no type is kept that the library never
   raises.
@@ -115,10 +116,10 @@ ONLY_CALLED_FROM = {
     # the row fold: stabilization folds its moves onto its working map as columns, so only the claim check
     # applies the source-side moves f, and no library function multiplies two maps
     "moves._before": {"stabilize.check_claims"},
-    # the one normalizer of a move's parameters serves both sequence builders, so a new path that builds moves
-    # past it fails here.  No function of stabilize calls them: a key step hands each move to its play, which
-    # reports a move that fails to build as a tripwire, so no check there restates a move's precondition
-    "moves.switch": {"moves._apply", "structure.decompose_tower"},
+    # every move (sequence, tower or key step) is built by the one normalizer of a move's parameters, so a new
+    # path that builds moves past it fails here.  A key step builds each move in its play, which reports a move
+    # that fails to build as a tripwire, so no check there restates a move's precondition
+    "moves.switch": {"moves._apply"},
     "moves.twist": {"moves._apply"},
     # it skips validation, so it runs only where integer algebra derives the rows from a validated matrix or class
     "ring.BottMatrix._derived": {"moves.switch", "moves.twist", "ring.sub_bar"},
@@ -538,6 +539,52 @@ def test_detects_moves_that_hold_more():
     assert not parameters_only(("switch", 1, (0, 0)))
     assert not parameters_only(("switch", True, None))
     assert not parameters_only(("flip", 1, None))
+
+
+def move_tuples(source: str) -> list[int]:
+    """Lines of tuple displays whose first element is the string "switch" or "twist", or a conditional
+    expression that may give one."""
+
+    def strings(expr) -> set:
+        if isinstance(expr, ast.IfExp):
+            return strings(expr.body) | strings(expr.orelse)
+        return {expr.value} if isinstance(expr, ast.Constant) else set()
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Tuple) and node.elts and strings(node.elts[0]) & {"switch", "twist"}
+    )
+
+
+def move_tuple_writers(library: dict) -> dict:
+    """The modules of ``library`` (a module's name to its text), ``moves`` aside, that write a move tuple,
+    each with the lines that do."""
+    return {module: lines for module, text in library.items()
+            if module != "moves" and (lines := move_tuples(text))}
+
+
+def test_only_moves_writes_a_move_tuple():
+    library = library_sources()
+    assert move_tuple_writers(library) == {}
+    assert move_tuples(library["moves"]) != []  # invert_move writes the twist (j, -v)
+
+
+def test_detects_move_tuples_outside_moves():
+    library = library_sources()
+    built = "moves.append(mv)"
+    assert library["structure"].count(built) == 1
+    planted = library["structure"].replace(built, 'moves.append(("switch", j, None))')
+    line = 1 + planted[: planted.index('("switch", j, None)')].count("\n")
+    assert move_tuple_writers({**library, "structure": planted}) == {"structure": [line]}
+    source = (
+        "def play(kind, j):\n    return ('twist', j, None), [\"switch\", j]\n"
+        "CASES = ('zero', 'even')\n"
+        "def build(j, v):\n    return ('switch' if v is None else 'twist', j, v)\n"
+        "def pair(j):\n    kind = 'switch'\n    return kind, j, None\n"
+        "def test(kind):\n    return (kind == 'switch', 1)\n"
+    )
+    assert move_tuples(source) == [2, 5]
 
 
 PLAIN_RECORDS = {

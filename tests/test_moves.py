@@ -35,7 +35,8 @@ ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
 
 
 def gate_map(B, kind, j, v):
-    """The rows of the map ``rebuild`` writes for the move (kind, j, v) from B and hands to make_iso."""
+    """The rows of the map ``rebuild`` writes for the move (kind, j, v) from B, ``_then`` on the identity,
+    and hands to make_iso."""
     seen = []
     with mock.patch.object(moves, "make_iso", lambda A, after, C: seen.append(tuple(map(tuple, C)))):
         bc.rebuild(B, [(kind, j, v)])
@@ -211,9 +212,12 @@ class TestMoveSoundness:
                 if not vs:
                     continue
                 mv = ("twist", j, rng.choice(vs))
-            # switch, twist and rebuild's map work by algebra; make_iso checks the map
+            # switch, twist and the two folds work by algebra; make_iso checks the map
             C = gate_map(B, *mv)
             assert C == induced(B, mv)
+            rows = [list(row) for row in identity(B).C]
+            moves._before(rows, mv)
+            assert tuple(map(tuple, rows)) == C
             bc.make_iso(B, moves._apply(B, *mv)[1], C)
             done += 1
 
@@ -418,6 +422,38 @@ class TestGate:
             assert serialize.verify_certificate_obj(serialize.certificate_to_obj(cert)).ok
             assert calls[0] == n_moves + 2
         assert total > 0
+
+    def test_gate_checks_the_column_fold(self, monkeypatch):
+        # a fold that drops every switch: the gate writes each move's map with it, so a switch that moves its
+        # matrix fails at the move, and one that keeps it fails at the claim check, which folds with it too
+        then = moves._then
+
+        def no_switch(C, mv):
+            if mv[0] != "switch":
+                then(C, mv)
+
+        def moving_switch(seq):
+            cur = seq.start
+            for mv in seq.moves:
+                after = moves._apply(cur, *mv)[1]
+                if mv[0] == "switch" and after != cur:
+                    return True
+                cur = after
+            return False
+
+        certs = [bc.stabilize_full(phi) for phi in trace_isos()]
+        certs = [(serialize.certificate_to_obj(c), moving_switch(c.f_seq) or moving_switch(c.g_seq))
+                 for c in certs if c.f_seq.moves or c.g_seq.moves]
+        monkeypatch.setattr(moves, "_then", no_switch)
+        monkeypatch.setattr(stabilize, "_then", no_switch)
+        for obj, moving in certs:
+            res = serialize.verify_certificate_obj(obj)
+            assert not res.ok
+            if moving:
+                assert res.diagnostic.startswith("certificate does not parse: relation "), res.diagnostic
+            else:
+                assert res.diagnostic == "phi_prime is not g o phi o f"
+        assert (len(certs), sum(moving for _, moving in certs)) == (12, 10)
 
     def test_moves_trust_algebra_and_the_gate_checks(self, monkeypatch):
         def reject(A, B, C):

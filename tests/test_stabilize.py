@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -358,12 +359,26 @@ class TestTermination:
         assert len(folded) == 1
 
 
+def bend(monkeypatch, **builds):
+    """Make the key steps build each move whose kind ``builds`` names with that function of (B, j, v), in
+    place of the real switch or twist.  The key steps build their moves through ``stabilize._apply``, so
+    every other move, and every move of the towers and the sequence builders, is built as before."""
+    apply = moves._apply
+
+    def planted(B, kind, j, v):
+        if kind not in builds:
+            return apply(B, kind, j, v)
+        return (kind, j, v), builds[kind](B, j, v)
+
+    monkeypatch.setattr("bottcert.stabilize._apply", planted)
+
+
 class TestKeepBelow:
     def test_fires_when_a_switch_changes_a_lower_row(self, monkeypatch):
         switch = bc.switch
         tampered = [0]
 
-        def bent(B, j):
+        def bent(B, j, v):
             # the real switch, but with row 2 of its result changed when j > 2
             after = switch(B, j)
             if j <= 2:
@@ -373,7 +388,7 @@ class TestKeepBelow:
             rows[1] = (rows[1][0] + 2,)
             return bc.BottMatrix(B.n, rows)
 
-        monkeypatch.setattr("bottcert.stabilize.switch", bent)
+        bend(monkeypatch, switch=bent)
         fired = 0
         for phi in trace_isos():
             tampered[0] = 0
@@ -398,9 +413,9 @@ def raised(M, i, j):
 class TestMoveTripwires:
     """A move that fails to build in a key step is a tripwire chained from the move's error.
 
-    ``_key_step`` does not restate a move's precondition: ``switch`` and
-    ``twist`` check it as ``play`` builds the move.  Each test plants the bug
-    that one of the restating checks guarded and sees a tripwire fire.
+    ``_key_step`` does not restate a move's precondition: ``_apply`` checks
+    it as ``play`` builds the move.  Each test plants the bug that one of the
+    restating checks guarded and sees a tripwire fire.
     """
 
     @pytest.mark.parametrize("fixture", [even_case_fixture, odd_step_fixture])
@@ -412,14 +427,14 @@ class TestMoveTripwires:
         def fail(*args):
             raise planted
 
-        monkeypatch.setattr(f"bottcert.stabilize.{name}", fail)
+        bend(monkeypatch, **{name: fail})
         with pytest.raises(bc.TripwireError, match=r"^key step at l=\d could not build a move: planted$") as info:
             bc.stabilize_full(fixture())
         assert info.value.__cause__ is planted
 
     def test_even_twist_that_keeps_the_entry(self, monkeypatch):
         # a twist that leaves b_{l,l-1} = p: the switch at l-1 refuses it
-        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: B)
+        bend(monkeypatch, twist=lambda B, j, v: B)
         with pytest.raises(bc.TripwireError, match="^key step at l=3 could not build a move: ") as info:
             bc.stabilize_full(even_case_fixture())
         assert isinstance(info.value.__cause__, bc.SwitchBlocked)
@@ -427,7 +442,7 @@ class TestMoveTripwires:
     def test_odd_twist_that_leaves_the_entry_l_l_minus_2(self, monkeypatch):
         # the odd twist is at j = l-1; the column loop reads the entry (l, l-2) first
         twist = bc.twist
-        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: raised(twist(B, j, v), j + 1, j - 1))
+        bend(monkeypatch, twist=lambda B, j, v: raised(twist(B, j, v), j + 1, j - 1))
         with pytest.raises(bc.TripwireError, match=r"^entry \(l, 1\) must vanish after the odd twist$"):
             bc.stabilize_full(odd_step_fixture())
 
@@ -440,12 +455,11 @@ class TestMoveTripwires:
             last.append(j)
             return twist(B, j, v)
 
-        def bent(B, j):
+        def bent(B, j, v):
             after = switch(B, j)
             return raised(after, j + 2, j + 1) if last and j == last.pop() - 1 else after
 
-        monkeypatch.setattr("bottcert.stabilize.twist", recorded)
-        monkeypatch.setattr("bottcert.stabilize.switch", bent)
+        bend(monkeypatch, twist=recorded, switch=bent)
         with pytest.raises(bc.TripwireError, match="^key step at l=3 could not build a move: ") as info:
             bc.stabilize_full(odd_step_fixture())
         assert isinstance(info.value.__cause__, bc.SwitchBlocked)
@@ -514,7 +528,7 @@ class TestPlantedTripwires:
     def test_odd_twist_that_leaves_the_entry_l_minus_1_l_minus_2(self, monkeypatch):
         # the twist at l-1 = 3 should clear row 3 past F_1; the loop reads (4, 2), then (3, 2)
         twist = bc.twist
-        monkeypatch.setattr("bottcert.stabilize.twist", lambda B, j, v: raised(twist(B, j, v), j, j - 1))
+        bend(monkeypatch, twist=lambda B, j, v: raised(twist(B, j, v), j, j - 1))
         phi, k, dec = odd_twist_step()
         with pytest.raises(bc.TripwireError, match=r"^entry \(l-1, 2\) must vanish after the odd twist$"):
             _key_step(phi, k, dec)
@@ -884,3 +898,10 @@ class TestIntegerGate:
                 variants += 1
                 rejected += not res.ok
         assert variants > rejected > 0
+
+
+@pytest.mark.parametrize("bound", [True, 1.5, "2"], ids=["bool", "float", "str"])
+def test_search_bound_must_be_a_plain_int(bound):
+    # the gate's integer rule at the search: a bool or a float is no bound, and a str is a domain error
+    with pytest.raises(bc.ShapeError, match=f"^search bound {re.escape(repr(bound))} is not an integer$"):
+        bc.search_isos(ZERO3, ZERO3, bound)

@@ -37,15 +37,8 @@ from .ring import (
     sub_bar,
     two_x_minus_alpha,
 )
-from .stabilize import (
-    KeyStepTrace,
-    ReplayResult,
-    StabilizationCertificate,
-    check_claims,
-    decompose_xk,
-    stabilize_full,
-    verify_certificate,
-)
+from .serialize import ReplayResult, StabilizationCertificate, check_claims
+from .stabilize import KeyStepTrace, decompose_xk, stabilize_full, verify_certificate
 from .structure import (
     DecompositionTower,
     blocks_at,

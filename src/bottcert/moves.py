@@ -19,9 +19,8 @@ is the tuple (kind, j, v) of its parameters, v None for a switch and a tuple
 for a twist, and holds no matrix, so reading a sequence holds one matrix at
 a time.  The gate is ``rebuild``: it builds each move from outside
 parameters, writes its map as ``_then`` on the identity and checks it by
-full relation checking (``make_iso``).  It runs only in
-``stabilize.certificate_from_parts``: the one build path of the JSON reader
-and of ``verify_certificate``.
+full relation checking (``make_iso``), only in the certificate's one build
+path, ``serialize.certificate_from_parts``.
 
 A move's map is fixed by n and (kind, j, v) and elementary, so neither moves
 nor sequences store maps: ``_then`` and ``_before`` compose a map with a move
@@ -145,6 +144,7 @@ class MoveSeq:
         return MoveSeq(start, tuple(stored), end)
 
 
+# here, not in serialize: bench/test_bench.py's test_wrappers_removed reads moves.make_iso
 def rebuild(start: BottMatrix, params) -> MoveSeq:
     """The moves (kind, j, v) from start, the gate: each is built by ``_apply`` from the one before,
     and its induced map, ``_then`` on the identity, is checked by ``make_iso``.

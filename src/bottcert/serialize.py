@@ -7,10 +7,10 @@ both forms, take arrays only as JSON lists (no string, object or other
 iterable stands in for one) and reject an object key they do not read.
 Writers sort keys and keep arrays in index order: equal values, equal bytes.
 
-A certificate is built through ``stabilize.certificate_from_parts``, its one
-build path.  ``move_from_obj`` only decodes a move's parameters, just before
-the move is built and checked, so reading stops at the first bad move and
-builds each good one once.
+The certificate, its one build path ``certificate_from_parts`` and its
+claims ``check_claims`` live here, beside the reader.  ``move_from_obj`` only
+decodes a move's parameters, just before the move is built and checked, so
+reading stops at the first bad move and builds each good one once.
 
 ``dumps_canonical``, the one writer of output text, emits the bytes of
 ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, with each
@@ -26,10 +26,9 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BottError, ShapeError
-from .iso import GradedIso
-from .moves import MoveSeq
+from .iso import GradedIso, make_iso, max_stable
+from .moves import MoveSeq, _before, _then, rebuild
 from .ring import BottMatrix
-from .stabilize import ReplayResult, StabilizationCertificate, certificate_from_parts, check_claims
 
 CERT_SCHEMA = "bott-stabilization-cert/1"
 _JSON_INT_LIMIT = 2**53
@@ -145,6 +144,81 @@ def seq_from_obj(obj: object) -> tuple:
     return matrix_from_obj(obj["start"]), map(move_from_obj, _list(obj["moves"], "'moves'"))
 
 
+class ReplayResult:
+    __slots__ = ("ok", "diagnostic")
+
+    def __init__(self, ok: bool, diagnostic: str | None = None):
+        self.ok, self.diagnostic = ok, diagnostic
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ReplayResult) and (self.ok, self.diagnostic) == (other.ok, other.diagnostic)
+
+
+class StabilizationCertificate:
+    """Self-contained, replayable witness of a stabilization run.
+
+    Invariants: f_seq runs from the new source matrix to A, g_seq from B to
+    the new target matrix, phi_prime equals g o phi o f exactly, both
+    sequences rebuild from their parameters, and
+    k_final = max_stable(phi_prime) >= n - 2.
+    """
+    __slots__ = ("A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final")
+
+    def __init__(self, A: BottMatrix, B: BottMatrix, phi: GradedIso, f_seq: MoveSeq, g_seq: MoveSeq,
+                 phi_prime: GradedIso, k_final: int):
+        self.A, self.B, self.phi = A, B, phi
+        self.f_seq, self.g_seq, self.phi_prime, self.k_final = f_seq, g_seq, phi_prime, k_final
+
+
+def check_claims(cert: StabilizationCertificate) -> ReplayResult:
+    """Check the claims tying a certificate's validated moves and maps together.
+
+    The sequences and maps connect A, B and the moved matrices, phi_prime is
+    g o phi o f exactly (g's moves fold onto phi as column operations, f's as
+    row operations, last first), and k_final = max_stable(phi_prime) >= n - 2.
+    Only a direct call reaches the checks on phi's and phi_prime's ends, as
+    ``certificate_from_parts`` and ``stabilize_full`` build both maps so.
+    They stay, as the gate never gets weaker; only ``test_phi_*`` kill their mutants.
+    """
+    if cert.f_seq.end != cert.A:
+        return ReplayResult(False, "source sequence does not end at A")
+    if cert.g_seq.start != cert.B:
+        return ReplayResult(False, "target sequence does not start at B")
+    if cert.phi.source != cert.A or cert.phi.target != cert.B:
+        return ReplayResult(False, "phi is not a map from A to B")
+    if cert.phi_prime.source != cert.f_seq.start or cert.phi_prime.target != cert.g_seq.end:
+        return ReplayResult(False, "phi_prime does not connect the moved matrices")
+    C = [list(row) for row in cert.phi.C]
+    for mv in cert.g_seq.moves:
+        _then(C, mv)
+    for mv in reversed(cert.f_seq.moves):
+        _before(C, mv)
+    if tuple(map(tuple, C)) != cert.phi_prime.C:
+        return ReplayResult(False, "phi_prime is not g o phi o f")
+    k = max_stable(cert.phi_prime)
+    if k != cert.k_final:
+        return ReplayResult(False, f"claimed k_final {cert.k_final}, recomputed {k}")
+    if k < cert.A.n - 2:
+        return ReplayResult(False, f"k_final {k} below n-2 = {cert.A.n - 2}")
+    return ReplayResult(True, None)
+
+
+def certificate_from_parts(A: BottMatrix, B: BottMatrix, phi_rows, f_start: BottMatrix, f_params,
+                           g_start: BottMatrix, g_params, phi_prime_rows, k_final) -> StabilizationCertificate:
+    """The certificate these parts describe, the one path by which the JSON reader and
+    ``verify_certificate`` build one: f's moves, then g's, built from their (kind, j, v) by
+    ``rebuild``, then phi and phi_prime checked by ``make_iso``; k_final must be a plain int.
+    ``check_claims`` checks the rest."""
+    if type(k_final) is not int:
+        raise ShapeError(f"k_final {k_final!r} is not an integer")
+    f_seq, g_seq = rebuild(f_start, f_params), rebuild(g_start, g_params)
+    return StabilizationCertificate(A, B, make_iso(A, B, phi_rows), f_seq, g_seq,
+                                    make_iso(f_seq.start, g_seq.end, phi_prime_rows), k_final)
+
+
 def certificate_to_obj(cert: StabilizationCertificate) -> dict:
     return {
         "schema": CERT_SCHEMA,
@@ -159,8 +233,7 @@ def certificate_to_obj(cert: StabilizationCertificate) -> dict:
 
 
 def certificate_from_obj(obj: object) -> StabilizationCertificate:
-    """Read a certificate through ``certificate_from_parts``, the one path that builds each move and
-    checks each map; ``check_claims`` checks the rest."""
+    """Read a certificate through ``certificate_from_parts``; ``check_claims`` checks the rest."""
     if not isinstance(obj, dict):
         raise ShapeError("certificate must be a JSON object")
     if obj.get("schema") != CERT_SCHEMA:
@@ -180,6 +253,7 @@ def verify_certificate_obj(obj: object) -> ReplayResult:
     """Verify a parsed certificate object in one pass; bad data yields False, not a raise."""
     try:
         cert = certificate_from_obj(obj)
-    except (BottError, ValueError, TypeError, KeyError, IndexError) as exc:
+    except BottError as exc:
+        # readers check each type before use and decode_int wraps ValueError: any other raise is a bug
         return ReplayResult(False, f"certificate does not parse: {exc}")
     return check_claims(cert)

@@ -3,8 +3,7 @@
 Given a validated isomorphism phi between two Bott rings, the routines here
 produce realizable move sequences f (on the source side) and g (on the
 target side) such that g o phi o f preserves the filtration up to the top
-two stages, together with a self-contained certificate: each of its moves
-is rebuilt from its parameters and every claim is recomputed.
+two stages, together with a certificate, whose type and checks are in ``serialize``.
 
 The engine is a height-reduction step: for a k-stable phi whose image of
 x_{k+1} has height l > k+1, the target matrix admits moves (depending on
@@ -19,10 +18,11 @@ Degree-2 classes (images, w, u, a twist's v) are tuples of n coefficients.
 
 from __future__ import annotations
 
-from .errors import BottError, RangeError, ShapeError, TripwireError
-from .iso import GradedIso, invert, make_iso, max_stable
-from .moves import MoveSeq, _apply, _before, _then, invert_move, rebuild
-from .ring import BottMatrix, height, product_is_zero
+from .errors import BottError, RangeError, TripwireError
+from .iso import GradedIso, invert, max_stable
+from .moves import MoveSeq, _apply, _then, invert_move
+from .ring import height, product_is_zero
+from .serialize import ReplayResult, StabilizationCertificate, certificate_from_parts, check_claims
 from .structure import decompose_tower, same_block
 
 
@@ -243,22 +243,6 @@ class StabilizeTrace:
                     yield rt.k, "final", rt.odd.final_step
 
 
-class StabilizationCertificate:
-    """Self-contained, replayable witness of a stabilization run.
-
-    Invariants: f_seq runs from the new source matrix to A, g_seq from B to
-    the new target matrix, phi_prime equals g o phi o f exactly, both
-    sequences rebuild from their parameters, and
-    k_final = max_stable(phi_prime) >= n - 2.
-    """
-    __slots__ = ("A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final")
-
-    def __init__(self, A: BottMatrix, B: BottMatrix, phi: GradedIso, f_seq: MoveSeq, g_seq: MoveSeq,
-                 phi_prime: GradedIso, k_final: int):
-        self.A, self.B, self.phi = A, B, phi
-        self.f_seq, self.g_seq, self.phi_prime, self.k_final = f_seq, g_seq, phi_prime, k_final
-
-
 def stabilize_full(phi: GradedIso, with_trace: bool = False):
     """Iterate stability raising until the top two stages are preserved.
 
@@ -315,65 +299,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     return cert
 
 
-class ReplayResult:
-    __slots__ = ("ok", "diagnostic")
-
-    def __init__(self, ok: bool, diagnostic: str | None = None):
-        self.ok, self.diagnostic = ok, diagnostic
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ReplayResult) and (self.ok, self.diagnostic) == (other.ok, other.diagnostic)
-
-
-def check_claims(cert: StabilizationCertificate) -> ReplayResult:
-    """Check the claims tying a certificate's validated moves and maps together.
-
-    The sequences and maps connect A, B and the moved matrices, phi_prime is
-    g o phi o f exactly (g's moves fold onto phi as column operations, f's as
-    row operations, last first), and k_final = max_stable(phi_prime) >= n - 2.
-    Only a direct call reaches the checks on phi's and phi_prime's ends, as
-    ``certificate_from_parts`` and ``stabilize_full`` build both maps so.
-    They stay, as the gate never gets weaker; only ``test_phi_*`` kill their mutants.
-    """
-    if cert.f_seq.end != cert.A:
-        return ReplayResult(False, "source sequence does not end at A")
-    if cert.g_seq.start != cert.B:
-        return ReplayResult(False, "target sequence does not start at B")
-    if cert.phi.source != cert.A or cert.phi.target != cert.B:
-        return ReplayResult(False, "phi is not a map from A to B")
-    if cert.phi_prime.source != cert.f_seq.start or cert.phi_prime.target != cert.g_seq.end:
-        return ReplayResult(False, "phi_prime does not connect the moved matrices")
-    C = [list(row) for row in cert.phi.C]
-    for mv in cert.g_seq.moves:
-        _then(C, mv)
-    for mv in reversed(cert.f_seq.moves):
-        _before(C, mv)
-    if tuple(map(tuple, C)) != cert.phi_prime.C:
-        return ReplayResult(False, "phi_prime is not g o phi o f")
-    k = max_stable(cert.phi_prime)
-    if k != cert.k_final:
-        return ReplayResult(False, f"claimed k_final {cert.k_final}, recomputed {k}")
-    if k < cert.A.n - 2:
-        return ReplayResult(False, f"k_final {k} below n-2 = {cert.A.n - 2}")
-    return ReplayResult(True, None)
-
-
-def certificate_from_parts(A: BottMatrix, B: BottMatrix, phi_rows, f_start: BottMatrix, f_params,
-                           g_start: BottMatrix, g_params, phi_prime_rows, k_final) -> StabilizationCertificate:
-    """The certificate these parts describe, the one path by which the JSON reader and
-    ``verify_certificate`` build one: f's moves, then g's, built from their (kind, j, v) by
-    ``rebuild``, then phi and phi_prime checked by ``make_iso``; k_final must be a plain int.
-    ``check_claims`` checks the rest."""
-    if type(k_final) is not int:
-        raise ShapeError(f"k_final {k_final!r} is not an integer")
-    f_seq, g_seq = rebuild(f_start, f_params), rebuild(g_start, g_params)
-    return StabilizationCertificate(A, B, make_iso(A, B, phi_rows), f_seq, g_seq,
-                                    make_iso(f_seq.start, g_seq.end, phi_prime_rows), k_final)
-
-
+# here, not in serialize: bench/run.py traces it as the span stabilize.verify_certificate
 def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     """Re-verify an in-memory certificate from its raw data only.
 

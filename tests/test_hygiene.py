@@ -5,7 +5,9 @@
 * Each callee of ``ONLY_CALLED_FROM`` is called by exactly the functions its
   row names; each row gives its reason.
 * The functions a verdict rests on, the static call closure of the two
-  certificate verifiers, are the ones ``TRUSTED`` declares.
+  certificate verifiers, are the ones ``TRUSTED`` declares, and README
+  lists them by module with their line counts.  The JSON verifier reaches
+  nothing in ``stabilize``, which ``serialize`` does not import.
 * ``serialize.dumps_canonical`` is the one writer of output text: no
   library call passes ``indent=`` to ``json``.
 * ``serialize`` owns the number format: no other library module names the
@@ -34,6 +36,7 @@
 """
 
 import ast
+import re
 from importlib import import_module
 from pathlib import Path
 
@@ -44,6 +47,7 @@ from helpers import trace_isos
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bottcert"
 BENCH = SRC.parent.parent / "bench"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -109,13 +113,13 @@ def test_detects_callers():
 
 ONLY_CALLED_FROM = {
     # the trust boundaries: the move gate, the certificate's one build path, and the CLI commands that read a map
-    "iso.make_iso": {"moves.rebuild", "stabilize.certificate_from_parts", "cli._cmd_iso_check", "cli._cmd_stabilize"},
+    "iso.make_iso": {"moves.rebuild", "serialize.certificate_from_parts", "cli._cmd_iso_check", "cli._cmd_stabilize"},
     # the move gate: the JSON reader and verify_certificate build a certificate through that one function, so
     # every move built from outside parameters goes through one loop and there is no second gate path
-    "moves.rebuild": {"stabilize.certificate_from_parts"},
+    "moves.rebuild": {"serialize.certificate_from_parts"},
     # the row fold: stabilization folds its moves onto its working map as columns, so only the claim check
     # applies the source-side moves f, and no library function multiplies two maps
-    "moves._before": {"stabilize.check_claims"},
+    "moves._before": {"serialize.check_claims"},
     # every move (sequence, tower or key step) is built by the one normalizer of a move's parameters, so a new
     # path that builds moves past it fails here.  A key step builds each move in its play, which reports a move
     # that fails to build as a tripwire, so no check there restates a move's precondition
@@ -231,10 +235,10 @@ TRUSTED = {
     "serialize.verify_certificate_obj", "serialize.certificate_from_obj", "serialize.matrix_from_obj",
     "serialize.iso_matrix_from_obj", "serialize.seq_from_obj", "serialize.move_from_obj", "serialize.decode_int",
     "serialize._ints", "serialize._list", "serialize._only",
-    # the build path and the claims
-    "stabilize.verify_certificate", "stabilize.certificate_from_parts", "stabilize.check_claims",
-    "stabilize.StabilizationCertificate.__init__",
-    "stabilize.ReplayResult.__init__", "stabilize.ReplayResult.__bool__", "stabilize.ReplayResult.__eq__",
+    # the build path and the claims, beside the readers, and the in-memory verifier
+    "serialize.certificate_from_parts", "serialize.check_claims", "serialize.StabilizationCertificate.__init__",
+    "serialize.ReplayResult.__init__", "serialize.ReplayResult.__bool__", "serialize.ReplayResult.__eq__",
+    "stabilize.verify_certificate",
     # the move gate, the moves and the two folds
     "moves.rebuild", "moves._apply", "moves.switch", "moves.twist", "moves._then", "moves._before",
     "moves.MoveSeq.__init__",
@@ -248,9 +252,40 @@ TRUSTED = {
 }
 
 
+def trusted_by_module(library: dict) -> dict:
+    """``TRUSTED`` by module: each module's lines in those functions, docstrings included, and their names."""
+    trees = {module: definitions(ast.parse(text)) for module, text in library.items()}
+    groups = {}
+    for qual in TRUSTED:
+        module, _, name = qual.partition(".")
+        node = trees[module][name]
+        lines, names = groups.get(module, (0, set()))
+        groups[module] = (lines + node.end_lineno - node.lineno + 1, names | {name})
+    return groups
+
+
+def documented_trusted(readme: str) -> tuple:
+    """README's list under "What a verdict rests on": its count of functions and of lines, and each
+    module's bullet as its line count and the names it quotes."""
+    section = readme.partition("## What a verdict rests on")[2].partition("\n## ")[0]
+    total = re.search(r"(\d+) functions and methods, (\d+) lines", section)
+    bullets = re.findall(r"\n  - `(\w+)` \((\d+)(?: lines)?\): (.*?)(?=\n  - |\n- |\Z)", section, re.S)
+    return (total and (int(total[1]), int(total[2])),
+            {module: (int(lines), set(re.findall(r"`([^`]+)`", body))) for module, lines, body in bullets})
+
+
 def test_trusted_is_what_the_verifiers_reach():
+    library = library_sources()
     roots = ["serialize.verify_certificate_obj", "stabilize.verify_certificate"]
-    assert call_closure(library_sources(), roots) == TRUSTED
+    assert call_closure(library, roots) == TRUSTED
+    # the JSON verifier does not reach the construction module, and its module does not import it
+    assert {qual for qual in call_closure(library, roots[:1]) if qual.startswith("stabilize.")} == set()
+    tree = ast.parse(library["serialize"])
+    assert "stabilize" not in {node.module or a.name for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom) for a in node.names}
+    groups = trusted_by_module(library)
+    total = (len(TRUSTED), sum(lines for lines, _ in groups.values()))
+    assert documented_trusted(README.read_text(encoding="utf-8")) == (total, groups)
 
 
 def test_detects_what_a_root_reaches():
@@ -593,7 +628,7 @@ PLAIN_RECORDS = {
     "stabilize.OddBranchTrace",
     "stabilize.RaiseTrace",
     # the certificate, whose named parts certificate_to_obj writes and check_claims checks
-    "stabilize.StabilizationCertificate",
+    "serialize.StabilizationCertificate",
 }
 
 

@@ -389,14 +389,14 @@ class TestClaimFold:
 
 
 def counting_gate(monkeypatch):
-    """Count make_iso calls made through moves and stabilize, the two modules of the gate."""
+    """Count make_iso calls made through moves and serialize, the two modules of the gate."""
     calls = [0]
 
     def counted(A, B, C):
         calls[0] += 1
         return bc.make_iso(A, B, C)
 
-    for module in (moves, stabilize):
+    for module in (moves, serialize):
         monkeypatch.setattr(module, "make_iso", counted)
     return calls
 
@@ -445,7 +445,7 @@ class TestGate:
         certs = [(serialize.certificate_to_obj(c), moving_switch(c.f_seq) or moving_switch(c.g_seq))
                  for c in certs if c.f_seq.moves or c.g_seq.moves]
         monkeypatch.setattr(moves, "_then", no_switch)
-        monkeypatch.setattr(stabilize, "_then", no_switch)
+        monkeypatch.setattr(serialize, "_then", no_switch)
         for obj, moving in certs:
             res = serialize.verify_certificate_obj(obj)
             assert not res.ok

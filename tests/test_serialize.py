@@ -242,6 +242,21 @@ class TestTrustBoundary:
         res = ser.verify_certificate_obj(obj)
         assert (res.ok, res.diagnostic) == (False, f"certificate does not parse: unknown key {key!r}")
 
+    def test_library_bug_is_not_a_rejection(self, monkeypatch):
+        # bad JSON is a BottError at every reader and gate step, so another exception is a bug and raises;
+        # the in-memory verifier, whose input can be any Python object, still reads it as invalid data
+        cert = bc.stabilize_full(odd_twist_isos()[0])
+        obj = json.loads(json.dumps(ser.certificate_to_obj(cert)))
+
+        def broken(C, mv):
+            raise TypeError("planted bug")
+
+        monkeypatch.setattr("bottcert.moves._then", broken)
+        with pytest.raises(TypeError, match="planted bug"):
+            ser.verify_certificate_obj(obj)
+        res = bc.verify_certificate(cert)
+        assert (res.ok, res.diagnostic) == (False, "certificate data invalid: planted bug")
+
 
 class TestCanonicalDump:
     def test_sorted_keys_and_trailing_newline(self):

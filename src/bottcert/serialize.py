@@ -253,7 +253,7 @@ def verify_certificate_obj(obj: object) -> ReplayResult:
     """Verify a parsed certificate object in one pass; bad data yields False, not a raise."""
     try:
         cert = certificate_from_obj(obj)
-    except BottError as exc:
-        # readers check each type before use and decode_int wraps ValueError: any other raise is a bug
+    except (BottError, ValueError) as exc:
+        # types are checked before use; a ValueError is bad data too: a message printing an int past the digit limit
         return ReplayResult(False, f"certificate does not parse: {exc}")
     return check_claims(cert)

@@ -1,6 +1,7 @@
 """JSON round-trips and canonical output."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,10 +244,8 @@ class TestTrustBoundary:
         assert (res.ok, res.diagnostic) == (False, f"certificate does not parse: unknown key {key!r}")
 
     def test_library_bug_is_not_a_rejection(self, monkeypatch):
-        # bad JSON is a BottError at every reader and gate step, so another exception is a bug and raises;
-        # the in-memory verifier, whose input can be any Python object, still reads it as invalid data
-        cert = bc.stabilize_full(odd_twist_isos()[0])
-        obj = json.loads(json.dumps(ser.certificate_to_obj(cert)))
+        # every reader checks each type before use, so a TypeError past the reader is a bug and raises
+        obj = json.loads(json.dumps(ser.certificate_to_obj(bc.stabilize_full(odd_twist_isos()[0]))))
 
         def broken(C, mv):
             raise TypeError("planted bug")
@@ -254,8 +253,18 @@ class TestTrustBoundary:
         monkeypatch.setattr("bottcert.moves._then", broken)
         with pytest.raises(TypeError, match="planted bug"):
             ser.verify_certificate_obj(obj)
-        res = bc.verify_certificate(cert)
-        assert (res.ok, res.diagnostic) == (False, "certificate data invalid: planted bug")
+
+    def test_int_past_the_digit_limit_in_a_diagnostic_is_a_rejection(self):
+        # C's entry (3001 digits) decodes, det C = 1 and rows 1 and 2 hold, but row 3's residue holds its
+        # square (6001 digits): the relation's diagnostic cannot print it past the interpreter's digit limit
+        M = {"n": 3, "rows": [[], [1], [0, 0]]}
+        C = {"C": [[1, 0, 0], [0, 1, 0], [0, "1" + "0" * 3000, 1]]}
+        obj = {"schema": ser.CERT_SCHEMA, "A": M, "B": M, "phi": C, "f_seq": {"start": M, "moves": []},
+               "g_seq": {"start": M, "moves": []}, "phi_prime": C, "k_final": 1}
+        res = ser.verify_certificate_obj(obj)
+        assert res.ok is False and res.diagnostic.startswith("certificate does not parse: ")
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6001:
+            assert "integer string conversion" in res.diagnostic
 
 
 class TestCanonicalDump:

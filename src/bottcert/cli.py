@@ -3,11 +3,11 @@
 Subcommands parse matrices, isomorphisms and certificates from JSON files,
 dispatch to the library, and emit canonical JSON on standard output.  Exit
 codes: 0 on success, 1 on domain errors and on running out of memory or
-recursion depth (with an {"error": ...} payload), 2 on usage errors, 3 when
-a tripwire fires (payload {"error": ..., "tripwire": true}; that is a bug,
-never a property of the input).  Output is byte-deterministic for fixed
-input.  A handler returns its payload, or, for ``stabilize``'s certificate,
-the text it has already checked.
+recursion depth (with an {"error": ...} payload), 2 on usage errors, 3 on a
+tripwire or any other exception, such as a ``TypeError`` (payload {"error":
+..., "tripwire": true}; a bug, never a property of the input).  Output is
+byte-deterministic for fixed input.  A handler returns its payload, or, for
+``stabilize``'s certificate, the text it has already checked.
 """
 
 from __future__ import annotations
@@ -181,13 +181,13 @@ def main(argv=None) -> int:
         values = [read(_load(getattr(args, arg))) for arg, read in files.items()]
         payload = handler(*values, *(getattr(args, flag.lstrip("-")) for flag in options))
         text = payload if isinstance(payload, str) else dumps_canonical(payload)
-    except TripwireError as exc:
-        sys.stdout.write(dumps_canonical({"error": str(exc), "tripwire": True}))
-        return 3
-    except (BottError, OSError, ValueError, TypeError, KeyError, RecursionError, MemoryError) as exc:
-        # the writer runs here too: a large payload can exhaust memory, and a MemoryError may have no message
-        sys.stdout.write(dumps_canonical({"error": str(exc) or type(exc).__name__}))
-        return 1
+    except Exception as exc:
+        # the writer runs here too: a large payload can exhaust memory, and a MemoryError may have no message.
+        # Every reader checks types before use, so a tripwire or any exception but a domain error is a library bug
+        domain = isinstance(exc, (BottError, OSError, ValueError, RecursionError, MemoryError))
+        tripwire = {"tripwire": True} if isinstance(exc, TripwireError) or not domain else {}
+        sys.stdout.write(dumps_canonical({"error": str(exc) or type(exc).__name__, **tripwire}))
+        return 3 if tripwire else 1
     sys.stdout.write(text)
     return 0
 

@@ -3,13 +3,14 @@
 An isomorphism is represented by its degree-2 integer matrix C with
 phi(x_i) = sum_j C_ij y_j; since the ring is generated in degree 2 this
 determines phi completely.  A degree-2 class is a tuple of n coefficients,
-so row i of C is phi(x_i) and ``apply2`` maps any class.  ``make_iso`` is the one validating constructor:
-it checks unimodularity and that every relation x_i^2 = alpha_i x_i is
-respected, and it runs where a matrix enters from outside.  ``GradedIso``
-itself trusts its arguments; ``invert``, ``search_isos``, the moves'
-induced maps and ``stabilize_full``'s working map build it directly,
-because their results are isomorphisms by algebra (or, for the search, by
-the checks made while enumerating).
+so row i of C is phi(x_i) and ``apply2`` maps any class by ``combine``.
+``make_iso`` is the one validating constructor: it checks unimodularity and
+that every relation x_i^2 = alpha_i x_i is respected, and it runs where a
+matrix enters from outside.  ``GradedIso`` itself trusts its arguments;
+``invert``, ``search_isos`` and ``stabilize_full``'s working map build it
+directly, because their results are isomorphisms by algebra (or, for the
+search, by the checks made while enumerating).  No move's map is one:
+``rebuild`` checks each through ``make_iso``, and the folds act on lists.
 
 All operations are pure and exact in integers; ``int_inverse`` and
 ``int_det`` serve dense maps by one Bareiss elimination, and no two maps are
@@ -43,10 +44,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, neg, sub
 
 from .errors import NotUnimodular, RelationViolated, ShapeError, TripwireError
-from .ring import BottMatrix, height, product_is_zero, product_terms, two_x_minus_alpha
+from .ring import BottMatrix, combine, height, product_is_zero, product_terms, two_x_minus_alpha
 
 
 def _bareiss(m: list[list[int]]) -> int:
@@ -101,11 +102,7 @@ def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     inv = [None] * n
     for i in reversed(range(n)):
         row = m[i]
-        acc = row[n:]
-        for j in range(i + 1, n):
-            if u := row[j]:
-                acc = [a - u * x for a, x in zip(acc, inv[j])]
-        inv[i] = [a // row[i] for a in acc]
+        inv[i] = [a // row[i] for a in combine(map(neg, row[i + 1 : n]), inv[i + 1 :], row[n:])]
     return tuple(map(tuple, inv))
 
 
@@ -127,12 +124,7 @@ class GradedIso:
         n = self.source.n
         if len(c) != n:
             raise ShapeError(f"expected {n} coefficients, got {len(c)}")
-        out = [0] * n
-        for t, row in zip(c, self.C):
-            if t:
-                for j in range(n):
-                    out[j] += t * row[j]
-        return tuple(out)
+        return tuple(combine(c, self.C, (0,) * n))
 
     def is_k_stable(self, k: int) -> bool:
         """Whether phi(F_k) lands in F_k, i.e. rows <= k have support <= k."""
@@ -193,10 +185,7 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
             else:
                 if B.rows[r] == tuple(expect):
                     continue
-        diff = img
-        for aij, crow in zip(arow, C):
-            if aij:
-                diff = [d - aij * c for d, c in zip(diff, crow)]
+        diff = combine(map(neg, arow), C, img)
         if not product_is_zero(B, img, diff):
             raise RelationViolated(i, product_terms(B, img, diff))
     return GradedIso(A, B, C)
@@ -333,12 +322,7 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
             if state in completions:
                 return completions[state]
             completions[state] = out
-        phi_alpha = [0] * n
-        for j, aij in enumerate(A.rows[i - 1]):
-            if aij:
-                for col, c in enumerate(rows[j]):
-                    phi_alpha[col] += aij * c
-        phi_alpha = tuple(phi_alpha)
+        phi_alpha = tuple(combine(A.rows[i - 1], rows, (0,) * n))
         key = (lev_a[i], spare, phi_alpha, used)
         children = children_of.get(key)
         if children is None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .errors import RangeError, ShapeError, SwitchBlocked, TwistInvalid
 from .iso import _identity_rows, make_iso
-from .ring import BottMatrix, height, product_is_zero
+from .ring import BottMatrix, combine, height, product_is_zero
 
 
 def _apply(B: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
@@ -121,9 +121,7 @@ def _before(C: list[list[int]], mv: tuple) -> None:
     if kind == "switch":
         C[j - 1], C[j] = C[j], C[j - 1]
         return
-    for t, vt in enumerate(v[: j - 1]):
-        if vt:
-            C[j - 1] = [e + vt * s for e, s in zip(C[j - 1], C[t])]
+    C[j - 1] = combine(v[: j - 1], C, C[j - 1])
 
 
 class MoveSeq:

@@ -10,8 +10,9 @@ and the square-free monomials x_S, S a subset of {1..n}, are an additive
 basis.  A degree-2 class sum t_i x_i is the tuple (t_1, ..., t_n) of its
 plain int coefficients, everywhere in the library; it carries no matrix.
 This module provides the matrix type, the height of a class in the
-filtration F_k = span{x_1..x_k}, and the one product the library needs:
-degree 2 times degree 2.
+filtration F_k = span{x_1..x_k}, the one product the library needs,
+degree 2 times degree 2, and ``combine``, the one sum of coefficient times
+row: the image of a class, phi(alpha_i), a row fold and back-substitution.
 
 A graded isomorphism is fixed by its degree-2 matrix and every relation
 x_i^2 = alpha_i x_i lives in degree 4, where the pair monomials x_j x_i
@@ -100,6 +101,14 @@ def height(c: tuple[int, ...]) -> int:
         if c[i - 1]:
             return i
     return 0
+
+
+def combine(c, rows, start):
+    """start plus c_t rows[t] for each nonzero c_t, as a list (start itself if none); zip stops at the shorter."""
+    for ct, row in zip(c, rows):
+        if ct:
+            start = [e + ct * r for e, r in zip(start, row)]
+    return start
 
 
 def product_is_zero(A: BottMatrix, s, t) -> bool:

@@ -404,6 +404,24 @@ def test_tripwire_exit_code(files, capsys, monkeypatch):
     assert json.loads(out) == {"error": "forced for the test", "tripwire": True}
 
 
+@pytest.mark.parametrize("error", [TypeError, IndexError])
+def test_library_bug_is_a_tripwire(files, capsys, tmp_path, monkeypatch, error):
+    # every reader checks each type before use, so an exception past them that is not a domain error is a bug
+    a = files("a.json", {"n": 3, "rows": [[], [0], [1, 0]]})
+    b = files("b.json", {"n": 3, "rows": [[], [1], [0, 0]]})
+    c = files("c.json", {"C": [[-1, 2, 0], [0, 0, 1], [0, 1, 0]]})
+    out_path = str(tmp_path / "cert.json")
+    assert run(capsys, "stabilize", a, b, c, "--out", out_path)[0] == 0
+
+    def broken(C, mv):
+        raise error("planted bug")
+
+    monkeypatch.setattr("bottcert.moves._then", broken)
+    code, out = run(capsys, "verify-cert", out_path)
+    assert (code, json.loads(out)) == (3, {"error": "planted bug", "tripwire": True})
+    assert capsys.readouterr().err == ""
+
+
 def test_blocked_well_ordering_is_a_tripwire(files, capsys, monkeypatch):
     def fire(A):
         raise bc.TripwireError("forced for the test")

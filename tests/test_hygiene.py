@@ -245,9 +245,9 @@ TRUSTED = {
     # the map check
     "iso.make_iso", "iso._unit", "iso.int_det", "iso._bareiss", "iso._identity_rows", "iso.max_stable",
     "iso.GradedIso.__init__", "iso.GradedIso.__eq__", "iso.GradedIso.__repr__",
-    # the matrix and the degree-4 product
+    # the matrix, the sum of rows and the degree-4 product
     "ring.BottMatrix.__init__", "ring.BottMatrix._derived", "ring.BottMatrix.a", "ring.BottMatrix.__eq__",
-    "ring.BottMatrix.__repr__", "ring.height", "ring.product_is_zero", "ring.product_terms",
+    "ring.BottMatrix.__repr__", "ring.height", "ring.combine", "ring.product_is_zero", "ring.product_terms",
     "errors.RelationViolated.__init__",
 }
 

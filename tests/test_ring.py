@@ -1,5 +1,5 @@
 """Ring arithmetic: matrices, the oracle reducer, the degree-4 product kernel,
-heights, submatrices."""
+the sum of rows, heights, submatrices."""
 
 import itertools
 import random
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bottcert as bc
+from bottcert.ring import combine
 from helpers import class_terms, oracle_product, rand_class, rand_matrix, reduce_oracle, render_terms, sparse_matrix
 
 
@@ -218,6 +219,39 @@ class TestProductKernel:
                 assert exc.residue == bc.product_terms(B, img, diff)
                 assert {frozenset(k): c for k, c in exc.residue.items()} == residue
                 seen += 1
+
+
+def dense_sum(c, rows, start):
+    """start + sum_t c_t rows[t], entry by entry, over the first min(len(c), len(rows)) rows."""
+    k = min(len(c), len(rows))
+    return [s + sum(c[t] * rows[t][col] for t in range(k)) for col, s in enumerate(start)]
+
+
+class TestCombine:
+    def test_random_sums(self):
+        rng = random.Random(45)
+        big = 1 << 70
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            rows = [tuple(rng.choice((0, 0, 1, -1, rng.randint(-big, big))) for _ in range(n))
+                    for _ in range(n)]
+            # c may be shorter than rows, as row i of A (i - 1 entries) is against phi(x_1..x_n)
+            c = [rng.choice((0, 0, 2, -3, -big, big + 1)) for _ in range(rng.randint(0, n))]
+            start = tuple(rng.randint(-big, big) for _ in range(n)) if rng.random() < 0.5 else (0,) * n
+            assert list(combine(c, rows, start)) == dense_sum(c, rows, start)
+
+    def test_zero_coefficients_return_start(self):
+        start = (5, -(1 << 80), 0)
+        rows = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+        assert combine((0, 0, 0), rows, start) is start
+        assert combine((), rows, start) is start
+        assert combine((0, 0), rows, start) is start
+
+    def test_negative_and_big_coefficients(self):
+        big = 1 << 100
+        rows = [(1, -1), (big, 3)]
+        assert combine((-big, 2), rows, (7, 0)) == [7 - big + 2 * big, big + 6]
+        assert combine((-1,), rows, (0, 0)) == [-1, 1]
 
 
 class TestHeight:

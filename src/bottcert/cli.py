@@ -2,9 +2,10 @@
 
 Subcommands parse matrices, isomorphisms and certificates from JSON files,
 dispatch to the library, and emit canonical JSON on standard output.  Exit
-codes: 0 on success, 1 on domain errors and on running out of memory or
-recursion depth (with an {"error": ...} payload), 2 on usage errors, 3 on a
-tripwire or any other exception, such as a ``TypeError`` (payload {"error":
+codes: 0 on success, 1 on domain errors (``_load`` makes ``json``'s errors
+``ShapeError``s) and on running out of memory or recursion depth (payload
+{"error": ...}) or a closed stdout (no payload), 2 on usage errors, 3 on a
+tripwire or any other exception, such as a ``ValueError`` (payload {"error":
 ..., "tripwire": true}; a bug, never a property of the input).  Output is
 byte-deterministic for fixed input.  A handler returns its payload, or, for
 ``stabilize``'s certificate, the text it has already checked.
@@ -14,13 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .errors import BottError, TripwireError
+from .errors import BottError, ShapeError, TripwireError
 from .iso import extract_sigma_eps, make_iso, max_stable, search_isos
 from .ring import product_is_zero
 from .serialize import (
     certificate_to_obj,
+    decode_int,
     dumps_canonical,
     iso_matrix_from_obj,
     matrix_from_obj,
@@ -40,7 +43,7 @@ DEFAULT_SEARCH_BOUND = 6
 def _unique_keys(pairs: list) -> dict:
     if len(obj := dict(pairs)) < len(pairs):
         keys = sorted(k for k, _ in pairs)
-        raise ValueError(f"duplicate key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r}")
+        raise ShapeError(f"duplicate key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r}")
     return obj
 
 
@@ -49,7 +52,17 @@ def _load(path: str):
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+            raise ShapeError(f"{path}: JSON nested too deeply to parse") from None
+        except ValueError as exc:  # malformed text, a byte that is not UTF-8, an int past the digit limit
+            raise ShapeError(str(exc)) from None
+
+
+def _bound(text: str) -> int:
+    """--bound's value, a decimal integer as the readers take it (no "+2", " 2 ", "1_0" or non-ASCII digit)."""
+    try:
+        return decode_int(text)
+    except ShapeError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _cmd_ring(A) -> dict:
@@ -148,7 +161,7 @@ COMMANDS = {
     "decompose": ("tower dimensions, levels, blocks, partition", {"matrix": matrix_from_obj}, {}, _cmd_decompose),
     "iso-check": ("validate a degree-2 matrix as a ring isomorphism", _TRIPLE, {}, _cmd_iso_check),
     "iso-search": ("enumerate isomorphisms with bounded entries", _PAIR,
-                   {"--bound": {"type": int, "default": DEFAULT_SEARCH_BOUND}}, _cmd_iso_search),
+                   {"--bound": {"type": _bound, "default": DEFAULT_SEARCH_BOUND}}, _cmd_iso_search),
     "stabilize": ("produce a stabilization certificate", _TRIPLE, {"--out": {"default": None}}, _cmd_stabilize),
     "verify-cert": ("replay and verify a certificate", {"certificate": lambda obj: obj}, {}, _cmd_verify_cert),
 }
@@ -177,19 +190,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     _, files, options, handler = COMMANDS[args.command]
+    code = 0
     try:
         values = [read(_load(getattr(args, arg))) for arg, read in files.items()]
         payload = handler(*values, *(getattr(args, flag.lstrip("-")) for flag in options))
         text = payload if isinstance(payload, str) else dumps_canonical(payload)
     except Exception as exc:
         # the writer runs here too: a large payload can exhaust memory, and a MemoryError may have no message.
-        # Every reader checks types before use, so a tripwire or any exception but a domain error is a library bug
-        domain = isinstance(exc, (BottError, OSError, ValueError, RecursionError, MemoryError))
+        # Bad data is a BottError where it arises, so a tripwire or any exception but a domain error is a bug
+        domain = isinstance(exc, (BottError, OSError, RecursionError, MemoryError))
         tripwire = {"tripwire": True} if isinstance(exc, TripwireError) or not domain else {}
-        sys.stdout.write(dumps_canonical({"error": str(exc) or type(exc).__name__, **tripwire}))
-        return 3 if tripwire else 1
-    sys.stdout.write(text)
-    return 0
+        text, code = dumps_canonical({"error": str(exc) or type(exc).__name__, **tripwire}), 3 if tripwire else 1
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: stdout goes to devnull, so the flush at shutdown stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 def main_entry() -> None:

@@ -1,12 +1,22 @@
 """Exception hierarchy.
 
 Domain errors signal bad input or an unsatisfiable request; each type tells
-a caller what was wrong with the input.  ``TripwireError`` signals that a
+a caller what was wrong with the input.  Bad data raises one where it
+arises (a message prints its ints with ``int_text``, which cannot raise), so
+any other exception is a library bug.  ``TripwireError`` signals that a
 runtime consistency check failed which, for valid inputs, is mathematically
 guaranteed to hold; seeing one means an implementation bug, never a
 property of the data.  It has no subclasses: its message names the check,
 and whether a ``raise`` is a tripwire can be read from its syntax.
 """
+
+
+def int_text(x: int) -> str:
+    """x in decimal for a message, or its bit length where x has more digits than the interpreter's limit."""
+    try:
+        return f"{x}"
+    except ValueError:  # int's string conversion past sys.get_int_max_str_digits()
+        return f"<int of {x.bit_length()} bits>"
 
 
 class BottError(Exception):
@@ -33,7 +43,7 @@ class RelationViolated(BottError):
     """
 
     def __init__(self, index, residue):
-        terms = " + ".join(f"{residue[j, i]}*x{j}*x{i}" for j, i in sorted(residue)) or "0"
+        terms = " + ".join(f"{int_text(residue[j, i])}*x{j}*x{i}" for j, i in sorted(residue)) or "0"
         super().__init__(f"relation {index} violated, residue {terms}")
         self.index = index
         self.residue = residue

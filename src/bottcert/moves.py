@@ -31,7 +31,7 @@ matrix; the gate checks on every move the column fold that the key steps and
 
 from __future__ import annotations
 
-from .errors import RangeError, ShapeError, SwitchBlocked, TwistInvalid
+from .errors import RangeError, ShapeError, SwitchBlocked, TwistInvalid, int_text
 from .iso import _identity_rows, make_iso
 from .ring import BottMatrix, combine, height, product_is_zero
 
@@ -55,7 +55,7 @@ def switch(B: BottMatrix, j: int) -> BottMatrix:
     if not 1 <= j < n:
         raise RangeError(f"switch position {j} outside 1..{n - 1}")
     if B.a(j + 1, j) != 0:
-        raise SwitchBlocked(f"entry ({j + 1},{j}) is {B.a(j + 1, j)}, must be 0")
+        raise SwitchBlocked(f"entry ({j + 1},{j}) is {int_text(B.a(j + 1, j))}, must be 0")
 
     # rows j and j+1 trade places (the entry b_{j+1,j} = 0 drops out) and
     # every row below them swaps its columns j and j+1

@@ -18,10 +18,12 @@ Degree-2 classes (images, w, u, a twist's v) are tuples of n coefficients.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import BottError, RangeError, TripwireError
 from .iso import GradedIso, invert, max_stable
 from .moves import MoveSeq, _apply, _then, invert_move
-from .ring import height, product_is_zero
+from .ring import BottMatrix, height, product_is_zero
 from .serialize import ReplayResult, StabilizationCertificate, certificate_from_parts, check_claims
 from .structure import decompose_tower, same_block
 
@@ -39,7 +41,7 @@ def decompose_xk(phi: GradedIso, k: int) -> int | None:
     if not 0 <= k < n:
         raise RangeError(f"stability index {k} outside 0..{n - 1}")
     if not phi.is_k_stable(k):
-        raise ValueError(f"isomorphism is not {k}-stable")
+        raise RangeError(f"isomorphism is not {k}-stable")
     img = phi.C[k]
     ell = height(img)
     if ell <= k:
@@ -257,8 +259,8 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     and g forward from B; ``check_claims``, the last tripwire, compares f's
     end with A and g's end with the working target.  phi is a validated
     isomorphism, so a domain error raised on the way (by a tower, a move, an
-    inversion or a sequence build), or ``decompose_xk``'s ValueError for a
-    map that is not k-stable, is a bug too: it becomes a TripwireError
+    inversion or a sequence build, or ``decompose_xk``'s RangeError for a
+    map that is not k-stable), is a bug too: it becomes a TripwireError
     chained from it, and a tripwire passes through unchanged.
     """
     try:
@@ -290,7 +292,7 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
         )
     except TripwireError:
         raise
-    except (BottError, ValueError) as exc:
+    except BottError as exc:
         raise TripwireError(f"certificate construction failed: {exc}") from exc
     if not (r := check_claims(cert)):
         raise TripwireError(r.diagnostic)
@@ -299,15 +301,24 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     return cert
 
 
+# each field of a certificate, and each sequence's start, with the type verify_certificate requires of it
+_PARTS = {"A": BottMatrix, "B": BottMatrix, "phi": GradedIso, "f_seq": MoveSeq, "f_seq.start": BottMatrix,
+          "g_seq": MoveSeq, "g_seq.start": BottMatrix, "phi_prime": GradedIso}
+
+
 # here, not in serialize: bench/run.py traces it as the span stabilize.verify_certificate
 def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     """Re-verify an in-memory certificate from its raw data only.
 
-    Builds it again from its parts (``certificate_from_parts``, as the JSON
-    reader does) and requires each sequence's moves and end and each map's
-    source and target back, then ``check_claims``.  Nothing from the
-    construction is trusted; data that cannot be read yields False.
+    Checks the type of each field and each sequence's start, builds it again
+    from its parts (``certificate_from_parts``, as the JSON reader does) and
+    requires each sequence's moves and end and each map's source and target
+    back, then ``check_claims``.  Nothing from the construction is trusted;
+    a part of the wrong type or a ``BottError`` yields False.
     """
+    for name, kind in _PARTS.items():
+        if not isinstance(attrgetter(name)(cert), kind):
+            return ReplayResult(False, f"certificate data invalid: {name} is not a {kind.__name__}")
     try:
         fresh = certificate_from_parts(cert.A, cert.B, cert.phi.C, cert.f_seq.start, cert.f_seq.moves,
                                        cert.g_seq.start, cert.g_seq.moves, cert.phi_prime.C, cert.k_final)
@@ -315,6 +326,6 @@ def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
                             c.phi.target, c.phi_prime.source, c.phi_prime.target) for c in (cert, fresh))
         if stored != rebuilt:
             return ReplayResult(False, "certificate is not its rebuild from its parameters")
-    except (BottError, ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+    except BottError as exc:
         return ReplayResult(False, f"certificate data invalid: {exc}")
     return check_claims(fresh)

@@ -117,12 +117,14 @@ def test_iso_search_parity(files, capsys):
 
 
 def test_iso_search_bound_not_an_integer(files, capsys):
+    # --bound reads a decimal integer as the readers do: int() also takes "1_0", " 2 ", "+2" and "٣"
     a = files("z.json", {"n": 2, "rows": [[], [0]]})
-    code = main(["iso-search", a, a, "--bound", "x"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "invalid int value: 'x'" in captured.err
+    for bound in ["x", "1_0", " 2 ", "+2", "٣"]:
+        code = main(["iso-search", a, a, "--bound", bound])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"invalid int value: {bound!r}" in captured.err
 
 
 def test_iso_search_huge_bound(files, capsys):
@@ -318,6 +320,24 @@ def test_unreadable_file_is_a_domain_error(capsys, tmp_path, command, case):
         assert payload == {"error": error}
 
 
+@pytest.mark.parametrize("case", ["malformed", "not UTF-8", "past the digit limit"])
+def test_json_errors_are_shape_errors(capsys, tmp_path, case):
+    # the loader turns json's errors into ShapeErrors with json's own text: bad data where it arises
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if case == "past the digit limit" and not limit:
+        pytest.skip("no digit limit in this interpreter")
+    path = tmp_path / "bad.json"
+    path.write_bytes({"malformed": b'{"n": 2,', "not UTF-8": b'{"n": 2, "rows": [[], [0]]}\xff',
+                      "past the digit limit": b"[" + b"9" * (limit + 1) + b"]"}[case])
+    with pytest.raises(ValueError) as info, open(path, encoding="utf-8") as fh:
+        json.load(fh)
+    with pytest.raises(bc.ShapeError) as loaded:
+        bottcert.cli._load(str(path))
+    assert str(loaded.value) == str(info.value)
+    code, out = run(capsys, "ring", str(path))
+    assert (code, json.loads(out)) == (1, {"error": str(info.value)})
+
+
 def test_readme_lists_the_commands():
     # README's CLI block shows each command of the table once, with its files and its options
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -404,22 +424,88 @@ def test_tripwire_exit_code(files, capsys, monkeypatch):
     assert json.loads(out) == {"error": "forced for the test", "tripwire": True}
 
 
-@pytest.mark.parametrize("error", [TypeError, IndexError])
+# one function of each layer a command reaches: the sum of rows, the degree-4 product, the column fold, the
+# tower and the integer rule
+PLANTS = ["ring.combine", "ring.product_is_zero", "moves._then", "structure.decompose_tower", "serialize.decode_int"]
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError, KeyError, IndexError, AttributeError, ZeroDivisionError],
+                         ids=lambda error: error.__name__)
 def test_library_bug_is_a_tripwire(files, capsys, tmp_path, monkeypatch, error):
-    # every reader checks each type before use, so an exception past them that is not a domain error is a bug
+    # bad data is a BottError where it arises, so any other exception is a bug: every command that reaches a
+    # planted one reports it as a tripwire, and every other command runs as before
     a = files("a.json", {"n": 3, "rows": [[], [0], [1, 0]]})
     b = files("b.json", {"n": 3, "rows": [[], [1], [0, 0]]})
     c = files("c.json", {"C": [[-1, 2, 0], [0, 0, 1], [0, 1, 0]]})
     out_path = str(tmp_path / "cert.json")
-    assert run(capsys, "stabilize", a, b, c, "--out", out_path)[0] == 0
+    argvs = {"ring": [a], "sqzero": [a], "decompose": [a], "iso-check": [a, b, c], "iso-search": [a, b],
+             "stabilize": [a, b, c, "--out", out_path], "verify-cert": [out_path]}
+    assert list(argvs) == list(COMMANDS)
+    clean = {command: run(capsys, command, *argv) for command, argv in argvs.items()}
+    assert {code for code, _ in clean.values()} == {0}
+    modules = [m for name, m in sys.modules.items() if name == "bottcert" or name.startswith("bottcert.")]
+    reached = {}
+    for plant in PLANTS:
+        module, _, name = plant.partition(".")
+        real = getattr(sys.modules[f"bottcert.{module}"], name)
 
-    def broken(C, mv):
-        raise error("planted bug")
+        def broken(*args):
+            reached[plant] = reached.get(plant, set()) | {command}
+            raise error("planted bug")
 
-    monkeypatch.setattr("bottcert.moves._then", broken)
-    code, out = run(capsys, "verify-cert", out_path)
-    assert (code, json.loads(out)) == (3, {"error": "planted bug", "tripwire": True})
-    assert capsys.readouterr().err == ""
+        with monkeypatch.context() as m:
+            for mod in modules:  # each module that imported it by name, too
+                if getattr(mod, name, None) is real:
+                    m.setattr(mod, name, broken)
+            for command, argv in argvs.items():
+                result = run(capsys, command, *argv)
+                if command in reached.get(plant, ()):
+                    assert (result[0], json.loads(result[1])) == (3, {"error": str(error("planted bug")),
+                                                                      "tripwire": True}), (plant, command)
+                else:
+                    assert result == clean[command], (plant, command)
+                assert capsys.readouterr().err == ""
+    assert sorted(reached) == sorted(PLANTS)
+    assert {"stabilize", "verify-cert"} <= reached["moves._then"]
+
+
+def test_closed_stdout_is_quiet(files):
+    # the reader of stdout takes 5 bytes of about 1.4 MB and closes the pipe: exit 1, and neither the write nor
+    # the flush at shutdown prints a traceback
+    n = 5
+    z = files("z.json", {"n": n, "rows": [[0] * i for i in range(n)]})
+    src = str(Path(bc.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "bottcert.cli", "iso-search", z, z, "--bound", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(5) == b'{\n  "'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err.decode()) == (1, "")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+def test_blocked_switch_at_an_entry_past_the_digit_limit(files, capsys):
+    # g's twist (2, c y_1), c = 10^4000, adds c v to row 3, whose entry (3,1) becomes c^2 (8001 digits); the
+    # switch at 1 moves it to (3,2), where it blocks the switch at 2, and the diagnostic prints its bit length
+    c = 10**4000
+    M = {"n": 3, "rows": [[], [2 * c], [0, c]]}
+    identity = {"C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    moves = [{"kind": "twist", "j": 2, "v": [c, 0, 0]}, {"kind": "switch", "j": 1}, {"kind": "switch", "j": 2}]
+    cert = files("cert.json", {"schema": "bott-stabilization-cert/1", "A": M, "B": M, "phi": identity,
+                               "f_seq": {"start": M, "moves": []}, "g_seq": {"start": M, "moves": moves},
+                               "phi_prime": identity, "k_final": 3})
+    code, out = run(capsys, "verify-cert", cert)
+    payload = json.loads(out)
+    assert code == 0 and payload["valid"] is False
+    assert re.fullmatch(r"certificate does not parse: entry \(3,2\) is .+, must be 0", payload["diagnostic"])
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8001:
+        assert f"is <int of {(c * c).bit_length()} bits>, must" in payload["diagnostic"]
 
 
 def test_blocked_well_ordering_is_a_tripwire(files, capsys, monkeypatch):

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
 from bottcert import serialize as ser
-from bottcert.cli import main
+from bottcert.cli import _load, main
 from helpers import moved_partner, sparse_matrix
 
 HUGE, DEEP = "<huge>", "<deep>"  # written as a 5000-digit JSON number / 10^5 nested lists
@@ -106,11 +106,10 @@ def _write(path, obj):
 
 
 def _read(path, reader):
-    """What the CLI's reader makes of a file, or None when it rejects it."""
+    """What the CLI's reader makes of a file, or None when it rejects it: bad data is a ``BottError``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return reader(json.load(fh))
-    except (bc.BottError, ValueError, RecursionError):
+        return reader(_load(path))
+    except bc.BottError:
         return None
 
 

@@ -26,6 +26,9 @@
   j is a plain int and v is None for a switch and a tuple of plain ints for
   a twist, so reading a sequence keeps one matrix at a time.  No library
   module but ``moves`` writes a move tuple: ``moves._apply`` builds them all.
+* Bad data is a ``BottError`` where it arises: ``BUILTIN_EXCEPTS`` names
+  each function whose ``except`` names a builtin exception type, each with
+  its reason, and no library ``raise`` names a builtin exception type.
 * Every error type that no error type subclasses is named by some
   ``raise`` in the library, so no type is kept that the library never
   raises.
@@ -36,6 +39,7 @@
 """
 
 import ast
+import builtins
 import re
 from importlib import import_module
 from pathlib import Path
@@ -248,7 +252,8 @@ TRUSTED = {
     # the matrix, the sum of rows and the degree-4 product
     "ring.BottMatrix.__init__", "ring.BottMatrix._derived", "ring.BottMatrix.a", "ring.BottMatrix.__eq__",
     "ring.BottMatrix.__repr__", "ring.height", "ring.combine", "ring.product_is_zero", "ring.product_terms",
-    "errors.RelationViolated.__init__",
+    # a failed relation's message, and its ints
+    "errors.RelationViolated.__init__", "errors.int_text",
 }
 
 
@@ -420,6 +425,72 @@ def test_detects_subclasses():
         "def f():\n    class Nested(TripwireError):\n        pass\n"
     )
     assert subclasses(source, "TripwireError") == ["Failure", "Qualified", "Nested"]
+
+
+BUILTIN_EXCEPTS = {
+    # around json.load: nesting past the recursion limit, and malformed text, a byte that is not UTF-8 or an
+    # integer literal past the digit limit, each a ShapeError with json's text
+    "cli._load": ("RecursionError", "ValueError"),
+    # around int(): a decimal string past the interpreter's digit limit is a ShapeError
+    "serialize.decode_int": ("ValueError",),
+    # around a message's int: past the digit limit it prints its bit length, so a message never raises
+    "errors.int_text": ("ValueError",),
+    # argparse's exit on a usage error or --help; the catch-all, which reports a domain error as exit 1 and
+    # anything else as a bug, exit 3; and the write to stdout, whose reader may close the pipe
+    "cli.main": ("SystemExit", "Exception", "BrokenPipeError"),
+}
+
+
+def builtin_excepts(library: dict) -> tuple[dict, list]:
+    """The functions of ``library`` (a module's name to its text) whose ``except`` clauses name a builtin
+    exception type, each as ``module.name`` or ``module.Class.method`` with those names in order (a bare
+    ``except`` as ``BaseException``), and each ``module:line`` whose ``raise`` names a builtin exception type."""
+    builtin = {name for name, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    caught, raised = {}, []
+
+    def name_of(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "BaseException")
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if names := [n for n in map(name_of, types) if n in builtin]:
+                    caught[qual] = caught.get(qual, ()) + tuple(names)
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                if name_of(child.exc.func if isinstance(child.exc, ast.Call) else child.exc) in builtin:
+                    raised.append(f"{qual.partition('.')[0]}:{child.lineno}")
+            visit(child, qual)
+
+    for module, text in library.items():
+        visit(ast.parse(text), module)
+    return caught, raised
+
+
+def test_bad_data_is_a_bott_error_where_it_arises():
+    assert builtin_excepts(library_sources()) == (BUILTIN_EXCEPTS, [])
+
+
+def test_detects_builtin_excepts_and_raises():
+    library = library_sources()
+    planted = (
+        "def sloppy(s):\n    try:\n        return int(s)\n    except (BottError, ValueError):\n        return 0\n"
+        "class Reader:\n    def read(self, x):\n        try:\n            return x[0]\n"
+        "        except:\n            raise\n"
+        "def strict(x):\n    if x:\n        raise ValueError(x)\n    raise ShapeError(x)\n"
+        "def bare():\n    raise KeyError\n"
+        "def domain(x):\n    try:\n        return x()\n    except errors.BottError:\n        return None\n"
+    )
+    caught, raised = builtin_excepts({**library, "planted": planted})
+    assert caught == {**BUILTIN_EXCEPTS, "planted.sloppy": ("ValueError",), "planted.Reader.read": ("BaseException",)}
+    assert raised == ["planted:14", "planted:17"]
+    # a site that goes or moves breaks the table too
+    quiet = library["cli"].replace("except BrokenPipeError:", "except BottError:")
+    assert quiet != library["cli"]
+    assert builtin_excepts({**library, "cli": quiet})[0]["cli.main"] == ("SystemExit", "Exception")
 
 
 def unraised_errors(errors: str, *sources: str) -> list[str]:

@@ -121,7 +121,7 @@ class TestDecomposeXk:
 
     def test_requires_stability(self):
         phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(bc.RangeError, match="^isomorphism is not 1-stable$"):
             bc.decompose_xk(phi, 1)
 
 
@@ -206,7 +206,7 @@ class TestRaiseStability:
 
     def test_not_k_stable(self):
         phi = bc.make_iso(ZERO2, ZERO2, [[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="isomorphism is not 1-stable"):
+        with pytest.raises(bc.RangeError, match="isomorphism is not 1-stable"):
             raise_stability(phi, 1)
 
 
@@ -633,12 +633,12 @@ class TestPlantedTripwires:
             bc.stabilize_full(phi)
 
     def test_round_from_an_overstated_stability(self, monkeypatch, no_claims):
-        # decompose_xk's ValueError for a map that is not k-stable is a bug here too
+        # decompose_xk's RangeError for a map that is not k-stable is a bug here too
         phi = overstated_stability(monkeypatch)
         message = "^certificate construction failed: isomorphism is not 1-stable$"
         with pytest.raises(bc.TripwireError, match=message) as info:
             bc.stabilize_full(phi)
-        assert type(info.value.__cause__) is ValueError
+        assert type(info.value.__cause__) is bc.RangeError
 
 
 class TestGuardCounts:

@@ -2,8 +2,8 @@
 
 Subcommands parse matrices, isomorphisms and certificates from JSON files,
 dispatch to the library, and emit canonical JSON on standard output.  Exit
-codes: 0 on success, 1 on domain errors (``_load`` makes ``json``'s errors
-``ShapeError``s) and on running out of memory or recursion depth (payload
+codes: 0 on success, 1 on domain errors (``serialize.load_json`` parses
+each file) and on running out of memory or recursion depth (payload
 {"error": ...}) or a closed stdout (no payload), 2 on usage errors, 3 on a
 tripwire or any other exception, such as a ``ValueError`` (payload {"error":
 ..., "tripwire": true}; a bug, never a property of the input).  Output is
@@ -14,7 +14,7 @@ byte-deterministic for fixed input.  A handler returns its payload, or, for
 from __future__ import annotations
 
 import argparse
-import json
+import io
 import os
 import sys
 
@@ -22,10 +22,12 @@ from .errors import BottError, ShapeError, TripwireError
 from .iso import extract_sigma_eps, make_iso, max_stable, search_isos
 from .ring import product_is_zero
 from .serialize import (
+    ReplayResult,
     certificate_to_obj,
     decode_int,
     dumps_canonical,
     iso_matrix_from_obj,
+    load_json,
     matrix_from_obj,
     verify_certificate_obj,
 )
@@ -40,21 +42,9 @@ from .structure import (
 DEFAULT_SEARCH_BOUND = 6
 
 
-def _unique_keys(pairs: list) -> dict:
-    if len(obj := dict(pairs)) < len(pairs):
-        keys = sorted(k for k, _ in pairs)
-        raise ShapeError(f"duplicate key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r}")
-    return obj
-
-
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-        except RecursionError:
-            raise ShapeError(f"{path}: JSON nested too deeply to parse") from None
-        except ValueError as exc:  # malformed text, a byte that is not UTF-8, an int past the digit limit
-            raise ShapeError(str(exc)) from None
+        return load_json(fh, path)
 
 
 def _bound(text: str) -> int:
@@ -124,9 +114,12 @@ def _cmd_iso_search(A, B, bound) -> dict:
 def _cmd_stabilize(A, B, C, out) -> dict | str:
     phi = make_iso(A, B, C)
     cert = stabilize_full(phi)
-    # the self-check reads the text that ships, as verify-cert would
+    # the self-check reads the text that ships, as verify-cert would: through load_json, then the verifier
     text = dumps_canonical(certificate_to_obj(cert))
-    result = verify_certificate_obj(json.loads(text))
+    try:
+        result = verify_certificate_obj(load_json(io.StringIO(text), "the certificate"))
+    except ShapeError as exc:
+        result = ReplayResult(False, f"certificate does not parse: {exc}")
     if not result:
         raise TripwireError(f"freshly built certificate failed verification: {result.diagnostic}")
     if out:

@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import gcd
 from operator import add, itemgetter, neg, sub
 
-from .errors import NotUnimodular, RelationViolated, ShapeError, TripwireError
+from .errors import NotUnimodular, RelationViolated, ShapeError, TripwireError, int_text
 from .ring import BottMatrix, combine, height, product_is_zero, product_terms, two_x_minus_alpha
 
 
@@ -166,13 +166,13 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
     for row in C:
         for v in row:
             if type(v) is not int:
-                raise ShapeError(f"degree-2 matrix has entry {v!r}, not an integer")
+                raise ShapeError(f"degree-2 matrix has entry {int_text(v)}, not an integer")
     units = [_unit(row, A.n) for row in C]
     if None in units:
         if int_det(C) not in (1, -1):
-            raise NotUnimodular(f"det is not +-1 for {C}")
+            raise NotUnimodular(f"det is not +-1 for {int_text(C)}")
     elif len({r for r, _ in units}) != A.n:
-        raise NotUnimodular(f"det is not +-1 for {C}")
+        raise NotUnimodular(f"det is not +-1 for {int_text(C)}")
     for i, (img, arow, unit) in enumerate(zip(C, A.rows, units), start=1):
         if unit is not None:
             r, c = unit
@@ -272,7 +272,7 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     from .structure import decompose_tower
 
     if type(bound) is not int:
-        raise ShapeError(f"search bound {bound!r} is not an integer")
+        raise ShapeError(f"search bound {int_text(bound)} is not an integer")
     if A.n != B.n or bound < 1:
         return []
     n = A.n

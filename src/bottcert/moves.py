@@ -44,16 +44,16 @@ def _apply(B: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
     if kind == "twist":
         v = tuple(v)
         return (kind, j, v), twist(B, j, v)
-    raise ShapeError(f"unknown move kind {kind!r}")
+    raise ShapeError(f"unknown move kind {int_text(kind)}")
 
 
 def switch(B: BottMatrix, j: int) -> BottMatrix:
     """B with adjacent stages j and j+1 exchanged; requires a plain int j and b_{j+1,j} = 0."""
     n = B.n
     if type(j) is not int:
-        raise ShapeError(f"move position {j!r} is not an integer")
+        raise ShapeError(f"move position {int_text(j)} is not an integer")
     if not 1 <= j < n:
-        raise RangeError(f"switch position {j} outside 1..{n - 1}")
+        raise RangeError(f"switch position {int_text(j)} outside 1..{n - 1}")
     if B.a(j + 1, j) != 0:
         raise SwitchBlocked(f"entry ({j + 1},{j}) is {int_text(B.a(j + 1, j))}, must be 0")
 
@@ -69,14 +69,14 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
     """B with row j (a plain int) replaced by beta_j - 2v, for v (n plain ints) in F_{j-1} with v(beta_j - v) = 0."""
     n = B.n
     if type(j) is not int:
-        raise ShapeError(f"move position {j!r} is not an integer")
+        raise ShapeError(f"move position {int_text(j)} is not an integer")
     if len(v) != n:
         raise ShapeError(f"expected {n} coefficients, got {len(v)}")
     for t in v:
         if type(t) is not int:
-            raise ShapeError(f"coefficient {t!r} is not an integer")
+            raise ShapeError(f"coefficient {int_text(t)} is not an integer")
     if not 1 <= j <= n:
-        raise RangeError(f"twist position {j} outside 1..{n}")
+        raise RangeError(f"twist position {int_text(j)} outside 1..{n}")
     h = height(v)
     if h >= j:
         raise TwistInvalid(f"v has height {h}, needs < {j}")
@@ -84,7 +84,7 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
     # becomes beta_j - 2v and each row i > j gains b_ij v
     row = B.rows[j - 1]
     if not product_is_zero(B, v, [b - t for b, t in zip(row, v)] + [0] * (n - j + 1)):
-        raise TwistInvalid(f"v(beta_j - v) != 0 for v={list(v)}")
+        raise TwistInvalid(f"v(beta_j - v) != 0 for v={int_text(list(v))}")
     rows = list(B.rows)
     rows[j - 1] = tuple(b - 2 * t for b, t in zip(row, v))
     for i in range(j, n):

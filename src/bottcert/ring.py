@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd
 
-from .errors import RangeError, ShapeError
+from .errors import RangeError, ShapeError, int_text
 
 
 class BottMatrix:
@@ -43,7 +43,7 @@ class BottMatrix:
 
     def __init__(self, n: int, rows: Iterable[Iterable[int]]):
         if type(n) is not int:
-            raise ShapeError(f"tower height {n!r} is not an integer")
+            raise ShapeError(f"tower height {int_text(n)} is not an integer")
         if n < 1:
             raise ShapeError(f"tower height must be >= 1, got {n}")
         rows = tuple(tuple(row) for row in rows)
@@ -54,7 +54,7 @@ class BottMatrix:
                 raise ShapeError(f"row {i} must have {i - 1} entries, got {len(row)}")
             for v in row:
                 if type(v) is not int:
-                    raise ShapeError(f"row {i} has entry {v!r}, not an integer")
+                    raise ShapeError(f"row {i} has entry {int_text(v)}, not an integer")
         self.n = n
         self.rows = rows
 

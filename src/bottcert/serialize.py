@@ -4,7 +4,8 @@ Exact integers are emitted as JSON numbers while |x| < 2^53 and as decimal
 strings beyond that; the writer applies that rule to every plain int it
 writes, so payload builders hand it their rows as they are.  Readers accept
 both forms, take arrays only as JSON lists (no string, object or other
-iterable stands in for one) and reject an object key they do not read.
+iterable stands in for one) and reject an object key they do not read;
+``load_json``, the one parser of input text, rejects a repeated key.
 Writers sort keys and keep arrays in index order: equal values, equal bytes.
 
 The certificate, its one build path ``certificate_from_parts`` and its
@@ -25,7 +26,7 @@ import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import BottError, ShapeError
+from .errors import BottError, ShapeError, int_text
 from .iso import GradedIso, make_iso, max_stable
 from .moves import MoveSeq, _before, _then, rebuild
 from .ring import BottMatrix
@@ -65,6 +66,24 @@ def _only(obj: dict, keys: tuple[str, ...]) -> None:
     """Reject a key of obj other than keys, each of which the caller has found in obj."""
     if len(obj) > len(keys):
         raise ShapeError(f"unknown key {next(k for k in obj if k not in keys)!r}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    if len(obj := dict(pairs)) < len(pairs):
+        keys = sorted(k for k, _ in pairs)
+        raise ShapeError(f"duplicate key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r}")
+    return obj
+
+
+def load_json(fh, name: str) -> object:
+    """The JSON value of the text stream fh; a repeated key and each of json's errors is a ShapeError, and the
+    one for deep nesting names ``name``."""
+    try:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ShapeError(f"{name}: JSON nested too deeply to parse") from None
+    except ValueError as exc:  # malformed text, a byte that is not UTF-8, an int past the digit limit
+        raise ShapeError(str(exc)) from None
 
 
 def dumps_canonical(payload: object) -> str:
@@ -200,7 +219,7 @@ def check_claims(cert: StabilizationCertificate) -> ReplayResult:
         return ReplayResult(False, "phi_prime is not g o phi o f")
     k = max_stable(cert.phi_prime)
     if k != cert.k_final:
-        return ReplayResult(False, f"claimed k_final {cert.k_final}, recomputed {k}")
+        return ReplayResult(False, f"claimed k_final {int_text(cert.k_final)}, recomputed {k}")
     if k < cert.A.n - 2:
         return ReplayResult(False, f"k_final {k} below n-2 = {cert.A.n - 2}")
     return ReplayResult(True, None)
@@ -213,7 +232,7 @@ def certificate_from_parts(A: BottMatrix, B: BottMatrix, phi_rows, f_start: Bott
     ``rebuild``, then phi and phi_prime checked by ``make_iso``; k_final must be a plain int.
     ``check_claims`` checks the rest."""
     if type(k_final) is not int:
-        raise ShapeError(f"k_final {k_final!r} is not an integer")
+        raise ShapeError(f"k_final {int_text(k_final)} is not an integer")
     f_seq, g_seq = rebuild(f_start, f_params), rebuild(g_start, g_params)
     return StabilizationCertificate(A, B, make_iso(A, B, phi_rows), f_seq, g_seq,
                                     make_iso(f_seq.start, g_seq.end, phi_prime_rows), k_final)
@@ -237,7 +256,7 @@ def certificate_from_obj(obj: object) -> StabilizationCertificate:
     if not isinstance(obj, dict):
         raise ShapeError("certificate must be a JSON object")
     if obj.get("schema") != CERT_SCHEMA:
-        raise ShapeError(f"unsupported certificate schema {obj.get('schema')!r}")
+        raise ShapeError(f"unsupported certificate schema {int_text(obj.get('schema'))}")
     for key in ("A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final"):
         if key not in obj:
             raise ShapeError(f"certificate is missing key {key!r}")

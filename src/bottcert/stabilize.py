@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .errors import BottError, RangeError, TripwireError
+from .errors import BottError, RangeError, ShapeError, TripwireError
 from .iso import GradedIso, invert, max_stable
 from .moves import MoveSeq, _apply, _then, invert_move
 from .ring import BottMatrix, height, product_is_zero
@@ -301,27 +301,46 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     return cert
 
 
-# each field of a certificate, and each sequence's start, with the type verify_certificate requires of it
-_PARTS = {"A": BottMatrix, "B": BottMatrix, "phi": GradedIso, "f_seq": MoveSeq, "f_seq.start": BottMatrix,
-          "g_seq": MoveSeq, "g_seq.start": BottMatrix, "phi_prime": GradedIso}
+# each field of a certificate, and each sequence's and map's parts, with the type verify_certificate requires
+_PARTS = {"A": BottMatrix, "B": BottMatrix, "phi": GradedIso, "phi.C": tuple, "f_seq": MoveSeq,
+          "f_seq.start": BottMatrix, "f_seq.moves": tuple, "g_seq": MoveSeq, "g_seq.start": BottMatrix,
+          "g_seq.moves": tuple, "phi_prime": GradedIso, "phi_prime.C": tuple}
+
+
+def _rows(C: tuple) -> tuple:
+    """A stored map's matrix, each row a tuple as the JSON reader takes a list; ``make_iso`` checks the rest."""
+    if not all(type(row) is tuple for row in C):
+        raise ShapeError("a row of a map is not a tuple")
+    return C
+
+
+def _move(mv: object) -> tuple:
+    """A stored move, a (kind, j, v) tuple with a twist's v a tuple; its build checks the rest."""
+    if type(mv) is not tuple or len(mv) != 3:
+        raise ShapeError("move must be a (kind, j, v) tuple")
+    if mv[0] == "twist" and type(mv[2]) is not tuple:
+        raise ShapeError(f"twist's v must be a tuple, got {type(mv[2]).__name__}")
+    return mv
 
 
 # here, not in serialize: bench/run.py traces it as the span stabilize.verify_certificate
 def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     """Re-verify an in-memory certificate from its raw data only.
 
-    Checks the type of each field and each sequence's start, builds it again
-    from its parts (``certificate_from_parts``, as the JSON reader does) and
-    requires each sequence's moves and end and each map's source and target
-    back, then ``check_claims``.  Nothing from the construction is trusted;
-    a part of the wrong type or a ``BottError`` yields False.
+    Checks the type of each part, builds it again from them
+    (``certificate_from_parts``, as the JSON reader does, each row and move
+    read by ``_rows`` and ``_move``), requires each sequence's moves and end
+    and each map's source and target back, then runs ``check_claims``.
+    Nothing from the construction is trusted; a part of the wrong type or a
+    ``BottError`` yields False.
     """
     for name, kind in _PARTS.items():
         if not isinstance(attrgetter(name)(cert), kind):
             return ReplayResult(False, f"certificate data invalid: {name} is not a {kind.__name__}")
     try:
-        fresh = certificate_from_parts(cert.A, cert.B, cert.phi.C, cert.f_seq.start, cert.f_seq.moves,
-                                       cert.g_seq.start, cert.g_seq.moves, cert.phi_prime.C, cert.k_final)
+        fresh = certificate_from_parts(cert.A, cert.B, _rows(cert.phi.C), cert.f_seq.start,
+                                       map(_move, cert.f_seq.moves), cert.g_seq.start, map(_move, cert.g_seq.moves),
+                                       _rows(cert.phi_prime.C), cert.k_final)
         stored, rebuilt = ((c.f_seq.moves, c.f_seq.end, c.g_seq.moves, c.g_seq.end, c.phi.source,
                             c.phi.target, c.phi_prime.source, c.phi_prime.target) for c in (cert, fresh))
         if stored != rebuilt:

@@ -617,6 +617,40 @@ def test_self_check_reads_the_shipped_text(files, capsys, tmp_path, monkeypatch,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("plant", ["repeated key", "truncated"])
+def test_self_check_parses_with_the_strict_reader(files, capsys, tmp_path, monkeypatch, plant):
+    # a writer that repeats "k_final" ships a text verify-cert rejects, though json.loads keeps the last value;
+    # the self-check parses the text with verify-cert's own reader, so that is a tripwire, as a cut text is
+    real = bottcert.cli.dumps_canonical
+    shipped = []
+
+    def planted(payload):
+        text = real(payload)
+        if "schema" in payload:
+            repeated = text.replace('\n  "k_final": ', '\n  "k_final": 0,\n  "k_final": ', 1)
+            text = text[: len(text) // 2] if plant == "truncated" else repeated
+            shipped.append(text)
+        return text
+
+    monkeypatch.setattr(bottcert.cli, "dumps_canonical", planted)
+    a = files("a.json", {"n": 2, "rows": [[], [0]]})
+    c = files("c.json", {"C": [[0, 1], [1, 0]]})
+    out_path = tmp_path / "cert.json"
+    code, out = run(capsys, "stabilize", a, a, c, "--out", str(out_path))
+    if plant == "truncated":
+        with pytest.raises(ValueError) as info:
+            json.loads(shipped[0])
+        error = str(info.value)
+    else:
+        assert verify_certificate_obj(json.loads(shipped[0])).ok
+        error = "duplicate key 'k_final'"
+    assert (code, json.loads(out)) == (3, {
+        "error": f"freshly built certificate failed verification: certificate does not parse: {error}",
+        "tripwire": True,
+    })
+    assert not out_path.exists()
+
+
 def test_decompose_builds_one_tower(files, capsys, monkeypatch):
     # the tower fixes levels, index map and stage count once; decompose and
     # qtrivial_partition read them instead of testing alpha^2 = 0 again, and

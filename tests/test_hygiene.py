@@ -7,7 +7,11 @@
 * The functions a verdict rests on, the static call closure of the two
   certificate verifiers, are the ones ``TRUSTED`` declares, and README
   lists them by module with their line counts.  The JSON verifier reaches
-  nothing in ``stabilize``, which ``serialize`` does not import.
+  nothing in ``stabilize``.
+* The modules import in one declared order, ``IMPORT_ORDER``: each
+  module's relative imports outside a function name only modules before
+  it, and the only imports in a function body are those
+  ``FUNCTION_IMPORTS`` lists, the one back-edge.
 * ``serialize.dumps_canonical`` is the one writer of output text: no
   library call passes ``indent=`` to ``json``.
 * ``serialize`` owns the number format: no other library module names the
@@ -131,9 +135,13 @@ ONLY_CALLED_FROM = {
     "moves.twist": {"moves._apply"},
     # it skips validation, so it runs only where integer algebra derives the rows from a validated matrix or class
     "ring.BottMatrix._derived": {"moves.switch", "moves.twist", "ring.sub_bar"},
-    # the one reader of the CLI's files, whose hook rejects a repeated key: main reads each command's files
+    # the CLI's one opener of a file, which hands it to serialize.load_json: main reads each command's files
     # through it, in the order cli.COMMANDS lists them, and no handler reads a file
     "cli._load": {"cli.main"},
+    # load_json is the one parser of input text, which holds the format's text rules (a repeated key, json's
+    # errors); the CLI's files and stabilize's self-check read through it, so no second parser is laxer
+    "json.load": {"serialize.load_json"},
+    "json.loads": set(),
     # dumps_canonical is the one writer of output text, and calls json.dumps only for the scalars it does not write
     "json.dumps": {"serialize._dump"},
 }
@@ -239,10 +247,10 @@ TRUSTED = {
     "serialize.verify_certificate_obj", "serialize.certificate_from_obj", "serialize.matrix_from_obj",
     "serialize.iso_matrix_from_obj", "serialize.seq_from_obj", "serialize.move_from_obj", "serialize.decode_int",
     "serialize._ints", "serialize._list", "serialize._only",
-    # the build path and the claims, beside the readers, and the in-memory verifier
+    # the build path and the claims, beside the readers, and the in-memory verifier with its readers of rows and moves
     "serialize.certificate_from_parts", "serialize.check_claims", "serialize.StabilizationCertificate.__init__",
     "serialize.ReplayResult.__init__", "serialize.ReplayResult.__bool__", "serialize.ReplayResult.__eq__",
-    "stabilize.verify_certificate",
+    "stabilize.verify_certificate", "stabilize._rows", "stabilize._move",
     # the move gate, the moves and the two folds
     "moves.rebuild", "moves._apply", "moves.switch", "moves.twist", "moves._then", "moves._before",
     "moves.MoveSeq.__init__",
@@ -283,11 +291,8 @@ def test_trusted_is_what_the_verifiers_reach():
     library = library_sources()
     roots = ["serialize.verify_certificate_obj", "stabilize.verify_certificate"]
     assert call_closure(library, roots) == TRUSTED
-    # the JSON verifier does not reach the construction module, and its module does not import it
+    # the JSON verifier does not reach the construction module
     assert {qual for qual in call_closure(library, roots[:1]) if qual.startswith("stabilize.")} == set()
-    tree = ast.parse(library["serialize"])
-    assert "stabilize" not in {node.module or a.name for node in ast.walk(tree)
-                               if isinstance(node, ast.ImportFrom) for a in node.names}
     groups = trusted_by_module(library)
     total = (len(TRUSTED), sum(lines for lines, _ in groups.values()))
     assert documented_trusted(README.read_text(encoding="utf-8")) == (total, groups)
@@ -320,6 +325,61 @@ def test_detects_what_a_root_reaches():
         "a.root", "a.passed", "b.helper", "c.direct", "b.Rec.make", "b.Rec.__init__", "b.Rec.__eq__",
         "c.Other.method",
     }
+
+
+# the package's one import order; __init__ re-exports every module and stands outside it
+IMPORT_ORDER = ("errors", "ring", "iso", "moves", "structure", "serialize", "stabilize", "cli")
+# the one back-edge: the search and the extraction read the towers' levels, and structure imports moves, which
+# imports iso (ROADMAP item 25 moves rebuild out of moves and removes it)
+FUNCTION_IMPORTS = {"iso.extract_sigma_eps": {"structure"}, "iso.search_isos": {"structure"}}
+
+
+def import_breaks(library: dict) -> tuple[dict, dict]:
+    """The imports of ``library`` (a module's name to its text) that ``IMPORT_ORDER`` does not allow: each
+    module's relative imports outside a function that name a module not before it, in order, and each
+    function whose body imports, as ``module.name`` or ``module.Class.method``, with the modules it names."""
+    upward, inside = {}, {}
+
+    def imported(node) -> list[str]:
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        return [node.module] if node.module else [a.name for a in node.names]
+
+    def visit(node, module, qual, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{qual}.{child.name}", in_function or not isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                if in_function:
+                    inside.setdefault(qual, set()).update(imported(child))
+                elif getattr(child, "level", 0) == 1:
+                    earlier = IMPORT_ORDER[: IMPORT_ORDER.index(module)] if module in IMPORT_ORDER else ()
+                    upward[module] = upward.get(module, []) + [m for m in imported(child) if m not in earlier]
+            visit(child, module, qual, in_function)
+
+    for module, text in library.items():
+        if module != "__init__":
+            visit(ast.parse(text), module, module, False)
+    return {m: names for m, names in upward.items() if names}, inside
+
+
+def test_one_import_order():
+    library = library_sources()
+    assert set(IMPORT_ORDER) == set(library) - {"__init__"}
+    assert import_breaks(library) == ({}, FUNCTION_IMPORTS)
+
+
+def test_detects_imports_out_of_order():
+    library = library_sources()
+    top = "from .moves import _apply\n"
+    assert library["structure"].count(top) == 1
+    upward = library["structure"].replace(top, top + "from .serialize import dumps_canonical\nfrom . import cli\n")
+    late = "def late(c):\n    from .ring import height\n    import json\n    return height(c), json\n"
+    extra = "from .errors import int_text\n"
+    planted = {**library, "structure": upward, "moves": library["moves"] + late, "extra": extra}
+    assert import_breaks(planted) == ({"structure": ["serialize", "cli"], "extra": ["errors"]},
+                                      {**FUNCTION_IMPORTS, "moves.late": {"ring", "json"}})
 
 
 def indent_calls(source: str) -> list[int]:
@@ -430,7 +490,7 @@ def test_detects_subclasses():
 BUILTIN_EXCEPTS = {
     # around json.load: nesting past the recursion limit, and malformed text, a byte that is not UTF-8 or an
     # integer literal past the digit limit, each a ShapeError with json's text
-    "cli._load": ("RecursionError", "ValueError"),
+    "serialize.load_json": ("RecursionError", "ValueError"),
     # around int(): a decimal string past the interpreter's digit limit is a ShapeError
     "serialize.decode_int": ("ValueError",),
     # around a message's int: past the digit limit it prints its bit length, so a message never raises

@@ -6,6 +6,11 @@ every move: its ``j`` moved down and up by one, each entry of a twist's
 ``k_final`` moved down and up by one.  The digest was taken while
 ``verify_certificate_obj`` still replayed every parsed certificate a second
 time, so the single-pass reader must reproduce every verdict and diagnostic.
+
+Those certificates hold 1 twist in 117 moves, so ``TWIST_TAMPER_DIGEST``
+pins the same tampers over the 64 certificates of ``odd_twist_isos``, which
+hold 48 twists in 160 moves.  It was taken before the CLI and the reader
+shared one JSON parser.
 """
 
 import copy
@@ -14,10 +19,11 @@ import random
 
 import bottcert as bc
 from bottcert.serialize import certificate_to_obj, verify_certificate_obj
-from helpers import scrambled_iso, sparse_matrix
+from helpers import odd_twist_isos, scrambled_iso, sparse_matrix
 from test_pinned_outputs import _verdict, digest
 
 TAMPER_DIGEST = "436f40286f947903804d253fa8226668a54f1396d1b99656f98f50330a30f4b8"
+TWIST_TAMPER_DIGEST = "66a3f93dd76abad508ab9a8dee2d3678107e96befa5c55067819744ad4533400"
 
 
 def tampers(obj):
@@ -44,16 +50,28 @@ def tampers(obj):
         yield f"k_final{dk:+d}", bad
 
 
-def tamper_records():
-    rng = random.Random(4242)
-    for k in range(30):
-        n = 4 + k % 7
-        A = sparse_matrix(rng, n, 2)
-        phi = scrambled_iso(rng, A, rng.randint(3, 8), twist_mag=1)
-        obj = json.loads(json.dumps(certificate_to_obj(bc.stabilize_full(phi))))
+def tamper_records(certs):
+    """Each tamper of each certificate, numbered in order, with the reader's verdict."""
+    for k, cert in enumerate(certs):
+        obj = json.loads(json.dumps(certificate_to_obj(cert)))
         for label, bad in tampers(obj):
             yield f"{k} {label} {_verdict(verify_certificate_obj(bad))}"
 
 
+def seeded_certificates():
+    rng = random.Random(4242)
+    for k in range(30):
+        n = 4 + k % 7
+        A = sparse_matrix(rng, n, 2)
+        yield bc.stabilize_full(scrambled_iso(rng, A, rng.randint(3, 8), twist_mag=1))
+
+
 def test_tampered_verdicts_pinned():
-    assert digest(tamper_records()) == TAMPER_DIGEST
+    assert digest(tamper_records(seeded_certificates())) == TAMPER_DIGEST
+
+
+def test_tampered_twist_verdicts_pinned():
+    certs = [bc.stabilize_full(phi) for phi in odd_twist_isos()]
+    moves = [mv for cert in certs for mv in (*cert.f_seq.moves, *cert.g_seq.moves)]
+    assert (len(certs), len(moves), sum(kind == "twist" for kind, _, _ in moves)) == (64, 160, 48)
+    assert digest(tamper_records(certs)) == TWIST_TAMPER_DIGEST

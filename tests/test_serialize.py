@@ -266,6 +266,12 @@ class TestTrustBoundary:
         if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6001:
             assert res.diagnostic.startswith("certificate does not parse: relation 3 violated, residue <int of ")
 
+    def test_object_with_a_schema_past_the_digit_limit_is_a_rejection(self):
+        # a caller's object need not come from JSON: its schema's message prints the int through int_text
+        res = ser.verify_certificate_obj({"schema": 10**5000})
+        assert res.ok is False
+        assert res.diagnostic.startswith("certificate does not parse: unsupported certificate schema <int of")
+
 
 class TestCanonicalDump:
     def test_sorted_keys_and_trailing_newline(self):

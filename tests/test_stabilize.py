@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -898,6 +899,67 @@ class TestIntegerGate:
                 variants += 1
                 rejected += not res.ok
         assert variants > rejected > 0
+
+
+BIG = 10**5000  # more digits than the interpreter's default limit for str()
+
+
+class Int(int):
+    """An int that is not a plain one."""
+
+LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001
+BITS = "<int of 16610 bits>" if LIMITED else str(BIG)
+
+
+def g_moves(cert, moves):
+    """cert with g's moves replaced; the rebuild reads them before anything else fails."""
+    return with_parts(cert, g_seq=bc.MoveSeq(cert.g_seq.start, moves, cert.g_seq.end))
+
+
+def phi_rows(cert, C):
+    return with_parts(cert, phi=bc.GradedIso(cert.A, cert.B, C))
+
+
+# each bad part of an in-memory certificate that the verifier once raised on, with the diagnostic it now returns
+IN_MEMORY_PROBES = {
+    "move with two fields": (lambda c: g_moves(c, (("switch", 1),)), "move must be a (kind, j, v) tuple"),
+    "moves an int": (lambda c: g_moves(c, 5), "g_seq.moves is not a tuple"),
+    "twist's v an int": (lambda c: g_moves(c, (("twist", 2, 5),)), "twist's v must be a tuple, got int"),
+    "phi's C an int": (lambda c: phi_rows(c, 5), "phi.C is not a tuple"),
+    "phi's row an int": (lambda c: phi_rows(c, (5,) + c.phi.C[1:]), "a row of a map is not a tuple"),
+    "switch at 10**5000": (lambda c: g_moves(c, (("switch", BIG, None),)), f"switch position {BITS} outside 1..3"),
+    "twist at 10**5000": (lambda c: g_moves(c, (("twist", BIG, (0,) * 4),)), f"twist position {BITS} outside 1..4"),
+    "twist's v entry 10**5000": (lambda c: g_moves(c, (("twist", 3, (BIG, 0, 0, 0)),)),
+                                 f"v(beta_j - v) != 0 for v=[{BITS}, 0, 0, 0]"),
+    "k_final 10**5000": (lambda c: with_parts(c, k_final=BIG), f"claimed k_final {BITS}, recomputed 4"),
+    "k_final an Int 10**5000": (lambda c: with_parts(c, k_final=Int(BIG)), f"k_final {BITS} is not an integer"),
+    "j an Int 10**5000": (lambda c: g_moves(c, (("switch", Int(BIG), None),)), f"move position {BITS} is not an"),
+    "kind 10**5000": (lambda c: g_moves(c, ((BIG, 1, None),)), f"unknown move kind {BITS}"),
+    "phi's entry 10**5000": (lambda c: phi_rows(c, ((BIG, 0, 0, 0),) + c.phi.C[1:]), f"det is not +-1 for (({BITS}, 0"),
+}
+
+
+@pytest.mark.parametrize("probe", list(IN_MEMORY_PROBES))
+def test_bad_data_in_memory_is_a_false_verdict(probe):
+    # bad data is a BottError where it arises, so the in-memory verifier returns False on it and never raises:
+    # a move's or a map's shape is checked where it is read, and a message prints its ints through int_text
+    tamper, diagnostic = IN_MEMORY_PROBES[probe]
+    cert = bc.stabilize_full(odd_twist_isos()[0])
+    assert bc.verify_certificate(cert).ok
+    res = bc.verify_certificate(tamper(cert))
+    assert res.ok is False
+    assert res.diagnostic.removeprefix("certificate data invalid: ").startswith(diagnostic), res.diagnostic
+
+
+def test_int_text_prints_rows_as_python_does():
+    # a value prints as repr prints it; past the digit limit, an int prints as its bit length, and a tuple or
+    # list as Python prints it, each int so
+    for x in (3, -(2**80), True, 2.0, "flip", (1, -2), (7,), ((1, 0), (0, 1)), [0, 5], ()):
+        assert bc.errors.int_text(x) == repr(x)
+    if LIMITED:
+        assert bc.errors.int_text(((BIG,),)) == f"(({BITS},),)"
+        assert bc.errors.int_text([BIG, -1]) == f"[{BITS}, -1]"
+        assert bc.errors.int_text(((1, BIG), (0, 1))) == f"((1, {BITS}), (0, 1))"
 
 
 @pytest.mark.parametrize("bound", [True, 1.5, "2"], ids=["bool", "float", "str"])

@@ -37,12 +37,22 @@ phi(alpha_j), j >= i, is built from those and rows i..j-1 alone, so
 prefixes with the same state have the same completions (rows i..n), found
 once per state.  A node prefixes each child, in ascending row order, to
 its completions, so the hits come out in canonical order with no sort.
+
+The search makes no reference cycle once it breaks the one its nested
+``extend`` makes by referring to itself, so reference counting frees all
+it builds.  It therefore pauses the cyclic garbage collector while it
+enumerates and builds its hits, which the collector would only traverse,
+and gives the caller back its setting, also when an exception is raised.
+The pause is not safe against another thread that changes that setting
+at the same moment.
 """
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, neg, sub
 
@@ -338,6 +348,12 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
                 out.append((row,))
         return out
 
-    found = extend(1, n, 0, ())
-    del extend, completions  # free the states' completions now, not at a full GC (extend refers to itself)
-    return [GradedIso(A, B, C) for C in found]
+    collecting = gc.isenabled()  # the search makes no cycle for the collector to find (module docstring)
+    gc.disable()
+    try:
+        found = extend(1, n, 0, ())
+        del extend, completions  # break extend's cycle (it refers to itself) and free the states' completions
+        return list(map(GradedIso, repeat(A), repeat(B), found))
+    finally:
+        if collecting:
+            gc.enable()

@@ -144,6 +144,11 @@ ONLY_CALLED_FROM = {
     "json.loads": set(),
     # dumps_canonical is the one writer of output text, and calls json.dumps only for the scalars it does not write
     "json.dumps": {"serialize._dump"},
+    # the search pauses the cyclic collector while it builds its acyclic result, which the collector would
+    # only traverse (25-30% of a zero-matrix search); elsewhere it is a few percent at most, so no other
+    # function pauses it without its own measured case
+    "gc.disable": {"iso.search_isos"},
+    "gc.enable": {"iso.search_isos"},
 }
 # the rows whose callee bench/ must not call either: its workloads build matrices through validation
 BENCH_ROWS = {"ring.BottMatrix._derived"}

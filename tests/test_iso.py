@@ -1,5 +1,6 @@
 """Graded isomorphisms: validation, application, stability, extraction, search."""
 
+import gc
 import itertools
 import math
 import random
@@ -591,6 +592,53 @@ class TestSearch:
             assert mats == sorted(set(mats))
             hits += len(mats)
         assert hits > 2 * 46080
+
+    def test_makes_no_reference_cycles(self):
+        # why the search may pause the cyclic collector: once extend's own
+        # cycle is broken, reference counting frees all it builds, so a
+        # collection after each search finds nothing to free
+        cases = [(zero_matrix(n), zero_matrix(n), bound) for n in range(1, 7) for bound in (1, 2)]
+        cases += [(hirzebruch(a), hirzebruch(b), 6) for a in range(-3, 4) for b in range(-3, 4)]
+        rng = random.Random(4141)
+        for n in (3, 4, 5):
+            for _ in range(4):
+                A = sparse_matrix(rng, n, 2)
+                cases.append((A, moved_partner(rng, A, rng.randint(1, 3)), 3))
+        ones = bc.make_bott_matrix(30, [[1] * i for i in range(30)])
+        cases.append((ones, ones, 1))
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for A, B, bound in cases:
+                bc.search_isos(A, B, bound)
+                assert gc.collect() == 0, (A.rows, B.rows, bound)
+        finally:
+            if collecting:
+                gc.enable()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_gives_back_the_callers_collector_setting(self, monkeypatch, collecting):
+        Z = zero_matrix(3)
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert len(bc.search_isos(Z, Z, 1)) == 48
+            assert gc.isenabled() is collecting
+            # a library bug inside the window propagates, and the setting still comes back
+            seen = []
+
+            def planted(*args):
+                seen.append(gc.isenabled())
+                raise TypeError("planted")
+
+            monkeypatch.setattr(iso, "product_is_zero", planted)
+            with pytest.raises(TypeError, match="planted"):
+                bc.search_isos(Z, Z, 1)
+            assert seen == [False]
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
 
     def test_relation_checks_pinned(self, monkeypatch):
         # one relation check per +-e pair of rows: r_-e = phi(alpha_i) - r_e, so

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .iso import (
     GradedIso,
-    extract_sigma_eps,
     invert,
     make_iso,
     max_stable,
@@ -43,6 +42,7 @@ from .structure import (
     DecompositionTower,
     blocks_at,
     decompose_tower,
+    extract_sigma_eps,
     qtrivial_partition,
     same_block,
     square_zero_generators,

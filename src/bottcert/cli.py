@@ -19,7 +19,7 @@ import os
 import sys
 
 from .errors import BottError, ShapeError, TripwireError
-from .iso import extract_sigma_eps, make_iso, max_stable, search_isos
+from .iso import make_iso, max_stable, search_isos
 from .ring import product_is_zero
 from .serialize import (
     ReplayResult,
@@ -35,6 +35,7 @@ from .stabilize import stabilize_full
 from .structure import (
     blocks_at,
     decompose_tower,
+    extract_sigma_eps,
     qtrivial_partition,
     square_zero_generators,
 )

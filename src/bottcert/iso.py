@@ -51,13 +51,12 @@ from __future__ import annotations
 
 import gc
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, neg, sub
 
-from .errors import NotUnimodular, RelationViolated, ShapeError, TripwireError, int_text
-from .ring import BottMatrix, combine, height, product_is_zero, product_terms, two_x_minus_alpha
+from .errors import NotUnimodular, RelationViolated, ShapeError, int_text
+from .ring import BottMatrix, combine, product_is_zero, product_terms, two_x_minus_alpha
 
 
 def _bareiss(m: list[list[int]]) -> int:
@@ -150,7 +149,7 @@ class GradedIso:
         )
 
     def __repr__(self) -> str:
-        return f"GradedIso({[list(r) for r in self.C]})"
+        return f"GradedIso({int_text([list(r) for r in self.C])})"
 
 
 def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> GradedIso:
@@ -210,11 +209,6 @@ def _unit(row: tuple[int, ...], n: int) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=32)
-def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n))
-
-
 def invert(phi: GradedIso) -> GradedIso:
     """Inverse isomorphism (integral because det C = +-1)."""
     return GradedIso(phi.target, phi.source, int_inverse(phi.C))
@@ -235,40 +229,6 @@ def max_stable(phi: GradedIso) -> int:
         if top <= k:
             best = k
     return n if best == n - 1 else best
-
-
-def extract_sigma_eps(phi: GradedIso) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The induced permutation sigma of square-zero frames and its scalars e = 2 eps.
-
-    Returns (sigma, e) with 2 phi(2x_i - alpha_i) = e_i (2y_sigma(i) - beta_sigma(i)),
-    after verifying that exact identity and that sigma preserves the levels
-    of the source and target towers.  Failure contradicts the structure
-    theory for a validated isomorphism, so it is a test tripwire rather
-    than an expected path.
-    """
-    from .structure import decompose_tower
-
-    A, B = phi.source, phi.target
-    lev_a, lev_b = decompose_tower(A).levels, decompose_tower(B).levels
-    sigma: list[int] = []
-    e: list[int] = []
-    for i in range(1, A.n + 1):
-        q = phi.apply2(two_x_minus_alpha(A, i))
-        m = height(q)
-        if m == 0:
-            raise TripwireError(f"generator {i}: image of 2x_i - alpha_i is zero")
-        frame = two_x_minus_alpha(B, m)
-        top = q[m - 1]
-        # exact identity, cross-multiplied to stay in integers: 2q = top * frame
-        if [2 * t for t in q] != [top * f for f in frame]:
-            raise TripwireError(f"generator {i}: image {list(q)} is not a multiple of {list(frame)}")
-        if lev_a[i] != lev_b[m]:
-            raise TripwireError(f"generator {i}: level of x_{i} differs from level of y_{m}")
-        sigma.append(m)
-        e.append(top)
-    if sorted(sigma) != list(range(1, A.n + 1)):
-        raise TripwireError(f"generator 0: indices {sigma} do not form a permutation")
-    return tuple(sigma), tuple(e)
 
 
 def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:

@@ -18,9 +18,9 @@ move the library makes (sequences, towers, key steps) through them.  A move
 is the tuple (kind, j, v) of its parameters, v None for a switch and a tuple
 for a twist, and holds no matrix, so reading a sequence holds one matrix at
 a time.  The gate is ``rebuild``: it builds each move from outside
-parameters, writes its map as ``_then`` on the identity and checks it by
-full relation checking (``make_iso``), only in the certificate's one build
-path, ``serialize.certificate_from_parts``.
+parameters, writes its map as ``_then`` on the identity (``_identity_rows``,
+cached by n) and checks it by full relation checking (``make_iso``), only in
+the certificate's one build path, ``serialize.certificate_from_parts``.
 
 A move's map is fixed by n and (kind, j, v) and elementary, so neither moves
 nor sequences store maps: ``_then`` and ``_before`` compose a map with a move
@@ -31,8 +31,10 @@ matrix; the gate checks on every move the column fold that the key steps and
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import RangeError, ShapeError, SwitchBlocked, TwistInvalid, int_text
-from .iso import _identity_rows, make_iso
+from .iso import make_iso
 from .ring import BottMatrix, combine, height, product_is_zero
 
 
@@ -140,6 +142,11 @@ class MoveSeq:
             mv, end = _apply(end, kind, j, v)
             stored.append(mv)
         return MoveSeq(start, tuple(stored), end)
+
+
+@lru_cache(maxsize=32)
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n))
 
 
 # here, not in serialize: bench/test_bench.py's test_wrappers_removed reads moves.make_iso

@@ -45,10 +45,10 @@ class BottMatrix:
         if type(n) is not int:
             raise ShapeError(f"tower height {int_text(n)} is not an integer")
         if n < 1:
-            raise ShapeError(f"tower height must be >= 1, got {n}")
+            raise ShapeError(f"tower height must be >= 1, got {int_text(n)}")
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != n:
-            raise ShapeError(f"expected {n} rows, got {len(rows)}")
+            raise ShapeError(f"expected {int_text(n)} rows, got {len(rows)}")
         for i, row in enumerate(rows, start=1):
             if len(row) != i - 1:
                 raise ShapeError(f"row {i} must have {i - 1} entries, got {len(row)}")
@@ -68,7 +68,7 @@ class BottMatrix:
     def a(self, i: int, j: int) -> int:
         """Entry a_ij; zero for j >= i (strict lower triangularity)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise RangeError(f"index ({i}, {j}) outside 1..{self.n}")
+            raise RangeError(f"index ({int_text(i)}, {int_text(j)}) outside 1..{self.n}")
         if j >= i:
             return 0
         return self.rows[i - 1][j - 1]
@@ -76,14 +76,14 @@ class BottMatrix:
     def alpha(self, i: int) -> tuple[int, ...]:
         """Row i as the degree-2 class alpha_i = sum_{j<i} a_ij x_j."""
         if not 1 <= i <= self.n:
-            raise RangeError(f"row {i} outside 1..{self.n}")
+            raise RangeError(f"row {int_text(i)} outside 1..{self.n}")
         return self.rows[i - 1] + (0,) * (self.n - i + 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BottMatrix) and self.rows == other.rows
 
     def __repr__(self) -> str:
-        return f"BottMatrix(n={self.n}, rows={[list(r) for r in self.rows]})"
+        return f"BottMatrix(n={self.n}, rows={int_text([list(r) for r in self.rows])})"
 
 
 def make_bott_matrix(n: int, rows: Iterable[Iterable[int]]) -> BottMatrix:
@@ -147,7 +147,7 @@ def product_terms(A: BottMatrix, s, t) -> dict[tuple[int, int], int]:
 def two_x_minus_alpha(A: BottMatrix, i: int) -> tuple[int, ...]:
     """The class 2x_i - alpha_i, whose square equals alpha_i^2."""
     if not 1 <= i <= A.n:
-        raise RangeError(f"generator index {i} outside 1..{A.n}")
+        raise RangeError(f"generator index {int_text(i)} outside 1..{A.n}")
     return tuple(-a for a in A.rows[i - 1]) + (2,) + (0,) * (A.n - i)
 
 
@@ -162,5 +162,5 @@ def primitive_part(c: tuple[int, ...]) -> tuple[int, ...]:
 def sub_bar(A: BottMatrix, k: int) -> BottMatrix:
     """Lower-right (n-k) x (n-k) submatrix (the fiber of the cut at k); A itself at k = 0."""
     if not 0 <= k < A.n:
-        raise RangeError(f"cut {k} outside 0..{A.n - 1}")
+        raise RangeError(f"cut {int_text(k)} outside 0..{A.n - 1}")
     return A if k == 0 else BottMatrix._derived(A.n - k, tuple(A.rows[i][k:] for i in range(k, A.n)))

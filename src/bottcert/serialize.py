@@ -8,8 +8,9 @@ iterable stands in for one) and reject an object key they do not read;
 ``load_json``, the one parser of input text, rejects a repeated key.
 Writers sort keys and keep arrays in index order: equal values, equal bytes.
 
-The certificate, its one build path ``certificate_from_parts`` and its
-claims ``check_claims`` live here, beside the reader.  ``move_from_obj`` only
+The certificate, its one build path ``certificate_from_parts``, its claims
+``check_claims`` and ``certificate_from_fields``, the reader of one in memory,
+live here, beside the reader.  ``move_from_obj`` only
 decodes a move's parameters, just before the move is built and checked, so
 reading stops at the first bad move and builds each good one once.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .errors import BottError, ShapeError, int_text
 from .iso import GradedIso, make_iso, max_stable
@@ -228,7 +230,7 @@ def check_claims(cert: StabilizationCertificate) -> ReplayResult:
 def certificate_from_parts(A: BottMatrix, B: BottMatrix, phi_rows, f_start: BottMatrix, f_params,
                            g_start: BottMatrix, g_params, phi_prime_rows, k_final) -> StabilizationCertificate:
     """The certificate these parts describe, the one path by which the JSON reader and
-    ``verify_certificate`` build one: f's moves, then g's, built from their (kind, j, v) by
+    ``certificate_from_fields`` build one: f's moves, then g's, built from their (kind, j, v) by
     ``rebuild``, then phi and phi_prime checked by ``make_iso``; k_final must be a plain int.
     ``check_claims`` checks the rest."""
     if type(k_final) is not int:
@@ -266,6 +268,34 @@ def certificate_from_obj(obj: object) -> StabilizationCertificate:
         *seq_from_obj(obj["f_seq"]), *seq_from_obj(obj["g_seq"]),
         iso_matrix_from_obj(obj["phi_prime"]), decode_int(obj["k_final"]),
     )
+
+
+# each field of a certificate, and each sequence's and map's parts, with the type certificate_from_fields requires
+_PARTS = {"A": BottMatrix, "B": BottMatrix, "phi": GradedIso, "phi.C": tuple, "f_seq": MoveSeq,
+          "f_seq.start": BottMatrix, "f_seq.moves": tuple, "g_seq": MoveSeq, "g_seq.start": BottMatrix,
+          "g_seq.moves": tuple, "phi_prime": GradedIso, "phi_prime.C": tuple}
+
+
+def _move(mv: object) -> tuple:
+    """A stored move, a (kind, j, v) tuple with a twist's v a tuple; its build checks the rest."""
+    if type(mv) is not tuple or len(mv) != 3:
+        raise ShapeError("move must be a (kind, j, v) tuple")
+    if mv[0] == "twist" and type(mv[2]) is not tuple:
+        raise ShapeError(f"twist's v must be a tuple, got {type(mv[2]).__name__}")
+    return mv
+
+
+def certificate_from_fields(cert: StabilizationCertificate) -> StabilizationCertificate:
+    """Read an in-memory certificate's fields as the JSON reader reads its text: each part must have its
+    ``_PARTS`` type, each row of a map be a tuple and each move pass ``_move``, then ``certificate_from_parts``
+    builds it again; ``check_claims`` checks the rest."""
+    for name, kind in _PARTS.items():
+        if not isinstance(attrgetter(name)(cert), kind):
+            raise ShapeError(f"{name} is not a {kind.__name__}")
+    if not all(type(row) is tuple for row in (*cert.phi.C, *cert.phi_prime.C)):
+        raise ShapeError("a row of a map is not a tuple")
+    return certificate_from_parts(cert.A, cert.B, cert.phi.C, cert.f_seq.start, map(_move, cert.f_seq.moves),
+                                  cert.g_seq.start, map(_move, cert.g_seq.moves), cert.phi_prime.C, cert.k_final)
 
 
 def verify_certificate_obj(obj: object) -> ReplayResult:

@@ -3,7 +3,7 @@
 Given a validated isomorphism phi between two Bott rings, the routines here
 produce realizable move sequences f (on the source side) and g (on the
 target side) such that g o phi o f preserves the filtration up to the top
-two stages, together with a certificate, whose type and checks are in ``serialize``.
+two stages, together with a certificate, whose type, reader and checks are in ``serialize``.
 
 The engine is a height-reduction step: for a k-stable phi whose image of
 x_{k+1} has height l > k+1, the target matrix admits moves (depending on
@@ -18,13 +18,11 @@ Degree-2 classes (images, w, u, a twist's v) are tuples of n coefficients.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
-from .errors import BottError, RangeError, ShapeError, TripwireError
+from .errors import BottError, RangeError, TripwireError, int_text
 from .iso import GradedIso, invert, max_stable
 from .moves import MoveSeq, _apply, _then, invert_move
-from .ring import BottMatrix, height, product_is_zero
-from .serialize import ReplayResult, StabilizationCertificate, certificate_from_parts, check_claims
+from .ring import height, product_is_zero
+from .serialize import ReplayResult, StabilizationCertificate, certificate_from_fields, check_claims
 from .structure import decompose_tower, same_block
 
 
@@ -39,7 +37,7 @@ def decompose_xk(phi: GradedIso, k: int) -> int | None:
     """
     n = phi.source.n
     if not 0 <= k < n:
-        raise RangeError(f"stability index {k} outside 0..{n - 1}")
+        raise RangeError(f"stability index {int_text(k)} outside 0..{n - 1}")
     if not phi.is_k_stable(k):
         raise RangeError(f"isomorphism is not {k}-stable")
     img = phi.C[k]
@@ -301,46 +299,18 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
     return cert
 
 
-# each field of a certificate, and each sequence's and map's parts, with the type verify_certificate requires
-_PARTS = {"A": BottMatrix, "B": BottMatrix, "phi": GradedIso, "phi.C": tuple, "f_seq": MoveSeq,
-          "f_seq.start": BottMatrix, "f_seq.moves": tuple, "g_seq": MoveSeq, "g_seq.start": BottMatrix,
-          "g_seq.moves": tuple, "phi_prime": GradedIso, "phi_prime.C": tuple}
-
-
-def _rows(C: tuple) -> tuple:
-    """A stored map's matrix, each row a tuple as the JSON reader takes a list; ``make_iso`` checks the rest."""
-    if not all(type(row) is tuple for row in C):
-        raise ShapeError("a row of a map is not a tuple")
-    return C
-
-
-def _move(mv: object) -> tuple:
-    """A stored move, a (kind, j, v) tuple with a twist's v a tuple; its build checks the rest."""
-    if type(mv) is not tuple or len(mv) != 3:
-        raise ShapeError("move must be a (kind, j, v) tuple")
-    if mv[0] == "twist" and type(mv[2]) is not tuple:
-        raise ShapeError(f"twist's v must be a tuple, got {type(mv[2]).__name__}")
-    return mv
-
-
 # here, not in serialize: bench/run.py traces it as the span stabilize.verify_certificate
 def verify_certificate(cert: StabilizationCertificate) -> ReplayResult:
     """Re-verify an in-memory certificate from its raw data only.
 
-    Checks the type of each part, builds it again from them
-    (``certificate_from_parts``, as the JSON reader does, each row and move
-    read by ``_rows`` and ``_move``), requires each sequence's moves and end
-    and each map's source and target back, then runs ``check_claims``.
-    Nothing from the construction is trusted; a part of the wrong type or a
-    ``BottError`` yields False.
+    Reads it through ``certificate_from_fields``, which checks the type of
+    each part and builds it again from them as the JSON reader does,
+    requires each sequence's moves and end and each map's source and target
+    back, then runs ``check_claims``.  Nothing from the construction is
+    trusted; a ``BottError`` yields False.
     """
-    for name, kind in _PARTS.items():
-        if not isinstance(attrgetter(name)(cert), kind):
-            return ReplayResult(False, f"certificate data invalid: {name} is not a {kind.__name__}")
     try:
-        fresh = certificate_from_parts(cert.A, cert.B, _rows(cert.phi.C), cert.f_seq.start,
-                                       map(_move, cert.f_seq.moves), cert.g_seq.start, map(_move, cert.g_seq.moves),
-                                       _rows(cert.phi_prime.C), cert.k_final)
+        fresh = certificate_from_fields(cert)
         stored, rebuilt = ((c.f_seq.moves, c.f_seq.end, c.g_seq.moves, c.g_seq.end, c.phi.source,
                             c.phi.target, c.phi_prime.source, c.phi_prime.target) for c in (cert, fresh))
         if stored != rebuilt:

@@ -10,15 +10,19 @@ fibers have rationally trivial cohomology.  The stage containing a class is
 its level; the tower fixes each generator's base index and level, as
 ``perm`` and ``levels``, as it makes the switches, and the block queries
 read them from it.  Within one level, the mod-2 reductions of the primitive
-square-zero representatives partition the stage indices into blocks.
+square-zero representatives partition the stage indices into blocks.  An
+isomorphism permutes the frames 2x_i - alpha_i up to scalars, preserving
+levels; ``extract_sigma_eps`` reads that permutation off a map and checks it.
 """
 
 from __future__ import annotations
 
-from .errors import BottError, RangeError, TripwireError
+from .errors import BottError, RangeError, TripwireError, int_text
+from .iso import GradedIso
 from .moves import _apply
 from .ring import (
     BottMatrix,
+    height,
     primitive_part,
     product_is_zero,
     sub_bar,
@@ -125,7 +129,7 @@ def blocks_at(T: DecompositionTower, lev: int) -> tuple[tuple[int, ...], ...]:
     ascends.
     """
     if not 1 <= lev <= T.stages:
-        raise RangeError(f"level {lev} outside 1..{T.stages}")
+        raise RangeError(f"level {int_text(lev)} outside 1..{T.stages}")
     k = T.dims[lev - 2] if lev >= 2 else 0
     hi = T.dims[lev - 1]
     fiber = sub_bar(T.base, k)
@@ -140,7 +144,7 @@ def same_block(T: DecompositionTower, i: int, j: int) -> bool:
     """Whether the generators x_i and x_j of the matrix T decomposes share both level and block."""
     for x in (i, j):
         if not 1 <= x <= T.base.n:
-            raise RangeError(f"index {x} outside 1..{T.base.n}")
+            raise RangeError(f"index {int_text(x)} outside 1..{T.base.n}")
     lev = T.levels[i]
     if lev != T.levels[j]:
         return False
@@ -158,3 +162,36 @@ def qtrivial_partition(T: DecompositionTower) -> tuple[int, ...] | None:
     if T.stages != 1:
         return None
     return tuple(sorted((len(c) for c in blocks_at(T, 1)), reverse=True))
+
+
+def extract_sigma_eps(phi: GradedIso) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The induced permutation sigma of square-zero frames and its scalars e = 2 eps.
+
+    Returns (sigma, e) with 2 phi(2x_i - alpha_i) = e_i (2y_sigma(i) - beta_sigma(i)),
+    after verifying that exact identity and that sigma preserves the levels
+    of the source and target towers.  Failure contradicts the structure
+    theory for a validated isomorphism, so it is a test tripwire rather
+    than an expected path.
+    """
+    A, B = phi.source, phi.target
+    lev_a, lev_b = decompose_tower(A).levels, decompose_tower(B).levels
+    sigma: list[int] = []
+    e: list[int] = []
+    for i in range(1, A.n + 1):
+        q = phi.apply2(two_x_minus_alpha(A, i))
+        m = height(q)
+        if m == 0:
+            raise TripwireError(f"generator {i}: image of 2x_i - alpha_i is zero")
+        frame = two_x_minus_alpha(B, m)
+        top = q[m - 1]
+        # exact identity, cross-multiplied to stay in integers: 2q = top * frame
+        if [2 * t for t in q] != [top * f for f in frame]:
+            raise TripwireError(f"generator {i}: image {int_text(list(q))} is not a multiple of "
+                                f"{int_text(list(frame))}")
+        if lev_a[i] != lev_b[m]:
+            raise TripwireError(f"generator {i}: level of x_{i} differs from level of y_{m}")
+        sigma.append(m)
+        e.append(top)
+    if sorted(sigma) != list(range(1, A.n + 1)):
+        raise TripwireError(f"generator 0: indices {int_text(sigma)} do not form a permutation")
+    return tuple(sigma), tuple(e)

@@ -11,7 +11,7 @@
 * The modules import in one declared order, ``IMPORT_ORDER``: each
   module's relative imports outside a function name only modules before
   it, and the only imports in a function body are those
-  ``FUNCTION_IMPORTS`` lists, the one back-edge.
+  ``FUNCTION_IMPORTS`` lists, the one back-edge, which README names.
 * ``serialize.dumps_canonical`` is the one writer of output text: no
   library call passes ``indent=`` to ``json``.
 * ``serialize`` owns the number format: no other library module names the
@@ -128,6 +128,12 @@ ONLY_CALLED_FROM = {
     # the row fold: stabilization folds its moves onto its working map as columns, so only the claim check
     # applies the source-side moves f, and no library function multiplies two maps
     "moves._before": {"serialize.check_claims"},
+    # the identity a move's map is folded onto; its cache is worth about 4% of the verify workload's throughput,
+    # and only the gate writes a move's map, so no other caller shares or evicts its entries
+    "moves._identity_rows": {"moves.rebuild"},
+    # the in-memory reader, which checks each part's type, row and move as the JSON reader checks its text; the
+    # in-memory verifier is its one caller, so a certificate in memory is read and built on one path
+    "serialize.certificate_from_fields": {"stabilize.verify_certificate"},
     # every move (sequence, tower or key step) is built by the one normalizer of a move's parameters, so a new
     # path that builds moves past it fails here.  A key step builds each move in its play, which reports a move
     # that fails to build as a tripwire, so no check there restates a move's precondition
@@ -252,15 +258,17 @@ TRUSTED = {
     "serialize.verify_certificate_obj", "serialize.certificate_from_obj", "serialize.matrix_from_obj",
     "serialize.iso_matrix_from_obj", "serialize.seq_from_obj", "serialize.move_from_obj", "serialize.decode_int",
     "serialize._ints", "serialize._list", "serialize._only",
-    # the build path and the claims, beside the readers, and the in-memory verifier with its readers of rows and moves
-    "serialize.certificate_from_parts", "serialize.check_claims", "serialize.StabilizationCertificate.__init__",
-    "serialize.ReplayResult.__init__", "serialize.ReplayResult.__bool__", "serialize.ReplayResult.__eq__",
-    "stabilize.verify_certificate", "stabilize._rows", "stabilize._move",
-    # the move gate, the moves and the two folds
-    "moves.rebuild", "moves._apply", "moves.switch", "moves.twist", "moves._then", "moves._before",
-    "moves.MoveSeq.__init__",
+    # the in-memory reader and its reader of moves, the build path and the claims, beside the readers
+    "serialize.certificate_from_fields", "serialize._move", "serialize.certificate_from_parts",
+    "serialize.check_claims", "serialize.StabilizationCertificate.__init__", "serialize.ReplayResult.__init__",
+    "serialize.ReplayResult.__bool__", "serialize.ReplayResult.__eq__",
+    # the in-memory verifier, which reads through serialize and compares the stored parts with the rebuilt ones
+    "stabilize.verify_certificate",
+    # the move gate, the identity it folds a move's map onto, the moves and the two folds
+    "moves.rebuild", "moves._identity_rows", "moves._apply", "moves.switch", "moves.twist", "moves._then",
+    "moves._before", "moves.MoveSeq.__init__",
     # the map check
-    "iso.make_iso", "iso._unit", "iso.int_det", "iso._bareiss", "iso._identity_rows", "iso.max_stable",
+    "iso.make_iso", "iso._unit", "iso.int_det", "iso._bareiss", "iso.max_stable",
     "iso.GradedIso.__init__", "iso.GradedIso.__eq__", "iso.GradedIso.__repr__",
     # the matrix, the sum of rows and the degree-4 product
     "ring.BottMatrix.__init__", "ring.BottMatrix._derived", "ring.BottMatrix.a", "ring.BottMatrix.__eq__",
@@ -334,9 +342,9 @@ def test_detects_what_a_root_reaches():
 
 # the package's one import order; __init__ re-exports every module and stands outside it
 IMPORT_ORDER = ("errors", "ring", "iso", "moves", "structure", "serialize", "stabilize", "cli")
-# the one back-edge: the search and the extraction read the towers' levels, and structure imports moves, which
-# imports iso (ROADMAP item 25 moves rebuild out of moves and removes it)
-FUNCTION_IMPORTS = {"iso.extract_sigma_eps": {"structure"}, "iso.search_isos": {"structure"}}
+# the one back-edge: the search reads the towers' levels, and structure imports moves, which imports iso for
+# rebuild; both stay for bench/, which traces iso.search_isos and reads moves.make_iso (ROADMAP item 25 removes it)
+FUNCTION_IMPORTS = {"iso.search_isos": {"structure"}}
 
 
 def import_breaks(library: dict) -> tuple[dict, dict]:
@@ -373,6 +381,34 @@ def test_one_import_order():
     library = library_sources()
     assert set(IMPORT_ORDER) == set(library) - {"__init__"}
     assert import_breaks(library) == ({}, FUNCTION_IMPORTS)
+
+
+def documented_function_imports(readme: str) -> dict | None:
+    """README's sentence on the imports in a function body, under "What a verdict rests on", as
+    ``FUNCTION_IMPORTS`` reads: each function it quotes before "of" with the modules it quotes after; None
+    when the sentence is missing."""
+    section = readme.partition("## What a verdict rests on")[2].partition("\n## ")[0]
+    words = r"The\s+only\s+imports?\s+in\s+a\s+function\s+body\s+(?:is|are)\s+(.*?)\s+\(`FUNCTION_IMPORTS`"
+    sentence = re.search(words, section, re.S)
+    if not sentence:
+        return None
+    functions, modules = re.split(r"\s+of\s+", sentence[1], maxsplit=1)
+    return {f: set(re.findall(r"`(\w+)`", modules)) for f in re.findall(r"`([\w.]+)`'s", functions)}
+
+
+def test_readme_names_the_function_imports():
+    assert documented_function_imports(README.read_text(encoding="utf-8")) == FUNCTION_IMPORTS
+
+
+def test_detects_undocumented_function_imports():
+    head = "## What a verdict rests on\n\n- **`IMPORT_ORDER`**: "
+    two = head + "The only imports in a function body are\n  `iso.a`'s and `iso.b`'s of `structure`\n  (`FUNCTION_IMPORTS`).\n"
+    assert documented_function_imports(two) == {"iso.a": {"structure"}, "iso.b": {"structure"}}
+    one = head + "The only import in a function body is `iso.b`'s of `structure` and\n  `cli` (`FUNCTION_IMPORTS`).\n"
+    assert documented_function_imports(one) == {"iso.b": {"structure", "cli"}}
+    assert documented_function_imports(head + "No function body imports.\n## Next\n") is None
+    # a sentence outside the section does not count
+    assert documented_function_imports(one.replace("rests on", "rests in")) is None
 
 
 def test_detects_imports_out_of_order():

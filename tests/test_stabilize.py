@@ -962,6 +962,45 @@ def test_int_text_prints_rows_as_python_does():
         assert bc.errors.int_text(((1, BIG), (0, 1))) == f"((1, {BITS}), (0, 1))"
 
 
+def test_in_memory_checks_keep_their_order():
+    # every part's type is checked before any row of a map, and every row before any move
+    cert = bc.stabilize_full(odd_twist_isos()[0])
+    res = bc.verify_certificate(with_parts(phi_rows(cert, (5,) + cert.phi.C[1:]), f_seq=5))
+    assert res == bc.ReplayResult(False, "certificate data invalid: f_seq is not a MoveSeq")
+    prime = bc.GradedIso(cert.phi_prime.source, cert.phi_prime.target, (5,) + cert.phi_prime.C[1:])
+    res = bc.verify_certificate(with_parts(g_moves(cert, (("switch", 1),)), phi_prime=prime))
+    assert res == bc.ReplayResult(False, "certificate data invalid: a row of a map is not a tuple")
+
+
+# each call that prints an int argument in its message, with the error its bad value raises
+PAST_THE_DIGIT_LIMIT = {
+    "BottMatrix height -10**5000": (lambda: bc.BottMatrix(-BIG, []), bc.ShapeError),
+    "BottMatrix height 10**5000": (lambda: bc.BottMatrix(BIG, []), bc.ShapeError),
+    "BottMatrix.a": (lambda: ZERO3.a(2, BIG), bc.RangeError),
+    "BottMatrix.alpha": (lambda: ZERO3.alpha(BIG), bc.RangeError),
+    "two_x_minus_alpha": (lambda: bc.two_x_minus_alpha(ZERO3, BIG), bc.RangeError),
+    "sub_bar": (lambda: bc.sub_bar(ZERO3, BIG), bc.RangeError),
+    "blocks_at": (lambda: bc.blocks_at(bc.decompose_tower(ZERO3), BIG), bc.RangeError),
+    "same_block": (lambda: bc.same_block(bc.decompose_tower(ZERO3), 1, BIG), bc.RangeError),
+    "decompose_xk": (lambda: bc.decompose_xk(identity(ZERO3), BIG), bc.RangeError),
+}
+
+
+@pytest.mark.parametrize("call", list(PAST_THE_DIGIT_LIMIT))
+def test_ints_past_the_digit_limit_are_bott_errors(call):
+    # a message prints its int argument through int_text, so a bad value is its domain error, never a ValueError
+    run, error = PAST_THE_DIGIT_LIMIT[call]
+    with pytest.raises(error, match=re.escape(BITS)):
+        run()
+
+
+def test_repr_prints_ints_past_the_digit_limit():
+    assert repr(bc.BottMatrix(2, [[], [-3]])) == "BottMatrix(n=2, rows=[[], [-3]])"
+    A = bc.BottMatrix(2, [[], [BIG]])
+    assert repr(A) == f"BottMatrix(n=2, rows=[[], [{BITS}]])"
+    assert repr(bc.GradedIso(A, A, ((BIG, 0), (0, 1)))) == f"GradedIso([[{BITS}, 0], [0, 1]])"
+
+
 @pytest.mark.parametrize("bound", [True, 1.5, "2"], ids=["bool", "float", "str"])
 def test_search_bound_must_be_a_plain_int(bound):
     # the gate's integer rule at the search: a bool or a float is no bound, and a str is a domain error

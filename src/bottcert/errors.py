@@ -12,13 +12,13 @@ and whether a ``raise`` is a tripwire can be read from its syntax.
 
 
 def int_text(x) -> str:
-    """x as ``repr`` prints it for a message, an int past the interpreter's digit limit as its bit length;
-    a tuple or list of ints, such as a matrix's rows, as Python prints it with each int so."""
+    """x as ``repr`` prints it for a message, an int past the interpreter's digit limit as its sign and bit
+    length; a tuple or list of ints, such as a matrix's rows, as Python prints it with each int so."""
     try:
         return f"{x!r}"
     except ValueError:  # int's string conversion past sys.get_int_max_str_digits()
         if isinstance(x, int):
-            return f"<int of {x.bit_length()} bits>"
+            return f"{'-' * (x < 0)}<int of {x.bit_length()} bits>"
         inner = ", ".join(map(int_text, x))
         return f"[{inner}]" if isinstance(x, list) else f"({inner}{',' * (len(x) == 1)})"
 

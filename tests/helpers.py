@@ -28,11 +28,11 @@ from bottcert.iso import int_det
 
 
 def rand_matrix(rng, n, mag):
-    return bc.make_bott_matrix(n, [[rng.randint(-mag, mag) for _ in range(i)] for i in range(n)])
+    return bc.BottMatrix(n, [[rng.randint(-mag, mag) for _ in range(i)] for i in range(n)])
 
 
 def sparse_matrix(rng, n, mag, p_zero=0.6):
-    return bc.make_bott_matrix(
+    return bc.BottMatrix(
         n,
         [[(rng.randint(-mag, mag) if rng.random() > p_zero else 0) for _ in range(i)] for i in range(n)],
     )
@@ -45,7 +45,7 @@ def rationally_trivial(rng, n):
         rows = [list(r) for r in sparse_matrix(rng, n, 2, p_zero=0.5).rows]
         z = rng.randint(2, n - 1)
         rows[z - 1] = [0] * (z - 1)
-        A = bc.make_bott_matrix(n, rows)
+        A = bc.BottMatrix(n, rows)
         alphas = [class_terms(A.alpha(i)) for i in range(1, n + 1)]
         if any(map(any, A.rows)) and not any(oracle_product(A, a, a) for a in alphas):
             return A
@@ -504,9 +504,9 @@ def block_map(A):
 
 def hirzebruch(a):
     """The n = 2 Bott matrix with entry a: a Hirzebruch surface."""
-    return bc.make_bott_matrix(2, [[], [a]])
+    return bc.BottMatrix(2, [[], [a]])
 
 
 def zero_matrix(n):
     """The n x n Bott matrix with every entry zero: the product of n projective lines."""
-    return bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+    return bc.BottMatrix(n, [[0] * i for i in range(n)])

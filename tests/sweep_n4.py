@@ -42,7 +42,7 @@ WIDE_DIGEST = "0325c12ac45ab7a0702bd0a603f801e92d28f603e8fec814c0b689b9b9a0d146"
 def sweep_isos(lo=-1, hi=1, stride=1, hits=SWEEP_HITS):
     """The first ``hits`` self-isomorphisms at bound 2 of every ``stride``-th matrix with entries in lo..hi."""
     for rows in itertools.islice(itertools.product(range(lo, hi + 1), repeat=6), 0, None, stride):
-        A = bc.make_bott_matrix(4, [[], rows[:1], rows[1:3], rows[3:]])
+        A = bc.BottMatrix(4, [[], rows[:1], rows[1:3], rows[3:]])
         yield from bc.search_isos(A, A, 2)[:hits]
 
 

@@ -134,7 +134,7 @@ def test_iso_search_huge_bound(files, capsys):
     code, out = run(capsys, "iso-search", a, a, "--bound", "1000000000")
     assert code == 0
     data = json.loads(out)
-    A = bc.make_bott_matrix(3, rows)
+    A = bc.BottMatrix(3, rows)
     assert data["bound"] == 10**9
     assert len(data["isos"]) == len(bc.search_isos(A, A, 10**9)) > 0
 
@@ -365,8 +365,8 @@ def test_matrix_big_integers_round_trip(files, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["alpha"][1][0] == str(big)
-    assert bc.make_bott_matrix(2, [[], [big]]).a(2, 1) == big
-    assert json.loads(dumps_canonical(matrix_to_obj(bc.make_bott_matrix(2, [[], [big]]))))[
+    assert bc.BottMatrix(2, [[], [big]]).a(2, 1) == big
+    assert json.loads(dumps_canonical(matrix_to_obj(bc.BottMatrix(2, [[], [big]]))))[
         "rows"
     ][1][0] == str(big)
 
@@ -675,7 +675,7 @@ def test_decompose_builds_one_tower(files, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["partition_if_qtrivial"] == [1] * n
     # one tower (one stage, n rows), whose rows are the only square tests
     assert counts == {"towers": 1, "products": n}
-    T = decompose_tower(bc.make_bott_matrix(n, [[0] * i for i in range(n)]))
+    T = decompose_tower(bc.BottMatrix(n, [[0] * i for i in range(n)]))
     counts["products"] = 0
     assert bc.qtrivial_partition(T) == (1,) * n
     assert counts["products"] == 0

@@ -40,10 +40,14 @@
   ``__init__`` that stores its parameters: a function returns the values
   its callers read.  ``PLAIN_RECORDS`` names the few that stay, each with
   its reason.
+
+Each text is read and parsed once per session, and one walker, ``scoped``,
+gives every check that needs it a node's scope.
 """
 
 import ast
 import builtins
+import functools
 import re
 from importlib import import_module
 from pathlib import Path
@@ -53,14 +57,60 @@ import pytest
 import bottcert as bc
 from helpers import trace_isos
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bottcert"
-BENCH = SRC.parent.parent / "bench"
-README = SRC.parent.parent / "README.md"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def sources(directory: Path) -> dict:
+    """Each ``.py`` file of ``directory`` as its module's name with its text."""
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(directory.glob("*.py"))}
+
+
+# the texts the checks read, each read once: the library, bench/ and README
+LIBRARY = sources(ROOT / "src" / "bottcert")
+BENCH = sources(ROOT / "bench")
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+# the library without __init__, which imports names to re-export them
+MODULES = {module: text for module, text in LIBRARY.items() if module != "__init__"}
+
+
+@functools.cache
+def parse(text: str) -> ast.Module:
+    """The tree of ``text``, parsed once per session; no check changes a tree."""
+    return ast.parse(text)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _drop_trees_after_this_file():
+    # kept for the rest of the session, the trees' nodes made later tests' gc.collect about three times slower
+    yield
+    parse.cache_clear()
+    callers.cache_clear()
+
+
+def scoped(node, qual: str, func: str | None = None):
+    """Each node below ``node``, in source order, with its qualified scope and the name of its innermost
+    function, None outside every function.
+
+    A definition's node is in the scope around it, and everything below it is in ``qual.name``; a class
+    keeps the function around it.
+    """
+    for child in ast.iter_child_nodes(node):
+        yield child, qual, func
+        if isinstance(child, ast.ClassDef):
+            yield from scoped(child, f"{qual}.{child.name}", func)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from scoped(child, f"{qual}.{child.name}", child.name)
+        else:
+            yield from scoped(child, qual, func)
+
+
+def name_of(node, default=None):
+    """The name of ``name`` or the attribute of ``x.name``; ``default`` for any other node."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", default)
 
 
 def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+    tree = parse(source)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -77,35 +127,24 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: f"{m}.py")
+def test_no_unused_imports(module):
+    assert unused_imports(MODULES[module]) == []
 
 
 def test_detects_unused_import():
     assert unused_imports("from .moves import Move, MoveSeq\nx: Move = 1\n") == ["line 1: MoveSeq"]
 
 
-def callers(source: str, name: str) -> set[str]:
-    """Functions whose own body (not a nested function's) calls ``name`` or ``x.name``.
-
-    A call outside every function counts as one by ``<module>``.
-    """
-    found = set()
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
-                    found.add(func)
-            visit(child, func)
-
-    visit(ast.parse(source), "<module>")
-    return found
+@functools.cache
+def callers(source: str) -> dict:
+    """Each name that ``source`` calls, as ``name(...)`` or ``x.name(...)``, with the functions whose own body
+    (not a nested function's) calls it; a call outside every function counts as one by ``<module>``."""
+    index = {}
+    for node, _, func in scoped(parse(source), ""):
+        if isinstance(node, ast.Call):
+            index.setdefault(name_of(node.func), set()).add(func or "<module>")
+    return {name: frozenset(funcs) for name, funcs in index.items()}
 
 
 def test_detects_callers():
@@ -116,7 +155,10 @@ def test_detects_callers():
         "def other():\n    return make_iso\n"
         "CHECKED = make_iso(4)\n"
     )
-    assert callers(source, "make_iso") == {"gate", "meth", "inner", "<module>"}
+    assert callers(source)["make_iso"] == {"gate", "meth", "inner", "<module>"}
+    # a class body outside its methods calls for the function or module around it
+    body = "class K:\n    X = make_iso(1)\ndef build():\n    class L:\n        Y = make_iso(2)\n    return L\n"
+    assert callers(body)["make_iso"] == {"<module>", "build"}
 
 
 ONLY_CALLED_FROM = {
@@ -172,37 +214,32 @@ def call_sites(table: dict, library: dict, bench: dict) -> dict:
     found = {}
     for callee, allowed in table.items():
         module, _, name = callee.partition(".")
-        if name not in (definitions(ast.parse(library[module])) if module in library else dir(import_module(module))):
+        if name not in (definitions(parse(library[module])) if module in library else dir(import_module(module))):
             found[callee] = "undefined"
             continue
         sources = {**library, **bench} if callee in BENCH_ROWS else library
-        seen = {f"{m}.{f}" for m, text in sources.items() for f in callers(text, name.rpartition(".")[2])}
+        seen = {f"{m}.{f}" for m, text in sources.items() for f in callers(text).get(name.rpartition(".")[2], ())}
         if seen != allowed:
             found[callee] = seen
     return found
 
 
-def library_sources() -> dict:
-    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-
-
 def test_callees_run_only_where_allowed():
-    bench = {path.stem: path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))}
-    assert call_sites(ONLY_CALLED_FROM, library_sources(), bench) == {}
+    assert call_sites(ONLY_CALLED_FROM, LIBRARY, BENCH) == {}
 
 
 @pytest.mark.parametrize("callee", sorted(ONLY_CALLED_FROM))
 def test_detects_calls_outside_a_row(callee):
-    library, allowed = library_sources(), ONLY_CALLED_FROM[callee]
+    allowed = ONLY_CALLED_FROM[callee]
     call = f"{callee.partition('.')[2]}(x)"
-    planted = {**library, "planted": f"def intruder(x):\n    return {call}\n"}
+    planted = {**LIBRARY, "planted": f"def intruder(x):\n    return {call}\n"}
     assert call_sites(ONLY_CALLED_FROM, planted, {}) == {callee: allowed | {"planted.intruder"}}
     bench = {"workload": f"def op(x):\n    return {call}\n"}
     expected = {callee: allowed | {"workload.op"}} if callee in BENCH_ROWS else {}
-    assert call_sites(ONLY_CALLED_FROM, library, bench) == expected
+    assert call_sites(ONLY_CALLED_FROM, LIBRARY, bench) == expected
     gone = callee.replace(".", ".gone_", 1)
-    assert call_sites({gone: set()}, library, {}) == {gone: "undefined"}
-    assert call_sites({callee: allowed | {"cli.main_entry"}}, library, {}) == {callee: allowed}
+    assert call_sites({gone: set()}, LIBRARY, {}) == {gone: "undefined"}
+    assert call_sites({callee: allowed | {"cli.main_entry"}}, LIBRARY, {}) == {callee: allowed}
 
 
 def call_closure(library: dict, roots) -> set[str]:
@@ -217,7 +254,7 @@ def call_closure(library: dict, roots) -> set[str]:
     """
     defs, scopes, methods = {}, {}, {}
     for module, text in library.items():
-        tree = ast.parse(text)
+        tree = parse(text)
         scope = scopes[module] = {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -280,7 +317,7 @@ TRUSTED = {
 
 def trusted_by_module(library: dict) -> dict:
     """``TRUSTED`` by module: each module's lines in those functions, docstrings included, and their names."""
-    trees = {module: definitions(ast.parse(text)) for module, text in library.items()}
+    trees = {module: definitions(parse(text)) for module, text in library.items()}
     groups = {}
     for qual in TRUSTED:
         module, _, name = qual.partition(".")
@@ -301,14 +338,13 @@ def documented_trusted(readme: str) -> tuple:
 
 
 def test_trusted_is_what_the_verifiers_reach():
-    library = library_sources()
     roots = ["serialize.verify_certificate_obj", "stabilize.verify_certificate"]
-    assert call_closure(library, roots) == TRUSTED
+    assert call_closure(LIBRARY, roots) == TRUSTED
     # the JSON verifier does not reach the construction module
-    assert {qual for qual in call_closure(library, roots[:1]) if qual.startswith("stabilize.")} == set()
-    groups = trusted_by_module(library)
+    assert {qual for qual in call_closure(LIBRARY, roots[:1]) if qual.startswith("stabilize.")} == set()
+    groups = trusted_by_module(LIBRARY)
     total = (len(TRUSTED), sum(lines for lines, _ in groups.values()))
-    assert documented_trusted(README.read_text(encoding="utf-8")) == (total, groups)
+    assert documented_trusted(README) == (total, groups)
 
 
 def test_detects_what_a_root_reaches():
@@ -352,35 +388,24 @@ def import_breaks(library: dict) -> tuple[dict, dict]:
     module's relative imports outside a function that name a module not before it, in order, and each
     function whose body imports, as ``module.name`` or ``module.Class.method``, with the modules it names."""
     upward, inside = {}, {}
-
-    def imported(node) -> list[str]:
-        if isinstance(node, ast.Import):
-            return [a.name for a in node.names]
-        return [node.module] if node.module else [a.name for a in node.names]
-
-    def visit(node, module, qual, in_function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, module, f"{qual}.{child.name}", in_function or not isinstance(child, ast.ClassDef))
-                continue
-            if isinstance(child, (ast.Import, ast.ImportFrom)):
-                if in_function:
-                    inside.setdefault(qual, set()).update(imported(child))
-                elif getattr(child, "level", 0) == 1:
-                    earlier = IMPORT_ORDER[: IMPORT_ORDER.index(module)] if module in IMPORT_ORDER else ()
-                    upward[module] = upward.get(module, []) + [m for m in imported(child) if m not in earlier]
-            visit(child, module, qual, in_function)
-
     for module, text in library.items():
-        if module != "__init__":
-            visit(ast.parse(text), module, module, False)
+        if module == "__init__":
+            continue
+        earlier = IMPORT_ORDER[: IMPORT_ORDER.index(module)] if module in IMPORT_ORDER else ()
+        for node, qual, func in scoped(parse(text), module):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [node.module] if getattr(node, "module", None) else [a.name for a in node.names]
+            if func:
+                inside.setdefault(qual, set()).update(names)
+            elif getattr(node, "level", 0) == 1:
+                upward[module] = upward.get(module, []) + [m for m in names if m not in earlier]
     return {m: names for m, names in upward.items() if names}, inside
 
 
 def test_one_import_order():
-    library = library_sources()
-    assert set(IMPORT_ORDER) == set(library) - {"__init__"}
-    assert import_breaks(library) == ({}, FUNCTION_IMPORTS)
+    assert set(IMPORT_ORDER) == set(MODULES)
+    assert import_breaks(LIBRARY) == ({}, FUNCTION_IMPORTS)
 
 
 def documented_function_imports(readme: str) -> dict | None:
@@ -397,7 +422,7 @@ def documented_function_imports(readme: str) -> dict | None:
 
 
 def test_readme_names_the_function_imports():
-    assert documented_function_imports(README.read_text(encoding="utf-8")) == FUNCTION_IMPORTS
+    assert documented_function_imports(README) == FUNCTION_IMPORTS
 
 
 def test_detects_undocumented_function_imports():
@@ -412,32 +437,34 @@ def test_detects_undocumented_function_imports():
 
 
 def test_detects_imports_out_of_order():
-    library = library_sources()
     top = "from .moves import _apply\n"
-    assert library["structure"].count(top) == 1
-    upward = library["structure"].replace(top, top + "from .serialize import dumps_canonical\nfrom . import cli\n")
+    assert LIBRARY["structure"].count(top) == 1
+    upward = LIBRARY["structure"].replace(top, top + "from .serialize import dumps_canonical\nfrom . import cli\n")
     late = "def late(c):\n    from .ring import height\n    import json\n    return height(c), json\n"
     extra = "from .errors import int_text\n"
-    planted = {**library, "structure": upward, "moves": library["moves"] + late, "extra": extra}
+    planted = {**LIBRARY, "structure": upward, "moves": LIBRARY["moves"] + late, "extra": extra}
     assert import_breaks(planted) == ({"structure": ["serialize", "cli"], "extra": ["errors"]},
                                       {**FUNCTION_IMPORTS, "moves.late": {"ring", "json"}})
+    # a method's import is its qualified name's; a class body's import is outside a function
+    reader = "class Reader:\n    from .cli import main\n    def read(self):\n        import json\n        return 0\n"
+    assert import_breaks({**LIBRARY, "moves": LIBRARY["moves"] + reader}) == (
+        {"moves": ["cli"]}, {**FUNCTION_IMPORTS, "moves.Reader.read": {"json"}})
 
 
 def indent_calls(source: str) -> list[int]:
     """Lines of calls that pass ``indent=`` to ``json``'s ``dump``, ``dumps`` or ``JSONEncoder``."""
     return sorted(
         node.lineno
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(parse(source))
         if isinstance(node, ast.Call)
-        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
-        in ("dump", "dumps", "JSONEncoder")
+        and name_of(node.func) in ("dump", "dumps", "JSONEncoder")
         and any(kw.arg == "indent" for kw in node.keywords)
     )
 
 
 def test_one_canonical_writer():
-    for path in sorted(SRC.glob("*.py")):
-        assert indent_calls(path.read_text(encoding="utf-8")) == [], path.name
+    for module, text in LIBRARY.items():
+        assert indent_calls(text) == [], module
 
 
 def test_detects_json_indent():
@@ -454,17 +481,15 @@ def test_detects_json_indent():
 def number_format_lines(source: str) -> list[int]:
     """Lines that name the 2^53 limit, or call or map ``str``, ``repr``, ``__str__`` or ``__repr__``;
     ``str(e)`` of an exception caught by ``except ... as e`` is left out."""
-    tree = ast.parse(source)
+    tree = parse(source)
     caught = {h.name for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and h.name}
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             if [getattr(node.left, "value", None), getattr(node.right, "value", None)] == [2, 53]:
                 found.add(node.lineno)
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            name = node.id if isinstance(node, ast.Name) else node.attr
-            if name in ("_JSON_INT_LIMIT", "__str__", "__repr__"):
-                found.add(node.lineno)
+        elif name_of(node) in ("_JSON_INT_LIMIT", "__str__", "__repr__"):
+            found.add(node.lineno)
         elif isinstance(node, ast.Call):
             f = node.func
             if isinstance(f, ast.Name) and f.id == "map" and node.args:
@@ -477,12 +502,9 @@ def number_format_lines(source: str) -> list[int]:
 
 
 def test_serialize_owns_the_number_format():
-    found = {}
-    for path in MODULES:
-        if path.name != "serialize.py" and (lines := number_format_lines(path.read_text(encoding="utf-8"))):
-            found[path.name] = lines
+    found = {m: lines for m, text in MODULES.items() if m != "serialize" and (lines := number_format_lines(text))}
     assert found == {}
-    assert number_format_lines((SRC / "serialize.py").read_text(encoding="utf-8")) != []
+    assert number_format_lines(MODULES["serialize"]) != []
 
 
 def test_detects_number_format_outside_serialize():
@@ -504,17 +526,14 @@ def subclasses(source: str, base: str) -> list[str]:
     """Classes of ``source`` that name ``base`` (or ``x.base``) among their bases."""
     return [
         node.name
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(parse(source))
         if isinstance(node, ast.ClassDef)
-        and any((b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) == base for b in node.bases)
+        and any(name_of(b) == base for b in node.bases)
     ]
 
 
 def test_one_tripwire_type():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        found += [f"{path.stem}.{name}" for name in subclasses(path.read_text(encoding="utf-8"), "TripwireError")]
-    assert found == []
+    assert [f"{m}.{name}" for m, text in LIBRARY.items() for name in subclasses(text, "TripwireError")] == []
 
 
 def test_detects_subclasses():
@@ -548,35 +567,23 @@ def builtin_excepts(library: dict) -> tuple[dict, list]:
     ``except`` as ``BaseException``), and each ``module:line`` whose ``raise`` names a builtin exception type."""
     builtin = {name for name, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
     caught, raised = {}, []
-
-    def name_of(node):
-        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "BaseException")
-
-    def visit(node, qual):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{qual}.{child.name}")
-                continue
-            if isinstance(child, ast.ExceptHandler):
-                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if names := [n for n in map(name_of, types) if n in builtin]:
-                    caught[qual] = caught.get(qual, ()) + tuple(names)
-            elif isinstance(child, ast.Raise) and child.exc is not None:
-                if name_of(child.exc.func if isinstance(child.exc, ast.Call) else child.exc) in builtin:
-                    raised.append(f"{qual.partition('.')[0]}:{child.lineno}")
-            visit(child, qual)
-
     for module, text in library.items():
-        visit(ast.parse(text), module)
+        for node, qual, _ in scoped(parse(text), module):
+            if isinstance(node, ast.ExceptHandler):
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if names := [n for t in types if (n := name_of(t, "BaseException")) in builtin]:
+                    caught[qual] = caught.get(qual, ()) + tuple(names)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                if name_of(node.exc.func if isinstance(node.exc, ast.Call) else node.exc, "BaseException") in builtin:
+                    raised.append(f"{module}:{node.lineno}")
     return caught, raised
 
 
 def test_bad_data_is_a_bott_error_where_it_arises():
-    assert builtin_excepts(library_sources()) == (BUILTIN_EXCEPTS, [])
+    assert builtin_excepts(LIBRARY) == (BUILTIN_EXCEPTS, [])
 
 
 def test_detects_builtin_excepts_and_raises():
-    library = library_sources()
     planted = (
         "def sloppy(s):\n    try:\n        return int(s)\n    except (BottError, ValueError):\n        return 0\n"
         "class Reader:\n    def read(self, x):\n        try:\n            return x[0]\n"
@@ -585,32 +592,37 @@ def test_detects_builtin_excepts_and_raises():
         "def bare():\n    raise KeyError\n"
         "def domain(x):\n    try:\n        return x()\n    except errors.BottError:\n        return None\n"
     )
-    caught, raised = builtin_excepts({**library, "planted": planted})
+    caught, raised = builtin_excepts({**LIBRARY, "planted": planted})
     assert caught == {**BUILTIN_EXCEPTS, "planted.sloppy": ("ValueError",), "planted.Reader.read": ("BaseException",)}
     assert raised == ["planted:14", "planted:17"]
+    # a nested function's except is reported under its qualified name
+    nested = (
+        "def outer(s):\n    def parse():\n        try:\n            return int(s)\n"
+        "        except ValueError:\n            return 0\n    return parse\n"
+    )
+    assert builtin_excepts({"planted": nested}) == ({"planted.outer.parse": ("ValueError",)}, [])
     # a site that goes or moves breaks the table too
-    quiet = library["cli"].replace("except BrokenPipeError:", "except BottError:")
-    assert quiet != library["cli"]
-    assert builtin_excepts({**library, "cli": quiet})[0]["cli.main"] == ("SystemExit", "Exception")
+    quiet = LIBRARY["cli"].replace("except BrokenPipeError:", "except BottError:")
+    assert quiet != LIBRARY["cli"]
+    assert builtin_excepts({**LIBRARY, "cli": quiet})[0]["cli.main"] == ("SystemExit", "Exception")
 
 
 def unraised_errors(errors: str, *sources: str) -> list[str]:
     """Classes of ``errors`` that no class there subclasses and that no ``raise`` in ``errors`` or
     ``sources`` names, called or bare, plain or as ``x.Name``."""
-    classes = [node for node in ast.parse(errors).body if isinstance(node, ast.ClassDef)]
-    bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for c in classes for b in c.bases}
+    classes = [node for node in parse(errors).body if isinstance(node, ast.ClassDef)]
+    bases = {name_of(b) for c in classes for b in c.bases}
     raised = set()
     for text in (errors, *sources):
-        for node in ast.walk(ast.parse(text)):
+        for node in ast.walk(parse(text)):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+                raised.add(name_of(exc))
     return [c.name for c in classes if c.name not in bases and c.name not in raised]
 
 
 def test_every_error_type_is_raised():
-    sources = [p.read_text(encoding="utf-8") for p in MODULES if p.name != "errors.py"]
-    assert unraised_errors((SRC / "errors.py").read_text(encoding="utf-8"), *sources) == []
+    assert unraised_errors(MODULES["errors"], *(text for m, text in MODULES.items() if m != "errors")) == []
 
 
 def test_detects_unraised_errors():
@@ -656,24 +668,14 @@ def unreferenced(defining: str, *others: str) -> list[str]:
     A name counts as referenced when it appears as a name or an attribute
     in ``defining`` or in any of ``others``.
     """
-    trees = [ast.parse(text) for text in (defining, *others)]
-    names = [name for name in definitions(trees[0]) if not dunder(name)]
-    used = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    names = [name for name in definitions(parse(defining)) if not dunder(name)]
+    used = {name_of(node) for text in (defining, *others) for node in ast.walk(parse(text))}
     return [name for name in names if name.rpartition(".")[2] not in used]
 
 
 def test_no_test_only_library_names():
-    others = [p.read_text(encoding="utf-8") for p in MODULES + sorted(BENCH.glob("*.py"))]
-    found = []
-    for path in MODULES:
-        found += [f"{path.stem}.{name}" for name in unreferenced(path.read_text(encoding="utf-8"), *others)]
-    assert found == []
+    others = [*MODULES.values(), *BENCH.values()]
+    assert [f"{m}.{name}" for m, text in MODULES.items() for name in unreferenced(text, *others)] == []
 
 
 def test_detects_unreferenced():
@@ -759,7 +761,7 @@ def move_tuples(source: str) -> list[int]:
 
     return sorted(
         node.lineno
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(parse(source))
         if isinstance(node, ast.Tuple) and node.elts and strings(node.elts[0]) & {"switch", "twist"}
     )
 
@@ -772,18 +774,16 @@ def move_tuple_writers(library: dict) -> dict:
 
 
 def test_only_moves_writes_a_move_tuple():
-    library = library_sources()
-    assert move_tuple_writers(library) == {}
-    assert move_tuples(library["moves"]) != []  # invert_move writes the twist (j, -v)
+    assert move_tuple_writers(LIBRARY) == {}
+    assert move_tuples(LIBRARY["moves"]) != []  # invert_move writes the twist (j, -v)
 
 
 def test_detects_move_tuples_outside_moves():
-    library = library_sources()
     built = "moves.append(mv)"
-    assert library["structure"].count(built) == 1
-    planted = library["structure"].replace(built, 'moves.append(("switch", j, None))')
+    assert LIBRARY["structure"].count(built) == 1
+    planted = LIBRARY["structure"].replace(built, 'moves.append(("switch", j, None))')
     line = 1 + planted[: planted.index('("switch", j, None)')].count("\n")
-    assert move_tuple_writers({**library, "structure": planted}) == {"structure": [line]}
+    assert move_tuple_writers({**LIBRARY, "structure": planted}) == {"structure": [line]}
     source = (
         "def play(kind, j):\n    return ('twist', j, None), [\"switch\", j]\n"
         "CASES = ('zero', 'even')\n"
@@ -823,7 +823,7 @@ def plain_records(source: str) -> list[str]:
         ) and all(isinstance(v, ast.Name) and v.id in params for v in elements(stmt.value))
 
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if not isinstance(node, ast.ClassDef):
             continue
         methods = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -837,10 +837,7 @@ def plain_records(source: str) -> list[str]:
 
 
 def test_no_new_plain_records():
-    found = set()
-    for path in MODULES:
-        found |= {f"{path.stem}.{name}" for name in plain_records(path.read_text(encoding="utf-8"))}
-    assert found == PLAIN_RECORDS
+    assert {f"{m}.{name}" for m, text in MODULES.items() for name in plain_records(text)} == PLAIN_RECORDS
 
 
 def test_detects_plain_records():

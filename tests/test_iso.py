@@ -39,8 +39,8 @@ from helpers import (
 )
 
 
-ZERO2 = bc.make_bott_matrix(2, [[], [0]])
-ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
+ZERO2 = bc.BottMatrix(2, [[], [0]])
+ZERO3 = bc.BottMatrix(3, [[], [0], [0, 0]])
 
 
 class TestMakeIso:
@@ -144,7 +144,7 @@ def corrupt(rng, A, B, C, how):
         i = rng.randint(1, n - 1)
         k = rng.randrange(i)
         rows[i][k] = -rows[i][k] if how == "B sign" and rows[i][k] else rows[i][k] + rng.choice((1, -1))
-        B = bc.make_bott_matrix(n, rows)
+        B = bc.BottMatrix(n, rows)
     elif how == "C swap":
         a, b = rng.sample(range(n), 2)
         C[a], C[b] = C[b], C[a]
@@ -176,8 +176,8 @@ def count_calls(monkeypatch, name):
 
 # two blocks x_1, x_2 and x_3, x_4 of Hirzebruch type -2 onto type 2; no row of
 # the map is a unit row
-NO_UNIT_A = bc.make_bott_matrix(4, [[], [-2], [0, 0], [0, 0, -2]])
-NO_UNIT_B = bc.make_bott_matrix(4, [[], [2], [0, 0], [0, 0, 2]])
+NO_UNIT_A = bc.BottMatrix(4, [[], [-2], [0, 0], [0, 0, -2]])
+NO_UNIT_B = bc.BottMatrix(4, [[], [2], [0, 0], [0, 0, 2]])
 NO_UNIT_C = ((-1, 1, 0, 0), (2, -1, 0, 0), (0, 0, -1, 1), (0, 0, 2, -1))
 
 
@@ -208,7 +208,7 @@ class TestMakeIsoClosedForm:
         "A, B, C",
         [
             # row 3 is y_3 and refers to rows 1 and 2, the switched y_2 and y_1, both below it
-            pytest.param(bc.make_bott_matrix(3, [[], [0], [1, 2]]), bc.make_bott_matrix(3, [[], [0], [2, 1]]),
+            pytest.param(bc.BottMatrix(3, [[], [0], [1, 2]]), bc.BottMatrix(3, [[], [0], [2, 1]]),
                          ((0, 1, 0), (1, 0, 0), (0, 0, 1)), id="switched rows below r"),
             # row 2 is y_1 and refers to row 1, a unit row placed above it at y_2
             pytest.param(hirzebruch(1), hirzebruch(0), ((0, 1), (1, 0)), id="referenced row above r"),
@@ -219,11 +219,11 @@ class TestMakeIsoClosedForm:
             pytest.param(hirzebruch(3), hirzebruch(3), ((-1, 0), (0, -1)), id="c_k = c = -1"),
             pytest.param(hirzebruch(3), hirzebruch(3), ((-1, 0), (0, 1)), id="c_k = -1 rejected"),
             # a twist's map: row 2 is not a unit row and row 3 refers to it
-            pytest.param(bc.make_bott_matrix(3, [[], [2], [0, 1]]), bc.make_bott_matrix(3, [[], [0], [1, 1]]),
+            pytest.param(bc.BottMatrix(3, [[], [2], [0, 1]]), bc.BottMatrix(3, [[], [0], [1, 1]]),
                          ((1, 0, 0), (1, 1, 0), (0, 0, 1)), id="twist accepted"),
-            pytest.param(bc.make_bott_matrix(3, [[], [2], [0, 1]]), bc.make_bott_matrix(3, [[], [0], [0, 1]]),
+            pytest.param(bc.BottMatrix(3, [[], [2], [0, 1]]), bc.BottMatrix(3, [[], [0], [0, 1]]),
                          ((1, 0, 0), (1, 1, 0), (0, 0, 1)), id="twist rejected at row 3"),
-            pytest.param(bc.make_bott_matrix(3, [[], [2], [0, 1]]), ZERO3,
+            pytest.param(bc.BottMatrix(3, [[], [2], [0, 1]]), ZERO3,
                          ((1, 0, 0), (1, 1, 0), (0, 0, 1)), id="unit row 3 refers to a non-unit row"),
             pytest.param(ZERO2, ZERO2, ((1, 0), (1, 0)), id="repeated position"),
             pytest.param(ZERO3, ZERO3, ((0, -1, 0), (1, 0, 0), (0, 1, 0)), id="repeated position, signed"),
@@ -239,8 +239,8 @@ class TestMakeIsoClosedForm:
         assert bc.make_iso(hirzebruch(2), hirzebruch(-2), ((1, 0), (0, -1)))
         with pytest.raises(bc.RelationViolated):
             bc.make_iso(hirzebruch(1), hirzebruch(1), ((0, 1), (1, 0)))
-        assert bc.make_iso(bc.make_bott_matrix(3, [[], [2], [0, 1]]),
-                           bc.make_bott_matrix(3, [[], [0], [1, 1]]), ((1, 0, 0), (1, 1, 0), (0, 0, 1)))
+        assert bc.make_iso(bc.BottMatrix(3, [[], [2], [0, 1]]),
+                           bc.BottMatrix(3, [[], [0], [1, 1]]), ((1, 0, 0), (1, 1, 0), (0, 0, 1)))
         with pytest.raises(bc.NotUnimodular, match=r"det is not \+-1 for \(\(1, 0\), \(1, 0\)\)"):
             bc.make_iso(ZERO2, ZERO2, ((1, 0), (1, 0)))
         assert bc.make_iso(NO_UNIT_A, NO_UNIT_B, NO_UNIT_C)
@@ -410,7 +410,7 @@ class TestMaxStable:
 
     def test_gap(self):
         # stable at 2 but not at 1: reported as the top value
-        A = bc.make_bott_matrix(3, [[], [1], [0, 0]])
+        A = bc.BottMatrix(3, [[], [1], [0, 0]])
         phi = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
         assert not phi.is_k_stable(1) and phi.is_k_stable(2)
         assert bc.max_stable(phi) == 3
@@ -421,7 +421,7 @@ class TestMaxStable:
         rng = random.Random(7)
         for _ in range(3000):
             n = rng.randint(1, 7)
-            Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+            Z = bc.BottMatrix(n, [[0] * i for i in range(n)])
             C = tuple(
                 tuple(0 if zero_row or rng.random() < 0.7 else rng.randint(-3, 3) for _ in range(n))
                 for zero_row in (rng.random() < 0.2 for _ in range(n))
@@ -459,7 +459,7 @@ class TestSigmaEps:
         assert bc.extract_sigma_eps(phi) == ((1, 2), (-2, -2))
 
     def test_half_integral_scalar(self):
-        A = bc.make_bott_matrix(2, [[], [1]])
+        A = bc.BottMatrix(2, [[], [1]])
         phi = bc.make_iso(A, A, [[-1, 2], [0, 1]])
         sigma, e = bc.extract_sigma_eps(phi)
         assert sigma == (2, 1)
@@ -484,7 +484,7 @@ class TestSigmaEps:
     def test_level_mismatch(self):
         # the zero matrix has one stage; B has two, with y_3 alone at level 2, and x_3 goes to
         # 2y_3 - y_1 - y_2, twice the frame of y_3
-        B = bc.make_bott_matrix(3, [[], [0], [1, 1]])
+        B = bc.BottMatrix(3, [[], [0], [1, 1]])
         phi = bc.GradedIso(ZERO3, B, ((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
         assert bc.decompose_tower(B).levels == (0, 1, 1, 2)
         with pytest.raises(bc.TripwireError) as info:
@@ -519,7 +519,7 @@ class TestScalarPairs:
     @given(st.data())
     def test_rows_of_plus_minus_e_share_their_relation(self, data):
         n = data.draw(st.integers(1, 6))
-        B = bc.make_bott_matrix(n, [data.draw(st.lists(st.integers(-3, 3), min_size=i, max_size=i)) for i in range(n)])
+        B = bc.BottMatrix(n, [data.draw(st.lists(st.integers(-3, 3), min_size=i, max_size=i)) for i in range(n)])
         m = data.draw(st.integers(0, n - 1))
         e = 1 << data.draw(st.integers(0, 3))
         frame = [-b for b in B.rows[m]] + [2] + [0] * (n - 1 - m)
@@ -604,7 +604,7 @@ class TestSearch:
             for _ in range(4):
                 A = sparse_matrix(rng, n, 2)
                 cases.append((A, moved_partner(rng, A, rng.randint(1, 3)), 3))
-        ones = bc.make_bott_matrix(30, [[1] * i for i in range(30)])
+        ones = bc.BottMatrix(30, [[1] * i for i in range(30)])
         cases.append((ones, ones, 1))
         collecting = gc.isenabled()
         gc.disable()
@@ -738,7 +738,7 @@ class TestSearch:
             rows = [list(r) for r in sparse_matrix(rng, 4, 2).rows]
             z = rng.randint(2, 3)
             rows[z - 1] = [0] * (z - 1)
-            A = bc.make_bott_matrix(4, rows)
+            A = bc.BottMatrix(4, rows)
             B = moved_partner(rng, A, rng.randint(1, 2))
             pruned = {phi.C for phi in bc.search_isos(A, B, 1)}
             assert pruned == set(raw_iso_search(A, B, 1))

@@ -30,8 +30,8 @@ from test_hygiene import parameters_only
 from test_pinned_traces import sweep_isos
 
 
-ZERO2 = bc.make_bott_matrix(2, [[], [0]])
-ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
+ZERO2 = bc.BottMatrix(2, [[], [0]])
+ZERO3 = bc.BottMatrix(3, [[], [0], [0, 0]])
 
 
 def gate_map(B, kind, j, v):
@@ -55,8 +55,8 @@ class TestSwitch:
         assert gate_map(ZERO2, "switch", 1, None) == induced(ZERO2, ("switch", 1, None)) == ((0, 1), (1, 0))
 
     def test_column_swap_in_later_rows(self):
-        A = bc.make_bott_matrix(3, [[], [0], [1, 2]])
-        assert bc.switch(A, 1) == bc.make_bott_matrix(3, [[], [0], [2, 1]])
+        A = bc.BottMatrix(3, [[], [0], [1, 2]])
+        assert bc.switch(A, 1) == bc.BottMatrix(3, [[], [0], [2, 1]])
 
     def test_blocked(self):
         with pytest.raises(bc.SwitchBlocked):
@@ -92,8 +92,8 @@ class TestTwist:
         assert gate_map(B, "twist", 2, (0, 0)) == induced(B, ("twist", 2, (0, 0))) == identity(B).C
 
     def test_rows_above_pick_up_v(self):
-        B = bc.make_bott_matrix(3, [[], [2], [0, 1]])
-        assert bc.twist(B, 2, (1, 0, 0)) == bc.make_bott_matrix(3, [[], [0], [1, 1]])
+        B = bc.BottMatrix(3, [[], [2], [0, 1]])
+        assert bc.twist(B, 2, (1, 0, 0)) == bc.BottMatrix(3, [[], [0], [1, 1]])
 
     def test_invalid_height(self):
         B = hirzebruch(3)
@@ -101,7 +101,7 @@ class TestTwist:
             bc.twist(B, 1, (1, 0))
 
     def test_invalid_product(self):
-        C = bc.make_bott_matrix(3, [[], [1], [0, 0]])
+        C = bc.BottMatrix(3, [[], [1], [0, 0]])
         with pytest.raises(bc.TwistInvalid):
             bc.twist(C, 3, (0, 1, 0))  # v(beta_3 - v) = x2(-x2) = -x1 x2 != 0
 
@@ -368,7 +368,7 @@ class TestClaimFold:
         # phi = id, g empty, f = twist(A', 2, c y_1), valid for every c as alpha_1 = 0;
         # its row fold adds c times row 1 to row 2 of phi, never to row 3
         n = len(rows)
-        start = bc.make_bott_matrix(n, rows)
+        start = bc.BottMatrix(n, rows)
         mv = ("twist", 2, (c,) + (0,) * (n - 1))
         A = bc.twist(start, 2, mv[2])
 
@@ -634,7 +634,7 @@ def rebuild_peak(n, m):
             gc.collect()
             yield "switch", j, None
 
-    start = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+    start = bc.BottMatrix(n, [[0] * i for i in range(n)])
     gc.collect()
     tracemalloc.start()
     try:

@@ -83,7 +83,7 @@ def search_memo_records():
         return repr((A.rows, B.rows, bound, found))
 
     for n in range(1, 6):
-        Z = bc.make_bott_matrix(n, [[0] * i for i in range(n)])
+        Z = bc.BottMatrix(n, [[0] * i for i in range(n)])
         for bound in (1, 2):
             yield record(Z, Z, bound)
     rng = random.Random(9090)
@@ -93,7 +93,7 @@ def search_memo_records():
         yield record(A, B, 2)
     for a in range(-3, 4):
         for b in range(-3, 4):
-            H = [bc.make_bott_matrix(2, [[], [c]]) for c in (a, b)]
+            H = [bc.BottMatrix(2, [[], [c]]) for c in (a, b)]
             yield record(*H, 6)
     rng = random.Random(3131)
     for _ in range(5):

@@ -64,7 +64,7 @@ TWO_SOURCE_STEPS = (
 
 def source_side_isos():
     for a, b, c in SOURCE_SIDE:
-        yield bc.make_iso(bc.make_bott_matrix(4, a), bc.make_bott_matrix(4, b), c)
+        yield bc.make_iso(bc.BottMatrix(4, a), bc.BottMatrix(4, b), c)
 
 
 def _step(st):
@@ -108,7 +108,7 @@ def test_trace_coverage():
 
 def two_source_steps_iso():
     a, b, c = TWO_SOURCE_STEPS
-    return bc.make_iso(bc.make_bott_matrix(5, a), bc.make_bott_matrix(5, b), c)
+    return bc.make_iso(bc.BottMatrix(5, a), bc.BottMatrix(5, b), c)
 
 
 def _source_step_records(phi):
@@ -169,7 +169,7 @@ def sweep_isos():
     The matrices are all 125 with entries in -2..2.
     """
     for a, b, c in itertools.product(range(-2, 3), repeat=3):
-        A = bc.make_bott_matrix(3, [[], [a], [b, c]])
+        A = bc.BottMatrix(3, [[], [a], [b, c]])
         yield from bc.search_isos(A, A, 2)[:SWEEP_HITS]
 
 

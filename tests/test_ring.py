@@ -13,12 +13,12 @@ from bottcert.ring import combine
 from helpers import class_terms, oracle_product, rand_class, rand_matrix, reduce_oracle, render_terms, sparse_matrix
 
 
-H3 = bc.make_bott_matrix(3, [[], [1], [1, 0]])
+H3 = bc.BottMatrix(3, [[], [1], [1, 0]])
 
 
 class TestMakeBottMatrix:
     def test_point_line(self):
-        A = bc.make_bott_matrix(1, [[]])
+        A = bc.BottMatrix(1, [[]])
         assert A.n == 1 and A.rows == ((),)
 
     def test_h3_entries(self):
@@ -28,22 +28,22 @@ class TestMakeBottMatrix:
 
     def test_wrong_row_length(self):
         with pytest.raises(bc.ShapeError):
-            bc.make_bott_matrix(2, [[], [5, 3]])
+            bc.BottMatrix(2, [[], [5, 3]])
 
     def test_wrong_row_count(self):
         with pytest.raises(bc.ShapeError):
-            bc.make_bott_matrix(3, [[], [1]])
+            bc.BottMatrix(3, [[], [1]])
 
     @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, "1"])
     def test_non_integer_entry(self, bad):
         # no float, bool or string is silently turned into an integer
         with pytest.raises(bc.ShapeError):
-            bc.make_bott_matrix(2, [[], [bad]])
+            bc.BottMatrix(2, [[], [bad]])
         with pytest.raises(bc.ShapeError):
-            bc.make_bott_matrix(3, [[], [0], [0, bad]])
+            bc.BottMatrix(3, [[], [0], [0, bad]])
 
     def test_big_integer_entry(self):
-        A = bc.make_bott_matrix(2, [[], [2**70 + 1]])
+        A = bc.BottMatrix(2, [[], [2**70 + 1]])
         assert A.a(2, 1) == 2**70 + 1
 
     @pytest.mark.parametrize("i, j", [(0, 1), (4, 1), (2, 0), (2, 4)])
@@ -63,12 +63,12 @@ class TestReduce:
         assert reduce_oracle({(1, 1): 1}, A) == {}
 
     def test_x2_squared(self):
-        A = bc.make_bott_matrix(2, [[], [7]])
+        A = bc.BottMatrix(2, [[], [7]])
         assert reduce_oracle({(2, 2): 1}, A) == {frozenset((1, 2)): 7}
 
     def test_binomial_square(self):
         # (x1 + x2)^2 = x1^2 + 2 x1 x2 + x2^2 = (2 + a21) x1 x2
-        A = bc.make_bott_matrix(2, [[], [2]])
+        A = bc.BottMatrix(2, [[], [2]])
         raw = {(1, 1): 1, (1, 2): 2, (2, 2): 1}
         assert reduce_oracle(raw, A) == {frozenset((1, 2)): 4}
         assert bc.product_terms(A, (1, 1), (1, 1)) == {(1, 2): 4}
@@ -89,12 +89,12 @@ class TestMultiply:
         assert bc.product_terms(H3, x1, x1) == {}
 
     def test_x2_squared(self):
-        A = bc.make_bott_matrix(2, [[], [3]])
+        A = bc.BottMatrix(2, [[], [3]])
         x2 = (0, 1)
         assert bc.product_terms(A, x2, x2) == {(1, 2): 3} == oracle_terms(A, x2, x2)
 
     def test_square_zero_class(self):
-        A = bc.make_bott_matrix(2, [[], [3]])
+        A = bc.BottMatrix(2, [[], [3]])
         z = (-3, 2)
         assert bc.product_terms(A, z, z) == {} == oracle_terms(A, z, z)
 
@@ -192,7 +192,7 @@ class TestProductKernel:
         assert verdicts == {True, False}
 
     def test_relation_violation_message(self):
-        Z = bc.make_bott_matrix(2, [[], [0]])
+        Z = bc.BottMatrix(2, [[], [0]])
         with pytest.raises(bc.RelationViolated) as info:
             bc.make_iso(Z, Z, [[1, 0], [-1, 1]])
         assert str(info.value) == "relation 2 violated, residue -2*x1*x2"
@@ -262,13 +262,13 @@ class TestHeight:
         assert bc.height((-7, 0, 1, 0)) == 3
 
     def test_braided_generator(self):
-        A = bc.make_bott_matrix(2, [[], [1]])
+        A = bc.BottMatrix(2, [[], [1]])
         assert bc.height(bc.two_x_minus_alpha(A, 2)) == 2
 
 
 class TestSubmatrices:
     def test_bar(self):
-        assert bc.sub_bar(H3, 1) == bc.make_bott_matrix(2, [[], [0]])
+        assert bc.sub_bar(H3, 1) == bc.BottMatrix(2, [[], [0]])
 
     def test_cut_at_zero_is_the_matrix(self):
         assert bc.sub_bar(H3, 0) is H3
@@ -292,7 +292,7 @@ matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_multiply_commutes_hypothesis(mat, data):
     n, rows = mat
-    A = bc.make_bott_matrix(n, rows)
+    A = bc.BottMatrix(n, rows)
     a = data.draw(st.tuples(*[st.integers(-4, 4)] * n))
     b = data.draw(st.tuples(*[st.integers(-4, 4)] * n))
     ab = bc.product_terms(A, a, b)

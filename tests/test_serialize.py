@@ -11,7 +11,7 @@ from bottcert import serialize as ser
 from helpers import compose_dense, hirzebruch, move_iso, odd_twist_isos
 
 
-ZERO2 = bc.make_bott_matrix(2, [[], [0]])
+ZERO2 = bc.BottMatrix(2, [[], [0]])
 
 
 def written(x):
@@ -72,7 +72,7 @@ class TestIntEncoding:
 
 class TestRoundTrips:
     def test_matrix(self):
-        A = bc.make_bott_matrix(3, [[], [2**60], [1, -(2**70)]])
+        A = bc.BottMatrix(3, [[], [2**60], [1, -(2**70)]])
         obj = json.loads(json.dumps(ser.matrix_to_obj(A)))
         assert ser.matrix_from_obj(obj) == A
 
@@ -90,7 +90,7 @@ class TestRoundTrips:
         assert back.moves == seq.moves
 
     def test_certificate(self):
-        A = bc.make_bott_matrix(3, [[], [1], [0, 0]])
+        A = bc.BottMatrix(3, [[], [1], [0, 0]])
         phi0 = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
         phi = compose_dense(phi0, bc.invert(move_iso(A, ("switch", 2, None))))
         cert = bc.stabilize_full(phi)
@@ -117,8 +117,8 @@ class TestRoundTrips:
 
 def even_case_cert_obj():
     # g_seq holds a twist with v = [0, 1, 0]; f_seq is empty
-    A = bc.make_bott_matrix(3, [[], [0], [0, 0]])
-    B = bc.make_bott_matrix(3, [[], [0], [0, 2]])
+    A = bc.BottMatrix(3, [[], [0], [0, 0]])
+    B = bc.BottMatrix(3, [[], [0], [0, 2]])
     phi = bc.make_iso(A, B, [[0, -1, 1], [1, 0, 0], [0, 1, 0]])
     return json.loads(json.dumps(ser.certificate_to_obj(bc.stabilize_full(phi))))
 
@@ -279,9 +279,9 @@ class TestCanonicalDump:
         assert s == '{\n  "a": [\n    2,\n    1\n  ],\n  "b": 1\n}\n'
 
     def test_deterministic(self):
-        A = bc.make_bott_matrix(3, [[], [2], [1, 0]])
+        A = bc.BottMatrix(3, [[], [2], [1, 0]])
         assert ser.dumps_canonical(ser.matrix_to_obj(A)) == ser.dumps_canonical(
-            ser.matrix_to_obj(bc.make_bott_matrix(3, [[], [2], [1, 0]]))
+            ser.matrix_to_obj(bc.BottMatrix(3, [[], [2], [1, 0]]))
         )
 
 

@@ -27,21 +27,21 @@ from helpers import (
 )
 
 
-ZERO2 = bc.make_bott_matrix(2, [[], [0]])
-ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
+ZERO2 = bc.BottMatrix(2, [[], [0]])
+ZERO3 = bc.BottMatrix(3, [[], [0], [0, 0]])
 
 
 def even_case_fixture():
     # image of x_1 is the height-3 square-zero class over b_32 = 2
     A = ZERO3
-    B = bc.make_bott_matrix(3, [[], [0], [0, 2]])
+    B = bc.BottMatrix(3, [[], [0], [0, 2]])
     return bc.make_iso(A, B, [[0, -1, 1], [1, 0, 0], [0, 1, 0]])
 
 
 def odd_short_fixture():
     # entangled pair at (1, 2) over an odd subdiagonal entry, with the
     # second source generator lifted out of the way
-    A = bc.make_bott_matrix(3, [[], [1], [0, 0]])
+    A = bc.BottMatrix(3, [[], [1], [0, 0]])
     phi0 = bc.make_iso(A, A, [[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
     return compose_dense(phi0, bc.invert(move_iso(A, ("switch", 2, None))))
 
@@ -49,7 +49,7 @@ def odd_short_fixture():
 def odd_long_fixture():
     # same entanglement with the partner generator lifted to the top,
     # forcing source-side reduction steps before the block argument
-    A = bc.make_bott_matrix(4, [[], [1], [0, 0], [0, 0, 0]])
+    A = bc.BottMatrix(4, [[], [1], [0, 0], [0, 0, 0]])
     phi0 = bc.make_iso(
         A, A, [[-1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
@@ -61,15 +61,15 @@ def odd_long_fixture():
 
 def one_switch_tower_fixture():
     # the identity on a matrix whose tower takes one switch, so f is that switch's inverse
-    A = bc.make_bott_matrix(4, [[], [1], [1, 1], [0, 0, 0]])
+    A = bc.BottMatrix(4, [[], [1], [1, 1], [0, 0, 0]])
     return identity(A)
 
 
 def odd_step_fixture():
     # a zero step at height 4, then an odd step at height 3 over b_32 = 1:
     # the twist at 2 is the run's only twist, and the switch at 1 follows it
-    A = bc.make_bott_matrix(4, [[], [0], [1, 0], [0, 0, 0]])
-    B = bc.make_bott_matrix(4, [[], [0], [0, 0], [0, 1, 0]])
+    A = bc.BottMatrix(4, [[], [0], [1, 0], [0, 0, 0]])
+    B = bc.BottMatrix(4, [[], [0], [0, 0], [0, 1, 0]])
     return bc.make_iso(A, B, [[0, -1, 0, 2], [0, 0, -1, 0], [0, -1, 0, 1], [1, 0, 0, 0]])
 
 
@@ -78,8 +78,8 @@ def odd_twist_step():
 
     k = 1, l = 4 and p = -1; the step twists at 3 by v = -y_2, then switches at 2 and 3.
     """
-    A = bc.make_bott_matrix(4, [[], [-2], [-2, -2], [-1, -1, 0]])
-    B = bc.make_bott_matrix(4, [[], [0], [0, -2], [0, -1, -1]])
+    A = bc.BottMatrix(4, [[], [-2], [-2, -2], [-1, -1, 0]])
+    B = bc.BottMatrix(4, [[], [0], [0, -2], [0, -1, -1]])
     phi = bc.make_iso(A, B, [[-1, 0, 0, 0], [1, -1, -1, -2], [0, 0, 1, 2], [0, 0, 0, 1]])
     return phi, 1, bc.decompose_xk(phi, 1)
 
@@ -153,7 +153,7 @@ class TestKeyStep:
 
     def test_odd_step_at_the_boundary_is_a_tripwire(self):
         # stabilize_full takes the odd branch at l = k+2; a direct step there cannot switch at l-2 = 0
-        A = bc.make_bott_matrix(2, [[], [1]])
+        A = bc.BottMatrix(2, [[], [1]])
         phi = bc.make_iso(A, A, [[-1, 2], [0, 1]])
         with pytest.raises(bc.TripwireError, match="^key step at l=2 could not build a move: ") as exc:
             key_step(phi, 0)
@@ -213,7 +213,7 @@ class TestRaiseStability:
 
 class TestStabilizeFull:
     def test_small_towers_immediate(self):
-        for mat in (bc.make_bott_matrix(1, [[]]), ZERO2, hirzebruch(3)):
+        for mat in (bc.BottMatrix(1, [[]]), ZERO2, hirzebruch(3)):
             for phi in bc.search_isos(mat, mat, 1):
                 cert = bc.stabilize_full(phi)
                 assert cert.k_final >= mat.n - 2
@@ -247,7 +247,7 @@ class TestStabilizeFull:
         assert bc.verify_certificate(cert).ok
 
     def test_unordered_input_normalized_by_switches(self):
-        A = bc.make_bott_matrix(4, [[], [0], [1, 1], [0, 0, 0]])
+        A = bc.BottMatrix(4, [[], [0], [1, 1], [0, 0, 0]])
         cert = bc.stabilize_full(identity(A))
         assert bc.verify_certificate(cert).ok
         # the well-ordering switches appear on both sides
@@ -313,7 +313,7 @@ class TestOrganicSearches:
         certified = 0
         for n in (3, 4, 5):
             for _ in range(3):
-                A = bc.make_bott_matrix(
+                A = bc.BottMatrix(
                     n, [[rng.randint(-2, 2) for _ in range(i)] for i in range(n)]
                 )
                 B = moved_partner(rng, A, rng.randint(1, 2))
@@ -567,7 +567,7 @@ class TestPlantedTripwires:
         # a same_block that always agrees, on a detour whose inverse image of y_1 is 2x_3 - x_2
         # over a source matrix with the odd entry a_32 = 1
         monkeypatch.setattr("bottcert.stabilize.same_block", lambda T, i, j: True)
-        A = bc.make_bott_matrix(3, [[], [0], [0, 1]])
+        A = bc.BottMatrix(3, [[], [0], [0, 1]])
         phi = bc.invert(bc.GradedIso(ZERO3, A, ((0, -1, 2), (1, 0, 0), (0, 0, 1))))
         with pytest.raises(bc.TripwireError, match=r"^entry \(k\+3, k\+2\) must be even on the source side$"):
             _odd_branch(phi, 0, 1)
@@ -728,7 +728,7 @@ class TestVerifyCertificate:
 
     def test_tampered_matrix(self):
         cert = bc.stabilize_full(even_case_fixture())
-        B = bc.make_bott_matrix(3, [[], [0], [0, 4]])
+        B = bc.BottMatrix(3, [[], [0], [0, 4]])
         bad = bc.StabilizationCertificate(cert.A, B, cert.phi, cert.f_seq, cert.g_seq, cert.phi_prime, cert.k_final)
         res = bc.verify_certificate(bad)
         assert not res.ok
@@ -834,7 +834,7 @@ class TestVerifyCertificate:
 
     def test_sequence_end_disagrees_with_its_parameters(self):
         cert = bc.stabilize_full(even_case_fixture())
-        other = bc.make_bott_matrix(3, [[], [0], [0, 4]])
+        other = bc.BottMatrix(3, [[], [0], [0, 4]])
         assert other != cert.g_seq.end
         bad = self.moved_target(cert, cert.g_seq.moves, other)
         res = bc.verify_certificate(bad)
@@ -873,9 +873,8 @@ class TestIntegerGate:
 
     @pytest.mark.parametrize("n, rows", [(True, [[]]), (2.0, [[], [1]])], ids=["bool", "float"])
     def test_height_must_be_a_plain_int(self, n, rows):
-        for build in (bc.BottMatrix, bc.make_bott_matrix):
-            with pytest.raises(bc.ShapeError, match=f"^tower height {n!r} is not an integer$"):
-                build(n, rows)
+        with pytest.raises(bc.ShapeError, match=f"^tower height {n!r} is not an integer$"):
+            bc.BottMatrix(n, rows)
 
     def test_position_must_be_a_plain_int(self):
         with pytest.raises(bc.ShapeError, match="^move position True is not an integer$"):
@@ -959,6 +958,7 @@ def test_int_text_prints_rows_as_python_does():
     if LIMITED:
         assert bc.errors.int_text(((BIG,),)) == f"(({BITS},),)"
         assert bc.errors.int_text([BIG, -1]) == f"[{BITS}, -1]"
+        assert bc.errors.int_text((-BIG, 1)) == f"(-{BITS}, 1)"
         assert bc.errors.int_text(((1, BIG), (0, 1))) == f"((1, {BITS}), (0, 1))"
 
 
@@ -972,25 +972,26 @@ def test_in_memory_checks_keep_their_order():
     assert res == bc.ReplayResult(False, "certificate data invalid: a row of a map is not a tuple")
 
 
-# each call that prints an int argument in its message, with the error its bad value raises
+# each call that prints an int argument in its message, with the error its bad value raises and the value as printed
 PAST_THE_DIGIT_LIMIT = {
-    "BottMatrix height -10**5000": (lambda: bc.BottMatrix(-BIG, []), bc.ShapeError),
-    "BottMatrix height 10**5000": (lambda: bc.BottMatrix(BIG, []), bc.ShapeError),
-    "BottMatrix.a": (lambda: ZERO3.a(2, BIG), bc.RangeError),
-    "BottMatrix.alpha": (lambda: ZERO3.alpha(BIG), bc.RangeError),
-    "two_x_minus_alpha": (lambda: bc.two_x_minus_alpha(ZERO3, BIG), bc.RangeError),
-    "sub_bar": (lambda: bc.sub_bar(ZERO3, BIG), bc.RangeError),
-    "blocks_at": (lambda: bc.blocks_at(bc.decompose_tower(ZERO3), BIG), bc.RangeError),
-    "same_block": (lambda: bc.same_block(bc.decompose_tower(ZERO3), 1, BIG), bc.RangeError),
-    "decompose_xk": (lambda: bc.decompose_xk(identity(ZERO3), BIG), bc.RangeError),
+    "BottMatrix height -10**5000": (lambda: bc.BottMatrix(-BIG, []), bc.ShapeError, f"-{BITS}"),
+    "BottMatrix height 10**5000": (lambda: bc.BottMatrix(BIG, []), bc.ShapeError, BITS),
+    "BottMatrix.a": (lambda: ZERO3.a(2, BIG), bc.RangeError, BITS),
+    "BottMatrix.alpha": (lambda: ZERO3.alpha(BIG), bc.RangeError, BITS),
+    "two_x_minus_alpha": (lambda: bc.two_x_minus_alpha(ZERO3, BIG), bc.RangeError, BITS),
+    "sub_bar": (lambda: bc.sub_bar(ZERO3, BIG), bc.RangeError, BITS),
+    "blocks_at": (lambda: bc.blocks_at(bc.decompose_tower(ZERO3), BIG), bc.RangeError, BITS),
+    "same_block": (lambda: bc.same_block(bc.decompose_tower(ZERO3), 1, BIG), bc.RangeError, BITS),
+    "decompose_xk": (lambda: bc.decompose_xk(identity(ZERO3), BIG), bc.RangeError, BITS),
 }
 
 
 @pytest.mark.parametrize("call", list(PAST_THE_DIGIT_LIMIT))
 def test_ints_past_the_digit_limit_are_bott_errors(call):
-    # a message prints its int argument through int_text, so a bad value is its domain error, never a ValueError
-    run, error = PAST_THE_DIGIT_LIMIT[call]
-    with pytest.raises(error, match=re.escape(BITS)):
+    # a message prints its int argument through int_text, so a bad value is its domain error, never a ValueError;
+    # the value prints with its sign
+    run, error, printed = PAST_THE_DIGIT_LIMIT[call]
+    with pytest.raises(error, match=rf"(?<![-\d]){re.escape(printed)}"):
         run()
 
 

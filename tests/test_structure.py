@@ -17,9 +17,9 @@ from helpers import (
 )
 
 
-H3 = bc.make_bott_matrix(3, [[], [1], [1, 0]])
-ZERO2 = bc.make_bott_matrix(2, [[], [0]])
-ZERO3 = bc.make_bott_matrix(3, [[], [0], [0, 0]])
+H3 = bc.BottMatrix(3, [[], [1], [1, 0]])
+ZERO2 = bc.BottMatrix(2, [[], [0]])
+ZERO3 = bc.BottMatrix(3, [[], [0], [0, 0]])
 
 
 def square_zero(A, c):
@@ -36,7 +36,7 @@ def h_block_diagonal(parts):
             row = [0] * offset + ([1] + [0] * (i - 1) if i else [])
             rows.append(row)
         offset += part
-    return bc.make_bott_matrix(n, rows)
+    return bc.BottMatrix(n, rows)
 
 
 class TestSquareZeroGenerators:
@@ -53,7 +53,7 @@ class TestSquareZeroGenerators:
         ]
 
     def test_skips_nonzero_square(self):
-        A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
+        A = bc.BottMatrix(3, [[], [0], [1, 1]])
         assert [i for i, _, _ in bc.square_zero_generators(A)] == [1, 2]
         assert bc.product_terms(A, A.alpha(3), A.alpha(3)) == {(1, 2): 2}
 
@@ -102,12 +102,12 @@ class TestWellOrder:
             assert T.base == hirzebruch(a) and T.moves_applied == ()
 
     def test_single_switch(self):
-        A = bc.make_bott_matrix(4, [[], [0], [1, 1], [0, 0, 0]])
+        A = bc.BottMatrix(4, [[], [0], [1, 1], [0, 0, 0]])
         assert not square_zero(A, A.alpha(3))
         T = bc.decompose_tower(A)
         # the first stage's one switch; the second stage is one row and switches nothing
         assert [j for _, j, _ in T.moves_applied] == [3]
-        assert T.base == bc.make_bott_matrix(4, [[], [0], [0, 0], [1, 1, 0]])
+        assert T.base == bc.BottMatrix(4, [[], [0], [0, 0], [1, 1, 0]])
         assert rebuild_matches(bc.MoveSeq.build(A, T.moves_applied)) == (True, True)
 
     def test_square_zero_flags_sorted(self):
@@ -140,7 +140,7 @@ class TestDecomposeTower:
             assert bc.decompose_tower(hirzebruch(a)).dims == (2,)
 
     def test_two_stages(self):
-        A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
+        A = bc.BottMatrix(3, [[], [0], [1, 1]])
         T = bc.decompose_tower(A)
         assert T.dims == (2, 3)
         assert T.moves_applied == ()
@@ -187,7 +187,7 @@ class TestDecomposeTower:
 
 class TestLevel:
     def test_generator_levels(self):
-        A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
+        A = bc.BottMatrix(3, [[], [0], [1, 1]])
         T = bc.decompose_tower(A)
         assert [T.levels[i] for i in (1, 2, 3)] == [1, 1, 2]
 
@@ -223,7 +223,7 @@ class TestBlocks:
     def test_independent_of_extra_switch(self):
         # an admissible switch across a stage boundary relabels indices but
         # must not change the block structure
-        A = bc.make_bott_matrix(4, [[], [1], [1, 0], [1, 1, 0]])
+        A = bc.BottMatrix(4, [[], [1], [1, 0], [1, 1, 0]])
         T = bc.decompose_tower(A)
         assert T.dims == (3, 4) and T.moves_applied == ()
         TS = bc.decompose_tower(bc.switch(A, 3))
@@ -235,21 +235,21 @@ class TestBlocks:
 
 class TestSameBlock:
     def test_odd_subdiagonal_joins(self):
-        A = bc.make_bott_matrix(3, [[], [0], [0, 1]])
+        A = bc.BottMatrix(3, [[], [0], [0, 1]])
         assert bc.same_block(bc.decompose_tower(A), 2, 3)
 
     def test_odd_subdiagonal_separates_lower(self):
-        A = bc.make_bott_matrix(3, [[], [0], [0, 1]])
+        A = bc.BottMatrix(3, [[], [0], [0, 1]])
         assert not bc.same_block(bc.decompose_tower(A), 1, 3)
 
     def test_different_levels(self):
-        A = bc.make_bott_matrix(3, [[], [0], [1, 1]])
+        A = bc.BottMatrix(3, [[], [0], [1, 1]])
         assert not bc.same_block(bc.decompose_tower(A), 1, 3)
 
     @pytest.mark.parametrize("bad", [0, -1, 4])
     def test_index_outside_range(self, bad):
         # levels[0] and perm[0] are placeholders; no index outside 1..n may reach them
-        T = bc.decompose_tower(bc.make_bott_matrix(3, [[], [0], [0, 1]]))
+        T = bc.decompose_tower(bc.BottMatrix(3, [[], [0], [0, 1]]))
         with pytest.raises(bc.RangeError):
             bc.same_block(T, bad, 2)
         with pytest.raises(bc.RangeError):
@@ -280,7 +280,7 @@ class TestQTrivialPartition:
         assert bc.qtrivial_partition(bc.decompose_tower(ZERO3)) == (1, 1, 1)
 
     def test_not_qtrivial(self):
-        assert bc.qtrivial_partition(bc.decompose_tower(bc.make_bott_matrix(3, [[], [0], [1, 1]]))) is None
+        assert bc.qtrivial_partition(bc.decompose_tower(bc.BottMatrix(3, [[], [0], [1, 1]]))) is None
 
     def partitions(self, n):
         if n == 0:

@@ -233,11 +233,12 @@ class StabilizeTrace:
         self.raises = raises
 
     def steps(self):
-        """Each key step in run order as (k, side, step): side "target" for a round's own steps,
-        "source" for its odd branch's steps and "final" for that branch's last step."""
+        """Every event in run order as (k, side, record), the one walk of the nesting: a round's key steps
+        on side "target", then, if it took an odd branch, ("odd", that branch), its "source" and "final" steps."""
         for rt in self.raises:
             yield from ((rt.k, "target", st) for st in rt.phase1)
             if rt.odd is not None:
+                yield rt.k, "odd", rt.odd
                 yield from ((rt.k, "source", st) for st in rt.odd.source_steps)
                 if rt.odd.final_step is not None:
                     yield rt.k, "final", rt.odd.final_step
@@ -282,8 +283,9 @@ def stabilize_full(phi: GradedIso, with_trace: bool = False):
         # the forward moves of f and g: the towers', then each key step's on its side
         src_fwd = list(tower_a.moves_applied)
         tgt_fwd = list(tower_b.moves_applied)
-        for _, side, step in trace.steps():
-            (tgt_fwd if side == "target" else src_fwd).extend(step.moves)
+        for _, side, rec in trace.steps():
+            if side != "odd":
+                (tgt_fwd if side == "target" else src_fwd).extend(rec.moves)
         cert = StabilizationCertificate(
             A=A, B=B, phi=phi, f_seq=MoveSeq.build(cur.source, [invert_move(mv) for mv in reversed(src_fwd)]),
             g_seq=MoveSeq.build(B, tgt_fwd), phi_prime=cur, k_final=k

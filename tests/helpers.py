@@ -13,18 +13,25 @@ pruning and checks relations with the oracle.  ``reference_make_iso`` is
 ``reference_search_isos`` is ``search_isos`` without its completions memo.
 ``induced`` writes a move's map as a plain identity matrix with two rows
 swapped or v added to a row, apart from ``rebuild`` and the folds.
+``_records`` writes a run as the lines the pinned traces hash, one per
+event of ``StabilizeTrace.steps()``, and ``sweep`` is the one driver of
+the pinned sweeps.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import bottcert as bc
 from bottcert import moves
 from bottcert.iso import int_det
+from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
 
 
 def rand_matrix(rng, n, mag):
@@ -305,11 +312,11 @@ def identity(A):
     return bc.GradedIso(A, A, tuple(tuple(int(r == c) for c in range(A.n)) for r in range(A.n)))
 
 
-def induced(B, mv):
-    """The rows of the map the move mv = (kind, j, v) induces from B: identity rows j, j+1 swapped, or v
-    added to row j."""
+def induced(n, mv):
+    """The rows of the map the move mv = (kind, j, v) induces on an n x n matrix: identity rows j, j+1
+    swapped, or v added to row j."""
     kind, j, v = mv
-    C = [[int(r == c) for c in range(B.n)] for r in range(B.n)]
+    C = [[int(r == c) for c in range(n)] for r in range(n)]
     if kind == "switch":
         C[j - 1], C[j] = C[j], C[j - 1]
     else:
@@ -319,7 +326,7 @@ def induced(B, mv):
 
 def move_iso(B, mv):
     """The isomorphism mv induces, from B onto the matrix after mv."""
-    return bc.GradedIso(B, moves._apply(B, *mv)[1], induced(B, mv))
+    return bc.GradedIso(B, moves._apply(B, *mv)[1], induced(B.n, mv))
 
 
 def moves_product(start, mvs):
@@ -488,6 +495,73 @@ def odd_twist_isos():
     """
     A = bc.BottMatrix(4, [[], [-2], [-2, -2], [-1, -1, 0]])
     return bc.search_isos(A, A, 2)
+
+
+def _step(st):
+    return repr((st.case, st.ell, st.p, st.e, st.w, st.u))
+
+
+def _records(cert, trace):
+    """The certificate text, then one line per event of ``trace.steps()``: a key step, or an odd branch's
+    (p, final entry)."""
+    yield dumps_canonical(certificate_to_obj(cert))
+    for _, side, rec in trace.steps():
+        yield repr((rec.p, rec.final_entry)) if side == "odd" else _step(rec)
+
+
+def digest(records):
+    """The sha256 of the records' lines, hashed as they come."""
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(rec.encode() + b"\n")
+    return h.hexdigest()
+
+
+def rounds(trace):
+    """Each round of a run as (k, records): the records ``trace.steps()`` yields for round k, by side."""
+    for k, events in itertools.groupby(trace.steps(), key=lambda ev: ev[0]):
+        by_side = {"target": [], "odd": [], "source": [], "final": []}
+        for _, side, rec in events:
+            by_side[side].append(rec)
+        yield k, by_side
+
+
+def sweep_hits(n, lo, hi, hits, stride=1):
+    """The first ``hits`` self-isomorphisms at bound 2 of every ``stride``-th n x n Bott matrix with entries
+    in lo..hi, taken in ``itertools.product`` order; a matrix's rows are cut from the product's tuple by
+    length."""
+    entries = itertools.product(range(lo, hi + 1), repeat=n * (n - 1) // 2)
+    for flat in itertools.islice(entries, 0, None, stride):
+        A = bc.BottMatrix(n, [flat[i * (i - 1) // 2:i * (i + 1) // 2] for i in range(n)])
+        yield from bc.search_isos(A, A, 2)[:hits]
+
+
+def sweep(isos) -> tuple[str, Counter, int]:
+    """(digest, counts, failures) of stabilizing each of ``isos``, the one driver of the pinned sweeps: the
+    ``digest`` of every run's ``_records``, the certificates, key steps ("side case") and odd branches
+    counted, and the certificates that fail to verify in memory or through their JSON text."""
+    counts = Counter()
+
+    def records():
+        for phi in isos:
+            cert, trace = bc.stabilize_full(phi, with_trace=True)
+            recs = list(_records(cert, trace))
+            ok = bc.verify_certificate(cert).ok and verify_certificate_obj(json.loads(recs[0])).ok
+            counts["failed"] += not ok
+            counts["certificates"] += 1
+            counts.update("odd branch" if side == "odd" else f"{side} {rec.case}" for _, side, rec in trace.steps())
+            yield from recs
+
+    hexdigest = digest(records())
+    return hexdigest, counts, counts.pop("failed")
+
+
+def counting(calls, key, fn):
+    """fn, counting its calls in calls[key]."""
+    def call(*args):
+        calls[key] += 1
+        return fn(*args)
+    return call
 
 
 def block_map(A):

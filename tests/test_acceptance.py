@@ -116,9 +116,9 @@ def test_c4_move_soundness():
             j = rng.choice(js)
             mv = ("switch", j, None)
             after = bc.switch(B, j)
-            bc.make_iso(B, after, induced(B, mv))
+            bc.make_iso(B, after, induced(B.n, mv))
             assert bc.switch(after, j) == B
-            assert dense_product(induced(B, mv), induced(after, mv)) == identity(B).C
+            assert dense_product(induced(B.n, mv), induced(after.n, mv)) == identity(B).C
             switches += 1
         else:
             j = rng.randint(1, B.n)
@@ -128,9 +128,9 @@ def test_c4_move_soundness():
             v = rng.choice(vs)
             mv, back = ("twist", j, v), ("twist", j, tuple(-t for t in v))
             after = bc.twist(B, j, v)
-            bc.make_iso(B, after, induced(B, mv))
+            bc.make_iso(B, after, induced(B.n, mv))
             assert bc.twist(after, j, back[2]) == B
-            assert dense_product(induced(B, mv), induced(after, back)) == identity(B).C
+            assert dense_product(induced(B.n, mv), induced(after.n, back)) == identity(B).C
             twists += 1
     print(f"CRITERION 4 PASS: 500 moves sound ({switches} switches, {twists} twists)")
 
@@ -225,7 +225,7 @@ def organic_run(hirzebruch_search, zero_autos, organic_pairs):
             continue
         assert cert.k_final >= phi.source.n - 2
         assert bc.verify_certificate(cert).ok
-        stats["odd_branches"] += sum(1 for rt in trace.raises if rt.odd is not None)
+        stats["odd_branches"] += sum(side == "odd" for _, side, _ in trace.steps())
         stats["runs"] += 1
     return stats
 

@@ -18,6 +18,7 @@ import bottcert.cli
 from bottcert import structure
 from bottcert.cli import COMMANDS, main
 from bottcert.serialize import dumps_canonical, matrix_to_obj, verify_certificate_obj
+from helpers import counting
 from test_stabilize import bend, even_case_fixture, odd_step_fixture, overstated_stability
 
 
@@ -656,16 +657,8 @@ def test_decompose_builds_one_tower(files, capsys, monkeypatch):
     # qtrivial_partition read them instead of testing alpha^2 = 0 again, and
     # blocks_at tests no square: the tower tested each row once
     counts = {"towers": 0, "products": 0}
-    decompose_tower, product_is_zero = structure.decompose_tower, structure.product_is_zero
-
-    def counted_tower(A):
-        counts["towers"] += 1
-        return decompose_tower(A)
-
-    def counted_product(*args):
-        counts["products"] += 1
-        return product_is_zero(*args)
-
+    counted_tower = counting(counts, "towers", structure.decompose_tower)
+    counted_product = counting(counts, "products", structure.product_is_zero)
     monkeypatch.setattr(structure, "decompose_tower", counted_tower)
     monkeypatch.setattr(bottcert.cli, "decompose_tower", counted_tower)
     monkeypatch.setattr(structure, "product_is_zero", counted_product)
@@ -675,7 +668,7 @@ def test_decompose_builds_one_tower(files, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["partition_if_qtrivial"] == [1] * n
     # one tower (one stage, n rows), whose rows are the only square tests
     assert counts == {"towers": 1, "products": n}
-    T = decompose_tower(bc.BottMatrix(n, [[0] * i for i in range(n)]))
+    T = bc.decompose_tower(bc.BottMatrix(n, [[0] * i for i in range(n)]))
     counts["products"] = 0
     assert bc.qtrivial_partition(T) == (1,) * n
     assert counts["products"] == 0

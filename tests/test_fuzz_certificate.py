@@ -13,8 +13,9 @@ stabilization, integers written as strings) and checks
   oracle checks that the two entry points agree, not the gate itself;
 * a True verdict comes only with a ``phi_prime`` that equals g o phi o f
   and is k-stable for some k >= n-2, both recomputed here from the move
-  parameters with plain integer matrices.  This recomputation is the
-  check independent of the library's build path.
+  parameters with plain integer matrices, by ``helpers.induced`` and
+  ``helpers.dense_product``.  This recomputation calls nothing in
+  ``bottcert``: it is the check independent of the library's build path.
 """
 
 import copy
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
 from bottcert import serialize as ser
-from helpers import fuzz_base_isos
+from helpers import dense_product, fuzz_base_isos, induced
 
 SIDES = ("f_seq", "g_seq")
 BIG = 2**53
@@ -144,26 +145,17 @@ def _as_string(data, x):
     )
 
 
-def _matmul(X, Y):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
-
-
 def _chain(n, moves):
-    """Composite of a move sequence; a switch swaps rows j, j+1, a twist adds v to row j."""
-    P = [[int(r == c) for c in range(n)] for r in range(n)]
+    """Composite of a move sequence: the ``dense_product`` of each move's ``induced`` rows."""
+    P = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     for mv in moves:
-        M = [[int(r == c) for c in range(n)] for r in range(n)]
-        j = int(mv["j"])
-        if mv["kind"] == "switch":
-            M[j - 1], M[j] = M[j], M[j - 1]
-        else:
-            M[j - 1] = [e + int(t) for e, t in zip(M[j - 1], mv["v"])]
-        P = _matmul(P, M)
+        v = tuple(map(int, mv["v"])) if mv["kind"] == "twist" else None
+        P = dense_product(P, induced(n, (mv["kind"], int(mv["j"]), v)))
     return P
 
 
 def _ints(C):
-    return [[int(e) for e in row] for row in C]
+    return tuple(tuple(int(e) for e in row) for row in C)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -191,7 +183,7 @@ def test_mutated_certificates(data):
         f = _chain(n, obj["f_seq"]["moves"])
         g = _chain(n, obj["g_seq"]["moves"])
         C = _ints(obj["phi_prime"]["C"])
-        assert C == _matmul(_matmul(f, _ints(obj["phi"]["C"])), g)
+        assert C == dense_product(dense_product(f, _ints(obj["phi"]["C"])), g)
         assert _stable(C, n - 2) or _stable(C, n - 1)
 
 

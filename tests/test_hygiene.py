@@ -40,6 +40,10 @@
   ``__init__`` that stores its parameters: a function returns the values
   its callers read.  ``PLAIN_RECORDS`` names the few that stay, each with
   its reason.
+* Only ``stabilize.StabilizeTrace.steps`` reads the trace's nesting: no
+  other code in the library or the tests loads an attribute named in
+  ``NESTING`` (``pytest.raises`` aside), so every other reader walks the
+  flat events of ``steps()``.
 
 Each text is read and parsed once per session, and one walker, ``scoped``,
 gives every check that needs it a node's scope.
@@ -65,9 +69,10 @@ def sources(directory: Path) -> dict:
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(directory.glob("*.py"))}
 
 
-# the texts the checks read, each read once: the library, bench/ and README
+# the texts the checks read, each read once: the library, bench/, the tests and README
 LIBRARY = sources(ROOT / "src" / "bottcert")
 BENCH = sources(ROOT / "bench")
+TESTS = sources(ROOT / "tests")
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 # the library without __init__, which imports names to re-export them
 MODULES = {module: text for module, text in LIBRARY.items() if module != "__init__"}
@@ -712,7 +717,7 @@ def test_moves_hold_only_their_parameters():
         cert, trace = bc.stabilize_full(phi, with_trace=True)
         towers = [bc.decompose_tower(M) for M in (phi.source, phi.target)]
         found = [*cert.f_seq.moves, *cert.g_seq.moves]
-        found += [mv for _, _, step in trace.steps() for mv in step.moves]
+        found += [mv for _, side, step in trace.steps() if side != "odd" for mv in step.moves]
         found += [mv for T in towers for mv in T.moves_applied]
         for mv in found:
             assert parameters_only(mv), mv
@@ -896,3 +901,39 @@ class Raised(Exception):
         self.i = i
 '''
     assert plain_records(source) == ["Pair", "Single"]
+
+
+# the attributes that nest a trace's rounds, their odd branches and those branches' steps
+NESTING = {"raises", "phase1", "odd", "source_steps", "final_step"}
+
+
+def nesting_reads(texts: dict) -> list[str]:
+    """``scope:line attribute`` of each load of a ``NESTING`` attribute in ``texts`` (module name to text)
+    outside ``stabilize.StabilizeTrace.steps``; ``pytest.raises`` is left out."""
+    return [
+        f"{qual}:{node.lineno} {node.attr}"
+        for module, text in texts.items()
+        for node, qual, _ in scoped(parse(text), module)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in NESTING
+        and qual != "stabilize.StabilizeTrace.steps" and f"{name_of(node.value)}.{node.attr}" != "pytest.raises"
+    ]
+
+
+def test_only_steps_reads_the_trace_nesting():
+    assert nesting_reads({**LIBRARY, **TESTS}) == []
+
+
+def test_detects_nesting_reads():
+    walker = (
+        "def count(trace):\n    return sum(rt.odd is not None for rt in trace.raises)\n"
+        "def cases(rt):\n    return [st.case for st in (*rt.phase1, *rt.odd.source_steps, rt.odd.final_step)]\n"
+        "class Record:\n    def __init__(self, odd, raises):\n        self.odd, self.raises = odd, raises\n"
+        "def expect(book):\n    with pytest.raises(ValueError):\n        return book.raises\n"
+    )
+    assert nesting_reads({**LIBRARY, "walker": walker}) == [
+        "walker.count:2 odd", "walker.count:2 raises", "walker.cases:4 phase1", "walker.cases:4 source_steps",
+        "walker.cases:4 odd", "walker.cases:4 final_step", "walker.cases:4 odd", "walker.expect:10 raises",
+    ]
+    # the exemption is the one method: the same walk under another name is flagged
+    renamed = nesting_reads({"stabilize": LIBRARY["stabilize"].replace("def steps(", "def walk(")})
+    assert renamed and {read.partition(":")[0] for read in renamed} == {"stabilize.StabilizeTrace.walk"}

@@ -17,6 +17,7 @@ from helpers import (
     block_map,
     class_terms,
     compose_dense,
+    counting,
     dense_product,
     fraction_det,
     fraction_inverse,
@@ -95,7 +96,7 @@ def switch_map(rng, A):
     if not js:
         return None
     j = rng.choice(js)
-    return bc.switch(A, j), induced(A, ("switch", j, None))
+    return bc.switch(A, j), induced(A.n, ("switch", j, None))
 
 
 def twist_map(rng, A):
@@ -105,7 +106,7 @@ def twist_map(rng, A):
     if not vs:
         return None
     v = rng.choice(vs)
-    return j, bc.twist(A, j, v), induced(A, ("twist", j, v))
+    return j, bc.twist(A, j, v), induced(A.n, ("twist", j, v))
 
 
 def gate_input(rng, kind):
@@ -164,13 +165,7 @@ def corrupt(rng, A, B, C, how):
 def count_calls(monkeypatch, name):
     """Count the calls of the kernel ``iso.<name>`` (from make_iso or search_isos)."""
     calls = [0]
-    real = getattr(iso, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(iso, name, counted)
+    monkeypatch.setattr(iso, name, counting(calls, 0, getattr(iso, name)))
     return calls
 
 
@@ -610,10 +605,12 @@ class TestSearch:
         gc.disable()
         try:
             gc.collect()
+            gc.freeze()  # each collection then walks only what the searches make, not the session's heap
             for A, B, bound in cases:
                 bc.search_isos(A, B, bound)
                 assert gc.collect() == 0, (A.rows, B.rows, bound)
         finally:
+            gc.unfreeze()
             if collecting:
                 gc.enable()
 

@@ -14,6 +14,7 @@ from bottcert import moves, serialize, stabilize
 from helpers import (
     admissible_twists,
     claim_product,
+    counting,
     dense_product,
     fuzz_base_isos,
     hirzebruch,
@@ -52,7 +53,7 @@ def rebuild_one(B, kind, j, v):
 class TestSwitch:
     def test_factor_swap(self):
         assert bc.switch(ZERO2, 1) == ZERO2
-        assert gate_map(ZERO2, "switch", 1, None) == induced(ZERO2, ("switch", 1, None)) == ((0, 1), (1, 0))
+        assert gate_map(ZERO2, "switch", 1, None) == induced(ZERO2.n, ("switch", 1, None)) == ((0, 1), (1, 0))
 
     def test_column_swap_in_later_rows(self):
         A = bc.BottMatrix(3, [[], [0], [1, 2]])
@@ -77,19 +78,19 @@ class TestSwitch:
             mv = ("switch", j, None)
             after = bc.switch(A, j)
             assert bc.switch(after, j) == A
-            assert dense_product(induced(A, mv), induced(after, mv)) == identity(A).C
+            assert dense_product(induced(A.n, mv), induced(after.n, mv)) == identity(A).C
 
 
 class TestTwist:
     def test_hirzebruch_step(self):
         B = hirzebruch(3)
         assert bc.twist(B, 2, (1, 0)) == hirzebruch(1)
-        assert gate_map(B, "twist", 2, (1, 0)) == induced(B, ("twist", 2, (1, 0))) == ((1, 0), (1, 1))
+        assert gate_map(B, "twist", 2, (1, 0)) == induced(B.n, ("twist", 2, (1, 0))) == ((1, 0), (1, 1))
 
     def test_zero_parameter(self):
         B = hirzebruch(3)
         assert bc.twist(B, 2, (0, 0)) == B
-        assert gate_map(B, "twist", 2, (0, 0)) == induced(B, ("twist", 2, (0, 0))) == identity(B).C
+        assert gate_map(B, "twist", 2, (0, 0)) == induced(B.n, ("twist", 2, (0, 0))) == identity(B).C
 
     def test_rows_above_pick_up_v(self):
         B = bc.BottMatrix(3, [[], [2], [0, 1]])
@@ -131,7 +132,7 @@ class TestTwist:
             back = bc.invert_move(mv)
             assert back == ("twist", j, tuple(-t for t in v))
             assert bc.twist(after, j, back[2]) == B
-            assert dense_product(induced(B, mv), induced(after, back)) == identity(B).C
+            assert dense_product(induced(B.n, mv), induced(after.n, back)) == identity(B).C
 
 
 class TestMoveParameters:
@@ -214,7 +215,7 @@ class TestMoveSoundness:
                 mv = ("twist", j, rng.choice(vs))
             # switch, twist and the two folds work by algebra; make_iso checks the map
             C = gate_map(B, *mv)
-            assert C == induced(B, mv)
+            assert C == induced(B.n, mv)
             rows = [list(row) for row in identity(B).C]
             moves._before(rows, mv)
             assert tuple(map(tuple, rows)) == C
@@ -378,11 +379,11 @@ class TestClaimFold:
                 A, A, identity(A), bc.MoveSeq.build(start, [mv]), bc.MoveSeq.build(A, []), phi_prime, n
             )
 
-        good = cert(induced(start, mv))
+        good = cert(induced(start.n, mv))
         assert bc.verify_certificate(good).ok
         text = serialize.dumps_canonical(serialize.certificate_to_obj(good))
         assert serialize.verify_certificate_obj(json.loads(text)).ok
-        wrong_row = [list(row) for row in induced(start, mv)]
+        wrong_row = [list(row) for row in induced(start.n, mv)]
         wrong_row[2] = [e + t for e, t in zip(wrong_row[2], mv[2])]
         res = stabilize.check_claims(cert(wrong_row))
         assert not res.ok and res.diagnostic == "phi_prime is not g o phi o f"
@@ -391,13 +392,8 @@ class TestClaimFold:
 def counting_gate(monkeypatch):
     """Count make_iso calls made through moves and serialize, the two modules of the gate."""
     calls = [0]
-
-    def counted(A, B, C):
-        calls[0] += 1
-        return bc.make_iso(A, B, C)
-
     for module in (moves, serialize):
-        monkeypatch.setattr(module, "make_iso", counted)
+        monkeypatch.setattr(module, "make_iso", counting(calls, 0, bc.make_iso))
     return calls
 
 
@@ -636,12 +632,14 @@ def rebuild_peak(n, m):
 
     start = bc.BottMatrix(n, [[0] * i for i in range(n)])
     gc.collect()
+    gc.freeze()  # the collections below then walk only what this read makes, not the session's heap
     tracemalloc.start()
     try:
         seq = bc.rebuild(start, params())
         return tracemalloc.get_traced_memory()[1], seq
     finally:
         tracemalloc.stop()
+        gc.unfreeze()
 
 
 class TestRebuildMemory:

@@ -22,13 +22,12 @@ scrambled by switches, so that later stages need switches too.
 """
 
 import copy
-import hashlib
 import json
 import random
 
 import bottcert as bc
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
-from helpers import moved_partner, rand_matrix, rationally_trivial, scrambled_iso, sparse_matrix
+from helpers import digest, moved_partner, rand_matrix, rationally_trivial, scrambled_iso, sparse_matrix
 
 CERT_DIGEST = "e3de9727e18ddc5d420be61d82e58b50508907fbb9aa0771c656bc411b2f0175"
 SEARCH_DIGEST = "e2cce42baaf53b50f7222f4809b8b1f68ecfade1347f61ea048e29f401ac0a3d"
@@ -40,14 +39,18 @@ def _verdict(result):
     return f"{result.ok} {result.diagnostic}"
 
 
-def certificate_records():
-    """Certificate text plus verdicts on it and on two tampered copies, n = 4..10."""
+def seeded_certificates():
+    """Certificates of 30 scrambled isomorphisms, n = 4..10."""
     rng = random.Random(4242)
     for k in range(30):
         n = 4 + k % 7
         A = sparse_matrix(rng, n, 2)
-        phi = scrambled_iso(rng, A, rng.randint(3, 8), twist_mag=1)
-        cert = bc.stabilize_full(phi)
+        yield bc.stabilize_full(scrambled_iso(rng, A, rng.randint(3, 8), twist_mag=1))
+
+
+def certificate_records():
+    """Certificate text plus verdicts on it and on two tampered copies, for each of ``seeded_certificates``."""
+    for cert in seeded_certificates():
         obj = certificate_to_obj(cert)
         text = dumps_canonical(obj)
         yield text
@@ -125,14 +128,6 @@ def tower_record(A, T):
     gens = bc.square_zero_generators(A)
     switches = [j for _, j, _ in T.moves_applied]
     return repr((A.rows, T.dims, switches, T.base.rows, T.perm, levels, gens))
-
-
-def digest(records):
-    h = hashlib.sha256()
-    for rec in records:
-        h.update(rec.encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 def test_certificates_and_verdicts_pinned():

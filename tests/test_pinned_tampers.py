@@ -1,7 +1,7 @@
 """Verdicts of the JSON certificate reader on tampered certificates, pinned by digest.
 
-The same 30 seeded certificates as ``test_pinned_outputs``, tampered at
-every move: its ``j`` moved down and up by one, each entry of a twist's
+The 30 certificates of ``test_pinned_outputs.seeded_certificates``, tampered
+at every move: its ``j`` moved down and up by one, each entry of a twist's
 ``v`` raised by one, and the move swapped with its successor; and with
 ``k_final`` moved down and up by one.  The digest was taken while
 ``verify_certificate_obj`` still replayed every parsed certificate a second
@@ -15,12 +15,11 @@ shared one JSON parser.
 
 import copy
 import json
-import random
 
 import bottcert as bc
 from bottcert.serialize import certificate_to_obj, verify_certificate_obj
-from helpers import odd_twist_isos, scrambled_iso, sparse_matrix
-from test_pinned_outputs import _verdict, digest
+from helpers import digest, odd_twist_isos
+from test_pinned_outputs import _verdict, seeded_certificates
 
 TAMPER_DIGEST = "436f40286f947903804d253fa8226668a54f1396d1b99656f98f50330a30f4b8"
 TWIST_TAMPER_DIGEST = "66a3f93dd76abad508ab9a8dee2d3678107e96befa5c55067819744ad4533400"
@@ -56,14 +55,6 @@ def tamper_records(certs):
         obj = json.loads(json.dumps(certificate_to_obj(cert)))
         for label, bad in tampers(obj):
             yield f"{k} {label} {_verdict(verify_certificate_obj(bad))}"
-
-
-def seeded_certificates():
-    rng = random.Random(4242)
-    for k in range(30):
-        n = 4 + k % 7
-        A = sparse_matrix(rng, n, 2)
-        yield bc.stabilize_full(scrambled_iso(rng, A, rng.randint(3, 8), twist_mag=1))
 
 
 def test_tampered_verdicts_pinned():

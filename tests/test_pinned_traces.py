@@ -19,21 +19,19 @@ two source-side steps in a row.
 
 A fourth digest pins an exhaustive sweep: every n = 3 matrix with entries
 in -2..2 (125 of them), each with the first 50 hits of its
-self-isomorphism search at bound 2, 1952 certificates in all.  Each one
-also round-trips through JSON and ``verify_certificate_obj``.  The sweep
+self-isomorphism search at bound 2, 1952 certificates in all, run by
+``helpers.sweep``, the n = 4 sweeps' driver too.  Each one is also
+verified in memory and through its JSON text.  The sweep
 takes hundreds of zero and even key steps on the target side and hundreds
 of odd branches, whose final source-side steps are zero or even; floors
 on those counts keep the digest from pinning easy paths alone.
 """
 
-import hashlib
-import itertools
 import json
-from collections import Counter
 
 import bottcert as bc
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
-from helpers import trace_isos
+from helpers import _records, _step, digest, rounds, sweep, sweep_hits, trace_isos
 
 TRACE_DIGEST = "3bfbf746db4e7f159ffcde20140180220b80f2f116a472e91e0035378cb17f89"
 SOURCE_STEP_DIGEST = "a51ac42aa5640c92233cf6fb9f45cdefd4c3c8ec81aa52ca620a2cbfe66b2d19"
@@ -67,22 +65,6 @@ def source_side_isos():
         yield bc.make_iso(bc.BottMatrix(4, a), bc.BottMatrix(4, b), c)
 
 
-def _step(st):
-    return repr((st.case, st.ell, st.p, st.e, st.w, st.u))
-
-
-def _records(cert, trace):
-    """The certificate text, then every key step and odd branch in order."""
-    yield dumps_canonical(certificate_to_obj(cert))
-    for rt in trace.raises:
-        yield from map(_step, rt.phase1)
-        if rt.odd is not None:
-            yield repr((rt.odd.p, rt.odd.final_entry))
-            yield from map(_step, rt.odd.source_steps)
-            if rt.odd.final_step is not None:
-                yield _step(rt.odd.final_step)
-
-
 def trace_records():
     for phi in trace_isos():
         yield from _records(*bc.stabilize_full(phi, with_trace=True))
@@ -96,11 +78,10 @@ def test_trace_coverage():
         isos += 1
         cert, trace = bc.stabilize_full(phi, with_trace=True)
         twists += sum(mv[0] == "twist" for seq in (cert.f_seq, cert.g_seq) for mv in seq.moves)
-        for rt in trace.raises:
-            cases.update(st.case for st in rt.phase1)
-            if rt.odd is not None:
-                odd_branches += 1
-                cases.update(st.case for st in rt.odd.source_steps)
+        for _, side, rec in trace.steps():
+            odd_branches += side == "odd"
+            if side in ("target", "source"):
+                cases.add(rec.case)
     assert isos >= 30
     assert cases == {"zero", "even", "odd"}
     assert twists >= 5 and odd_branches >= 1
@@ -114,7 +95,7 @@ def two_source_steps_iso():
 def _source_step_records(phi):
     cert, trace = bc.stabilize_full(phi, with_trace=True)
     yield dumps_canonical(certificate_to_obj(cert))
-    yield from (_step(st) for _, side, st in trace.steps() if side != "target")
+    yield from (_step(st) for _, side, st in trace.steps() if side in ("source", "final"))
 
 
 def source_step_records():
@@ -122,37 +103,29 @@ def source_step_records():
         yield from _source_step_records(phi)
 
 
-def _digest(records):
-    h = hashlib.sha256()
-    for rec in records:
-        h.update(rec.encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
 def test_traces_pinned():
-    assert _digest(trace_records()) == TRACE_DIGEST
+    assert digest(trace_records()) == TRACE_DIGEST
 
 
 def test_source_side_odd_steps():
     for phi in source_side_isos():
         cert, trace = bc.stabilize_full(phi, with_trace=True)
-        assert any(rt.odd is not None and rt.odd.source_steps for rt in trace.raises)
+        assert any(side == "source" for _, side, _ in trace.steps())
         assert bc.verify_certificate(cert).ok
         text = dumps_canonical(certificate_to_obj(cert))
         assert verify_certificate_obj(json.loads(text)).ok
 
 
 def test_source_side_steps_pinned():
-    assert _digest(source_step_records()) == SOURCE_STEP_DIGEST
+    assert digest(source_step_records()) == SOURCE_STEP_DIGEST
 
 
 def test_two_source_side_steps():
     cert, trace = bc.stabilize_full(two_source_steps_iso(), with_trace=True)
-    odd = trace.raises[0].odd
-    assert trace.raises[0].k == 0 and odd is not None
-    assert len(odd.source_steps) >= 2
-    assert [(st.case, st.ell) for st in odd.source_steps] == [("zero", 5), ("zero", 4)]
+    k, first = next(rounds(trace))
+    assert k == 0 and len(first["odd"]) == 1
+    assert len(first["source"]) >= 2
+    assert [(st.case, st.ell) for st in first["source"]] == [("zero", 5), ("zero", 4)]
     assert bc.verify_certificate(cert).ok
     assert cert.k_final == 5
     text = dumps_canonical(certificate_to_obj(cert))
@@ -160,30 +133,19 @@ def test_two_source_side_steps():
 
 
 def test_two_source_side_steps_pinned():
-    assert _digest(_source_step_records(two_source_steps_iso())) == TWO_SOURCE_STEPS_DIGEST
+    assert digest(_source_step_records(two_source_steps_iso())) == TWO_SOURCE_STEPS_DIGEST
 
 
 def sweep_isos():
-    """The first hits of each n = 3 matrix's self-isomorphism search at bound 2.
-
-    The matrices are all 125 with entries in -2..2.
-    """
-    for a, b, c in itertools.product(range(-2, 3), repeat=3):
-        A = bc.BottMatrix(3, [[], [a], [b, c]])
-        yield from bc.search_isos(A, A, 2)[:SWEEP_HITS]
+    """The first 50 hits of the self-isomorphism search at bound 2 of each n = 3 matrix with entries in -2..2."""
+    return sweep_hits(3, -2, 2, SWEEP_HITS)
 
 
 def test_n3_sweep_pinned():
-    records, counts = [], Counter()
-    for phi in sweep_isos():
-        cert, trace = bc.stabilize_full(phi, with_trace=True)
-        recs = list(_records(cert, trace))
-        assert verify_certificate_obj(json.loads(recs[0])).ok
-        records += recs
-        counts.update((side, st.case) for _, side, st in trace.steps())
-        counts["odd branch"] += sum(rt.odd is not None for rt in trace.raises)
-    assert _digest(records) == SWEEP_DIGEST
+    pinned, counts, failed = sweep(sweep_isos())
+    assert failed == 0
+    assert pinned == SWEEP_DIGEST
     # the digest is worth having only while the sweep reaches these paths
-    assert counts["target", "zero"] >= 360 and counts["target", "even"] >= 380
+    assert counts["target zero"] >= 360 and counts["target even"] >= 380
     assert counts["odd branch"] >= 225
-    assert counts["final", "zero"] >= 100 and counts["final", "even"] >= 60
+    assert counts["final zero"] >= 100 and counts["final even"] >= 60

@@ -9,10 +9,11 @@ import pytest
 
 import bottcert as bc
 from bottcert import iso, moves, serialize, stabilize
-from bottcert.stabilize import _key_step, _odd_branch, _raise_fwd
+from bottcert.stabilize import StabilizeTrace, _key_step, _odd_branch, _raise_fwd
 from helpers import (
     claim_product,
     compose_dense,
+    counting,
     dense_product,
     fuzz_base_isos,
     hirzebruch,
@@ -21,6 +22,7 @@ from helpers import (
     moves_product,
     odd_twist_isos,
     rebuild_matches,
+    rounds,
     scrambled_iso,
     sparse_matrix,
     trace_isos,
@@ -96,9 +98,10 @@ def key_step(phi, k):
 def raise_stability(phi, k):
     """(f, g, phi') with phi' = g o phi o f, from one ``_raise_fwd`` round; its steps hold the moves."""
     phi2, rt = _raise_fwd(phi, k)
-    src_steps = (*rt.odd.source_steps, rt.odd.final_step) if rt.odd else ()
-    src_moves = [mv for tr in src_steps if tr is not None for mv in tr.moves]
-    tgt_moves = [mv for tr in rt.phase1 for mv in tr.moves]
+    src_moves, tgt_moves = [], []
+    for _, side, rec in StabilizeTrace((rt,)).steps():
+        if side != "odd":
+            (tgt_moves if side == "target" else src_moves).extend(rec.moves)
     f = bc.MoveSeq.build(phi2.source, [bc.invert_move(mv) for mv in reversed(src_moves)])
     assert f.end == phi.source
     return f, bc.MoveSeq.build(phi.target, tgt_moves), phi2
@@ -228,21 +231,21 @@ class TestStabilizeFull:
     def test_even_fixture(self):
         cert, trace = bc.stabilize_full(even_case_fixture(), with_trace=True)
         assert cert.k_final >= 1
-        assert ["even", "zero"] == [t.case for rt in trace.raises for t in rt.phase1]
+        assert ["even", "zero"] == [t.case for _, side, t in trace.steps() if side == "target"]
         assert bc.verify_certificate(cert).ok
 
     def test_odd_short_fixture(self):
         cert, trace = bc.stabilize_full(odd_short_fixture(), with_trace=True)
-        odd = [rt.odd for rt in trace.raises if rt.odd is not None]
+        odd = [rec for _, side, rec in trace.steps() if side == "odd"]
         assert len(odd) == 1 and odd[0].p == 1
-        assert odd[0].final_step is not None
+        assert any(side == "final" for _, side, _ in trace.steps())
         assert bc.verify_certificate(cert).ok
 
     def test_odd_long_fixture(self):
         cert, trace = bc.stabilize_full(odd_long_fixture(), with_trace=True)
-        odd = [rt.odd for rt in trace.raises if rt.odd is not None]
-        assert len(odd) == 1
-        assert odd[0].source_steps  # the detour really reduced heights
+        sides = [side for _, side, _ in trace.steps()]
+        assert sides.count("odd") == 1
+        assert "source" in sides  # the detour really reduced heights
         assert len(cert.f_seq.moves) >= 2
         assert bc.verify_certificate(cert).ok
 
@@ -260,13 +263,12 @@ class TestStabilizeFull:
             phi = scrambled_iso(rng, A, rng.randint(2, 5))
             cert, trace = bc.stabilize_full(phi, with_trace=True)
             assert bc.verify_certificate(cert).ok
-            for rt in trace.raises:
-                ells = [t.ell for t in rt.phase1]
+            for _, by_side in rounds(trace):
+                ells = [t.ell for t in by_side["target"]]
                 assert ells == sorted(ells, reverse=True)
                 assert len(set(ells)) == len(ells)
-                if rt.odd:
-                    src_ells = [t.ell for t in rt.odd.source_steps]
-                    assert src_ells == sorted(src_ells, reverse=True)
+                src_ells = [t.ell for t in by_side["source"]]
+                assert src_ells == sorted(src_ells, reverse=True)
 
     def test_trace_facts_match_recomputation(self):
         # parity and block claims recorded in traces agree with the
@@ -279,16 +281,16 @@ class TestStabilizeFull:
                 cert, trace = bc.stabilize_full(phi, with_trace=True)
                 assert bc.verify_certificate(cert).ok
                 B0 = bc.decompose_tower(cert.B).base  # the target each round's first step starts from
-                for rt in trace.raises:
-                    for t in rt.phase1:
-                        assert t.p == B0.a(t.ell, t.ell - 1)
-                        assert t.case == ("zero" if t.p == 0 else "even" if t.p % 2 == 0 else "odd")
-                        B0 = bc.MoveSeq.build(B0, t.moves).end
-                    if rt.odd:
+                for _, side, rec in trace.steps():
+                    if side == "target":
+                        assert rec.p == B0.a(rec.ell, rec.ell - 1)
+                        assert rec.case == ("zero" if rec.p == 0 else "even" if rec.p % 2 == 0 else "odd")
+                        B0 = bc.MoveSeq.build(B0, rec.moves).end
+                    elif side == "odd":
                         seen_odd += 1
-                        assert rt.odd.p % 2 == 1
-                        if rt.odd.final_entry is not None:
-                            assert rt.odd.final_entry % 2 == 0
+                        assert rec.p % 2 == 1
+                        if rec.final_entry is not None:
+                            assert rec.final_entry % 2 == 0
         assert seen_odd >= 1
 
 
@@ -298,7 +300,7 @@ class TestOddTwistIsos:
         odd = []
         for phi in odd_twist_isos():
             cert, trace = bc.stabilize_full(phi, with_trace=True)
-            odd += [(rt.k, t.ell, t.moves[0][2]) for rt in trace.raises for t in rt.phase1 if t.case == "odd"]
+            odd += [(k, t.ell, t.moves[0][2]) for k, side, t in trace.steps() if side == "target" and t.case == "odd"]
             assert bc.verify_certificate(cert).ok
             text = serialize.dumps_canonical(serialize.certificate_to_obj(cert))
             assert serialize.verify_certificate_obj(json.loads(text)).ok
@@ -335,11 +337,11 @@ class TestTermination:
             n = phi.source.n
             _, trace = bc.stabilize_full(phi, with_trace=True)
             total = 0
-            for rt in trace.raises:
-                src = (len(rt.odd.source_steps) + (rt.odd.final_step is not None)) if rt.odd else 0
+            for k, by_side in rounds(trace):
+                tgt, src = len(by_side["target"]), len(by_side["source"]) + len(by_side["final"])
                 # heights fall strictly: phase 1 steps at n..k+2, the odd branch at n..k+3
-                assert len(rt.phase1) <= n - rt.k - 1 and src <= n - rt.k - 2
-                total += len(rt.phase1) + src
+                assert tgt <= n - k - 1 and src <= n - k - 2
+                total += tgt + src
             assert total <= n * (n + 2)
             seen += 1
         assert seen > 0
@@ -645,20 +647,13 @@ class TestPlantedTripwires:
 class TestGuardCounts:
     def test_invert_runs_twice_per_odd_branch(self, monkeypatch):
         calls = {"invert": 0, "int_inverse": 0}
-
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr("bottcert.stabilize.invert", counted("invert", bc.invert))
-        monkeypatch.setattr("bottcert.iso.int_inverse", counted("int_inverse", iso.int_inverse))
+        monkeypatch.setattr("bottcert.stabilize.invert", counting(calls, "invert", bc.invert))
+        monkeypatch.setattr("bottcert.iso.int_inverse", counting(calls, "int_inverse", iso.int_inverse))
         odd_total = 0
         for phi in trace_isos():
             calls.update(invert=0, int_inverse=0)
             _, trace = bc.stabilize_full(phi, with_trace=True)
-            odd = sum(rt.odd is not None for rt in trace.raises)
+            odd = sum(side == "odd" for _, side, _ in trace.steps())
             # _odd_branch inverts once on entry and once on exit; the normalization relabels
             assert calls == {"invert": 2 * odd, "int_inverse": 2 * odd}
             odd_total += odd
@@ -667,15 +662,8 @@ class TestGuardCounts:
     def test_one_claim_check_and_two_builds_per_run(self, monkeypatch):
         # check_claims is the last tripwire; the certificate's two sequences are the only builds
         calls = {"check_claims": 0, "build": 0}
-
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr("bottcert.stabilize.check_claims", counted("check_claims", stabilize.check_claims))
-        monkeypatch.setattr(moves.MoveSeq, "build", staticmethod(counted("build", moves.MoveSeq.build)))
+        monkeypatch.setattr("bottcert.stabilize.check_claims", counting(calls, "check_claims", stabilize.check_claims))
+        monkeypatch.setattr(moves.MoveSeq, "build", staticmethod(counting(calls, "build", moves.MoveSeq.build)))
         runs = 0
         for source in (trace_isos, fuzz_base_isos):
             for phi in source():
@@ -701,13 +689,7 @@ class TestGuardCounts:
     def test_move_maps_are_built_only_at_the_gate(self, monkeypatch):
         # moves store no map: stabilizing builds none, and verifying builds each move's once, for make_iso to check
         built = [0]
-        make_iso = moves.make_iso
-
-        def counted(A, B, C):
-            built[0] += 1
-            return make_iso(A, B, C)
-
-        monkeypatch.setattr(moves, "make_iso", counted)
+        monkeypatch.setattr(moves, "make_iso", counting(built, 0, moves.make_iso))
         total = 0
         for source in (trace_isos, fuzz_base_isos):
             for phi in source():

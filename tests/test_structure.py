@@ -8,6 +8,7 @@ import bottcert as bc
 from bottcert import structure
 from helpers import (
     block_map,
+    counting,
     hirzebruch,
     moved_partner,
     rand_matrix,
@@ -163,24 +164,17 @@ class TestDecomposeTower:
     def test_one_square_test_per_fiber_row(self, monkeypatch):
         # a switch carries each row's alpha^2 = 0 flag with it, so a stage
         # tests each fiber row once, however many switches it makes
-        calls = 0
-        product_is_zero = structure.product_is_zero
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return product_is_zero(*args)
-
-        monkeypatch.setattr(structure, "product_is_zero", counted)
+        calls = [0]
+        monkeypatch.setattr(structure, "product_is_zero", counting(calls, 0, structure.product_is_zero))
         rng = random.Random(29)
         switched = 0
         for k in range(200):
             A = sparse_matrix(rng, 2 + k % 7, 2)
             if k % 2:
                 A = moved_partner(rng, A, rng.randint(4, 12), twist_mag=0)
-            calls = 0
+            calls[0] = 0
             T = bc.decompose_tower(A)
-            assert calls == sum(A.n - cut for cut in (0,) + T.dims[:-1])
+            assert calls[0] == sum(A.n - cut for cut in (0,) + T.dims[:-1])
             switched += len(T.moves_applied) >= 2
         assert switched >= 20
 

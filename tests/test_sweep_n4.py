@@ -11,13 +11,14 @@ even and odd steps, final even steps and odd branches; floors on those
 counts keep its digest from pinning easy paths alone.
 """
 
-from sweep_n4 import SWEEP_N4_DIGEST, WIDE_HITS, sweep
+from helpers import sweep, sweep_hits
+from sweep_n4 import SWEEP_HITS, SWEEP_N4_DIGEST, WIDE_HITS
 
 WIDE_SLICE_DIGEST = "020d8516178686f228407c0c79f5bf1dc261bb9556f9088de6a8dde436796ba2"
 
 
 def test_n4_sweep_pinned():
-    digest, counts, failed = sweep()
+    digest, counts, failed = sweep(sweep_hits(4, -1, 1, SWEEP_HITS))
     assert failed == 0
     assert counts["certificates"] == 10002
     assert counts["target odd"] == 208 and counts["odd branch"] == 944
@@ -25,7 +26,7 @@ def test_n4_sweep_pinned():
 
 
 def test_n4_wide_slice_pinned():
-    digest, counts, failed = sweep(-2, 2, stride=57, hits=WIDE_HITS)
+    digest, counts, failed = sweep(sweep_hits(4, -2, 2, WIDE_HITS, stride=57))
     assert failed == 0
     assert counts["certificates"] == 2212
     for case in ("target even", "target odd", "source even", "final even", "odd branch"):

@@ -6,6 +6,11 @@ degree-2 classes and block structure, searches bounded graded ring
 isomorphisms, and transforms a given isomorphism by realizable switch and
 twist moves into one preserving the filtration up to the top two stages,
 emitting a replayable certificate.
+
+All arithmetic is exact, in arbitrary-precision integers; every operation
+is pure and no value changes after it is built, so values can be shared
+across threads.  ``BottMatrix``, ``GradedIso`` and ``ReplayResult`` compare
+by value and are not hashable; every other class compares by identity.
 """
 
 from .errors import (

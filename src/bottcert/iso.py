@@ -153,7 +153,7 @@ class GradedIso:
 
 
 def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> GradedIso:
-    """Validate a degree-2 matrix as a graded ring isomorphism.
+    """Validate a degree-2 matrix of plain ints (never coerced) as a graded ring isomorphism.
 
     Checks det C = +-1 and, for every i, that phi(x_i)^2 - phi(alpha_i)phi(x_i)
     = phi(x_i)(phi(x_i) - phi(alpha_i)) reduces to zero over B.

@@ -8,7 +8,8 @@ total space is
 
 and the square-free monomials x_S, S a subset of {1..n}, are an additive
 basis.  A degree-2 class sum t_i x_i is the tuple (t_1, ..., t_n) of its
-plain int coefficients, everywhere in the library; it carries no matrix.
+plain int coefficients, everywhere in the library; it carries no matrix, and
+``moves.twist`` checks a twist's v, the one class that enters from outside.
 This module provides the matrix type, the height of a class in the
 filtration F_k = span{x_1..x_k}, the one product the library needs,
 degree 2 times degree 2, and ``combine``, the one sum of coefficient times
@@ -18,14 +19,12 @@ A graded isomorphism is fixed by its degree-2 matrix and every relation
 x_i^2 = alpha_i x_i lives in degree 4, where the pair monomials x_j x_i
 (j < i) are a basis and the product has a closed form: the coefficient of
 x_j x_i in s*t is s_j t_i + s_i t_j + s_i t_i a_ij.  ``product_is_zero``
-tests it for zero on plain coefficient sequences; ``product_terms`` lists
-its nonzero coefficients, to report a failed relation.  The general-degree
-normal form the kernel is tested against lives in the test suite.
+tests it for zero on plain coefficient sequences, for every relation, twist
+and square-zero check in the library; ``product_terms`` lists its nonzero
+coefficients, to report a failed relation.  The general-degree normal form
+the kernel is tested against lives in the test suite.
 
-All arithmetic is exact (arbitrary precision integers).  Every value is
-immutable after construction and every operation is pure, so everything here
-can be shared freely across threads.  Indices are 1-based in all public
-interfaces.
+Indices are 1-based in all public interfaces.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .errors import RangeError, ShapeError, int_text
 
 
 class BottMatrix:
-    """Strictly lower triangular integer matrix defining a Bott tower."""
+    """Strictly lower triangular integer matrix defining a Bott tower; n and every entry plain ints, never coerced."""
 
     __slots__ = ("n", "rows")
 

@@ -5,7 +5,9 @@ strings beyond that; the writer applies that rule to every plain int it
 writes, so payload builders hand it their rows as they are.  Readers accept
 both forms, take arrays only as JSON lists (no string, object or other
 iterable stands in for one) and reject an object key they do not read;
-``load_json``, the one parser of input text, rejects a repeated key.
+``load_json``, the one parser of input text, rejects a repeated key.  A
+library caller of ``verify_certificate_obj`` passes an object that has
+already lost any repeated key, so there only the key rule applies.
 Writers sort keys and keep arrays in index order: equal values, equal bytes.
 
 The certificate, its one build path ``certificate_from_parts``, its claims

@@ -50,7 +50,7 @@ def decompose_xk(phi: GradedIso, k: int) -> int | None:
     top = img[ell - 1]
     for j in range(k + 1, ell):
         if 2 * img[j - 1] != -top * B.a(ell, j):
-            raise TripwireError(f"coefficient at y_{j} is {img[j - 1]}, expected -eps*b[{ell},{j}]")
+            raise TripwireError(f"coefficient at y_{j} is {int_text(img[j - 1])}, expected -eps*b[{ell},{j}]")
     return ell
 
 

@@ -556,6 +556,14 @@ def sweep(isos) -> tuple[str, Counter, int]:
     return hexdigest, counts, counts.pop("failed")
 
 
+def json_slots(node):
+    """(container, key) of every value inside a JSON value, in pre-order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, val in items:
+        yield node, key
+        yield from json_slots(val)
+
+
 def counting(calls, key, fn):
     """fn, counting its calls in calls[key]."""
     def call(*args):

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import bottcert as bc
 from bottcert import serialize as ser
-from helpers import dense_product, fuzz_base_isos, induced
+from helpers import dense_product, fuzz_base_isos, induced, json_slots
 
 SIDES = ("f_seq", "g_seq")
 BIG = 2**53
@@ -44,14 +44,9 @@ def _slots(obj):
     return [(side, i) for side in SIDES for i in range(len(obj[side]["moves"]))]
 
 
-def _int_slots(node):
-    """(container, key) of every integer in a JSON value."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, val in items:
-        if isinstance(val, int) and not isinstance(val, bool):
-            yield node, key
-        else:
-            yield from _int_slots(val)
+def _int_slots(obj) -> list:
+    """(container, key) of every integer in a JSON value, in pre-order."""
+    return [(node, key) for node, key in json_slots(obj) if type(node[key]) is int]
 
 
 def flip_map_entry(data, obj):
@@ -165,7 +160,7 @@ def test_mutated_certificates(data):
     for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
         mutate(data, obj)
     if data.draw(st.booleans()):
-        slots = list(_int_slots(obj))
+        slots = _int_slots(obj)
         node, key = data.draw(st.sampled_from(slots))
         node[key] = _as_string(data, node[key])
 
@@ -192,6 +187,6 @@ def test_mutated_certificates(data):
 def test_unmutated_certificates_verify(data):
     """Integers rewritten as decimal strings of the same value still verify."""
     obj = copy.deepcopy(BASE[data.draw(st.integers(0, len(BASE) - 1))])
-    for node, key in data.draw(st.lists(st.sampled_from(list(_int_slots(obj))), max_size=6)):
+    for node, key in data.draw(st.lists(st.sampled_from(_int_slots(obj)), max_size=6)):
         node[key] = str(node[key])
     assert ser.verify_certificate_obj(obj) == ser.ReplayResult(True, None)

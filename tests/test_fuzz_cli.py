@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import bottcert as bc
 from bottcert import serialize as ser
 from bottcert.cli import _load, main
-from helpers import moved_partner, sparse_matrix
+from helpers import json_slots, moved_partner, sparse_matrix
 
 HUGE, DEEP = "<huge>", "<deep>"  # written as a 5000-digit JSON number / 10^5 nested lists
 RAW = {f'"{HUGE}"': "9" * 5000, f'"{DEEP}"': "[" * 100_000 + "]" * 100_000}
@@ -64,16 +64,8 @@ JUNK = st.one_of(
 )
 
 
-def _slots(node):
-    """(container, key) of every value inside a JSON value."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, val in items:
-        yield node, key
-        yield from _slots(val)
-
-
 def mutate(data, obj):
-    slots = list(_slots(obj))
+    slots = list(json_slots(obj))
     # an entry moved by one keeps the file readable: most such maps fail make_iso
     op = data.draw(st.sampled_from(OPS))
     if op == "whole" or not slots:

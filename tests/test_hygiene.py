@@ -44,6 +44,11 @@
   other code in the library or the tests loads an attribute named in
   ``NESTING`` (``pytest.raises`` aside), so every other reader walks the
   flat events of ``steps()``.
+* README's tripwire table lists every ``raise TripwireError`` in the
+  library, by its function (or CLI command) and its message's literal
+  pieces; each row lists one, and each test a row names exists.
+* README's tour, under "Modules", is one single-line bullet per module of
+  ``IMPORT_ORDER``, in that order, so the module docstrings hold the rest.
 
 Each text is read and parsed once per session, and one walker, ``scoped``,
 gives every check that needs it a node's scope.
@@ -59,6 +64,7 @@ from pathlib import Path
 import pytest
 
 import bottcert as bc
+from bottcert.cli import COMMANDS
 from helpers import trace_isos
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -937,3 +943,145 @@ def test_detects_nesting_reads():
     # the exemption is the one method: the same walk under another name is flagged
     renamed = nesting_reads({"stabilize": LIBRARY["stabilize"].replace("def steps(", "def walk(")})
     assert renamed and {read.partition(":")[0] for read in renamed} == {"stabilize.StabilizeTrace.walk"}
+
+
+def tripwire_sites(library: dict) -> list[tuple]:
+    """Each ``raise TripwireError(...)`` of ``library`` (a module's name to its text) as ``module:line``, the
+    places a table row may name it by, and the literal pieces of its message in order (None when the message
+    is no string literal).  Its places are the functions around it and, for a CLI handler, ``cli <command>``."""
+    commands = {handler.__name__: name for name, (*_, handler) in COMMANDS.items()}
+    sites = []
+    for module, text in library.items():
+        for node, qual, _ in scoped(parse(text), module):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and name_of(node.exc.func) == "TripwireError"):
+                continue
+            places = set(qual.split(".")[1:])
+            places |= {f"cli {commands[f]}" for f in places if module == "cli" and f in commands}
+            message = node.exc.args[0]
+            if isinstance(message, ast.JoinedStr):
+                pieces = [v.value for v in message.values if isinstance(v, ast.Constant)]
+            else:
+                pieces = [message.value] if isinstance(message, ast.Constant) else None
+            sites.append((f"{module}:{node.lineno}", places, pieces))
+    return sites
+
+
+def tripwire_rows(readme: str) -> list[tuple]:
+    """The rows of README's table under "Tripwires", each as its line, the text its "Where" quotes, its
+    "Message" and the tests its "Test that plants it" quotes; a row that is not four cells has no "Where"."""
+    section = readme.partition("\n## Tripwires\n")[2].partition("\n## ")[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            where, message, _, tests = cells if len(cells) == 4 else (None, "", "", "")
+            rows.append((line, where and where.strip("`"), message, re.findall(r"`([^`]+)`", tests)))
+    return rows
+
+
+def defines_test(ref: str, tests: dict) -> bool:
+    """Whether ``tests`` (a module's name to its text) defines the test ``ref`` names, ``[file.py::]name[::name]``:
+    in ``test_stabilize.py`` unless a file is named, with ``Planted`` for its ``TestPlantedTripwires``."""
+    parts = ref.split("::")
+    module = parts.pop(0).removesuffix(".py") if parts[0].endswith(".py") else "test_stabilize"
+    name = ".".join("TestPlantedTripwires" if part == "Planted" else part for part in parts)
+    return module in tests and name in definitions(parse(tests[module]))
+
+
+def tripwire_table_breaks(library: dict, readme: str, tests: dict) -> dict:
+    """Where README's tripwire table and the ``raise TripwireError`` sites of ``library`` disagree: the sites
+    that no row lists, the rows that list no site, and the tests a row names that ``tests`` does not define.
+
+    A row lists a site when its "Where" is one of the site's places and its
+    "Message" holds the message's literal pieces in order, its head first; a
+    message that is no literal, such as ``r.diagnostic``, is listed by its
+    place alone.
+    """
+    sites, rows = tripwire_sites(library), tripwire_rows(readme)
+
+    def lists(row, site) -> bool:
+        (_, where, message, _), (_, places, pieces) = row, site
+        at = 0
+        for piece in pieces or ():
+            if (at := message.find(piece, at)) < 0:
+                return False
+            at += len(piece)
+        return where in places
+
+    return {
+        "unlisted sites": [site[0] for site in sites if not any(lists(row, site) for row in rows)],
+        "rows without a site": [row[0] for row in rows if not any(lists(row, site) for site in sites)],
+        "missing tests": [ref for row in rows for ref in row[3] if not defines_test(ref, tests)],
+    }
+
+
+def test_tripwire_table_lists_every_raise():
+    assert tripwire_sites(LIBRARY)
+    assert tripwire_table_breaks(LIBRARY, README, TESTS) == {
+        "unlisted sites": [], "rows without a site": [], "missing tests": []}
+
+
+def test_detects_tripwire_table_breaks():
+    library = {"guard": (
+        "def check(x, r):\n"
+        "    if x:\n        raise TripwireError(f'entry {x} must vanish, not {x + 1}')\n"
+        "    def inner():\n        raise errors.TripwireError('inner check failed')\n"
+        "    raise TripwireError(r.diagnostic)\n"
+        "def unlisted():\n    raise TripwireError('nobody lists me')\n"
+        "def domain():\n    raise ShapeError('not a tripwire')\n"
+    )}
+    rows = [
+        "| `check` | entry j must vanish, not … | a bug | `Planted::test_image_inside_F_k` |",
+        "| `inner` | inner check failed | a bug | `test_cli.py::test_failed_self_check_is_a_tripwire` |",
+        "| `unlisted` | me lists nobody | its pieces out of order | `TestKeepBelow` |",
+        "| `gone` | a check that was deleted | a bug | `Planted::test_gone`, `test_nowhere.py::test_x` |",
+        "| `check` | a row of three cells | `TestKeepBelow` |",
+    ]
+    table = "\n## Tripwires\n\n| Where | Message | Bug it guards | Test that plants it |\n|---|---|---|---|\n"
+    table += "\n".join(rows) + "\n\n## Next\n\n"
+    table += "| `unlisted` | nobody lists me | outside the section | `TestKeepBelow` |\n"
+    assert tripwire_table_breaks(library, table, TESTS) == {
+        "unlisted sites": ["guard:8"],
+        "rows without a site": rows[2:],
+        "missing tests": ["Planted::test_gone", "test_nowhere.py::test_x"],
+    }
+    # the CLI's row names the command whose handler raises, or the handler itself
+    line = next(site for site, places, _ in tripwire_sites(LIBRARY) if "cli stabilize" in places)
+    for where, unlisted in (("cli verify-cert", [line]), ("_cmd_stabilize", [])):
+        readme = README.replace("| `cli stabilize` |", f"| `{where}` |")
+        assert readme != README
+        assert tripwire_table_breaks(LIBRARY, readme, TESTS)["unlisted sites"] == unlisted
+
+
+def tour(readme: str) -> list[str] | None:
+    """The modules README's tour lists, in order.  The section "Modules" must be one line of text and then one
+    single-line bullet per module, each linking its file; None when it has any other shape."""
+    section = readme.partition("\n## Modules\n")[2].partition("\n## ")[0]
+    lines = [line for line in section.splitlines() if line]
+    bullets = [re.fullmatch(r"- \[`bottcert\.(\w+)`\]\(src/bottcert/(\w+)\.py\): \S.*", line) for line in lines[1:]]
+    if not lines or lines[0].startswith(("-", " ")) or not all(b and b[1] == b[2] for b in bullets):
+        return None
+    return [b[1] for b in bullets]
+
+
+def test_readme_tour_is_one_line_per_module():
+    assert tour(README) == list(IMPORT_ORDER)
+
+
+def test_detects_a_tour_that_grows():
+    line = "- [`bottcert.{0}`](src/bottcert/{0}.py): its job.\n"
+    good = "\n## Modules\n\nOne line per module.\n\n" + line.format("ring") + line.format("iso") + "\n## Next\n"
+    assert tour(good) == ["ring", "iso"]
+    assert tour(good.replace("its job.\n", "its job,\n  and a second line.\n", 1)) is None
+    assert tour(good.replace("\n## Next", "A paragraph that restates a docstring.\n\n## Next")) is None
+    assert tour(good.replace("- [", "  - [", 1)) is None
+    assert tour(good.replace("(src/bottcert/iso.py)", "(src/bottcert/ring.py)")) is None
+    assert tour(good.replace("One line per module.\n", "")) is None
+    assert tour(good.replace("Modules", "Tour")) is None
+    # a module left out, or two swapped, shows against IMPORT_ORDER
+    moves, structure = (next(x for x in README.splitlines() if x.startswith(f"- [`bottcert.{m}`]"))
+                        for m in ("moves", "structure"))
+    assert tour(README.replace(moves + "\n", "")) == [m for m in IMPORT_ORDER if m != "moves"]
+    swapped = README.replace(moves, "<>").replace(structure, moves).replace("<>", structure)
+    assert tour(swapped)[3:5] == ["structure", "moves"]

@@ -499,7 +499,8 @@ class TestPlantedTripwires:
     or ``_odd_branch``, or a monkeypatched helper runs inside
     ``stabilize_full``, where the ``no_claims`` fixture checks that the
     tripwire fires before ``check_claims``.  TestMoveTripwires, TestKeepBelow
-    and TestTermination plant the others; README lists them all.
+    and TestTermination plant the others; README's table lists them all, and
+    ``test_hygiene`` ties it to the raises and the tests.
     """
 
     def test_image_inside_F_k(self):
@@ -512,6 +513,13 @@ class TestPlantedTripwires:
         # x_1 goes to y_2 + y_3 over the zero matrix: a class of height 3 with a y_2 term is no multiple of a frame
         phi = bc.GradedIso(ZERO3, ZERO3, ((0, 1, 1), (1, 0, 0), (0, 0, 1)))
         with pytest.raises(bc.TripwireError, match=r"^coefficient at y_2 is 1, expected -eps\*b\[3,2\]$"):
+            bc.decompose_xk(phi, 0)
+
+    def test_image_off_its_frame_past_the_digit_limit(self):
+        # the same check with a coefficient at y_2 too long for str(): its message prints it through int_text
+        phi = bc.GradedIso(ZERO3, ZERO3, ((0, BIG, 2), (1, 0, 0), (0, 1, 0)))
+        message = rf"^coefficient at y_2 is {re.escape(BITS)}, expected -eps\*b\[3,2\]$"
+        with pytest.raises(bc.TripwireError, match=message):
             bc.decompose_xk(phi, 0)
 
     def test_source_row_the_map_does_not_respect(self):

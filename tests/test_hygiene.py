@@ -1002,12 +1002,14 @@ def tripwire_table_breaks(library: dict, readme: str, tests: dict) -> dict:
 
     def lists(row, site) -> bool:
         (_, where, message, _), (_, places, pieces) = row, site
+        if where not in places:
+            return False
         at = 0
         for piece in pieces or ():
             if (at := message.find(piece, at)) < 0:
                 return False
             at += len(piece)
-        return where in places
+        return True
 
     return {
         "unlisted sites": [site[0] for site in sites if not any(lists(row, site) for row in rows)],

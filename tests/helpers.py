@@ -1,18 +1,33 @@
-"""Shared generators and independent oracles for the test suite.
+"""Shared generators and independent judges for the test suite.
 
-The oracles deliberately avoid the production code paths they check.
-``square_zero_bruteforce`` enumerates a coefficient box against the
-degree-2 product, with none of the closed-form classification it checks.
-``reduce_oracle`` is the suite's only general-degree ring: it brings any
-polynomial to normal form on the square-free monomials, substituting the
-smallest repeated index first, and ``oracle_product`` and ``oracle_apply``
-build on it; the library itself has only the degree-4 closed form.  The
-raw isomorphism search enumerates full coefficient boxes with no structural
-pruning and checks relations with the oracle.  ``reference_make_iso`` is
-``make_iso`` without its closed form for signed unit rows, and
-``reference_search_isos`` is ``search_isos`` without its completions memo.
-``induced`` writes a move's map as a plain identity matrix with two rows
-swapped or v added to a row, apart from ``rebuild`` and the folds.
+Each helper has one role.  The generators draw or enumerate inputs.  The
+two that filter a box of candidates filter with the library's one
+degree-2 product kernel, ``bc.product_is_zero``: ``square_zero_bruteforce``
+keeps every z with z^2 = 0, with none of the closed-form classification it
+checks, and ``admissible_twists`` keeps every v of height < j with
+v(beta_j - v) = 0, in box order.  ``nonzero_twists``, ``scrambled_iso``
+and ``moved_partner`` draw from it; ``rationally_trivial`` uses the same
+kernel.
+
+The judges deliberately avoid the production code paths they check, and no
+generator calls them.  ``reduce_oracle`` is the suite's only general-degree
+ring: it brings any polynomial to normal form on the square-free monomials,
+substituting the smallest repeated index first, and ``oracle_product`` and
+``oracle_apply`` build on it; the library itself has only the degree-4
+closed form.  ``fraction_det`` and ``fraction_inverse`` are the
+determinant and the inverse in exact fractions.  ``raw_iso_search``
+enumerates full coefficient boxes with no structural pruning and checks
+relations with the oracle.  ``reference_make_iso`` is ``make_iso`` without
+its closed form for signed unit rows, and ``reference_search_isos`` is
+``search_isos`` without its completions memo.  ``induced`` writes a move's
+map as a plain identity matrix with two rows swapped or v added to a row,
+and ``dense_product`` multiplies such maps, apart from ``rebuild`` and the
+folds.
+``test_moves.py::TestTwist::test_sampler_and_twist_agree_with_the_oracle``
+holds the kernel-filtered sampler to the oracle: over every v of a box it
+requires that ``admissible_twists`` keeps v, that the oracle finds
+v(beta_j - v) = 0 and that ``bc.twist`` accepts v, all three or none.
+
 ``_records`` writes a run as the lines the pinned traces hash, one per
 event of ``StabilizeTrace.steps()``, and ``sweep`` is the one driver of
 the pinned sweeps.
@@ -45,7 +60,6 @@ def sparse_matrix(rng, n, mag, p_zero=0.6):
     )
 
 
-
 def rationally_trivial(rng, n):
     """A matrix with a zero row below the first, every alpha_i squaring to zero."""
     while True:
@@ -53,9 +67,10 @@ def rationally_trivial(rng, n):
         z = rng.randint(2, n - 1)
         rows[z - 1] = [0] * (z - 1)
         A = bc.BottMatrix(n, rows)
-        alphas = [class_terms(A.alpha(i)) for i in range(1, n + 1)]
-        if any(map(any, A.rows)) and not any(oracle_product(A, a, a) for a in alphas):
+        alphas = [A.alpha(i) for i in range(1, n + 1)]
+        if any(map(any, A.rows)) and all(bc.product_is_zero(A, a, a) for a in alphas):
             return A
+
 
 def rand_class(rng, A, mag):
     return tuple(rng.randint(-mag, mag) for _ in range(A.n))
@@ -69,20 +84,8 @@ def square_zero_bruteforce(A, bound):
     """
     if bound < 0:
         raise bc.RangeError(f"bound must be >= 0, got {bound}")
-    out = []
-    coeffs = [-bound] * A.n
-    if bound == 0:
-        return out
-    while True:
-        if any(coeffs) and bc.product_is_zero(A, coeffs, coeffs):
-            out.append(tuple(coeffs))
-        pos = A.n - 1
-        while pos >= 0 and coeffs[pos] == bound:
-            coeffs[pos] = -bound
-            pos -= 1
-        if pos < 0:
-            return out
-        coeffs[pos] += 1
+    box = itertools.product(range(-bound, bound + 1), repeat=A.n)
+    return [z for z in box if any(z) and bc.product_is_zero(A, z, z)]
 
 
 def reduce_oracle(raw, A):
@@ -396,9 +399,19 @@ def admissible_twists(M, j, mag):
     out = []
     for tail in itertools.product(range(-mag, mag + 1), repeat=j - 1):
         v = tail + (0,) * (M.n - j + 1)
-        if not oracle_product(M, class_terms(v), class_terms([a - t for a, t in zip(M.alpha(j), v)])):
+        if bc.product_is_zero(M, v, [a - t for a, t in zip(M.alpha(j), v)]):
             out.append(v)
     return out
+
+
+def nonzero_twists(M, j, mag):
+    """``admissible_twists`` without the zero vector."""
+    return [v for v in admissible_twists(M, j, mag) if any(v)]
+
+
+def free_switches(M):
+    """The positions j at which M allows a switch: a_{j+1,j} = 0."""
+    return [j for j in range(1, M.n) if M.a(j + 1, j) == 0]
 
 
 def lift_chain(phi, tgt_side, i, t):
@@ -425,7 +438,7 @@ def scrambled_iso(rng, A, rounds, twist_mag=2):
             phi = lift_chain(phi, tgt_side, i, rng.randint(i + 1, M.n))
         else:
             j = rng.randint(1, M.n)
-            vs = [v for v in admissible_twists(M, j, twist_mag) if any(v)]
+            vs = nonzero_twists(M, j, twist_mag)
             if vs:
                 mv = move_iso(M, ("twist", j, rng.choice(vs)))
                 phi = compose_dense(mv, phi) if tgt_side else compose_dense(phi, bc.invert(mv))
@@ -437,12 +450,12 @@ def moved_partner(rng, A, count, twist_mag=1):
     M = A
     for _ in range(count):
         if rng.random() < 0.5:
-            js = [j for j in range(1, M.n) if M.a(j + 1, j) == 0]
+            js = free_switches(M)
             if js:
                 M = bc.switch(M, rng.choice(js))
                 continue
         j = rng.randint(1, M.n)
-        vs = [v for v in admissible_twists(M, j, twist_mag) if any(v)]
+        vs = nonzero_twists(M, j, twist_mag)
         if vs:
             M = bc.twist(M, j, rng.choice(vs))
     return M

@@ -15,13 +15,14 @@ import bottcert as bc
 from bottcert.cli import main as cli_main
 from bottcert.serialize import dumps_canonical
 from helpers import (
-    admissible_twists,
     block_map,
     dense_product,
+    free_switches,
     hirzebruch,
     identity,
     induced,
     moved_partner,
+    nonzero_twists,
     rand_matrix,
     raw_iso_search,
     scrambled_iso,
@@ -110,7 +111,7 @@ def test_c4_move_soundness():
     while switches + twists < 500:
         B = rand_matrix(rng, rng.randint(2, 6), 3)
         if rng.random() < 0.5:
-            js = [j for j in range(1, B.n) if B.a(j + 1, j) == 0]
+            js = free_switches(B)
             if not js:
                 continue
             j = rng.choice(js)
@@ -122,7 +123,7 @@ def test_c4_move_soundness():
             switches += 1
         else:
             j = rng.randint(1, B.n)
-            vs = [v for v in admissible_twists(B, j, 2) if any(v)]
+            vs = nonzero_twists(B, j, 2)
             if not vs:
                 continue
             v = rng.choice(vs)

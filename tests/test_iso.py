@@ -13,7 +13,6 @@ import bottcert as bc
 from bottcert import iso
 from bottcert.iso import int_det, int_inverse
 from helpers import (
-    admissible_twists,
     block_map,
     class_terms,
     compose_dense,
@@ -21,10 +20,12 @@ from helpers import (
     dense_product,
     fraction_det,
     fraction_inverse,
+    free_switches,
     hirzebruch,
     identity,
     induced,
     moved_partner,
+    nonzero_twists,
     oracle_apply,
     oracle_product,
     rand_class,
@@ -92,7 +93,7 @@ def gate_outcome(fn, A, B, C):
 
 def switch_map(rng, A):
     """A random switch's (after, map) from A, or None when no switch is allowed."""
-    js = [j for j in range(1, A.n) if A.a(j + 1, j) == 0]
+    js = free_switches(A)
     if not js:
         return None
     j = rng.choice(js)
@@ -102,7 +103,7 @@ def switch_map(rng, A):
 def twist_map(rng, A):
     """A random nonzero twist's (j, after, map) from A with |v_t| <= 1 and j <= 4, or None."""
     j = rng.randint(2, min(A.n, 4))
-    vs = [v for v in admissible_twists(A, j, 1) if any(v)]
+    vs = nonzero_twists(A, j, 1)
     if not vs:
         return None
     v = rng.choice(vs)

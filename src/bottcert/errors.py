@@ -3,11 +3,14 @@
 Domain errors signal bad input or an unsatisfiable request; each type tells
 a caller what was wrong with the input.  Bad data raises one where it
 arises (a message prints its ints with ``int_text``, which cannot raise), so
-any other exception is a library bug.  ``TripwireError`` signals that a
-runtime consistency check failed which, for valid inputs, is mathematically
-guaranteed to hold; seeing one means an implementation bug, never a
-property of the data.  It has no subclasses: its message names the check,
-and whether a ``raise`` is a tripwire can be read from its syntax.
+any other exception is a library bug.  Each index a caller passes (a move's
+position, a cut, a level, a stability index) goes through ``index``, which
+takes only a plain int in its range, never a bool, a float or an int
+subclass.  ``TripwireError`` signals that a runtime consistency check failed
+which, for valid inputs, is mathematically guaranteed to hold; seeing one
+means an implementation bug, never a property of the data.  It has no
+subclasses: its message names the check, and whether a ``raise`` is a
+tripwire can be read from its syntax.
 """
 
 
@@ -21,6 +24,15 @@ def int_text(x) -> str:
             return f"{'-' * (x < 0)}<int of {x.bit_length()} bits>"
         inner = ", ".join(map(int_text, x))
         return f"[{inner}]" if isinstance(x, list) else f"({inner}{',' * (len(x) == 1)})"
+
+
+def index(x, lo: int, hi: int, what: str) -> int:
+    """x, when it is a plain int in lo..hi; otherwise a ShapeError (not an int) or a RangeError naming it as what."""
+    if type(x) is not int:
+        raise ShapeError(f"{what} {int_text(x)} is not an integer")
+    if not lo <= x <= hi:
+        raise RangeError(f"{what} {int_text(x)} outside {lo}..{hi}")
+    return x
 
 
 class BottError(Exception):

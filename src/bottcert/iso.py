@@ -55,7 +55,7 @@ from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, neg, sub
 
-from .errors import NotUnimodular, RelationViolated, ShapeError, int_text
+from .errors import NotUnimodular, RelationViolated, ShapeError, index, int_text
 from .ring import BottMatrix, combine, product_is_zero, product_terms, two_x_minus_alpha
 
 
@@ -136,9 +136,9 @@ class GradedIso:
         return tuple(combine(c, self.C, (0,) * n))
 
     def is_k_stable(self, k: int) -> bool:
-        """Whether phi(F_k) lands in F_k, i.e. rows <= k have support <= k."""
+        """Whether phi(F_k) lands in F_k, i.e. rows <= k have support <= k, for k in 0..n."""
         n = self.source.n
-        return all(self.C[i][j] == 0 for i in range(k) for j in range(k, n))
+        return all(self.C[i][j] == 0 for i in range(index(k, 0, n, "stability index")) for j in range(k, n))
 
     def __eq__(self, other) -> bool:
         return (

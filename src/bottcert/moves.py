@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import RangeError, ShapeError, SwitchBlocked, TwistInvalid, int_text
+from .errors import ShapeError, SwitchBlocked, TwistInvalid, index, int_text
 from .iso import make_iso
 from .ring import BottMatrix, combine, height, product_is_zero
 
@@ -52,10 +52,7 @@ def _apply(B: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
 def switch(B: BottMatrix, j: int) -> BottMatrix:
     """B with adjacent stages j and j+1 exchanged; requires a plain int j and b_{j+1,j} = 0."""
     n = B.n
-    if type(j) is not int:
-        raise ShapeError(f"move position {int_text(j)} is not an integer")
-    if not 1 <= j < n:
-        raise RangeError(f"switch position {int_text(j)} outside 1..{n - 1}")
+    index(j, 1, n - 1, "switch position")
     if B.a(j + 1, j) != 0:
         raise SwitchBlocked(f"entry ({j + 1},{j}) is {int_text(B.a(j + 1, j))}, must be 0")
 
@@ -70,15 +67,12 @@ def switch(B: BottMatrix, j: int) -> BottMatrix:
 def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
     """B with row j (a plain int) replaced by beta_j - 2v, for v (n plain ints) in F_{j-1} with v(beta_j - v) = 0."""
     n = B.n
-    if type(j) is not int:
-        raise ShapeError(f"move position {int_text(j)} is not an integer")
+    index(j, 1, n, "twist position")
     if len(v) != n:
         raise ShapeError(f"expected {n} coefficients, got {len(v)}")
     for t in v:
         if type(t) is not int:
             raise ShapeError(f"coefficient {int_text(t)} is not an integer")
-    if not 1 <= j <= n:
-        raise RangeError(f"twist position {int_text(j)} outside 1..{n}")
     h = height(v)
     if h >= j:
         raise TwistInvalid(f"v has height {h}, needs < {j}")

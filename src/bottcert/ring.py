@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd
 
-from .errors import RangeError, ShapeError, int_text
+from .errors import ShapeError, index, int_text
 
 
 class BottMatrix:
@@ -66,17 +66,13 @@ class BottMatrix:
 
     def a(self, i: int, j: int) -> int:
         """Entry a_ij; zero for j >= i (strict lower triangularity)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise RangeError(f"index ({int_text(i)}, {int_text(j)}) outside 1..{self.n}")
-        if j >= i:
+        if index(i, 1, self.n, "index") <= index(j, 1, self.n, "index"):
             return 0
         return self.rows[i - 1][j - 1]
 
     def alpha(self, i: int) -> tuple[int, ...]:
         """Row i as the degree-2 class alpha_i = sum_{j<i} a_ij x_j."""
-        if not 1 <= i <= self.n:
-            raise RangeError(f"row {int_text(i)} outside 1..{self.n}")
-        return self.rows[i - 1] + (0,) * (self.n - i + 1)
+        return self.rows[index(i, 1, self.n, "row") - 1] + (0,) * (self.n - i + 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BottMatrix) and self.rows == other.rows
@@ -145,9 +141,7 @@ def product_terms(A: BottMatrix, s, t) -> dict[tuple[int, int], int]:
 
 def two_x_minus_alpha(A: BottMatrix, i: int) -> tuple[int, ...]:
     """The class 2x_i - alpha_i, whose square equals alpha_i^2."""
-    if not 1 <= i <= A.n:
-        raise RangeError(f"generator index {int_text(i)} outside 1..{A.n}")
-    return tuple(-a for a in A.rows[i - 1]) + (2,) + (0,) * (A.n - i)
+    return tuple(-a for a in A.rows[index(i, 1, A.n, "generator index") - 1]) + (2,) + (0,) * (A.n - i)
 
 
 def primitive_part(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -160,6 +154,5 @@ def primitive_part(c: tuple[int, ...]) -> tuple[int, ...]:
 
 def sub_bar(A: BottMatrix, k: int) -> BottMatrix:
     """Lower-right (n-k) x (n-k) submatrix (the fiber of the cut at k); A itself at k = 0."""
-    if not 0 <= k < A.n:
-        raise RangeError(f"cut {int_text(k)} outside 0..{A.n - 1}")
+    index(k, 0, A.n - 1, "cut")
     return A if k == 0 else BottMatrix._derived(A.n - k, tuple(A.rows[i][k:] for i in range(k, A.n)))

@@ -18,7 +18,7 @@ Degree-2 classes (images, w, u, a twist's v) are tuples of n coefficients.
 
 from __future__ import annotations
 
-from .errors import BottError, RangeError, TripwireError, int_text
+from .errors import BottError, RangeError, TripwireError, index, int_text
 from .iso import GradedIso, invert, max_stable
 from .moves import MoveSeq, _apply, _then, invert_move
 from .ring import height, product_is_zero
@@ -35,10 +35,7 @@ def decompose_xk(phi: GradedIso, k: int) -> int | None:
     coefficient at y_l.  That makes the image w + eps(2y_l - trunc(beta_l))
     with w its F_k part.  A mismatch raises a TripwireError.
     """
-    n = phi.source.n
-    if not 0 <= k < n:
-        raise RangeError(f"stability index {int_text(k)} outside 0..{n - 1}")
-    if not phi.is_k_stable(k):
+    if not phi.is_k_stable(index(k, 0, phi.source.n - 1, "stability index")):
         raise RangeError(f"isomorphism is not {k}-stable")
     img = phi.C[k]
     ell = height(img)

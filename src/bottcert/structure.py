@@ -17,7 +17,7 @@ levels; ``extract_sigma_eps`` reads that permutation off a map and checks it.
 
 from __future__ import annotations
 
-from .errors import BottError, RangeError, TripwireError, int_text
+from .errors import BottError, TripwireError, index, int_text
 from .iso import GradedIso
 from .moves import _apply
 from .ring import (
@@ -128,8 +128,7 @@ def blocks_at(T: DecompositionTower, lev: int) -> tuple[tuple[int, ...], ...]:
     sorted and the blocks come in order of their smallest member, as r
     ascends.
     """
-    if not 1 <= lev <= T.stages:
-        raise RangeError(f"level {int_text(lev)} outside 1..{T.stages}")
+    index(lev, 1, T.stages, "level")
     k = T.dims[lev - 2] if lev >= 2 else 0
     hi = T.dims[lev - 1]
     fiber = sub_bar(T.base, k)
@@ -143,8 +142,7 @@ def blocks_at(T: DecompositionTower, lev: int) -> tuple[tuple[int, ...], ...]:
 def same_block(T: DecompositionTower, i: int, j: int) -> bool:
     """Whether the generators x_i and x_j of the matrix T decomposes share both level and block."""
     for x in (i, j):
-        if not 1 <= x <= T.base.n:
-            raise RangeError(f"index {int_text(x)} outside 1..{T.base.n}")
+        index(x, 1, T.base.n, "index")
     lev = T.levels[i]
     if lev != T.levels[j]:
         return False

@@ -208,6 +208,8 @@ ONLY_CALLED_FROM = {
     # function pauses it without its own measured case
     "gc.disable": {"iso.search_isos"},
     "gc.enable": {"iso.search_isos"},
+    # errors.index holds the index rule, so no module restates a range check; decompose_xk's is of the map, not a range
+    "errors.RangeError": {"errors.index", "stabilize.decompose_xk"},
 }
 # the rows whose callee bench/ must not call either: its workloads build matrices through validation
 BENCH_ROWS = {"ring.BottMatrix._derived"}
@@ -321,8 +323,8 @@ TRUSTED = {
     # the matrix, the sum of rows and the degree-4 product
     "ring.BottMatrix.__init__", "ring.BottMatrix._derived", "ring.BottMatrix.a", "ring.BottMatrix.__eq__",
     "ring.BottMatrix.__repr__", "ring.height", "ring.combine", "ring.product_is_zero", "ring.product_terms",
-    # a failed relation's message, and its ints
-    "errors.RelationViolated.__init__", "errors.int_text",
+    # a failed relation's message, its ints, and the index rule of a move's position and a matrix's entry
+    "errors.RelationViolated.__init__", "errors.int_text", "errors.index",
 }
 
 

@@ -511,6 +511,9 @@ class TestFrameIdentity:
 class TestScalarPairs:
     """The rows of e and -e, which the search solves and relation-checks as one pair."""
 
+    # an entry p of phi(alpha) in -6..6, by the parity e*f + 2p = 0 mod 4 asks of it: any p when e*f is odd
+    ENTRY = {None: st.integers(-6, 6), 0: st.sampled_from(range(-6, 7, 2)), 1: st.sampled_from(range(-5, 6, 2))}
+
     @settings(max_examples=600, derandomize=True, deadline=None, database=None)
     @given(st.data())
     def test_rows_of_plus_minus_e_share_their_relation(self, data):
@@ -520,9 +523,7 @@ class TestScalarPairs:
         e = 1 << data.draw(st.integers(0, 3))
         frame = [-b for b in B.rows[m]] + [2] + [0] * (n - 1 - m)
         # phi(alpha) in -6..6, each entry of the parity that makes r_e integral when any does
-        phi_alpha = [
-            data.draw(st.integers(-6, 6).filter(lambda p, f=f: (e * f + 2 * p) % 4 == 0 or e * f % 2)) for f in frame
-        ]
+        phi_alpha = [data.draw(self.ENTRY[None if e * f % 2 else e * f // 2 % 2]) for f in frame]
         rows = {}
         for s in (e, -e):
             quotients, rems = zip(*(divmod(s * f + 2 * p, 4) for f, p in zip(frame, phi_alpha)))
@@ -678,7 +679,10 @@ class TestSearch:
             try:
                 hits = sum(len(bc.search_isos(A, B, bound)) for A, B, bound in cases)
             finally:
-                sys.setprofile(before)
+                if before is None or callable(before):
+                    sys.setprofile(before)
+                else:  # a C-level profiler, such as cProfile's: getprofile returns its object, which enable reinstalls
+                    before.enable()
             return calls[0], hits
 
         assert counted([(zero_matrix(5), zero_matrix(5), 1)]) == (151, 3840)

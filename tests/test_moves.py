@@ -174,29 +174,23 @@ class TestMoveParameters:
         with pytest.raises(bc.ShapeError, match="^expected 3 coefficients, got 1$"):
             bc.twist(bc.BottMatrix(3, [[], [0], [0, 0]]), 3, (1,))
 
-    @pytest.mark.parametrize("j", [True, 1.0, 2.0])
-    def test_position_must_be_a_plain_int(self, j):
-        message = f"^move position {re.escape(repr(j))} is not an integer$"
-        builds = [
-            lambda: bc.switch(ZERO3, j),
-            lambda: bc.MoveSeq.build(ZERO3, [("switch", j, None)]),
-            lambda: bc.twist(ZERO3, j, (0, 0, 0)),
-            lambda: bc.MoveSeq.build(ZERO3, [("twist", j, (0, 0, 0))]),
-        ]
-        for build in builds:
-            with pytest.raises(bc.ShapeError, match=message):
-                build()
-
     def test_parameters_before_range_height_and_product(self):
-        # the position is checked first, then v's length, then each entry, then the range,
+        # the position is checked first, its type then its range, then v's length, then each entry, then
         # the height and the product
-        with pytest.raises(bc.ShapeError, match="^move position 9.0 is not an integer$"):
+        with pytest.raises(bc.ShapeError, match=r"^twist position 9\.0 is not an integer$"):
             bc.twist(ZERO3, 9.0, (1.5,))
-        with pytest.raises(bc.ShapeError, match="^expected 3 coefficients, got 1$"):
+        with pytest.raises(bc.RangeError, match=r"^twist position 9 outside 1\.\.3$"):
             bc.twist(ZERO3, 9, (1.5,))
-        with pytest.raises(bc.ShapeError, match="^coefficient 1.5 is not an integer$"):
-            bc.twist(ZERO3, 9, (1, 1.5, 0))
-        with pytest.raises(bc.ShapeError, match="^move position 0.0 is not an integer$"):
+        with pytest.raises(bc.ShapeError, match="^expected 3 coefficients, got 1$"):
+            bc.twist(ZERO3, 3, (1.5,))
+        with pytest.raises(bc.ShapeError, match=r"^coefficient 1\.5 is not an integer$"):
+            bc.twist(ZERO3, 3, (3, 1.5, 0))
+        with pytest.raises(bc.TwistInvalid, match="^v has height 3, needs < 3$"):
+            bc.twist(ZERO3, 3, (3, 0, 1))
+        # x_2^2 = x_1 x_2 here, so v = x_2 has v(beta_3 - v) = -x_1 x_2
+        with pytest.raises(bc.TwistInvalid, match=r"^v\(beta_j - v\) != 0 for v=\[0, 1, 0\]$"):
+            bc.twist(bc.BottMatrix(3, [[], [1], [0, 0]]), 3, (0, 1, 0))
+        with pytest.raises(bc.ShapeError, match=r"^switch position 0\.0 is not an integer$"):
             bc.switch(ZERO3, 0.0)
 
     def test_returned_matrices_revalidate(self):

@@ -857,20 +857,14 @@ def integer_variants(cert):
 
 
 class TestIntegerGate:
-    """The in-memory gate takes a tower height, a move's j and k_final only as
-    plain ints, as the JSON reader does, so a value never verifies in memory
-    and fails as text."""
+    """The in-memory gate takes a tower height, a move's j (``test_index_rule``'s
+    rebuild rows) and k_final only as plain ints, as the JSON reader does, so a
+    value never verifies in memory and fails as text."""
 
     @pytest.mark.parametrize("n, rows", [(True, [[]]), (2.0, [[], [1]])], ids=["bool", "float"])
     def test_height_must_be_a_plain_int(self, n, rows):
         with pytest.raises(bc.ShapeError, match=f"^tower height {n!r} is not an integer$"):
             bc.BottMatrix(n, rows)
-
-    def test_position_must_be_a_plain_int(self):
-        with pytest.raises(bc.ShapeError, match="^move position True is not an integer$"):
-            bc.rebuild(ZERO2, [("switch", True, None)])
-        with pytest.raises(bc.ShapeError, match=r"^move position 2\.0 is not an integer$"):
-            bc.rebuild(hirzebruch(3), [("twist", 2.0, (1, 0))])
 
     def test_k_final_must_be_a_plain_int(self):
         cert = bc.stabilize_full(even_case_fixture())
@@ -922,7 +916,7 @@ IN_MEMORY_PROBES = {
                                  f"v(beta_j - v) != 0 for v=[{BITS}, 0, 0, 0]"),
     "k_final 10**5000": (lambda c: with_parts(c, k_final=BIG), f"claimed k_final {BITS}, recomputed 4"),
     "k_final an Int 10**5000": (lambda c: with_parts(c, k_final=Int(BIG)), f"k_final {BITS} is not an integer"),
-    "j an Int 10**5000": (lambda c: g_moves(c, (("switch", Int(BIG), None),)), f"move position {BITS} is not an"),
+    "j an Int 10**5000": (lambda c: g_moves(c, (("switch", Int(BIG), None),)), f"switch position {BITS} is not an"),
     "kind 10**5000": (lambda c: g_moves(c, ((BIG, 1, None),)), f"unknown move kind {BITS}"),
     "phi's entry 10**5000": (lambda c: phi_rows(c, ((BIG, 0, 0, 0),) + c.phi.C[1:]), f"det is not +-1 for (({BITS}, 0"),
 }
@@ -962,17 +956,51 @@ def test_in_memory_checks_keep_their_order():
     assert res == bc.ReplayResult(False, "certificate data invalid: a row of a map is not a tuple")
 
 
-# each call that prints an int argument in its message, with the error its bad value raises and the value as printed
+# each index a caller passes, as a call that passes x as that index, with its name in a message and its range
+INDEXED = {
+    "BottMatrix.a": (lambda x: ZERO3.a(2, x), "index", 1, 3),
+    "BottMatrix.a's row": (lambda x: ZERO3.a(x, 2), "index", 1, 3),
+    "BottMatrix.alpha": (lambda x: ZERO3.alpha(x), "row", 1, 3),
+    "two_x_minus_alpha": (lambda x: bc.two_x_minus_alpha(ZERO3, x), "generator index", 1, 3),
+    "sub_bar": (lambda x: bc.sub_bar(ZERO3, x), "cut", 0, 2),
+    "blocks_at": (lambda x: bc.blocks_at(bc.decompose_tower(ZERO3), x), "level", 1, 1),
+    "same_block": (lambda x: bc.same_block(bc.decompose_tower(ZERO3), 1, x), "index", 1, 3),
+    "same_block's first": (lambda x: bc.same_block(bc.decompose_tower(ZERO3), x, 1), "index", 1, 3),
+    "decompose_xk": (lambda x: bc.decompose_xk(identity(ZERO3), x), "stability index", 0, 2),
+    "GradedIso.is_k_stable": (lambda x: identity(ZERO3).is_k_stable(x), "stability index", 0, 3),
+    "switch": (lambda x: bc.switch(ZERO3, x), "switch position", 1, 2),
+    "twist": (lambda x: bc.twist(ZERO3, x, (0, 0, 0)), "twist position", 1, 3),
+    "MoveSeq.build switch": (lambda x: bc.MoveSeq.build(ZERO3, [("switch", x, None)]), "switch position", 1, 2),
+    "MoveSeq.build twist": (lambda x: bc.MoveSeq.build(ZERO3, [("twist", x, (0, 0, 0))]), "twist position", 1, 3),
+    "rebuild switch": (lambda x: bc.rebuild(ZERO2, [("switch", x, None)]), "switch position", 1, 1),
+    # a twist that builds at the top of its range, so a position taken as the int it equals would pass
+    "rebuild twist": (lambda x: bc.rebuild(hirzebruch(3), [("twist", x, (1, 0))]), "twist position", 1, 2),
+}
+
+
+@pytest.mark.parametrize("call", list(INDEXED))
+def test_index_rule(call):
+    # the north star's integer rule at every index: only a plain int passes, never a bool, a float, a str or an
+    # int subclass, even one equal to an int in range, and a plain int outside the range is a RangeError
+    run, what, lo, hi = INDEXED[call]
+    for x in (True, 1.0, 2.0, "1", Int(1), Int(BIG), Int(-BIG)):
+        with pytest.raises(bc.ShapeError) as exc:
+            run(x)
+        assert str(exc.value) == f"{what} {bc.errors.int_text(x)} is not an integer"
+    for x in (lo - 1, hi + 1, -BIG):
+        with pytest.raises(bc.RangeError) as exc:
+            run(x)
+        assert str(exc.value) == f"{what} {bc.errors.int_text(x)} outside {lo}..{hi}"
+    run(hi)
+
+
+# each call that prints an int argument in its message, with the error its bad value raises and the value as
+# printed: the tower's height and, at 10**5000, each index of INDEXED with its whole message
 PAST_THE_DIGIT_LIMIT = {
     "BottMatrix height -10**5000": (lambda: bc.BottMatrix(-BIG, []), bc.ShapeError, f"-{BITS}"),
     "BottMatrix height 10**5000": (lambda: bc.BottMatrix(BIG, []), bc.ShapeError, BITS),
-    "BottMatrix.a": (lambda: ZERO3.a(2, BIG), bc.RangeError, BITS),
-    "BottMatrix.alpha": (lambda: ZERO3.alpha(BIG), bc.RangeError, BITS),
-    "two_x_minus_alpha": (lambda: bc.two_x_minus_alpha(ZERO3, BIG), bc.RangeError, BITS),
-    "sub_bar": (lambda: bc.sub_bar(ZERO3, BIG), bc.RangeError, BITS),
-    "blocks_at": (lambda: bc.blocks_at(bc.decompose_tower(ZERO3), BIG), bc.RangeError, BITS),
-    "same_block": (lambda: bc.same_block(bc.decompose_tower(ZERO3), 1, BIG), bc.RangeError, BITS),
-    "decompose_xk": (lambda: bc.decompose_xk(identity(ZERO3), BIG), bc.RangeError, BITS),
+    **{call: (lambda run=run: run(BIG), bc.RangeError, f"{what} {BITS} outside {lo}..{hi}")
+       for call, (run, what, lo, hi) in INDEXED.items()},
 }
 
 

@@ -33,11 +33,7 @@ from .iso import (
 from .moves import MoveSeq, invert_move, rebuild, switch, twist
 from .ring import (
     BottMatrix,
-    height,
     make_bott_matrix,
-    primitive_part,
-    product_is_zero,
-    product_terms,
     sub_bar,
     two_x_minus_alpha,
 )

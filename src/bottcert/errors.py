@@ -1,16 +1,19 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the readers of what a caller passes.
 
 Domain errors signal bad input or an unsatisfiable request; each type tells
 a caller what was wrong with the input.  Bad data raises one where it
 arises (a message prints its ints with ``int_text``, which cannot raise), so
-any other exception is a library bug.  Each index a caller passes (a move's
-position, a cut, a level, a stability index) goes through ``index``, which
-takes only a plain int in its range, never a bool, a float or an int
-subclass.  ``TripwireError`` signals that a runtime consistency check failed
-which, for valid inputs, is mathematically guaranteed to hold; seeing one
-means an implementation bug, never a property of the data.  It has no
-subclasses: its message names the check, and whether a ``raise`` is a
-tripwire can be read from its syntax.
+any other exception is a library bug.  A parameter annotated with a library
+class (``BottMatrix``, ``GradedIso``, ``DecompositionTower``,
+``StabilizationCertificate``) is a type contract, not checked, as are an
+error type's arguments.  Every other parameter is data: bad data raises a
+``ShapeError`` or a ``RangeError``, or a constructor that trusts its
+arguments keeps it.  Each index goes through ``index`` and each sequence of
+ints through ``ints``, which take only plain ints, never a bool, a float or
+an int subclass.  ``TripwireError`` signals that a runtime consistency check
+failed which, for valid inputs, is mathematically guaranteed to hold: a
+bug, never a property of the data.  It has no subclasses: its message names
+the check, and whether a ``raise`` is a tripwire can be read from its syntax.
 """
 
 
@@ -33,6 +36,28 @@ def index(x, lo: int, hi: int, what: str) -> int:
     if not lo <= x <= hi:
         raise RangeError(f"{what} {int_text(x)} outside {lo}..{hi}")
     return x
+
+
+def entries(x, what: str):
+    """An iterator over x; a ShapeError naming it as what when x is not iterable."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise ShapeError(f"{what} must be iterable, got {type(x).__name__}") from None
+
+
+def ints(x, length: int, what: str) -> tuple[int, ...]:
+    """x as a tuple of length plain ints, else a ShapeError naming it as what; it inlines ``entries`` for speed."""
+    try:
+        t = tuple(x)
+    except TypeError:
+        raise ShapeError(f"{what} must be iterable, got {type(x).__name__}") from None
+    if len(t) != length:
+        raise ShapeError(f"{what} must have {length} entries, got {len(t)}")
+    for v in t:
+        if type(v) is not int:
+            raise ShapeError(f"{what} has entry {int_text(v)}, not an integer")
+    return t
 
 
 class BottError(Exception):

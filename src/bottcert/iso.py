@@ -55,7 +55,7 @@ from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, neg, sub
 
-from .errors import NotUnimodular, RelationViolated, ShapeError, index, int_text
+from .errors import NotUnimodular, RelationViolated, ShapeError, entries, index, int_text, ints
 from .ring import BottMatrix, combine, product_is_zero, product_terms, two_x_minus_alpha
 
 
@@ -131,9 +131,7 @@ class GradedIso:
     def apply2(self, c: tuple[int, ...]) -> tuple[int, ...]:
         """Image of a degree-2 class, given as its n coefficients over the source."""
         n = self.source.n
-        if len(c) != n:
-            raise ShapeError(f"expected {n} coefficients, got {len(c)}")
-        return tuple(combine(c, self.C, (0,) * n))
+        return tuple(combine(ints(c, n, "degree-2 class"), self.C, (0,) * n))
 
     def is_k_stable(self, k: int) -> bool:
         """Whether phi(F_k) lands in F_k, i.e. rows <= k have support <= k, for k in 0..n."""
@@ -167,20 +165,17 @@ def make_iso(A: BottMatrix, B: BottMatrix, C: Iterable[Iterable[int]]) -> Graded
     elsewhere.  Every other row, and a failed comparison, takes the dense
     product, which alone rejects.
     """
-    if A.n != B.n:
-        raise ShapeError(f"source has n={A.n} but target has n={B.n}")
-    C = tuple(tuple(row) for row in C)
-    if len(C) != A.n or any(len(row) != A.n for row in C):
-        raise ShapeError(f"degree-2 matrix must be {A.n}x{A.n}")
-    for row in C:
-        for v in row:
-            if type(v) is not int:
-                raise ShapeError(f"degree-2 matrix has entry {int_text(v)}, not an integer")
-    units = [_unit(row, A.n) for row in C]
+    n = A.n
+    if n != B.n:
+        raise ShapeError(f"source has n={n} but target has n={B.n}")
+    C = tuple([ints(row, n, "degree-2 matrix row") for row in entries(C, "degree-2 matrix")])
+    if len(C) != n:
+        raise ShapeError(f"degree-2 matrix must be {n}x{n}")
+    units = [_unit(row, n) for row in C]
     if None in units:
         if int_det(C) not in (1, -1):
             raise NotUnimodular(f"det is not +-1 for {int_text(C)}")
-    elif len({r for r, _ in units}) != A.n:
+    elif len({r for r, _ in units}) != n:
         raise NotUnimodular(f"det is not +-1 for {int_text(C)}")
     for i, (img, arow, unit) in enumerate(zip(C, A.rows, units), start=1):
         if unit is not None:

@@ -33,20 +33,28 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ShapeError, SwitchBlocked, TwistInvalid, index, int_text
+from .errors import ShapeError, SwitchBlocked, TwistInvalid, entries, index, int_text, ints
 from .iso import make_iso
 from .ring import BottMatrix, combine, height, product_is_zero
 
 
+def _fields(mv) -> tuple:
+    """mv's (kind, j, v), the shape check of a move a caller passes: three fields, of a known kind."""
+    fields = mv if type(mv) is tuple else tuple(entries(mv, "move"))
+    if len(fields) != 3:
+        raise ShapeError(f"move must be (kind, j, v), got {len(fields)} fields")
+    if fields[0] not in ("switch", "twist"):
+        raise ShapeError(f"unknown move kind {int_text(fields[0])}")
+    return fields
+
+
 def _apply(B: BottMatrix, kind: str, j: int, v) -> tuple[tuple, BottMatrix]:
-    """The move (kind, j, v) as stored, a twist's v as a tuple and a switch's as None, and the matrix
-    after it from B; ``switch`` or ``twist`` checks it.  Every move the library makes is built here."""
+    """The move (kind, j, v) of a known kind as stored, a twist's v read by ``errors.ints`` and a switch's
+    None, and the matrix after it from B; ``switch`` or ``twist`` checks it.  Every move is built here."""
     if kind == "switch":
-        return (kind, j, None), switch(B, j)
-    if kind == "twist":
-        v = tuple(v)
-        return (kind, j, v), twist(B, j, v)
-    raise ShapeError(f"unknown move kind {int_text(kind)}")
+        return ("switch", j, None), switch(B, j)
+    v = ints(v, B.n, "twist's v")
+    return ("twist", j, v), twist(B, j, v)
 
 
 def switch(B: BottMatrix, j: int) -> BottMatrix:
@@ -68,11 +76,7 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
     """B with row j (a plain int) replaced by beta_j - 2v, for v (n plain ints) in F_{j-1} with v(beta_j - v) = 0."""
     n = B.n
     index(j, 1, n, "twist position")
-    if len(v) != n:
-        raise ShapeError(f"expected {n} coefficients, got {len(v)}")
-    for t in v:
-        if type(t) is not int:
-            raise ShapeError(f"coefficient {int_text(t)} is not an integer")
+    v = ints(v, n, "twist's v")
     h = height(v)
     if h >= j:
         raise TwistInvalid(f"v has height {h}, needs < {j}")
@@ -90,11 +94,12 @@ def twist(B: BottMatrix, j: int, v: tuple[int, ...]) -> BottMatrix:
 
 
 def invert_move(mv: tuple) -> tuple:
-    """The move undoing mv: the switch at the same j, or the twist (j, -v)."""
-    kind, j, v = mv
+    """The move undoing mv, a move that passes ``_fields``: the switch at the same j, or the twist (j, -v)."""
+    kind, j, v = _fields(mv)
     if kind == "switch":
-        return mv
-    return "twist", j, tuple(-t for t in v)
+        return kind, j, None
+    v = tuple(entries(v, "twist's v"))
+    return kind, j, tuple(-t for t in ints(v, len(v), "twist's v"))
 
 
 def _then(C: list[list[int]], mv: tuple) -> None:
@@ -132,8 +137,8 @@ class MoveSeq:
         """The moves from start; the end is their replay, in which each move checks its precondition."""
         stored = []
         end = start
-        for kind, j, v in moves:
-            mv, end = _apply(end, kind, j, v)
+        for mv in entries(moves, "moves"):
+            mv, end = _apply(end, *_fields(mv))
             stored.append(mv)
         return MoveSeq(start, tuple(stored), end)
 
@@ -153,8 +158,8 @@ def rebuild(start: BottMatrix, params) -> MoveSeq:
     """
     cur = start
     moves = []
-    for kind, j, v in params:
-        mv, after = _apply(cur, kind, j, v)
+    for mv in entries(params, "moves"):
+        mv, after = _apply(cur, *_fields(mv))
         C = list(map(list, _identity_rows(cur.n)))
         _then(C, mv)
         make_iso(cur, after, C)

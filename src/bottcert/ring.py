@@ -9,7 +9,7 @@ total space is
 and the square-free monomials x_S, S a subset of {1..n}, are an additive
 basis.  A degree-2 class sum t_i x_i is the tuple (t_1, ..., t_n) of its
 plain int coefficients, everywhere in the library; it carries no matrix, and
-``moves.twist`` checks a twist's v, the one class that enters from outside.
+``errors.ints`` reads one from outside, so the unexported kernels trust it.
 This module provides the matrix type, the height of a class in the
 filtration F_k = span{x_1..x_k}, the one product the library needs,
 degree 2 times degree 2, and ``combine``, the one sum of coefficient times
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd
 
-from .errors import ShapeError, index, int_text
+from .errors import ShapeError, entries, index, int_text, ints
 
 
 class BottMatrix:
@@ -45,17 +45,11 @@ class BottMatrix:
             raise ShapeError(f"tower height {int_text(n)} is not an integer")
         if n < 1:
             raise ShapeError(f"tower height must be >= 1, got {int_text(n)}")
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(entries(rows, "rows"))
         if len(rows) != n:
             raise ShapeError(f"expected {int_text(n)} rows, got {len(rows)}")
-        for i, row in enumerate(rows, start=1):
-            if len(row) != i - 1:
-                raise ShapeError(f"row {i} must have {i - 1} entries, got {len(row)}")
-            for v in row:
-                if type(v) is not int:
-                    raise ShapeError(f"row {i} has entry {int_text(v)}, not an integer")
         self.n = n
-        self.rows = rows
+        self.rows = tuple([ints(row, i, "matrix row") for i, row in enumerate(rows)])
 
     @classmethod
     def _derived(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "BottMatrix":

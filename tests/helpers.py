@@ -2,7 +2,7 @@
 
 Each helper has one role.  The generators draw or enumerate inputs.  The
 two that filter a box of candidates filter with the library's one
-degree-2 product kernel, ``bc.product_is_zero``: ``square_zero_bruteforce``
+degree-2 product kernel, ``ring.product_is_zero``: ``square_zero_bruteforce``
 keeps every z with z^2 = 0, with none of the closed-form classification it
 checks, and ``admissible_twists`` keeps every v of height < j with
 v(beta_j - v) = 0, in box order.  ``nonzero_twists``, ``scrambled_iso``
@@ -46,6 +46,7 @@ from math import gcd
 import bottcert as bc
 from bottcert import moves
 from bottcert.iso import int_det
+from bottcert.ring import product_is_zero, product_terms
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
 
 
@@ -68,7 +69,7 @@ def rationally_trivial(rng, n):
         rows[z - 1] = [0] * (z - 1)
         A = bc.BottMatrix(n, rows)
         alphas = [A.alpha(i) for i in range(1, n + 1)]
-        if any(map(any, A.rows)) and all(bc.product_is_zero(A, a, a) for a in alphas):
+        if any(map(any, A.rows)) and all(product_is_zero(A, a, a) for a in alphas):
             return A
 
 
@@ -85,7 +86,7 @@ def square_zero_bruteforce(A, bound):
     if bound < 0:
         raise bc.RangeError(f"bound must be >= 0, got {bound}")
     box = itertools.product(range(-bound, bound + 1), repeat=A.n)
-    return [z for z in box if any(z) and bc.product_is_zero(A, z, z)]
+    return [z for z in box if any(z) and product_is_zero(A, z, z)]
 
 
 def reduce_oracle(raw, A):
@@ -210,12 +211,14 @@ def reference_make_iso(A, B, C):
     if A.n != B.n:
         raise bc.ShapeError(f"source has n={A.n} but target has n={B.n}")
     C = tuple(tuple(row) for row in C)
-    if len(C) != A.n or any(len(row) != A.n for row in C):
-        raise bc.ShapeError(f"degree-2 matrix must be {A.n}x{A.n}")
     for row in C:
+        if len(row) != A.n:
+            raise bc.ShapeError(f"degree-2 matrix row must have {A.n} entries, got {len(row)}")
         for v in row:
             if type(v) is not int:
-                raise bc.ShapeError(f"degree-2 matrix has entry {v!r}, not an integer")
+                raise bc.ShapeError(f"degree-2 matrix row has entry {v!r}, not an integer")
+    if len(C) != A.n:
+        raise bc.ShapeError(f"degree-2 matrix must be {A.n}x{A.n}")
     if int_det(C) not in (1, -1):
         raise bc.NotUnimodular(f"det is not +-1 for {C}")
     for i, (img, arow) in enumerate(zip(C, A.rows), start=1):
@@ -223,8 +226,8 @@ def reference_make_iso(A, B, C):
         for aij, crow in zip(arow, C):
             if aij:
                 diff = [d - aij * c for d, c in zip(diff, crow)]
-        if not bc.product_is_zero(B, img, diff):
-            raise bc.RelationViolated(i, bc.product_terms(B, img, diff))
+        if not product_is_zero(B, img, diff):
+            raise bc.RelationViolated(i, product_terms(B, img, diff))
     return bc.GradedIso(A, B, C)
 
 
@@ -267,7 +270,7 @@ def reference_search_isos(A, B, bound):
             if any(abs(v) > bound for v in row) or gcd(*row) != 1:
                 continue
             # relation phi(x_i) (phi(x_i) - phi(alpha_i)) = 0
-            if not bc.product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):
+            if not product_is_zero(B, row, [r - p for r, p in zip(row, phi_alpha)]):
                 continue
             out.append((row, m, t))
         return out
@@ -399,7 +402,7 @@ def admissible_twists(M, j, mag):
     out = []
     for tail in itertools.product(range(-mag, mag + 1), repeat=j - 1):
         v = tail + (0,) * (M.n - j + 1)
-        if bc.product_is_zero(M, v, [a - t for a, t in zip(M.alpha(j), v)]):
+        if product_is_zero(M, v, [a - t for a, t in zip(M.alpha(j), v)]):
             out.append(v)
     return out
 

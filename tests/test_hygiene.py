@@ -49,6 +49,11 @@
   pieces; each row lists one, and each test a row names exists.
 * README's tour, under "Modules", is one single-line bullet per module of
   ``IMPORT_ORDER``, in that order, so the module docstrings hold the rest.
+* Only the functions ``PLAIN_INT_TESTS`` names test for a plain int
+  (``type(x) is int``, ``map(type, ...)``): every other entry a caller
+  passes is read by ``errors.ints`` or ``errors.index``.
+* Every file parses at the Python version ``pyproject.toml`` declares as
+  its minimum, and names none of ``NEWER_NAMES`` newer than it.
 
 Each text is read and parsed once per session, and one walker, ``scoped``,
 gives every check that needs it a node's scope.
@@ -314,17 +319,18 @@ TRUSTED = {
     "serialize.ReplayResult.__bool__", "serialize.ReplayResult.__eq__",
     # the in-memory verifier, which reads through serialize and compares the stored parts with the rebuilt ones
     "stabilize.verify_certificate",
-    # the move gate, the identity it folds a move's map onto, the moves and the two folds
-    "moves.rebuild", "moves._identity_rows", "moves._apply", "moves.switch", "moves.twist", "moves._then",
-    "moves._before", "moves.MoveSeq.__init__",
+    # the move gate, the identity it folds a move's map onto, the shape check of a move, the moves and the two folds
+    "moves.rebuild", "moves._identity_rows", "moves._fields", "moves._apply", "moves.switch", "moves.twist",
+    "moves._then", "moves._before", "moves.MoveSeq.__init__",
     # the map check
     "iso.make_iso", "iso._unit", "iso.int_det", "iso._bareiss", "iso.max_stable",
     "iso.GradedIso.__init__", "iso.GradedIso.__eq__", "iso.GradedIso.__repr__",
     # the matrix, the sum of rows and the degree-4 product
     "ring.BottMatrix.__init__", "ring.BottMatrix._derived", "ring.BottMatrix.a", "ring.BottMatrix.__eq__",
     "ring.BottMatrix.__repr__", "ring.height", "ring.combine", "ring.product_is_zero", "ring.product_terms",
-    # a failed relation's message, its ints, and the index rule of a move's position and a matrix's entry
-    "errors.RelationViolated.__init__", "errors.int_text", "errors.index",
+    # a failed relation's message, its ints, the index rule of a move's position and a matrix's entry, and the
+    # readers of a sequence: of moves or rows, and of ints, such as a row or a twist's v
+    "errors.RelationViolated.__init__", "errors.int_text", "errors.index", "errors.entries", "errors.ints",
 }
 
 
@@ -568,6 +574,10 @@ BUILTIN_EXCEPTS = {
     "serialize.decode_int": ("ValueError",),
     # around a message's int: past the digit limit it prints its bit length, so a message never raises
     "errors.int_text": ("ValueError",),
+    # around iter() and tuple(): a value that is not iterable, where a sequence belongs, is a ShapeError; ints
+    # converts inline rather than through entries, as it reads every row of every map the gate checks
+    "errors.entries": ("TypeError",),
+    "errors.ints": ("TypeError",),
     # argparse's exit on a usage error or --help; the catch-all, which reports a domain error as exit 1 and
     # anything else as a bug, exit 3; and the write to stdout, whose reader may close the pipe
     "cli.main": ("SystemExit", "Exception", "BrokenPipeError"),
@@ -1089,3 +1099,114 @@ def test_detects_a_tour_that_grows():
     assert tour(README.replace(moves + "\n", "")) == [m for m in IMPORT_ORDER if m != "moves"]
     swapped = README.replace(moves, "<>").replace(structure, moves).replace("<>", structure)
     assert tour(swapped)[3:5] == ["structure", "moves"]
+
+
+PLAIN_INT_TESTS = {
+    # the two readers of what a caller passes: an index, and a sequence of ints such as a row or a twist's v
+    "errors.index", "errors.ints",
+    # the JSON readers' integer rule, and the writer's number format, which joins an array of plain ints at once
+    "serialize.decode_int", "serialize._dump",
+    # the three scalars a caller passes that are no index: a tower's height, a search bound and a claimed k_final
+    "ring.BottMatrix.__init__", "iso.search_isos", "serialize.certificate_from_parts",
+}
+
+
+def plain_int_tests(library: dict) -> dict:
+    """Each function of ``library`` (a module's name to its text) that tests for a plain int, as
+    ``module.name`` or ``module.Class.method``, with the lines that do: ``type(x)`` compared with ``int`` by
+    ``is``, ``is not``, ``==`` or ``!=``, or ``map(type, ...)``."""
+    found = {}
+    for module, text in library.items():
+        for node, qual, _ in scoped(parse(text), module):
+            if isinstance(node, ast.Compare) and len(node.ops) == 1:
+                sides = [node.left, node.comparators[0]]
+                typed = any(isinstance(s, ast.Call) and name_of(s.func) == "type" for s in sides)
+                hit = typed and any(isinstance(s, ast.Name) and s.id == "int" for s in sides)
+            else:
+                hit = (isinstance(node, ast.Call) and name_of(node.func) == "map" and node.args
+                       and name_of(node.args[0]) == "type")
+            if hit:
+                found.setdefault(qual, []).append(node.lineno)
+    return found
+
+
+def test_plain_int_tests_stay_in_their_table():
+    # every other entry is read by errors.ints or errors.index, so no per-entry loop comes back
+    assert set(plain_int_tests(MODULES)) == PLAIN_INT_TESTS
+
+
+def test_detects_plain_int_tests():
+    planted = (
+        "def rows_ok(rows):\n    for row in rows:\n        for v in row:\n            if type(v) is not int:\n"
+        "                return False\n    return True\n"
+        "class Reader:\n    def read(self, v):\n        return int == type(v)\n"
+        "def plain(o):\n    return set(map(type, o)) == {int}\n"
+        "def other(v):\n    return type(v) is tuple or isinstance(v, int) or type(v) != str\n"
+    )
+    assert plain_int_tests({"planted": planted}) == {
+        "planted.rows_ok": [4], "planted.Reader.read": [9], "planted.plain": [11]}
+    # a loop put back where ints reads a row is caught
+    loop = "    for v in row:\n        if type(v) is not int:\n            raise ShapeError(v)\n"
+    back = LIBRARY["moves"].replace("def invert_move(mv", "def _check(row):\n" + loop + "\n\ndef invert_move(mv")
+    assert back != LIBRARY["moves"]
+    assert set(plain_int_tests({**MODULES, "moves": back})) == PLAIN_INT_TESTS | {"moves._check"}
+
+
+def declared_minimum(pyproject: str) -> tuple[int, int]:
+    """The (major, minor) of ``requires-python = ">=X.Y"`` in ``pyproject.toml``'s text, read with a regex, as
+    ``tomllib`` is newer than the minimum it reads."""
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', pyproject, re.M)
+    return int(found[1]), int(found[2])
+
+
+MINIMUM = declared_minimum((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+# standard-library names, each with the version that added it; the grammar check does not see a library call
+NEWER_NAMES = {
+    "ExceptionGroup": (3, 11), "BaseExceptionGroup": (3, 11), "tomllib": (3, 11), "typing.Self": (3, 11),
+    "typing.LiteralString": (3, 11), "typing.Never": (3, 11), "typing.assert_never": (3, 11),
+    "contextlib.chdir": (3, 11), "operator.call": (3, 11), "sys.exception": (3, 11), "math.cbrt": (3, 11),
+    "itertools.batched": (3, 12), "typing.override": (3, 12),
+}
+
+
+def newer_names(source: str, minimum: tuple[int, int]) -> list[str]:
+    """The ``NEWER_NAMES`` newer than ``minimum`` that ``source`` names: bare, as an import, as
+    ``module.name`` on an imported module, or by ``from module import name``."""
+    tree = ast.parse(source, feature_version=minimum)
+    modules, seen = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                modules[a.asname or a.name] = a.name
+                seen.add(a.name)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            seen.update(f"{node.module}.{a.name}" for a in node.names)
+            seen.add(node.module)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            seen.add(f"{modules[node.value.id]}.{node.attr}")
+    return sorted(name for name, version in NEWER_NAMES.items() if version > minimum and name in seen)
+
+
+@pytest.mark.parametrize("module", LIBRARY, ids=lambda m: f"{m}.py")
+def test_parses_at_the_declared_minimum(module):
+    # ast.parse with feature_version rejects newer grammar (except*, a type statement); newer_names, the library
+    assert newer_names(LIBRARY[module], MINIMUM) == []
+
+
+def test_detects_code_newer_than_the_minimum():
+    assert declared_minimum('[project]\nname = "x"\nrequires-python = ">=3.10"\n') == (3, 10)
+    with pytest.raises(SyntaxError):
+        newer_names("try:\n    pass\nexcept* ValueError:\n    pass\n", (3, 10))
+    with pytest.raises(SyntaxError):
+        newer_names("type Rows = tuple\n", (3, 10))
+    planted = (
+        "import tomllib\nimport itertools as it\nfrom typing import Self\n"
+        "def rows(x):\n    return list(it.batched(x, 2))\n"
+        "def fail():\n    raise ExceptionGroup('two', [])\n"
+        "def fine(x):\n    return it.chain(x), x.batched\n"
+    )
+    assert newer_names(planted, (3, 10)) == ["ExceptionGroup", "itertools.batched", "tomllib", "typing.Self"]
+    assert newer_names(planted, (3, 11)) == ["itertools.batched"]

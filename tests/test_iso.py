@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import bottcert as bc
 from bottcert import iso
 from bottcert.iso import int_det, int_inverse
+from bottcert.ring import product_is_zero, product_terms
 from helpers import (
     block_map,
     class_terms,
@@ -52,7 +53,7 @@ class TestMakeIso:
 
     def test_even_hirzebruch_pair(self):
         phi = bc.make_iso(ZERO2, hirzebruch(2), [[1, 0], [-1, 1]])
-        assert bc.product_is_zero(phi.target, phi.C[1], phi.C[1])
+        assert product_is_zero(phi.target, phi.C[1], phi.C[1])
 
     def test_parity_obstruction(self):
         # no isomorphism between the trivial and the odd two-stage ring
@@ -66,8 +67,13 @@ class TestMakeIso:
             bc.make_iso(ZERO2, ZERO2, [[2, 0], [0, 1]])
 
     def test_shape(self):
-        with pytest.raises(bc.ShapeError):
-            bc.make_iso(ZERO2, ZERO2, [[1, 0, 0], [0, 1, 0]])
+        # each row is read first, then the number of rows is checked
+        for C, message in [([[1, 0, 0], [0, 1, 0]], "degree-2 matrix row must have 2 entries, got 3"),
+                           ([[1, 0]], "degree-2 matrix must be 2x2"),
+                           ([[1, 0], [0, 1], [0, 0]], "degree-2 matrix must be 2x2")]:
+            with pytest.raises(bc.ShapeError) as exc:
+                bc.make_iso(ZERO2, ZERO2, C)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "C", [[[1.7, 0], [0, True]], [[1.0, 0], [0, 1]], [[1, 0], [0, True]], [["1", 0], [0, 1]]]
@@ -292,7 +298,7 @@ class TestApply:
 
     def test_wrong_length(self):
         phi = identity(ZERO2)
-        with pytest.raises(bc.ShapeError, match="^expected 2 coefficients, got 3$"):
+        with pytest.raises(bc.ShapeError, match="^degree-2 class must have 2 entries, got 3$"):
             phi.apply2((1, 0, 0))
 
 
@@ -533,8 +539,8 @@ class TestScalarPairs:
             return
         assert rows[-e] == [p - r for p, r in zip(phi_alpha, rows[e])]
         beta = list(B.rows[m]) + [0] * (n - m)
-        beta_sq, phi_sq = bc.product_terms(B, beta, beta), bc.product_terms(B, phi_alpha, phi_alpha)
-        relation = {s: bc.product_terms(B, r, [a - p for a, p in zip(r, phi_alpha)]) for s, r in rows.items()}
+        beta_sq, phi_sq = product_terms(B, beta, beta), product_terms(B, phi_alpha, phi_alpha)
+        relation = {s: product_terms(B, r, [a - p for a, p in zip(r, phi_alpha)]) for s, r in rows.items()}
         assert relation[e] == relation[-e]
         for key in set(relation[e]) | set(beta_sq) | set(phi_sq):
             assert 16 * relation[e].get(key, 0) == e * e * beta_sq.get(key, 0) - 4 * phi_sq.get(key, 0)

@@ -171,7 +171,7 @@ class TestMoveParameters:
 
     def test_twist_rejects_one_coefficient(self):
         # no row of the result may lose entries: row 3 of a 3-stage matrix has two
-        with pytest.raises(bc.ShapeError, match="^expected 3 coefficients, got 1$"):
+        with pytest.raises(bc.ShapeError, match="^twist's v must have 3 entries, got 1$"):
             bc.twist(bc.BottMatrix(3, [[], [0], [0, 0]]), 3, (1,))
 
     def test_parameters_before_range_height_and_product(self):
@@ -181,9 +181,9 @@ class TestMoveParameters:
             bc.twist(ZERO3, 9.0, (1.5,))
         with pytest.raises(bc.RangeError, match=r"^twist position 9 outside 1\.\.3$"):
             bc.twist(ZERO3, 9, (1.5,))
-        with pytest.raises(bc.ShapeError, match="^expected 3 coefficients, got 1$"):
+        with pytest.raises(bc.ShapeError, match="^twist's v must have 3 entries, got 1$"):
             bc.twist(ZERO3, 3, (1.5,))
-        with pytest.raises(bc.ShapeError, match=r"^coefficient 1\.5 is not an integer$"):
+        with pytest.raises(bc.ShapeError, match=r"^twist's v has entry 1\.5, not an integer$"):
             bc.twist(ZERO3, 3, (3, 1.5, 0))
         with pytest.raises(bc.TwistInvalid, match="^v has height 3, needs < 3$"):
             bc.twist(ZERO3, 3, (3, 0, 1))
@@ -526,18 +526,18 @@ class TestBuildMove:
     # a twist's v enters from the reader or from an in-memory certificate, and
     # twist checks its length and that each entry is a plain int, on every build path
     BAD_V = [
-        ((-1, 0), "expected 3 coefficients, got 2"),
-        ((-1, 0, 0, 0), "expected 3 coefficients, got 4"),
-        ((True, 0, 0), "coefficient True is not an integer"),
-        ((-1.0, 0, 0), "coefficient -1.0 is not an integer"),
-        (("-1", 0, 0), "coefficient '-1' is not an integer"),
+        ((-1, 0), "twist's v must have 3 entries, got 2"),
+        ((-1, 0, 0, 0), "twist's v must have 3 entries, got 4"),
+        ((True, 0, 0), "twist's v has entry True, not an integer"),
+        ((-1.0, 0, 0), "twist's v has entry -1.0, not an integer"),
+        (("-1", 0, 0), "twist's v has entry '-1', not an integer"),
     ]
 
     @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, "3"])
     def test_non_integer_coefficient(self, bad):
         # no float, bool or string is silently turned into an integer, wherever it stands in v
         for v in ([bad, 0], (0, bad)):
-            with pytest.raises(bc.ShapeError, match=f"^coefficient {re.escape(repr(bad))} is not an integer$"):
+            with pytest.raises(bc.ShapeError, match=f"^twist's v has entry {re.escape(repr(bad))}, not an integer$"):
                 rebuild_one(ZERO2, "twist", 2, v)
 
     def test_big_integer_coefficient(self):

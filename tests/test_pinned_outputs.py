@@ -26,6 +26,7 @@ import json
 import random
 
 import bottcert as bc
+from bottcert.ring import primitive_part, product_is_zero
 from bottcert.serialize import certificate_to_obj, dumps_canonical, verify_certificate_obj
 from helpers import digest, moved_partner, rand_matrix, rationally_trivial, scrambled_iso, sparse_matrix
 
@@ -121,7 +122,7 @@ def tower_record(A, T):
         # the primitive representative z_r of each base index r of the level, and z_r mod 2
         k = T.dims[lev - 2] if lev >= 2 else 0
         fiber = bc.sub_bar(T.base, k)
-        prims = [(r, bc.primitive_part(bc.two_x_minus_alpha(fiber, r - k)))
+        prims = [(r, primitive_part(bc.two_x_minus_alpha(fiber, r - k)))
                  for r in range(k + 1, T.dims[lev - 1] + 1)]
         reps = [(r, tuple(t % 2 for t in z)) for r, z in prims]
         levels.append((bc.blocks_at(T, lev), reps, prims))
@@ -146,7 +147,7 @@ def first_stage_switches(A):
     """The first stage moves a square-zero row r (from 0) with d square-zero rows above it by r - d switches."""
     count = d = 0
     for r in range(A.n):
-        if bc.product_is_zero(A, A.alpha(r + 1), A.alpha(r + 1)):
+        if product_is_zero(A, A.alpha(r + 1), A.alpha(r + 1)):
             count += r - d
             d += 1
     return count

@@ -9,6 +9,7 @@ import pytest
 
 import bottcert as bc
 from bottcert import iso, moves, serialize, stabilize
+from bottcert.ring import height
 from bottcert.stabilize import StabilizeTrace, _key_step, _odd_branch, _raise_fwd
 from helpers import (
     claim_product,
@@ -135,14 +136,14 @@ class TestKeyStep:
         seq, phi_new, trace = key_step(phi, 0)
         assert trace.case == "zero" and trace.p == 0 and trace.ell == 3
         assert [kind for kind, _, _ in seq.moves] == ["switch"]
-        assert bc.height(phi_new.C[0]) == 2
+        assert height(phi_new.C[0]) == 2
 
     def test_even_case_twist_then_switch(self):
         phi = even_case_fixture()
         seq, phi_new, trace = key_step(phi, 0)
         assert trace.case == "even" and trace.p == 2 and trace.ell == 3
         assert [kind for kind, _, _ in seq.moves] == ["twist", "switch"]
-        assert bc.height(phi_new.C[0]) == 2
+        assert height(phi_new.C[0]) == 2
         # rows below l-1 of the target matrix are untouched
         for i in range(1, trace.ell - 1):
             assert seq.end.rows[i - 1] == seq.start.rows[i - 1]
@@ -169,7 +170,7 @@ class TestKeyStep:
         assert (trace.case, trace.ell, trace.p) == ("odd", 4, -1)
         assert [(kind, j) for kind, j, _ in seq.moves] == [("twist", 3), ("switch", 2), ("switch", 3)]
         assert seq.moves[0][2] == (0, -1, 0, 0)
-        assert bc.height(phi_new.C[k]) == 3
+        assert height(phi_new.C[k]) == 3
         assert rebuild_matches(seq) == (True, True)
 
     def test_keeps_k_stability(self):
@@ -956,26 +957,153 @@ def test_in_memory_checks_keep_their_order():
     assert res == bc.ReplayResult(False, "certificate data invalid: a row of a map is not a tuple")
 
 
-# each index a caller passes, as a call that passes x as that index, with its name in a message and its range
-INDEXED = {
-    "BottMatrix.a": (lambda x: ZERO3.a(2, x), "index", 1, 3),
-    "BottMatrix.a's row": (lambda x: ZERO3.a(x, 2), "index", 1, 3),
-    "BottMatrix.alpha": (lambda x: ZERO3.alpha(x), "row", 1, 3),
-    "two_x_minus_alpha": (lambda x: bc.two_x_minus_alpha(ZERO3, x), "generator index", 1, 3),
-    "sub_bar": (lambda x: bc.sub_bar(ZERO3, x), "cut", 0, 2),
-    "blocks_at": (lambda x: bc.blocks_at(bc.decompose_tower(ZERO3), x), "level", 1, 1),
-    "same_block": (lambda x: bc.same_block(bc.decompose_tower(ZERO3), 1, x), "index", 1, 3),
-    "same_block's first": (lambda x: bc.same_block(bc.decompose_tower(ZERO3), x, 1), "index", 1, 3),
-    "decompose_xk": (lambda x: bc.decompose_xk(identity(ZERO3), x), "stability index", 0, 2),
-    "GradedIso.is_k_stable": (lambda x: identity(ZERO3).is_k_stable(x), "stability index", 0, 3),
-    "switch": (lambda x: bc.switch(ZERO3, x), "switch position", 1, 2),
-    "twist": (lambda x: bc.twist(ZERO3, x, (0, 0, 0)), "twist position", 1, 3),
-    "MoveSeq.build switch": (lambda x: bc.MoveSeq.build(ZERO3, [("switch", x, None)]), "switch position", 1, 2),
-    "MoveSeq.build twist": (lambda x: bc.MoveSeq.build(ZERO3, [("twist", x, (0, 0, 0))]), "twist position", 1, 3),
-    "rebuild switch": (lambda x: bc.rebuild(ZERO2, [("switch", x, None)]), "switch position", 1, 1),
-    # a twist that builds at the top of its range, so a position taken as the int it equals would pass
-    "rebuild twist": (lambda x: bc.rebuild(hirzebruch(3), [("twist", x, (1, 0))]), "twist position", 1, 2),
+def tower3():
+    return bc.decompose_tower(ZERO3)
+
+
+def id3():
+    return identity(ZERO3)
+
+
+# each callable of bottcert.__all__, and each method a caller reaches on its values, with a call per data
+# parameter that passes x there, the others valid; an index's call has the name it prints and its range.  By
+# errors' data contract, a parameter annotated with a library class is a type contract, not data, and an error
+# type's arguments are what its raise passes, so those have no call; GradedIso, MoveSeq and the records trust
+# their arguments and keep what they are given
+DATA_PARAMS = {
+    **{name: {} for name in ("BottError", "NotUnimodular", "RangeError", "RelationViolated", "ShapeError",
+                             "SwitchBlocked", "TripwireError", "TwistInvalid")},
+    "BottMatrix": {"BottMatrix height": (lambda x: bc.BottMatrix(x, ZERO3.rows), None),
+                   "BottMatrix rows": (lambda x: bc.BottMatrix(3, x), None),
+                   "BottMatrix row": (lambda x: bc.BottMatrix(3, [[], x, [0, 0]]), None)},
+    "BottMatrix.a": {"BottMatrix.a": (lambda x: ZERO3.a(2, x), ("index", 1, 3)),
+                     "BottMatrix.a's row": (lambda x: ZERO3.a(x, 2), ("index", 1, 3))},
+    "BottMatrix.alpha": {"BottMatrix.alpha": (lambda x: ZERO3.alpha(x), ("row", 1, 3))},
+    "make_bott_matrix": {"make_bott_matrix height": (lambda x: bc.make_bott_matrix(x, ZERO3.rows), None),
+                         "make_bott_matrix rows": (lambda x: bc.make_bott_matrix(3, x), None)},
+    "two_x_minus_alpha": {"two_x_minus_alpha": (lambda x: bc.two_x_minus_alpha(ZERO3, x), ("generator index", 1, 3))},
+    "sub_bar": {"sub_bar": (lambda x: bc.sub_bar(ZERO3, x), ("cut", 0, 2))},
+    "GradedIso": {"GradedIso C": (lambda x: bc.GradedIso(ZERO3, ZERO3, x), None)},
+    "GradedIso.apply2": {"GradedIso.apply2": (lambda x: id3().apply2(x), None)},
+    "GradedIso.is_k_stable": {"GradedIso.is_k_stable": (lambda x: id3().is_k_stable(x), ("stability index", 0, 3))},
+    "make_iso": {"make_iso C": (lambda x: bc.make_iso(ZERO3, ZERO3, x), None),
+                 "make_iso row": (lambda x: bc.make_iso(ZERO3, ZERO3, [x, (0, 1, 0), (0, 0, 1)]), None)},
+    "invert": {},
+    "max_stable": {},
+    "search_isos": {"search_isos bound": (lambda x: bc.search_isos(ZERO3, ZERO3, x), None)},
+    "switch": {"switch": (lambda x: bc.switch(ZERO3, x), ("switch position", 1, 2))},
+    "twist": {"twist": (lambda x: bc.twist(ZERO3, x, (0, 0, 0)), ("twist position", 1, 3)),
+              "twist's v": (lambda x: bc.twist(ZERO3, 3, x), None)},
+    "invert_move": {"invert_move": (lambda x: bc.invert_move(x), None),
+                    "invert_move twist's v": (lambda x: bc.invert_move(("twist", 2, x)), None)},
+    "MoveSeq": {"MoveSeq moves": (lambda x: bc.MoveSeq(ZERO3, x, ZERO3), None)},
+    "MoveSeq.build": {"MoveSeq.build moves": (lambda x: bc.MoveSeq.build(ZERO3, x), None),
+                      "MoveSeq.build move": (lambda x: bc.MoveSeq.build(ZERO3, [x]), None),
+                      "MoveSeq.build switch": (lambda x: bc.MoveSeq.build(ZERO3, [("switch", x, None)]),
+                                               ("switch position", 1, 2)),
+                      "MoveSeq.build twist": (lambda x: bc.MoveSeq.build(ZERO3, [("twist", x, (0, 0, 0))]),
+                                              ("twist position", 1, 3)),
+                      "MoveSeq.build twist's v": (lambda x: bc.MoveSeq.build(ZERO3, [("twist", 3, x)]), None)},
+    "rebuild": {"rebuild moves": (lambda x: bc.rebuild(ZERO3, x), None),
+                "rebuild move": (lambda x: bc.rebuild(ZERO3, [x]), None),
+                "rebuild switch": (lambda x: bc.rebuild(ZERO2, [("switch", x, None)]), ("switch position", 1, 1)),
+                # a twist that builds at the top of its range, so a position taken as the int it equals would pass
+                "rebuild twist": (lambda x: bc.rebuild(hirzebruch(3), [("twist", x, (1, 0))]), ("twist position", 1, 2)),
+                "rebuild twist's v": (lambda x: bc.rebuild(ZERO3, [("twist", 3, x)]), None)},
+    "decompose_tower": {},
+    "DecompositionTower": {"DecompositionTower parts": (lambda x: bc.DecompositionTower(ZERO3, x, x, x, x), None)},
+    "blocks_at": {"blocks_at": (lambda x: bc.blocks_at(tower3(), x), ("level", 1, 1))},
+    "same_block": {"same_block": (lambda x: bc.same_block(tower3(), 1, x), ("index", 1, 3)),
+                   "same_block's first": (lambda x: bc.same_block(tower3(), x, 1), ("index", 1, 3))},
+    "qtrivial_partition": {},
+    "square_zero_generators": {},
+    "extract_sigma_eps": {},
+    "ReplayResult": {"ReplayResult parts": (lambda x: bc.ReplayResult(x, x), None)},
+    "StabilizationCertificate": {"StabilizationCertificate k_final": (
+        lambda x: bc.StabilizationCertificate(ZERO3, ZERO3, id3(), bc.MoveSeq(ZERO3, (), ZERO3),
+                                              bc.MoveSeq(ZERO3, (), ZERO3), id3(), x), None)},
+    "check_claims": {},
+    "KeyStepTrace": {"KeyStepTrace parts": (lambda x: bc.KeyStepTrace(*[x] * 8), None)},
+    "decompose_xk": {"decompose_xk": (lambda x: bc.decompose_xk(id3(), x), ("stability index", 0, 2))},
+    "stabilize_full": {"stabilize_full with_trace": (lambda x: bc.stabilize_full(id3(), x), None)},
+    "verify_certificate": {},
 }
+DATA_CALLS = {case: call for calls in DATA_PARAMS.values() for case, call in calls.items()}
+# each index a caller passes, as a call that passes x as that index, with its name in a message and its range
+INDEXED = {case: (run, *rule) for case, (run, rule) in DATA_CALLS.items() if rule}
+# the values each data parameter is given: none may raise anything but a BottError
+HOSTILE = {"None": None, "an int": 7, "a float": 1.5, "True": True, "a str": "ab", "a non-iterable": object(),
+           "a ragged list": [[], [0, 0], [0]], "a nested non-int": [[], [None], [0, "a"]],
+           "a non-int entry": [0, None, 0], "an int subclass": Int(1), "10**5000": BIG, "-10**5000": -BIG}
+
+
+def escapes(run) -> list[str]:
+    """The ``HOSTILE`` values, by name, for which ``run`` raises an exception that is not a BottError."""
+    found = []
+    for name, x in HOSTILE.items():
+        try:
+            run(x)
+        except bc.BottError:
+            pass
+        except Exception:
+            found.append(name)
+    return found
+
+
+def test_data_params_cover_every_export():
+    # a new export without a row fails here, so no entry point skips the data contract
+    exported = {name for name in bc.__all__ if callable(getattr(bc, name))}
+    assert {name for name in DATA_PARAMS if "." not in name} == exported
+    assert {name.partition(".")[0] for name in DATA_PARAMS} == exported
+    assert len(DATA_CALLS) == sum(map(len, DATA_PARAMS.values()))  # no case name repeats
+
+
+@pytest.mark.parametrize("case", list(DATA_CALLS))
+def test_bad_data_is_a_bott_error(case):
+    # errors' promise: bad data raises a BottError where it arises, or a constructor that trusts its arguments
+    # keeps it, so any other exception is a library bug
+    assert escapes(DATA_CALLS[case][0]) == []
+
+
+def test_detects_escaping_exceptions():
+    assert escapes(lambda x: len(x)) == ["None", "an int", "a float", "True", "a non-iterable", "an int subclass",
+                                         "10**5000", "-10**5000"]
+    assert escapes(lambda x: bc.errors.ints(x, 3, "v")) == []
+    assert escapes(lambda x: x) == []
+
+
+def test_calls_that_raised_builtins_are_shape_errors():
+    # each raised a TypeError or a ValueError before ints and the move shape check read what a caller passes
+    calls = [
+        (lambda: bc.BottMatrix(2, None), "rows must be iterable, got NoneType"),
+        (lambda: bc.BottMatrix(2, [[], 5]), "matrix row must be iterable, got int"),
+        (lambda: bc.make_iso(ZERO3, ZERO3, None), "degree-2 matrix must be iterable, got NoneType"),
+        (lambda: bc.twist(ZERO3, 2, None), "twist's v must be iterable, got NoneType"),
+        (lambda: bc.rebuild(ZERO3, [("switch", 1)]), "move must be (kind, j, v), got 2 fields"),
+        (lambda: bc.rebuild(ZERO3, None), "moves must be iterable, got NoneType"),
+        (lambda: bc.invert_move("ab"), "move must be (kind, j, v), got 2 fields"),
+        (lambda: bc.invert_move(("twist", 2, None)), "twist's v must be iterable, got NoneType"),
+        (lambda: bc.MoveSeq.build(ZERO3, [("twist", 2, None)]), "twist's v must be iterable, got NoneType"),
+        (lambda: id3().apply2(None), "degree-2 class must be iterable, got NoneType"),
+    ]
+    for call, message in calls:
+        with pytest.raises(bc.ShapeError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_ints_reads_plain_int_sequences():
+    assert bc.errors.ints([1, -2, BIG], 3, "v") == (1, -2, BIG)
+    assert bc.errors.ints(iter([]), 0, "v") == ()
+    row = (0, 1)
+    assert bc.errors.ints(row, 2, "v") is row  # a tuple is kept, not copied
+    for x, message in [(None, "v must be iterable, got NoneType"), (5, "v must be iterable, got int"),
+                       ((1, 2, 3), "v must have 2 entries, got 3"), ((1, True), "v has entry True, not an integer"),
+                       ((Int(1), 0), "v has entry 1, not an integer"), ("ab", "v has entry 'a', not an integer"),
+                       ((BIG, 1.0), "v has entry 1.0, not an integer")]:
+        with pytest.raises(bc.ShapeError) as exc:
+            bc.errors.ints(x, 2, "v")
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("call", list(INDEXED))

@@ -6,6 +6,7 @@ import pytest
 
 import bottcert as bc
 from bottcert import structure
+from bottcert.ring import product_is_zero, product_terms
 from helpers import (
     block_map,
     counting,
@@ -24,7 +25,7 @@ ZERO3 = bc.BottMatrix(3, [[], [0], [0, 0]])
 
 
 def square_zero(A, c):
-    return bc.product_is_zero(A, c, c)
+    return product_is_zero(A, c, c)
 
 
 def h_block_diagonal(parts):
@@ -56,7 +57,7 @@ class TestSquareZeroGenerators:
     def test_skips_nonzero_square(self):
         A = bc.BottMatrix(3, [[], [0], [1, 1]])
         assert [i for i, _, _ in bc.square_zero_generators(A)] == [1, 2]
-        assert bc.product_terms(A, A.alpha(3), A.alpha(3)) == {(1, 2): 2}
+        assert product_terms(A, A.alpha(3), A.alpha(3)) == {(1, 2): 2}
 
 
 class TestSquareZeroBruteforce:

@@ -8,12 +8,17 @@ class (``BottMatrix``, ``GradedIso``, ``DecompositionTower``,
 ``StabilizationCertificate``) is a type contract, not checked, as are an
 error type's arguments.  Every other parameter is data: bad data raises a
 ``ShapeError`` or a ``RangeError``, or a constructor that trusts its
-arguments keeps it.  Each index goes through ``index`` and each sequence of
-ints through ``ints``, which take only plain ints, never a bool, a float or
-an int subclass.  ``TripwireError`` signals that a runtime consistency check
-failed which, for valid inputs, is mathematically guaranteed to hold: a
-bug, never a property of the data.  It has no subclasses: its message names
-the check, and whether a ``raise`` is a tripwire can be read from its syntax.
+arguments (``GradedIso``, ``MoveSeq``, ``DecompositionTower``,
+``StabilizationCertificate``) keeps it, and from then on it is part of the
+caller's type contract: ``apply2``, ``max_stable`` or ``check_claims`` may
+raise a builtin exception on it, and only the two verifiers promise a
+verdict.  Each scalar int goes through ``integer``, each index through
+``index`` and each sequence of ints through ``ints``, which take only plain
+ints, never a bool, a float or an int subclass.  ``TripwireError`` signals
+that a runtime consistency check failed which, for valid inputs, is
+mathematically guaranteed to hold: a bug, never a property of the data.  It
+has no subclasses: its message names the check, and whether a ``raise`` is
+a tripwire can be read from its syntax.
 """
 
 
@@ -29,11 +34,16 @@ def int_text(x) -> str:
         return f"[{inner}]" if isinstance(x, list) else f"({inner}{',' * (len(x) == 1)})"
 
 
-def index(x, lo: int, hi: int, what: str) -> int:
-    """x, when it is a plain int in lo..hi; otherwise a ShapeError (not an int) or a RangeError naming it as what."""
+def integer(x, what: str) -> int:
+    """x, when it is a plain int; otherwise a ShapeError naming it as what."""
     if type(x) is not int:
         raise ShapeError(f"{what} {int_text(x)} is not an integer")
-    if not lo <= x <= hi:
+    return x
+
+
+def index(x, lo: int, hi: int, what: str) -> int:
+    """x, when it is a plain int (``integer``) in lo..hi; otherwise a ShapeError or a RangeError naming it as what."""
+    if not lo <= integer(x, what) <= hi:
         raise RangeError(f"{what} {int_text(x)} outside {lo}..{hi}")
     return x
 

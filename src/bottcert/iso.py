@@ -55,7 +55,7 @@ from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, neg, sub
 
-from .errors import NotUnimodular, RelationViolated, ShapeError, entries, index, int_text, ints
+from .errors import NotUnimodular, RelationViolated, ShapeError, entries, index, int_text, integer, ints
 from .ring import BottMatrix, combine, product_is_zero, product_terms, two_x_minus_alpha
 
 
@@ -236,9 +236,7 @@ def search_isos(A: BottMatrix, B: BottMatrix, bound: int) -> list[GradedIso]:
     """
     from .structure import decompose_tower
 
-    if type(bound) is not int:
-        raise ShapeError(f"search bound {int_text(bound)} is not an integer")
-    if A.n != B.n or bound < 1:
+    if integer(bound, "search bound") < 1 or A.n != B.n:
         return []
     n = A.n
     lev_a = decompose_tower(A).levels

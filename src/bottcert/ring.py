@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd
 
-from .errors import ShapeError, entries, index, int_text, ints
+from .errors import ShapeError, entries, index, int_text, integer, ints
 
 
 class BottMatrix:
@@ -41,9 +41,7 @@ class BottMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[Iterable[int]]):
-        if type(n) is not int:
-            raise ShapeError(f"tower height {int_text(n)} is not an integer")
-        if n < 1:
+        if integer(n, "tower height") < 1:
             raise ShapeError(f"tower height must be >= 1, got {int_text(n)}")
         rows = tuple(entries(rows, "rows"))
         if len(rows) != n:
@@ -73,15 +71,6 @@ class BottMatrix:
 
     def __repr__(self) -> str:
         return f"BottMatrix(n={self.n}, rows={int_text([list(r) for r in self.rows])})"
-
-
-def make_bott_matrix(n: int, rows: Iterable[Iterable[int]]) -> BottMatrix:
-    """Validate and build a Bott matrix from per-row coefficient lists.
-
-    The same as ``BottMatrix(n, rows)``; it stays because ``bench/`` calls
-    it, and can go with the next change to ``bench/``.
-    """
-    return BottMatrix(n, rows)
 
 
 def height(c: tuple[int, ...]) -> int:

@@ -30,7 +30,7 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from .errors import BottError, ShapeError, int_text
+from .errors import BottError, ShapeError, int_text, integer
 from .iso import GradedIso, make_iso, max_stable
 from .moves import MoveSeq, _before, _then, rebuild
 from .ring import BottMatrix
@@ -66,8 +66,10 @@ def _ints(v: object, what: str) -> list[int]:
     return [decode_int(e) for e in _list(v, what)]
 
 
-def _only(obj: dict, keys: tuple[str, ...]) -> None:
-    """Reject a key of obj other than keys, each of which the caller has found in obj."""
+def _only(obj: object, what: str, keys: tuple[str, ...]) -> None:
+    """Require obj to be an object with exactly keys: a ShapeError names it as what, or names an unknown key."""
+    if not isinstance(obj, dict) or not all(map(obj.__contains__, keys)):
+        raise ShapeError(f"{what} needs key{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}")
     if len(obj) > len(keys):
         raise ShapeError(f"unknown key {next(k for k in obj if k not in keys)!r}")
 
@@ -119,9 +121,7 @@ def matrix_to_obj(A: BottMatrix) -> dict:
 
 
 def matrix_from_obj(obj: object) -> BottMatrix:
-    if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
-        raise ShapeError("matrix object needs keys 'n' and 'rows'")
-    _only(obj, ("n", "rows"))
+    _only(obj, "matrix object", ("n", "rows"))
     rows = [_ints(r, "matrix row") for r in _list(obj["rows"], "'rows'")]
     return BottMatrix(decode_int(obj["n"]), rows)
 
@@ -131,9 +131,7 @@ def iso_to_obj(phi: GradedIso) -> dict:
 
 
 def iso_matrix_from_obj(obj: object) -> list[list[int]]:
-    if not isinstance(obj, dict) or "C" not in obj:
-        raise ShapeError("isomorphism object needs key 'C'")
-    _only(obj, ("C",))
+    _only(obj, "isomorphism object", ("C",))
     return [_ints(row, "row of 'C'") for row in _list(obj["C"], "'C'")]
 
 
@@ -151,7 +149,7 @@ def move_from_obj(obj: object) -> tuple:
     is_twist = obj["kind"] == "twist"
     if is_twist and "v" not in obj:
         raise ShapeError("twist move needs key 'v'")
-    _only(obj, ("kind", "j", "v") if is_twist else ("kind", "j"))
+    _only(obj, "move object", ("kind", "j", "v") if is_twist else ("kind", "j"))
     return obj["kind"], decode_int(obj["j"]), _ints(obj["v"], "twist 'v'") if is_twist else None
 
 
@@ -161,9 +159,7 @@ def seq_to_obj(seq: MoveSeq) -> dict:
 
 def seq_from_obj(obj: object) -> tuple:
     """A sequence's start and its moves' parameters, each decoded (``move_from_obj``) as it is read."""
-    if not isinstance(obj, dict) or "start" not in obj or "moves" not in obj:
-        raise ShapeError("move sequence object needs keys 'start' and 'moves'")
-    _only(obj, ("start", "moves"))
+    _only(obj, "move sequence object", ("start", "moves"))
     return matrix_from_obj(obj["start"]), map(move_from_obj, _list(obj["moves"], "'moves'"))
 
 
@@ -235,8 +231,7 @@ def certificate_from_parts(A: BottMatrix, B: BottMatrix, phi_rows, f_start: Bott
     ``certificate_from_fields`` build one: f's moves, then g's, built from their (kind, j, v) by
     ``rebuild``, then phi and phi_prime checked by ``make_iso``; k_final must be a plain int.
     ``check_claims`` checks the rest."""
-    if type(k_final) is not int:
-        raise ShapeError(f"k_final {int_text(k_final)} is not an integer")
+    integer(k_final, "k_final")
     f_seq, g_seq = rebuild(f_start, f_params), rebuild(g_start, g_params)
     return StabilizationCertificate(A, B, make_iso(A, B, phi_rows), f_seq, g_seq,
                                     make_iso(f_seq.start, g_seq.end, phi_prime_rows), k_final)
@@ -264,7 +259,7 @@ def certificate_from_obj(obj: object) -> StabilizationCertificate:
     for key in ("A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final"):
         if key not in obj:
             raise ShapeError(f"certificate is missing key {key!r}")
-    _only(obj, ("schema", "A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final"))
+    _only(obj, "certificate", ("schema", "A", "B", "phi", "f_seq", "g_seq", "phi_prime", "k_final"))
     return certificate_from_parts(
         matrix_from_obj(obj["A"]), matrix_from_obj(obj["B"]), iso_matrix_from_obj(obj["phi"]),
         *seq_from_obj(obj["f_seq"]), *seq_from_obj(obj["g_seq"]),

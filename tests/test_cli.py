@@ -372,8 +372,17 @@ def test_matrix_big_integers_round_trip(files, capsys):
     ][1][0] == str(big)
 
 
+# the fixtures the pinned commands read, each file's name with its payload
+PINNED_FILES = {
+    "h3.json": {"n": 3, "rows": [[], [1], [1, 0]]},
+    "a.json": {"n": 4, "rows": [[], [1], [0, 2], [1, 1, 0]]},
+    "f0.json": {"n": 2, "rows": [[], [0]]},
+    "f2.json": {"n": 2, "rows": [[], [2]]},
+    "c.json": {"C": [[1, 0], [-1, 1]]},
+}
 # sha256 of stdout for criterion 8's commands, run in a directory holding
-# the fixtures; the stabilize --out file equals the stdout certificate
+# the fixtures; the stabilize --out file equals the stdout certificate.
+# tests/interpreters.py reads both tables with ast, so they stay literals
 PINNED_STDOUT = [
     (["ring", "h3.json"], "11221b42747a3ebc846eb43a24ade155eed495b0db1bd7b072864eea51d65eeb"),
     (["sqzero", "a.json"], "2784879a5177dd67036d682362b0f525ce8f52ad05f0a385906d35dd0e0e7006"),
@@ -399,11 +408,8 @@ PINNED_STDOUT = [
 
 
 def test_pinned_stdout_bytes(files, capsys, tmp_path, monkeypatch):
-    files("h3.json", {"n": 3, "rows": [[], [1], [1, 0]]})
-    files("a.json", {"n": 4, "rows": [[], [1], [0, 2], [1, 1, 0]]})
-    files("f0.json", {"n": 2, "rows": [[], [0]]})
-    files("f2.json", {"n": 2, "rows": [[], [2]]})
-    files("c.json", {"C": [[1, 0], [-1, 1]]})
+    for name, payload in PINNED_FILES.items():
+        files(name, payload)
     monkeypatch.chdir(tmp_path)
     for argv, digest in PINNED_STDOUT:
         code, out = run(capsys, *argv)

@@ -26,6 +26,9 @@
   method of such a class (dunders aside), is referenced by name in the
   library (``__init__.py`` aside) or in ``bench/``, so no entry point is
   kept for the tests alone.
+* No function, method or class name of the library, nested ones
+  included and dunders aside, is defined twice, so each is found by its
+  name alone.
 * A move is the tuple (kind, j, v) of its parameters and holds no matrix:
   j is a plain int and v is None for a switch and a tuple of plain ints for
   a twist, so reading a sequence keeps one matrix at a time.  No library
@@ -50,8 +53,9 @@
 * README's tour, under "Modules", is one single-line bullet per module of
   ``IMPORT_ORDER``, in that order, so the module docstrings hold the rest.
 * Only the functions ``PLAIN_INT_TESTS`` names test for a plain int
-  (``type(x) is int``, ``map(type, ...)``): every other entry a caller
-  passes is read by ``errors.ints`` or ``errors.index``.
+  (``type(x) is int``, ``map(type, ...)``): every other scalar a caller
+  passes, an index included, is read by ``errors.integer``, and every
+  sequence of ints by ``errors.ints``.
 * Every file parses at the Python version ``pyproject.toml`` declares as
   its minimum, and names none of ``NEWER_NAMES`` newer than it.
 
@@ -71,6 +75,7 @@ import pytest
 import bottcert as bc
 from bottcert.cli import COMMANDS
 from helpers import trace_isos
+from interpreters import declared_minimum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -328,9 +333,11 @@ TRUSTED = {
     # the matrix, the sum of rows and the degree-4 product
     "ring.BottMatrix.__init__", "ring.BottMatrix._derived", "ring.BottMatrix.a", "ring.BottMatrix.__eq__",
     "ring.BottMatrix.__repr__", "ring.height", "ring.combine", "ring.product_is_zero", "ring.product_terms",
-    # a failed relation's message, its ints, the index rule of a move's position and a matrix's entry, and the
-    # readers of a sequence: of moves or rows, and of ints, such as a row or a twist's v
-    "errors.RelationViolated.__init__", "errors.int_text", "errors.index", "errors.entries", "errors.ints",
+    # a failed relation's message, its ints, the scalar rule of a tower's height and a claimed k_final, the index
+    # rule of a move's position and a matrix's entry, and the readers of a sequence: of moves or rows, and of ints,
+    # such as a row or a twist's v
+    "errors.RelationViolated.__init__", "errors.int_text", "errors.integer", "errors.index", "errors.entries",
+    "errors.ints",
 }
 
 
@@ -712,6 +719,38 @@ def test_detects_unreferenced():
     )
     bench = "import lib\nlib.read_by_bench()\nlib.Kept().read()\n"
     assert unreferenced(source, bench) == ["orphan", "Orphan", "Kept.spare"]
+
+
+def repeated_names(library: dict) -> dict:
+    """Each name, dunders aside, that more than one function, method or class of ``library`` (a module's name to
+    its text) defines, nested ones included, with where each is defined, as ``module.scope.name``."""
+    defined = {}
+    for module, text in library.items():
+        for node, qual, _ in scoped(parse(text), module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not dunder(node.name):
+                defined.setdefault(node.name, []).append(f"{qual}.{node.name}")
+    return {name: quals for name, quals in defined.items() if len(quals) > 1}
+
+
+def test_each_library_name_is_defined_once():
+    # a function, method or class is found by its name alone, so a span or a table row can name it so
+    assert repeated_names(LIBRARY) == {}
+
+
+def test_detects_repeated_names():
+    planted = (
+        "def combine(c):\n    return c\n"
+        "class Reader:\n    def __init__(self):\n        pass\n    def build(self):\n        return 1\n"
+        "    def read(self):\n        return 2\n"
+        "class Other:\n    def __init__(self):\n        pass\n    def read(self):\n        return 3\n"
+        "def outer():\n    def extend():\n        return 4\n    return extend\n"
+    )
+    assert repeated_names({**LIBRARY, "planted": planted}) == {
+        "combine": ["ring.combine", "planted.combine"],
+        "build": ["moves.MoveSeq.build", "planted.Reader.build"],
+        "read": ["planted.Reader.read", "planted.Other.read"],
+        "extend": ["iso.search_isos.extend", "planted.outer.extend"],
+    }
 
 
 def parameters_only(mv) -> bool:
@@ -1102,12 +1141,11 @@ def test_detects_a_tour_that_grows():
 
 
 PLAIN_INT_TESTS = {
-    # the two readers of what a caller passes: an index, and a sequence of ints such as a row or a twist's v
-    "errors.index", "errors.ints",
+    # the two readers of what a caller passes: a scalar int, such as an index, a tower's height, a search bound or
+    # a claimed k_final, and a sequence of ints such as a row or a twist's v
+    "errors.integer", "errors.ints",
     # the JSON readers' integer rule, and the writer's number format, which joins an array of plain ints at once
     "serialize.decode_int", "serialize._dump",
-    # the three scalars a caller passes that are no index: a tower's height, a search bound and a claimed k_final
-    "ring.BottMatrix.__init__", "iso.search_isos", "serialize.certificate_from_parts",
 }
 
 
@@ -1131,7 +1169,7 @@ def plain_int_tests(library: dict) -> dict:
 
 
 def test_plain_int_tests_stay_in_their_table():
-    # every other entry is read by errors.ints or errors.index, so no per-entry loop comes back
+    # every other entry is read by errors.integer or errors.ints, so no scalar check or per-entry loop comes back
     assert set(plain_int_tests(MODULES)) == PLAIN_INT_TESTS
 
 
@@ -1150,13 +1188,11 @@ def test_detects_plain_int_tests():
     back = LIBRARY["moves"].replace("def invert_move(mv", "def _check(row):\n" + loop + "\n\ndef invert_move(mv")
     assert back != LIBRARY["moves"]
     assert set(plain_int_tests({**MODULES, "moves": back})) == PLAIN_INT_TESTS | {"moves._check"}
-
-
-def declared_minimum(pyproject: str) -> tuple[int, int]:
-    """The (major, minor) of ``requires-python = ">=X.Y"`` in ``pyproject.toml``'s text, read with a regex, as
-    ``tomllib`` is newer than the minimum it reads."""
-    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', pyproject, re.M)
-    return int(found[1]), int(found[2])
+    # and so is a scalar check put back where integer reads a claimed k_final
+    scalar = LIBRARY["serialize"].replace('integer(k_final, "k_final")', "if type(k_final) is not int:\n        1")
+    assert scalar != LIBRARY["serialize"]
+    assert set(plain_int_tests({**MODULES, "serialize": scalar})) == PLAIN_INT_TESTS | {
+        "serialize.certificate_from_parts"}
 
 
 MINIMUM = declared_minimum((ROOT / "pyproject.toml").read_text(encoding="utf-8"))

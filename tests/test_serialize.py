@@ -219,9 +219,14 @@ class TestTrustBoundary:
             (_edit("phi", "extra", value={}), "unknown key 'extra'"),
             (_edit("f_seq", "extra", value={}), "unknown key 'extra'"),
             (_edit("g_seq", "moves", 0, "extra", value={}), "unknown key 'extra'"),
+            (_edit("A", "n"), "matrix object needs keys 'n' and 'rows'"),
+            (_edit("phi", value=[[1]]), "isomorphism object needs key 'C'"),
+            (_edit("f_seq", value=[]), "move sequence object needs keys 'start' and 'moves'"),
+            (_edit("g_seq", "moves", 0, "v"), "twist move needs key 'v'"),
         ],
         ids=["list", "no-phi", "seq-no-start", "move-no-kind", "B-other-n", "twist-at-0",
-             "cert-comment", "matrix-extra", "map-extra", "seq-extra", "twist-extra"],
+             "cert-comment", "matrix-extra", "map-extra", "seq-extra", "twist-extra", "matrix-no-n",
+             "map-a-list", "seq-a-list", "twist-no-v"],
     )
     def test_rejection(self, mutate, diagnostic):
         obj = json.loads(json.dumps(ser.certificate_to_obj(bc.stabilize_full(odd_twist_isos()[0]))))

@@ -904,12 +904,14 @@ def phi_rows(cert, C):
     return with_parts(cert, phi=bc.GradedIso(cert.A, cert.B, C))
 
 
-# each bad part of an in-memory certificate that the verifier once raised on, with the diagnostic it now returns
+# each bad part of an in-memory certificate that the verifier once raised on, or that a trusting constructor keeps
+# and check_claims may raise on (errors' data contract), with the diagnostic the verifier returns
 IN_MEMORY_PROBES = {
     "move with two fields": (lambda c: g_moves(c, (("switch", 1),)), "move must be a (kind, j, v) tuple"),
     "moves an int": (lambda c: g_moves(c, 5), "g_seq.moves is not a tuple"),
     "twist's v an int": (lambda c: g_moves(c, (("twist", 2, 5),)), "twist's v must be a tuple, got int"),
     "phi's C an int": (lambda c: phi_rows(c, 5), "phi.C is not a tuple"),
+    "phi's C None": (lambda c: phi_rows(c, None), "phi.C is not a tuple"),
     "phi's row an int": (lambda c: phi_rows(c, (5,) + c.phi.C[1:]), "a row of a map is not a tuple"),
     "switch at 10**5000": (lambda c: g_moves(c, (("switch", BIG, None),)), f"switch position {BITS} outside 1..3"),
     "twist at 10**5000": (lambda c: g_moves(c, (("twist", BIG, (0,) * 4),)), f"twist position {BITS} outside 1..4"),
